@@ -15,7 +15,6 @@ from .capacity import (
     closed_form_upper_bound,
     compute_O,
     equal_allocation_lower_bound,
-    equivalent_channel,
     ergodic_capacity_mc,
     expected_gram_moments,
     moment_upper_bound,
@@ -26,13 +25,10 @@ from .capacity import (
     xpd_threshold,
 )
 from .channel import (
-    ChannelSample,
     ChannelStatistics,
     build_channel_statistics,
     correlation_matrix,
-    correlation_sqrt,
     pathloss_vectors,
-    sample_channel,
 )
 from .exceptions import DegenerateGeometryError, ModelInconsistencyError
 from .feed import (
@@ -57,14 +53,7 @@ from .geometry import (
     spherical_to_cartesian,
     transverse_plane_tilt,
 )
-from .numerics import (
-    SeededStreamFactory,
-    db_to_linear,
-    dbm_to_watts,
-    det2_hermitian_form,
-    linear_to_db,
-    symmetric_eigendecomposition,
-)
+from .numerics import db_to_linear, dbm_to_watts, linear_to_db
 from .ris import (
     AmplitudeModel,
     RisConfiguration,

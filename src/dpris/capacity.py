@@ -5,8 +5,19 @@ The 2x2 equivalent channel G collapses the per-element vectors:
     G = [[h_vv . (Gamma_v * b_v),  h_vh . (Gamma_h * b_h)],
          [h_hv . (Gamma_v * b_v),  h_hh . (Gamma_h * b_h)]]
 
-Monte Carlo estimates E log2 det(I2 + rho G Lambda G^H) over independent
-fading draws.  The matching closed forms are the moment upper bound
+Each entry is a linear functional of a different fading block, and the
+four blocks are independent zero-mean circular Gaussian vectors.  A linear
+functional of such a vector is circular Gaussian with the matching
+quadratic form as its variance, so the entries of G are independent with
+G_ij ~ CN(0, m_ij), where m holds the second moments from
+``expected_gram_moments``.  That is the exact law of G, not an
+approximation.  Monte Carlo therefore draws four complex scalars per trial,
+vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H)
+without drawing per-element fading or factorizing the correlation matrix.
+Trials come in fixed-size chunks, each from its own stream keyed by the
+master seed and the chunk index, so results are bitwise reproducible.
+
+The matching closed forms are the moment upper bound
 
     log2(1 + rho lv (m11 + m21) + rho lh (m12 + m22)
            + rho^2 lv lh (m11 m22 + m12 m21)),
@@ -23,19 +34,21 @@ which the dual system more than doubles the single one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelStatistics, sample_channel
+from .channel import ChannelStatistics
 from .exceptions import ModelInconsistencyError
 from .feed import PropagationMatrix
-from .numerics import SeededStreamFactory, det2_shift
 from .ris import RisConfiguration
 
 _LN2 = np.log(2.0)
+#: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
+#: stream keyed (master_seed, c), so a fixed seed gives the same draws for
+#: every trial whatever the trial count.
+_CHUNK_TRIALS = 65_536
 
 
 @dataclass(frozen=True)
@@ -90,11 +103,6 @@ class LinkBudget:
         )
 
 
-#: 2x2 complex ndarray; rows index the UE polarization (V, H), columns the
-#: feed polarization (V, H).
-EquivalentChannel = np.ndarray
-
-
 @dataclass(frozen=True)
 class McCapacityResult:
     """Monte Carlo estimate with its standard error and the per-entry
@@ -122,57 +130,47 @@ class CapacityReport:
     metadata: dict = field(default_factory=dict)
 
 
-def equivalent_channel(
-    sample, config: RisConfiguration, pm: PropagationMatrix
-) -> EquivalentChannel:
-    """Collapse one fading sample to the 2x2 equivalent channel."""
-    n = config.element_count
-    if pm.element_count != n or sample.h_vv.shape[0] != n:
-        raise ValueError("sample, configuration and propagation sizes disagree")
-    u_v = config.gamma_v * pm.copol_v
-    u_h = config.gamma_h * pm.copol_h
-    return np.array(
-        [
-            [sample.h_vv @ u_v, sample.h_vh @ u_h],
-            [sample.h_hv @ u_v, sample.h_hh @ u_h],
-        ]
-    )
-
-
 def ergodic_capacity_mc(
     stats: ChannelStatistics,
-    config: RisConfiguration,
+    config: RisConfiguration | Sequence[RisConfiguration],
     pm: PropagationMatrix,
     allocation: PowerAllocation,
     budget: LinkBudget,
     trials: int,
     master_seed: int,
-    workers: int = 1,
 ) -> McCapacityResult:
     """Monte Carlo mean of log2 det(I2 + rho G Lambda G^H).
 
-    Trial i draws its channel from stream (master_seed, i), and the
-    reduction runs over the full per-trial array in index order, so the
-    estimate is bitwise identical for any worker count.
+    G is drawn from its exact law: four independent entries
+    G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
+    ``expected_gram_moments`` of the configuration.  ``config`` may also be
+    a sequence of D configurations (random phase draws); trial i then uses
+    the moments of configuration i mod D, so the estimate describes the
+    same ensemble as a bound averaged over those draws.
+
+    Trials are drawn in fixed chunks of 65 536, chunk c from the stream
+    keyed (master_seed, c), so a fixed seed gives bitwise identical
+    results, and the first T trials of a longer run are those of a T-trial
+    run.  Raises ModelInconsistencyError, with the moments attached, when
+    a moment is negative or not finite.
     """
-    return _run_mc(stats, config, pm, allocation, budget, trials, master_seed, workers, dual=True)
+    return _run_mc(stats, config, pm, allocation, budget, trials, master_seed)
 
 
 def single_pol_capacity_mc(
     stats: ChannelStatistics,
-    config: RisConfiguration,
+    config: RisConfiguration | Sequence[RisConfiguration],
     pm: PropagationMatrix,
     budget: LinkBudget,
     trials: int,
     master_seed: int,
-    workers: int = 1,
 ) -> McCapacityResult:
     """Monte Carlo mean of log2(1 + rho |G11|^2) for the all-V baseline.
 
-    Draws the full four-block sample (using only the VV entry) so the
-    stream stays interchangeable with the dual-polarized estimator.
+    Uses the G11 entries of the same draws as ``ergodic_capacity_mc``, so
+    the two estimators share their samples for equal seeds.
     """
-    return _run_mc(stats, config, pm, None, budget, trials, master_seed, workers, dual=False)
+    return _run_mc(stats, config, pm, None, budget, trials, master_seed)
 
 
 def moment_upper_bound(
@@ -336,7 +334,6 @@ def capacity_report(
     budget: LinkBudget,
     trials: int,
     master_seed: int,
-    workers: int = 1,
     metadata: dict | None = None,
 ) -> CapacityReport:
     """Monte Carlo estimate plus the matching closed-form quantities.
@@ -344,7 +341,7 @@ def capacity_report(
     The bound always uses the exact O quadratic forms, never the Monte
     Carlo moments; the moments travel alongside for diagnostics.
     """
-    mc = ergodic_capacity_mc(stats, config, pm, allocation, budget, trials, master_seed, workers)
+    mc = ergodic_capacity_mc(stats, config, pm, allocation, budget, trials, master_seed)
     o_v = compute_O(config.amplitudes_v, pm, stats)
     o_h = compute_O(config.amplitudes_h, pm, stats)
     bound = closed_form_upper_bound(o_v, o_h, allocation, budget, stats.xpd_coeff)
@@ -369,59 +366,42 @@ def _xpd_mix(xpd_coeff: float) -> float:
 
 def _run_mc(
     stats: ChannelStatistics,
-    config: RisConfiguration,
+    config: RisConfiguration | Sequence[RisConfiguration],
     pm: PropagationMatrix,
     allocation: PowerAllocation | None,
     budget: LinkBudget,
     trials: int,
     master_seed: int,
-    workers: int,
-    dual: bool,
 ) -> McCapacityResult:
     if trials < 1:
         raise ValueError(f"trial count must be at least 1, got {trials!r}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers!r}")
-    n = config.element_count
-    if pm.element_count != n or stats.element_count != n:
+    configs = [config] if isinstance(config, RisConfiguration) else list(config)
+    if not configs:
+        raise ValueError("need at least one configuration")
+    n = stats.element_count
+    if pm.element_count != n or any(c.element_count != n for c in configs):
         raise ValueError("configuration, propagation and statistics sizes disagree")
+    moments = np.array([expected_gram_moments(c, pm, stats) for c in configs])
+    if not np.all(np.isfinite(moments)) or np.any(moments < 0.0):
+        raise ModelInconsistencyError(
+            "channel second moments must be finite and non-negative",
+            details={"moments": moments},
+        )
 
-    u_v = config.gamma_v * pm.copol_v
-    u_h = config.gamma_h * pm.copol_h
-    streams = SeededStreamFactory(master_seed)
-    per_trial = np.empty(trials)
-    gram = np.empty((trials, 4))
+    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(configs)]
+    g = _standard_channels(trials, master_seed) * scale
+    gram = g.real**2 + g.imag**2
     rho = budget.snr
-
-    def run_range(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            sample = sample_channel(stats, streams.stream(i))
-            g = np.array(
-                [
-                    [sample.h_vv @ u_v, sample.h_vh @ u_h],
-                    [sample.h_hv @ u_v, sample.h_hh @ u_h],
-                ]
-            )
-            flat = g.ravel()
-            gram[i] = flat.real**2 + flat.imag**2
-            if dual:
-                shift = det2_shift(g, allocation.lambda_v, allocation.lambda_h, rho)
-            else:
-                shift = rho * gram[i, 0]
-            per_trial[i] = np.log1p(shift) / _LN2
-
-    if workers == 1:
-        run_range(0, trials)
+    if allocation is None:
+        shift = rho * gram[:, 0]
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_range, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            for future in futures:
-                future.result()
+        # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
+        # keeps full relative precision where the shift is tiny
+        lv, lh = allocation.lambda_v, allocation.lambda_h
+        det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+        shift = rho * (lv * (gram[:, 0] + gram[:, 2]) + lh * (gram[:, 1] + gram[:, 3]))
+        shift += rho * rho * lv * lh * (det.real**2 + det.imag**2)
+    per_trial = np.log1p(shift) / _LN2
 
     estimate = float(np.mean(per_trial))
     if trials > 1:
@@ -438,3 +418,20 @@ def _run_mc(
         trials=trials,
         master_seed=master_seed,
     )
+
+
+def _standard_channels(trials: int, master_seed: int) -> np.ndarray:
+    """(trials, 4) complex draws z1 + j z2 with independent standard normal
+    parts, columns in entry order (G11, G12, G21, G22).
+
+    Chunk c holds trials [c C, (c + 1) C) with C = _CHUNK_TRIALS and draws
+    them from its own stream as a prefix of that stream's draws, so buffers
+    stay sized to the trials requested.
+    """
+    out = np.empty((trials, 4), dtype=complex)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, trials)
+        seq = np.random.SeedSequence(master_seed, spawn_key=(start // _CHUNK_TRIALS,))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        out[start:stop] = rng.standard_normal((stop - start, 4, 2)).view(complex)[..., 0]
+    return out

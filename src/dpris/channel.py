@@ -10,6 +10,12 @@ by the cross-polarization coefficient:
 
 Distances are exact per element, so UEs in the array near field see the
 correct per-element power variation.
+
+Nothing here draws per-element fading.  The capacity estimator needs only
+the 2x2 equivalent channel, whose entries are independent circular
+Gaussians with variances given by quadratic forms over these statistics
+(``capacity.expected_gram_moments``), so it samples that law directly and
+R is never factorized.
 """
 
 from __future__ import annotations
@@ -18,17 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ModelInconsistencyError
 from .geometry import RisGeometry
-from .numerics import symmetric_eigendecomposition
-
-#: Eigenvalues below this fraction of the largest one are clipped to zero
-#: before forming the sampling factor (the sinc kernel is near-singular on
-#: dense grids).
-_CLIP_FRACTION = 1e-12
-#: Eigenvalues below minus this fraction of the largest one mean the input
-#: was not a correlation matrix at all.
-_PSD_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class ChannelStatistics:
     xpd_coeff: float
     element_ue_distances: np.ndarray
     correlation: np.ndarray
-    correlation_sqrt: np.ndarray
     pathloss_co: np.ndarray
     pathloss_cross: np.ndarray
 
@@ -49,47 +44,12 @@ class ChannelStatistics:
         return self.element_ue_distances.shape[0]
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One fading realization: the four per-element channel vectors."""
-
-    h_vv: np.ndarray
-    h_vh: np.ndarray
-    h_hv: np.ndarray
-    h_hh: np.ndarray
-
-
 def correlation_matrix(geometry: RisGeometry) -> np.ndarray:
     """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all element
     pairs (normalized sinc: unit diagonal, first zero at lambda/2)."""
     pos = geometry.element_positions
     separation = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     return np.sinc(2.0 * separation / geometry.wavelength)
-
-
-def correlation_sqrt(correlation: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T equal to the (spectrally repaired) correlation.
-
-    Symmetric eigendecomposition with eigenvalues below 1e-12 of the
-    largest clipped to zero.  A pre-repair eigenvalue below -1e-8 of the
-    largest raises ModelInconsistencyError: the input was not positive
-    semidefinite and no repair is appropriate.
-    """
-    r = np.asarray(correlation, dtype=float)
-    if r.size and float(np.max(np.abs(np.diag(r) - 1.0))) > 1e-9:
-        raise ValueError("correlation matrix must have unit diagonal")
-    eigenvalues, eigenvectors = symmetric_eigendecomposition(r)
-    largest = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    if eigenvalues.size and float(eigenvalues[-1]) < -_PSD_TOLERANCE * largest:
-        raise ModelInconsistencyError(
-            "correlation matrix is not positive semidefinite",
-            details={
-                "min_eigenvalue": float(eigenvalues[-1]),
-                "max_eigenvalue": largest,
-            },
-        )
-    clipped = np.where(eigenvalues < _CLIP_FRACTION * largest, 0.0, eigenvalues)
-    return eigenvectors * np.sqrt(clipped)[None, :]
 
 
 def pathloss_vectors(
@@ -128,8 +88,7 @@ def build_channel_statistics(
         geometry, ue_position, unit_pathloss, pathloss_exponent, xpd_coeff
     )
     correlation = correlation_matrix(geometry)
-    factor = correlation_sqrt(correlation)
-    for array in (distances, co, cross, correlation, factor):
+    for array in (distances, co, cross, correlation):
         array.setflags(write=False)
     return ChannelStatistics(
         unit_pathloss=unit_pathloss,
@@ -137,31 +96,6 @@ def build_channel_statistics(
         xpd_coeff=xpd_coeff,
         element_ue_distances=distances,
         correlation=correlation,
-        correlation_sqrt=factor,
         pathloss_co=co,
         pathloss_cross=cross,
-    )
-
-
-def sample_channel(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelSample:
-    """Draw one fading realization from an explicit random stream.
-
-    Each block is sqrt(pathloss) times a correlated standard circular
-    complex Gaussian vector L w, with w drawn as (g1 + j g2) / sqrt(2) and
-    the four blocks independent.  The same stream state always yields the
-    same sample, and the draw layout is fixed, so results do not depend on
-    who calls this where.
-    """
-    n = stats.element_count
-    real = rng.standard_normal((n, 4))
-    imag = rng.standard_normal((n, 4))
-    white = (real + 1j * imag) / np.sqrt(2.0)
-    correlated = stats.correlation_sqrt @ white
-    amp_co = np.sqrt(stats.pathloss_co)
-    amp_cross = np.sqrt(stats.pathloss_cross)
-    return ChannelSample(
-        h_vv=amp_co * correlated[:, 0],
-        h_vh=amp_cross * correlated[:, 1],
-        h_hv=amp_cross * correlated[:, 2],
-        h_hh=amp_co * correlated[:, 3],
     )

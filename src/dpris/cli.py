@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--feed-gain-db", type=float)
     p_cap.add_argument("--trials", type=int)
     p_cap.add_argument("--seed", type=int, help="master seed for the trial streams")
-    p_cap.add_argument("--workers", type=int)
     p_cap.add_argument("--allocation", help="equal | optimal | lambda_v value")
     p_cap.add_argument("--phase-scheme", choices=("optimal", "optimal-with-adjustment", "random"))
     p_cap.add_argument(
@@ -141,7 +140,6 @@ def _cmd_capacity(args) -> int:
         "feed_gain_db": args.feed_gain_db,
         "trials": args.trials,
         "master_seed": args.seed,
-        "workers": args.workers,
         "allocation": args.allocation,
         "phase_scheme": args.phase_scheme,
     }
@@ -160,7 +158,6 @@ def _cmd_capacity(args) -> int:
         model.budget,
         base.trials,
         base.master_seed,
-        base.workers,
         metadata={"phase_scheme": base.phase_scheme},
     )
     _print_report(base, model, report)

@@ -1,14 +1,9 @@
-"""Shared numerical kernels: unit conversions, seeded streams, symmetric
-eigendecomposition, the 2x2 Hermitian-form determinant, and Gauss-Legendre
-nodes for hemisphere quadrature."""
+"""Shared numerical kernels: unit conversions and Gauss-Legendre nodes for
+hemisphere quadrature."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-_LN2 = np.log(2.0)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -28,69 +23,6 @@ def dbm_to_watts(value_dbm: float) -> float:
     return float(10.0 ** ((value_dbm - 30.0) / 10.0))
 
 
-@dataclass(frozen=True)
-class SeededStreamFactory:
-    """Hands out independent, reproducible random streams.
-
-    ``stream(i)`` is a counter-keyed child of the master seed: the draw
-    sequence of stream ``i`` never depends on how many streams exist or on
-    which worker asks for it, so parallel Monte Carlo reductions are
-    bitwise reproducible for any worker count.
-    """
-
-    master_seed: int
-
-    def stream(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError("stream index must be non-negative")
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
-        return np.random.Generator(np.random.PCG64(seq))
-
-
-def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a real
-    symmetric matrix.
-
-    Raises ValueError if the input is not symmetric to within 1e-12
-    relative to its largest entry.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if m.size and float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    # stable sort keeps tied eigenvectors in place (identity stays identity)
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], eigenvectors[:, order]
-
-
-def det2_shift(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float) -> float:
-    """det(I2 + snr * G diag(lv, lh) G^H) - 1, computed without forming the
-    determinant, so tiny shifts at low SNR keep full relative precision.
-    """
-    a11 = lambda_v * _abs2(g[0, 0]) + lambda_h * _abs2(g[0, 1])
-    a22 = lambda_v * _abs2(g[1, 0]) + lambda_h * _abs2(g[1, 1])
-    a12 = lambda_v * g[0, 0] * np.conj(g[1, 0]) + lambda_h * g[0, 1] * np.conj(g[1, 1])
-    return float(snr * (a11 + a22) + snr * snr * (a11 * a22 - _abs2(a12)))
-
-
-def det2_hermitian_form(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float) -> float:
-    """det(I2 + snr * G diag(lv, lh) G^H) via the explicit 2x2 expansion.
-
-    Real and >= 1 whenever snr and both weights are non-negative.
-    """
-    if lambda_v < 0.0 or lambda_h < 0.0:
-        raise ValueError("allocation weights must be non-negative")
-    return 1.0 + det2_shift(g, lambda_v, lambda_h, snr)
-
-
-def log2_det2(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float) -> float:
-    """log2 det(I2 + snr * G diag(lv, lh) G^H), accurate for tiny arguments."""
-    return float(np.log1p(det2_shift(g, lambda_v, lambda_h, snr)) / _LN2)
-
-
 def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lower, upper]."""
     if n < 1:
@@ -98,7 +30,3 @@ def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.n
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (upper - lower)
     return lower + half * (x + 1.0), half * w
-
-
-def _abs2(z: complex) -> float:
-    return float(z.real * z.real + z.imag * z.imag)

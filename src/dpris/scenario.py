@@ -54,7 +54,6 @@ class Scenario:
     allocation: str = "equal"  # equal | optimal | a lambda_v literal
     trials: int = 2000
     master_seed: int = 20260810
-    workers: int = 1
     random_phase_draws: int = 1000
 
     def replace(self, **changes) -> "Scenario":
@@ -77,7 +76,7 @@ def parse_overrides(scenario: Scenario, pairs: dict[str, str]) -> Scenario:
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in ("elements", "trials", "master_seed", "workers", "random_phase_draws", "phase_seed"):
+    if key in ("elements", "trials", "master_seed", "random_phase_draws", "phase_seed"):
         return int(raw)
     if key in (
         "boresight_deg",

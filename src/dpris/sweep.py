@@ -194,10 +194,11 @@ def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
     current = _scenario_at(spec, point)
     model = scen.build_link_model(current)
     allocation = scen.resolve_allocation(current, model)
+    configs = _configurations(current, model)
     cells: dict = {}
     for out in spec.outputs:
         if out == "dual-ub":
-            cells["dual_ub_bits"] = _dual_bound(current, model, allocation)
+            cells["dual_ub_bits"] = _dual_bound(current, model, allocation, configs)
         elif out == "single-ub":
             cells["single_ub_bits"] = capacity.single_pol_upper_bound(
                 model.o_v, model.budget, current.xpd_coeff
@@ -215,56 +216,66 @@ def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
         elif out == "dual-mc":
             mc = capacity.ergodic_capacity_mc(
                 model.stats,
-                model.config,
+                configs,
                 model.pm,
                 allocation,
                 model.budget,
                 current.trials,
                 current.master_seed,
-                current.workers,
             )
             cells["dual_mc_bits"] = mc.estimate
             cells["dual_mc_se"] = mc.standard_error
         elif out == "single-mc":
             mc = capacity.single_pol_capacity_mc(
                 model.stats,
-                model.config,
+                configs,
                 model.pm,
                 model.budget,
                 current.trials,
                 current.master_seed,
-                current.workers,
             )
             cells["single_mc_bits"] = mc.estimate
             cells["single_mc_se"] = mc.standard_error
     return cells
 
 
-def _dual_bound(current: scen.Scenario, model: scen.LinkModel, allocation) -> float:
-    scheme = current.phase_scheme
-    if scheme == "optimal":
-        return capacity.closed_form_upper_bound(
-            model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
+def _configurations(current: scen.Scenario, model: scen.LinkModel) -> list:
+    """The configurations every column of a row describes: the built one,
+    or for the random scheme the seeded phase draws phase_seed,
+    phase_seed + 1, ... (random_phase_draws of them), reusing the
+    phase-independent amplitudes."""
+    if current.phase_scheme != "random":
+        return [model.config]
+    if current.random_phase_draws < 1:
+        raise ValueError(
+            f"random_phase_draws must be at least 1, got {current.random_phase_draws}"
         )
-    if scheme == "optimal-with-adjustment":
-        moments = capacity.expected_gram_moments(model.config, model.pm, model.stats)
-        return capacity.moment_upper_bound(moments, allocation, model.budget)
-    # random scheme: mean bound over seeded independent phase draws,
-    # reusing the (phase-independent) amplitudes
-    total = 0.0
+    configs = []
     for draw in range(current.random_phase_draws):
         phases_v, phases_h = ris.phase_strategy(
             "random", model.geometry, model.feed, seed=current.phase_seed + draw
         )
-        config = ris.RisConfiguration(
-            amplitudes_v=model.config.amplitudes_v,
-            amplitudes_h=model.config.amplitudes_h,
-            phases_v=phases_v,
-            phases_h=phases_h,
+        configs.append(
+            ris.RisConfiguration(
+                amplitudes_v=model.config.amplitudes_v,
+                amplitudes_h=model.config.amplitudes_h,
+                phases_v=phases_v,
+                phases_h=phases_h,
+            )
         )
+    return configs
+
+
+def _dual_bound(current: scen.Scenario, model: scen.LinkModel, allocation, configs) -> float:
+    if current.phase_scheme == "optimal":
+        return capacity.closed_form_upper_bound(
+            model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
+        )
+    total = 0.0
+    for config in configs:
         moments = capacity.expected_gram_moments(config, model.pm, model.stats)
         total += capacity.moment_upper_bound(moments, allocation, model.budget)
-    return total / current.random_phase_draws
+    return total / len(configs)
 
 
 def _join(values) -> str:

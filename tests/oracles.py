@@ -1,0 +1,159 @@
+"""Reference implementations the tests compare the package against.
+
+The full-vector channel sampler draws every element's fading through a
+factor of the N x N correlation matrix; the package's Monte Carlo draws
+only the 2x2 law of the equivalent channel.  The scalar determinant forms
+expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
+independent route to the package's |det G|^2 form.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dpris.exceptions import ModelInconsistencyError
+
+LN2 = np.log(2.0)
+#: Eigenvalues below this fraction of the largest one are clipped to zero
+#: before forming the sampling factor (the sinc kernel is near-singular on
+#: dense grids).
+CLIP_FRACTION = 1e-12
+#: Eigenvalues below minus this fraction of the largest one mean the input
+#: was not a correlation matrix at all.
+PSD_TOLERANCE = 1e-8
+
+
+@dataclass(frozen=True)
+class SeededStreamFactory:
+    """Counter-keyed child streams of one master seed: stream ``i`` never
+    depends on how many streams exist."""
+
+    master_seed: int
+
+    def stream(self, index: int) -> np.random.Generator:
+        if index < 0:
+            raise ValueError("stream index must be non-negative")
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
+        return np.random.Generator(np.random.PCG64(seq))
+
+
+def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a real
+    symmetric matrix; ValueError if it is not symmetric within 1e-12."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+    if m.size and float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric within 1e-12")
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    # stable sort keeps tied eigenvectors in place (identity stays identity)
+    order = np.argsort(-eigenvalues, kind="stable")
+    return eigenvalues[order], eigenvectors[:, order]
+
+
+def correlation_sqrt(correlation: np.ndarray) -> np.ndarray:
+    """Factor L with L L^T equal to the (spectrally repaired) correlation.
+
+    Eigenvalues below 1e-12 of the largest are clipped to zero.  A
+    pre-repair eigenvalue below -1e-8 of the largest raises
+    ModelInconsistencyError: the input was not positive semidefinite.
+    """
+    r = np.asarray(correlation, dtype=float)
+    if r.size and float(np.max(np.abs(np.diag(r) - 1.0))) > 1e-9:
+        raise ValueError("correlation matrix must have unit diagonal")
+    eigenvalues, eigenvectors = symmetric_eigendecomposition(r)
+    largest = float(eigenvalues[0]) if eigenvalues.size else 0.0
+    if eigenvalues.size and float(eigenvalues[-1]) < -PSD_TOLERANCE * largest:
+        raise ModelInconsistencyError(
+            "correlation matrix is not positive semidefinite",
+            details={"min_eigenvalue": float(eigenvalues[-1]), "max_eigenvalue": largest},
+        )
+    clipped = np.where(eigenvalues < CLIP_FRACTION * largest, 0.0, eigenvalues)
+    return eigenvectors * np.sqrt(clipped)[None, :]
+
+
+@dataclass(frozen=True)
+class ChannelSample:
+    """Fading realizations: the four per-element channel vectors, shape
+    (N,) for one draw or (trials, N) for a batch."""
+
+    h_vv: np.ndarray
+    h_vh: np.ndarray
+    h_hv: np.ndarray
+    h_hh: np.ndarray
+
+
+def sample_channel(stats, rng: np.random.Generator, trials: int | None = None) -> ChannelSample:
+    """Draw one fading realization, or ``trials`` of them in one batch.
+
+    Each block is sqrt(pathloss) times a correlated standard circular
+    complex Gaussian vector L w, with w = (g1 + j g2) / sqrt(2) and the
+    four blocks independent.
+    """
+    factor = correlation_sqrt(stats.correlation)
+    shape = (stats.element_count, 4) if trials is None else (trials, stats.element_count, 4)
+    real = rng.standard_normal(shape)
+    imag = rng.standard_normal(shape)
+    correlated = factor @ ((real + 1j * imag) / np.sqrt(2.0))
+    amp_co = np.sqrt(stats.pathloss_co)
+    amp_cross = np.sqrt(stats.pathloss_cross)
+    return ChannelSample(
+        h_vv=amp_co * correlated[..., 0],
+        h_vh=amp_cross * correlated[..., 1],
+        h_hv=amp_cross * correlated[..., 2],
+        h_hh=amp_co * correlated[..., 3],
+    )
+
+
+def equivalent_channel(sample: ChannelSample, config, pm) -> np.ndarray:
+    """Collapse fading samples to 2x2 equivalent channels, shape (..., 2, 2);
+    rows index the UE polarization (V, H), columns the feed's."""
+    n = config.element_count
+    if pm.element_count != n or sample.h_vv.shape[-1] != n:
+        raise ValueError("sample, configuration and propagation sizes disagree")
+    u_v = config.gamma_v * pm.copol_v
+    u_h = config.gamma_h * pm.copol_h
+    top = np.stack([sample.h_vv @ u_v, sample.h_vh @ u_h], axis=-1)
+    bottom = np.stack([sample.h_hv @ u_v, sample.h_hh @ u_h], axis=-1)
+    return np.stack([top, bottom], axis=-2)
+
+
+def det2_shift(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
+    """det(I2 + snr * G diag(lv, lh) G^H) - 1 over the trailing 2x2 axes,
+    through the Hermitian product A = G Lambda G^H."""
+    a11 = lambda_v * _abs2(g[..., 0, 0]) + lambda_h * _abs2(g[..., 0, 1])
+    a22 = lambda_v * _abs2(g[..., 1, 0]) + lambda_h * _abs2(g[..., 1, 1])
+    a12 = lambda_v * g[..., 0, 0] * np.conj(g[..., 1, 0])
+    a12 = a12 + lambda_h * g[..., 0, 1] * np.conj(g[..., 1, 1])
+    return snr * (a11 + a22) + snr * snr * (a11 * a22 - _abs2(a12))
+
+
+def det2_hermitian_form(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
+    """det(I2 + snr * G diag(lv, lh) G^H); >= 1 for non-negative weights."""
+    if lambda_v < 0.0 or lambda_h < 0.0:
+        raise ValueError("allocation weights must be non-negative")
+    return 1.0 + det2_shift(g, lambda_v, lambda_h, snr)
+
+
+def log2_det2(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
+    """log2 det(I2 + snr * G diag(lv, lh) G^H), accurate for tiny arguments."""
+    return np.log1p(det2_shift(g, lambda_v, lambda_h, snr)) / LN2
+
+
+def full_vector_mc(stats, config, pm, allocation, budget, trials: int, seed: int):
+    """Estimate and standard error of the ergodic capacity from full
+    per-element draws; ``allocation=None`` gives the all-V baseline
+    E log2(1 + rho |G11|^2)."""
+    g = equivalent_channel(sample_channel(stats, np.random.default_rng(seed), trials), config, pm)
+    if allocation is None:
+        values = np.log1p(budget.snr * _abs2(g[:, 0, 0])) / LN2
+    else:
+        values = log2_det2(g, allocation.lambda_v, allocation.lambda_h, budget.snr)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag

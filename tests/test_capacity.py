@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dpris import capacity, channel, feed, geometry, ris, scenario as scen
-from dpris.channel import ChannelSample
 from dpris.exceptions import ModelInconsistencyError
-from dpris.numerics import SeededStreamFactory
 
+import oracles
 from conftest import PITCH, WAVELENGTH
 
 LN2 = np.log(2.0)
@@ -16,7 +17,7 @@ def unit_budget(snr=1.0):
 
 
 def manual_sample(h_vv, h_vh, h_hv, h_hh):
-    return ChannelSample(
+    return oracles.ChannelSample(
         h_vv=np.asarray(h_vv, dtype=complex),
         h_vh=np.asarray(h_vh, dtype=complex),
         h_hv=np.asarray(h_hv, dtype=complex),
@@ -58,20 +59,20 @@ def test_link_budget_validation():
 
 
 def test_equivalent_channel_trivial_cases():
-    g = capacity.equivalent_channel(
+    g = oracles.equivalent_channel(
         manual_sample([1 + 2j], [0], [0], [3j]), unit_config(1), unit_pm(1)
     )
     assert g[0, 0] == 1 + 2j
     assert g[0, 1] == 0 and g[1, 0] == 0
     assert g[1, 1] == 3j
 
-    zero_amp = capacity.equivalent_channel(
+    zero_amp = oracles.equivalent_channel(
         manual_sample([1], [1], [1], [1]), unit_config(1, amplitude=0.0), unit_pm(1)
     )
     assert np.all(zero_amp == 0.0)
 
     with pytest.raises(ValueError):
-        capacity.equivalent_channel(manual_sample([1], [1], [1], [1]), unit_config(2), unit_pm(2))
+        oracles.equivalent_channel(manual_sample([1], [1], [1], [1]), unit_config(2), unit_pm(2))
 
 
 def test_equivalent_channel_matched_xpd_kills_cross_entries(model16):
@@ -82,8 +83,8 @@ def test_equivalent_channel_matched_xpd_kills_cross_entries(model16):
         model16.stats.pathloss_exponent,
         0.0,
     )
-    sample = channel.sample_channel(stats0, np.random.default_rng(1))
-    g = capacity.equivalent_channel(sample, model16.config, model16.pm)
+    sample = oracles.sample_channel(stats0, np.random.default_rng(1))
+    g = oracles.equivalent_channel(sample, model16.config, model16.pm)
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[0, 0] != 0.0
 
@@ -126,30 +127,35 @@ def test_mc_rejects_bad_arguments(model16):
             trials=0,
             master_seed=1,
         )
-    with pytest.raises(ValueError):
-        capacity.single_pol_capacity_mc(
-            model16.stats, model16.config, model16.pm, unit_budget(), 10, 1, workers=0
-        )
+    # a kernel that is not positive semidefinite gives negative moments
+    stats = dataclasses.replace(model16.stats, correlation=-model16.stats.correlation)
+    with pytest.raises(ModelInconsistencyError) as excinfo:
+        capacity.single_pol_capacity_mc(stats, model16.config, model16.pm, unit_budget(), 10, 1)
+    assert np.all(excinfo.value.details["moments"] < 0.0)
 
 
-def test_single_pol_matches_scalar_oracle():
-    # N = 1: recompute E log2(1 + rho |G11|^2) by brute force on the same
-    # streams, outside the estimator
-    base = scen.Scenario(elements=1)
-    model = scen.build_link_model(base)
-    rho = 2.5e12
-    trials = 400
-    result = capacity.single_pol_capacity_mc(
-        model.stats, model.config, model.pm, unit_budget(rho), trials, master_seed=9
+@pytest.mark.parametrize("xpd", [0.0, 0.2, 1.0])
+def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
+    # the 2x2 law against full per-element draws through the correlation
+    # factor, at rho (m11 + m21) = 1 where the capacity is far from both
+    # its low- and high-SNR limits; an unequal split on unequal
+    # polarizations tells every entry's moment apart
+    model = scen.build_link_model(oblique_scenario.replace(xpd_coeff=xpd))
+    budget = unit_budget(1.0 / model.o_v)
+    allocation = capacity.PowerAllocation.split(0.7)
+    trials = 20_000
+    dual = capacity.ergodic_capacity_mc(
+        model.stats, model.config, model.pm, allocation, budget, trials, master_seed=9
     )
-    factory = SeededStreamFactory(9)
-    u_v = model.config.gamma_v * model.pm.copol_v
-    values = np.empty(trials)
-    for i in range(trials):
-        sample = channel.sample_channel(model.stats, factory.stream(i))
-        g11 = sample.h_vv[0] * u_v[0]
-        values[i] = np.log1p(rho * abs(g11) ** 2) / LN2
-    assert result.estimate == pytest.approx(float(values.mean()), abs=1e-15)
+    single = capacity.single_pol_capacity_mc(
+        model.stats, model.config, model.pm, budget, trials, master_seed=9
+    )
+    for mc, oracle_allocation in ((dual, allocation), (single, None)):
+        estimate, se = oracles.full_vector_mc(
+            model.stats, model.config, model.pm, oracle_allocation, budget, trials, seed=10
+        )
+        assert abs(mc.estimate - estimate) <= 4.0 * np.hypot(mc.standard_error, se)
+    assert dual.estimate > 0.1
 
 
 def test_single_pol_equals_dual_with_v_only_power_when_matched(model16):
@@ -201,7 +207,6 @@ def test_compute_O_small_cases():
         xpd_coeff=0.2,
         element_ue_distances=np.array([4.0]),
         correlation=np.eye(1),
-        correlation_sqrt=np.eye(1),
         pathloss_co=np.array([0.4]),
         pathloss_cross=np.array([0.1]),
     )
@@ -224,7 +229,6 @@ def test_compute_O_identity_correlation_reduces_to_sum():
         xpd_coeff=0.5,
         element_ue_distances=rng.uniform(1, 10, n),
         correlation=np.eye(n),
-        correlation_sqrt=np.eye(n),
         pathloss_co=np.ones(n),
         pathloss_cross=np.ones(n),
     )
@@ -255,7 +259,6 @@ def test_compute_O_matches_double_sum_oracle():
             xpd_coeff=0.2,
             element_ue_distances=distances,
             correlation=correlation,
-            correlation_sqrt=np.eye(n),
             pathloss_co=np.ones(n),
             pathloss_cross=np.ones(n),
         )
@@ -426,22 +429,27 @@ def test_multiplexing_gain_synthetic_and_errors():
         capacity.multiplexing_gain([10.0, 1e5], [1.0, 2.0])
 
 
-def test_mc_worker_count_is_bitwise_invariant(model16):
+def test_mc_is_reproducible_and_chunking_invariant(model16):
     kwargs = dict(
         allocation=capacity.PowerAllocation.equal(),
         budget=unit_budget(2e12),
         trials=600,
         master_seed=5,
     )
-    serial = capacity.ergodic_capacity_mc(
-        model16.stats, model16.config, model16.pm, workers=1, **kwargs
-    )
-    threaded = capacity.ergodic_capacity_mc(
-        model16.stats, model16.config, model16.pm, workers=4, **kwargs
-    )
-    assert serial.estimate == threaded.estimate
-    assert serial.standard_error == threaded.standard_error
-    np.testing.assert_array_equal(serial.moments, threaded.moments)
+    first = capacity.ergodic_capacity_mc(model16.stats, model16.config, model16.pm, **kwargs)
+    again = capacity.ergodic_capacity_mc(model16.stats, model16.config, model16.pm, **kwargs)
+    assert first.estimate == again.estimate
+    assert first.standard_error == again.standard_error
+    np.testing.assert_array_equal(first.moments, again.moments)
+    np.testing.assert_array_equal(first.moment_standard_errors, again.moment_standard_errors)
+
+    # a short run's draws are a prefix of a longer run's, across a chunk
+    # boundary in both
+    chunk = capacity._CHUNK_TRIALS
+    prefix = capacity._standard_channels(chunk + 100, 5)
+    longer = capacity._standard_channels(2 * chunk + 1, 5)
+    np.testing.assert_array_equal(prefix, longer[: chunk + 100])
+    assert not np.array_equal(longer[:chunk], longer[chunk : 2 * chunk])
 
 
 def test_capacity_report_is_jensen_consistent(model16):

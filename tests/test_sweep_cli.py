@@ -91,6 +91,25 @@ def test_sweep_csv_byte_identical_modulo_runtime(tmp_path):
     assert strip_runtime(paths[0]) == strip_runtime(paths[1])
 
 
+def test_random_phase_row_is_jensen_consistent():
+    # every column of a random-scheme row describes the same ensemble of
+    # phase draws, so the Monte Carlo mean stays below the mean bound
+    spec = spec_from(
+        {
+            "axis": "phase-scheme",
+            "grid": "random",
+            "outputs": "dual-mc, dual-ub",
+            "elements": "16",
+            "power_dbm": "43",
+            "phase_seed": "5",
+            "random_phase_draws": "200",
+        }
+    )
+    row = sweep.run_sweep(spec).rows[0]
+    assert row["status"] == "ok"
+    assert row["dual_mc_bits"] <= row["dual_ub_bits"] + 3.0 * row["dual_mc_se"]
+
+
 def test_sweep_marks_degenerate_rows_and_continues():
     spec = spec_from(
         {
@@ -251,6 +270,8 @@ def test_scenario_config_file_round_trip(tmp_path):
     assert base.xpd_coeff == 0.4
     with pytest.raises(ValueError):
         scen.parse_overrides(scen.Scenario(), {"element": "25"})
+    with pytest.raises(ValueError):
+        scen.parse_overrides(scen.Scenario(), {"workers": "2"})
 
 
 def test_normalize_unit_ov_sets_quality_to_one():
