@@ -27,7 +27,6 @@ from .capacity import (
 from .channel import (
     ChannelStatistics,
     build_channel_statistics,
-    correlation_matrix,
     pathloss_vectors,
 )
 from .exceptions import DegenerateGeometryError, ModelInconsistencyError

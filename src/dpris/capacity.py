@@ -194,15 +194,18 @@ def compute_O(
     amplitudes: np.ndarray, pm: PropagationMatrix, stats: ChannelStatistics
 ) -> float:
     """Quadratic form v^T R v with v_n = A_n |b_n| sqrt(beta0 d_n^-alpha);
-    the maximized per-polarization received-power quantity."""
+    the maximized per-polarization received-power quantity.
+
+    With v zero-padded to the (2 rows) x (2 cols) lattice of the lag-kernel
+    spectrum S (see ``channel``), v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
+    That is exact: grid lags lie in (-rows, rows) x (-cols, cols), so no
+    circular lag between two grid points wraps, and the circulant matrix
+    of S restricted to the grid is R entry for entry.
+    """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape[0] != pm.element_count or amplitudes.shape[0] != stats.element_count:
         raise ValueError("amplitude, propagation and statistics sizes disagree")
-    weights = np.sqrt(
-        stats.unit_pathloss * stats.element_ue_distances**-stats.pathloss_exponent
-    )
-    v = amplitudes * np.abs(pm.shared) * weights
-    return float(v @ stats.correlation @ v)
+    return float(_surface_quadforms(amplitudes * np.abs(pm.shared), stats))
 
 
 def expected_gram_moments(
@@ -211,17 +214,13 @@ def expected_gram_moments(
     """Exact second moments (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2) for an
     arbitrary phase configuration, from the channel's second-order model.
 
-    Under the aligning phases these collapse to ((1-l) O_V, l O_H, l O_V,
-    (1-l) O_H).
+    They scale q_P = u_P^H W R W u_P, with u_P = Gamma_P b_P and
+    W = diag sqrt(beta0 d^-alpha), by 1 - l or l; q_V and q_H come from one
+    FFT call, exact as in ``compute_O``.  Under the aligning phases these
+    collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
     """
-    weights = np.sqrt(
-        stats.unit_pathloss * stats.element_ue_distances**-stats.pathloss_exponent
-    )
-    kernel = stats.correlation * np.outer(weights, weights)
-    u_v = config.gamma_v * pm.copol_v
-    u_h = config.gamma_h * pm.copol_h
-    q_v = float(np.real(np.conj(u_v) @ kernel @ u_v))
-    q_h = float(np.real(np.conj(u_h) @ kernel @ u_h))
+    u = np.stack([config.gamma_v * pm.copol_v, config.gamma_h * pm.copol_h])
+    q_v, q_h = _surface_quadforms(u, stats)
     l = stats.xpd_coeff
     return np.array([(1.0 - l) * q_v, l * q_h, l * q_v, (1.0 - l) * q_h])
 
@@ -338,13 +337,15 @@ def capacity_report(
 ) -> CapacityReport:
     """Monte Carlo estimate plus the matching closed-form quantities.
 
-    The bound always uses the exact O quadratic forms, never the Monte
-    Carlo moments; the moments travel alongside for diagnostics.
+    The bound is the moment bound of the configuration given, from its
+    exact second moments, never the Monte Carlo ones; under the aligning
+    phases it equals the phase-maximized closed form over O_V and O_H.
+    The Monte Carlo moments travel alongside for diagnostics.
     """
     mc = ergodic_capacity_mc(stats, config, pm, allocation, budget, trials, master_seed)
     o_v = compute_O(config.amplitudes_v, pm, stats)
     o_h = compute_O(config.amplitudes_h, pm, stats)
-    bound = closed_form_upper_bound(o_v, o_h, allocation, budget, stats.xpd_coeff)
+    bound = moment_upper_bound(expected_gram_moments(config, pm, stats), allocation, budget)
     meta = {"trials": trials, "master_seed": master_seed}
     if metadata:
         meta.update(metadata)
@@ -358,6 +359,17 @@ def capacity_report(
         allocation=allocation,
         metadata=meta,
     )
+
+
+def _surface_quadforms(vectors: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
+    """Re(u^H W R W u) for each row-major grid vector u along the last axis
+    of ``vectors``, W = diag(stats.weights); see ``compute_O``."""
+    lattice = stats.kernel_spectrum.shape
+    grid = vectors.shape[:-1] + (lattice[0] // 2, lattice[1] // 2)
+    spectrum = np.fft.fft2((vectors * stats.weights).reshape(grid), s=lattice)
+    power = spectrum.real**2 + spectrum.imag**2
+    power *= stats.kernel_spectrum
+    return power.sum(axis=(-2, -1)) / stats.kernel_spectrum.size
 
 
 def _xpd_mix(xpd_coeff: float) -> float:

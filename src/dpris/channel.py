@@ -1,7 +1,7 @@
 """Surface-to-UE dual-polarized correlated Rayleigh channel.
 
 The four polarization blocks (VV, VH, HV, HH) are mutually independent,
-share one spatial correlation matrix R(n1, n2) = sinc(2 d(n1, n2) / lambda)
+share one spatial correlation R(n1, n2) = sinc(2 d(n1, n2) / lambda)
 (normalized sinc, the isotropic-scattering kernel), and split the pathloss
 by the cross-polarization coefficient:
 
@@ -11,11 +11,15 @@ by the cross-polarization coefficient:
 Distances are exact per element, so UEs in the array near field see the
 correct per-element power variation.
 
-Nothing here draws per-element fading.  The capacity estimator needs only
-the 2x2 equivalent channel, whose entries are independent circular
-Gaussians with variances given by quadratic forms over these statistics
-(``capacity.expected_gram_moments``), so it samples that law directly and
-R is never factorized.
+R is never formed.  On the uniform rows x cols grid R(n1, n2) depends only
+on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
+||(drow, dcol)|| / lambda), so R is block Toeplitz with Toeplitz blocks.
+The statistics hold k, laid out on a (2 rows) x (2 cols) circulant lattice
+(lag i at index i mod 2 rows), as its spectrum S = FFT2(k): 4N reals, real
+because k is even.  Every surface quadratic form is then one FFT per
+vector (``capacity.compute_O``).  Nothing here draws per-element fading:
+the capacity estimator samples the 2x2 equivalent channel, whose law those
+quadratic forms give, directly.
 """
 
 from __future__ import annotations
@@ -29,13 +33,15 @@ from .geometry import RisGeometry
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """Immutable second-order description of the surface-to-UE channel."""
+    """Immutable second-order description of the surface-to-UE channel;
+    ``weights`` is sqrt(beta0 d_n^-alpha), ``kernel_spectrum`` is S."""
 
     unit_pathloss: float
     pathloss_exponent: float
     xpd_coeff: float
     element_ue_distances: np.ndarray
-    correlation: np.ndarray
+    weights: np.ndarray
+    kernel_spectrum: np.ndarray
     pathloss_co: np.ndarray
     pathloss_cross: np.ndarray
 
@@ -44,12 +50,13 @@ class ChannelStatistics:
         return self.element_ue_distances.shape[0]
 
 
-def correlation_matrix(geometry: RisGeometry) -> np.ndarray:
-    """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all element
-    pairs (normalized sinc: unit diagonal, first zero at lambda/2)."""
-    pos = geometry.element_positions
-    separation = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    return np.sinc(2.0 * separation / geometry.wavelength)
+def _kernel_spectrum(geometry: RisGeometry) -> np.ndarray:
+    """Spectrum of the sinc lag kernel on the circulant lattice."""
+    lag_r = np.abs(np.fft.ifftshift(np.arange(-geometry.rows, geometry.rows)))
+    lag_c = np.abs(np.fft.ifftshift(np.arange(-geometry.cols, geometry.cols)))
+    separation = geometry.pitch * np.hypot(lag_r[:, None], lag_c[None, :])
+    spectrum = np.fft.fft2(np.sinc(2.0 * separation / geometry.wavelength))
+    return np.ascontiguousarray(spectrum.real)
 
 
 def pathloss_vectors(
@@ -87,15 +94,17 @@ def build_channel_statistics(
     distances, co, cross = pathloss_vectors(
         geometry, ue_position, unit_pathloss, pathloss_exponent, xpd_coeff
     )
-    correlation = correlation_matrix(geometry)
-    for array in (distances, co, cross, correlation):
+    weights = np.sqrt(unit_pathloss * distances**-pathloss_exponent)
+    spectrum = _kernel_spectrum(geometry)
+    for array in (distances, weights, spectrum, co, cross):
         array.setflags(write=False)
     return ChannelStatistics(
         unit_pathloss=unit_pathloss,
         pathloss_exponent=pathloss_exponent,
         xpd_coeff=xpd_coeff,
         element_ue_distances=distances,
-        correlation=correlation,
+        weights=weights,
+        kernel_spectrum=spectrum,
         pathloss_co=co,
         pathloss_cross=cross,
     )

@@ -161,27 +161,6 @@ def tau_convention(scenario: Scenario) -> geometry.TauConvention:
         ) from None
 
 
-def build_configuration(scenario: Scenario, scheme: str | None = None) -> ris.RisConfiguration:
-    return ris.build_configuration(
-        build_geometry(scenario),
-        build_feed(scenario),
-        build_amplitude_model(scenario),
-        scheme=scheme or scenario.phase_scheme,
-        seed=scenario.phase_seed,
-        convention=tau_convention(scenario),
-    )
-
-
-def build_statistics(scenario: Scenario) -> channel.ChannelStatistics:
-    return channel.build_channel_statistics(
-        build_geometry(scenario),
-        ue_position(scenario),
-        unit_pathloss=db_to_linear(scenario.beta0_db),
-        pathloss_exponent=scenario.pathloss_exponent,
-        xpd_coeff=scenario.xpd_coeff,
-    )
-
-
 def link_budget(scenario: Scenario) -> capacity.LinkBudget:
     if scenario.snr_db is not None:
         return capacity.LinkBudget.from_snr(db_to_linear(scenario.snr_db))

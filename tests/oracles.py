@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
-The full-vector channel sampler draws every element's fading through a
-factor of the N x N correlation matrix; the package's Monte Carlo draws
-only the 2x2 law of the equivalent channel.  The scalar determinant forms
+The dense N x N sinc correlation matrix is built from element positions;
+the package holds only the spectrum of its lag kernel.  The full-vector
+channel sampler draws every element's fading through a factor of that
+matrix; the package's Monte Carlo draws only the 2x2 law of the
+equivalent channel.  The scalar determinant forms
 expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
 independent route to the package's |det G|^2 form.
 """
@@ -37,6 +39,14 @@ class SeededStreamFactory:
             raise ValueError("stream index must be non-negative")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
         return np.random.Generator(np.random.PCG64(seq))
+
+
+def correlation_matrix(geometry) -> np.ndarray:
+    """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all element
+    pairs (normalized sinc: unit diagonal, first zero at lambda/2)."""
+    pos = geometry.element_positions
+    separation = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    return np.sinc(2.0 * separation / geometry.wavelength)
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +96,16 @@ class ChannelSample:
     h_hh: np.ndarray
 
 
-def sample_channel(stats, rng: np.random.Generator, trials: int | None = None) -> ChannelSample:
+def sample_channel(
+    stats, geometry, rng: np.random.Generator, trials: int | None = None
+) -> ChannelSample:
     """Draw one fading realization, or ``trials`` of them in one batch.
 
     Each block is sqrt(pathloss) times a correlated standard circular
-    complex Gaussian vector L w, with w = (g1 + j g2) / sqrt(2) and the
-    four blocks independent.
+    complex Gaussian vector L w, with L L^T the dense correlation of
+    ``geometry``, w = (g1 + j g2) / sqrt(2) and the four blocks independent.
     """
-    factor = correlation_sqrt(stats.correlation)
+    factor = correlation_sqrt(correlation_matrix(geometry))
     shape = (stats.element_count, 4) if trials is None else (trials, stats.element_count, 4)
     real = rng.standard_normal(shape)
     imag = rng.standard_normal(shape)
@@ -143,11 +155,12 @@ def log2_det2(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
     return np.log1p(det2_shift(g, lambda_v, lambda_h, snr)) / LN2
 
 
-def full_vector_mc(stats, config, pm, allocation, budget, trials: int, seed: int):
+def full_vector_mc(stats, geometry, config, pm, allocation, budget, trials: int, seed: int):
     """Estimate and standard error of the ergodic capacity from full
     per-element draws; ``allocation=None`` gives the all-V baseline
     E log2(1 + rho |G11|^2)."""
-    g = equivalent_channel(sample_channel(stats, np.random.default_rng(seed), trials), config, pm)
+    sample = sample_channel(stats, geometry, np.random.default_rng(seed), trials)
+    g = equivalent_channel(sample, config, pm)
     if allocation is None:
         values = np.log1p(budget.snr * _abs2(g[:, 0, 0])) / LN2
     else:

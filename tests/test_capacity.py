@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, feed, geometry, ris, scenario as scen
+from dpris import capacity, channel, feed, geometry, ris, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -83,7 +83,7 @@ def test_equivalent_channel_matched_xpd_kills_cross_entries(model16):
         model16.stats.pathloss_exponent,
         0.0,
     )
-    sample = oracles.sample_channel(stats0, np.random.default_rng(1))
+    sample = oracles.sample_channel(stats0, model16.geometry, np.random.default_rng(1))
     g = oracles.equivalent_channel(sample, model16.config, model16.pm)
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[0, 0] != 0.0
@@ -128,7 +128,7 @@ def test_mc_rejects_bad_arguments(model16):
             master_seed=1,
         )
     # a kernel that is not positive semidefinite gives negative moments
-    stats = dataclasses.replace(model16.stats, correlation=-model16.stats.correlation)
+    stats = dataclasses.replace(model16.stats, kernel_spectrum=-model16.stats.kernel_spectrum)
     with pytest.raises(ModelInconsistencyError) as excinfo:
         capacity.single_pol_capacity_mc(stats, model16.config, model16.pm, unit_budget(), 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
@@ -152,7 +152,14 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
     )
     for mc, oracle_allocation in ((dual, allocation), (single, None)):
         estimate, se = oracles.full_vector_mc(
-            model.stats, model.config, model.pm, oracle_allocation, budget, trials, seed=10
+            model.stats,
+            model.geometry,
+            model.config,
+            model.pm,
+            oracle_allocation,
+            budget,
+            trials,
+            seed=10,
         )
         assert abs(mc.estimate - estimate) <= 4.0 * np.hypot(mc.standard_error, se)
     assert dual.estimate > 0.1
@@ -201,12 +208,14 @@ def test_compute_O_small_cases():
         copol_v=np.array([0.5 + 0.0j]),
         copol_h=np.array([0.5 + 0.0j]),
     )
+    # a 1x1 grid; a spectrum of ones is the identity kernel
     stats = channel.ChannelStatistics(
         unit_pathloss=2.0,
         pathloss_exponent=1.0,
         xpd_coeff=0.2,
         element_ue_distances=np.array([4.0]),
-        correlation=np.eye(1),
+        weights=np.sqrt([2.0 / 4.0]),
+        kernel_spectrum=np.ones((2, 2)),
         pathloss_co=np.array([0.4]),
         pathloss_cross=np.array([0.1]),
     )
@@ -223,12 +232,15 @@ def test_compute_O_identity_correlation_reduces_to_sum():
     amplitudes = rng.uniform(0, 1, n)
     shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pm = feed.PropagationMatrix(shared=shared, copol_v=shared, copol_h=shared)
+    distances = rng.uniform(1, 10, n)
+    # a 1 x n grid; a spectrum of ones is the identity kernel
     stats = channel.ChannelStatistics(
         unit_pathloss=1.3,
         pathloss_exponent=2.0,
         xpd_coeff=0.5,
-        element_ue_distances=rng.uniform(1, 10, n),
-        correlation=np.eye(n),
+        element_ue_distances=distances,
+        weights=np.sqrt(1.3 * distances**-2.0),
+        kernel_spectrum=np.ones((2, 2 * n)),
         pathloss_co=np.ones(n),
         pathloss_cross=np.ones(n),
     )
@@ -242,39 +254,45 @@ def test_compute_O_identity_correlation_reduces_to_sum():
 
 
 def test_compute_O_matches_double_sum_oracle():
+    # the FFT forms against the brute double sum over the dense sinc
+    # matrix, for real (O) and complex (random-phase moment) vectors
     rng = np.random.default_rng(15)
-    n = 8
-    for _ in range(10):
-        amplitudes = rng.uniform(0, 1, n)
-        shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        pm = feed.PropagationMatrix(shared=shared, copol_v=shared, copol_h=shared)
-        a = rng.standard_normal((n, n))
-        correlation = (a + a.T) / 2.0
-        np.fill_diagonal(correlation, 1.0)
-        distances = rng.uniform(1, 100, n)
-        beta0, alpha = rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0)
-        stats = channel.ChannelStatistics(
-            unit_pathloss=beta0,
-            pathloss_exponent=alpha,
-            xpd_coeff=0.2,
-            element_ue_distances=distances,
-            correlation=correlation,
-            pathloss_co=np.ones(n),
-            pathloss_cross=np.ones(n),
-        )
-        brute = 0.0
-        for n1 in range(n):
-            for n2 in range(n):
-                brute += (
-                    amplitudes[n1]
-                    * amplitudes[n2]
-                    * abs(shared[n1])
-                    * abs(shared[n2])
-                    * correlation[n1, n2]
-                    * beta0
-                    * np.sqrt(distances[n1] ** -alpha * distances[n2] ** -alpha)
-                )
-        assert capacity.compute_O(amplitudes, pm, stats) == pytest.approx(brute, rel=1e-12)
+    for rows, cols in [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)]:
+        n = rows * cols
+        geo = geometry.build_ris_grid(rows, cols, PITCH, WAVELENGTH)
+        correlation = oracles.correlation_matrix(geo)
+        for _ in range(5):
+            beta0, alpha, l = rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, 1.0)
+            ue = np.array([rng.uniform(0.05, 2.0), *rng.uniform(-0.5, 0.5, 2)])
+            stats = channel.build_channel_statistics(geo, ue, beta0, alpha, l)
+            weights = np.sqrt(beta0 * stats.element_ue_distances**-alpha)
+            amplitudes = rng.uniform(0, 1, n)
+            shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            pm = feed.PropagationMatrix(
+                shared=shared,
+                copol_v=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                copol_h=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            )
+            config = ris.RisConfiguration(
+                amplitudes_v=amplitudes,
+                amplitudes_h=rng.uniform(0, 1, n),
+                phases_v=rng.uniform(0, 2 * np.pi, n),
+                phases_h=rng.uniform(0, 2 * np.pi, n),
+            )
+
+            def brute(u):
+                wu = weights * u
+                return float(np.sum(np.conj(wu)[:, None] * wu[None, :] * correlation).real)
+
+            o = capacity.compute_O(amplitudes, pm, stats)
+            assert o == pytest.approx(brute(amplitudes * np.abs(shared)), rel=1e-12)
+            q_v = brute(config.gamma_v * pm.copol_v)
+            q_h = brute(config.gamma_h * pm.copol_h)
+            np.testing.assert_allclose(
+                capacity.expected_gram_moments(config, pm, stats),
+                [(1 - l) * q_v, l * q_h, l * q_v, (1 - l) * q_h],
+                rtol=1e-12,
+            )
 
 
 def test_closed_form_equals_moment_bound_with_model_moments():
@@ -466,6 +484,31 @@ def test_capacity_report_is_jensen_consistent(model16):
     assert report.mc_estimate <= report.upper_bound + 3.0 * report.mc_standard_error
     assert report.metadata["trials"] == 3000
     assert report.o_v > 0.0 and report.o_h > 0.0
+
+
+def test_capacity_report_bound_describes_its_configuration():
+    base = scen.Scenario(elements=16, power_dbm=43.0, phase_seed=5, trials=200)
+    for scheme in ("random", "optimal"):
+        current = base.replace(phase_scheme=scheme)
+        model = scen.build_link_model(current)
+        allocation = scen.resolve_allocation(current, model)
+        report = capacity.capacity_report(
+            model.stats, model.config, model.pm, allocation, model.budget, 200, 1
+        )
+        if scheme == "optimal":
+            expected = capacity.closed_form_upper_bound(
+                model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
+            )
+        else:
+            # the sweep's bound over the one draw phase_seed
+            spec = sweep.SweepSpec(
+                axis="phase-scheme",
+                grid=("random",),
+                outputs=("dual-ub",),
+                base=current.replace(random_phase_draws=1),
+            )
+            expected = sweep.run_sweep(spec).rows[0]["dual_ub_bits"]
+        assert report.upper_bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_expected_moments_match_aligned_closed_form(model16):

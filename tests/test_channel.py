@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ UE_X = np.array([50.0, 0.0, 0.0])
 
 
 def stats_for(rows=4, cols=4, xpd=0.2, ue=UE_X, pitch=PITCH):
+    """Grid and its channel statistics."""
     geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
-    return channel.build_channel_statistics(geo, ue, BETA0, 4.0, xpd)
+    return geo, channel.build_channel_statistics(geo, ue, BETA0, 4.0, xpd)
 
 
 def test_correlation_diagonal_and_zero_crossing():
     geo = geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH, WAVELENGTH)
-    r = channel.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geo)
     assert r[0, 0] == 1.0 and r[1, 1] == 1.0
     # lambda/2 spacing hits the first zero of the normalized sinc
     assert abs(r[0, 1]) < 1e-15
@@ -27,15 +30,40 @@ def test_correlation_diagonal_and_zero_crossing():
 
 def test_correlation_at_default_pitch():
     geo = geometry.build_ris_grid(2, 1, PITCH, WAVELENGTH)
-    r = channel.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geo)
     assert r[0, 1] == pytest.approx(0.4134966715663440, rel=1e-12)
     assert r[0, 1] == pytest.approx(3.0 * np.sqrt(3.0) / (4.0 * np.pi), rel=1e-12)
 
 
 def test_correlation_decays_with_spacing():
     geo = geometry.build_ris_grid(2, 1, 10.0 * WAVELENGTH, WAVELENGTH)
-    r = channel.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geo)
     assert abs(r[0, 1]) < 0.04
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)])
+@pytest.mark.parametrize("pitch", [PITCH, 0.5 * WAVELENGTH, 1.7 * WAVELENGTH])
+def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
+    geo, stats = stats_for(rows, cols, pitch=pitch)
+    spectrum = stats.kernel_spectrum
+    assert spectrum.shape == (2 * rows, 2 * cols) and spectrum.dtype == float
+    # the inverse FFT of S is the lag kernel; read at every pair's lag it
+    # gives the dense matrix
+    kernel = np.fft.ifft2(spectrum)
+    assert np.max(np.abs(kernel.imag)) <= 1e-15
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    dense = kernel.real[np.subtract.outer(r, r), np.subtract.outer(c, c)]
+    np.testing.assert_allclose(dense, oracles.correlation_matrix(geo), rtol=0, atol=1e-14)
+
+
+def test_statistics_hold_no_quadratic_array():
+    _, stats = stats_for(32, 32)
+    n = stats.element_count
+    assert n == 1024
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.size <= 4 * n, field.name
 
 
 def test_correlation_sqrt_identity():
@@ -45,7 +73,7 @@ def test_correlation_sqrt_identity():
 
 def test_correlation_sqrt_reconstruction():
     geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    r = channel.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geo)
     factor = oracles.correlation_sqrt(r)
     error = np.linalg.norm(factor @ factor.T - r)
     assert error < 1e-8 * geo.element_count
@@ -96,17 +124,17 @@ def test_pathloss_validation():
 
 
 def test_sample_zero_cross_blocks_when_matched():
-    stats = stats_for(xpd=0.0)
-    sample = oracles.sample_channel(stats, np.random.default_rng(0))
+    geo, stats = stats_for(xpd=0.0)
+    sample = oracles.sample_channel(stats, geo, np.random.default_rng(0))
     assert np.all(sample.h_vh == 0.0)
     assert np.all(sample.h_hv == 0.0)
     assert np.any(sample.h_vv != 0.0)
 
 
 def test_sample_determinism():
-    stats = stats_for()
-    a = oracles.sample_channel(stats, np.random.default_rng(42))
-    b = oracles.sample_channel(stats, np.random.default_rng(42))
+    geo, stats = stats_for()
+    a = oracles.sample_channel(stats, geo, np.random.default_rng(42))
+    b = oracles.sample_channel(stats, geo, np.random.default_rng(42))
     np.testing.assert_array_equal(a.h_vv, b.h_vv)
     np.testing.assert_array_equal(a.h_hh, b.h_hh)
 
@@ -115,7 +143,7 @@ def test_sample_determinism():
 BATCH = 20_000
 
 
-def _accumulate(stats, trials, seed):
+def _accumulate(stats, geo, trials, seed):
     """Running sums of per-element powers, the VV outer product, and the
     cross-block products, over independent batched draws."""
     n = stats.element_count
@@ -125,7 +153,7 @@ def _accumulate(stats, trials, seed):
     power_sq = np.zeros((4, n))
     rng = np.random.default_rng(seed)
     for start in range(0, trials, BATCH):
-        s = oracles.sample_channel(stats, rng, min(BATCH, trials - start))
+        s = oracles.sample_channel(stats, geo, rng, min(BATCH, trials - start))
         blocks = (s.h_vv, s.h_vh, s.h_hv, s.h_hh)
         for k, h in enumerate(blocks):
             p = np.abs(h) ** 2
@@ -139,9 +167,9 @@ def _accumulate(stats, trials, seed):
 
 
 def test_sample_moments_match_model():
-    stats = stats_for()
+    geo, stats = stats_for()
     trials = 100_000
-    power, power_sq, outer_vv, cross = _accumulate(stats, trials, seed=2024)
+    power, power_sq, outer_vv, cross = _accumulate(stats, geo, trials, seed=2024)
 
     # per-element mean power within 3 standard errors of the pathloss
     expected = np.stack(
@@ -154,7 +182,8 @@ def test_sample_moments_match_model():
     # matrix entrywise (normalize by the pathloss scale)
     scale = np.sqrt(np.outer(stats.pathloss_co, stats.pathloss_co))
     corr = (outer_vv / scale).real
-    assert np.all(np.abs(corr - stats.correlation) <= 3.5 / np.sqrt(trials) + 1e-12)
+    correlation = oracles.correlation_matrix(geo)
+    assert np.all(np.abs(corr - correlation) <= 3.5 / np.sqrt(trials) + 1e-12)
 
     # cross-block correlations vanish: VV-VH, VV-HH, HV-VH
     bound = 3.5 * np.sqrt(np.outer([1.0], stats.pathloss_co * stats.pathloss_cross))
@@ -169,9 +198,9 @@ def test_sample_moments_match_model():
 
 @pytest.mark.parametrize("xpd", [0.2, 0.5, 0.8])
 def test_sample_xpd_identity(xpd):
-    stats = stats_for(rows=2, cols=2, xpd=xpd)
+    geo, stats = stats_for(rows=2, cols=2, xpd=xpd)
     trials = 40_000
-    s = oracles.sample_channel(stats, np.random.default_rng(77), trials)
+    s = oracles.sample_channel(stats, geo, np.random.default_rng(77), trials)
     ratio = np.sum(np.abs(s.h_hh) ** 2) / np.sum(np.abs(s.h_vh) ** 2)
     expected = (1.0 - xpd) / xpd
     assert ratio == pytest.approx(expected, rel=0.05)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dpris
 from dpris import cli, recipes, scenario as scen, sweep
 
 
@@ -279,3 +285,36 @@ def test_normalize_unit_ov_sets_quality_to_one():
     normalized = scen.normalize_unit_ov(base)
     model = scen.build_link_model(normalized)
     assert model.o_v == pytest.approx(1.0, rel=1e-9)
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy.fft is reached at call time only, which keeps start-up short
+    src = str(Path(dpris.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, numpy; print('numpy.fft' in sys.modules); "
+        "import dpris, dpris.sweep; print('numpy.fft' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    by_numpy, by_dpris = out.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("this numpy imports numpy.fft itself")
+    assert by_dpris == "False"
+
+
+def test_large_surface_row_is_finite_and_jensen_consistent():
+    spec = spec_from(
+        {
+            "axis": "element-count",
+            "grid": "65536",
+            "outputs": "dual-mc,dual-ub",
+            "trials": "1000",
+        }
+    )
+    row = sweep.run_sweep(spec).rows[0]
+    assert row["status"] == "ok"
+    assert np.isfinite(row["dual_ub_bits"]) and np.isfinite(row["dual_mc_bits"])
+    assert row["dual_mc_bits"] > 0.0
+    assert row["dual_mc_bits"] <= row["dual_ub_bits"] + 3.0 * row["dual_mc_se"]
