@@ -21,6 +21,7 @@ from .capacity import (
     multiplexing_gain,
     optimal_power_allocation,
     single_pol_capacity_mc,
+    single_pol_moment_bound,
     single_pol_upper_bound,
     xpd_threshold,
 )
@@ -36,18 +37,14 @@ from .feed import (
     boresight_from_angles,
     build_propagation_matrix,
     captured_power_fraction,
-    feed_gain,
     feed_gains,
-    nusw_coefficient,
     pattern_hemisphere_integral,
 )
 from .geometry import (
-    IncidenceDecomposition,
     RisGeometry,
     SphericalPlacement,
     axis_plane_tilt,
     build_ris_grid,
-    incidence_decomposition,
     incidence_decompositions,
     spherical_to_cartesian,
     transverse_plane_tilt,
@@ -60,7 +57,6 @@ from .ris import (
     element_amplitudes,
     optimal_phases,
     phase_strategy,
-    reflection_amplitude,
 )
 from .scenario import Scenario, build_link_model, normalize_unit_ov, resolve_allocation
 

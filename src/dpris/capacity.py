@@ -9,27 +9,33 @@ Each entry is a linear functional of a different fading block, and the
 four blocks are independent zero-mean circular Gaussian vectors.  A linear
 functional of such a vector is circular Gaussian with the matching
 quadratic form as its variance, so the entries of G are independent with
-G_ij ~ CN(0, m_ij), where m holds the second moments from
-``expected_gram_moments``.  That is the exact law of G, not an
-approximation.  Monte Carlo therefore draws four complex scalars per trial,
-vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H)
-without drawing per-element fading or factorizing the correlation matrix.
+G_ij ~ CN(0, m_ij).  The second moments m = (m11, m12, m21, m22) are the
+exact law of G, not an approximation, and they are all the estimators and
+bounds here consume: ``expected_gram_moments`` turns a phase configuration
+into m with one FFT over the surface, or a stack of c phase draws into a
+(c, 4) array with one FFT call.
+
+A moment array of shape (4,) describes one configuration; one of shape
+(D, 4) describes an ensemble of D random phase draws.  The moment bound
+
+    log2(1 + rho lv (m11 + m21) + rho lh (m12 + m22)
+           + rho^2 lv lh (m11 m22 + m12 m21))
+
+is then averaged over the draws, and Monte Carlo trial i draws G from the
+moments of draw i mod D.  Monte Carlo draws four complex scalars per trial,
+vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H).
 Trials come in fixed-size chunks, each from its own stream keyed by the
 master seed and the chunk index, so results are bitwise reproducible.
 
-The matching closed forms are the moment upper bound
-
-    log2(1 + rho lv (m11 + m21) + rho lh (m12 + m22)
-           + rho^2 lv lh (m11 m22 + m12 m21)),
-
-its maximized version over phases expressed through the quadratic forms
+Under the aligning phases the moments collapse to the quadratic forms
 
     O = sum_{n1,n2} A_n1 A_n2 |b_n1||b_n2| R(n1,n2) beta0
         sqrt(d_n1^-a d_n2^-a),
 
-the closed-form optimal power split across polarizations, the
-single-polarized baseline, and the cross-polarization threshold above
-which the dual system more than doubles the single one.
+which give the phase-maximized bound, the closed-form optimal power split
+across polarizations, the single-polarized baseline, and the
+cross-polarization threshold above which the dual system more than doubles
+the single one.
 """
 
 from __future__ import annotations
@@ -131,9 +137,7 @@ class CapacityReport:
 
 
 def ergodic_capacity_mc(
-    stats: ChannelStatistics,
-    config: RisConfiguration | Sequence[RisConfiguration],
-    pm: PropagationMatrix,
+    moments: np.ndarray,
     allocation: PowerAllocation,
     budget: LinkBudget,
     trials: int,
@@ -143,10 +147,10 @@ def ergodic_capacity_mc(
 
     G is drawn from its exact law: four independent entries
     G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
-    ``expected_gram_moments`` of the configuration.  ``config`` may also be
-    a sequence of D configurations (random phase draws); trial i then uses
-    the moments of configuration i mod D, so the estimate describes the
-    same ensemble as a bound averaged over those draws.
+    ``expected_gram_moments`` of a configuration, shape (4,).  For an
+    ensemble of D phase draws, shape (D, 4), trial i uses the moments of
+    draw i mod D, so the estimate describes the same ensemble as
+    ``moment_upper_bound`` over those moments.
 
     Trials are drawn in fixed chunks of 65 536, chunk c from the stream
     keyed (master_seed, c), so a fixed seed gives bitwise identical
@@ -154,40 +158,48 @@ def ergodic_capacity_mc(
     run.  Raises ModelInconsistencyError, with the moments attached, when
     a moment is negative or not finite.
     """
-    return _run_mc(stats, config, pm, allocation, budget, trials, master_seed)
+    return _run_mc(moments, allocation, budget, trials, master_seed)
 
 
 def single_pol_capacity_mc(
-    stats: ChannelStatistics,
-    config: RisConfiguration | Sequence[RisConfiguration],
-    pm: PropagationMatrix,
-    budget: LinkBudget,
-    trials: int,
-    master_seed: int,
+    moments: np.ndarray, budget: LinkBudget, trials: int, master_seed: int
 ) -> McCapacityResult:
     """Monte Carlo mean of log2(1 + rho |G11|^2) for the all-V baseline.
 
-    Uses the G11 entries of the same draws as ``ergodic_capacity_mc``, so
-    the two estimators share their samples for equal seeds.
+    Takes the moments of ``ergodic_capacity_mc`` and uses the G11 entries
+    of the same draws, so the two estimators share their samples for equal
+    seeds.
     """
-    return _run_mc(stats, config, pm, None, budget, trials, master_seed)
+    return _run_mc(moments, None, budget, trials, master_seed)
 
 
 def moment_upper_bound(
-    moments: Sequence[float], allocation: PowerAllocation, budget: LinkBudget
+    moments: np.ndarray, allocation: PowerAllocation, budget: LinkBudget
 ) -> float:
     """Capacity upper bound from the four second moments of G, in entry
-    order (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2)."""
-    m11, m12, m21, m22 = (float(m) for m in moments)
-    if min(m11, m12, m21, m22) < 0.0:
+    order (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2); for (D, 4) moments of
+    D phase draws, the mean of the D bounds."""
+    rows = _moment_rows(moments)
+    if rows.min() < 0.0:
         raise ValueError("moments must be non-negative")
+    m11, m12, m21, m22 = rows.T
     rho = budget.snr
     shift = (
         rho * allocation.lambda_v * (m11 + m21)
         + rho * allocation.lambda_h * (m12 + m22)
         + rho * rho * allocation.lambda_v * allocation.lambda_h * (m11 * m22 + m12 * m21)
     )
-    return float(np.log1p(shift) / _LN2)
+    return float(np.mean(np.log1p(shift) / _LN2))
+
+
+def single_pol_moment_bound(moments: np.ndarray, budget: LinkBudget) -> float:
+    """Upper bound log2(1 + rho m11) of the all-V baseline, averaged over
+    the draws of (D, 4) moments like ``moment_upper_bound``."""
+    rows = _moment_rows(moments)
+    if rows.min() < 0.0:
+        raise ValueError("moments must be non-negative")
+    m11 = rows[:, 0]
+    return float(np.mean(np.log1p(budget.snr * m11) / _LN2))
 
 
 def compute_O(
@@ -215,14 +227,15 @@ def expected_gram_moments(
     arbitrary phase configuration, from the channel's second-order model.
 
     They scale q_P = u_P^H W R W u_P, with u_P = Gamma_P b_P and
-    W = diag sqrt(beta0 d^-alpha), by 1 - l or l; q_V and q_H come from one
-    FFT call, exact as in ``compute_O``.  Under the aligning phases these
-    collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
+    W = diag sqrt(beta0 d^-alpha), by 1 - l or l; every q comes from one
+    FFT call, exact as in ``compute_O``.  Phases of shape (c, N), a stack
+    of c draws, give moments of shape (c, 4).  Under the aligning phases
+    they collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
     """
     u = np.stack([config.gamma_v * pm.copol_v, config.gamma_h * pm.copol_h])
-    q_v, q_h = _surface_quadforms(u, stats)
+    q = _surface_quadforms(u, stats)
     l = stats.xpd_coeff
-    return np.array([(1.0 - l) * q_v, l * q_h, l * q_v, (1.0 - l) * q_h])
+    return q[[0, 1, 0, 1]].T * np.array([1.0 - l, l, l, 1.0 - l])
 
 
 def closed_form_upper_bound(
@@ -342,10 +355,11 @@ def capacity_report(
     phases it equals the phase-maximized closed form over O_V and O_H.
     The Monte Carlo moments travel alongside for diagnostics.
     """
-    mc = ergodic_capacity_mc(stats, config, pm, allocation, budget, trials, master_seed)
+    moments = expected_gram_moments(config, pm, stats)
+    mc = ergodic_capacity_mc(moments, allocation, budget, trials, master_seed)
     o_v = compute_O(config.amplitudes_v, pm, stats)
     o_h = compute_O(config.amplitudes_h, pm, stats)
-    bound = moment_upper_bound(expected_gram_moments(config, pm, stats), allocation, budget)
+    bound = moment_upper_bound(moments, allocation, budget)
     meta = {"trials": trials, "master_seed": master_seed}
     if metadata:
         meta.update(metadata)
@@ -376,10 +390,16 @@ def _xpd_mix(xpd_coeff: float) -> float:
     return xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
 
 
+def _moment_rows(moments: np.ndarray) -> np.ndarray:
+    """Moments of shape (4,) or (D, 4) as a (D, 4) float array."""
+    rows = np.asarray(moments, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != 4 or rows.size == 0:
+        raise ValueError(f"moments must have shape (4,) or (D, 4), got {rows.shape}")
+    return rows.reshape(-1, 4)
+
+
 def _run_mc(
-    stats: ChannelStatistics,
-    config: RisConfiguration | Sequence[RisConfiguration],
-    pm: PropagationMatrix,
+    moments: np.ndarray,
     allocation: PowerAllocation | None,
     budget: LinkBudget,
     trials: int,
@@ -387,20 +407,14 @@ def _run_mc(
 ) -> McCapacityResult:
     if trials < 1:
         raise ValueError(f"trial count must be at least 1, got {trials!r}")
-    configs = [config] if isinstance(config, RisConfiguration) else list(config)
-    if not configs:
-        raise ValueError("need at least one configuration")
-    n = stats.element_count
-    if pm.element_count != n or any(c.element_count != n for c in configs):
-        raise ValueError("configuration, propagation and statistics sizes disagree")
-    moments = np.array([expected_gram_moments(c, pm, stats) for c in configs])
+    moments = _moment_rows(moments)
     if not np.all(np.isfinite(moments)) or np.any(moments < 0.0):
         raise ModelInconsistencyError(
             "channel second moments must be finite and non-negative",
             details={"moments": moments},
         )
 
-    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(configs)]
+    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(moments)]
     g = _standard_channels(trials, master_seed) * scale
     gram = g.real**2 + g.imag**2
     rho = budget.snr

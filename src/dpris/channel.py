@@ -24,6 +24,7 @@ quadratic forms give, directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,16 @@ class ChannelStatistics:
         return self.element_ue_distances.shape[0]
 
 
-def _kernel_spectrum(geometry: RisGeometry) -> np.ndarray:
-    """Spectrum of the sinc lag kernel on the circulant lattice."""
-    lag_r = np.abs(np.fft.ifftshift(np.arange(-geometry.rows, geometry.rows)))
-    lag_c = np.abs(np.fft.ifftshift(np.arange(-geometry.cols, geometry.cols)))
-    separation = geometry.pitch * np.hypot(lag_r[:, None], lag_c[None, :])
-    spectrum = np.fft.fft2(np.sinc(2.0 * separation / geometry.wavelength))
-    return np.ascontiguousarray(spectrum.real)
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
+    """Read-only spectrum of the sinc lag kernel on the circulant lattice,
+    shared by every sweep point on the same surface."""
+    lag_r = np.abs(np.fft.ifftshift(np.arange(-rows, rows)))
+    lag_c = np.abs(np.fft.ifftshift(np.arange(-cols, cols)))
+    separation = pitch * np.hypot(lag_r[:, None], lag_c[None, :])
+    spectrum = np.ascontiguousarray(np.fft.fft2(np.sinc(2.0 * separation / wavelength)).real)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def pathloss_vectors(
@@ -95,8 +99,8 @@ def build_channel_statistics(
         geometry, ue_position, unit_pathloss, pathloss_exponent, xpd_coeff
     )
     weights = np.sqrt(unit_pathloss * distances**-pathloss_exponent)
-    spectrum = _kernel_spectrum(geometry)
-    for array in (distances, weights, spectrum, co, cross):
+    spectrum = _kernel_spectrum(geometry.rows, geometry.cols, geometry.pitch, geometry.wavelength)
+    for array in (distances, weights, co, cross):
         array.setflags(write=False)
     return ChannelStatistics(
         unit_pathloss=unit_pathloss,

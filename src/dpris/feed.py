@@ -82,15 +82,6 @@ class PropagationMatrix:
         return self.shared.shape[0]
 
 
-def feed_gain(feed: FeedSpec, direction: np.ndarray) -> float:
-    """Pattern value kappa * (r . n)^(kappa/2 - 1) toward a unit direction,
-    zero in the back hemisphere (r . n < 0)."""
-    dot = float(np.dot(np.asarray(direction, dtype=float), feed.boresight))
-    if dot < 0.0:
-        return 0.0
-    return float(feed.gain * dot ** (feed.gain / 2.0 - 1.0))
-
-
 def feed_gains(feed: FeedSpec, directions: np.ndarray) -> np.ndarray:
     """Vectorized pattern over rows of unit directions."""
     dots = np.asarray(directions, dtype=float) @ feed.boresight
@@ -98,29 +89,27 @@ def feed_gains(feed: FeedSpec, directions: np.ndarray) -> np.ndarray:
     return np.where(dots < 0.0, 0.0, feed.gain * front ** (feed.gain / 2.0 - 1.0))
 
 
-def nusw_coefficient(geometry: RisGeometry, feed: FeedSpec, element_index: int) -> complex:
-    """Spherical-wave coefficient b_n for one element.
+def build_propagation_matrix(geometry: RisGeometry, feed: FeedSpec) -> PropagationMatrix:
+    """All-element coefficients with the co-polarization phases applied.
 
-    Raises DegenerateGeometryError when the element's projected aperture
+    Raises DegenerateGeometryError when an element's projected aperture
     toward the feed is non-positive (feed in the surface plane or behind
     the reflecting face).
     """
-    if not 0 <= element_index < geometry.element_count:
-        raise ValueError(
-            f"element index {element_index} outside [0, {geometry.element_count})"
+    delta = feed.position[None, :] - geometry.element_positions
+    distances = np.linalg.norm(delta, axis=1)
+    if np.any(distances == 0.0):
+        raise DegenerateGeometryError("feed coincides with an element")
+    projected = (delta @ (-U_X)) * geometry.element_area / distances
+    bad = np.nonzero(projected <= 0.0)[0]
+    if bad.size:
+        raise DegenerateGeometryError(
+            f"element {int(bad[0])} has non-positive projected aperture "
+            "(feed is in or behind the surface plane)"
         )
-    position = geometry.element_positions[element_index]
-    shared = _shared_coefficients(
-        geometry, feed, position[None, :], np.array([element_index])
-    )
-    return complex(shared[0])
-
-
-def build_propagation_matrix(geometry: RisGeometry, feed: FeedSpec) -> PropagationMatrix:
-    """All-element coefficients with the co-polarization phases applied."""
-    shared = _shared_coefficients(
-        geometry, feed, geometry.element_positions, np.arange(geometry.element_count)
-    )
+    gains = feed_gains(feed, -delta / distances[:, None])
+    magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
+    shared = magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
     shared.setflags(write=False)
     copol_v = np.exp(1j * feed.copol_phase_v) * shared
     copol_h = np.exp(1j * feed.copol_phase_h) * shared
@@ -154,29 +143,6 @@ def pattern_hemisphere_integral(feed: FeedSpec, theta_nodes: int = 128, phi_node
     values = feed_gains(feed, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
     weights = (w_theta * sin_t[:, 0])[:, None] * w_phi[None, :]
     return float(np.sum(values * weights))
-
-
-def _shared_coefficients(
-    geometry: RisGeometry,
-    feed: FeedSpec,
-    positions: np.ndarray,
-    indices: np.ndarray,
-) -> np.ndarray:
-    delta = feed.position[None, :] - positions
-    distances = np.linalg.norm(delta, axis=1)
-    if np.any(distances == 0.0):
-        raise DegenerateGeometryError("feed coincides with an element")
-    projected = (delta @ (-U_X)) * geometry.element_area / distances
-    bad = np.nonzero(projected <= 0.0)[0]
-    if bad.size:
-        raise DegenerateGeometryError(
-            f"element {int(indices[bad[0]])} has non-positive projected aperture "
-            "(feed is in or behind the surface plane)"
-        )
-    toward = -delta / distances[:, None]
-    gains = feed_gains(feed, toward)
-    magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
-    return magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
 
 
 def _orthonormal_complement(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,17 +82,6 @@ class RisGeometry:
         return self.element_count * self.element_area
 
 
-@dataclass(frozen=True)
-class IncidenceDecomposition:
-    """Per-element incidence description: elevation from the surface
-    normal, the two polarization tilt tangents, and the feed distance."""
-
-    elevation: float
-    tau_v: float
-    tau_h: float
-    distance: float
-
-
 def build_ris_grid(rows: int, cols: int, pitch: float, wavelength: float) -> RisGeometry:
     """Build a rows-by-cols grid of elements centered at the origin in the
     y-z plane, row-major (rows advance along z, columns along y).
@@ -140,42 +129,6 @@ def spherical_to_cartesian(placement: SphericalPlacement) -> np.ndarray:
             r * np.sin(zenith) * np.sin(azimuth),
             r * np.cos(zenith),
         ]
-    )
-
-
-def incidence_decomposition(
-    geometry: RisGeometry,
-    feed_position: np.ndarray,
-    element_index: int,
-    convention: TauConvention = axis_plane_tilt,
-) -> IncidenceDecomposition:
-    """Decompose the feed direction seen by one element.
-
-    Returns the elevation arccos(|d . u_x|) of the incidence direction
-    d = (q_F - q_n) / D_n from the surface normal, the two polarization
-    tilt tangents under ``convention``, and the feed distance D_n.
-
-    Raises DegenerateGeometryError when the feed lies in the surface plane
-    (d . u_x = 0), where the decomposition is undefined.
-    """
-    if not 0 <= element_index < geometry.element_count:
-        raise ValueError(
-            f"element index {element_index} outside [0, {geometry.element_count})"
-        )
-    delta = np.asarray(feed_position, dtype=float) - geometry.element_positions[element_index]
-    distance = float(np.linalg.norm(delta))
-    if distance == 0.0:
-        raise DegenerateGeometryError("feed coincides with an element")
-    direction = delta / distance
-    dx, dy, dz = np.abs(direction)
-    if dx == 0.0:
-        raise DegenerateGeometryError("feed lies in the surface plane")
-    tau_v, tau_h = convention(dx, dy, dz)
-    return IncidenceDecomposition(
-        elevation=float(np.arccos(min(dx, 1.0))),
-        tau_v=float(tau_v),
-        tau_h=float(tau_h),
-        distance=distance,
     )
 
 

@@ -43,7 +43,11 @@ class AmplitudeModel:
 
 @dataclass(frozen=True)
 class RisConfiguration:
-    """Per-element, per-polarization reflection amplitudes and phases."""
+    """Per-element, per-polarization reflection amplitudes and phases.
+
+    Amplitudes have shape (N,).  Phases have shape (N,), or (c, N) for a
+    stack of c phase draws that share the amplitudes.
+    """
 
     amplitudes_v: np.ndarray
     amplitudes_h: np.ndarray
@@ -52,12 +56,15 @@ class RisConfiguration:
 
     def __post_init__(self):
         n = self.amplitudes_v.shape[0]
-        for name in ("amplitudes_h", "phases_v", "phases_h"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("configuration vectors must share one length")
+        if (
+            self.amplitudes_h.shape != (n,)
+            or self.phases_v.shape[-1:] != (n,)
+            or self.phases_h.shape != self.phases_v.shape
+        ):
+            raise ValueError("configuration vectors must share one length")
         for name in ("amplitudes_v", "amplitudes_h"):
             a = getattr(self, name)
-            if np.any(a < 0.0) or np.any(a > 1.0):
+            if a.min(initial=0.0) < 0.0 or a.max(initial=1.0) > 1.0:
                 raise ValueError(f"{name} outside [0, 1]")
 
     @property
@@ -67,23 +74,12 @@ class RisConfiguration:
     @property
     def gamma_v(self) -> np.ndarray:
         """Complex V-polarization reflection coefficients."""
-        return self.amplitudes_v * np.exp(1j * self.phases_v)
+        return self.amplitudes_v * _phasors(self.phases_v)
 
     @property
     def gamma_h(self) -> np.ndarray:
         """Complex H-polarization reflection coefficients."""
-        return self.amplitudes_h * np.exp(1j * self.phases_h)
-
-
-def reflection_amplitude(model: AmplitudeModel, elevation: float, tau: float) -> float:
-    """Amplitude of the element response at incidence (elevation, tau).
-
-    Half the modulus of the difference of two unit phasors, so the result
-    lies in [0, 1], vanishes at tau = 0, and is even in tau.  Elevation
-    pi/2 (grazing) is rejected because the map divides by cos(elevation).
-    """
-    values = _amplitude_map(model, np.asarray(elevation, dtype=float), np.asarray(tau, dtype=float))
-    return float(values)
+        return self.amplitudes_h * _phasors(self.phases_h)
 
 
 def element_amplitudes(
@@ -134,9 +130,11 @@ def phase_strategy(
             np.mod(phases_h - feed.copol_phase_h, TWO_PI),
         )
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        n = geometry.element_count
-        return rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, n)
+        # one (2, N) draw equals two successive N-draws of the same stream
+        phases_v, phases_h = np.random.default_rng(seed).uniform(
+            0.0, TWO_PI, (2, geometry.element_count)
+        )
+        return phases_v, phases_h
     raise ValueError(f"unknown phase scheme {kind!r} (expected one of {PHASE_SCHEMES})")
 
 
@@ -154,6 +152,15 @@ def build_configuration(
     return RisConfiguration(
         amplitudes_v=a_v, amplitudes_h=a_h, phases_v=phases_v, phases_h=phases_h
     )
+
+
+def _phasors(phases: np.ndarray) -> np.ndarray:
+    """exp(j phases), written as cos + j sin straight into one complex array
+    (the same values as ``np.exp(1j * phases)``, with fewer temporaries)."""
+    out = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    return out
 
 
 def _amplitude_map(model: AmplitudeModel, elevation: np.ndarray, tau: np.ndarray) -> np.ndarray:

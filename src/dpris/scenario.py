@@ -220,6 +220,11 @@ def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAl
     if mode == "equal":
         return capacity.PowerAllocation.equal()
     if mode == "optimal":
+        if scenario.phase_scheme == "random":
+            raise ValueError(
+                "allocation = optimal is a closed form of the aligned-phase O_V/O_H; "
+                "phase_scheme = random needs an equal or explicit split"
+            )
         return capacity.optimal_power_allocation(
             model.o_v, model.o_h, model.budget, scenario.xpd_coeff
         )

@@ -10,6 +10,7 @@ byte except the runtime column.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,12 @@ AXES = (
     "power-allocation",
     "phase-scheme",
 )
+
+#: Lattice points per FFT call of a random-phase row.  A row takes its phase
+#: draws a chunk at a time and never holds all of them; at 2**13 complex
+#: points (128 KiB) a chunk's FFT buffers stay on the heap, where larger
+#: ones are mapped afresh, and page-faulted, on every call.
+_FFT_LATTICE_POINTS = 2**13
 
 OUTPUTS = ("dual-mc", "dual-ub", "single-mc", "single-ub", "allocation", "threshold")
 
@@ -193,16 +200,35 @@ def _scenario_at(spec: SweepSpec, point: tuple) -> scen.Scenario:
 def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
     current = _scenario_at(spec, point)
     model = scen.build_link_model(current)
+    aligned = current.phase_scheme != "random"
+    if not aligned and "threshold" in spec.outputs:
+        raise ValueError(
+            "output threshold is a closed form of the aligned-phase O_V/O_H; "
+            "it does not describe phase_scheme = random"
+        )
     allocation = scen.resolve_allocation(current, model)
-    configs = _configurations(current, model)
+    # computed on first use, then shared by every column of the row
+    moments = functools.cache(functools.partial(_row_moments, current, model))
     cells: dict = {}
     for out in spec.outputs:
         if out == "dual-ub":
-            cells["dual_ub_bits"] = _dual_bound(current, model, allocation, configs)
+            if current.phase_scheme == "optimal":
+                cells["dual_ub_bits"] = capacity.closed_form_upper_bound(
+                    model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
+                )
+            else:
+                cells["dual_ub_bits"] = capacity.moment_upper_bound(
+                    moments(), allocation, model.budget
+                )
         elif out == "single-ub":
-            cells["single_ub_bits"] = capacity.single_pol_upper_bound(
-                model.o_v, model.budget, current.xpd_coeff
-            )
+            if aligned:
+                cells["single_ub_bits"] = capacity.single_pol_upper_bound(
+                    model.o_v, model.budget, current.xpd_coeff
+                )
+            else:
+                cells["single_ub_bits"] = capacity.single_pol_moment_bound(
+                    moments(), model.budget
+                )
         elif out == "allocation":
             cells["lambda_v"] = allocation.lambda_v
             cells["lambda_h"] = allocation.lambda_h
@@ -215,67 +241,54 @@ def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
                 cells["xpd_threshold"] = None
         elif out == "dual-mc":
             mc = capacity.ergodic_capacity_mc(
-                model.stats,
-                configs,
-                model.pm,
-                allocation,
-                model.budget,
-                current.trials,
-                current.master_seed,
+                moments(), allocation, model.budget, current.trials, current.master_seed
             )
             cells["dual_mc_bits"] = mc.estimate
             cells["dual_mc_se"] = mc.standard_error
         elif out == "single-mc":
             mc = capacity.single_pol_capacity_mc(
-                model.stats,
-                configs,
-                model.pm,
-                model.budget,
-                current.trials,
-                current.master_seed,
+                moments(), model.budget, current.trials, current.master_seed
             )
             cells["single_mc_bits"] = mc.estimate
             cells["single_mc_se"] = mc.standard_error
     return cells
 
 
-def _configurations(current: scen.Scenario, model: scen.LinkModel) -> list:
-    """The configurations every column of a row describes: the built one,
-    or for the random scheme the seeded phase draws phase_seed,
-    phase_seed + 1, ... (random_phase_draws of them), reusing the
-    phase-independent amplitudes."""
+def _row_moments(current: scen.Scenario, model: scen.LinkModel) -> np.ndarray:
+    """Exact second moments of G for every configuration a row describes:
+    shape (4,) for the built one, or (D, 4) for the random scheme's D
+    seeded phase draws, one chunk at a time."""
     if current.phase_scheme != "random":
-        return [model.config]
+        return capacity.expected_gram_moments(model.config, model.pm, model.stats)
     if current.random_phase_draws < 1:
         raise ValueError(
             f"random_phase_draws must be at least 1, got {current.random_phase_draws}"
         )
-    configs = []
-    for draw in range(current.random_phase_draws):
-        phases_v, phases_h = ris.phase_strategy(
-            "random", model.geometry, model.feed, seed=current.phase_seed + draw
-        )
-        configs.append(
-            ris.RisConfiguration(
-                amplitudes_v=model.config.amplitudes_v,
-                amplitudes_h=model.config.amplitudes_h,
-                phases_v=phases_v,
-                phases_h=phases_h,
+    return np.concatenate(
+        [
+            capacity.expected_gram_moments(chunk, model.pm, model.stats)
+            for chunk in _phase_draw_chunks(current, model)
+        ]
+    )
+
+
+def _phase_draw_chunks(current: scen.Scenario, model: scen.LinkModel):
+    """The random scheme's phase draws phase_seed, phase_seed + 1, ...
+    (random_phase_draws of them), as configurations whose phases stack a
+    chunk of draws on the built amplitudes; a chunk holds at most
+    _FFT_LATTICE_POINTS lattice points across its two polarizations."""
+    draws = current.random_phase_draws
+    n = model.geometry.element_count
+    size = max(1, _FFT_LATTICE_POINTS // (2 * 4 * n))
+    for start in range(0, draws, size):
+        phases = np.empty((2, min(size, draws - start), n))
+        for i in range(phases.shape[1]):
+            phases[0, i], phases[1, i] = ris.phase_strategy(
+                "random", model.geometry, model.feed, seed=current.phase_seed + start + i
             )
+        yield ris.RisConfiguration(
+            model.config.amplitudes_v, model.config.amplitudes_h, phases[0], phases[1]
         )
-    return configs
-
-
-def _dual_bound(current: scen.Scenario, model: scen.LinkModel, allocation, configs) -> float:
-    if current.phase_scheme == "optimal":
-        return capacity.closed_form_upper_bound(
-            model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
-        )
-    total = 0.0
-    for config in configs:
-        moments = capacity.expected_gram_moments(config, model.pm, model.stats)
-        total += capacity.moment_upper_bound(moments, allocation, model.budget)
-    return total / len(configs)
 
 
 def _join(values) -> str:

@@ -6,16 +6,25 @@ channel sampler draws every element's fading through a factor of that
 matrix; the package's Monte Carlo draws only the 2x2 law of the
 equivalent channel.  The scalar determinant forms
 expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
-independent route to the package's |det G|^2 form.
+independent route to the package's |det G|^2 form.  The per-element
+scalar twins (incidence decomposition, feed pattern, spherical-wave
+coefficient, reflection amplitude) evaluate one element at a time with
+``math``, against the package's vectorized forms.  ``random_row_per_draw``
+evaluates a random-phase row one configuration per draw, as the package
+did before it stacked the draws.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dpris.exceptions import ModelInconsistencyError
+from dpris import capacity, ris
+from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
+from dpris.geometry import axis_plane_tilt
 
 LN2 = np.log(2.0)
 #: Eigenvalues below this fraction of the largest one are clipped to zero
@@ -170,3 +179,101 @@ def full_vector_mc(stats, geometry, config, pm, allocation, budget, trials: int,
 
 def _abs2(z):
     return z.real * z.real + z.imag * z.imag
+
+
+@dataclass(frozen=True)
+class IncidenceDecomposition:
+    """Per-element incidence description: elevation from the surface
+    normal, the two polarization tilt tangents, and the feed distance."""
+
+    elevation: float
+    tau_v: float
+    tau_h: float
+    distance: float
+
+
+def incidence_decomposition(
+    geometry, feed_position, element_index: int, convention=axis_plane_tilt
+) -> IncidenceDecomposition:
+    """Decompose the feed direction seen by one element: elevation
+    arccos(|d . u_x|) of d = (q_F - q_n) / D_n, the tilt tangents under
+    ``convention`` and D_n.  DegenerateGeometryError for an in-plane feed."""
+    if not 0 <= element_index < geometry.element_count:
+        raise ValueError(
+            f"element index {element_index} outside [0, {geometry.element_count})"
+        )
+    element = geometry.element_positions[element_index]
+    delta = [float(f - q) for f, q in zip(feed_position, element)]
+    distance = math.sqrt(sum(c * c for c in delta))
+    if distance == 0.0:
+        raise DegenerateGeometryError("feed coincides with an element")
+    dx, dy, dz = (abs(c / distance) for c in delta)
+    if dx == 0.0:
+        raise DegenerateGeometryError("feed lies in the surface plane")
+    tau_v, tau_h = convention(dx, dy, dz)
+    return IncidenceDecomposition(math.acos(min(dx, 1.0)), tau_v, tau_h, distance)
+
+
+def feed_gain(feed, direction) -> float:
+    """Pattern value kappa * (r . n)^(kappa/2 - 1) toward a unit direction,
+    zero in the back hemisphere (r . n < 0)."""
+    dot = sum(float(r) * float(n) for r, n in zip(direction, feed.boresight))
+    if dot < 0.0:
+        return 0.0
+    return feed.gain * dot ** (feed.gain / 2.0 - 1.0)
+
+
+def nusw_coefficient(geometry, feed, element_index: int) -> complex:
+    """Spherical-wave coefficient b_n = sqrt(G_n A_n / (4 pi D_n^2))
+    exp(-j 2 pi D_n / lambda) of one element, A_n its aperture projected
+    toward the feed; DegenerateGeometryError when that is non-positive."""
+    element = geometry.element_positions[element_index]
+    delta = [float(f - q) for f, q in zip(feed.position, element)]
+    distance = math.sqrt(sum(c * c for c in delta))
+    projected = -delta[0] * geometry.element_area / distance
+    if projected <= 0.0:
+        raise DegenerateGeometryError("feed is in or behind the surface plane")
+    gain = feed_gain(feed, [-c / distance for c in delta])
+    magnitude = math.sqrt(gain * projected / (4.0 * math.pi * distance**2))
+    return magnitude * cmath.exp(-2j * math.pi * distance / geometry.wavelength)
+
+
+def reflection_amplitude(model, elevation: float, tau: float) -> float:
+    """Element response amplitude |exp(2j atan((t + tau) / cos e)) -
+    exp(2j atan((t - tau) / cos e))| / 2 with t = tan(phi0 / 2); grazing
+    incidence (e = pi/2) is rejected."""
+    if not 0.0 <= elevation < math.pi / 2.0:
+        raise ValueError("elevation must lie in [0, pi/2)")
+    t = math.tan(model.normal_incidence_phase / 2.0)
+    cos_e = math.cos(elevation)
+    plus = cmath.exp(2j * math.atan((t + tau) / cos_e))
+    minus = cmath.exp(2j * math.atan((t - tau) / cos_e))
+    return abs(plus - minus) / 2.0
+
+
+def random_row_per_draw(
+    model, draws: int, phase_seed: int, allocation, trials: int, master_seed: int
+):
+    """(dual_ub, dual_mc) of a random-phase row, one configuration per
+    draw: draw d takes two successive uniform phase vectors from the stream
+    seeded phase_seed + d, the bound is the running mean of the per-draw
+    moment bounds, and Monte Carlo trial i scales the package's standard
+    draws by the moments of draw i mod ``draws``."""
+    n = model.geometry.element_count
+    moments = []
+    for draw in range(draws):
+        rng = np.random.default_rng(phase_seed + draw)
+        config = ris.RisConfiguration(
+            model.config.amplitudes_v,
+            model.config.amplitudes_h,
+            rng.uniform(0.0, 2.0 * np.pi, n),
+            rng.uniform(0.0, 2.0 * np.pi, n),
+        )
+        moments.append(capacity.expected_gram_moments(config, model.pm, model.stats))
+    total = 0.0
+    for m in moments:
+        total += capacity.moment_upper_bound(m, allocation, model.budget)
+    scale = np.sqrt(np.array(moments) / 2.0)[np.arange(trials) % draws]
+    g = (capacity._standard_channels(trials, master_seed) * scale).reshape(trials, 2, 2)
+    dual_mc = log2_det2(g, allocation.lambda_v, allocation.lambda_h, model.budget.snr)
+    return total / draws, float(dual_mc.mean())

@@ -30,6 +30,10 @@ def unit_pm(n):
     return feed.PropagationMatrix(shared=ones, copol_v=ones, copol_h=ones)
 
 
+def moments_of(model):
+    return capacity.expected_gram_moments(model.config, model.pm, model.stats)
+
+
 def unit_config(n, amplitude=1.0):
     return ris.RisConfiguration(
         amplitudes_v=np.full(n, amplitude),
@@ -91,9 +95,7 @@ def test_equivalent_channel_matched_xpd_kills_cross_entries(model16):
 
 def test_mc_zero_allocation_is_exactly_zero(model16):
     result = capacity.ergodic_capacity_mc(
-        model16.stats,
-        model16.config,
-        model16.pm,
+        moments_of(model16),
         capacity.PowerAllocation(0.0, 0.0),
         unit_budget(1e6),
         trials=50,
@@ -105,9 +107,7 @@ def test_mc_zero_allocation_is_exactly_zero(model16):
 
 def test_mc_vanishes_at_low_snr(model16):
     result = capacity.ergodic_capacity_mc(
-        model16.stats,
-        model16.config,
-        model16.pm,
+        moments_of(model16),
         capacity.PowerAllocation.equal(),
         unit_budget(1e-9),
         trials=200,
@@ -119,18 +119,19 @@ def test_mc_vanishes_at_low_snr(model16):
 def test_mc_rejects_bad_arguments(model16):
     with pytest.raises(ValueError):
         capacity.ergodic_capacity_mc(
-            model16.stats,
-            model16.config,
-            model16.pm,
+            moments_of(model16),
             capacity.PowerAllocation.equal(),
             unit_budget(),
             trials=0,
             master_seed=1,
         )
+    with pytest.raises(ValueError):
+        capacity.single_pol_capacity_mc(np.ones((2, 3)), unit_budget(), 10, 1)
     # a kernel that is not positive semidefinite gives negative moments
     stats = dataclasses.replace(model16.stats, kernel_spectrum=-model16.stats.kernel_spectrum)
+    moments = capacity.expected_gram_moments(model16.config, model16.pm, stats)
     with pytest.raises(ModelInconsistencyError) as excinfo:
-        capacity.single_pol_capacity_mc(stats, model16.config, model16.pm, unit_budget(), 10, 1)
+        capacity.single_pol_capacity_mc(moments, unit_budget(), 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
 
 
@@ -145,11 +146,9 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
     allocation = capacity.PowerAllocation.split(0.7)
     trials = 20_000
     dual = capacity.ergodic_capacity_mc(
-        model.stats, model.config, model.pm, allocation, budget, trials, master_seed=9
+        moments_of(model), allocation, budget, trials, master_seed=9
     )
-    single = capacity.single_pol_capacity_mc(
-        model.stats, model.config, model.pm, budget, trials, master_seed=9
-    )
+    single = capacity.single_pol_capacity_mc(moments_of(model), budget, trials, master_seed=9)
     for mc, oracle_allocation in ((dual, allocation), (single, None)):
         estimate, se = oracles.full_vector_mc(
             model.stats,
@@ -173,16 +172,14 @@ def test_single_pol_equals_dual_with_v_only_power_when_matched(model16):
     model = scen.build_link_model(base)
     budget = unit_budget(3e12)
     dual = capacity.ergodic_capacity_mc(
-        model.stats,
-        model.config,
-        model.pm,
+        moments_of(model),
         capacity.PowerAllocation(1.0, 0.0),
         budget,
         trials=500,
         master_seed=21,
     )
     single = capacity.single_pol_capacity_mc(
-        model.stats, model.config, model.pm, budget, trials=500, master_seed=21
+        moments_of(model), budget, trials=500, master_seed=21
     )
     assert dual.estimate == single.estimate
 
@@ -454,8 +451,8 @@ def test_mc_is_reproducible_and_chunking_invariant(model16):
         trials=600,
         master_seed=5,
     )
-    first = capacity.ergodic_capacity_mc(model16.stats, model16.config, model16.pm, **kwargs)
-    again = capacity.ergodic_capacity_mc(model16.stats, model16.config, model16.pm, **kwargs)
+    first = capacity.ergodic_capacity_mc(moments_of(model16), **kwargs)
+    again = capacity.ergodic_capacity_mc(moments_of(model16), **kwargs)
     assert first.estimate == again.estimate
     assert first.standard_error == again.standard_error
     np.testing.assert_array_equal(first.moments, again.moments)

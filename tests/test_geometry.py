@@ -4,6 +4,7 @@ import pytest
 from dpris import geometry
 from dpris.exceptions import DegenerateGeometryError
 
+import oracles
 from conftest import PITCH, WAVELENGTH
 
 
@@ -74,13 +75,18 @@ def test_spherical_placement_validation():
         geometry.SphericalPlacement(1.0, 0.1, 2 * np.pi)
 
 
+def decomposition(geo, feed, index=0, convention=geometry.axis_plane_tilt):
+    """(elevation, tau_v, tau_h, distance) of one element, vectorized path."""
+    return [float(part[index]) for part in geometry.incidence_decompositions(geo, feed, convention)]
+
+
 def test_incidence_normal():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    dec = geometry.incidence_decomposition(geo, np.array([-0.05, 0.0, 0.0]), 0)
-    assert dec.elevation == 0.0
-    assert dec.tau_v == 0.0
-    assert dec.tau_h == 0.0
-    assert dec.distance == pytest.approx(0.05, rel=1e-15)
+    elevation, tau_v, tau_h, distance = decomposition(geo, np.array([-0.05, 0.0, 0.0]))
+    assert elevation == 0.0
+    assert tau_v == 0.0
+    assert tau_h == 0.0
+    assert distance == pytest.approx(0.05, rel=1e-15)
 
 
 def test_incidence_conventions_differ_by_axis():
@@ -89,39 +95,49 @@ def test_incidence_conventions_differ_by_axis():
     # alternate one
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     feed = np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0) * 0.3
-    dec = geometry.incidence_decomposition(geo, feed, 0)
-    assert dec.elevation == pytest.approx(np.pi / 4, rel=1e-12)
-    assert dec.tau_v == pytest.approx(0.0, abs=1e-15)
-    assert dec.tau_h == pytest.approx(1.0, rel=1e-12)
-    alt = geometry.incidence_decomposition(
-        geo, feed, 0, convention=geometry.transverse_plane_tilt
-    )
-    assert alt.tau_v == pytest.approx(1.0, rel=1e-12)
-    assert alt.tau_h == pytest.approx(0.0, abs=1e-15)
+    elevation, tau_v, tau_h, _ = decomposition(geo, feed)
+    assert elevation == pytest.approx(np.pi / 4, rel=1e-12)
+    assert tau_v == pytest.approx(0.0, abs=1e-15)
+    assert tau_h == pytest.approx(1.0, rel=1e-12)
+    _, alt_v, alt_h, _ = decomposition(geo, feed, convention=geometry.transverse_plane_tilt)
+    assert alt_v == pytest.approx(1.0, rel=1e-12)
+    assert alt_h == pytest.approx(0.0, abs=1e-15)
     # symmetric case in the x-z plane swaps the roles
     feed_z = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0) * 0.3
-    dec_z = geometry.incidence_decomposition(geo, feed_z, 0)
-    assert dec_z.tau_v == pytest.approx(1.0, rel=1e-12)
-    assert dec_z.tau_h == pytest.approx(0.0, abs=1e-15)
+    _, z_v, z_h, _ = decomposition(geo, feed_z)
+    assert z_v == pytest.approx(1.0, rel=1e-12)
+    assert z_h == pytest.approx(0.0, abs=1e-15)
 
 
 def test_incidence_mirror_symmetry():
     geo = geometry.build_ris_grid(3, 3, PITCH, WAVELENGTH)
     rng = np.random.default_rng(3)
+    # mirroring across the x-z plane changes element pairing, so compare
+    # each element against its mirrored partner
+    row, col = np.divmod(np.arange(geo.element_count), geo.cols)
+    partner = row * geo.cols + (geo.cols - 1 - col)
     for _ in range(20):
         feed = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
         mirrored = feed * np.array([1.0, -1.0, 1.0])
-        for index in range(geo.element_count):
-            a = geometry.incidence_decomposition(geo, feed, index)
-            # mirroring across the x-z plane changes element pairing, so
-            # compare against the mirrored element
-            row, col = divmod(index, geo.cols)
-            partner = row * geo.cols + (geo.cols - 1 - col)
-            b = geometry.incidence_decomposition(geo, mirrored, partner)
-            assert b.elevation == pytest.approx(a.elevation, abs=1e-12)
-            assert b.tau_v == pytest.approx(a.tau_v, abs=1e-12)
-            assert b.tau_h == pytest.approx(a.tau_h, abs=1e-12)
-            assert b.distance == pytest.approx(a.distance, rel=1e-12)
+        a = geometry.incidence_decompositions(geo, feed)
+        b = geometry.incidence_decompositions(geo, mirrored)
+        for a_part, b_part in zip(a[:3], b[:3]):
+            np.testing.assert_allclose(b_part[partner], a_part, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b[3][partner], a[3], rtol=1e-12)
+
+
+def test_incidence_decompositions_match_scalar_oracle():
+    geo = geometry.build_ris_grid(4, 5, PITCH, WAVELENGTH)
+    rng = np.random.default_rng(11)
+    for convention in (geometry.axis_plane_tilt, geometry.transverse_plane_tilt):
+        for _ in range(10):
+            feed = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
+            vectorized = geometry.incidence_decompositions(geo, feed, convention)
+            for index in range(geo.element_count):
+                scalar = oracles.incidence_decomposition(geo, feed, index, convention)
+                expected = (scalar.elevation, scalar.tau_v, scalar.tau_h, scalar.distance)
+                for part, value in zip(vectorized, expected):
+                    assert part[index] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_incidence_elevation_below_grazing():
@@ -137,7 +153,7 @@ def test_incidence_elevation_below_grazing():
 def test_incidence_degenerate_inplane_feed():
     geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
     with pytest.raises(DegenerateGeometryError):
-        geometry.incidence_decomposition(geo, np.array([0.0, 0.5, 0.1]), 0)
+        oracles.incidence_decomposition(geo, np.array([0.0, 0.5, 0.1]), 0)
     with pytest.raises(DegenerateGeometryError):
         geometry.incidence_decompositions(geo, np.array([0.0, 0.5, 0.1]))
 
@@ -145,4 +161,4 @@ def test_incidence_degenerate_inplane_feed():
 def test_incidence_index_bounds():
     geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
     with pytest.raises(ValueError):
-        geometry.incidence_decomposition(geo, np.array([-0.1, 0.0, 0.0]), 4)
+        oracles.incidence_decomposition(geo, np.array([-0.1, 0.0, 0.0]), 4)

@@ -3,6 +3,7 @@ import pytest
 
 from dpris import capacity, feed, geometry, ris, scenario as scen
 
+import oracles
 from conftest import PITCH, WAVELENGTH
 
 QUARTER = ris.AmplitudeModel(normal_incidence_phase=np.pi / 2)
@@ -20,7 +21,7 @@ def table_feed(position, gain=10.0):
 
 def test_amplitude_zero_at_zero_tau():
     for elevation in (0.0, 0.3, 1.2):
-        assert ris.reflection_amplitude(QUARTER, elevation, 0.0) == 0.0
+        assert oracles.reflection_amplitude(QUARTER, elevation, 0.0) == 0.0
 
 
 def test_amplitude_even_in_tau():
@@ -28,14 +29,14 @@ def test_amplitude_even_in_tau():
     for _ in range(50):
         elevation = rng.uniform(0.0, 1.5)
         tau = rng.uniform(0.0, 5.0)
-        plus = ris.reflection_amplitude(QUARTER, elevation, tau)
-        minus = ris.reflection_amplitude(QUARTER, elevation, -tau)
+        plus = oracles.reflection_amplitude(QUARTER, elevation, tau)
+        minus = oracles.reflection_amplitude(QUARTER, elevation, -tau)
         assert plus == pytest.approx(minus, abs=1e-15)
 
 
 def test_amplitude_reference_value():
     # phi0 = pi/2, xi = 0, tau = 1: |exp(2j atan 2) - 1| / 2 = 2/sqrt(5)
-    value = ris.reflection_amplitude(QUARTER, 0.0, 1.0)
+    value = oracles.reflection_amplitude(QUARTER, 0.0, 1.0)
     assert value == pytest.approx(0.8944271909999159, rel=1e-12)
 
 
@@ -43,15 +44,38 @@ def test_amplitude_bounded_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(200):
         model = ris.AmplitudeModel(normal_incidence_phase=rng.uniform(-2.8, 2.8))
-        value = ris.reflection_amplitude(model, rng.uniform(0, 1.5), rng.uniform(-10, 10))
+        value = oracles.reflection_amplitude(model, rng.uniform(0, 1.5), rng.uniform(-10, 10))
         assert 0.0 <= value <= 1.0
 
 
 def test_amplitude_rejects_grazing_and_bad_phase():
     with pytest.raises(ValueError):
-        ris.reflection_amplitude(QUARTER, np.pi / 2, 0.5)
+        oracles.reflection_amplitude(QUARTER, np.pi / 2, 0.5)
+    # a feed 1e-20 m off the surface plane sees elevation pi/2 in floats
+    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
+    with pytest.raises(ValueError):
+        ris.element_amplitudes(geo, table_feed([-1e-20, 0.1, 0.0]), QUARTER)
     with pytest.raises(ValueError):
         ris.AmplitudeModel(normal_incidence_phase=np.pi)
+
+
+def test_element_amplitudes_match_scalar_oracle():
+    # the properties above hold for the scalar map; the package's
+    # vectorized map must agree with it element by element
+    rng = np.random.default_rng(6)
+    geo = geometry.build_ris_grid(4, 5, PITCH, WAVELENGTH)
+    for _ in range(10):
+        model = ris.AmplitudeModel(
+            normal_incidence_phase=rng.uniform(-2.8, 2.8), tau_offset=rng.uniform(-1, 1)
+        )
+        spec = table_feed([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
+        a_v, a_h = ris.element_amplitudes(geo, spec, model)
+        for index in range(geo.element_count):
+            dec = oracles.incidence_decomposition(geo, spec.position, index)
+            for value, tau in ((a_v[index], dec.tau_v), (a_h[index], dec.tau_h)):
+                tau += model.tau_offset
+                expected = oracles.reflection_amplitude(model, dec.elevation, tau)
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_element_amplitudes_on_axis_single_element():

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpris
-from dpris import cli, recipes, scenario as scen, sweep
+from dpris import capacity, cli, recipes, ris, scenario as scen, sweep
+
+import oracles
 
 
 def spec_from(text_pairs, base=None):
@@ -114,6 +117,115 @@ def test_random_phase_row_is_jensen_consistent():
     row = sweep.run_sweep(spec).rows[0]
     assert row["status"] == "ok"
     assert row["dual_mc_bits"] <= row["dual_ub_bits"] + 3.0 * row["dual_mc_se"]
+
+
+RANDOM_16 = {
+    "elements": "16",
+    "power_dbm": "43",
+    "phase_seed": "5",
+    "random_phase_draws": "200",
+}
+
+
+def test_random_phase_row_single_pol_describes_its_draws():
+    # the single-polarized bound of a random row averages over the row's
+    # own draws: Jensen holds against its Monte Carlo, and random phases
+    # lose the aligned bound's array gain
+    spec = spec_from(
+        {
+            "axis": "phase-scheme",
+            "grid": "optimal, random",
+            "outputs": "single-mc, single-ub",
+            "trials": "20000",
+            **RANDOM_16,
+        }
+    )
+    aligned, random = sweep.run_sweep(spec).rows
+    assert random["status"] == "ok"
+    assert random["single_mc_bits"] <= random["single_ub_bits"] + 3.0 * random["single_mc_se"]
+    assert random["single_ub_bits"] < aligned["single_ub_bits"]
+
+
+@pytest.mark.parametrize(
+    "pairs,field",
+    [({"outputs": "dual-ub, threshold"}, "threshold"), ({"allocation": "optimal"}, "allocation")],
+)
+def test_random_phase_row_rejects_aligned_closed_forms(pairs, field):
+    axis = {"axis": "phase-scheme", "grid": "optimal, random", "outputs": "dual-ub"}
+    spec = spec_from({**axis, **RANDOM_16, **pairs})
+    aligned, random = sweep.run_sweep(spec).rows
+    assert aligned["status"] == "ok"
+    assert random["status"].startswith("failed:") and field in random["status"]
+
+
+def random_row(draws):
+    current = scen.Scenario(
+        elements=16,
+        power_dbm=43.0,
+        phase_scheme="random",
+        phase_seed=5,
+        random_phase_draws=draws,
+        trials=3000,
+    )
+    return current, scen.build_link_model(current)
+
+
+def test_random_phase_chunks_stack_the_seeded_draws():
+    current, model = random_row(300)
+    chunks = list(sweep._phase_draw_chunks(current, model))
+    sizes = [chunk.phases_v.shape[0] for chunk in chunks]
+    assert len(sizes) > 2 and sum(sizes) == 300 and sizes[-1] < sizes[0]
+    phases_v = np.concatenate([chunk.phases_v for chunk in chunks])
+    phases_h = np.concatenate([chunk.phases_h for chunk in chunks])
+    for draw in range(300):
+        v, h = ris.phase_strategy("random", model.geometry, model.feed, seed=5 + draw)
+        np.testing.assert_array_equal(phases_v[draw], v)
+        np.testing.assert_array_equal(phases_h[draw], h)
+    # stacked moments against one configuration per draw
+    stacked = sweep._row_moments(current, model)
+    assert stacked.shape == (300, 4)
+    for draw in range(300):
+        config = ris.RisConfiguration(
+            model.config.amplitudes_v, model.config.amplitudes_h, phases_v[draw], phases_h[draw]
+        )
+        expected = capacity.expected_gram_moments(config, model.pm, model.stats)
+        np.testing.assert_allclose(stacked[draw], expected, rtol=1e-12)
+
+
+def test_random_phase_row_matches_per_draw_oracle():
+    current, model = random_row(137)
+    spec = sweep.SweepSpec(
+        axis="phase-scheme", grid=("random",), outputs=("dual-mc", "dual-ub"), base=current
+    )
+    row = sweep.run_sweep(spec).rows[0]
+    bound, mc = oracles.random_row_per_draw(
+        model, 137, 5, capacity.PowerAllocation.equal(), 3000, current.master_seed
+    )
+    assert row["dual_ub_bits"] == pytest.approx(bound, rel=1e-12)
+    assert row["dual_mc_bits"] == pytest.approx(mc, rel=1e-12)
+
+
+def test_random_phase_row_memory_stays_flat():
+    # a row never holds all of its draws: the 1000 draws' phases alone
+    # take 6.4 MB at N = 400
+    spec = spec_from(
+        {
+            "axis": "phase-scheme",
+            "grid": "random",
+            "outputs": "dual-ub",
+            "elements": "400",
+            "random_phase_draws": "1000",
+        }
+    )
+    sweep.run_sweep(spec)  # warm the kernel-spectrum cache and lazy imports
+    tracemalloc.start()
+    try:
+        row = sweep.run_sweep(spec).rows[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row["status"] == "ok"
+    assert peak < 4 * 2**20
 
 
 def test_sweep_marks_degenerate_rows_and_continues():
@@ -288,20 +400,23 @@ def test_normalize_unit_ov_sets_quality_to_one():
 
 
 def test_import_leaves_numpy_fft_unloaded():
-    # numpy.fft is reached at call time only, which keeps start-up short
+    # numpy.fft and numpy.random are reached at call time only, which
+    # keeps start-up short
     src = str(Path(dpris.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, numpy; print('numpy.fft' in sys.modules); "
-        "import dpris, dpris.sweep; print('numpy.fft' in sys.modules)"
+        "import sys, numpy; mods = ('numpy.fft', 'numpy.random'); "
+        "print(*(m in sys.modules for m in mods)); "
+        "import dpris, dpris.sweep; print(*(m in sys.modules for m in mods))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    by_numpy, by_dpris = out.stdout.split()
-    if by_numpy == "True":
-        pytest.skip("this numpy imports numpy.fft itself")
-    assert by_dpris == "False"
+    by_numpy, by_dpris = (line.split() for line in out.stdout.splitlines())
+    checked = [after for before, after in zip(by_numpy, by_dpris) if before == "False"]
+    if not checked:
+        pytest.skip("this numpy imports numpy.fft and numpy.random itself")
+    assert checked == ["False"] * len(checked)
 
 
 def test_large_surface_row_is_finite_and_jensen_consistent():
