@@ -7,14 +7,10 @@ single-polarized baseline comparison.
 """
 
 from .capacity import (
-    CapacityReport,
     LinkBudget,
     McCapacityResult,
     PowerAllocation,
-    capacity_report,
-    closed_form_upper_bound,
     compute_O,
-    equal_allocation_lower_bound,
     ergodic_capacity_mc,
     expected_gram_moments,
     moment_upper_bound,
@@ -22,7 +18,6 @@ from .capacity import (
     optimal_power_allocation,
     single_pol_capacity_mc,
     single_pol_moment_bound,
-    single_pol_upper_bound,
     xpd_threshold,
 )
 from .channel import (

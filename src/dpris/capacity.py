@@ -27,20 +27,22 @@ vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H).
 Trials come in fixed-size chunks, each from its own stream keyed by the
 master seed and the chunk index, so results are bitwise reproducible.
 
-Under the aligning phases the moments collapse to the quadratic forms
+Under the aligning phases the moments collapse to
+((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms
 
     O = sum_{n1,n2} A_n1 A_n2 |b_n1||b_n2| R(n1,n2) beta0
         sqrt(d_n1^-a d_n2^-a),
 
-which give the phase-maximized bound, the closed-form optimal power split
-across polarizations, the single-polarized baseline, and the
+so an aligned point builds its moments from O_V and O_H with no further
+FFT, and the moment bound is the only bound.  O_V and O_H also give the
+closed-form optimal power split across polarizations and the
 cross-polarization threshold above which the dual system more than doubles
 the single one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,20 +122,6 @@ class McCapacityResult:
     moment_standard_errors: np.ndarray
     trials: int
     master_seed: int
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Everything a single-point evaluation produces, with provenance."""
-
-    mc_estimate: float
-    mc_standard_error: float
-    upper_bound: float
-    moment_estimates: np.ndarray
-    o_v: float
-    o_h: float
-    allocation: PowerAllocation
-    metadata: dict = field(default_factory=dict)
 
 
 def ergodic_capacity_mc(
@@ -233,31 +221,15 @@ def expected_gram_moments(
     they collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
     """
     u = np.stack([config.gamma_v * pm.copol_v, config.gamma_h * pm.copol_h])
-    q = _surface_quadforms(u, stats)
-    l = stats.xpd_coeff
-    return q[[0, 1, 0, 1]].T * np.array([1.0 - l, l, l, 1.0 - l])
+    return moment_layout(_surface_quadforms(u, stats), stats.xpd_coeff)
 
 
-def closed_form_upper_bound(
-    o_v: float,
-    o_h: float,
-    allocation: PowerAllocation,
-    budget: LinkBudget,
-    xpd_coeff: float,
-) -> float:
-    """Phase-maximized capacity upper bound
-
-    log2(1 + rho (lh O_H + lv O_V)
-           + rho^2 lh lv O_H O_V (l^2 + (1-l)^2)).
-    """
-    if o_v < 0.0 or o_h < 0.0:
-        raise ValueError("O quantities must be non-negative")
-    if not 0.0 <= xpd_coeff <= 1.0:
-        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    rho = budget.snr
-    lv, lh = allocation.lambda_v, allocation.lambda_h
-    shift = rho * (lh * o_h + lv * o_v) + rho * rho * lh * lv * o_h * o_v * _xpd_mix(xpd_coeff)
-    return float(np.log1p(shift) / _LN2)
+def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
+    """Second moments ((1-l) q_V, l q_H, l q_V, (1-l) q_H) of G from the
+    per-polarization quadratic forms q = (q_V, q_H), shape (2,) or (2, c);
+    with q = (O_V, O_H) they are the moments under the aligning phases."""
+    l = xpd_coeff
+    return np.asarray(q)[[0, 1, 0, 1]].T * np.array([1.0 - l, l, l, 1.0 - l])
 
 
 def optimal_power_allocation(
@@ -272,27 +244,10 @@ def optimal_power_allocation(
         raise ValueError("O quantities must both be positive")
     if not 0.0 <= xpd_coeff <= 1.0:
         raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    lambda_0 = 0.5 + (o_v - o_h) / (2.0 * budget.snr * _xpd_mix(xpd_coeff) * o_v * o_h)
+    mix = xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
+    lambda_0 = 0.5 + (o_v - o_h) / (2.0 * budget.snr * mix * o_v * o_h)
     lambda_v = float(np.clip(lambda_0, 0.0, 1.0))
     return PowerAllocation(lambda_v, 1.0 - lambda_v)
-
-
-def single_pol_upper_bound(o_v: float, budget: LinkBudget, xpd_coeff: float) -> float:
-    """Maximized upper bound of the all-V baseline:
-    log2(1 + rho (1-l) O_V)."""
-    if o_v < 0.0:
-        raise ValueError("O quantity must be non-negative")
-    if not 0.0 <= xpd_coeff <= 1.0:
-        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    return float(np.log1p(budget.snr * (1.0 - xpd_coeff) * o_v) / _LN2)
-
-
-def equal_allocation_lower_bound(
-    o_v: float, o_h: float, budget: LinkBudget, xpd_coeff: float
-) -> float:
-    """Optimally allocated bound floored by the equal split:
-    log2(1 + rho (O_H + O_V)/2 + rho^2 O_H O_V (l^2 + (1-l)^2)/4)."""
-    return closed_form_upper_bound(o_v, o_h, PowerAllocation.equal(), budget, xpd_coeff)
 
 
 def xpd_threshold(o_v: float, o_h: float, budget: LinkBudget) -> float:
@@ -338,43 +293,6 @@ def multiplexing_gain(snr_values: Sequence[float], capacities: Sequence[float]) 
     return float(slope)
 
 
-def capacity_report(
-    stats: ChannelStatistics,
-    config: RisConfiguration,
-    pm: PropagationMatrix,
-    allocation: PowerAllocation,
-    budget: LinkBudget,
-    trials: int,
-    master_seed: int,
-    metadata: dict | None = None,
-) -> CapacityReport:
-    """Monte Carlo estimate plus the matching closed-form quantities.
-
-    The bound is the moment bound of the configuration given, from its
-    exact second moments, never the Monte Carlo ones; under the aligning
-    phases it equals the phase-maximized closed form over O_V and O_H.
-    The Monte Carlo moments travel alongside for diagnostics.
-    """
-    moments = expected_gram_moments(config, pm, stats)
-    mc = ergodic_capacity_mc(moments, allocation, budget, trials, master_seed)
-    o_v = compute_O(config.amplitudes_v, pm, stats)
-    o_h = compute_O(config.amplitudes_h, pm, stats)
-    bound = moment_upper_bound(moments, allocation, budget)
-    meta = {"trials": trials, "master_seed": master_seed}
-    if metadata:
-        meta.update(metadata)
-    return CapacityReport(
-        mc_estimate=mc.estimate,
-        mc_standard_error=mc.standard_error,
-        upper_bound=bound,
-        moment_estimates=mc.moments,
-        o_v=o_v,
-        o_h=o_h,
-        allocation=allocation,
-        metadata=meta,
-    )
-
-
 def _surface_quadforms(vectors: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
     """Re(u^H W R W u) for each row-major grid vector u along the last axis
     of ``vectors``, W = diag(stats.weights); see ``compute_O``."""
@@ -384,10 +302,6 @@ def _surface_quadforms(vectors: np.ndarray, stats: ChannelStatistics) -> np.ndar
     power = spectrum.real**2 + spectrum.imag**2
     power *= stats.kernel_spectrum
     return power.sum(axis=(-2, -1)) / stats.kernel_spectrum.size
-
-
-def _xpd_mix(xpd_coeff: float) -> float:
-    return xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
 
 
 def _moment_rows(moments: np.ndarray) -> np.ndarray:

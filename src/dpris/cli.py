@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``sweep`` runs a spec file and writes CSV; ``capacity``
-evaluates one scenario point and prints a report; ``threshold`` prints the
+evaluates one scenario point and prints a report from the same exact
+moments of G a sweep row reads, the ``random_phase_draws`` ensemble for the
+random scheme; ``threshold`` prints the
 cross-polarization threshold for given link qualities; ``recipes`` lists
 or runs the bundled figure recipes.
 
@@ -116,11 +118,16 @@ def _cmd_sweep(args) -> int:
     pairs = scen.read_config_file(args.spec)
     pairs.update(_parse_overrides(args.overrides))
     spec = sweep.parse_sweep_pairs(pairs)
+    return _run_sweep(spec, args.out or (Path(args.spec).stem + ".csv"), args.gnuplot)
+
+
+def _run_sweep(spec: sweep.SweepSpec, out: str, gnuplot: bool) -> int:
+    """Run a sweep, write its CSV to ``out`` and, if asked, the companion
+    gnuplot script next to it."""
     result = sweep.run_sweep(spec)
-    out = args.out or (Path(args.spec).stem + ".csv")
     sweep.write_csv(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)")
-    if args.gnuplot:
+    if gnuplot:
         gp = str(Path(out).with_suffix(".gp"))
         with open(gp, "w", encoding="utf-8") as handle:
             handle.write(sweep.gnuplot_script(result, out))
@@ -145,22 +152,27 @@ def _cmd_capacity(args) -> int:
     }
     base = base.replace(**{k: v for k, v in flag_map.items() if v is not None})
     base = scen.parse_overrides(base, _parse_overrides(args.overrides))
-    if base.trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {base.trials}")
-
     model = scen.build_link_model(base)
     allocation = scen.resolve_allocation(base, model)
-    report = capacity.capacity_report(
-        model.stats,
-        model.config,
-        model.pm,
-        allocation,
-        model.budget,
-        base.trials,
-        base.master_seed,
-        metadata={"phase_scheme": base.phase_scheme},
+    mc = capacity.ergodic_capacity_mc(
+        model.moments, allocation, model.budget, base.trials, base.master_seed
     )
-    _print_report(base, model, report)
+    bound = capacity.moment_upper_bound(model.moments, allocation, model.budget)
+    print("# dpris capacity report")
+    print(f"elements = {base.elements}")
+    print(f"snr = {model.budget.snr:.6g}")
+    print(f"xpd_coeff = {base.xpd_coeff}")
+    print(f"phase_scheme = {base.phase_scheme}")
+    print(f"allocation = ({allocation.lambda_v:.6g}, {allocation.lambda_h:.6g})")
+    print(f"o_v = {model.o_v:.10g}  [closed-form]")
+    print(f"o_h = {model.o_h:.10g}  [closed-form]")
+    print(
+        f"dual_mc_bits = {mc.estimate:.10g} (se {mc.standard_error:.3g}) "
+        f"[monte-carlo, trials {mc.trials}, seed {mc.master_seed}]"
+    )
+    print(f"dual_ub_bits = {bound:.10g}  [closed-form]")
+    moments = ", ".join(f"{m:.6g}" for m in mc.moments)
+    print(f"gram_moments = ({moments})  [monte-carlo]")
     return 0
 
 
@@ -179,16 +191,7 @@ def _cmd_recipes_list(args) -> int:
 
 def _cmd_recipes_run(args) -> int:
     spec = recipes.load_recipe(args.name, _parse_overrides(args.overrides))
-    result = sweep.run_sweep(spec)
-    out = args.out or f"{args.name}.csv"
-    sweep.write_csv(result, out)
-    print(f"wrote {out} ({len(result.rows)} rows)")
-    if args.gnuplot:
-        gp = str(Path(out).with_suffix(".gp"))
-        with open(gp, "w", encoding="utf-8") as handle:
-            handle.write(sweep.gnuplot_script(result, out))
-        print(f"wrote {gp}")
-    return 0
+    return _run_sweep(spec, args.out or f"{args.name}.csv", args.gnuplot)
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:
@@ -199,24 +202,6 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         parsed[key.strip()] = value.strip()
     return parsed
-
-
-def _print_report(base: scen.Scenario, model: scen.LinkModel, report) -> None:
-    print("# dpris capacity report")
-    print(f"elements = {base.elements}")
-    print(f"snr = {model.budget.snr:.6g}")
-    print(f"xpd_coeff = {base.xpd_coeff}")
-    print(f"phase_scheme = {report.metadata.get('phase_scheme')}")
-    print(f"allocation = ({report.allocation.lambda_v:.6g}, {report.allocation.lambda_h:.6g})")
-    print(f"o_v = {report.o_v:.10g}  [closed-form]")
-    print(f"o_h = {report.o_h:.10g}  [closed-form]")
-    print(
-        f"dual_mc_bits = {report.mc_estimate:.10g} (se {report.mc_standard_error:.3g}) "
-        f"[monte-carlo, trials {report.metadata['trials']}, seed {report.metadata['master_seed']}]"
-    )
-    print(f"dual_ub_bits = {report.upper_bound:.10g}  [closed-form]")
-    moments = ", ".join(f"{m:.6g}" for m in report.moment_estimates)
-    print(f"gram_moments = ({moments})  [monte-carlo]")
 
 
 def entrypoint() -> None:

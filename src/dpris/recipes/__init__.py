@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from ..scenario import parse_pairs
 from ..sweep import SweepSpec, parse_sweep_pairs
 
 _PACKAGE = __name__
@@ -25,20 +26,8 @@ def load_recipe(name: str, overrides: dict[str, str] | None = None) -> SweepSpec
     if not candidate.is_file():
         known = ", ".join(n for n, _ in list_recipes())
         raise ValueError(f"unknown recipe {name!r} (available: {known})")
-    pairs = _parse_pairs(candidate.read_text(encoding="utf-8"), name)
+    pairs = parse_pairs(candidate.read_text(encoding="utf-8"), f"{name}.sweep")
     if overrides:
         pairs.update(overrides)
     return parse_sweep_pairs(pairs)
 
-
-def _parse_pairs(text: str, name: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ValueError(f"{name}.sweep:{lineno}: expected 'key = value'")
-        pairs[key.strip()] = value.split("#", 1)[0].strip()
-    return pairs

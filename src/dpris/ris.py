@@ -168,6 +168,5 @@ def _amplitude_map(model: AmplitudeModel, elevation: np.ndarray, tau: np.ndarray
         raise ValueError("elevation must lie in [0, pi/2)")
     t = np.tan(model.normal_incidence_phase / 2.0)
     cos_e = np.cos(elevation)
-    plus = np.exp(2j * np.arctan((t + tau) / cos_e))
-    minus = np.exp(2j * np.arctan((t - tau) / cos_e))
-    return np.abs(plus - minus) / 2.0
+    # |exp(2ja) - exp(2jb)| / 2 = |sin(a - b)|
+    return np.abs(np.sin(np.arctan((t + tau) / cos_e) - np.arctan((t - tau) / cos_e)))

@@ -24,6 +24,12 @@ _CONVENTIONS = {
     "transverse-plane": geometry.transverse_plane_tilt,
 }
 
+#: Lattice points per FFT call of a random-phase ensemble.  The moments take
+#: the phase draws a chunk at a time and never hold all of them; at 2**13
+#: complex points (128 KiB) a chunk's FFT buffers stay on the heap, where
+#: larger ones are mapped afresh, and page-faulted, on every call.
+_FFT_LATTICE_POINTS = 2**13
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -91,7 +97,7 @@ def _parse_value(key: str, raw: str):
 
 
 def grid_shape(scenario: Scenario) -> tuple[int, int]:
-    side = math.isqrt(scenario.elements)
+    side = math.isqrt(int(scenario.elements))
     if side * side != scenario.elements:
         raise ValueError(
             f"element count {scenario.elements} is not a perfect square"
@@ -171,7 +177,14 @@ def link_budget(scenario: Scenario) -> capacity.LinkBudget:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """All module objects a scenario expands into, built once per point."""
+    """All module objects a scenario expands into, built once per point.
+
+    ``moments`` are the exact second moments of G that every capacity and
+    bound of the point reads: shape (4,), built from O_V and O_H, for the
+    aligning schemes, or (D, 4) for the random scheme's D seeded phase
+    draws.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
+    amplitudes, whatever the phases.
+    """
 
     geometry: geometry.RisGeometry
     feed: feed.FeedSpec
@@ -181,9 +194,16 @@ class LinkModel:
     budget: capacity.LinkBudget
     o_v: float
     o_h: float
+    moments: np.ndarray
 
 
-def build_link_model(scenario: Scenario, scheme: str | None = None) -> LinkModel:
+def build_link_model(scenario: Scenario) -> LinkModel:
+    if scenario.phase_scheme == "random" and scenario.allocation.strip().lower() == "optimal":
+        # rejected before the phase draws are built
+        raise ValueError(
+            "allocation = optimal is a closed form of the aligned-phase O_V/O_H; "
+            "phase_scheme = random needs an equal or explicit split"
+        )
     geo = build_geometry(scenario)
     fd = build_feed(scenario)
     pm = feed.build_propagation_matrix(geo, fd)
@@ -191,7 +211,7 @@ def build_link_model(scenario: Scenario, scheme: str | None = None) -> LinkModel
         geo,
         fd,
         build_amplitude_model(scenario),
-        scheme=scheme or scenario.phase_scheme,
+        scheme=scenario.phase_scheme,
         seed=scenario.phase_seed,
         convention=tau_convention(scenario),
     )
@@ -202,6 +222,17 @@ def build_link_model(scenario: Scenario, scheme: str | None = None) -> LinkModel
         pathloss_exponent=scenario.pathloss_exponent,
         xpd_coeff=scenario.xpd_coeff,
     )
+    o_v = capacity.compute_O(config.amplitudes_v, pm, stats)
+    o_h = capacity.compute_O(config.amplitudes_h, pm, stats)
+    if scenario.phase_scheme == "random":
+        moments = np.concatenate(
+            [
+                capacity.expected_gram_moments(chunk, pm, stats)
+                for chunk in _phase_draw_chunks(scenario, geo, fd, config)
+            ]
+        )
+    else:
+        moments = capacity.moment_layout(np.array([o_v, o_h]), stats.xpd_coeff)
     return LinkModel(
         geometry=geo,
         feed=fd,
@@ -209,9 +240,34 @@ def build_link_model(scenario: Scenario, scheme: str | None = None) -> LinkModel
         config=config,
         stats=stats,
         budget=link_budget(scenario),
-        o_v=capacity.compute_O(config.amplitudes_v, pm, stats),
-        o_h=capacity.compute_O(config.amplitudes_h, pm, stats),
+        o_v=o_v,
+        o_h=o_h,
+        moments=moments,
     )
+
+
+def _phase_draw_chunks(
+    scenario: Scenario,
+    geo: geometry.RisGeometry,
+    fd: feed.FeedSpec,
+    config: ris.RisConfiguration,
+):
+    """The random scheme's phase draws phase_seed, phase_seed + 1, ...
+    (random_phase_draws of them), as configurations whose phases stack a
+    chunk of draws on the amplitudes of ``config``; a chunk holds at most
+    _FFT_LATTICE_POINTS lattice points across its two polarizations."""
+    draws = scenario.random_phase_draws
+    if draws < 1:
+        raise ValueError(f"random_phase_draws must be at least 1, got {draws}")
+    n = geo.element_count
+    size = max(1, _FFT_LATTICE_POINTS // (2 * 4 * n))
+    for start in range(0, draws, size):
+        phases = np.empty((2, min(size, draws - start), n))
+        for i in range(phases.shape[1]):
+            phases[0, i], phases[1, i] = ris.phase_strategy(
+                "random", geo, fd, seed=scenario.phase_seed + start + i
+            )
+        yield ris.RisConfiguration(config.amplitudes_v, config.amplitudes_h, phases[0], phases[1])
 
 
 def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAllocation:
@@ -220,11 +276,6 @@ def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAl
     if mode == "equal":
         return capacity.PowerAllocation.equal()
     if mode == "optimal":
-        if scenario.phase_scheme == "random":
-            raise ValueError(
-                "allocation = optimal is a closed form of the aligned-phase O_V/O_H; "
-                "phase_scheme = random needs an equal or explicit split"
-            )
         return capacity.optimal_power_allocation(
             model.o_v, model.o_h, model.budget, scenario.xpd_coeff
         )
@@ -243,22 +294,28 @@ def normalize_unit_ov(scenario: Scenario) -> Scenario:
     Scale normalization only: useful for low/high-SNR asymptotics where
     the SNR axis should straddle unit received power.
     """
-    probe = build_link_model(scenario.replace(beta0_db=0.0), scheme="optimal")
+    probe = build_link_model(scenario.replace(beta0_db=0.0, phase_scheme="optimal"))
     if not probe.o_v > 0.0:
         raise ValueError("cannot normalize a scenario with zero O_V")
     return scenario.replace(beta0_db=linear_to_db(1.0 / probe.o_v))
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value text; '#' starts a comment, blank lines ignored."""
-    pairs: dict[str, str] = {}
+    """The key = value pairs of a text file; see ``parse_pairs``."""
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            pairs[key.strip()] = value.split("#", 1)[0].strip()
+        return parse_pairs(handle.read(), path)
+
+
+def parse_pairs(text: str, source: str) -> dict[str, str]:
+    """Flat key = value text; '#' starts a comment, blank lines ignored.
+    Errors name ``source`` and the line."""
+    pairs: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
+        pairs[key.strip()] = value.split("#", 1)[0].strip()
     return pairs

@@ -10,30 +10,13 @@ byte except the runtime column.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import capacity, ris, scenario as scen
+from . import capacity, scenario as scen
 from .exceptions import DegenerateGeometryError, ModelInconsistencyError
-
-AXES = (
-    "feed-gain",
-    "element-count",
-    "snr",
-    "xpd",
-    "feed-angles",
-    "power-allocation",
-    "phase-scheme",
-)
-
-#: Lattice points per FFT call of a random-phase row.  A row takes its phase
-#: draws a chunk at a time and never holds all of them; at 2**13 complex
-#: points (128 KiB) a chunk's FFT buffers stay on the heap, where larger
-#: ones are mapped afresh, and page-faulted, on every call.
-_FFT_LATTICE_POINTS = 2**13
 
 OUTPUTS = ("dual-mc", "dual-ub", "single-mc", "single-ub", "allocation", "threshold")
 
@@ -46,6 +29,7 @@ _AXIS_COLUMNS = {
     "power-allocation": ("allocation_lambda_v",),
     "phase-scheme": ("phase_scheme",),
 }
+AXES = tuple(_AXIS_COLUMNS)
 
 _OUTPUT_COLUMNS = {
     "dual-mc": ("dual_mc_bits", "dual_mc_se"),
@@ -92,11 +76,6 @@ class SweepResult:
     spec: SweepSpec
     columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
-
-
-def parse_sweep_file(path: str) -> SweepSpec:
-    pairs = scen.read_config_file(path)
-    return parse_sweep_pairs(pairs)
 
 
 def parse_sweep_pairs(pairs: dict[str, str], base: scen.Scenario | None = None) -> SweepSpec:
@@ -181,54 +160,30 @@ def _grid_points(spec: SweepSpec):
 
 
 def _scenario_at(spec: SweepSpec, point: tuple) -> scen.Scenario:
-    base = spec.base
-    if spec.axis == "feed-gain":
-        return base.replace(feed_gain_db=point[0])
-    if spec.axis == "element-count":
-        return base.replace(elements=int(point[0]))
-    if spec.axis == "snr":
-        return base.replace(snr_db=point[0])
-    if spec.axis == "xpd":
-        return base.replace(xpd_coeff=point[0])
-    if spec.axis == "feed-angles":
-        return base.replace(feed_zenith_deg=point[0], feed_azimuth_deg=point[1])
     if spec.axis == "power-allocation":
-        return base.replace(allocation=repr(point[0]))
-    return base.replace(phase_scheme=point[0])
+        return spec.base.replace(allocation=repr(point[0]))
+    return spec.base.replace(**dict(zip(_AXIS_COLUMNS[spec.axis], point)))
 
 
 def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
     current = _scenario_at(spec, point)
-    model = scen.build_link_model(current)
-    aligned = current.phase_scheme != "random"
-    if not aligned and "threshold" in spec.outputs:
+    if current.phase_scheme == "random" and "threshold" in spec.outputs:
         raise ValueError(
             "output threshold is a closed form of the aligned-phase O_V/O_H; "
             "it does not describe phase_scheme = random"
         )
+    model = scen.build_link_model(current)
     allocation = scen.resolve_allocation(current, model)
-    # computed on first use, then shared by every column of the row
-    moments = functools.cache(functools.partial(_row_moments, current, model))
     cells: dict = {}
     for out in spec.outputs:
         if out == "dual-ub":
-            if current.phase_scheme == "optimal":
-                cells["dual_ub_bits"] = capacity.closed_form_upper_bound(
-                    model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
-                )
-            else:
-                cells["dual_ub_bits"] = capacity.moment_upper_bound(
-                    moments(), allocation, model.budget
-                )
+            cells["dual_ub_bits"] = capacity.moment_upper_bound(
+                model.moments, allocation, model.budget
+            )
         elif out == "single-ub":
-            if aligned:
-                cells["single_ub_bits"] = capacity.single_pol_upper_bound(
-                    model.o_v, model.budget, current.xpd_coeff
-                )
-            else:
-                cells["single_ub_bits"] = capacity.single_pol_moment_bound(
-                    moments(), model.budget
-                )
+            cells["single_ub_bits"] = capacity.single_pol_moment_bound(
+                model.moments, model.budget
+            )
         elif out == "allocation":
             cells["lambda_v"] = allocation.lambda_v
             cells["lambda_h"] = allocation.lambda_h
@@ -241,54 +196,17 @@ def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
                 cells["xpd_threshold"] = None
         elif out == "dual-mc":
             mc = capacity.ergodic_capacity_mc(
-                moments(), allocation, model.budget, current.trials, current.master_seed
+                model.moments, allocation, model.budget, current.trials, current.master_seed
             )
             cells["dual_mc_bits"] = mc.estimate
             cells["dual_mc_se"] = mc.standard_error
         elif out == "single-mc":
             mc = capacity.single_pol_capacity_mc(
-                moments(), model.budget, current.trials, current.master_seed
+                model.moments, model.budget, current.trials, current.master_seed
             )
             cells["single_mc_bits"] = mc.estimate
             cells["single_mc_se"] = mc.standard_error
     return cells
-
-
-def _row_moments(current: scen.Scenario, model: scen.LinkModel) -> np.ndarray:
-    """Exact second moments of G for every configuration a row describes:
-    shape (4,) for the built one, or (D, 4) for the random scheme's D
-    seeded phase draws, one chunk at a time."""
-    if current.phase_scheme != "random":
-        return capacity.expected_gram_moments(model.config, model.pm, model.stats)
-    if current.random_phase_draws < 1:
-        raise ValueError(
-            f"random_phase_draws must be at least 1, got {current.random_phase_draws}"
-        )
-    return np.concatenate(
-        [
-            capacity.expected_gram_moments(chunk, model.pm, model.stats)
-            for chunk in _phase_draw_chunks(current, model)
-        ]
-    )
-
-
-def _phase_draw_chunks(current: scen.Scenario, model: scen.LinkModel):
-    """The random scheme's phase draws phase_seed, phase_seed + 1, ...
-    (random_phase_draws of them), as configurations whose phases stack a
-    chunk of draws on the built amplitudes; a chunk holds at most
-    _FFT_LATTICE_POINTS lattice points across its two polarizations."""
-    draws = current.random_phase_draws
-    n = model.geometry.element_count
-    size = max(1, _FFT_LATTICE_POINTS // (2 * 4 * n))
-    for start in range(0, draws, size):
-        phases = np.empty((2, min(size, draws - start), n))
-        for i in range(phases.shape[1]):
-            phases[0, i], phases[1, i] = ris.phase_strategy(
-                "random", model.geometry, model.feed, seed=current.phase_seed + start + i
-            )
-        yield ris.RisConfiguration(
-            model.config.amplitudes_v, model.config.amplitudes_h, phases[0], phases[1]
-        )
 
 
 def _join(values) -> str:

@@ -11,7 +11,9 @@ scalar twins (incidence decomposition, feed pattern, spherical-wave
 coefficient, reflection amplitude) evaluate one element at a time with
 ``math``, against the package's vectorized forms.  ``random_row_per_draw``
 evaluates a random-phase row one configuration per draw, as the package
-did before it stacked the draws.
+did before it stacked the draws.  The phase-maximized closed forms in O_V
+and O_H are the references for the package's moment bounds at aligned
+moments.
 """
 
 from __future__ import annotations
@@ -277,3 +279,38 @@ def random_row_per_draw(
     g = (capacity._standard_channels(trials, master_seed) * scale).reshape(trials, 2, 2)
     dual_mc = log2_det2(g, allocation.lambda_v, allocation.lambda_h, model.budget.snr)
     return total / draws, float(dual_mc.mean())
+
+
+def closed_form_upper_bound(o_v: float, o_h: float, allocation, budget, xpd_coeff: float) -> float:
+    """Phase-maximized capacity upper bound
+
+    log2(1 + rho (lh O_H + lv O_V)
+           + rho^2 lh lv O_H O_V (l^2 + (1-l)^2)).
+    """
+    if o_v < 0.0 or o_h < 0.0:
+        raise ValueError("O quantities must be non-negative")
+    if not 0.0 <= xpd_coeff <= 1.0:
+        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
+    rho = budget.snr
+    lv, lh = allocation.lambda_v, allocation.lambda_h
+    mix = xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
+    shift = rho * (lh * o_h + lv * o_v) + rho * rho * lh * lv * o_h * o_v * mix
+    return float(np.log1p(shift) / LN2)
+
+
+def single_pol_upper_bound(o_v: float, budget, xpd_coeff: float) -> float:
+    """Maximized upper bound of the all-V baseline:
+    log2(1 + rho (1-l) O_V)."""
+    if o_v < 0.0:
+        raise ValueError("O quantity must be non-negative")
+    if not 0.0 <= xpd_coeff <= 1.0:
+        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
+    return float(np.log1p(budget.snr * (1.0 - xpd_coeff) * o_v) / LN2)
+
+
+def equal_allocation_lower_bound(o_v: float, o_h: float, budget, xpd_coeff: float) -> float:
+    """Optimally allocated bound floored by the equal split:
+    log2(1 + rho (O_H + O_V)/2 + rho^2 O_H O_V (l^2 + (1-l)^2)/4)."""
+    return closed_form_upper_bound(
+        o_v, o_h, capacity.PowerAllocation.equal(), budget, xpd_coeff
+    )

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, feed, geometry, ris, scenario as scen, sweep
+from dpris import capacity, channel, cli, feed, geometry, ris, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -32,6 +32,24 @@ def unit_pm(n):
 
 def moments_of(model):
     return capacity.expected_gram_moments(model.config, model.pm, model.stats)
+
+
+def aligned_moments(o_v, o_h, xpd_coeff):
+    return capacity.moment_layout(np.array([o_v, o_h]), xpd_coeff)
+
+
+def cli_report(capsys, argv):
+    """``dpris capacity`` report lines as key -> value text."""
+    assert cli.main(["capacity", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(line.split(" = ", 1) for line in lines if " = " in line)
+
+
+def reported(values, key):
+    """The number on a report line, and its standard error if it has one."""
+    text = values[key]
+    se = float(text.split("(se ")[1].split(")")[0]) if "(se " in text else None
+    return float(text.split()[0]), se
 
 
 def unit_config(n, amplitude=1.0):
@@ -300,7 +318,8 @@ def test_closed_form_equals_moment_bound_with_model_moments():
         allocation = capacity.PowerAllocation.split(rng.uniform(0.0, 1.0))
         budget = unit_budget(rng.uniform(0.01, 50.0))
         moments = ((1 - l) * o_v, l * o_h, l * o_v, (1 - l) * o_h)
-        assert capacity.closed_form_upper_bound(
+        np.testing.assert_array_equal(aligned_moments(o_v, o_h, l), moments)
+        assert oracles.closed_form_upper_bound(
             o_v, o_h, allocation, budget, l
         ) == pytest.approx(
             capacity.moment_upper_bound(moments, allocation, budget), rel=1e-12
@@ -308,15 +327,16 @@ def test_closed_form_equals_moment_bound_with_model_moments():
 
 
 def test_closed_form_reference_value_and_endpoint_symmetry():
-    value = capacity.closed_form_upper_bound(
-        2.0, 1.0, capacity.PowerAllocation.split(0.75), unit_budget(), 0.0
+    # the moment bound at aligned moments is the paper's closed form
+    value = capacity.moment_upper_bound(
+        aligned_moments(2.0, 1.0, 0.0), capacity.PowerAllocation.split(0.75), unit_budget()
     )
     assert value == pytest.approx(1.6438561897747247, rel=1e-12)
-    matched = capacity.closed_form_upper_bound(
-        1.7, 0.4, capacity.PowerAllocation.equal(), unit_budget(3.0), 0.0
+    matched = capacity.moment_upper_bound(
+        aligned_moments(1.7, 0.4, 0.0), capacity.PowerAllocation.equal(), unit_budget(3.0)
     )
-    mismatched = capacity.closed_form_upper_bound(
-        1.7, 0.4, capacity.PowerAllocation.equal(), unit_budget(3.0), 1.0
+    mismatched = capacity.moment_upper_bound(
+        aligned_moments(1.7, 0.4, 1.0), capacity.PowerAllocation.equal(), unit_budget(3.0)
     )
     assert matched == mismatched
 
@@ -355,32 +375,37 @@ def test_optimal_allocation_rejects_zero_quality():
 
 
 def test_single_pol_bound_values():
-    assert capacity.single_pol_upper_bound(5.0, unit_budget(), 1.0) == 0.0
-    one_bit = capacity.single_pol_upper_bound(1.0, unit_budget(1.0), 0.0)
+    def bound(o_v, budget, l):
+        return capacity.single_pol_moment_bound(aligned_moments(o_v, 0.5, l), budget)
+
+    assert bound(5.0, unit_budget(), 1.0) == 0.0
+    one_bit = bound(1.0, unit_budget(1.0), 0.0)
     assert one_bit == pytest.approx(1.0, abs=1e-15)
-    values = [
-        capacity.single_pol_upper_bound(2.0, unit_budget(4.0), l)
-        for l in np.linspace(0.0, 1.0, 41)
-    ]
+    values = [bound(2.0, unit_budget(4.0), l) for l in np.linspace(0.0, 1.0, 41)]
     assert np.all(np.diff(values) < 0.0)
+    for l in (0.0, 0.3, 1.0):
+        assert bound(2.0, unit_budget(4.0), l) == pytest.approx(
+            oracles.single_pol_upper_bound(2.0, unit_budget(4.0), l), rel=1e-12
+        )
 
 
 def test_equal_allocation_bound_properties():
-    budget = unit_budget()
-    assert capacity.equal_allocation_lower_bound(1.0, 1.0, budget, 0.0) == pytest.approx(
-        1.1699250014423124, rel=1e-12
-    )
+    equal = capacity.PowerAllocation.equal()
+    assert capacity.moment_upper_bound(
+        aligned_moments(1.0, 1.0, 0.0), equal, unit_budget()
+    ) == pytest.approx(1.1699250014423124, rel=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(25):
         o_v, o_h = rng.uniform(0.1, 4.0, 2)
         l = rng.uniform(0.0, 1.0)
         b = unit_budget(rng.uniform(0.1, 10.0))
-        eq = capacity.equal_allocation_lower_bound(o_v, o_h, b, l)
-        assert eq == capacity.closed_form_upper_bound(
-            o_v, o_h, capacity.PowerAllocation.equal(), b, l
+        moments = aligned_moments(o_v, o_h, l)
+        eq = capacity.moment_upper_bound(moments, equal, b)
+        assert eq == pytest.approx(
+            oracles.equal_allocation_lower_bound(o_v, o_h, b, l), rel=1e-12
         )
         best = capacity.optimal_power_allocation(o_v, o_h, b, l)
-        assert eq <= capacity.closed_form_upper_bound(o_v, o_h, best, b, l) + 1e-12
+        assert eq <= capacity.moment_upper_bound(moments, best, b) + 1e-12
 
 
 def test_xpd_threshold_symmetric_reference():
@@ -393,8 +418,8 @@ def test_xpd_threshold_definition_holds_at_root():
     budget = unit_budget(7.3e12)
     o_v, o_h = 3.1e-13, 2.2e-13
     root = capacity.xpd_threshold(o_v, o_h, budget)
-    dual = capacity.equal_allocation_lower_bound(o_v, o_h, budget, root)
-    single = capacity.single_pol_upper_bound(o_v, budget, root)
+    dual = oracles.equal_allocation_lower_bound(o_v, o_h, budget, root)
+    single = oracles.single_pol_upper_bound(o_v, budget, root)
     assert dual == pytest.approx(2.0 * single, abs=1e-9)
 
 
@@ -412,10 +437,10 @@ def test_xpd_threshold_sign_change_bracket():
         except ModelInconsistencyError:
             continue
         dual = np.array(
-            [capacity.equal_allocation_lower_bound(o_v, o_h, budget, l) for l in grid]
+            [oracles.equal_allocation_lower_bound(o_v, o_h, budget, l) for l in grid]
         )
         single = np.array(
-            [capacity.single_pol_upper_bound(o_v, budget, l) for l in grid]
+            [oracles.single_pol_upper_bound(o_v, budget, l) for l in grid]
         )
         sign = np.sign(dual - 2.0 * single)
         changes = np.nonzero(np.diff(sign) != 0)[0]
@@ -467,45 +492,56 @@ def test_mc_is_reproducible_and_chunking_invariant(model16):
     assert not np.array_equal(longer[:chunk], longer[chunk : 2 * chunk])
 
 
-def test_capacity_report_is_jensen_consistent(model16):
-    allocation = capacity.PowerAllocation.equal()
-    report = capacity.capacity_report(
-        model16.stats,
-        model16.config,
-        model16.pm,
-        allocation,
-        model16.budget,
-        trials=3000,
-        master_seed=12,
-    )
-    assert report.mc_estimate <= report.upper_bound + 3.0 * report.mc_standard_error
-    assert report.metadata["trials"] == 3000
-    assert report.o_v > 0.0 and report.o_h > 0.0
+def test_capacity_report_is_jensen_consistent(capsys):
+    values = cli_report(capsys, ["--elements", "16", "--trials", "3000", "--seed", "12"])
+    mc, se = reported(values, "dual_mc_bits")
+    bound, _ = reported(values, "dual_ub_bits")
+    assert mc <= bound + 3.0 * se
+    assert "trials 3000, seed 12" in values["dual_mc_bits"]
+    assert reported(values, "o_v")[0] > 0.0 and reported(values, "o_h")[0] > 0.0
 
 
-def test_capacity_report_bound_describes_its_configuration():
-    base = scen.Scenario(elements=16, power_dbm=43.0, phase_seed=5, trials=200)
+def test_capacity_report_bound_describes_its_configuration(capsys):
+    # the report's bound and Monte Carlo describe the configurations it
+    # simulates: the aligned closed form, or the per-draw oracle over the
+    # random_phase_draws ensemble; compared at the report's printed digits
+    base = scen.Scenario(elements=16, power_dbm=43.0, phase_seed=5, random_phase_draws=60)
+    equal = capacity.PowerAllocation.equal()
     for scheme in ("random", "optimal"):
         current = base.replace(phase_scheme=scheme)
         model = scen.build_link_model(current)
-        allocation = scen.resolve_allocation(current, model)
-        report = capacity.capacity_report(
-            model.stats, model.config, model.pm, allocation, model.budget, 200, 1
-        )
+        argv = ["--elements", "16", "--power-dbm", "43", "--trials", "240", "--seed", "1"]
+        argv += ["--phase-scheme", scheme, "--set", "phase_seed=5"]
+        values = cli_report(capsys, argv + ["--set", "random_phase_draws=60"])
         if scheme == "optimal":
-            expected = capacity.closed_form_upper_bound(
-                model.o_v, model.o_h, allocation, model.budget, current.xpd_coeff
+            expected = oracles.closed_form_upper_bound(
+                model.o_v, model.o_h, equal, model.budget, current.xpd_coeff
             )
         else:
-            # the sweep's bound over the one draw phase_seed
-            spec = sweep.SweepSpec(
-                axis="phase-scheme",
-                grid=("random",),
-                outputs=("dual-ub",),
-                base=current.replace(random_phase_draws=1),
-            )
-            expected = sweep.run_sweep(spec).rows[0]["dual_ub_bits"]
-        assert report.upper_bound == pytest.approx(expected, rel=1e-12)
+            expected, mc = oracles.random_row_per_draw(model, 60, 5, equal, 240, 1)
+            assert values["dual_mc_bits"].split()[0] == format(mc, ".10g")
+        assert values["dual_ub_bits"].split()[0] == format(expected, ".10g")
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "random"])
+def test_cli_capacity_matches_one_row_sweep(capsys, scheme):
+    pairs = {
+        "elements": "16",
+        "power_dbm": "43",
+        "phase_seed": "5",
+        "random_phase_draws": "200",
+        "trials": "2000",
+    }
+    spec = sweep.parse_sweep_pairs(
+        {"axis": "phase-scheme", "grid": scheme, "outputs": "dual-mc, dual-ub", **pairs}
+    )
+    row = sweep.run_sweep(spec).rows[0]
+    argv = ["--phase-scheme", scheme]
+    for key, value in pairs.items():
+        argv += ["--set", f"{key}={value}"]
+    values = cli_report(capsys, argv)
+    assert values["dual_mc_bits"].split()[0] == format(row["dual_mc_bits"], ".10g")
+    assert values["dual_ub_bits"].split()[0] == format(row["dual_ub_bits"], ".10g")
 
 
 def test_expected_moments_match_aligned_closed_form(model16):
@@ -515,3 +551,5 @@ def test_expected_moments_match_aligned_closed_form(model16):
         [(1 - l) * model16.o_v, l * model16.o_h, l * model16.o_v, (1 - l) * model16.o_h]
     )
     np.testing.assert_allclose(moments, expected, rtol=1e-9)
+    # an aligned point's moments are built from O, with no further FFT
+    np.testing.assert_array_equal(model16.moments, expected)

@@ -181,9 +181,7 @@ def test_random_phase_bound_never_beats_aligned_bound():
     base = scen.Scenario(elements=16)
     model = scen.build_link_model(base)
     allocation = capacity.PowerAllocation.equal()
-    aligned = capacity.closed_form_upper_bound(
-        model.o_v, model.o_h, allocation, model.budget, base.xpd_coeff
-    )
+    aligned = capacity.moment_upper_bound(model.moments, allocation, model.budget)
     for seed in range(30):
         phases_v, phases_h = ris.phase_strategy(
             "random", model.geometry, model.feed, seed=seed

@@ -172,7 +172,7 @@ def random_row(draws):
 
 def test_random_phase_chunks_stack_the_seeded_draws():
     current, model = random_row(300)
-    chunks = list(sweep._phase_draw_chunks(current, model))
+    chunks = list(scen._phase_draw_chunks(current, model.geometry, model.feed, model.config))
     sizes = [chunk.phases_v.shape[0] for chunk in chunks]
     assert len(sizes) > 2 and sum(sizes) == 300 and sizes[-1] < sizes[0]
     phases_v = np.concatenate([chunk.phases_v for chunk in chunks])
@@ -181,15 +181,14 @@ def test_random_phase_chunks_stack_the_seeded_draws():
         v, h = ris.phase_strategy("random", model.geometry, model.feed, seed=5 + draw)
         np.testing.assert_array_equal(phases_v[draw], v)
         np.testing.assert_array_equal(phases_h[draw], h)
-    # stacked moments against one configuration per draw
-    stacked = sweep._row_moments(current, model)
-    assert stacked.shape == (300, 4)
+    # the model's stacked moments against one configuration per draw
+    assert model.moments.shape == (300, 4)
     for draw in range(300):
         config = ris.RisConfiguration(
             model.config.amplitudes_v, model.config.amplitudes_h, phases_v[draw], phases_h[draw]
         )
         expected = capacity.expected_gram_moments(config, model.pm, model.stats)
-        np.testing.assert_allclose(stacked[draw], expected, rtol=1e-12)
+        np.testing.assert_allclose(model.moments[draw], expected, rtol=1e-12)
 
 
 def test_random_phase_row_matches_per_draw_oracle():
@@ -228,6 +227,30 @@ def test_random_phase_row_memory_stays_flat():
     assert peak < 4 * 2**20
 
 
+def test_aligned_row_builds_moments_from_O(monkeypatch):
+    # an aligned row takes its moments from O_V and O_H: the two compute_O
+    # forms are its only surface FFTs, whatever its outputs
+    calls = []
+    quadforms = capacity._surface_quadforms
+
+    def counted(vectors, stats):
+        calls.append(vectors.shape)
+        return quadforms(vectors, stats)
+
+    monkeypatch.setattr(capacity, "_surface_quadforms", counted)
+    spec = spec_from(
+        {
+            "axis": "phase-scheme",
+            "grid": "optimal-with-adjustment",
+            "outputs": "dual-ub, single-ub, dual-mc, single-mc, allocation, threshold",
+            **BOUNDS_ONLY_16,
+        }
+    )
+    row = sweep.run_sweep(spec).rows[0]
+    assert row["status"] == "ok"
+    assert len(calls) == 2
+
+
 def test_sweep_marks_degenerate_rows_and_continues():
     spec = spec_from(
         {
@@ -251,6 +274,11 @@ def test_sweep_nonsquare_element_count_fails_row_only():
     spec = spec_from(
         {"axis": "element-count", "grid": "16, 24", "outputs": "dual-ub", "trials": "10"}
     )
+    result = sweep.run_sweep(spec)
+    assert result.rows[0]["status"] == "ok"
+    assert result.rows[1]["status"].startswith("failed:")
+    # a grid built in code may hold floats
+    spec = sweep.SweepSpec("element-count", (16.0, 16.5), ("dual-ub",), scen.Scenario())
     result = sweep.run_sweep(spec)
     assert result.rows[0]["status"] == "ok"
     assert result.rows[1]["status"].startswith("failed:")
