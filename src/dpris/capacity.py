@@ -23,7 +23,8 @@ A moment array of shape (4,) describes one configuration; one of shape
 
 is then averaged over the draws, and Monte Carlo trial i draws G from the
 moments of draw i mod D.  Monte Carlo draws four complex scalars per trial,
-vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H).
+vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H)
+and, from the same draws, the all-V baseline E log2(1 + rho |G11|^2).
 Trials come in fixed-size chunks, each from its own stream keyed by the
 master seed and the chunk index, so results are bitwise reproducible.
 
@@ -113,11 +114,14 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class McCapacityResult:
-    """Monte Carlo estimate with its standard error and the per-entry
-    second moments of G accumulated from the same sample stream."""
+    """Monte Carlo estimate with its standard error, the all-V baseline's
+    estimate log2(1 + rho |G11|^2) with its standard error, and the
+    per-entry second moments of G, all from the same draws."""
 
     estimate: float
     standard_error: float
+    single_pol_estimate: float
+    single_pol_standard_error: float
     moments: np.ndarray
     moment_standard_errors: np.ndarray
     trials: int
@@ -131,7 +135,9 @@ def ergodic_capacity_mc(
     trials: int,
     master_seed: int,
 ) -> McCapacityResult:
-    """Monte Carlo mean of log2 det(I2 + rho G Lambda G^H).
+    """Monte Carlo mean of log2 det(I2 + rho G Lambda G^H), and of
+    log2(1 + rho |G11|^2) for the all-V baseline from the G11 entries of
+    the same draws.
 
     G is drawn from its exact law: four independent entries
     G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
@@ -146,19 +152,45 @@ def ergodic_capacity_mc(
     run.  Raises ModelInconsistencyError, with the moments attached, when
     a moment is negative or not finite.
     """
-    return _run_mc(moments, allocation, budget, trials, master_seed)
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials!r}")
+    moments = _moment_rows(moments)
+    if not np.all(np.isfinite(moments)) or np.any(moments < 0.0):
+        raise ModelInconsistencyError(
+            "channel second moments must be finite and non-negative",
+            details={"moments": moments},
+        )
 
+    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(moments)]
+    g = _standard_channels(trials, master_seed) * scale
+    gram = g.real**2 + g.imag**2
+    rho = budget.snr
+    # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
+    # keeps full relative precision where the shift is tiny
+    lv, lh = allocation.lambda_v, allocation.lambda_h
+    det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+    shift = rho * (lv * (gram[:, 0] + gram[:, 2]) + lh * (gram[:, 1] + gram[:, 3]))
+    shift += rho * rho * lv * lh * (det.real**2 + det.imag**2)
+    dual = np.log1p(shift) / _LN2
+    single = np.log1p(rho * gram[:, 0]) / _LN2
 
-def single_pol_capacity_mc(
-    moments: np.ndarray, budget: LinkBudget, trials: int, master_seed: int
-) -> McCapacityResult:
-    """Monte Carlo mean of log2(1 + rho |G11|^2) for the all-V baseline.
-
-    Takes the moments of ``ergodic_capacity_mc`` and uses the G11 entries
-    of the same draws, so the two estimators share their samples for equal
-    seeds.
-    """
-    return _run_mc(moments, None, budget, trials, master_seed)
+    if trials > 1:
+        se = float(np.std(dual, ddof=1) / np.sqrt(trials))
+        single_se = float(np.std(single, ddof=1) / np.sqrt(trials))
+        moment_se = np.std(gram, axis=0, ddof=1) / np.sqrt(trials)
+    else:
+        se = single_se = 0.0
+        moment_se = np.zeros(4)
+    return McCapacityResult(
+        estimate=float(np.mean(dual)),
+        standard_error=se,
+        single_pol_estimate=float(np.mean(single)),
+        single_pol_standard_error=single_se,
+        moments=gram.mean(axis=0),
+        moment_standard_errors=moment_se,
+        trials=trials,
+        master_seed=master_seed,
+    )
 
 
 def moment_upper_bound(
@@ -192,9 +224,10 @@ def single_pol_moment_bound(moments: np.ndarray, budget: LinkBudget) -> float:
 
 def compute_O(
     amplitudes: np.ndarray, pm: PropagationMatrix, stats: ChannelStatistics
-) -> float:
+) -> np.ndarray:
     """Quadratic form v^T R v with v_n = A_n |b_n| sqrt(beta0 d_n^-alpha);
-    the maximized per-polarization received-power quantity.
+    the maximized per-polarization received-power quantity.  Amplitudes
+    of shape (..., N) give one form per vector, in one FFT call.
 
     With v zero-padded to the (2 rows) x (2 cols) lattice of the lag-kernel
     spectrum S (see ``channel``), v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
@@ -203,9 +236,10 @@ def compute_O(
     of S restricted to the grid is R entry for entry.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape[0] != pm.element_count or amplitudes.shape[0] != stats.element_count:
+    n = amplitudes.shape[-1]
+    if n != pm.element_count or n != stats.element_count:
         raise ValueError("amplitude, propagation and statistics sizes disagree")
-    return float(_surface_quadforms(amplitudes * np.abs(pm.shared), stats))
+    return _surface_quadforms(amplitudes * np.abs(pm.shared), stats)
 
 
 def expected_gram_moments(
@@ -310,54 +344,6 @@ def _moment_rows(moments: np.ndarray) -> np.ndarray:
     if rows.ndim not in (1, 2) or rows.shape[-1] != 4 or rows.size == 0:
         raise ValueError(f"moments must have shape (4,) or (D, 4), got {rows.shape}")
     return rows.reshape(-1, 4)
-
-
-def _run_mc(
-    moments: np.ndarray,
-    allocation: PowerAllocation | None,
-    budget: LinkBudget,
-    trials: int,
-    master_seed: int,
-) -> McCapacityResult:
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials!r}")
-    moments = _moment_rows(moments)
-    if not np.all(np.isfinite(moments)) or np.any(moments < 0.0):
-        raise ModelInconsistencyError(
-            "channel second moments must be finite and non-negative",
-            details={"moments": moments},
-        )
-
-    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(moments)]
-    g = _standard_channels(trials, master_seed) * scale
-    gram = g.real**2 + g.imag**2
-    rho = budget.snr
-    if allocation is None:
-        shift = rho * gram[:, 0]
-    else:
-        # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
-        # keeps full relative precision where the shift is tiny
-        lv, lh = allocation.lambda_v, allocation.lambda_h
-        det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
-        shift = rho * (lv * (gram[:, 0] + gram[:, 2]) + lh * (gram[:, 1] + gram[:, 3]))
-        shift += rho * rho * lv * lh * (det.real**2 + det.imag**2)
-    per_trial = np.log1p(shift) / _LN2
-
-    estimate = float(np.mean(per_trial))
-    if trials > 1:
-        se = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
-        moment_se = np.std(gram, axis=0, ddof=1) / np.sqrt(trials)
-    else:
-        se = 0.0
-        moment_se = np.zeros(4)
-    return McCapacityResult(
-        estimate=estimate,
-        standard_error=se,
-        moments=gram.mean(axis=0),
-        moment_standard_errors=moment_se,
-        trials=trials,
-        master_seed=master_seed,
-    )
 
 
 def _standard_channels(trials: int, master_seed: int) -> np.ndarray:

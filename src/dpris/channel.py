@@ -9,7 +9,9 @@ by the cross-polarization coefficient:
     cross-polarized beta_n = beta0 * d_n^(-alpha) * xpd_coeff
 
 Distances are exact per element, so UEs in the array near field see the
-correct per-element power variation.
+correct per-element power variation.  The statistics hold the split's two
+parts apart: the per-element weights sqrt(beta0 d_n^-alpha) and xpd_coeff,
+which ``capacity.moment_layout`` applies to the moments of G.
 
 R is never formed.  On the uniform rows x cols grid R(n1, n2) depends only
 on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
@@ -37,18 +39,13 @@ class ChannelStatistics:
     """Immutable second-order description of the surface-to-UE channel;
     ``weights`` is sqrt(beta0 d_n^-alpha), ``kernel_spectrum`` is S."""
 
-    unit_pathloss: float
-    pathloss_exponent: float
     xpd_coeff: float
-    element_ue_distances: np.ndarray
     weights: np.ndarray
     kernel_spectrum: np.ndarray
-    pathloss_co: np.ndarray
-    pathloss_cross: np.ndarray
 
     @property
     def element_count(self) -> int:
-        return self.element_ue_distances.shape[0]
+        return self.weights.shape[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -63,16 +60,16 @@ def _kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> n
     return spectrum
 
 
-def pathloss_vectors(
+def build_channel_statistics(
     geometry: RisGeometry,
     ue_position: np.ndarray,
     unit_pathloss: float,
     pathloss_exponent: float,
     xpd_coeff: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element distances plus the co- and cross-polarized pathloss
-    vectors.  xpd_coeff = 0 and 1 are supported (one block family becomes
-    exactly zero)."""
+) -> ChannelStatistics:
+    """Assemble the full second-order channel description for a UE.
+    xpd_coeff = 0 and 1 are supported (one block family becomes exactly
+    zero)."""
     if not 0.0 <= xpd_coeff <= 1.0:
         raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
     if not pathloss_exponent > 0.0:
@@ -83,32 +80,7 @@ def pathloss_vectors(
     distances = np.linalg.norm(delta, axis=1)
     if np.any(distances == 0.0):
         raise ValueError("UE position coincides with a surface element")
-    base = unit_pathloss * distances**-pathloss_exponent
-    return distances, base * (1.0 - xpd_coeff), base * xpd_coeff
-
-
-def build_channel_statistics(
-    geometry: RisGeometry,
-    ue_position: np.ndarray,
-    unit_pathloss: float,
-    pathloss_exponent: float,
-    xpd_coeff: float,
-) -> ChannelStatistics:
-    """Assemble the full second-order channel description for a UE."""
-    distances, co, cross = pathloss_vectors(
-        geometry, ue_position, unit_pathloss, pathloss_exponent, xpd_coeff
-    )
     weights = np.sqrt(unit_pathloss * distances**-pathloss_exponent)
+    weights.setflags(write=False)
     spectrum = _kernel_spectrum(geometry.rows, geometry.cols, geometry.pitch, geometry.wavelength)
-    for array in (distances, weights, co, cross):
-        array.setflags(write=False)
-    return ChannelStatistics(
-        unit_pathloss=unit_pathloss,
-        pathloss_exponent=pathloss_exponent,
-        xpd_coeff=xpd_coeff,
-        element_ue_distances=distances,
-        weights=weights,
-        kernel_spectrum=spectrum,
-        pathloss_co=co,
-        pathloss_cross=cross,
-    )
+    return ChannelStatistics(xpd_coeff=xpd_coeff, weights=weights, kernel_spectrum=spectrum)

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``sweep`` runs a spec file and writes CSV; ``capacity``
-evaluates one scenario point and prints a report from the same exact
-moments of G a sweep row reads, the ``random_phase_draws`` ensemble for the
-random scheme; ``threshold`` prints the
-cross-polarization threshold for given link qualities; ``recipes`` lists
-or runs the bundled figure recipes.
+evaluates one scenario point and prints a report from the same link model
+a sweep row reads: O_V/O_H and the exact moments of G, the
+``random_phase_draws`` ensemble for the random scheme; ``threshold`` prints
+the cross-polarization threshold for given link qualities; ``recipes``
+lists or runs the bundled figure recipes.
 
-Exit codes: 0 success, 2 usage error, 3 model inconsistency, 4 I/O failure.
+Exit codes: 0 success, 2 usage error (such as an unknown key, scheme or
+convention name), 3 model inconsistency, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--trials", type=int)
     p_cap.add_argument("--seed", type=int, help="master seed for the trial streams")
     p_cap.add_argument("--allocation", help="equal | optimal | lambda_v value")
-    p_cap.add_argument("--phase-scheme", choices=("optimal", "optimal-with-adjustment", "random"))
+    p_cap.add_argument("--phase-scheme", choices=scen.PHASE_SCHEMES)
     p_cap.add_argument(
         "--set",
         dest="overrides",

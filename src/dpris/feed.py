@@ -20,7 +20,6 @@ import numpy as np
 
 from .exceptions import DegenerateGeometryError
 from .geometry import RisGeometry, U_X
-from .numerics import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -122,34 +121,3 @@ def captured_power_fraction(pm: PropagationMatrix) -> float:
     """Fraction of the radiated feed power intercepted by the surface,
     sum of |b_n|^2; bounded by 1 by energy conservation."""
     return float(np.sum(np.abs(pm.shared) ** 2))
-
-
-def pattern_hemisphere_integral(feed: FeedSpec, theta_nodes: int = 128, phi_nodes: int = 128) -> float:
-    """Numerically integrate the feed pattern over its front hemisphere.
-
-    Product Gauss-Legendre rule over (theta, phi) around the boresight;
-    a correctly normalized pattern integrates to 4 pi for every kappa.
-    """
-    e1, e2 = _orthonormal_complement(feed.boresight)
-    theta, w_theta = gauss_legendre(theta_nodes, 0.0, np.pi / 2.0)
-    phi, w_phi = gauss_legendre(phi_nodes, 0.0, 2.0 * np.pi)
-    sin_t = np.sin(theta)[:, None]
-    cos_t = np.cos(theta)[:, None]
-    dirs = (
-        sin_t[..., None] * np.cos(phi)[None, :, None] * e1
-        + sin_t[..., None] * np.sin(phi)[None, :, None] * e2
-        + cos_t[..., None] * feed.boresight
-    )
-    values = feed_gains(feed, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
-    weights = (w_theta * sin_t[:, 0])[:, None] * w_phi[None, :]
-    return float(np.sum(values * weights))
-
-
-def _orthonormal_complement(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(unit, helper)) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(unit, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(unit, e1)
-    return e1, e2

@@ -12,7 +12,7 @@ degrees appear only at the CLI boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,7 @@ class SphericalPlacement:
 @dataclass(frozen=True)
 class RisGeometry:
     """The element grid: positions (meters, x = 0 for all), per-element
-    area, count, wavelength and the fixed surface normal."""
+    area, count, wavelength, pitch and shape; the surface normal is U_X."""
 
     element_positions: np.ndarray
     element_area: float
@@ -74,12 +74,6 @@ class RisGeometry:
     pitch: float
     rows: int
     cols: int
-    surface_normal: np.ndarray = field(default_factory=lambda: U_X.copy())
-
-    @property
-    def aperture_area(self) -> float:
-        """Total surface area (element count times element area)."""
-        return self.element_count * self.element_area
 
 
 def build_ris_grid(rows: int, cols: int, pitch: float, wavelength: float) -> RisGeometry:

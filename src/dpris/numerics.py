@@ -1,5 +1,4 @@
-"""Shared numerical kernels: unit conversions and Gauss-Legendre nodes for
-hemisphere quadrature."""
+"""Shared numerical kernels: unit conversions."""
 
 from __future__ import annotations
 
@@ -21,12 +20,3 @@ def linear_to_db(value: float) -> float:
 def dbm_to_watts(value_dbm: float) -> float:
     """Watts from dBm (referenced to 1 mW)."""
     return float(10.0 ** ((value_dbm - 30.0) / 10.0))
-
-
-def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lower, upper]."""
-    if n < 1:
-        raise ValueError("node count must be positive")
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (upper - lower)
-    return lower + half * (x + 1.0), half * w

@@ -1,5 +1,10 @@
 """Per-element reflection coefficients: the angle-dependent amplitude map
-and the phase-shift configuration strategies."""
+and the seeded random phase draw.
+
+The aligning schemes need no phases: their moments follow from the
+amplitudes alone, through O_V and O_H (see ``capacity``).  Phases are drawn
+only for the random scheme, whose moments depend on them.
+"""
 
 from __future__ import annotations
 
@@ -16,8 +21,6 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 
 
 @dataclass(frozen=True)
@@ -98,60 +101,11 @@ def element_amplitudes(
     return a_v, a_h
 
 
-def optimal_phases(geometry: RisGeometry, feed: FeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Capacity-maximizing phases 2 pi D_n / lambda (mod 2 pi), identical
-    for both polarizations: each element cancels its own feed-path phase,
-    so all reflected contributions add coherently."""
-    delta = feed.position[None, :] - geometry.element_positions
-    distances = np.linalg.norm(delta, axis=1)
-    phases = np.mod(TWO_PI * distances / geometry.wavelength, TWO_PI)
-    return phases, phases.copy()
-
-
-def phase_strategy(
-    kind: str,
-    geometry: RisGeometry,
-    feed: FeedSpec,
-    seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Phase vectors for a named configuration scheme.
-
-    ``optimal`` aligns every element; ``optimal-with-adjustment``
-    additionally subtracts the per-polarization feeding phases (a constant
-    offset per polarization); ``random`` draws i.i.d. uniform phases per
-    element and polarization, reproducibly from ``seed``.
-    """
-    if kind == "optimal":
-        return optimal_phases(geometry, feed)
-    if kind == "optimal-with-adjustment":
-        phases_v, phases_h = optimal_phases(geometry, feed)
-        return (
-            np.mod(phases_v - feed.copol_phase_v, TWO_PI),
-            np.mod(phases_h - feed.copol_phase_h, TWO_PI),
-        )
-    if kind == "random":
-        # one (2, N) draw equals two successive N-draws of the same stream
-        phases_v, phases_h = np.random.default_rng(seed).uniform(
-            0.0, TWO_PI, (2, geometry.element_count)
-        )
-        return phases_v, phases_h
-    raise ValueError(f"unknown phase scheme {kind!r} (expected one of {PHASE_SCHEMES})")
-
-
-def build_configuration(
-    geometry: RisGeometry,
-    feed: FeedSpec,
-    model: AmplitudeModel,
-    scheme: str = "optimal",
-    seed: int | None = None,
-    convention: TauConvention = axis_plane_tilt,
-) -> RisConfiguration:
-    """Amplitudes from the angle model plus phases from ``scheme``."""
-    a_v, a_h = element_amplitudes(geometry, feed, model, convention)
-    phases_v, phases_h = phase_strategy(scheme, geometry, feed, seed)
-    return RisConfiguration(
-        amplitudes_v=a_v, amplitudes_h=a_h, phases_v=phases_v, phases_h=phases_h
-    )
+def random_phases(element_count: int, seed: int) -> np.ndarray:
+    """I.i.d. uniform phases for both polarizations, shape (2, N): row 0
+    is V, row 1 is H, drawn reproducibly from ``seed`` (one (2, N) draw
+    equals two successive N-draws of the same stream)."""
+    return np.random.default_rng(seed).uniform(0.0, TWO_PI, (2, element_count))
 
 
 def _phasors(phases: np.ndarray) -> np.ndarray:

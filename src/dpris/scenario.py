@@ -23,6 +23,7 @@ _CONVENTIONS = {
     "axis-plane": geometry.axis_plane_tilt,
     "transverse-plane": geometry.transverse_plane_tilt,
 }
+PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 
 #: Lattice points per FFT call of a random-phase ensemble.  The moments take
 #: the phase draws a chunk at a time and never hold all of them; at 2**13
@@ -61,6 +62,16 @@ class Scenario:
     trials: int = 2000
     master_seed: int = 20260810
     random_phase_draws: int = 1000
+
+    def __post_init__(self):
+        for name, known in (
+            ("phase_scheme", PHASE_SCHEMES),
+            ("incidence_convention", tuple(_CONVENTIONS)),
+        ):
+            if getattr(self, name) not in known:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r} (expected one of {known})"
+                )
 
     def replace(self, **changes) -> "Scenario":
         return dataclasses.replace(self, **changes)
@@ -158,13 +169,7 @@ def build_amplitude_model(scenario: Scenario) -> ris.AmplitudeModel:
 
 
 def tau_convention(scenario: Scenario) -> geometry.TauConvention:
-    try:
-        return _CONVENTIONS[scenario.incidence_convention]
-    except KeyError:
-        raise ValueError(
-            f"unknown incidence convention {scenario.incidence_convention!r} "
-            f"(expected one of {sorted(_CONVENTIONS)})"
-        ) from None
+    return _CONVENTIONS[scenario.incidence_convention]
 
 
 def link_budget(scenario: Scenario) -> capacity.LinkBudget:
@@ -177,20 +182,16 @@ def link_budget(scenario: Scenario) -> capacity.LinkBudget:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """All module objects a scenario expands into, built once per point.
+    """What every output of a scenario point reads, built once per point.
 
     ``moments`` are the exact second moments of G that every capacity and
     bound of the point reads: shape (4,), built from O_V and O_H, for the
     aligning schemes, or (D, 4) for the random scheme's D seeded phase
     draws.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
-    amplitudes, whatever the phases.
+    amplitudes, whatever the phases; the optimal split, the threshold and
+    the unit-O_V normalization read them.
     """
 
-    geometry: geometry.RisGeometry
-    feed: feed.FeedSpec
-    pm: feed.PropagationMatrix
-    config: ris.RisConfiguration
-    stats: channel.ChannelStatistics
     budget: capacity.LinkBudget
     o_v: float
     o_h: float
@@ -207,13 +208,8 @@ def build_link_model(scenario: Scenario) -> LinkModel:
     geo = build_geometry(scenario)
     fd = build_feed(scenario)
     pm = feed.build_propagation_matrix(geo, fd)
-    config = ris.build_configuration(
-        geo,
-        fd,
-        build_amplitude_model(scenario),
-        scheme=scenario.phase_scheme,
-        seed=scenario.phase_seed,
-        convention=tau_convention(scenario),
+    a_v, a_h = ris.element_amplitudes(
+        geo, fd, build_amplitude_model(scenario), tau_convention(scenario)
     )
     stats = channel.build_channel_statistics(
         geo,
@@ -222,52 +218,37 @@ def build_link_model(scenario: Scenario) -> LinkModel:
         pathloss_exponent=scenario.pathloss_exponent,
         xpd_coeff=scenario.xpd_coeff,
     )
-    o_v = capacity.compute_O(config.amplitudes_v, pm, stats)
-    o_h = capacity.compute_O(config.amplitudes_h, pm, stats)
+    o = capacity.compute_O(np.stack([a_v, a_h]), pm, stats)
     if scenario.phase_scheme == "random":
         moments = np.concatenate(
             [
                 capacity.expected_gram_moments(chunk, pm, stats)
-                for chunk in _phase_draw_chunks(scenario, geo, fd, config)
+                for chunk in _phase_draw_chunks(scenario, a_v, a_h)
             ]
         )
     else:
-        moments = capacity.moment_layout(np.array([o_v, o_h]), stats.xpd_coeff)
+        # the aligning phases collapse the moments to O_V and O_H
+        moments = capacity.moment_layout(o, stats.xpd_coeff)
     return LinkModel(
-        geometry=geo,
-        feed=fd,
-        pm=pm,
-        config=config,
-        stats=stats,
-        budget=link_budget(scenario),
-        o_v=o_v,
-        o_h=o_h,
-        moments=moments,
+        budget=link_budget(scenario), o_v=float(o[0]), o_h=float(o[1]), moments=moments
     )
 
 
-def _phase_draw_chunks(
-    scenario: Scenario,
-    geo: geometry.RisGeometry,
-    fd: feed.FeedSpec,
-    config: ris.RisConfiguration,
-):
+def _phase_draw_chunks(scenario: Scenario, a_v: np.ndarray, a_h: np.ndarray):
     """The random scheme's phase draws phase_seed, phase_seed + 1, ...
     (random_phase_draws of them), as configurations whose phases stack a
-    chunk of draws on the amplitudes of ``config``; a chunk holds at most
+    chunk of draws on the amplitudes a_v, a_h; a chunk holds at most
     _FFT_LATTICE_POINTS lattice points across its two polarizations."""
     draws = scenario.random_phase_draws
     if draws < 1:
         raise ValueError(f"random_phase_draws must be at least 1, got {draws}")
-    n = geo.element_count
+    n = a_v.shape[0]
     size = max(1, _FFT_LATTICE_POINTS // (2 * 4 * n))
     for start in range(0, draws, size):
         phases = np.empty((2, min(size, draws - start), n))
         for i in range(phases.shape[1]):
-            phases[0, i], phases[1, i] = ris.phase_strategy(
-                "random", geo, fd, seed=scenario.phase_seed + start + i
-            )
-        yield ris.RisConfiguration(config.amplitudes_v, config.amplitudes_h, phases[0], phases[1])
+            phases[:, i] = ris.random_phases(n, scenario.phase_seed + start + i)
+        yield ris.RisConfiguration(a_v, a_h, phases[0], phases[1])
 
 
 def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAllocation:

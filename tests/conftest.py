@@ -14,11 +14,6 @@ def table_scenario_16():
 
 
 @pytest.fixture(scope="session")
-def model16(table_scenario_16):
-    return scen.build_link_model(table_scenario_16)
-
-
-@pytest.fixture(scope="session")
 def oblique_scenario():
     """Feed raised toward +z at 0.1 m standoff (unequal polarizations)."""
     return scen.Scenario(elements=16, feed_r_m=0.1, feed_zenith_deg=60.0)

@@ -13,7 +13,11 @@ coefficient, reflection amplitude) evaluate one element at a time with
 evaluates a random-phase row one configuration per draw, as the package
 did before it stacked the draws.  The phase-maximized closed forms in O_V
 and O_H are the references for the package's moment bounds at aligned
-moments.
+moments, and the aligning phases, which the package never builds, are the
+references for its moments built from O_V and O_H.  ``link_parts`` rebuilds
+the module objects a scenario expands into from the package's public
+builders; the package's link model keeps only what its outputs read.  The
+hemisphere quadrature checks that the feed pattern integrates to 4 pi.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpris import capacity, ris
+from dpris import capacity, channel, feed, ris, scenario as scen
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 from dpris.geometry import axis_plane_tilt
+from dpris.numerics import db_to_linear
 
 LN2 = np.log(2.0)
 #: Eigenvalues below this fraction of the largest one are clipped to zero
@@ -107,6 +112,13 @@ class ChannelSample:
     h_hh: np.ndarray
 
 
+def pathloss(stats) -> np.ndarray:
+    """Per-element co- and cross-polarized pathloss, shape (2, N):
+    beta0 d_n^-alpha (1 - l) and beta0 d_n^-alpha l."""
+    base = stats.weights**2
+    return np.stack([base * (1.0 - stats.xpd_coeff), base * stats.xpd_coeff])
+
+
 def sample_channel(
     stats, geometry, rng: np.random.Generator, trials: int | None = None
 ) -> ChannelSample:
@@ -121,8 +133,7 @@ def sample_channel(
     real = rng.standard_normal(shape)
     imag = rng.standard_normal(shape)
     correlated = factor @ ((real + 1j * imag) / np.sqrt(2.0))
-    amp_co = np.sqrt(stats.pathloss_co)
-    amp_cross = np.sqrt(stats.pathloss_cross)
+    amp_co, amp_cross = np.sqrt(pathloss(stats))
     return ChannelSample(
         h_vv=amp_co * correlated[..., 0],
         h_vh=amp_cross * correlated[..., 1],
@@ -253,31 +264,32 @@ def reflection_amplitude(model, elevation: float, tau: float) -> float:
     return abs(plus - minus) / 2.0
 
 
-def random_row_per_draw(
-    model, draws: int, phase_seed: int, allocation, trials: int, master_seed: int
-):
+def random_row_per_draw(scenario, allocation):
     """(dual_ub, dual_mc) of a random-phase row, one configuration per
     draw: draw d takes two successive uniform phase vectors from the stream
     seeded phase_seed + d, the bound is the running mean of the per-draw
     moment bounds, and Monte Carlo trial i scales the package's standard
-    draws by the moments of draw i mod ``draws``."""
-    n = model.geometry.element_count
+    draws by the moments of draw i mod ``random_phase_draws``."""
+    parts = link_parts(scenario)
+    budget = scen.link_budget(scenario)
+    draws, trials = scenario.random_phase_draws, scenario.trials
+    n = parts.geometry.element_count
     moments = []
     for draw in range(draws):
-        rng = np.random.default_rng(phase_seed + draw)
+        rng = np.random.default_rng(scenario.phase_seed + draw)
         config = ris.RisConfiguration(
-            model.config.amplitudes_v,
-            model.config.amplitudes_h,
+            parts.config.amplitudes_v,
+            parts.config.amplitudes_h,
             rng.uniform(0.0, 2.0 * np.pi, n),
             rng.uniform(0.0, 2.0 * np.pi, n),
         )
-        moments.append(capacity.expected_gram_moments(config, model.pm, model.stats))
+        moments.append(capacity.expected_gram_moments(config, parts.pm, parts.stats))
     total = 0.0
     for m in moments:
-        total += capacity.moment_upper_bound(m, allocation, model.budget)
+        total += capacity.moment_upper_bound(m, allocation, budget)
     scale = np.sqrt(np.array(moments) / 2.0)[np.arange(trials) % draws]
-    g = (capacity._standard_channels(trials, master_seed) * scale).reshape(trials, 2, 2)
-    dual_mc = log2_det2(g, allocation.lambda_v, allocation.lambda_h, model.budget.snr)
+    g = (capacity._standard_channels(trials, scenario.master_seed) * scale).reshape(trials, 2, 2)
+    dual_mc = log2_det2(g, allocation.lambda_v, allocation.lambda_h, budget.snr)
     return total / draws, float(dual_mc.mean())
 
 
@@ -314,3 +326,109 @@ def equal_allocation_lower_bound(o_v: float, o_h: float, budget, xpd_coeff: floa
     return closed_form_upper_bound(
         o_v, o_h, capacity.PowerAllocation.equal(), budget, xpd_coeff
     )
+
+
+def optimal_phases(geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity-maximizing phases 2 pi D_n / lambda (mod 2 pi), identical
+    for both polarizations: each element cancels its own feed-path phase,
+    so all reflected contributions add coherently."""
+    delta = feed_spec.position[None, :] - geometry.element_positions
+    distances = np.linalg.norm(delta, axis=1)
+    phases = np.mod(2.0 * np.pi * distances / geometry.wavelength, 2.0 * np.pi)
+    return phases, phases.copy()
+
+
+def aligned_phases(scheme: str, geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
+    """Phase vectors of an aligning scheme: ``optimal`` aligns every
+    element; ``optimal-with-adjustment`` additionally subtracts the
+    per-polarization feeding phases (a constant offset per polarization)."""
+    phases_v, phases_h = optimal_phases(geometry, feed_spec)
+    if scheme == "optimal":
+        return phases_v, phases_h
+    if scheme == "optimal-with-adjustment":
+        return (
+            np.mod(phases_v - feed_spec.copol_phase_v, 2.0 * np.pi),
+            np.mod(phases_h - feed_spec.copol_phase_h, 2.0 * np.pi),
+        )
+    raise ValueError(f"{scheme!r} is not an aligning phase scheme")
+
+
+@dataclass(frozen=True)
+class LinkParts:
+    """The module objects a scenario expands into."""
+
+    geometry: object
+    feed: object
+    pm: object
+    config: object
+    stats: object
+
+
+def link_parts(scenario) -> LinkParts:
+    """Rebuild a scenario's parts from the package's public builders.  The
+    configuration carries the scheme's phases: the aligning phases, or the
+    single draw ``phase_seed`` for the random scheme."""
+    geo = scen.build_geometry(scenario)
+    fd = scen.build_feed(scenario)
+    a_v, a_h = ris.element_amplitudes(
+        geo, fd, scen.build_amplitude_model(scenario), scen.tau_convention(scenario)
+    )
+    if scenario.phase_scheme == "random":
+        phases_v, phases_h = ris.random_phases(geo.element_count, scenario.phase_seed)
+    else:
+        phases_v, phases_h = aligned_phases(scenario.phase_scheme, geo, fd)
+    stats = channel.build_channel_statistics(
+        geo,
+        scen.ue_position(scenario),
+        db_to_linear(scenario.beta0_db),
+        scenario.pathloss_exponent,
+        scenario.xpd_coeff,
+    )
+    return LinkParts(
+        geometry=geo,
+        feed=fd,
+        pm=feed.build_propagation_matrix(geo, fd),
+        config=ris.RisConfiguration(a_v, a_h, phases_v, phases_h),
+        stats=stats,
+    )
+
+
+def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [lower, upper]."""
+    if n < 1:
+        raise ValueError("node count must be positive")
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (upper - lower)
+    return lower + half * (x + 1.0), half * w
+
+
+def pattern_hemisphere_integral(feed_spec, theta_nodes: int = 128, phi_nodes: int = 128) -> float:
+    """Numerically integrate the package's feed pattern over its front
+    hemisphere.
+
+    Product Gauss-Legendre rule over (theta, phi) around the boresight;
+    a correctly normalized pattern integrates to 4 pi for every kappa.
+    """
+    e1, e2 = _orthonormal_complement(feed_spec.boresight)
+    theta, w_theta = gauss_legendre(theta_nodes, 0.0, np.pi / 2.0)
+    phi, w_phi = gauss_legendre(phi_nodes, 0.0, 2.0 * np.pi)
+    sin_t = np.sin(theta)[:, None]
+    cos_t = np.cos(theta)[:, None]
+    dirs = (
+        sin_t[..., None] * np.cos(phi)[None, :, None] * e1
+        + sin_t[..., None] * np.sin(phi)[None, :, None] * e2
+        + cos_t[..., None] * feed_spec.boresight
+    )
+    values = feed.feed_gains(feed_spec, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
+    weights = (w_theta * sin_t[:, 0])[:, None] * w_phi[None, :]
+    return float(np.sum(values * weights))
+
+
+def _orthonormal_complement(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    helper = np.array([0.0, 0.0, 1.0])
+    if abs(np.dot(unit, helper)) > 0.9:
+        helper = np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(unit, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(unit, e1)
+    return e1, e2

@@ -30,8 +30,10 @@ def unit_pm(n):
     return feed.PropagationMatrix(shared=ones, copol_v=ones, copol_h=ones)
 
 
-def moments_of(model):
-    return capacity.expected_gram_moments(model.config, model.pm, model.stats)
+def moments_of(scenario):
+    """Moments of G under the scenario's phases, from its rebuilt parts."""
+    parts = oracles.link_parts(scenario)
+    return capacity.expected_gram_moments(parts.config, parts.pm, parts.stats)
 
 
 def aligned_moments(o_v, o_h, xpd_coeff):
@@ -97,23 +99,17 @@ def test_equivalent_channel_trivial_cases():
         oracles.equivalent_channel(manual_sample([1], [1], [1], [1]), unit_config(2), unit_pm(2))
 
 
-def test_equivalent_channel_matched_xpd_kills_cross_entries(model16):
-    stats0 = channel.build_channel_statistics(
-        model16.geometry,
-        scen.ue_position(scen.Scenario(elements=16)),
-        model16.stats.unit_pathloss,
-        model16.stats.pathloss_exponent,
-        0.0,
-    )
-    sample = oracles.sample_channel(stats0, model16.geometry, np.random.default_rng(1))
-    g = oracles.equivalent_channel(sample, model16.config, model16.pm)
+def test_equivalent_channel_matched_xpd_kills_cross_entries(table_scenario_16):
+    parts = oracles.link_parts(table_scenario_16.replace(xpd_coeff=0.0))
+    sample = oracles.sample_channel(parts.stats, parts.geometry, np.random.default_rng(1))
+    g = oracles.equivalent_channel(sample, parts.config, parts.pm)
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[0, 0] != 0.0
 
 
-def test_mc_zero_allocation_is_exactly_zero(model16):
+def test_mc_zero_allocation_is_exactly_zero(table_scenario_16):
     result = capacity.ergodic_capacity_mc(
-        moments_of(model16),
+        moments_of(table_scenario_16),
         capacity.PowerAllocation(0.0, 0.0),
         unit_budget(1e6),
         trials=50,
@@ -123,9 +119,9 @@ def test_mc_zero_allocation_is_exactly_zero(model16):
     assert result.standard_error == 0.0
 
 
-def test_mc_vanishes_at_low_snr(model16):
+def test_mc_vanishes_at_low_snr(table_scenario_16):
     result = capacity.ergodic_capacity_mc(
-        moments_of(model16),
+        moments_of(table_scenario_16),
         capacity.PowerAllocation.equal(),
         unit_budget(1e-9),
         trials=200,
@@ -134,22 +130,24 @@ def test_mc_vanishes_at_low_snr(model16):
     assert 0.0 < result.estimate < 1e-6
 
 
-def test_mc_rejects_bad_arguments(model16):
+def test_mc_rejects_bad_arguments(table_scenario_16):
+    equal = capacity.PowerAllocation.equal()
     with pytest.raises(ValueError):
         capacity.ergodic_capacity_mc(
-            moments_of(model16),
-            capacity.PowerAllocation.equal(),
+            moments_of(table_scenario_16),
+            equal,
             unit_budget(),
             trials=0,
             master_seed=1,
         )
     with pytest.raises(ValueError):
-        capacity.single_pol_capacity_mc(np.ones((2, 3)), unit_budget(), 10, 1)
+        capacity.ergodic_capacity_mc(np.ones((2, 3)), equal, unit_budget(), 10, 1)
     # a kernel that is not positive semidefinite gives negative moments
-    stats = dataclasses.replace(model16.stats, kernel_spectrum=-model16.stats.kernel_spectrum)
-    moments = capacity.expected_gram_moments(model16.config, model16.pm, stats)
+    parts = oracles.link_parts(table_scenario_16)
+    stats = dataclasses.replace(parts.stats, kernel_spectrum=-parts.stats.kernel_spectrum)
+    moments = capacity.expected_gram_moments(parts.config, parts.pm, stats)
     with pytest.raises(ModelInconsistencyError) as excinfo:
-        capacity.single_pol_capacity_mc(moments, unit_budget(), 10, 1)
+        capacity.ergodic_capacity_mc(moments, equal, unit_budget(), 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
 
 
@@ -159,47 +157,48 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
     # factor, at rho (m11 + m21) = 1 where the capacity is far from both
     # its low- and high-SNR limits; an unequal split on unequal
     # polarizations tells every entry's moment apart
-    model = scen.build_link_model(oblique_scenario.replace(xpd_coeff=xpd))
+    scenario = oblique_scenario.replace(xpd_coeff=xpd)
+    model = scen.build_link_model(scenario)
+    parts = oracles.link_parts(scenario)
     budget = unit_budget(1.0 / model.o_v)
     allocation = capacity.PowerAllocation.split(0.7)
     trials = 20_000
-    dual = capacity.ergodic_capacity_mc(
-        moments_of(model), allocation, budget, trials, master_seed=9
+    mc = capacity.ergodic_capacity_mc(
+        moments_of(scenario), allocation, budget, trials, master_seed=9
     )
-    single = capacity.single_pol_capacity_mc(moments_of(model), budget, trials, master_seed=9)
-    for mc, oracle_allocation in ((dual, allocation), (single, None)):
+    for value, value_se, oracle_allocation in (
+        (mc.estimate, mc.standard_error, allocation),
+        (mc.single_pol_estimate, mc.single_pol_standard_error, None),
+    ):
         estimate, se = oracles.full_vector_mc(
-            model.stats,
-            model.geometry,
-            model.config,
-            model.pm,
+            parts.stats,
+            parts.geometry,
+            parts.config,
+            parts.pm,
             oracle_allocation,
             budget,
             trials,
             seed=10,
         )
-        assert abs(mc.estimate - estimate) <= 4.0 * np.hypot(mc.standard_error, se)
-    assert dual.estimate > 0.1
+        assert abs(value - estimate) <= 4.0 * np.hypot(value_se, se)
+    assert mc.estimate > 0.1
 
 
-def test_single_pol_equals_dual_with_v_only_power_when_matched(model16):
-    # with xpd_coeff = 0 the HV entry vanishes, so the dual estimator under
-    # allocation (1, 0) collapses to the single-polarized one on shared
-    # sample streams
+def test_single_pol_equals_dual_with_v_only_power_when_matched():
+    # with xpd_coeff = 0 the HV entry vanishes, so the dual estimate under
+    # allocation (1, 0) collapses to the single-polarized one of the same
+    # draws
     base = scen.Scenario(elements=16, xpd_coeff=0.0)
     model = scen.build_link_model(base)
-    budget = unit_budget(3e12)
-    dual = capacity.ergodic_capacity_mc(
-        moments_of(model),
+    mc = capacity.ergodic_capacity_mc(
+        model.moments,
         capacity.PowerAllocation(1.0, 0.0),
-        budget,
+        unit_budget(3e12),
         trials=500,
         master_seed=21,
     )
-    single = capacity.single_pol_capacity_mc(
-        moments_of(model), budget, trials=500, master_seed=21
-    )
-    assert dual.estimate == single.estimate
+    assert mc.estimate == mc.single_pol_estimate
+    assert mc.standard_error == mc.single_pol_standard_error
 
 
 def test_moment_upper_bound_values():
@@ -225,14 +224,7 @@ def test_compute_O_small_cases():
     )
     # a 1x1 grid; a spectrum of ones is the identity kernel
     stats = channel.ChannelStatistics(
-        unit_pathloss=2.0,
-        pathloss_exponent=1.0,
-        xpd_coeff=0.2,
-        element_ue_distances=np.array([4.0]),
-        weights=np.sqrt([2.0 / 4.0]),
-        kernel_spectrum=np.ones((2, 2)),
-        pathloss_co=np.array([0.4]),
-        pathloss_cross=np.array([0.1]),
+        xpd_coeff=0.2, weights=np.sqrt([2.0 / 4.0]), kernel_spectrum=np.ones((2, 2))
     )
     # N = 1: O = A^2 |b|^2 beta0 d^-alpha
     assert capacity.compute_O(np.array([0.3]), pm_half, stats) == pytest.approx(
@@ -250,21 +242,11 @@ def test_compute_O_identity_correlation_reduces_to_sum():
     distances = rng.uniform(1, 10, n)
     # a 1 x n grid; a spectrum of ones is the identity kernel
     stats = channel.ChannelStatistics(
-        unit_pathloss=1.3,
-        pathloss_exponent=2.0,
         xpd_coeff=0.5,
-        element_ue_distances=distances,
         weights=np.sqrt(1.3 * distances**-2.0),
         kernel_spectrum=np.ones((2, 2 * n)),
-        pathloss_co=np.ones(n),
-        pathloss_cross=np.ones(n),
     )
-    expected = np.sum(
-        amplitudes**2
-        * np.abs(shared) ** 2
-        * 1.3
-        * stats.element_ue_distances**-2.0
-    )
+    expected = np.sum(amplitudes**2 * np.abs(shared) ** 2 * 1.3 * distances**-2.0)
     assert capacity.compute_O(amplitudes, pm, stats) == pytest.approx(expected, rel=1e-12)
 
 
@@ -280,7 +262,8 @@ def test_compute_O_matches_double_sum_oracle():
             beta0, alpha, l = rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, 1.0)
             ue = np.array([rng.uniform(0.05, 2.0), *rng.uniform(-0.5, 0.5, 2)])
             stats = channel.build_channel_statistics(geo, ue, beta0, alpha, l)
-            weights = np.sqrt(beta0 * stats.element_ue_distances**-alpha)
+            distances = np.linalg.norm(ue - geo.element_positions, axis=1)
+            weights = np.sqrt(beta0 * distances**-alpha)
             amplitudes = rng.uniform(0, 1, n)
             shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             pm = feed.PropagationMatrix(
@@ -301,6 +284,13 @@ def test_compute_O_matches_double_sum_oracle():
 
             o = capacity.compute_O(amplitudes, pm, stats)
             assert o == pytest.approx(brute(amplitudes * np.abs(shared)), rel=1e-12)
+            # a stack of amplitude vectors gives one form per vector
+            stacked = capacity.compute_O(np.stack([amplitudes, config.amplitudes_h]), pm, stats)
+            assert stacked.shape == (2,)
+            assert stacked[0] == pytest.approx(o, rel=1e-12)
+            assert stacked[1] == pytest.approx(
+                brute(config.amplitudes_h * np.abs(shared)), rel=1e-12
+            )
             q_v = brute(config.gamma_v * pm.copol_v)
             q_h = brute(config.gamma_h * pm.copol_h)
             np.testing.assert_allclose(
@@ -469,17 +459,19 @@ def test_multiplexing_gain_synthetic_and_errors():
         capacity.multiplexing_gain([10.0, 1e5], [1.0, 2.0])
 
 
-def test_mc_is_reproducible_and_chunking_invariant(model16):
+def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
     kwargs = dict(
         allocation=capacity.PowerAllocation.equal(),
         budget=unit_budget(2e12),
         trials=600,
         master_seed=5,
     )
-    first = capacity.ergodic_capacity_mc(moments_of(model16), **kwargs)
-    again = capacity.ergodic_capacity_mc(moments_of(model16), **kwargs)
+    first = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
+    again = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     assert first.estimate == again.estimate
     assert first.standard_error == again.standard_error
+    assert first.single_pol_estimate == again.single_pol_estimate
+    assert first.single_pol_standard_error == again.single_pol_standard_error
     np.testing.assert_array_equal(first.moments, again.moments)
     np.testing.assert_array_equal(first.moment_standard_errors, again.moment_standard_errors)
 
@@ -518,7 +510,9 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
                 model.o_v, model.o_h, equal, model.budget, current.xpd_coeff
             )
         else:
-            expected, mc = oracles.random_row_per_draw(model, 60, 5, equal, 240, 1)
+            expected, mc = oracles.random_row_per_draw(
+                current.replace(trials=240, master_seed=1), equal
+            )
             assert values["dual_mc_bits"].split()[0] == format(mc, ".10g")
         assert values["dual_ub_bits"].split()[0] == format(expected, ".10g")
 
@@ -544,12 +538,16 @@ def test_cli_capacity_matches_one_row_sweep(capsys, scheme):
     assert values["dual_ub_bits"].split()[0] == format(row["dual_ub_bits"], ".10g")
 
 
-def test_expected_moments_match_aligned_closed_form(model16):
-    moments = capacity.expected_gram_moments(model16.config, model16.pm, model16.stats)
-    l = model16.stats.xpd_coeff
-    expected = np.array(
-        [(1 - l) * model16.o_v, l * model16.o_h, l * model16.o_v, (1 - l) * model16.o_h]
-    )
-    np.testing.assert_allclose(moments, expected, rtol=1e-9)
-    # an aligned point's moments are built from O, with no further FFT
-    np.testing.assert_array_equal(model16.moments, expected)
+def test_expected_moments_match_aligned_closed_form(table_scenario_16):
+    # the moments under the aligning phases, which the package never
+    # builds, against the moments it builds from O_V and O_H
+    for scheme in ("optimal", "optimal-with-adjustment"):
+        scenario = table_scenario_16.replace(phase_scheme=scheme)
+        model = scen.build_link_model(scenario)
+        l = scenario.xpd_coeff
+        expected = np.array(
+            [(1 - l) * model.o_v, l * model.o_h, l * model.o_v, (1 - l) * model.o_h]
+        )
+        np.testing.assert_allclose(moments_of(scenario), expected, rtol=1e-9)
+        # an aligned point's moments are built from O, with no further FFT
+        np.testing.assert_array_equal(model.moments, expected)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import channel, geometry
+from dpris import capacity, channel, feed, geometry, scenario as scen
 from dpris.exceptions import ModelInconsistencyError
 from dpris.numerics import db_to_linear
 
@@ -64,6 +64,11 @@ def test_statistics_hold_no_quadratic_array():
         value = getattr(stats, field.name)
         if isinstance(value, np.ndarray):
             assert value.size <= 4 * n, field.name
+    # the statistics and the link model hold what the outputs read, no more
+    names = [field.name for field in dataclasses.fields(channel.ChannelStatistics)]
+    assert names == ["xpd_coeff", "weights", "kernel_spectrum"]
+    names = [field.name for field in dataclasses.fields(scen.LinkModel)]
+    assert names == ["budget", "o_v", "o_h", "moments"]
 
 
 def test_correlation_sqrt_identity():
@@ -98,29 +103,41 @@ def test_correlation_sqrt_rejects_bad_diagonal():
 
 
 def test_pathloss_extreme_xpd():
+    # xpd 0 and 1 zero one block family of moments exactly; xpd 0.5 splits
+    # the pathloss evenly
     geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
-    _, co0, cross0 = channel.pathloss_vectors(geo, UE_X, BETA0, 4.0, 0.0)
-    assert np.all(cross0 == 0.0)
-    assert np.all(co0 > 0.0)
-    _, co_half, cross_half = channel.pathloss_vectors(geo, UE_X, BETA0, 4.0, 0.5)
-    np.testing.assert_array_equal(co_half, cross_half)
+    pm = feed.build_propagation_matrix(geo, scen.build_feed(scen.Scenario()))
+    amplitudes = np.stack([np.full(4, 0.8), np.full(4, 0.5)])
+    for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):
+        stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, xpd)
+        moments = capacity.moment_layout(capacity.compute_O(amplitudes, pm, stats), xpd)
+        assert np.all(moments[zero] == 0.0)
+        assert np.all(np.delete(moments, zero) > 0.0)
+    stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 0.5)
+    m11, m12, m21, m22 = capacity.moment_layout(capacity.compute_O(amplitudes, pm, stats), 0.5)
+    assert m11 == m21 and m12 == m22
+    co, cross = oracles.pathloss(stats)
+    np.testing.assert_array_equal(co, cross)
 
 
 def test_pathloss_reference_value():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    distances, co, _ = channel.pathloss_vectors(geo, UE_X, BETA0, 4.0, 0.2)
-    assert distances[0] == 50.0
+    stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 0.2)
+    assert stats.weights[0] == np.sqrt(BETA0 * 50.0**-4.0)
+    co, _ = oracles.pathloss(stats)
     assert co[0] == pytest.approx(1.3715447107041362e-12, rel=1e-12)
 
 
 def test_pathloss_validation():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     with pytest.raises(ValueError):
-        channel.pathloss_vectors(geo, np.zeros(3), BETA0, 4.0, 0.2)
+        channel.build_channel_statistics(geo, np.zeros(3), BETA0, 4.0, 0.2)
     with pytest.raises(ValueError):
-        channel.pathloss_vectors(geo, UE_X, BETA0, 4.0, 1.2)
+        channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 1.2)
     with pytest.raises(ValueError):
-        channel.pathloss_vectors(geo, UE_X, BETA0, -1.0, 0.2)
+        channel.build_channel_statistics(geo, UE_X, BETA0, -1.0, 0.2)
+    with pytest.raises(ValueError):
+        channel.build_channel_statistics(geo, UE_X, -BETA0, 4.0, 0.2)
 
 
 def test_sample_zero_cross_blocks_when_matched():
@@ -172,27 +189,26 @@ def test_sample_moments_match_model():
     power, power_sq, outer_vv, cross = _accumulate(stats, geo, trials, seed=2024)
 
     # per-element mean power within 3 standard errors of the pathloss
-    expected = np.stack(
-        [stats.pathloss_co, stats.pathloss_cross, stats.pathloss_cross, stats.pathloss_co]
-    )
+    pathloss_co, pathloss_cross = oracles.pathloss(stats)
+    expected = np.stack([pathloss_co, pathloss_cross, pathloss_cross, pathloss_co])
     se = np.sqrt(np.maximum(power_sq - power**2, 0.0) / trials)
     assert np.all(np.abs(power - expected) <= 3.0 * se + 1e-30)
 
     # empirical element correlation of the VV block reproduces the sinc
     # matrix entrywise (normalize by the pathloss scale)
-    scale = np.sqrt(np.outer(stats.pathloss_co, stats.pathloss_co))
+    scale = np.sqrt(np.outer(pathloss_co, pathloss_co))
     corr = (outer_vv / scale).real
     correlation = oracles.correlation_matrix(geo)
     assert np.all(np.abs(corr - correlation) <= 3.5 / np.sqrt(trials) + 1e-12)
 
     # cross-block correlations vanish: VV-VH, VV-HH, HV-VH
-    bound = 3.5 * np.sqrt(np.outer([1.0], stats.pathloss_co * stats.pathloss_cross))
+    bound = 3.5 * np.sqrt(np.outer([1.0], pathloss_co * pathloss_cross))
     assert np.all(np.abs(cross[0]) <= bound[0] / np.sqrt(trials) + 1e-30)
     assert np.all(
-        np.abs(cross[1]) <= 3.5 * stats.pathloss_co / np.sqrt(trials) + 1e-30
+        np.abs(cross[1]) <= 3.5 * pathloss_co / np.sqrt(trials) + 1e-30
     )
     assert np.all(
-        np.abs(cross[2]) <= 3.5 * stats.pathloss_cross / np.sqrt(trials) + 1e-30
+        np.abs(cross[2]) <= 3.5 * pathloss_cross / np.sqrt(trials) + 1e-30
     )
 
 

@@ -20,7 +20,7 @@ def test_grid_counting_and_aperture():
     assert geo.element_count == 100
     assert geo.element_positions.shape == (100, 3)
     # total aperture 100 * (lambda/3)^2 = (10 lambda / 3)^2
-    assert geo.aperture_area == pytest.approx((10 * WAVELENGTH / 3.0) ** 2, rel=1e-12)
+    assert geo.element_count * geo.element_area == pytest.approx((10 * WAVELENGTH / 3.0) ** 2, rel=1e-12)
     # centered: position mean at the origin
     assert np.allclose(geo.element_positions.mean(axis=0), 0.0, atol=1e-15)
 

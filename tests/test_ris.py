@@ -119,7 +119,7 @@ def test_element_amplitudes_tau_offset():
 def test_optimal_phases_single_element_at_wavelength():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     spec = table_feed([-WAVELENGTH, 0.0, 0.0])
-    phases_v, phases_h = ris.optimal_phases(geo, spec)
+    phases_v, phases_h = oracles.optimal_phases(geo, spec)
     assert phases_v[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(phases_v, phases_h)
 
@@ -128,7 +128,9 @@ def test_optimal_phases_align_reflections():
     geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
     spec = table_feed([-0.05, 0.0, 0.0])
     pm = feed.build_propagation_matrix(geo, spec)
-    config = ris.build_configuration(geo, spec, QUARTER, scheme="optimal")
+    config = ris.RisConfiguration(
+        *ris.element_amplitudes(geo, spec, QUARTER), *oracles.optimal_phases(geo, spec)
+    )
     aligned = config.gamma_v * pm.shared
     # every element's reflected contribution lands on the positive real axis
     assert np.max(np.abs(np.angle(aligned))) < 1e-9
@@ -140,8 +142,8 @@ def test_optimal_phases_align_reflections():
 def test_phase_adjustment_offsets():
     geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
     spec = table_feed([-0.05, 0.01, 0.0])
-    base_v, base_h = ris.phase_strategy("optimal", geo, spec)
-    adj_v, adj_h = ris.phase_strategy("optimal-with-adjustment", geo, spec)
+    base_v, base_h = oracles.aligned_phases("optimal", geo, spec)
+    adj_v, adj_h = oracles.aligned_phases("optimal-with-adjustment", geo, spec)
     np.testing.assert_allclose(
         np.mod(base_v - adj_v, 2 * np.pi), np.pi / 2, atol=1e-12
     )
@@ -153,20 +155,23 @@ def test_phase_adjustment_offsets():
 
 
 def test_random_phase_determinism():
-    geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    spec = table_feed([-0.05, 0.0, 0.0])
-    first = ris.phase_strategy("random", geo, spec, seed=123)
-    second = ris.phase_strategy("random", geo, spec, seed=123)
-    np.testing.assert_array_equal(first[0], second[0])
-    np.testing.assert_array_equal(first[1], second[1])
-    other = ris.phase_strategy("random", geo, spec, seed=124)
-    assert not np.array_equal(first[0], other[0])
+    first = ris.random_phases(16, 123)
+    assert first.shape == (2, 16)
+    np.testing.assert_array_equal(first, ris.random_phases(16, 123))
+    # one (2, N) draw is two successive N-draws of the seed's stream
+    rng = np.random.default_rng(123)
+    np.testing.assert_array_equal(first[0], rng.uniform(0.0, 2 * np.pi, 16))
+    np.testing.assert_array_equal(first[1], rng.uniform(0.0, 2 * np.pi, 16))
+    assert not np.array_equal(first[0], ris.random_phases(16, 124)[0])
 
 
 def test_phase_strategy_rejects_unknown_kind():
-    geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
-    with pytest.raises(ValueError):
-        ris.phase_strategy("waterfilling", geo, table_feed([-0.05, 0, 0]))
+    # names are checked when a scenario is made, and the error names the field
+    for field in ("phase_scheme", "incidence_convention"):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: "waterfilling"})
+        with pytest.raises(ValueError, match=field):
+            scen.parse_overrides(scen.Scenario(), {field: "waterfilling"})
 
 
 def test_configuration_validation():
@@ -180,15 +185,13 @@ def test_configuration_validation():
 def test_random_phase_bound_never_beats_aligned_bound():
     base = scen.Scenario(elements=16)
     model = scen.build_link_model(base)
+    parts = oracles.link_parts(base)
     allocation = capacity.PowerAllocation.equal()
     aligned = capacity.moment_upper_bound(model.moments, allocation, model.budget)
     for seed in range(30):
-        phases_v, phases_h = ris.phase_strategy(
-            "random", model.geometry, model.feed, seed=seed
-        )
         config = ris.RisConfiguration(
-            model.config.amplitudes_v, model.config.amplitudes_h, phases_v, phases_h
+            parts.config.amplitudes_v, parts.config.amplitudes_h, *ris.random_phases(16, seed)
         )
-        moments = capacity.expected_gram_moments(config, model.pm, model.stats)
+        moments = capacity.expected_gram_moments(config, parts.pm, parts.stats)
         randomized = capacity.moment_upper_bound(moments, allocation, model.budget)
         assert randomized <= aligned + 1e-12

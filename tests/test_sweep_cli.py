@@ -172,34 +172,47 @@ def random_row(draws):
 
 def test_random_phase_chunks_stack_the_seeded_draws():
     current, model = random_row(300)
-    chunks = list(scen._phase_draw_chunks(current, model.geometry, model.feed, model.config))
+    parts = oracles.link_parts(current)
+    a_v, a_h = parts.config.amplitudes_v, parts.config.amplitudes_h
+    chunks = list(scen._phase_draw_chunks(current, a_v, a_h))
     sizes = [chunk.phases_v.shape[0] for chunk in chunks]
     assert len(sizes) > 2 and sum(sizes) == 300 and sizes[-1] < sizes[0]
     phases_v = np.concatenate([chunk.phases_v for chunk in chunks])
     phases_h = np.concatenate([chunk.phases_h for chunk in chunks])
     for draw in range(300):
-        v, h = ris.phase_strategy("random", model.geometry, model.feed, seed=5 + draw)
+        v, h = ris.random_phases(16, 5 + draw)
         np.testing.assert_array_equal(phases_v[draw], v)
         np.testing.assert_array_equal(phases_h[draw], h)
     # the model's stacked moments against one configuration per draw
     assert model.moments.shape == (300, 4)
     for draw in range(300):
-        config = ris.RisConfiguration(
-            model.config.amplitudes_v, model.config.amplitudes_h, phases_v[draw], phases_h[draw]
-        )
-        expected = capacity.expected_gram_moments(config, model.pm, model.stats)
+        config = ris.RisConfiguration(a_v, a_h, phases_v[draw], phases_h[draw])
+        expected = capacity.expected_gram_moments(config, parts.pm, parts.stats)
         np.testing.assert_allclose(model.moments[draw], expected, rtol=1e-12)
 
 
+def test_random_phase_row_draws_each_seed_once(monkeypatch):
+    # a D-draw row seeds D phase generators: the draws phase_seed + d, and
+    # no further draw of phase_seed for phases that nothing reads
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    current, _ = random_row(1000)
+    assert seeds == list(range(5, 1005))
+
+
 def test_random_phase_row_matches_per_draw_oracle():
-    current, model = random_row(137)
+    current, _ = random_row(137)
     spec = sweep.SweepSpec(
         axis="phase-scheme", grid=("random",), outputs=("dual-mc", "dual-ub"), base=current
     )
     row = sweep.run_sweep(spec).rows[0]
-    bound, mc = oracles.random_row_per_draw(
-        model, 137, 5, capacity.PowerAllocation.equal(), 3000, current.master_seed
-    )
+    bound, mc = oracles.random_row_per_draw(current, capacity.PowerAllocation.equal())
     assert row["dual_ub_bits"] == pytest.approx(bound, rel=1e-12)
     assert row["dual_mc_bits"] == pytest.approx(mc, rel=1e-12)
 
@@ -228,8 +241,9 @@ def test_random_phase_row_memory_stays_flat():
 
 
 def test_aligned_row_builds_moments_from_O(monkeypatch):
-    # an aligned row takes its moments from O_V and O_H: the two compute_O
-    # forms are its only surface FFTs, whatever its outputs
+    # an aligned row takes its moments from O_V and O_H: the one compute_O
+    # call on both amplitude vectors is its only surface FFT, whatever its
+    # outputs
     calls = []
     quadforms = capacity._surface_quadforms
 
@@ -248,7 +262,43 @@ def test_aligned_row_builds_moments_from_O(monkeypatch):
     )
     row = sweep.run_sweep(spec).rows[0]
     assert row["status"] == "ok"
-    assert len(calls) == 2
+    assert calls == [(2, 16)]
+
+
+@pytest.mark.parametrize("outputs", ["dual-mc", "single-mc", "single-mc, dual-mc"])
+def test_row_makes_one_estimator_call(monkeypatch, outputs):
+    # both Monte Carlo columns come from one call's draws
+    results = []
+    estimator = capacity.ergodic_capacity_mc
+
+    def counted(*args, **kwargs):
+        results.append(estimator(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(capacity, "ergodic_capacity_mc", counted)
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": outputs, **BOUNDS_ONLY_16})
+    row = sweep.run_sweep(spec).rows[0]
+    assert row["status"] == "ok" and len(results) == 1
+    (mc,) = results
+    if "dual-mc" in outputs:
+        assert (row["dual_mc_bits"], row["dual_mc_se"]) == (mc.estimate, mc.standard_error)
+    if "single-mc" in outputs:
+        assert row["single_mc_bits"] == mc.single_pol_estimate
+        assert row["single_mc_se"] == mc.single_pol_standard_error
+
+
+def test_unknown_names_fail_the_row_or_the_command(capsys):
+    # a bad grid value fails its row only; a bad name given to the CLI is a
+    # usage error; both name the field
+    spec = spec_from(
+        {"axis": "phase-scheme", "grid": "optimal, bogus", "outputs": "dual-ub", **BOUNDS_ONLY_16}
+    )
+    ok, bad = sweep.run_sweep(spec).rows
+    assert ok["status"] == "ok"
+    assert bad["status"].startswith("failed:") and "phase_scheme" in bad["status"]
+    rc = cli.main(["capacity", "--elements", "16", "--set", "incidence_convention=bogus"])
+    assert rc == 2
+    assert "incidence_convention" in capsys.readouterr().err
 
 
 def test_sweep_marks_degenerate_rows_and_continues():
