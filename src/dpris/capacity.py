@@ -11,9 +11,9 @@ functional of such a vector is circular Gaussian with the matching
 quadratic form as its variance, so the entries of G are independent with
 G_ij ~ CN(0, m_ij).  The second moments m = (m11, m12, m21, m22) are the
 exact law of G, not an approximation, and they are all the estimators and
-bounds here consume: ``expected_gram_moments`` turns a phase configuration
-into m with one FFT over the surface, or a stack of c phase draws into a
-(c, 4) array with one FFT call.
+bounds here consume: ``expected_gram_moments`` turns a stream of D phase
+draws into a (D, 4) array, running the draws through the surface FFT a
+chunk at a time in buffers it allocates once.
 
 A moment array of shape (4,) describes one configuration; one of shape
 (D, 4) describes an ensemble of D random phase draws.  The moment bound
@@ -44,16 +44,25 @@ the single one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelStatistics
 from .exceptions import ModelInconsistencyError
 from .feed import PropagationMatrix
-from .ris import RisConfiguration
 
 _LN2 = np.log(2.0)
+#: Lattice points held by the four buffers of one ``expected_gram_moments``
+#: call, which a chunk of c draws fills with c * 16N: 2N phases, 2N phasors,
+#: 4N in the FFT stage and 8N in the spectrum (at least one draw).  The
+#: buffers are allocated once per call and reused by every chunk.  The
+#: 1000-draw N = 400 row, built in-process on one core (medians of six
+#: alternations), takes 91 ms with fresh buffers for each 2-draw chunk, 75 ms
+#: reusing them at 2**14 (2 draws a chunk) and 69 ms at 2**15 (5 draws) or
+#: 2**16 (10); 2**15 adds 0.4 MiB, 1%, to a bound-grid worker's peak RSS.
+_FFT_LATTICE_POINTS = 2**14
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
 #: stream keyed (master_seed, c), so a fixed seed gives the same draws for
 #: every trial whatever the trial count.
@@ -227,7 +236,8 @@ def compute_O(
 ) -> np.ndarray:
     """Quadratic form v^T R v with v_n = A_n |b_n| sqrt(beta0 d_n^-alpha);
     the maximized per-polarization received-power quantity.  Amplitudes
-    of shape (..., N) give one form per vector, in one FFT call.
+    of shape (..., N) give one form per vector, through the FFT code that
+    ``expected_gram_moments`` runs its chunks through.
 
     With v zero-padded to the (2 rows) x (2 cols) lattice of the lag-kernel
     spectrum S (see ``channel``), v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
@@ -239,23 +249,62 @@ def compute_O(
     n = amplitudes.shape[-1]
     if n != pm.element_count or n != stats.element_count:
         raise ValueError("amplitude, propagation and statistics sizes disagree")
-    return _surface_quadforms(amplitudes * np.abs(pm.shared), stats)
+    return _surface_quadforms(amplitudes * np.abs(pm.shared) * stats.weights, stats)
 
 
 def expected_gram_moments(
-    config: RisConfiguration, pm: PropagationMatrix, stats: ChannelStatistics
+    amplitudes: np.ndarray,
+    phases: Iterable[np.ndarray],
+    pm: PropagationMatrix,
+    stats: ChannelStatistics,
 ) -> np.ndarray:
-    """Exact second moments (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2) for an
-    arbitrary phase configuration, from the channel's second-order model.
+    """Exact second moments (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2) of G
+    under each of D phase draws, shape (D, 4), from the channel's
+    second-order model.
 
-    They scale q_P = u_P^H W R W u_P, with u_P = Gamma_P b_P and
-    W = diag sqrt(beta0 d^-alpha), by 1 - l or l; every q comes from one
-    FFT call, exact as in ``compute_O``.  Phases of shape (c, N), a stack
-    of c draws, give moments of shape (c, 4).  Under the aligning phases
-    they collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
+    ``amplitudes`` stacks the (V, H) reflection amplitudes, shape (2, N),
+    and each draw the (V, H) phases, shape (2, N); ``phases`` is read
+    lazily, so a generator of draws is never held whole.  The moments
+    scale q_P = u_P^H W R W u_P, with u_P = Gamma_P b_P and
+    W = diag sqrt(beta0 d^-alpha), by 1 - l or l, every q exact as in
+    ``compute_O``.  Draws go through the FFT a chunk at a time, in four
+    buffers (phases, phasors, FFT stage, spectrum) allocated once per call;
+    a draw's moments do not depend on the chunk it falls in.  Under the
+    aligning phases they collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
     """
-    u = np.stack([config.gamma_v * pm.copol_v, config.gamma_h * pm.copol_h])
-    return moment_layout(_surface_quadforms(u, stats), stats.xpd_coeff)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    n = stats.element_count
+    if amplitudes.shape != (2, n) or pm.element_count != n:
+        raise ValueError("amplitude, propagation and statistics sizes disagree")
+    copol = np.stack([pm.copol_v, pm.copol_h])
+    lattice = stats.kernel_spectrum.shape
+    size = max(1, _FFT_LATTICE_POINTS // (16 * n))
+    phase = np.empty((size, 2, n))
+    phasor = np.empty((size, 2, n), dtype=complex)
+    stage = np.empty((size, 2, lattice[0] // 2, lattice[1]), dtype=complex)
+    spectrum = np.empty((size, 2) + lattice, dtype=complex)
+    draws = iter(phases)
+    q = []
+    while True:
+        k = 0
+        for draw in islice(draws, size):
+            if np.shape(draw) != (2, n):
+                raise ValueError(f"phase draws must have shape (2, {n}), got {np.shape(draw)}")
+            phase[k] = draw
+            k += 1
+        if k == 0:
+            break
+        u = phasor[:k]
+        np.cos(phase[:k], out=u.real)
+        np.sin(phase[:k], out=u.imag)
+        # this order of products fixes the rounding of every moment
+        u *= amplitudes
+        u *= copol
+        u *= stats.weights
+        q.append(_surface_quadforms(u, stats, stage[:k], spectrum[:k]))
+    if not q:
+        raise ValueError("expected at least one phase draw")
+    return moment_layout(np.concatenate(q).T, stats.xpd_coeff)
 
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
@@ -327,15 +376,31 @@ def multiplexing_gain(snr_values: Sequence[float], capacities: Sequence[float]) 
     return float(slope)
 
 
-def _surface_quadforms(vectors: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
-    """Re(u^H W R W u) for each row-major grid vector u along the last axis
-    of ``vectors``, W = diag(stats.weights); see ``compute_O``."""
-    lattice = stats.kernel_spectrum.shape
-    grid = vectors.shape[:-1] + (lattice[0] // 2, lattice[1] // 2)
-    spectrum = np.fft.fft2((vectors * stats.weights).reshape(grid), s=lattice)
-    power = spectrum.real**2 + spectrum.imag**2
-    power *= stats.kernel_spectrum
-    return power.sum(axis=(-2, -1)) / stats.kernel_spectrum.size
+def _surface_quadforms(
+    vectors: np.ndarray,
+    stats: ChannelStatistics,
+    stage: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
+    """Re(u^H R u) for each weighted row-major grid vector u along the last
+    axis of ``vectors`` (see ``compute_O``).
+
+    FFT2 over the lattice runs one axis at a time, as ``np.fft.fft2`` does:
+    along the columns into ``stage``, shape (..., rows, 2 cols), then along
+    the rows into ``spectrum``, shape (..., 2 rows, 2 cols), both complex
+    and allocated when not given.  |spectrum|^2 is formed in the spent
+    stage buffer, which holds exactly as many reals.
+    """
+    kernel = stats.kernel_spectrum
+    rows, cols = kernel.shape
+    grid = vectors.reshape(vectors.shape[:-1] + (rows // 2, cols // 2))
+    stage = np.fft.fft(grid, n=cols, axis=-1, out=stage)
+    spectrum = np.fft.fft(stage, n=rows, axis=-2, out=spectrum)
+    power = stage.view(float).reshape(spectrum.shape)
+    np.square(spectrum.real, out=power)
+    power += np.square(spectrum.imag, out=spectrum.imag)
+    power *= kernel
+    return power.sum(axis=(-2, -1)) / kernel.size
 
 
 def _moment_rows(moments: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@ and the seeded random phase draw.
 
 The aligning schemes need no phases: their moments follow from the
 amplitudes alone, through O_V and O_H (see ``capacity``).  Phases are drawn
-only for the random scheme, whose moments depend on them.
+only for the random scheme, whose moments depend on them: draw d is
+``random_phases(N, seed + d)``, a (2, N) array that
+``capacity.expected_gram_moments`` turns into reflection coefficients
+together with the (2, N) amplitudes.
 """
 
 from __future__ import annotations
@@ -44,47 +47,6 @@ class AmplitudeModel:
             raise ValueError("normal-incidence phase must not equal pi (mod 2*pi)")
 
 
-@dataclass(frozen=True)
-class RisConfiguration:
-    """Per-element, per-polarization reflection amplitudes and phases.
-
-    Amplitudes have shape (N,).  Phases have shape (N,), or (c, N) for a
-    stack of c phase draws that share the amplitudes.
-    """
-
-    amplitudes_v: np.ndarray
-    amplitudes_h: np.ndarray
-    phases_v: np.ndarray
-    phases_h: np.ndarray
-
-    def __post_init__(self):
-        n = self.amplitudes_v.shape[0]
-        if (
-            self.amplitudes_h.shape != (n,)
-            or self.phases_v.shape[-1:] != (n,)
-            or self.phases_h.shape != self.phases_v.shape
-        ):
-            raise ValueError("configuration vectors must share one length")
-        for name in ("amplitudes_v", "amplitudes_h"):
-            a = getattr(self, name)
-            if a.min(initial=0.0) < 0.0 or a.max(initial=1.0) > 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
-
-    @property
-    def element_count(self) -> int:
-        return self.amplitudes_v.shape[0]
-
-    @property
-    def gamma_v(self) -> np.ndarray:
-        """Complex V-polarization reflection coefficients."""
-        return self.amplitudes_v * _phasors(self.phases_v)
-
-    @property
-    def gamma_h(self) -> np.ndarray:
-        """Complex H-polarization reflection coefficients."""
-        return self.amplitudes_h * _phasors(self.phases_h)
-
-
 def element_amplitudes(
     geometry: RisGeometry,
     feed: FeedSpec,
@@ -106,15 +68,6 @@ def random_phases(element_count: int, seed: int) -> np.ndarray:
     is V, row 1 is H, drawn reproducibly from ``seed`` (one (2, N) draw
     equals two successive N-draws of the same stream)."""
     return np.random.default_rng(seed).uniform(0.0, TWO_PI, (2, element_count))
-
-
-def _phasors(phases: np.ndarray) -> np.ndarray:
-    """exp(j phases), written as cos + j sin straight into one complex array
-    (the same values as ``np.exp(1j * phases)``, with fewer temporaries)."""
-    out = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=out.real)
-    np.sin(phases, out=out.imag)
-    return out
 
 
 def _amplitude_map(model: AmplitudeModel, elevation: np.ndarray, tau: np.ndarray) -> np.ndarray:

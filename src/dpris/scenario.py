@@ -17,19 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, channel, feed, geometry, ris
-from .numerics import db_to_linear, dbm_to_watts, linear_to_db
+from .numerics import db_to_linear, dbm_to_watts
 
 _CONVENTIONS = {
     "axis-plane": geometry.axis_plane_tilt,
     "transverse-plane": geometry.transverse_plane_tilt,
 }
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
-
-#: Lattice points per FFT call of a random-phase ensemble.  The moments take
-#: the phase draws a chunk at a time and never hold all of them; at 2**13
-#: complex points (128 KiB) a chunk's FFT buffers stay on the heap, where
-#: larger ones are mapped afresh, and page-faulted, on every call.
-_FFT_LATTICE_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,9 @@ class Scenario:
                 raise ValueError(
                     f"unknown {name} {getattr(self, name)!r} (expected one of {known})"
                 )
+        for name in ("trials", "random_phase_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
     def replace(self, **changes) -> "Scenario":
         return dataclasses.replace(self, **changes)
@@ -218,37 +215,20 @@ def build_link_model(scenario: Scenario) -> LinkModel:
         pathloss_exponent=scenario.pathloss_exponent,
         xpd_coeff=scenario.xpd_coeff,
     )
-    o = capacity.compute_O(np.stack([a_v, a_h]), pm, stats)
+    amplitudes = np.stack([a_v, a_h])
+    o = capacity.compute_O(amplitudes, pm, stats)
     if scenario.phase_scheme == "random":
-        moments = np.concatenate(
-            [
-                capacity.expected_gram_moments(chunk, pm, stats)
-                for chunk in _phase_draw_chunks(scenario, a_v, a_h)
-            ]
+        draws = (
+            ris.random_phases(geo.element_count, scenario.phase_seed + d)
+            for d in range(scenario.random_phase_draws)
         )
+        moments = capacity.expected_gram_moments(amplitudes, draws, pm, stats)
     else:
         # the aligning phases collapse the moments to O_V and O_H
         moments = capacity.moment_layout(o, stats.xpd_coeff)
     return LinkModel(
         budget=link_budget(scenario), o_v=float(o[0]), o_h=float(o[1]), moments=moments
     )
-
-
-def _phase_draw_chunks(scenario: Scenario, a_v: np.ndarray, a_h: np.ndarray):
-    """The random scheme's phase draws phase_seed, phase_seed + 1, ...
-    (random_phase_draws of them), as configurations whose phases stack a
-    chunk of draws on the amplitudes a_v, a_h; a chunk holds at most
-    _FFT_LATTICE_POINTS lattice points across its two polarizations."""
-    draws = scenario.random_phase_draws
-    if draws < 1:
-        raise ValueError(f"random_phase_draws must be at least 1, got {draws}")
-    n = a_v.shape[0]
-    size = max(1, _FFT_LATTICE_POINTS // (2 * 4 * n))
-    for start in range(0, draws, size):
-        phases = np.empty((2, min(size, draws - start), n))
-        for i in range(phases.shape[1]):
-            phases[:, i] = ris.random_phases(n, scenario.phase_seed + start + i)
-        yield ris.RisConfiguration(a_v, a_h, phases[0], phases[1])
 
 
 def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAllocation:
@@ -267,18 +247,6 @@ def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAl
             f"allocation must be 'equal', 'optimal' or a lambda_v value, got {scenario.allocation!r}"
         ) from None
     return capacity.PowerAllocation.split(lambda_v)
-
-
-def normalize_unit_ov(scenario: Scenario) -> Scenario:
-    """Rescale the unit pathloss so the V-polarization quality O_V is 1.
-
-    Scale normalization only: useful for low/high-SNR asymptotics where
-    the SNR axis should straddle unit received power.
-    """
-    probe = build_link_model(scenario.replace(beta0_db=0.0, phase_scheme="optimal"))
-    if not probe.o_v > 0.0:
-        raise ValueError("cannot normalize a scenario with zero O_V")
-    return scenario.replace(beta0_db=linear_to_db(1.0 / probe.o_v))
 
 
 def read_config_file(path: str) -> dict[str, str]:

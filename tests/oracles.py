@@ -9,12 +9,15 @@ expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
 independent route to the package's |det G|^2 form.  The per-element
 scalar twins (incidence decomposition, feed pattern, spherical-wave
 coefficient, reflection amplitude) evaluate one element at a time with
-``math``, against the package's vectorized forms.  ``random_row_per_draw``
-evaluates a random-phase row one configuration per draw, as the package
-did before it stacked the draws.  The phase-maximized closed forms in O_V
-and O_H are the references for the package's moment bounds at aligned
-moments, and the aligning phases, which the package never builds, are the
-references for its moments built from O_V and O_H.  ``link_parts`` rebuilds
+``math``, against the package's vectorized forms.  ``RisConfiguration``
+is one phase configuration with its complex reflection coefficients,
+which the package never forms per configuration, and
+``random_row_per_draw`` evaluates a random-phase row one configuration per
+draw, where the package streams the draws through one kernel call.  The
+phase-maximized closed forms in O_V and O_H are the references for the
+package's moment bounds at aligned moments, and the aligning phases, which
+the package never builds, are the references for its moments built from
+O_V and O_H.  ``link_parts`` rebuilds
 the module objects a scenario expands into from the package's public
 builders; the package's link model keeps only what its outputs read.  The
 hemisphere quadrature checks that the feed pattern integrates to 4 pi.
@@ -140,6 +143,50 @@ def sample_channel(
         h_hv=amp_cross * correlated[..., 2],
         h_hh=amp_co * correlated[..., 3],
     )
+
+
+@dataclass(frozen=True)
+class RisConfiguration:
+    """One phase configuration: per-element, per-polarization reflection
+    amplitudes in [0, 1] and phases, each of shape (N,).  The package
+    holds the amplitudes as a (2, N) stack and the phases as a stream of
+    (2, N) draws; ``moments`` passes them to it in that form."""
+
+    amplitudes_v: np.ndarray
+    amplitudes_h: np.ndarray
+    phases_v: np.ndarray
+    phases_h: np.ndarray
+
+    def __post_init__(self):
+        n = self.amplitudes_v.shape[0]
+        for name in ("amplitudes_h", "phases_v", "phases_h"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError("configuration vectors must share one length")
+        for name in ("amplitudes_v", "amplitudes_h"):
+            a = getattr(self, name)
+            if a.min(initial=0.0) < 0.0 or a.max(initial=1.0) > 1.0:
+                raise ValueError(f"{name} outside [0, 1]")
+
+    @property
+    def element_count(self) -> int:
+        return self.amplitudes_v.shape[0]
+
+    @property
+    def gamma_v(self) -> np.ndarray:
+        """Complex V-polarization reflection coefficients."""
+        return self.amplitudes_v * (np.cos(self.phases_v) + 1j * np.sin(self.phases_v))
+
+    @property
+    def gamma_h(self) -> np.ndarray:
+        """Complex H-polarization reflection coefficients."""
+        return self.amplitudes_h * (np.cos(self.phases_h) + 1j * np.sin(self.phases_h))
+
+    def moments(self, pm, stats) -> np.ndarray:
+        """The package's second moments of G under this configuration,
+        shape (4,)."""
+        amplitudes = np.stack([self.amplitudes_v, self.amplitudes_h])
+        draw = np.stack([self.phases_v, self.phases_h])
+        return capacity.expected_gram_moments(amplitudes, [draw], pm, stats)[0]
 
 
 def equivalent_channel(sample: ChannelSample, config, pm) -> np.ndarray:
@@ -277,13 +324,13 @@ def random_row_per_draw(scenario, allocation):
     moments = []
     for draw in range(draws):
         rng = np.random.default_rng(scenario.phase_seed + draw)
-        config = ris.RisConfiguration(
+        config = RisConfiguration(
             parts.config.amplitudes_v,
             parts.config.amplitudes_h,
             rng.uniform(0.0, 2.0 * np.pi, n),
             rng.uniform(0.0, 2.0 * np.pi, n),
         )
-        moments.append(capacity.expected_gram_moments(config, parts.pm, parts.stats))
+        moments.append(config.moments(parts.pm, parts.stats))
     total = 0.0
     for m in moments:
         total += capacity.moment_upper_bound(m, allocation, budget)
@@ -388,7 +435,7 @@ def link_parts(scenario) -> LinkParts:
         geometry=geo,
         feed=fd,
         pm=feed.build_propagation_matrix(geo, fd),
-        config=ris.RisConfiguration(a_v, a_h, phases_v, phases_h),
+        config=RisConfiguration(a_v, a_h, phases_v, phases_h),
         stats=stats,
     )
 

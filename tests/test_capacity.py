@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, cli, feed, geometry, ris, scenario as scen, sweep
+from dpris import capacity, channel, cli, feed, geometry, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -33,7 +33,7 @@ def unit_pm(n):
 def moments_of(scenario):
     """Moments of G under the scenario's phases, from its rebuilt parts."""
     parts = oracles.link_parts(scenario)
-    return capacity.expected_gram_moments(parts.config, parts.pm, parts.stats)
+    return parts.config.moments(parts.pm, parts.stats)
 
 
 def aligned_moments(o_v, o_h, xpd_coeff):
@@ -55,7 +55,7 @@ def reported(values, key):
 
 
 def unit_config(n, amplitude=1.0):
-    return ris.RisConfiguration(
+    return oracles.RisConfiguration(
         amplitudes_v=np.full(n, amplitude),
         amplitudes_h=np.full(n, amplitude),
         phases_v=np.zeros(n),
@@ -145,7 +145,7 @@ def test_mc_rejects_bad_arguments(table_scenario_16):
     # a kernel that is not positive semidefinite gives negative moments
     parts = oracles.link_parts(table_scenario_16)
     stats = dataclasses.replace(parts.stats, kernel_spectrum=-parts.stats.kernel_spectrum)
-    moments = capacity.expected_gram_moments(parts.config, parts.pm, stats)
+    moments = parts.config.moments(parts.pm, stats)
     with pytest.raises(ModelInconsistencyError) as excinfo:
         capacity.ergodic_capacity_mc(moments, equal, unit_budget(), 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
@@ -271,7 +271,7 @@ def test_compute_O_matches_double_sum_oracle():
                 copol_v=rng.standard_normal(n) + 1j * rng.standard_normal(n),
                 copol_h=rng.standard_normal(n) + 1j * rng.standard_normal(n),
             )
-            config = ris.RisConfiguration(
+            config = oracles.RisConfiguration(
                 amplitudes_v=amplitudes,
                 amplitudes_h=rng.uniform(0, 1, n),
                 phases_v=rng.uniform(0, 2 * np.pi, n),
@@ -294,7 +294,7 @@ def test_compute_O_matches_double_sum_oracle():
             q_v = brute(config.gamma_v * pm.copol_v)
             q_h = brute(config.gamma_h * pm.copol_h)
             np.testing.assert_allclose(
-                capacity.expected_gram_moments(config, pm, stats),
+                config.moments(pm, stats),
                 [(1 - l) * q_v, l * q_h, l * q_v, (1 - l) * q_h],
                 rtol=1e-12,
             )

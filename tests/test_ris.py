@@ -128,7 +128,7 @@ def test_optimal_phases_align_reflections():
     geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
     spec = table_feed([-0.05, 0.0, 0.0])
     pm = feed.build_propagation_matrix(geo, spec)
-    config = ris.RisConfiguration(
+    config = oracles.RisConfiguration(
         *ris.element_amplitudes(geo, spec, QUARTER), *oracles.optimal_phases(geo, spec)
     )
     aligned = config.gamma_v * pm.shared
@@ -177,9 +177,22 @@ def test_phase_strategy_rejects_unknown_kind():
 def test_configuration_validation():
     ones = np.ones(4)
     with pytest.raises(ValueError):
-        ris.RisConfiguration(ones, ones * 1.5, ones, ones)
+        oracles.RisConfiguration(ones, ones * 1.5, ones, ones)
     with pytest.raises(ValueError):
-        ris.RisConfiguration(ones, ones[:3], ones, ones)
+        oracles.RisConfiguration(ones, ones[:3], ones, ones)
+    # the moment kernel takes (2, N) amplitudes and at least one (2, N) draw
+    parts = oracles.link_parts(scen.Scenario(elements=4))
+    amplitudes = np.stack([parts.config.amplitudes_v, parts.config.amplitudes_h])
+    draw = np.zeros((2, 4))
+    for bad_amplitudes, draws in [
+        (amplitudes[:, :3], [draw]),
+        (amplitudes[0], [draw]),
+        (amplitudes, [draw[0]]),
+        (amplitudes, [draw, draw[:, :3]]),
+        (amplitudes, []),
+    ]:
+        with pytest.raises(ValueError):
+            capacity.expected_gram_moments(bad_amplitudes, draws, parts.pm, parts.stats)
 
 
 def test_random_phase_bound_never_beats_aligned_bound():
@@ -189,9 +202,9 @@ def test_random_phase_bound_never_beats_aligned_bound():
     allocation = capacity.PowerAllocation.equal()
     aligned = capacity.moment_upper_bound(model.moments, allocation, model.budget)
     for seed in range(30):
-        config = ris.RisConfiguration(
+        config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, *ris.random_phases(16, seed)
         )
-        moments = capacity.expected_gram_moments(config, parts.pm, parts.stats)
+        moments = config.moments(parts.pm, parts.stats)
         randomized = capacity.moment_upper_bound(moments, allocation, model.budget)
         assert randomized <= aligned + 1e-12

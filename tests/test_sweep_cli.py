@@ -171,24 +171,37 @@ def random_row(draws):
 
 
 def test_random_phase_chunks_stack_the_seeded_draws():
+    # row d of the model's moments is draw phase_seed + d, bit for bit
     current, model = random_row(300)
     parts = oracles.link_parts(current)
-    a_v, a_h = parts.config.amplitudes_v, parts.config.amplitudes_h
-    chunks = list(scen._phase_draw_chunks(current, a_v, a_h))
-    sizes = [chunk.phases_v.shape[0] for chunk in chunks]
-    assert len(sizes) > 2 and sum(sizes) == 300 and sizes[-1] < sizes[0]
-    phases_v = np.concatenate([chunk.phases_v for chunk in chunks])
-    phases_h = np.concatenate([chunk.phases_h for chunk in chunks])
-    for draw in range(300):
-        v, h = ris.random_phases(16, 5 + draw)
-        np.testing.assert_array_equal(phases_v[draw], v)
-        np.testing.assert_array_equal(phases_h[draw], h)
-    # the model's stacked moments against one configuration per draw
     assert model.moments.shape == (300, 4)
     for draw in range(300):
-        config = ris.RisConfiguration(a_v, a_h, phases_v[draw], phases_h[draw])
-        expected = capacity.expected_gram_moments(config, parts.pm, parts.stats)
-        np.testing.assert_allclose(model.moments[draw], expected, rtol=1e-12)
+        v, h = ris.random_phases(16, 5 + draw)
+        config = oracles.RisConfiguration(
+            parts.config.amplitudes_v, parts.config.amplitudes_h, v, h
+        )
+        np.testing.assert_array_equal(model.moments[draw], config.moments(parts.pm, parts.stats))
+
+
+@pytest.mark.parametrize("elements", [16, 400])
+def test_chunking_cannot_change_a_number(monkeypatch, elements):
+    # one draw per chunk, chunks that leave a remainder, and every draw in
+    # one chunk give the same bits
+    current, _ = random_row(300)
+    current = current.replace(elements=elements)
+    points = 16 * elements  # buffer points one draw takes
+    rows = {}
+    for per_chunk in (1, 7, 300):
+        monkeypatch.setattr(capacity, "_FFT_LATTICE_POINTS", per_chunk * points)
+        rows[per_chunk] = scen.build_link_model(current).moments
+    for per_chunk in (7, 300):
+        np.testing.assert_array_equal(rows[per_chunk], rows[1])
+    parts = oracles.link_parts(current)
+    amplitudes = np.stack([parts.config.amplitudes_v, parts.config.amplitudes_h])
+    draws = np.stack([ris.random_phases(elements, 5 + d) for d in range(300)])
+    np.testing.assert_array_equal(
+        capacity.expected_gram_moments(amplitudes, draws, parts.pm, parts.stats), rows[1]
+    )
 
 
 def test_random_phase_row_draws_each_seed_once(monkeypatch):
@@ -387,7 +400,18 @@ def test_cli_capacity_smoke(capsys):
 def test_cli_capacity_rejects_zero_trials(capsys):
     rc = cli.main(["capacity", "--elements", "16", "--trials", "0"])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["trials", "random_phase_draws"])
+def test_counts_are_rejected_when_parsed(field):
+    # a count below 1 fails when the scenario is made, naming the field
+    for value in (0, -3):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            scen.parse_overrides(scen.Scenario(), {field: str(value)})
+    assert getattr(scen.Scenario(**{field: 1}), field) == 1
 
 
 def test_cli_threshold_prints_value(capsys):
@@ -468,13 +492,6 @@ def test_scenario_config_file_round_trip(tmp_path):
         scen.parse_overrides(scen.Scenario(), {"element": "25"})
     with pytest.raises(ValueError):
         scen.parse_overrides(scen.Scenario(), {"workers": "2"})
-
-
-def test_normalize_unit_ov_sets_quality_to_one():
-    base = scen.Scenario(elements=16)
-    normalized = scen.normalize_unit_ov(base)
-    model = scen.build_link_model(normalized)
-    assert model.o_v == pytest.approx(1.0, rel=1e-9)
 
 
 def test_import_leaves_numpy_fft_unloaded():
