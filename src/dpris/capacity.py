@@ -1,19 +1,27 @@
 """Ergodic capacity of the dual-polarized link and its closed forms.
 
-The 2x2 equivalent channel G collapses the per-element vectors:
+One weighted surface vector per polarization carries the whole surface
+side of the link: s_P = A_P * b * w, with A_P the reflection amplitudes,
+b the feed coefficients and w = sqrt(beta0 d^-alpha) the pathloss weights,
+stacked as a (2, N) ``surface`` array.  Under phases theta_P the 2x2
+equivalent channel G collapses the per-element vectors through
+u_P = e^{j theta_P} * s_P:
 
-    G = [[h_vv . (Gamma_v * b_v),  h_vh . (Gamma_h * b_h)],
-         [h_hv . (Gamma_v * b_v),  h_hh . (Gamma_h * b_h)]]
+    G = [[h_vv . u_V,  h_vh . u_H],
+         [h_hv . u_V,  h_hh . u_H]]
 
-Each entry is a linear functional of a different fading block, and the
-four blocks are independent zero-mean circular Gaussian vectors.  A linear
-functional of such a vector is circular Gaussian with the matching
-quadratic form as its variance, so the entries of G are independent with
-G_ij ~ CN(0, m_ij).  The second moments m = (m11, m12, m21, m22) are the
-exact law of G, not an approximation, and they are all the estimators and
-bounds here consume: ``expected_gram_moments`` turns a stream of D phase
-draws into a (D, 4) array, running the draws through the surface FFT a
-chunk at a time in buffers it allocates once.
+where the fading blocks h share the spatial correlation R and, the
+pathloss being in s, carry the power 1 - l (co-polarized) or l
+(cross-polarized).  Each entry is a linear functional of a different
+fading block, and the four blocks are independent zero-mean circular
+Gaussian vectors.  A linear functional of such a vector is circular
+Gaussian with the matching quadratic form as its variance, so the entries
+of G are independent with G_ij ~ CN(0, m_ij).  The second moments
+m = (m11, m12, m21, m22) are the exact law of G, not an approximation, and
+they are all the estimators and bounds here consume:
+``expected_gram_moments`` turns a stream of D phase draws into a (D, 4)
+array, running the draws through the surface FFT a chunk at a time in
+buffers it allocates once.
 
 A moment array of shape (4,) describes one configuration; one of shape
 (D, 4) describes an ensemble of D random phase draws.  The moment bound
@@ -29,7 +37,7 @@ Trials come in fixed-size chunks, each from its own stream keyed by the
 master seed and the chunk index, so results are bitwise reproducible.
 
 Under the aligning phases the moments collapse to
-((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms
+((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
 
     O = sum_{n1,n2} A_n1 A_n2 |b_n1||b_n2| R(n1,n2) beta0
         sqrt(d_n1^-a d_n2^-a),
@@ -45,18 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .channel import ChannelStatistics
 from .exceptions import ModelInconsistencyError
-from .feed import PropagationMatrix
 
 _LN2 = np.log(2.0)
 #: Lattice points held by the four buffers of one ``expected_gram_moments``
 #: call, which a chunk of c draws fills with c * 16N: 2N phases, 2N phasors,
-#: 4N in the FFT stage and 8N in the spectrum (at least one draw).  The
+#: 4N in the FFT stage and 8N in the transform (at least one draw).  The
 #: buffers are allocated once per call and reused by every chunk.  The
 #: 1000-draw N = 400 row, built in-process on one core (medians of six
 #: alternations), takes 91 ms with fresh buffers for each 2-draw chunk, 75 ms
@@ -231,65 +237,59 @@ def single_pol_moment_bound(moments: np.ndarray, budget: LinkBudget) -> float:
     return float(np.mean(np.log1p(budget.snr * m11) / _LN2))
 
 
-def compute_O(
-    amplitudes: np.ndarray, pm: PropagationMatrix, stats: ChannelStatistics
-) -> np.ndarray:
-    """Quadratic form v^T R v with v_n = A_n |b_n| sqrt(beta0 d_n^-alpha);
-    the maximized per-polarization received-power quantity.  Amplitudes
-    of shape (..., N) give one form per vector, through the FFT code that
-    ``expected_gram_moments`` runs its chunks through.
+def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Quadratic form |s|^T R |s| of each surface vector along the last
+    axis, |s_n| = A_n |b_n| sqrt(beta0 d_n^-alpha): the maximized
+    per-polarization received-power quantity, through the FFT code that
+    ``expected_gram_moments`` runs its chunks through.  ``spectrum`` is the
+    lag-kernel spectrum S of ``channel.kernel_spectrum``.
 
-    With v zero-padded to the (2 rows) x (2 cols) lattice of the lag-kernel
-    spectrum S (see ``channel``), v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
+    With v zero-padded to the (2 rows) x (2 cols) lattice of S,
+    v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
     That is exact: grid lags lie in (-rows, rows) x (-cols, cols), so no
     circular lag between two grid points wraps, and the circulant matrix
     of S restricted to the grid is R entry for entry.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    n = amplitudes.shape[-1]
-    if n != pm.element_count or n != stats.element_count:
-        raise ValueError("amplitude, propagation and statistics sizes disagree")
-    return _surface_quadforms(amplitudes * np.abs(pm.shared) * stats.weights, stats)
+    return _surface_quadforms(np.abs(surface), spectrum)
 
 
 def expected_gram_moments(
-    amplitudes: np.ndarray,
+    surface: np.ndarray,
     phases: Iterable[np.ndarray],
-    pm: PropagationMatrix,
-    stats: ChannelStatistics,
+    spectrum: np.ndarray,
+    xpd_coeff: float,
 ) -> np.ndarray:
     """Exact second moments (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2) of G
     under each of D phase draws, shape (D, 4), from the channel's
     second-order model.
 
-    ``amplitudes`` stacks the (V, H) reflection amplitudes, shape (2, N),
+    ``surface`` stacks the (V, H) weighted surface vectors, shape (2, N),
     and each draw the (V, H) phases, shape (2, N); ``phases`` is read
     lazily, so a generator of draws is never held whole.  The moments
-    scale q_P = u_P^H W R W u_P, with u_P = Gamma_P b_P and
-    W = diag sqrt(beta0 d^-alpha), by 1 - l or l, every q exact as in
-    ``compute_O``.  Draws go through the FFT a chunk at a time, in four
-    buffers (phases, phasors, FFT stage, spectrum) allocated once per call;
-    a draw's moments do not depend on the chunk it falls in.  Under the
-    aligning phases they collapse to ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
+    scale q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P, by 1 - l or l,
+    every q exact as in ``compute_O``.  Draws go through the FFT a chunk
+    at a time, in four buffers (phases, phasors, FFT stage, transform)
+    allocated once per call; a draw's moments do not depend on the chunk
+    it falls in.  Under the aligning phases they collapse to
+    ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    n = stats.element_count
-    if amplitudes.shape != (2, n) or pm.element_count != n:
-        raise ValueError("amplitude, propagation and statistics sizes disagree")
-    copol = np.stack([pm.copol_v, pm.copol_h])
-    lattice = stats.kernel_spectrum.shape
+    n = surface.shape[-1]
+    rows, cols = spectrum.shape
     size = max(1, _FFT_LATTICE_POINTS // (16 * n))
     phase = np.empty((size, 2, n))
     phasor = np.empty((size, 2, n), dtype=complex)
-    stage = np.empty((size, 2, lattice[0] // 2, lattice[1]), dtype=complex)
-    spectrum = np.empty((size, 2) + lattice, dtype=complex)
+    stage = np.empty((size, 2, rows // 2, cols), dtype=complex)
+    transform = np.empty((size, 2, rows, cols), dtype=complex)
     draws = iter(phases)
     q = []
     while True:
         k = 0
         for draw in islice(draws, size):
-            if np.shape(draw) != (2, n):
-                raise ValueError(f"phase draws must have shape (2, {n}), got {np.shape(draw)}")
+            if np.shape(draw) != surface.shape:
+                raise ValueError(
+                    f"phase draws must have the surface's shape {surface.shape}, "
+                    f"got {np.shape(draw)}"
+                )
             phase[k] = draw
             k += 1
         if k == 0:
@@ -297,14 +297,11 @@ def expected_gram_moments(
         u = phasor[:k]
         np.cos(phase[:k], out=u.real)
         np.sin(phase[:k], out=u.imag)
-        # this order of products fixes the rounding of every moment
-        u *= amplitudes
-        u *= copol
-        u *= stats.weights
-        q.append(_surface_quadforms(u, stats, stage[:k], spectrum[:k]))
+        u *= surface
+        q.append(_surface_quadforms(u, spectrum, stage[:k], transform[:k]))
     if not q:
         raise ValueError("expected at least one phase draw")
-    return moment_layout(np.concatenate(q).T, stats.xpd_coeff)
+    return moment_layout(np.concatenate(q).T, xpd_coeff)
 
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
@@ -363,44 +360,31 @@ def xpd_threshold(o_v: float, o_h: float, budget: LinkBudget) -> float:
     return float(root)
 
 
-def multiplexing_gain(snr_values: Sequence[float], capacities: Sequence[float]) -> float:
-    """Least-squares slope of capacity against log2(snr) over a high-SNR
-    window (every point must have snr >= 1e4; at least two points)."""
-    snr = np.asarray(snr_values, dtype=float)
-    cap = np.asarray(capacities, dtype=float)
-    if snr.shape != cap.shape or snr.size < 2:
-        raise ValueError("need at least two matching (snr, capacity) points")
-    if np.any(snr < 1e4):
-        raise ValueError("multiplexing slope is defined on the high-SNR window (snr >= 1e4)")
-    slope, _ = np.polyfit(np.log2(snr), cap, 1)
-    return float(slope)
-
-
 def _surface_quadforms(
     vectors: np.ndarray,
-    stats: ChannelStatistics,
+    spectrum: np.ndarray,
     stage: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
+    transform: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Re(u^H R u) for each weighted row-major grid vector u along the last
-    axis of ``vectors`` (see ``compute_O``).
+    """Re(u^H R u) for each row-major grid vector u along the last axis of
+    ``vectors``, R the correlation whose lag-kernel spectrum is
+    ``spectrum`` (see ``compute_O``).
 
     FFT2 over the lattice runs one axis at a time, as ``np.fft.fft2`` does:
     along the columns into ``stage``, shape (..., rows, 2 cols), then along
-    the rows into ``spectrum``, shape (..., 2 rows, 2 cols), both complex
-    and allocated when not given.  |spectrum|^2 is formed in the spent
+    the rows into ``transform``, shape (..., 2 rows, 2 cols), both complex
+    and allocated when not given.  |transform|^2 is formed in the spent
     stage buffer, which holds exactly as many reals.
     """
-    kernel = stats.kernel_spectrum
-    rows, cols = kernel.shape
+    rows, cols = spectrum.shape
     grid = vectors.reshape(vectors.shape[:-1] + (rows // 2, cols // 2))
     stage = np.fft.fft(grid, n=cols, axis=-1, out=stage)
-    spectrum = np.fft.fft(stage, n=rows, axis=-2, out=spectrum)
-    power = stage.view(float).reshape(spectrum.shape)
-    np.square(spectrum.real, out=power)
-    power += np.square(spectrum.imag, out=spectrum.imag)
-    power *= kernel
-    return power.sum(axis=(-2, -1)) / kernel.size
+    transform = np.fft.fft(stage, n=rows, axis=-2, out=transform)
+    power = stage.view(float).reshape(transform.shape)
+    np.square(transform.real, out=power)
+    power += np.square(transform.imag, out=transform.imag)
+    power *= spectrum
+    return power.sum(axis=(-2, -1)) / spectrum.size
 
 
 def _moment_rows(moments: np.ndarray) -> np.ndarray:

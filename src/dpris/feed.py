@@ -7,9 +7,13 @@ carrier phase accumulated over the feed distance:
 
     b_n = sqrt(G_n * A_n / (4 pi D_n^2)) * exp(-j 2 pi D_n / lambda)
 
-The co-polarized vectors are this shared coefficient rotated by the fixed
-per-polarization feed phase; cross-polarized feeding is zero because the
-line-of-sight hop preserves polarization.
+Both polarizations are fed by this one coefficient; cross-polarized
+feeding is zero because the line-of-sight hop preserves polarization.  A
+fixed feeding phase per polarization would rotate a whole polarization's
+surface vector by a constant, which cancels in every quadratic form the
+link reports, so the feed carries none.  ``scenario.build_link_model``
+multiplies b into the surface vector once, with the reflection amplitudes
+and the pathloss weights.
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ class FeedSpec:
 
     ``gain`` is the linear boresight gain (kappa >= 2, so the pattern
     exponent kappa/2 - 1 is non-negative and the hemisphere integral is
-    finite).  ``copol_phase_v`` / ``copol_phase_h`` are the fixed feeding
-    phases of the two polarizations, radians.
+    finite).
     """
 
     position: np.ndarray
     boresight: np.ndarray
     gain: float
-    copol_phase_v: float = 0.0
-    copol_phase_h: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
@@ -62,25 +63,6 @@ def boresight_from_angles(eta: float, beta: float, gamma: float) -> np.ndarray:
     return n / norm
 
 
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """Feed-to-surface coefficients.
-
-    ``shared`` holds the per-element coefficients b_n; the co-polarized
-    vectors differ from it only by the constant feeding phases, so their
-    magnitudes coincide.  Cross-polarized blocks are identically zero and
-    therefore not stored.
-    """
-
-    shared: np.ndarray
-    copol_v: np.ndarray
-    copol_h: np.ndarray
-
-    @property
-    def element_count(self) -> int:
-        return self.shared.shape[0]
-
-
 def feed_gains(feed: FeedSpec, directions: np.ndarray) -> np.ndarray:
     """Vectorized pattern over rows of unit directions."""
     dots = np.asarray(directions, dtype=float) @ feed.boresight
@@ -88,8 +70,8 @@ def feed_gains(feed: FeedSpec, directions: np.ndarray) -> np.ndarray:
     return np.where(dots < 0.0, 0.0, feed.gain * front ** (feed.gain / 2.0 - 1.0))
 
 
-def build_propagation_matrix(geometry: RisGeometry, feed: FeedSpec) -> PropagationMatrix:
-    """All-element coefficients with the co-polarization phases applied.
+def build_propagation_matrix(geometry: RisGeometry, feed: FeedSpec) -> np.ndarray:
+    """Read-only feed coefficients b_n of every element, shape (N,).
 
     Raises DegenerateGeometryError when an element's projected aperture
     toward the feed is non-positive (feed in the surface plane or behind
@@ -108,16 +90,13 @@ def build_propagation_matrix(geometry: RisGeometry, feed: FeedSpec) -> Propagati
         )
     gains = feed_gains(feed, -delta / distances[:, None])
     magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
-    shared = magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
-    shared.setflags(write=False)
-    copol_v = np.exp(1j * feed.copol_phase_v) * shared
-    copol_h = np.exp(1j * feed.copol_phase_h) * shared
-    copol_v.setflags(write=False)
-    copol_h.setflags(write=False)
-    return PropagationMatrix(shared=shared, copol_v=copol_v, copol_h=copol_h)
+    b = magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
+    b.setflags(write=False)
+    return b
 
 
-def captured_power_fraction(pm: PropagationMatrix) -> float:
+def captured_power_fraction(b: np.ndarray) -> float:
     """Fraction of the radiated feed power intercepted by the surface,
-    sum of |b_n|^2; bounded by 1 by energy conservation."""
-    return float(np.sum(np.abs(pm.shared) ** 2))
+    sum of |b_n|^2 over the feed coefficients; bounded by 1 by energy
+    conservation."""
+    return float(np.sum(np.abs(b) ** 2))

@@ -1,12 +1,13 @@
 """Per-element reflection coefficients: the angle-dependent amplitude map
 and the seeded random phase draw.
 
-The aligning schemes need no phases: their moments follow from the
-amplitudes alone, through O_V and O_H (see ``capacity``).  Phases are drawn
-only for the random scheme, whose moments depend on them: draw d is
+The amplitudes are one factor of the weighted surface vector
+s_P = A_P * b * w that ``scenario.build_link_model`` forms once per link.
+The aligning schemes need no phases: their moments follow from s alone,
+through O_V and O_H (see ``capacity``).  Phases are drawn only for the
+random scheme, whose moments depend on them: draw d is
 ``random_phases(N, seed + d)``, a (2, N) array that
-``capacity.expected_gram_moments`` turns into reflection coefficients
-together with the (2, N) amplitudes.
+``capacity.expected_gram_moments`` turns into the vectors e^{j theta} * s.
 """
 
 from __future__ import annotations

@@ -5,7 +5,13 @@ element pitch, -96 dBm noise, -49.7 dB unit pathloss, exponent 4, feed at
 
 Scenarios are plain data: text config files and CLI overrides map onto the
 same field names, dB/dBm fields carry explicit suffixes, and angles cross
-this boundary in degrees only.
+this boundary in degrees only.  A scenario is checked when it is made: a
+bad value fails there, with an error that names the field.
+
+``build_link_model`` expands a scenario into the one weighted surface
+vector per polarization, s_P = A_P * b * w (reflection amplitudes, feed
+coefficients, pathloss weights), a read-only (2, N) array, and reads every
+moment of the link from it.
 """
 
 from __future__ import annotations
@@ -42,8 +48,6 @@ class Scenario:
     feed_azimuth_deg: float = 180.0
     feed_gain_db: float = 10.0
     boresight_deg: str = "0,90,90"  # "eta,beta,gamma" in degrees, or "origin"
-    copol_phase_v_deg: float = 90.0
-    copol_phase_h_deg: float = 45.0
     ue_r_m: float = 50.0
     ue_zenith_deg: float = 60.0
     ue_azimuth_deg: float = 0.0
@@ -69,6 +73,12 @@ class Scenario:
         for name in ("trials", "random_phase_draws"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if not 0.0 <= self.xpd_coeff <= 1.0:
+            raise ValueError(f"xpd_coeff must lie in [0, 1], got {self.xpd_coeff!r}")
 
     def replace(self, **changes) -> "Scenario":
         return dataclasses.replace(self, **changes)
@@ -90,21 +100,21 @@ def parse_overrides(scenario: Scenario, pairs: dict[str, str]) -> Scenario:
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in ("elements", "trials", "master_seed", "random_phase_draws", "phase_seed"):
-        return int(raw)
-    if key in (
-        "boresight_deg",
-        "incidence_convention",
-        "phase_scheme",
-        "allocation",
-    ):
+    if key in ("boresight_deg", "incidence_convention", "phase_scheme", "allocation"):
         return raw
-    if key == "snr_db":
-        return None if raw.lower() in ("", "none") else float(raw)
-    return float(raw)
+    if key == "snr_db" and raw.lower() in ("", "none"):
+        return None
+    integral = key in ("elements", "trials", "master_seed", "random_phase_draws", "phase_seed")
+    try:
+        return int(raw) if integral else float(raw)
+    except ValueError:
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
 
 
 def grid_shape(scenario: Scenario) -> tuple[int, int]:
+    if scenario.elements < 1:
+        raise ValueError(f"elements must be at least 1, got {scenario.elements!r}")
     side = math.isqrt(int(scenario.elements))
     if side * side != scenario.elements:
         raise ValueError(
@@ -153,8 +163,6 @@ def build_feed(scenario: Scenario) -> feed.FeedSpec:
         position=position,
         boresight=boresight,
         gain=db_to_linear(scenario.feed_gain_db),
-        copol_phase_v=np.deg2rad(scenario.copol_phase_v_deg),
-        copol_phase_h=np.deg2rad(scenario.copol_phase_h_deg),
     )
 
 
@@ -185,8 +193,8 @@ class LinkModel:
     bound of the point reads: shape (4,), built from O_V and O_H, for the
     aligning schemes, or (D, 4) for the random scheme's D seeded phase
     draws.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
-    amplitudes, whatever the phases; the optimal split, the threshold and
-    the unit-O_V normalization read them.
+    surface vectors, whatever the phases; the optimal split and the
+    threshold read them.
     """
 
     budget: capacity.LinkBudget
@@ -204,28 +212,29 @@ def build_link_model(scenario: Scenario) -> LinkModel:
         )
     geo = build_geometry(scenario)
     fd = build_feed(scenario)
-    pm = feed.build_propagation_matrix(geo, fd)
-    a_v, a_h = ris.element_amplitudes(
-        geo, fd, build_amplitude_model(scenario), tau_convention(scenario)
+    b = feed.build_propagation_matrix(geo, fd)
+    amplitudes = np.stack(
+        ris.element_amplitudes(geo, fd, build_amplitude_model(scenario), tau_convention(scenario))
     )
-    stats = channel.build_channel_statistics(
+    weights = channel.pathloss_weights(
         geo,
         ue_position(scenario),
         unit_pathloss=db_to_linear(scenario.beta0_db),
         pathloss_exponent=scenario.pathloss_exponent,
-        xpd_coeff=scenario.xpd_coeff,
     )
-    amplitudes = np.stack([a_v, a_h])
-    o = capacity.compute_O(amplitudes, pm, stats)
+    surface = amplitudes * b * weights
+    surface.setflags(write=False)
+    spectrum = channel.kernel_spectrum(geo)
+    o = capacity.compute_O(surface, spectrum)
     if scenario.phase_scheme == "random":
         draws = (
             ris.random_phases(geo.element_count, scenario.phase_seed + d)
             for d in range(scenario.random_phase_draws)
         )
-        moments = capacity.expected_gram_moments(amplitudes, draws, pm, stats)
+        moments = capacity.expected_gram_moments(surface, draws, spectrum, scenario.xpd_coeff)
     else:
         # the aligning phases collapse the moments to O_V and O_H
-        moments = capacity.moment_layout(o, stats.xpd_coeff)
+        moments = capacity.moment_layout(o, scenario.xpd_coeff)
     return LinkModel(
         budget=link_budget(scenario), o_v=float(o[0]), o_h=float(o[1]), moments=moments
     )

@@ -10,6 +10,7 @@ byte except the runtime column.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field
 
@@ -120,7 +121,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def write_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    """Provenance lines, then the table; a cell holding a comma, such as a
+    failure message, is quoted, and every other cell is written as is."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("# dpris sweep\n")
         handle.write(f"# axis={result.spec.axis}\n")
         handle.write(f"# grid={_join(result.spec.grid)}\n")
@@ -129,9 +132,10 @@ def write_csv(result: SweepResult, path: str) -> None:
         handle.write(f"# outputs={','.join(result.spec.outputs)}\n")
         for key, value in sorted(result.spec.base.as_dict().items()):
             handle.write(f"# {key}={_format(value)}\n")
-        handle.write(",".join(result.columns) + "\n")
+        table = csv.writer(handle, lineterminator="\n")
+        table.writerow(result.columns)
         for row in result.rows:
-            handle.write(",".join(_format_cell(row.get(c), c) for c in result.columns) + "\n")
+            table.writerow([_format_cell(row.get(c), c) for c in result.columns])
 
 
 def gnuplot_script(result: SweepResult, csv_path: str) -> str:

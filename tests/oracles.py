@@ -3,8 +3,11 @@
 The dense N x N sinc correlation matrix is built from element positions;
 the package holds only the spectrum of its lag kernel.  The full-vector
 channel sampler draws every element's fading through a factor of that
-matrix; the package's Monte Carlo draws only the 2x2 law of the
-equivalent channel.  The scalar determinant forms
+matrix and forms G from the feed coefficients and the reflection
+coefficients apart; the package's Monte Carlo draws only the 2x2 law of
+the equivalent channel, whose moments it reads from one weighted surface
+vector per polarization, amplitudes times feed coefficients times pathloss
+weights.  The scalar determinant forms
 expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
 independent route to the package's |det G|^2 form.  The per-element
 scalar twins (incidence decomposition, feed pattern, spherical-wave
@@ -18,9 +21,10 @@ phase-maximized closed forms in O_V and O_H are the references for the
 package's moment bounds at aligned moments, and the aligning phases, which
 the package never builds, are the references for its moments built from
 O_V and O_H.  ``link_parts`` rebuilds
-the module objects a scenario expands into from the package's public
-builders; the package's link model keeps only what its outputs read.  The
-hemisphere quadrature checks that the feed pattern integrates to 4 pi.
+the factors a scenario expands into from the package's public builders;
+the package's link model keeps only what its outputs read.  The
+hemisphere quadrature checks that the feed pattern integrates to 4 pi, and
+``multiplexing_gain`` reads the high-SNR slope of a capacity curve.
 """
 
 from __future__ import annotations
@@ -115,15 +119,20 @@ class ChannelSample:
     h_hh: np.ndarray
 
 
-def pathloss(stats) -> np.ndarray:
-    """Per-element co- and cross-polarized pathloss, shape (2, N):
-    beta0 d_n^-alpha (1 - l) and beta0 d_n^-alpha l."""
-    base = stats.weights**2
-    return np.stack([base * (1.0 - stats.xpd_coeff), base * stats.xpd_coeff])
+def pathloss(weights: np.ndarray, xpd_coeff: float) -> np.ndarray:
+    """Per-element co- and cross-polarized pathloss, shape (2, N), from the
+    weights sqrt(beta0 d_n^-alpha): beta0 d_n^-alpha (1 - l) and
+    beta0 d_n^-alpha l."""
+    base = weights**2
+    return np.stack([base * (1.0 - xpd_coeff), base * xpd_coeff])
 
 
 def sample_channel(
-    stats, geometry, rng: np.random.Generator, trials: int | None = None
+    weights: np.ndarray,
+    xpd_coeff: float,
+    geometry,
+    rng: np.random.Generator,
+    trials: int | None = None,
 ) -> ChannelSample:
     """Draw one fading realization, or ``trials`` of them in one batch.
 
@@ -132,11 +141,12 @@ def sample_channel(
     ``geometry``, w = (g1 + j g2) / sqrt(2) and the four blocks independent.
     """
     factor = correlation_sqrt(correlation_matrix(geometry))
-    shape = (stats.element_count, 4) if trials is None else (trials, stats.element_count, 4)
+    n = weights.shape[0]
+    shape = (n, 4) if trials is None else (trials, n, 4)
     real = rng.standard_normal(shape)
     imag = rng.standard_normal(shape)
     correlated = factor @ ((real + 1j * imag) / np.sqrt(2.0))
-    amp_co, amp_cross = np.sqrt(pathloss(stats))
+    amp_co, amp_cross = np.sqrt(pathloss(weights, xpd_coeff))
     return ChannelSample(
         h_vv=amp_co * correlated[..., 0],
         h_vh=amp_cross * correlated[..., 1],
@@ -149,8 +159,9 @@ def sample_channel(
 class RisConfiguration:
     """One phase configuration: per-element, per-polarization reflection
     amplitudes in [0, 1] and phases, each of shape (N,).  The package
-    holds the amplitudes as a (2, N) stack and the phases as a stream of
-    (2, N) draws; ``moments`` passes them to it in that form."""
+    holds the amplitudes inside the (2, N) weighted surface vector and the
+    phases as a stream of (2, N) draws; ``moments`` passes them to it in
+    that form."""
 
     amplitudes_v: np.ndarray
     amplitudes_h: np.ndarray
@@ -181,22 +192,30 @@ class RisConfiguration:
         """Complex H-polarization reflection coefficients."""
         return self.amplitudes_h * (np.cos(self.phases_h) + 1j * np.sin(self.phases_h))
 
-    def moments(self, pm, stats) -> np.ndarray:
-        """The package's second moments of G under this configuration,
-        shape (4,)."""
-        amplitudes = np.stack([self.amplitudes_v, self.amplitudes_h])
+    def surface(self, parts) -> np.ndarray:
+        """The (2, N) weighted surface vectors of these amplitudes on the
+        link ``parts`` (see ``link_parts``), formed as
+        ``scenario.build_link_model`` forms them."""
+        return np.stack([self.amplitudes_v, self.amplitudes_h]) * parts.b * parts.weights
+
+    def moments(self, parts) -> np.ndarray:
+        """The package's second moments of G under this configuration on
+        the link ``parts``, shape (4,)."""
         draw = np.stack([self.phases_v, self.phases_h])
-        return capacity.expected_gram_moments(amplitudes, [draw], pm, stats)[0]
+        return capacity.expected_gram_moments(
+            self.surface(parts), [draw], parts.spectrum, parts.xpd_coeff
+        )[0]
 
 
-def equivalent_channel(sample: ChannelSample, config, pm) -> np.ndarray:
-    """Collapse fading samples to 2x2 equivalent channels, shape (..., 2, 2);
-    rows index the UE polarization (V, H), columns the feed's."""
+def equivalent_channel(sample: ChannelSample, config, b: np.ndarray) -> np.ndarray:
+    """Collapse fading samples to 2x2 equivalent channels under the feed
+    coefficients ``b``, shape (..., 2, 2); rows index the UE polarization
+    (V, H), columns the feed's."""
     n = config.element_count
-    if pm.element_count != n or sample.h_vv.shape[-1] != n:
-        raise ValueError("sample, configuration and propagation sizes disagree")
-    u_v = config.gamma_v * pm.copol_v
-    u_h = config.gamma_h * pm.copol_h
+    if b.shape != (n,) or sample.h_vv.shape[-1] != n:
+        raise ValueError("sample, configuration and feed sizes disagree")
+    u_v = config.gamma_v * b
+    u_h = config.gamma_h * b
     top = np.stack([sample.h_vv @ u_v, sample.h_vh @ u_h], axis=-1)
     bottom = np.stack([sample.h_hv @ u_v, sample.h_hh @ u_h], axis=-1)
     return np.stack([top, bottom], axis=-2)
@@ -224,12 +243,13 @@ def log2_det2(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
     return np.log1p(det2_shift(g, lambda_v, lambda_h, snr)) / LN2
 
 
-def full_vector_mc(stats, geometry, config, pm, allocation, budget, trials: int, seed: int):
-    """Estimate and standard error of the ergodic capacity from full
-    per-element draws; ``allocation=None`` gives the all-V baseline
-    E log2(1 + rho |G11|^2)."""
-    sample = sample_channel(stats, geometry, np.random.default_rng(seed), trials)
-    g = equivalent_channel(sample, config, pm)
+def full_vector_mc(parts, allocation, budget, trials: int, seed: int):
+    """Estimate and standard error of the ergodic capacity of the link
+    ``parts`` under its configuration, from full per-element draws;
+    ``allocation=None`` gives the all-V baseline E log2(1 + rho |G11|^2)."""
+    rng = np.random.default_rng(seed)
+    sample = sample_channel(parts.weights, parts.xpd_coeff, parts.geometry, rng, trials)
+    g = equivalent_channel(sample, parts.config, parts.b)
     if allocation is None:
         values = np.log1p(budget.snr * _abs2(g[:, 0, 0])) / LN2
     else:
@@ -330,7 +350,7 @@ def random_row_per_draw(scenario, allocation):
             rng.uniform(0.0, 2.0 * np.pi, n),
             rng.uniform(0.0, 2.0 * np.pi, n),
         )
-        moments.append(config.moments(parts.pm, parts.stats))
+        moments.append(config.moments(parts))
     total = 0.0
     for m in moments:
         total += capacity.moment_upper_bound(m, allocation, budget)
@@ -386,29 +406,27 @@ def optimal_phases(geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def aligned_phases(scheme: str, geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
-    """Phase vectors of an aligning scheme: ``optimal`` aligns every
-    element; ``optimal-with-adjustment`` additionally subtracts the
-    per-polarization feeding phases (a constant offset per polarization)."""
-    phases_v, phases_h = optimal_phases(geometry, feed_spec)
-    if scheme == "optimal":
-        return phases_v, phases_h
-    if scheme == "optimal-with-adjustment":
-        return (
-            np.mod(phases_v - feed_spec.copol_phase_v, 2.0 * np.pi),
-            np.mod(phases_h - feed_spec.copol_phase_h, 2.0 * np.pi),
-        )
-    raise ValueError(f"{scheme!r} is not an aligning phase scheme")
+    """Phase vectors of an aligning scheme.  ``optimal`` aligns every
+    element; ``optimal-with-adjustment`` would also subtract a feeding
+    phase per polarization, a constant offset that cancels in every moment
+    and that the feed does not carry, so both schemes give these phases."""
+    if scheme not in ("optimal", "optimal-with-adjustment"):
+        raise ValueError(f"{scheme!r} is not an aligning phase scheme")
+    return optimal_phases(geometry, feed_spec)
 
 
 @dataclass(frozen=True)
 class LinkParts:
-    """The module objects a scenario expands into."""
+    """The factors a scenario expands into: feed coefficients ``b``,
+    pathloss ``weights`` and the lag-kernel ``spectrum``, with the
+    configuration of the scenario's phase scheme."""
 
     geometry: object
-    feed: object
-    pm: object
+    b: np.ndarray
     config: object
-    stats: object
+    weights: np.ndarray
+    spectrum: np.ndarray
+    xpd_coeff: float
 
 
 def link_parts(scenario) -> LinkParts:
@@ -424,20 +442,30 @@ def link_parts(scenario) -> LinkParts:
         phases_v, phases_h = ris.random_phases(geo.element_count, scenario.phase_seed)
     else:
         phases_v, phases_h = aligned_phases(scenario.phase_scheme, geo, fd)
-    stats = channel.build_channel_statistics(
-        geo,
-        scen.ue_position(scenario),
-        db_to_linear(scenario.beta0_db),
-        scenario.pathloss_exponent,
-        scenario.xpd_coeff,
-    )
+    ue = scen.ue_position(scenario)
+    unit_pathloss = db_to_linear(scenario.beta0_db)
+    weights = channel.pathloss_weights(geo, ue, unit_pathloss, scenario.pathloss_exponent)
     return LinkParts(
         geometry=geo,
-        feed=fd,
-        pm=feed.build_propagation_matrix(geo, fd),
+        b=feed.build_propagation_matrix(geo, fd),
         config=RisConfiguration(a_v, a_h, phases_v, phases_h),
-        stats=stats,
+        weights=weights,
+        spectrum=channel.kernel_spectrum(geo),
+        xpd_coeff=scenario.xpd_coeff,
     )
+
+
+def multiplexing_gain(snr_values, capacities) -> float:
+    """Least-squares slope of capacity against log2(snr) over a high-SNR
+    window (every point must have snr >= 1e4; at least two points)."""
+    snr = np.asarray(snr_values, dtype=float)
+    cap = np.asarray(capacities, dtype=float)
+    if snr.shape != cap.shape or snr.size < 2:
+        raise ValueError("need at least two matching (snr, capacity) points")
+    if np.any(snr < 1e4):
+        raise ValueError("multiplexing slope is defined on the high-SNR window (snr >= 1e4)")
+    slope, _ = np.polyfit(np.log2(snr), cap, 1)
+    return float(slope)
 
 
 def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:

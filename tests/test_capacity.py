@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, cli, feed, geometry, scenario as scen, sweep
+from dpris import capacity, channel, cli, geometry, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -25,15 +25,14 @@ def manual_sample(h_vv, h_vh, h_hv, h_hh):
     )
 
 
-def unit_pm(n):
-    ones = np.ones(n, dtype=complex)
-    return feed.PropagationMatrix(shared=ones, copol_v=ones, copol_h=ones)
+def unit_b(n):
+    return np.ones(n, dtype=complex)
 
 
 def moments_of(scenario):
     """Moments of G under the scenario's phases, from its rebuilt parts."""
     parts = oracles.link_parts(scenario)
-    return parts.config.moments(parts.pm, parts.stats)
+    return parts.config.moments(parts)
 
 
 def aligned_moments(o_v, o_h, xpd_coeff):
@@ -84,25 +83,26 @@ def test_link_budget_validation():
 
 def test_equivalent_channel_trivial_cases():
     g = oracles.equivalent_channel(
-        manual_sample([1 + 2j], [0], [0], [3j]), unit_config(1), unit_pm(1)
+        manual_sample([1 + 2j], [0], [0], [3j]), unit_config(1), unit_b(1)
     )
     assert g[0, 0] == 1 + 2j
     assert g[0, 1] == 0 and g[1, 0] == 0
     assert g[1, 1] == 3j
 
     zero_amp = oracles.equivalent_channel(
-        manual_sample([1], [1], [1], [1]), unit_config(1, amplitude=0.0), unit_pm(1)
+        manual_sample([1], [1], [1], [1]), unit_config(1, amplitude=0.0), unit_b(1)
     )
     assert np.all(zero_amp == 0.0)
 
     with pytest.raises(ValueError):
-        oracles.equivalent_channel(manual_sample([1], [1], [1], [1]), unit_config(2), unit_pm(2))
+        oracles.equivalent_channel(manual_sample([1], [1], [1], [1]), unit_config(2), unit_b(2))
 
 
 def test_equivalent_channel_matched_xpd_kills_cross_entries(table_scenario_16):
     parts = oracles.link_parts(table_scenario_16.replace(xpd_coeff=0.0))
-    sample = oracles.sample_channel(parts.stats, parts.geometry, np.random.default_rng(1))
-    g = oracles.equivalent_channel(sample, parts.config, parts.pm)
+    rng = np.random.default_rng(1)
+    sample = oracles.sample_channel(parts.weights, parts.xpd_coeff, parts.geometry, rng)
+    g = oracles.equivalent_channel(sample, parts.config, parts.b)
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[0, 0] != 0.0
 
@@ -144,8 +144,7 @@ def test_mc_rejects_bad_arguments(table_scenario_16):
         capacity.ergodic_capacity_mc(np.ones((2, 3)), equal, unit_budget(), 10, 1)
     # a kernel that is not positive semidefinite gives negative moments
     parts = oracles.link_parts(table_scenario_16)
-    stats = dataclasses.replace(parts.stats, kernel_spectrum=-parts.stats.kernel_spectrum)
-    moments = parts.config.moments(parts.pm, stats)
+    moments = parts.config.moments(dataclasses.replace(parts, spectrum=-parts.spectrum))
     with pytest.raises(ModelInconsistencyError) as excinfo:
         capacity.ergodic_capacity_mc(moments, equal, unit_budget(), 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
@@ -170,16 +169,7 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
         (mc.estimate, mc.standard_error, allocation),
         (mc.single_pol_estimate, mc.single_pol_standard_error, None),
     ):
-        estimate, se = oracles.full_vector_mc(
-            parts.stats,
-            parts.geometry,
-            parts.config,
-            parts.pm,
-            oracle_allocation,
-            budget,
-            trials,
-            seed=10,
-        )
+        estimate, se = oracles.full_vector_mc(parts, oracle_allocation, budget, trials, seed=10)
         assert abs(value - estimate) <= 4.0 * np.hypot(value_se, se)
     assert mc.estimate > 0.1
 
@@ -216,38 +206,24 @@ def test_moment_upper_bound_values():
 
 
 def test_compute_O_small_cases():
-    pm = unit_pm(1)
-    pm_half = feed.PropagationMatrix(
-        shared=np.array([0.5 + 0.0j]),
-        copol_v=np.array([0.5 + 0.0j]),
-        copol_h=np.array([0.5 + 0.0j]),
-    )
     # a 1x1 grid; a spectrum of ones is the identity kernel
-    stats = channel.ChannelStatistics(
-        xpd_coeff=0.2, weights=np.sqrt([2.0 / 4.0]), kernel_spectrum=np.ones((2, 2))
-    )
-    # N = 1: O = A^2 |b|^2 beta0 d^-alpha
-    assert capacity.compute_O(np.array([0.3]), pm_half, stats) == pytest.approx(
+    spectrum = np.ones((2, 2))
+    # N = 1: O = |s|^2 = A^2 |b|^2 beta0 d^-alpha
+    surface = np.array([0.3 * 0.5 * np.exp(0.7j) * np.sqrt(2.0 / 4.0)])
+    assert capacity.compute_O(surface, spectrum) == pytest.approx(
         0.3**2 * 0.25 * 2.0 / 4.0, rel=1e-12
     )
-    assert capacity.compute_O(np.array([1.0]), pm, stats) == pytest.approx(0.5, rel=1e-12)
+    assert capacity.compute_O(np.array([1j]), spectrum) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compute_O_identity_correlation_reduces_to_sum():
     rng = np.random.default_rng(8)
     n = 6
-    amplitudes = rng.uniform(0, 1, n)
-    shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    pm = feed.PropagationMatrix(shared=shared, copol_v=shared, copol_h=shared)
-    distances = rng.uniform(1, 10, n)
+    surface = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # a 1 x n grid; a spectrum of ones is the identity kernel
-    stats = channel.ChannelStatistics(
-        xpd_coeff=0.5,
-        weights=np.sqrt(1.3 * distances**-2.0),
-        kernel_spectrum=np.ones((2, 2 * n)),
-    )
-    expected = np.sum(amplitudes**2 * np.abs(shared) ** 2 * 1.3 * distances**-2.0)
-    assert capacity.compute_O(amplitudes, pm, stats) == pytest.approx(expected, rel=1e-12)
+    spectrum = np.ones((2, 2 * n))
+    expected = np.sum(np.abs(surface) ** 2)
+    assert capacity.compute_O(surface, spectrum) == pytest.approx(expected, rel=1e-12)
 
 
 def test_compute_O_matches_double_sum_oracle():
@@ -258,43 +234,35 @@ def test_compute_O_matches_double_sum_oracle():
         n = rows * cols
         geo = geometry.build_ris_grid(rows, cols, PITCH, WAVELENGTH)
         correlation = oracles.correlation_matrix(geo)
+        spectrum = channel.kernel_spectrum(geo)
         for _ in range(5):
             beta0, alpha, l = rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, 1.0)
             ue = np.array([rng.uniform(0.05, 2.0), *rng.uniform(-0.5, 0.5, 2)])
-            stats = channel.build_channel_statistics(geo, ue, beta0, alpha, l)
             distances = np.linalg.norm(ue - geo.element_positions, axis=1)
             weights = np.sqrt(beta0 * distances**-alpha)
-            amplitudes = rng.uniform(0, 1, n)
-            shared = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            pm = feed.PropagationMatrix(
-                shared=shared,
-                copol_v=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                copol_h=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            )
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             config = oracles.RisConfiguration(
-                amplitudes_v=amplitudes,
+                amplitudes_v=rng.uniform(0, 1, n),
                 amplitudes_h=rng.uniform(0, 1, n),
                 phases_v=rng.uniform(0, 2 * np.pi, n),
                 phases_h=rng.uniform(0, 2 * np.pi, n),
             )
+            surface = np.stack([config.amplitudes_v, config.amplitudes_h]) * b * weights
 
             def brute(u):
-                wu = weights * u
-                return float(np.sum(np.conj(wu)[:, None] * wu[None, :] * correlation).real)
+                return float(np.sum(np.conj(u)[:, None] * u[None, :] * correlation).real)
 
-            o = capacity.compute_O(amplitudes, pm, stats)
-            assert o == pytest.approx(brute(amplitudes * np.abs(shared)), rel=1e-12)
-            # a stack of amplitude vectors gives one form per vector
-            stacked = capacity.compute_O(np.stack([amplitudes, config.amplitudes_h]), pm, stats)
-            assert stacked.shape == (2,)
-            assert stacked[0] == pytest.approx(o, rel=1e-12)
-            assert stacked[1] == pytest.approx(
-                brute(config.amplitudes_h * np.abs(shared)), rel=1e-12
-            )
-            q_v = brute(config.gamma_v * pm.copol_v)
-            q_h = brute(config.gamma_h * pm.copol_h)
+            # a stack of surface vectors gives one form per vector
+            o = capacity.compute_O(surface, spectrum)
+            assert o.shape == (2,)
+            for amplitudes, value in zip(surface, o):
+                assert value == pytest.approx(brute(np.abs(amplitudes)), rel=1e-12)
+            assert capacity.compute_O(surface[1], spectrum) == pytest.approx(o[1], rel=1e-12)
+            q_v = brute(config.gamma_v * b * weights)
+            q_h = brute(config.gamma_h * b * weights)
+            draw = np.stack([config.phases_v, config.phases_h])
             np.testing.assert_allclose(
-                config.moments(pm, stats),
+                capacity.expected_gram_moments(surface, [draw], spectrum, l)[0],
                 [(1 - l) * q_v, l * q_h, l * q_v, (1 - l) * q_h],
                 rtol=1e-12,
             )
@@ -452,11 +420,11 @@ def test_xpd_threshold_error_paths():
 def test_multiplexing_gain_synthetic_and_errors():
     snr = np.array([1e4, 1e5, 1e6])
     caps = 2.0 * np.log2(1.0 + snr)
-    assert capacity.multiplexing_gain(snr, caps) == pytest.approx(2.0, abs=1e-3)
+    assert oracles.multiplexing_gain(snr, caps) == pytest.approx(2.0, abs=1e-3)
     with pytest.raises(ValueError):
-        capacity.multiplexing_gain([1e5], [10.0])
+        oracles.multiplexing_gain([1e5], [10.0])
     with pytest.raises(ValueError):
-        capacity.multiplexing_gain([10.0, 1e5], [1.0, 2.0])
+        oracles.multiplexing_gain([10.0, 1e5], [1.0, 2.0])
 
 
 def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):

@@ -14,10 +14,10 @@ BETA0 = db_to_linear(-49.7)
 UE_X = np.array([50.0, 0.0, 0.0])
 
 
-def stats_for(rows=4, cols=4, xpd=0.2, ue=UE_X, pitch=PITCH):
-    """Grid and its channel statistics."""
+def weights_for(rows=4, cols=4, ue=UE_X, pitch=PITCH):
+    """Grid and its pathloss weights toward the UE."""
     geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
-    return geo, channel.build_channel_statistics(geo, ue, BETA0, 4.0, xpd)
+    return geo, channel.pathloss_weights(geo, ue, BETA0, 4.0)
 
 
 def test_correlation_diagonal_and_zero_crossing():
@@ -44,8 +44,8 @@ def test_correlation_decays_with_spacing():
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)])
 @pytest.mark.parametrize("pitch", [PITCH, 0.5 * WAVELENGTH, 1.7 * WAVELENGTH])
 def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
-    geo, stats = stats_for(rows, cols, pitch=pitch)
-    spectrum = stats.kernel_spectrum
+    geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
+    spectrum = channel.kernel_spectrum(geo)
     assert spectrum.shape == (2 * rows, 2 * cols) and spectrum.dtype == float
     # the inverse FFT of S is the lag kernel; read at every pair's lag it
     # gives the dense matrix
@@ -57,16 +57,12 @@ def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
 
 
 def test_statistics_hold_no_quadratic_array():
-    _, stats = stats_for(32, 32)
-    n = stats.element_count
+    geo, weights = weights_for(32, 32)
+    n = geo.element_count
     assert n == 1024
-    for field in dataclasses.fields(stats):
-        value = getattr(stats, field.name)
-        if isinstance(value, np.ndarray):
-            assert value.size <= 4 * n, field.name
-    # the statistics and the link model hold what the outputs read, no more
-    names = [field.name for field in dataclasses.fields(channel.ChannelStatistics)]
-    assert names == ["xpd_coeff", "weights", "kernel_spectrum"]
+    assert weights.shape == (n,) and channel.kernel_spectrum(geo).size == 4 * n
+    assert not weights.flags.writeable
+    # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
     assert names == ["budget", "o_v", "o_h", "moments"]
 
@@ -105,53 +101,51 @@ def test_correlation_sqrt_rejects_bad_diagonal():
 def test_pathloss_extreme_xpd():
     # xpd 0 and 1 zero one block family of moments exactly; xpd 0.5 splits
     # the pathloss evenly
-    geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
-    pm = feed.build_propagation_matrix(geo, scen.build_feed(scen.Scenario()))
-    amplitudes = np.stack([np.full(4, 0.8), np.full(4, 0.5)])
+    geo, weights = weights_for(2, 2)
+    b = feed.build_propagation_matrix(geo, scen.build_feed(scen.Scenario()))
+    surface = np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights
+    o = capacity.compute_O(surface, channel.kernel_spectrum(geo))
     for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):
-        stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, xpd)
-        moments = capacity.moment_layout(capacity.compute_O(amplitudes, pm, stats), xpd)
+        moments = capacity.moment_layout(o, xpd)
         assert np.all(moments[zero] == 0.0)
         assert np.all(np.delete(moments, zero) > 0.0)
-    stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 0.5)
-    m11, m12, m21, m22 = capacity.moment_layout(capacity.compute_O(amplitudes, pm, stats), 0.5)
+    m11, m12, m21, m22 = capacity.moment_layout(o, 0.5)
     assert m11 == m21 and m12 == m22
-    co, cross = oracles.pathloss(stats)
+    co, cross = oracles.pathloss(weights, 0.5)
     np.testing.assert_array_equal(co, cross)
 
 
 def test_pathloss_reference_value():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    stats = channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 0.2)
-    assert stats.weights[0] == np.sqrt(BETA0 * 50.0**-4.0)
-    co, _ = oracles.pathloss(stats)
+    _, weights = weights_for(1, 1)
+    assert weights[0] == np.sqrt(BETA0 * 50.0**-4.0)
+    co, _ = oracles.pathloss(weights, 0.2)
     assert co[0] == pytest.approx(1.3715447107041362e-12, rel=1e-12)
 
 
 def test_pathloss_validation():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     with pytest.raises(ValueError):
-        channel.build_channel_statistics(geo, np.zeros(3), BETA0, 4.0, 0.2)
+        channel.pathloss_weights(geo, np.zeros(3), BETA0, 4.0)
+    with pytest.raises(ValueError, match="xpd_coeff"):
+        scen.Scenario(xpd_coeff=1.2)
     with pytest.raises(ValueError):
-        channel.build_channel_statistics(geo, UE_X, BETA0, 4.0, 1.2)
+        channel.pathloss_weights(geo, UE_X, BETA0, -1.0)
     with pytest.raises(ValueError):
-        channel.build_channel_statistics(geo, UE_X, BETA0, -1.0, 0.2)
-    with pytest.raises(ValueError):
-        channel.build_channel_statistics(geo, UE_X, -BETA0, 4.0, 0.2)
+        channel.pathloss_weights(geo, UE_X, -BETA0, 4.0)
 
 
 def test_sample_zero_cross_blocks_when_matched():
-    geo, stats = stats_for(xpd=0.0)
-    sample = oracles.sample_channel(stats, geo, np.random.default_rng(0))
+    geo, weights = weights_for()
+    sample = oracles.sample_channel(weights, 0.0, geo, np.random.default_rng(0))
     assert np.all(sample.h_vh == 0.0)
     assert np.all(sample.h_hv == 0.0)
     assert np.any(sample.h_vv != 0.0)
 
 
 def test_sample_determinism():
-    geo, stats = stats_for()
-    a = oracles.sample_channel(stats, geo, np.random.default_rng(42))
-    b = oracles.sample_channel(stats, geo, np.random.default_rng(42))
+    geo, weights = weights_for()
+    a = oracles.sample_channel(weights, 0.2, geo, np.random.default_rng(42))
+    b = oracles.sample_channel(weights, 0.2, geo, np.random.default_rng(42))
     np.testing.assert_array_equal(a.h_vv, b.h_vv)
     np.testing.assert_array_equal(a.h_hh, b.h_hh)
 
@@ -160,17 +154,17 @@ def test_sample_determinism():
 BATCH = 20_000
 
 
-def _accumulate(stats, geo, trials, seed):
+def _accumulate(weights, xpd, geo, trials, seed):
     """Running sums of per-element powers, the VV outer product, and the
     cross-block products, over independent batched draws."""
-    n = stats.element_count
+    n = weights.shape[0]
     power = np.zeros((4, n))
     outer_vv = np.zeros((n, n), dtype=complex)
     cross = np.zeros((3, n), dtype=complex)
     power_sq = np.zeros((4, n))
     rng = np.random.default_rng(seed)
     for start in range(0, trials, BATCH):
-        s = oracles.sample_channel(stats, geo, rng, min(BATCH, trials - start))
+        s = oracles.sample_channel(weights, xpd, geo, rng, min(BATCH, trials - start))
         blocks = (s.h_vv, s.h_vh, s.h_hv, s.h_hh)
         for k, h in enumerate(blocks):
             p = np.abs(h) ** 2
@@ -184,12 +178,12 @@ def _accumulate(stats, geo, trials, seed):
 
 
 def test_sample_moments_match_model():
-    geo, stats = stats_for()
+    geo, weights = weights_for()
     trials = 100_000
-    power, power_sq, outer_vv, cross = _accumulate(stats, geo, trials, seed=2024)
+    power, power_sq, outer_vv, cross = _accumulate(weights, 0.2, geo, trials, seed=2024)
 
     # per-element mean power within 3 standard errors of the pathloss
-    pathloss_co, pathloss_cross = oracles.pathloss(stats)
+    pathloss_co, pathloss_cross = oracles.pathloss(weights, 0.2)
     expected = np.stack([pathloss_co, pathloss_cross, pathloss_cross, pathloss_co])
     se = np.sqrt(np.maximum(power_sq - power**2, 0.0) / trials)
     assert np.all(np.abs(power - expected) <= 3.0 * se + 1e-30)
@@ -214,9 +208,9 @@ def test_sample_moments_match_model():
 
 @pytest.mark.parametrize("xpd", [0.2, 0.5, 0.8])
 def test_sample_xpd_identity(xpd):
-    geo, stats = stats_for(rows=2, cols=2, xpd=xpd)
+    geo, weights = weights_for(rows=2, cols=2)
     trials = 40_000
-    s = oracles.sample_channel(stats, geo, np.random.default_rng(77), trials)
+    s = oracles.sample_channel(weights, xpd, geo, np.random.default_rng(77), trials)
     ratio = np.sum(np.abs(s.h_hh) ** 2) / np.sum(np.abs(s.h_vh) ** 2)
     expected = (1.0 - xpd) / xpd
     assert ratio == pytest.approx(expected, rel=0.05)

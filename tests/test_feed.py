@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpris import feed, geometry
+from dpris import capacity, feed, geometry, ris, scenario as scen
 from dpris.exceptions import DegenerateGeometryError
 
 import oracles
@@ -11,14 +11,8 @@ ON_AXIS = np.array([-0.05, 0.0, 0.0])
 PLUS_X = np.array([1.0, 0.0, 0.0])
 
 
-def make_feed(gain=10.0, position=ON_AXIS, boresight=PLUS_X, phase_v=np.pi / 2, phase_h=np.pi / 4):
-    return feed.FeedSpec(
-        position=position,
-        boresight=boresight,
-        gain=gain,
-        copol_phase_v=phase_v,
-        copol_phase_h=phase_h,
-    )
+def make_feed(gain=10.0, position=ON_AXIS, boresight=PLUS_X):
+    return feed.FeedSpec(position=position, boresight=boresight, gain=gain)
 
 
 def random_front_directions(rng, count):
@@ -67,25 +61,25 @@ def test_boresight_from_angles():
 def test_nusw_on_axis_magnitude():
     # single broadside element: |b|^2 = kappa * s_R / (4 pi D^2)
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    value = feed.build_propagation_matrix(geo, make_feed()).shared[0]
+    value = feed.build_propagation_matrix(geo, make_feed())[0]
     assert abs(value) ** 2 == pytest.approx(4.6773869386451463e-3, rel=1e-12)
 
 
 def test_nusw_phase_tracks_distance():
     geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
     spec = make_feed()
-    pm = feed.build_propagation_matrix(geo, spec)
+    b = feed.build_propagation_matrix(geo, spec)
     distances = np.linalg.norm(spec.position[None, :] - geo.element_positions, axis=1)
     expected = np.exp(-2j * np.pi * distances / WAVELENGTH)
-    np.testing.assert_allclose(pm.shared / np.abs(pm.shared), expected, atol=1e-12)
+    np.testing.assert_allclose(b / np.abs(b), expected, atol=1e-12)
 
 
 def test_nusw_inverse_square_scaling():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     spec_near = make_feed(position=np.array([-0.05, 0.0, 0.0]))
     spec_far = make_feed(position=np.array([-0.15, 0.0, 0.0]))
-    near = abs(feed.build_propagation_matrix(geo, spec_near).shared[0]) ** 2
-    far = abs(feed.build_propagation_matrix(geo, spec_far).shared[0]) ** 2
+    near = abs(feed.build_propagation_matrix(geo, spec_near)[0]) ** 2
+    far = abs(feed.build_propagation_matrix(geo, spec_far)[0]) ** 2
     # broadside element, gain fixed at boresight: power scales as 1/D^2
     assert far == pytest.approx(near / 9.0, rel=1e-12)
 
@@ -101,10 +95,9 @@ def test_nusw_rejects_feed_behind_surface():
 def test_propagation_matrix_single_element_reduction():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
     spec = make_feed()
-    pm = feed.build_propagation_matrix(geo, spec)
-    b = oracles.nusw_coefficient(geo, spec, 0)
-    assert pm.copol_v[0] == pytest.approx(np.exp(1j * np.pi / 2) * b, rel=1e-12)
-    assert pm.copol_h[0] == pytest.approx(np.exp(1j * np.pi / 4) * b, rel=1e-12)
+    b = feed.build_propagation_matrix(geo, spec)
+    assert b.shape == (1,) and not b.flags.writeable
+    assert b[0] == pytest.approx(oracles.nusw_coefficient(geo, spec, 0), rel=1e-12)
 
 
 def test_propagation_matrix_matches_scalar_oracle():
@@ -116,30 +109,36 @@ def test_propagation_matrix_matches_scalar_oracle():
             gain=float(rng.uniform(2.0, 50.0)),
             position=np.array([-rng.uniform(0.01, 0.3), *rng.uniform(-0.1, 0.1, 2)]),
         )
-        pm = feed.build_propagation_matrix(geo, spec)
+        b = feed.build_propagation_matrix(geo, spec)
         for index in range(geo.element_count):
-            b = oracles.nusw_coefficient(geo, spec, index)
-            assert pm.shared[index] == pytest.approx(b, rel=1e-12)
+            assert b[index] == pytest.approx(oracles.nusw_coefficient(geo, spec, index), rel=1e-12)
 
 
-def test_propagation_matrix_phase_relations():
-    geo = geometry.build_ris_grid(3, 3, PITCH, WAVELENGTH)
-    equal = feed.build_propagation_matrix(geo, make_feed(phase_v=0.7, phase_h=0.7))
-    np.testing.assert_array_equal(equal.copol_v, equal.copol_h)
-    table = feed.build_propagation_matrix(geo, make_feed())
-    ratio = table.copol_v / table.copol_h
-    np.testing.assert_allclose(ratio, np.exp(1j * np.pi / 4), rtol=1e-12)
-    np.testing.assert_allclose(np.abs(table.copol_v), np.abs(table.shared), rtol=1e-12)
-    np.testing.assert_allclose(np.abs(table.copol_h), np.abs(table.shared), rtol=1e-12)
+def test_constant_polarization_phase_leaves_moments_unchanged():
+    # a fixed feeding phase per polarization rotates that polarization's
+    # surface vector by a constant, which cancels in every moment, aligned
+    # or under random phases; so the feed carries none
+    rotations = [(np.pi / 2, 0.0), (0.0, np.pi / 4), (np.pi / 2, np.pi / 4), (2.9, -1.3)]
+    for elements in (16, 400):
+        parts = oracles.link_parts(scen.Scenario(elements=elements, feed_zenith_deg=60.0))
+        surface = parts.config.surface(parts)
+        draws = np.stack([ris.random_phases(elements, seed) for seed in range(20)])
+
+        def moments(s):
+            o = capacity.compute_O(s, parts.spectrum)
+            aligned = capacity.moment_layout(o, parts.xpd_coeff)
+            random = capacity.expected_gram_moments(s, draws, parts.spectrum, parts.xpd_coeff)
+            return np.vstack([aligned, random])
+
+        reference = moments(surface)
+        assert np.all(reference > 0.0)
+        for phases in rotations:
+            rotated = surface * np.exp(1j * np.array(phases))[:, None]
+            np.testing.assert_allclose(moments(rotated), reference, rtol=1e-15, atol=0)
 
 
 def test_captured_power_fraction_empty_and_bounded():
-    empty = feed.PropagationMatrix(
-        shared=np.zeros(0, dtype=complex),
-        copol_v=np.zeros(0, dtype=complex),
-        copol_h=np.zeros(0, dtype=complex),
-    )
-    assert feed.captured_power_fraction(empty) == 0.0
+    assert feed.captured_power_fraction(np.zeros(0, dtype=complex)) == 0.0
     rng = np.random.default_rng(9)
     for _ in range(15):
         rows = int(rng.integers(1, 9))

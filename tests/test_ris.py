@@ -14,8 +14,6 @@ def table_feed(position, gain=10.0):
         position=np.asarray(position, dtype=float),
         boresight=np.array([1.0, 0.0, 0.0]),
         gain=gain,
-        copol_phase_v=np.pi / 2,
-        copol_phase_h=np.pi / 4,
     )
 
 
@@ -127,16 +125,13 @@ def test_optimal_phases_single_element_at_wavelength():
 def test_optimal_phases_align_reflections():
     geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
     spec = table_feed([-0.05, 0.0, 0.0])
-    pm = feed.build_propagation_matrix(geo, spec)
+    b = feed.build_propagation_matrix(geo, spec)
     config = oracles.RisConfiguration(
         *ris.element_amplitudes(geo, spec, QUARTER), *oracles.optimal_phases(geo, spec)
     )
-    aligned = config.gamma_v * pm.shared
     # every element's reflected contribution lands on the positive real axis
-    assert np.max(np.abs(np.angle(aligned))) < 1e-9
-    # with the feeding phase included, the common phase is copol_phase_v
-    with_feed = config.gamma_v * pm.copol_v
-    np.testing.assert_allclose(np.angle(with_feed), np.pi / 2, atol=1e-9)
+    for gamma in (config.gamma_v, config.gamma_h):
+        assert np.max(np.abs(np.angle(gamma * b))) < 1e-9
 
 
 def test_phase_adjustment_offsets():
@@ -144,14 +139,13 @@ def test_phase_adjustment_offsets():
     spec = table_feed([-0.05, 0.01, 0.0])
     base_v, base_h = oracles.aligned_phases("optimal", geo, spec)
     adj_v, adj_h = oracles.aligned_phases("optimal-with-adjustment", geo, spec)
-    np.testing.assert_allclose(
-        np.mod(base_v - adj_v, 2 * np.pi), np.pi / 2, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        np.mod(base_h - adj_h, 2 * np.pi), np.pi / 4, atol=1e-12
-    )
-    # no adjustment between polarizations under the plain optimal scheme
+    # the feed carries no per-polarization phase, so the adjustment offsets
+    # are zero and both polarizations share one phase vector
+    np.testing.assert_array_equal(adj_v, base_v)
+    np.testing.assert_array_equal(adj_h, base_h)
     np.testing.assert_array_equal(base_v, base_h)
+    with pytest.raises(ValueError):
+        oracles.aligned_phases("random", geo, spec)
 
 
 def test_random_phase_determinism():
@@ -180,19 +174,20 @@ def test_configuration_validation():
         oracles.RisConfiguration(ones, ones * 1.5, ones, ones)
     with pytest.raises(ValueError):
         oracles.RisConfiguration(ones, ones[:3], ones, ones)
-    # the moment kernel takes (2, N) amplitudes and at least one (2, N) draw
+    # the moment kernel takes a (2, N) surface and at least one draw of its
+    # shape
     parts = oracles.link_parts(scen.Scenario(elements=4))
-    amplitudes = np.stack([parts.config.amplitudes_v, parts.config.amplitudes_h])
+    surface = parts.config.surface(parts)
     draw = np.zeros((2, 4))
-    for bad_amplitudes, draws in [
-        (amplitudes[:, :3], [draw]),
-        (amplitudes[0], [draw]),
-        (amplitudes, [draw[0]]),
-        (amplitudes, [draw, draw[:, :3]]),
-        (amplitudes, []),
+    for bad_surface, draws in [
+        (surface[:, :3], [draw]),
+        (surface[0], [draw]),
+        (surface, [draw[0]]),
+        (surface, [draw, draw[:, :3]]),
+        (surface, []),
     ]:
         with pytest.raises(ValueError):
-            capacity.expected_gram_moments(bad_amplitudes, draws, parts.pm, parts.stats)
+            capacity.expected_gram_moments(bad_surface, draws, parts.spectrum, parts.xpd_coeff)
 
 
 def test_random_phase_bound_never_beats_aligned_bound():
@@ -205,6 +200,6 @@ def test_random_phase_bound_never_beats_aligned_bound():
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, *ris.random_phases(16, seed)
         )
-        moments = config.moments(parts.pm, parts.stats)
+        moments = config.moments(parts)
         randomized = capacity.moment_upper_bound(moments, allocation, model.budget)
         assert randomized <= aligned + 1e-12

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -180,7 +181,7 @@ def test_random_phase_chunks_stack_the_seeded_draws():
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, v, h
         )
-        np.testing.assert_array_equal(model.moments[draw], config.moments(parts.pm, parts.stats))
+        np.testing.assert_array_equal(model.moments[draw], config.moments(parts))
 
 
 @pytest.mark.parametrize("elements", [16, 400])
@@ -197,10 +198,10 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
     for per_chunk in (7, 300):
         np.testing.assert_array_equal(rows[per_chunk], rows[1])
     parts = oracles.link_parts(current)
-    amplitudes = np.stack([parts.config.amplitudes_v, parts.config.amplitudes_h])
+    surface = parts.config.surface(parts)
     draws = np.stack([ris.random_phases(elements, 5 + d) for d in range(300)])
     np.testing.assert_array_equal(
-        capacity.expected_gram_moments(amplitudes, draws, parts.pm, parts.stats), rows[1]
+        capacity.expected_gram_moments(surface, draws, parts.spectrum, parts.xpd_coeff), rows[1]
     )
 
 
@@ -260,9 +261,9 @@ def test_aligned_row_builds_moments_from_O(monkeypatch):
     calls = []
     quadforms = capacity._surface_quadforms
 
-    def counted(vectors, stats):
+    def counted(vectors, spectrum):
         calls.append(vectors.shape)
-        return quadforms(vectors, stats)
+        return quadforms(vectors, spectrum)
 
     monkeypatch.setattr(capacity, "_surface_quadforms", counted)
     spec = spec_from(
@@ -300,7 +301,7 @@ def test_row_makes_one_estimator_call(monkeypatch, outputs):
         assert row["single_mc_se"] == mc.single_pol_standard_error
 
 
-def test_unknown_names_fail_the_row_or_the_command(capsys):
+def test_unknown_names_fail_the_row_or_the_command(capsys, tmp_path):
     # a bad grid value fails its row only; a bad name given to the CLI is a
     # usage error; both name the field
     spec = spec_from(
@@ -309,6 +310,13 @@ def test_unknown_names_fail_the_row_or_the_command(capsys):
     ok, bad = sweep.run_sweep(spec).rows
     assert ok["status"] == "ok"
     assert bad["status"].startswith("failed:") and "phase_scheme" in bad["status"]
+    # the failure message holds commas, yet its row keeps the header's width
+    path = tmp_path / "schemes.csv"
+    sweep.write_csv(sweep.run_sweep(spec), str(path))
+    with open(path, newline="", encoding="utf-8") as handle:
+        table = list(csv.reader(line for line in handle if not line.startswith("#")))
+    assert [len(row) for row in table] == [4, 4, 4]
+    assert table[2][2] == bad["status"]
     rc = cli.main(["capacity", "--elements", "16", "--set", "incidence_convention=bogus"])
     assert rc == 2
     assert "incidence_convention" in capsys.readouterr().err
@@ -403,15 +411,32 @@ def test_cli_capacity_rejects_zero_trials(capsys):
     assert "trials" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["trials", "random_phase_draws"])
-def test_counts_are_rejected_when_parsed(field):
-    # a count below 1 fails when the scenario is made, naming the field
-    for value in (0, -3):
+@pytest.mark.parametrize(
+    "field,values",
+    [
+        pytest.param("trials", ("0", "-3", "1e5"), id="trials"),
+        pytest.param("random_phase_draws", ("0", "-3"), id="random_phase_draws"),
+        pytest.param("elements", ("0", "-4"), id="elements"),
+        pytest.param("xpd_coeff", ("abc",), id="xpd_coeff"),
+    ],
+)
+def test_counts_are_rejected_when_parsed(field, values):
+    # a count below 1, or a value that does not parse, fails with an error
+    # that names the field: when the scenario is made, or for the element
+    # count when the surface is laid out
+    for value in values:
         with pytest.raises(ValueError, match=field):
-            scen.Scenario(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            scen.parse_overrides(scen.Scenario(), {field: str(value)})
+            scen.build_geometry(scen.parse_overrides(scen.Scenario(), {field: value}))
     assert getattr(scen.Scenario(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize(
+    "override", ["snr_db=inf", "noise_dbm=-inf", "power_dbm=nan", "xpd_coeff=1.5"]
+)
+def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
+    rc = cli.main(["capacity", "--elements", "16", "--trials", "10", "--set", override])
+    assert rc == 2
+    assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_cli_threshold_prints_value(capsys):
