@@ -30,11 +30,13 @@ A moment array of shape (4,) describes one configuration; one of shape
            + rho^2 lv lh (m11 m22 + m12 m21))
 
 is then averaged over the draws, and Monte Carlo trial i draws G from the
-moments of draw i mod D.  Monte Carlo draws four complex scalars per trial,
-vectorized over trials, and estimates E log2 det(I2 + rho G Lambda G^H)
-and, from the same draws, the all-V baseline E log2(1 + rho |G11|^2).
-Trials come in fixed-size chunks, each from its own stream keyed by the
-master seed and the chunk index, so results are bitwise reproducible.
+moments of draw i mod D.  The transmit SNR rho and the V share lambda_v of
+the power, lv above, are plain floats; the H share is lh = 1 - lambda_v.
+Monte Carlo draws four complex scalars per trial, vectorized over trials,
+and estimates E log2 det(I2 + rho G Lambda G^H) and, from the same draws,
+the all-V baseline E log2(1 + rho |G11|^2).  Trials come in fixed-size
+chunks, each from its own stream keyed by the master seed and the chunk
+index, so results are bitwise reproducible.
 
 Under the aligning phases the moments collapse to
 ((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
@@ -43,10 +45,10 @@ Under the aligning phases the moments collapse to
         sqrt(d_n1^-a d_n2^-a),
 
 so an aligned point builds its moments from O_V and O_H with no further
-FFT, and the moment bound is the only bound.  O_V and O_H also give the
-closed-form optimal power split across polarizations and the
-cross-polarization threshold above which the dual system more than doubles
-the single one.
+FFT, and the moment bound is the only bound.  The optimal power split
+across polarizations is the closed-form maximizer of that bound over one
+configuration's moments; O_V and O_H give the cross-polarization threshold
+above which the dual system more than doubles the single one.
 """
 
 from __future__ import annotations
@@ -76,58 +78,6 @@ _CHUNK_TRIALS = 65_536
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Transmit power split across polarizations; weights sum to <= 1."""
-
-    lambda_v: float
-    lambda_h: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_v <= 1.0 or not 0.0 <= self.lambda_h <= 1.0:
-            raise ValueError("allocation weights must lie in [0, 1]")
-        if self.lambda_v + self.lambda_h > 1.0 + 1e-12:
-            raise ValueError("allocation weights must sum to at most 1")
-
-    @classmethod
-    def equal(cls) -> "PowerAllocation":
-        return cls(0.5, 0.5)
-
-    @classmethod
-    def split(cls, lambda_v: float) -> "PowerAllocation":
-        """Full-power split (lambda_v, 1 - lambda_v)."""
-        return cls(lambda_v, 1.0 - lambda_v)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit SNR rho = P / sigma^2, optionally with its constituents."""
-
-    snr: float
-    noise_variance: float | None = None
-    transmit_power: float | None = None
-
-    def __post_init__(self):
-        if not self.snr > 0.0:
-            raise ValueError(f"snr must be positive, got {self.snr!r}")
-        if self.noise_variance is not None and self.transmit_power is not None:
-            implied = self.transmit_power / self.noise_variance
-            if abs(implied - self.snr) > 1e-9 * self.snr:
-                raise ValueError("snr does not match transmit_power / noise_variance")
-
-    @classmethod
-    def from_snr(cls, snr: float) -> "LinkBudget":
-        return cls(snr=snr)
-
-    @classmethod
-    def from_powers(cls, transmit_power: float, noise_variance: float) -> "LinkBudget":
-        return cls(
-            snr=transmit_power / noise_variance,
-            noise_variance=noise_variance,
-            transmit_power=transmit_power,
-        )
-
-
-@dataclass(frozen=True)
 class McCapacityResult:
     """Monte Carlo estimate with its standard error, the all-V baseline's
     estimate log2(1 + rho |G11|^2) with its standard error, and the
@@ -139,20 +89,14 @@ class McCapacityResult:
     single_pol_standard_error: float
     moments: np.ndarray
     moment_standard_errors: np.ndarray
-    trials: int
-    master_seed: int
 
 
 def ergodic_capacity_mc(
-    moments: np.ndarray,
-    allocation: PowerAllocation,
-    budget: LinkBudget,
-    trials: int,
-    master_seed: int,
+    moments: np.ndarray, lambda_v: float, snr: float, trials: int, master_seed: int
 ) -> McCapacityResult:
     """Monte Carlo mean of log2 det(I2 + rho G Lambda G^H), and of
     log2(1 + rho |G11|^2) for the all-V baseline from the G11 entries of
-    the same draws.
+    the same draws; rho = ``snr`` and Lambda = diag(lambda_v, 1 - lambda_v).
 
     G is drawn from its exact law: four independent entries
     G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
@@ -179,10 +123,9 @@ def ergodic_capacity_mc(
     scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(moments)]
     g = _standard_channels(trials, master_seed) * scale
     gram = g.real**2 + g.imag**2
-    rho = budget.snr
     # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
     # keeps full relative precision where the shift is tiny
-    lv, lh = allocation.lambda_v, allocation.lambda_h
+    rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
     det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
     shift = rho * (lv * (gram[:, 0] + gram[:, 2]) + lh * (gram[:, 1] + gram[:, 3]))
     shift += rho * rho * lv * lh * (det.real**2 + det.imag**2)
@@ -203,38 +146,35 @@ def ergodic_capacity_mc(
         single_pol_standard_error=single_se,
         moments=gram.mean(axis=0),
         moment_standard_errors=moment_se,
-        trials=trials,
-        master_seed=master_seed,
     )
 
 
-def moment_upper_bound(
-    moments: np.ndarray, allocation: PowerAllocation, budget: LinkBudget
-) -> float:
+def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> float:
     """Capacity upper bound from the four second moments of G, in entry
-    order (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2); for (D, 4) moments of
-    D phase draws, the mean of the D bounds."""
+    order (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2), under the split
+    (lambda_v, 1 - lambda_v); for (D, 4) moments of D phase draws, the mean
+    of the D bounds."""
     rows = _moment_rows(moments)
     if rows.min() < 0.0:
         raise ValueError("moments must be non-negative")
     m11, m12, m21, m22 = rows.T
-    rho = budget.snr
+    rho, lambda_h = snr, 1.0 - lambda_v
     shift = (
-        rho * allocation.lambda_v * (m11 + m21)
-        + rho * allocation.lambda_h * (m12 + m22)
-        + rho * rho * allocation.lambda_v * allocation.lambda_h * (m11 * m22 + m12 * m21)
+        rho * lambda_v * (m11 + m21)
+        + rho * lambda_h * (m12 + m22)
+        + rho * rho * lambda_v * lambda_h * (m11 * m22 + m12 * m21)
     )
     return float(np.mean(np.log1p(shift) / _LN2))
 
 
-def single_pol_moment_bound(moments: np.ndarray, budget: LinkBudget) -> float:
+def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
     """Upper bound log2(1 + rho m11) of the all-V baseline, averaged over
     the draws of (D, 4) moments like ``moment_upper_bound``."""
     rows = _moment_rows(moments)
     if rows.min() < 0.0:
         raise ValueError("moments must be non-negative")
     m11 = rows[:, 0]
-    return float(np.mean(np.log1p(budget.snr * m11) / _LN2))
+    return float(np.mean(np.log1p(snr * m11) / _LN2))
 
 
 def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -312,25 +252,30 @@ def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
     return np.asarray(q)[[0, 1, 0, 1]].T * np.array([1.0 - l, l, l, 1.0 - l])
 
 
-def optimal_power_allocation(
-    o_v: float, o_h: float, budget: LinkBudget, xpd_coeff: float
-) -> PowerAllocation:
-    """Closed-form maximizer of the upper bound over the power split.
+def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
+    """The lambda_v in [0, 1] that maximizes ``moment_upper_bound`` over
+    the split (lambda_v, 1 - lambda_v) for one configuration's moments,
+    shape (4,):
 
-    lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H),
-    clipped to [0, 1]; the remainder goes to the other polarization.
+    lambda* = 1/2 + ((m11 + m21) - (m12 + m22)) / (2 rho (m11 m22 + m12 m21)),
+
+    clipped to [0, 1].  At aligned moments it is the paper's
+    lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H).
     """
-    if not (o_v > 0.0 and o_h > 0.0):
-        raise ValueError("O quantities must both be positive")
-    if not 0.0 <= xpd_coeff <= 1.0:
-        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    mix = xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
-    lambda_0 = 0.5 + (o_v - o_h) / (2.0 * budget.snr * mix * o_v * o_h)
-    lambda_v = float(np.clip(lambda_0, 0.0, 1.0))
-    return PowerAllocation(lambda_v, 1.0 - lambda_v)
+    m = np.asarray(moments, dtype=float)
+    if m.shape != (4,):
+        raise ValueError(f"the split reads one configuration's moments, shape (4,), not {m.shape}")
+    m11, m12, m21, m22 = m
+    cross = m11 * m22 + m12 * m21
+    if not (snr > 0.0 and cross > 0.0):
+        raise ValueError(
+            f"the split needs snr and m11 m22 + m12 m21 positive, got {snr!r}, {float(cross)!r}"
+        )
+    lambda_v = 0.5 + ((m11 + m21) - (m12 + m22)) / (2.0 * snr * cross)
+    return float(np.clip(lambda_v, 0.0, 1.0))
 
 
-def xpd_threshold(o_v: float, o_h: float, budget: LinkBudget) -> float:
+def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     """Cross-polarization coefficient above which the equal-allocation
     dual bound exceeds twice the single-polarized bound.
 
@@ -339,9 +284,9 @@ def xpd_threshold(o_v: float, o_h: float, budget: LinkBudget) -> float:
     ModelInconsistencyError when the root is non-real or falls outside
     (0, 1), with the quadratic's coefficients attached.
     """
-    if not (o_v > 0.0 and o_h > 0.0):
-        raise ValueError("O quantities must both be positive")
-    rho = budget.snr
+    if not (o_v > 0.0 and o_h > 0.0 and snr > 0.0):
+        raise ValueError(f"O quantities and snr must be positive, got {o_v!r}, {o_h!r}, {snr!r}")
+    rho = snr
     a = rho * rho * o_v * (0.5 * o_h - o_v)
     b = rho * rho * o_v * (2.0 * o_v - 0.5 * o_h) + 2.0 * rho * o_v
     c = rho * rho * o_v * (0.25 * o_h - o_v) + rho * (0.5 * o_h - 1.5 * o_v)

@@ -2,13 +2,15 @@
 
 Subcommands: ``sweep`` runs a spec file and writes CSV; ``capacity``
 evaluates one scenario point and prints a report from the same link model
-a sweep row reads: O_V/O_H and the exact moments of G, the
-``random_phase_draws`` ensemble for the random scheme; ``threshold`` prints
-the cross-polarization threshold for given link qualities; ``recipes``
-lists or runs the bundled figure recipes.
+a sweep row reads: the SNR, the power split (lambda_v, 1 - lambda_v),
+O_V/O_H and the exact moments of G, the ``random_phase_draws`` ensemble
+for the random scheme; ``threshold`` prints the cross-polarization
+threshold for given link qualities; ``recipes`` lists or runs the bundled
+figure recipes.
 
 Exit codes: 0 success, 2 usage error (such as an unknown key, scheme or
-convention name), 3 model inconsistency, 4 I/O failure.
+convention name, an allocation outside [0, 1] or an SNR that underflows to
+zero), 3 model inconsistency, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -154,22 +156,21 @@ def _cmd_capacity(args) -> int:
     base = base.replace(**{k: v for k, v in flag_map.items() if v is not None})
     base = scen.parse_overrides(base, _parse_overrides(args.overrides))
     model = scen.build_link_model(base)
-    allocation = scen.resolve_allocation(base, model)
     mc = capacity.ergodic_capacity_mc(
-        model.moments, allocation, model.budget, base.trials, base.master_seed
+        model.moments, model.lambda_v, model.snr, base.trials, base.master_seed
     )
-    bound = capacity.moment_upper_bound(model.moments, allocation, model.budget)
+    bound = capacity.moment_upper_bound(model.moments, model.lambda_v, model.snr)
     print("# dpris capacity report")
     print(f"elements = {base.elements}")
-    print(f"snr = {model.budget.snr:.6g}")
+    print(f"snr = {model.snr:.6g}")
     print(f"xpd_coeff = {base.xpd_coeff}")
     print(f"phase_scheme = {base.phase_scheme}")
-    print(f"allocation = ({allocation.lambda_v:.6g}, {allocation.lambda_h:.6g})")
+    print(f"allocation = ({model.lambda_v:.6g}, {1.0 - model.lambda_v:.6g})")
     print(f"o_v = {model.o_v:.10g}  [closed-form]")
     print(f"o_h = {model.o_h:.10g}  [closed-form]")
     print(
         f"dual_mc_bits = {mc.estimate:.10g} (se {mc.standard_error:.3g}) "
-        f"[monte-carlo, trials {mc.trials}, seed {mc.master_seed}]"
+        f"[monte-carlo, trials {base.trials}, seed {base.master_seed}]"
     )
     print(f"dual_ub_bits = {bound:.10g}  [closed-form]")
     moments = ", ".join(f"{m:.6g}" for m in mc.moments)
@@ -178,8 +179,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    budget = capacity.LinkBudget.from_snr(db_to_linear(args.snr_db))
-    value = capacity.xpd_threshold(args.ov, args.oh, budget)
+    value = capacity.xpd_threshold(args.ov, args.oh, db_to_linear(args.snr_db))
     print(f"xpd_threshold = {value:.10g}")
     return 0
 

@@ -10,8 +10,10 @@ bad value fails there, with an error that names the field.
 
 ``build_link_model`` expands a scenario into the one weighted surface
 vector per polarization, s_P = A_P * b * w (reflection amplitudes, feed
-coefficients, pathloss weights), a read-only (2, N) array, and reads every
-moment of the link from it.
+coefficients, pathloss weights), a read-only (2, N) array, reads every
+moment of the link from it, and resolves ``allocation`` to the V share
+lambda_v of the transmit power: 1/2 for ``equal``, the maximizer of the
+moment bound for ``optimal``, or the literal itself.
 """
 
 from __future__ import annotations
@@ -79,6 +81,31 @@ class Scenario:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not 0.0 <= self.xpd_coeff <= 1.0:
             raise ValueError(f"xpd_coeff must lie in [0, 1], got {self.xpd_coeff!r}")
+        try:
+            snr = _snr(self)
+        except (OverflowError, ZeroDivisionError):
+            snr = math.inf
+        if not 0.0 < snr < math.inf:
+            source = "snr_db" if self.snr_db is not None else "power_dbm - noise_dbm"
+            raise ValueError(
+                f"{source} gives a transmit SNR of {snr!r}; it must be positive and finite"
+            )
+        mode = self.allocation.strip().lower()
+        if mode not in ("equal", "optimal"):
+            try:
+                lambda_v = float(mode)
+            except ValueError:
+                lambda_v = math.nan
+            if not 0.0 <= lambda_v <= 1.0:
+                raise ValueError(
+                    f"allocation must be 'equal', 'optimal' or a lambda_v in [0, 1], "
+                    f"got {self.allocation!r}"
+                )
+        if mode == "optimal" and self.phase_scheme == "random":
+            raise ValueError(
+                "allocation = optimal maximizes the bound of one configuration's moments; "
+                "phase_scheme = random averages over draws and needs an equal or explicit split"
+            )
 
     def replace(self, **changes) -> "Scenario":
         return dataclasses.replace(self, **changes)
@@ -177,39 +204,35 @@ def tau_convention(scenario: Scenario) -> geometry.TauConvention:
     return _CONVENTIONS[scenario.incidence_convention]
 
 
-def link_budget(scenario: Scenario) -> capacity.LinkBudget:
+def _snr(scenario: Scenario) -> float:
+    """Transmit SNR rho = P / sigma^2, from ``snr_db`` when it is set."""
     if scenario.snr_db is not None:
-        return capacity.LinkBudget.from_snr(db_to_linear(scenario.snr_db))
-    return capacity.LinkBudget.from_powers(
-        dbm_to_watts(scenario.power_dbm), dbm_to_watts(scenario.noise_dbm)
-    )
+        return db_to_linear(scenario.snr_db)
+    return dbm_to_watts(scenario.power_dbm) / dbm_to_watts(scenario.noise_dbm)
 
 
 @dataclass(frozen=True)
 class LinkModel:
-    """What every output of a scenario point reads, built once per point.
+    """What every output of a scenario point reads, built once per point:
+    the transmit SNR, the V share ``lambda_v`` of the power (the H share
+    is 1 - lambda_v), and the surface's quadratic forms.
 
     ``moments`` are the exact second moments of G that every capacity and
     bound of the point reads: shape (4,), built from O_V and O_H, for the
     aligning schemes, or (D, 4) for the random scheme's D seeded phase
-    draws.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
-    surface vectors, whatever the phases; the optimal split and the
-    threshold read them.
+    draws; ``allocation = optimal`` is the split that maximizes their
+    bound.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
+    surface vectors, whatever the phases; the threshold reads them.
     """
 
-    budget: capacity.LinkBudget
+    snr: float
+    lambda_v: float
     o_v: float
     o_h: float
     moments: np.ndarray
 
 
 def build_link_model(scenario: Scenario) -> LinkModel:
-    if scenario.phase_scheme == "random" and scenario.allocation.strip().lower() == "optimal":
-        # rejected before the phase draws are built
-        raise ValueError(
-            "allocation = optimal is a closed form of the aligned-phase O_V/O_H; "
-            "phase_scheme = random needs an equal or explicit split"
-        )
     geo = build_geometry(scenario)
     fd = build_feed(scenario)
     b = feed.build_propagation_matrix(geo, fd)
@@ -235,27 +258,13 @@ def build_link_model(scenario: Scenario) -> LinkModel:
     else:
         # the aligning phases collapse the moments to O_V and O_H
         moments = capacity.moment_layout(o, scenario.xpd_coeff)
-    return LinkModel(
-        budget=link_budget(scenario), o_v=float(o[0]), o_h=float(o[1]), moments=moments
-    )
-
-
-def resolve_allocation(scenario: Scenario, model: LinkModel) -> capacity.PowerAllocation:
-    """Interpret the scenario's allocation field against a built link."""
+    snr = _snr(scenario)
     mode = scenario.allocation.strip().lower()
-    if mode == "equal":
-        return capacity.PowerAllocation.equal()
     if mode == "optimal":
-        return capacity.optimal_power_allocation(
-            model.o_v, model.o_h, model.budget, scenario.xpd_coeff
-        )
-    try:
-        lambda_v = float(mode)
-    except ValueError:
-        raise ValueError(
-            f"allocation must be 'equal', 'optimal' or a lambda_v value, got {scenario.allocation!r}"
-        ) from None
-    return capacity.PowerAllocation.split(lambda_v)
+        lambda_v = capacity.optimal_power_allocation(moments, snr)
+    else:
+        lambda_v = 0.5 if mode == "equal" else float(mode)
+    return LinkModel(snr, lambda_v, float(o[0]), float(o[1]), moments)
 
 
 def read_config_file(path: str) -> dict[str, str]:

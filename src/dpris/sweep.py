@@ -4,8 +4,10 @@ self-describing CSV table (plus an optional gnuplot companion script).
 Sweep spec files are flat key = value text.  Sweep-level keys are ``axis``,
 ``grid`` (comma-separated values), ``grid2`` (second grid, feed-angles
 only), ``outputs`` (comma-separated column selection); every other key is
-a scenario override.  Re-running the same spec reproduces the CSV byte for
-byte except the runtime column.
+a scenario override.  Grid values parse as the scenario field of their
+axis does, and a bad one fails with an error that names that field.
+Re-running the same spec reproduces the CSV byte for byte except the
+runtime column.
 """
 
 from __future__ import annotations
@@ -89,15 +91,21 @@ def parse_sweep_pairs(pairs: dict[str, str], base: scen.Scenario | None = None) 
         raise ValueError(f"sweep spec is missing the {missing.args[0]!r} key") from None
     grid2_raw = pairs.pop("grid2", "")
     base = scen.parse_overrides(base or scen.Scenario(), pairs)
-    if axis == "phase-scheme":
-        grid = tuple(part.strip() for part in grid_raw.split(",") if part.strip())
-    elif axis == "element-count":
-        grid = tuple(int(part) for part in grid_raw.split(","))
-    else:
-        grid = tuple(float(part) for part in grid_raw.split(","))
-    grid2 = tuple(float(part) for part in grid2_raw.split(",")) if grid2_raw else ()
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r} (expected one of {AXES})")
+    # grid values parse as the axis's fields do; grid2 is the feed azimuth
+    keys = _AXIS_COLUMNS[axis]
+    grid = _parse_grid(keys[0], grid_raw)
+    grid2 = _parse_grid(keys[-1], grid2_raw)
     outputs = tuple(part.strip() for part in outputs_raw.split(",") if part.strip())
     return SweepSpec(axis=axis, grid=grid, outputs=outputs, base=base, grid2=grid2)
+
+
+def _parse_grid(key: str, raw: str) -> tuple:
+    values = tuple(scen._parse_value(key, part) for part in raw.split(",") if part.strip())
+    if None in values:
+        raise ValueError(f"{key} grid values must be numbers")
+    return values
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -177,30 +185,25 @@ def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
             "it does not describe phase_scheme = random"
         )
     model = scen.build_link_model(current)
-    allocation = scen.resolve_allocation(current, model)
     if "dual-mc" in spec.outputs or "single-mc" in spec.outputs:
         # one estimator call gives both Monte Carlo columns from the same draws
         mc = capacity.ergodic_capacity_mc(
-            model.moments, allocation, model.budget, current.trials, current.master_seed
+            model.moments, model.lambda_v, model.snr, current.trials, current.master_seed
         )
     cells: dict = {}
     for out in spec.outputs:
         if out == "dual-ub":
             cells["dual_ub_bits"] = capacity.moment_upper_bound(
-                model.moments, allocation, model.budget
+                model.moments, model.lambda_v, model.snr
             )
         elif out == "single-ub":
-            cells["single_ub_bits"] = capacity.single_pol_moment_bound(
-                model.moments, model.budget
-            )
+            cells["single_ub_bits"] = capacity.single_pol_moment_bound(model.moments, model.snr)
         elif out == "allocation":
-            cells["lambda_v"] = allocation.lambda_v
-            cells["lambda_h"] = allocation.lambda_h
+            cells["lambda_v"] = model.lambda_v
+            cells["lambda_h"] = 1.0 - model.lambda_v
         elif out == "threshold":
             try:
-                cells["xpd_threshold"] = capacity.xpd_threshold(
-                    model.o_v, model.o_h, model.budget
-                )
+                cells["xpd_threshold"] = capacity.xpd_threshold(model.o_v, model.o_h, model.snr)
             except ModelInconsistencyError:
                 cells["xpd_threshold"] = None
         elif out == "dual-mc":

@@ -17,10 +17,11 @@ is one phase configuration with its complex reflection coefficients,
 which the package never forms per configuration, and
 ``random_row_per_draw`` evaluates a random-phase row one configuration per
 draw, where the package streams the draws through one kernel call.  The
-phase-maximized closed forms in O_V and O_H are the references for the
-package's moment bounds at aligned moments, and the aligning phases, which
-the package never builds, are the references for its moments built from
-O_V and O_H.  ``link_parts`` rebuilds
+phase-maximized closed forms in O_V and O_H, the paper's bound and its
+optimal split, are the references for the package's moment bound and its
+maximizer at aligned moments, and the aligning phases, which the package
+never builds, are the references for its moments built from O_V and O_H.
+``link_parts`` rebuilds
 the factors a scenario expands into from the package's public builders;
 the package's link model keeps only what its outputs read.  The
 hemisphere quadrature checks that the feed pattern integrates to 4 pi, and
@@ -38,7 +39,7 @@ import numpy as np
 from dpris import capacity, channel, feed, ris, scenario as scen
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 from dpris.geometry import axis_plane_tilt
-from dpris.numerics import db_to_linear
+from dpris.numerics import db_to_linear, dbm_to_watts
 
 LN2 = np.log(2.0)
 #: Eigenvalues below this fraction of the largest one are clipped to zero
@@ -243,17 +244,18 @@ def log2_det2(g: np.ndarray, lambda_v: float, lambda_h: float, snr: float):
     return np.log1p(det2_shift(g, lambda_v, lambda_h, snr)) / LN2
 
 
-def full_vector_mc(parts, allocation, budget, trials: int, seed: int):
+def full_vector_mc(parts, lambda_v, snr: float, trials: int, seed: int):
     """Estimate and standard error of the ergodic capacity of the link
-    ``parts`` under its configuration, from full per-element draws;
-    ``allocation=None`` gives the all-V baseline E log2(1 + rho |G11|^2)."""
+    ``parts`` under its configuration and the split (lambda_v,
+    1 - lambda_v), from full per-element draws; ``lambda_v=None`` gives the
+    all-V baseline E log2(1 + rho |G11|^2)."""
     rng = np.random.default_rng(seed)
     sample = sample_channel(parts.weights, parts.xpd_coeff, parts.geometry, rng, trials)
     g = equivalent_channel(sample, parts.config, parts.b)
-    if allocation is None:
-        values = np.log1p(budget.snr * _abs2(g[:, 0, 0])) / LN2
+    if lambda_v is None:
+        values = np.log1p(snr * _abs2(g[:, 0, 0])) / LN2
     else:
-        values = log2_det2(g, allocation.lambda_v, allocation.lambda_h, budget.snr)
+        values = log2_det2(g, lambda_v, 1.0 - lambda_v, snr)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
 
 
@@ -331,14 +333,23 @@ def reflection_amplitude(model, elevation: float, tau: float) -> float:
     return abs(plus - minus) / 2.0
 
 
-def random_row_per_draw(scenario, allocation):
-    """(dual_ub, dual_mc) of a random-phase row, one configuration per
-    draw: draw d takes two successive uniform phase vectors from the stream
-    seeded phase_seed + d, the bound is the running mean of the per-draw
-    moment bounds, and Monte Carlo trial i scales the package's standard
-    draws by the moments of draw i mod ``random_phase_draws``."""
+def transmit_snr(scenario) -> float:
+    """rho = P / sigma^2 of a scenario: ``snr_db`` when set, else the
+    transmit power over the noise power, both in watts."""
+    if scenario.snr_db is not None:
+        return db_to_linear(scenario.snr_db)
+    return dbm_to_watts(scenario.power_dbm) / dbm_to_watts(scenario.noise_dbm)
+
+
+def random_row_per_draw(scenario, lambda_v: float):
+    """(dual_ub, dual_mc) of a random-phase row under the split
+    (lambda_v, 1 - lambda_v), one configuration per draw: draw d takes two
+    successive uniform phase vectors from the stream seeded
+    phase_seed + d, the bound is the running mean of the per-draw moment
+    bounds, and Monte Carlo trial i scales the package's standard draws by
+    the moments of draw i mod ``random_phase_draws``."""
     parts = link_parts(scenario)
-    budget = scen.link_budget(scenario)
+    snr = transmit_snr(scenario)
     draws, trials = scenario.random_phase_draws, scenario.trials
     n = parts.geometry.element_count
     moments = []
@@ -353,15 +364,18 @@ def random_row_per_draw(scenario, allocation):
         moments.append(config.moments(parts))
     total = 0.0
     for m in moments:
-        total += capacity.moment_upper_bound(m, allocation, budget)
+        total += capacity.moment_upper_bound(m, lambda_v, snr)
     scale = np.sqrt(np.array(moments) / 2.0)[np.arange(trials) % draws]
     g = (capacity._standard_channels(trials, scenario.master_seed) * scale).reshape(trials, 2, 2)
-    dual_mc = log2_det2(g, allocation.lambda_v, allocation.lambda_h, budget.snr)
+    dual_mc = log2_det2(g, lambda_v, 1.0 - lambda_v, snr)
     return total / draws, float(dual_mc.mean())
 
 
-def closed_form_upper_bound(o_v: float, o_h: float, allocation, budget, xpd_coeff: float) -> float:
-    """Phase-maximized capacity upper bound
+def closed_form_upper_bound(
+    o_v: float, o_h: float, lambda_v: float, snr: float, xpd_coeff: float
+) -> float:
+    """Phase-maximized capacity upper bound under the split (lv, lh) =
+    (lambda_v, 1 - lambda_v)
 
     log2(1 + rho (lh O_H + lv O_V)
            + rho^2 lh lv O_H O_V (l^2 + (1-l)^2)).
@@ -370,29 +384,42 @@ def closed_form_upper_bound(o_v: float, o_h: float, allocation, budget, xpd_coef
         raise ValueError("O quantities must be non-negative")
     if not 0.0 <= xpd_coeff <= 1.0:
         raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    rho = budget.snr
-    lv, lh = allocation.lambda_v, allocation.lambda_h
+    rho = snr
+    lv, lh = lambda_v, 1.0 - lambda_v
     mix = xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
     shift = rho * (lh * o_h + lv * o_v) + rho * rho * lh * lv * o_h * o_v * mix
     return float(np.log1p(shift) / LN2)
 
 
-def single_pol_upper_bound(o_v: float, budget, xpd_coeff: float) -> float:
+def single_pol_upper_bound(o_v: float, snr: float, xpd_coeff: float) -> float:
     """Maximized upper bound of the all-V baseline:
     log2(1 + rho (1-l) O_V)."""
     if o_v < 0.0:
         raise ValueError("O quantity must be non-negative")
     if not 0.0 <= xpd_coeff <= 1.0:
         raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
-    return float(np.log1p(budget.snr * (1.0 - xpd_coeff) * o_v) / LN2)
+    return float(np.log1p(snr * (1.0 - xpd_coeff) * o_v) / LN2)
 
 
-def equal_allocation_lower_bound(o_v: float, o_h: float, budget, xpd_coeff: float) -> float:
+def equal_allocation_lower_bound(o_v: float, o_h: float, snr: float, xpd_coeff: float) -> float:
     """Optimally allocated bound floored by the equal split:
     log2(1 + rho (O_H + O_V)/2 + rho^2 O_H O_V (l^2 + (1-l)^2)/4)."""
-    return closed_form_upper_bound(
-        o_v, o_h, capacity.PowerAllocation.equal(), budget, xpd_coeff
-    )
+    return closed_form_upper_bound(o_v, o_h, 0.5, snr, xpd_coeff)
+
+
+def closed_form_optimal_allocation(o_v: float, o_h: float, snr: float, xpd_coeff: float) -> float:
+    """The paper's maximizer of ``closed_form_upper_bound`` over lambda_v:
+
+    lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H),
+
+    clipped to [0, 1]."""
+    if not (o_v > 0.0 and o_h > 0.0):
+        raise ValueError("O quantities must both be positive")
+    if not 0.0 <= xpd_coeff <= 1.0:
+        raise ValueError(f"xpd coefficient must lie in [0, 1], got {xpd_coeff!r}")
+    mix = xpd_coeff * xpd_coeff + (1.0 - xpd_coeff) * (1.0 - xpd_coeff)
+    lambda_0 = 0.5 + (o_v - o_h) / (2.0 * snr * mix * o_v * o_h)
+    return float(np.clip(lambda_0, 0.0, 1.0))
 
 
 def optimal_phases(geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,6 @@ from conftest import PITCH, WAVELENGTH
 LN2 = np.log(2.0)
 
 
-def unit_budget(snr=1.0):
-    return capacity.LinkBudget.from_snr(snr)
-
-
 def manual_sample(h_vv, h_vh, h_hv, h_hh):
     return oracles.ChannelSample(
         h_vv=np.asarray(h_vv, dtype=complex),
@@ -63,22 +59,36 @@ def unit_config(n, amplitude=1.0):
 
 
 def test_power_allocation_validation():
-    with pytest.raises(ValueError):
-        capacity.PowerAllocation(0.7, 0.5)
-    with pytest.raises(ValueError):
-        capacity.PowerAllocation(-0.1, 0.5)
-    assert capacity.PowerAllocation.equal().lambda_v == 0.5
-    split = capacity.PowerAllocation.split(0.3)
-    assert split.lambda_h == 0.7
+    # the split is checked when the scenario is made, and the error names
+    # the field; the link model holds the V share, the H share is the rest
+    for bad in ("1.5", "-0.1", "nan", "bogus"):
+        with pytest.raises(ValueError, match="allocation"):
+            scen.Scenario(allocation=bad)
+    with pytest.raises(ValueError, match="allocation"):
+        scen.Scenario(allocation="optimal", phase_scheme="random")
+    spec = sweep.parse_sweep_pairs(
+        {"axis": "power-allocation", "grid": "0.5, 1.5", "outputs": "dual-ub", "elements": "4"}
+    )
+    ok, bad = sweep.run_sweep(spec).rows
+    assert ok["status"] == "ok"
+    assert bad["status"].startswith("failed:") and "allocation" in bad["status"]
+    base = scen.Scenario(elements=4)
+    for allocation, lambda_v in (("equal", 0.5), (" Equal ", 0.5), ("0.3", 0.3), ("1", 1.0)):
+        assert scen.build_link_model(base.replace(allocation=allocation)).lambda_v == lambda_v
 
 
-def test_link_budget_validation():
-    with pytest.raises(ValueError):
-        capacity.LinkBudget.from_snr(0.0)
-    with pytest.raises(ValueError):
-        capacity.LinkBudget(snr=5.0, noise_variance=1.0, transmit_power=1.0)
-    ok = capacity.LinkBudget.from_powers(2.0, 0.5)
-    assert ok.snr == 4.0
+def test_link_budget_validation(capsys):
+    # a transmit SNR that underflows to zero, or overflows, is rejected when
+    # the scenario is made, with an error that names the field it came from
+    for field, value in (("snr_db", -4000.0), ("power_dbm", -4000.0), ("noise_dbm", 4000.0)):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: value})
+    assert cli.main(["threshold", "--ov", "1", "--oh", "1", "--snr-db", "-4000"]) == 2
+    assert "snr" in capsys.readouterr().err
+    base = scen.Scenario(elements=4)
+    assert scen.build_link_model(base.replace(snr_db=20.0)).snr == 100.0
+    model = scen.build_link_model(base.replace(power_dbm=33.0, noise_dbm=-7.0))
+    assert model.snr == pytest.approx(1e4, rel=1e-12)
 
 
 def test_equivalent_channel_trivial_cases():
@@ -108,13 +118,11 @@ def test_equivalent_channel_matched_xpd_kills_cross_entries(table_scenario_16):
 
 
 def test_mc_zero_allocation_is_exactly_zero(table_scenario_16):
-    result = capacity.ergodic_capacity_mc(
-        moments_of(table_scenario_16),
-        capacity.PowerAllocation(0.0, 0.0),
-        unit_budget(1e6),
-        trials=50,
-        master_seed=1,
-    )
+    # all power on the H polarization, whose channel columns are dead,
+    # leaves nothing: det(I2 + rho G Lambda G^H) = 1 on every draw
+    moments = moments_of(table_scenario_16)
+    moments[[1, 3]] = 0.0
+    result = capacity.ergodic_capacity_mc(moments, 0.0, 1e6, trials=50, master_seed=1)
     assert result.estimate == 0.0
     assert result.standard_error == 0.0
 
@@ -122,8 +130,8 @@ def test_mc_zero_allocation_is_exactly_zero(table_scenario_16):
 def test_mc_vanishes_at_low_snr(table_scenario_16):
     result = capacity.ergodic_capacity_mc(
         moments_of(table_scenario_16),
-        capacity.PowerAllocation.equal(),
-        unit_budget(1e-9),
+        0.5,
+        1e-9,
         trials=200,
         master_seed=3,
     )
@@ -131,22 +139,17 @@ def test_mc_vanishes_at_low_snr(table_scenario_16):
 
 
 def test_mc_rejects_bad_arguments(table_scenario_16):
-    equal = capacity.PowerAllocation.equal()
     with pytest.raises(ValueError):
         capacity.ergodic_capacity_mc(
-            moments_of(table_scenario_16),
-            equal,
-            unit_budget(),
-            trials=0,
-            master_seed=1,
+            moments_of(table_scenario_16), 0.5, 1.0, trials=0, master_seed=1
         )
     with pytest.raises(ValueError):
-        capacity.ergodic_capacity_mc(np.ones((2, 3)), equal, unit_budget(), 10, 1)
+        capacity.ergodic_capacity_mc(np.ones((2, 3)), 0.5, 1.0, 10, 1)
     # a kernel that is not positive semidefinite gives negative moments
     parts = oracles.link_parts(table_scenario_16)
     moments = parts.config.moments(dataclasses.replace(parts, spectrum=-parts.spectrum))
     with pytest.raises(ModelInconsistencyError) as excinfo:
-        capacity.ergodic_capacity_mc(moments, equal, unit_budget(), 10, 1)
+        capacity.ergodic_capacity_mc(moments, 0.5, 1.0, 10, 1)
     assert np.all(excinfo.value.details["moments"] < 0.0)
 
 
@@ -159,17 +162,14 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
     scenario = oblique_scenario.replace(xpd_coeff=xpd)
     model = scen.build_link_model(scenario)
     parts = oracles.link_parts(scenario)
-    budget = unit_budget(1.0 / model.o_v)
-    allocation = capacity.PowerAllocation.split(0.7)
+    snr = 1.0 / model.o_v
     trials = 20_000
-    mc = capacity.ergodic_capacity_mc(
-        moments_of(scenario), allocation, budget, trials, master_seed=9
-    )
-    for value, value_se, oracle_allocation in (
-        (mc.estimate, mc.standard_error, allocation),
+    mc = capacity.ergodic_capacity_mc(moments_of(scenario), 0.7, snr, trials, master_seed=9)
+    for value, value_se, lambda_v in (
+        (mc.estimate, mc.standard_error, 0.7),
         (mc.single_pol_estimate, mc.single_pol_standard_error, None),
     ):
-        estimate, se = oracles.full_vector_mc(parts, oracle_allocation, budget, trials, seed=10)
+        estimate, se = oracles.full_vector_mc(parts, lambda_v, snr, trials, seed=10)
         assert abs(value - estimate) <= 4.0 * np.hypot(value_se, se)
     assert mc.estimate > 0.1
 
@@ -180,29 +180,21 @@ def test_single_pol_equals_dual_with_v_only_power_when_matched():
     # draws
     base = scen.Scenario(elements=16, xpd_coeff=0.0)
     model = scen.build_link_model(base)
-    mc = capacity.ergodic_capacity_mc(
-        model.moments,
-        capacity.PowerAllocation(1.0, 0.0),
-        unit_budget(3e12),
-        trials=500,
-        master_seed=21,
-    )
+    mc = capacity.ergodic_capacity_mc(model.moments, 1.0, 3e12, trials=500, master_seed=21)
     assert mc.estimate == mc.single_pol_estimate
     assert mc.standard_error == mc.single_pol_standard_error
 
 
 def test_moment_upper_bound_values():
-    equal = capacity.PowerAllocation.equal()
-    assert capacity.moment_upper_bound((0, 0, 0, 0), equal, unit_budget()) == 0.0
+    assert capacity.moment_upper_bound((0, 0, 0, 0), 0.5, 1.0) == 0.0
     # quadratic term drops when one polarization gets no power
-    only_v = capacity.PowerAllocation(0.6, 0.0)
-    value = capacity.moment_upper_bound((0.8, 0.1, 0.2, 0.9), only_v, unit_budget(2.0))
-    assert value == pytest.approx(np.log1p(2.0 * 0.6 * 1.0) / LN2, rel=1e-12)
+    value = capacity.moment_upper_bound((0.8, 0.1, 0.2, 0.9), 1.0, 2.0)
+    assert value == pytest.approx(np.log1p(2.0 * 1.0) / LN2, rel=1e-12)
     # full reference case, recomputed independently
-    full = capacity.moment_upper_bound((0.8, 0.1, 0.2, 0.9), equal, unit_budget())
+    full = capacity.moment_upper_bound((0.8, 0.1, 0.2, 0.9), 0.5, 1.0)
     assert full == pytest.approx(1.1276332797258737, rel=1e-12)
     with pytest.raises(ValueError):
-        capacity.moment_upper_bound((0.1, -0.2, 0.3, 0.4), equal, unit_budget())
+        capacity.moment_upper_bound((0.1, -0.2, 0.3, 0.4), 0.5, 1.0)
 
 
 def test_compute_O_small_cases():
@@ -273,111 +265,144 @@ def test_closed_form_equals_moment_bound_with_model_moments():
     for _ in range(25):
         o_v, o_h = rng.uniform(0.1, 3.0, 2)
         l = rng.uniform(0.0, 1.0)
-        allocation = capacity.PowerAllocation.split(rng.uniform(0.0, 1.0))
-        budget = unit_budget(rng.uniform(0.01, 50.0))
+        lambda_v = rng.uniform(0.0, 1.0)
+        snr = rng.uniform(0.01, 50.0)
         moments = ((1 - l) * o_v, l * o_h, l * o_v, (1 - l) * o_h)
         np.testing.assert_array_equal(aligned_moments(o_v, o_h, l), moments)
-        assert oracles.closed_form_upper_bound(
-            o_v, o_h, allocation, budget, l
-        ) == pytest.approx(
-            capacity.moment_upper_bound(moments, allocation, budget), rel=1e-12
+        assert oracles.closed_form_upper_bound(o_v, o_h, lambda_v, snr, l) == pytest.approx(
+            capacity.moment_upper_bound(moments, lambda_v, snr), rel=1e-12
         )
 
 
 def test_closed_form_reference_value_and_endpoint_symmetry():
     # the moment bound at aligned moments is the paper's closed form
-    value = capacity.moment_upper_bound(
-        aligned_moments(2.0, 1.0, 0.0), capacity.PowerAllocation.split(0.75), unit_budget()
-    )
+    value = capacity.moment_upper_bound(aligned_moments(2.0, 1.0, 0.0), 0.75, 1.0)
     assert value == pytest.approx(1.6438561897747247, rel=1e-12)
-    matched = capacity.moment_upper_bound(
-        aligned_moments(1.7, 0.4, 0.0), capacity.PowerAllocation.equal(), unit_budget(3.0)
-    )
-    mismatched = capacity.moment_upper_bound(
-        aligned_moments(1.7, 0.4, 1.0), capacity.PowerAllocation.equal(), unit_budget(3.0)
-    )
+    matched = capacity.moment_upper_bound(aligned_moments(1.7, 0.4, 0.0), 0.5, 3.0)
+    mismatched = capacity.moment_upper_bound(aligned_moments(1.7, 0.4, 1.0), 0.5, 3.0)
     assert matched == mismatched
 
 
 def test_optimal_allocation_symmetric_and_reference():
-    balanced = capacity.optimal_power_allocation(1.0, 1.0, unit_budget(), 0.3)
-    assert balanced.lambda_v == 0.5 and balanced.lambda_h == 0.5
-    skewed = capacity.optimal_power_allocation(2.0, 1.0, unit_budget(), 0.0)
-    assert skewed.lambda_v == pytest.approx(0.75, rel=1e-12)
-    assert skewed.lambda_h == pytest.approx(0.25, rel=1e-12)
+    balanced = capacity.optimal_power_allocation(aligned_moments(1.0, 1.0, 0.3), 1.0)
+    assert balanced == 0.5
+    skewed = capacity.optimal_power_allocation(aligned_moments(2.0, 1.0, 0.0), 1.0)
+    assert skewed == pytest.approx(0.75, rel=1e-12)
+    # swapping the polarizations, V <-> H, swaps the shares
+    swapped = capacity.optimal_power_allocation((0.9, 0.2, 0.1, 0.8), 1.3)
+    assert 1.0 - swapped == pytest.approx(
+        capacity.optimal_power_allocation((0.8, 0.1, 0.2, 0.9), 1.3), rel=1e-15
+    )
 
 
 def test_optimal_allocation_evens_out_at_high_snr():
-    allocation = capacity.optimal_power_allocation(3.0, 1.0, unit_budget(1e12), 0.2)
-    assert abs(allocation.lambda_v - 0.5) < 1e-6
+    lambda_v = capacity.optimal_power_allocation(aligned_moments(3.0, 1.0, 0.2), 1e12)
+    assert abs(lambda_v - 0.5) < 1e-6
 
 
 def test_optimal_allocation_matches_grid_search():
+    # the closed form against a grid search of the bound's argument over
+    # the split, for general moments: interior maxima and both clipped ends
     rng = np.random.default_rng(44)
     grid = np.linspace(0.0, 1.0, 10_001)
-    for _ in range(25):
-        o_v = 10.0 ** rng.uniform(-13, -9)
-        o_h = 10.0 ** rng.uniform(-13, -9)
-        rho = 10.0 ** rng.uniform(0, 6)
-        l = rng.uniform(0.0, 1.0)
-        budget = unit_budget(rho)
-        best = capacity.optimal_power_allocation(o_v, o_h, budget, l)
-        mix = l * l + (1 - l) * (1 - l)
-        shift = rho * ((1 - grid) * o_h + grid * o_v) + rho * rho * grid * (1 - grid) * o_h * o_v * mix
-        assert abs(best.lambda_v - grid[int(np.argmax(shift))]) <= 2e-4
+    ends = set()
+    for _ in range(40):
+        m11, m12, m21, m22 = 10.0 ** rng.uniform(-13, -9, 4)
+        rho = 10.0 ** rng.uniform(9, 14)
+        best = capacity.optimal_power_allocation((m11, m12, m21, m22), rho)
+        shift = (
+            rho * grid * (m11 + m21)
+            + rho * (1 - grid) * (m12 + m22)
+            + rho * rho * grid * (1 - grid) * (m11 * m22 + m12 * m21)
+        )
+        assert abs(best - grid[int(np.argmax(shift))]) <= 2e-4
+        ends.add(best if best in (0.0, 1.0) else "interior")
+    assert ends == {0.0, 1.0, "interior"}
+
+
+@pytest.mark.parametrize("xpd", [0.0, 0.2, 0.5, 1.0])
+def test_optimal_allocation_matches_O_form_oracle(xpd):
+    # the moment form at aligned moments is the paper's lambda_0 in O_V and
+    # O_H.  Interior points are drawn at rho min(O) >= 4: below that the
+    # 1 / (rho O) in the fraction amplifies either form's rounding of
+    # O_V - O_H, and the two differ by up to 1e-14 without either being
+    # the better one
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        o_v, o_h = 10.0 ** rng.uniform(-13, -9, 2)
+        rho = 10.0 ** rng.uniform(0.6, 4.0) / min(o_v, o_h)
+        expected = oracles.closed_form_optimal_allocation(o_v, o_h, rho, xpd)
+        value = capacity.optimal_power_allocation(aligned_moments(o_v, o_h, xpd), rho)
+        assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+    # and both clipped ends
+    for o_v, o_h, end in ((1e-13, 1e-9, 0.0), (1e-9, 1e-13, 1.0)):
+        assert oracles.closed_form_optimal_allocation(o_v, o_h, 1e10, xpd) == end
+        assert capacity.optimal_power_allocation(aligned_moments(o_v, o_h, xpd), 1e10) == end
 
 
 def test_optimal_allocation_rejects_zero_quality():
     with pytest.raises(ValueError):
-        capacity.optimal_power_allocation(0.0, 0.0, unit_budget(), 0.2)
+        capacity.optimal_power_allocation(aligned_moments(0.0, 0.0, 0.2), 1.0)
+    # one dead polarization leaves no product term to balance
+    with pytest.raises(ValueError):
+        capacity.optimal_power_allocation((1.0, 0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError):
+        capacity.optimal_power_allocation((0.8, 0.1, 0.2, 0.9), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (4, 4), (2,), (4, 1)])
+def test_optimal_allocation_rejects_ensembles(shape):
+    # the closed form maximizes one configuration's bound; a (D, 4)
+    # ensemble, even D = 4 that would unpack as four rows, is refused
+    with pytest.raises(ValueError, match="shape"):
+        capacity.optimal_power_allocation(np.full(shape, 0.5), 1.0)
 
 
 def test_single_pol_bound_values():
-    def bound(o_v, budget, l):
-        return capacity.single_pol_moment_bound(aligned_moments(o_v, 0.5, l), budget)
+    def bound(o_v, snr, l):
+        return capacity.single_pol_moment_bound(aligned_moments(o_v, 0.5, l), snr)
 
-    assert bound(5.0, unit_budget(), 1.0) == 0.0
-    one_bit = bound(1.0, unit_budget(1.0), 0.0)
+    assert bound(5.0, 1.0, 1.0) == 0.0
+    one_bit = bound(1.0, 1.0, 0.0)
     assert one_bit == pytest.approx(1.0, abs=1e-15)
-    values = [bound(2.0, unit_budget(4.0), l) for l in np.linspace(0.0, 1.0, 41)]
+    values = [bound(2.0, 4.0, l) for l in np.linspace(0.0, 1.0, 41)]
     assert np.all(np.diff(values) < 0.0)
     for l in (0.0, 0.3, 1.0):
-        assert bound(2.0, unit_budget(4.0), l) == pytest.approx(
-            oracles.single_pol_upper_bound(2.0, unit_budget(4.0), l), rel=1e-12
+        assert bound(2.0, 4.0, l) == pytest.approx(
+            oracles.single_pol_upper_bound(2.0, 4.0, l), rel=1e-12
         )
 
 
 def test_equal_allocation_bound_properties():
-    equal = capacity.PowerAllocation.equal()
     assert capacity.moment_upper_bound(
-        aligned_moments(1.0, 1.0, 0.0), equal, unit_budget()
+        aligned_moments(1.0, 1.0, 0.0), 0.5, 1.0
     ) == pytest.approx(1.1699250014423124, rel=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(25):
         o_v, o_h = rng.uniform(0.1, 4.0, 2)
         l = rng.uniform(0.0, 1.0)
-        b = unit_budget(rng.uniform(0.1, 10.0))
+        snr = rng.uniform(0.1, 10.0)
         moments = aligned_moments(o_v, o_h, l)
-        eq = capacity.moment_upper_bound(moments, equal, b)
+        eq = capacity.moment_upper_bound(moments, 0.5, snr)
         assert eq == pytest.approx(
-            oracles.equal_allocation_lower_bound(o_v, o_h, b, l), rel=1e-12
+            oracles.equal_allocation_lower_bound(o_v, o_h, snr, l), rel=1e-12
         )
-        best = capacity.optimal_power_allocation(o_v, o_h, b, l)
-        assert eq <= capacity.moment_upper_bound(moments, best, b) + 1e-12
+        best = capacity.optimal_power_allocation(moments, snr)
+        assert eq <= capacity.moment_upper_bound(moments, best, snr) + 1e-12
 
 
 def test_xpd_threshold_symmetric_reference():
     # rho * O = 1 exactly: threshold is (7 - sqrt(35)) / 2
-    value = capacity.xpd_threshold(0.25, 0.25, unit_budget(4.0))
+    value = capacity.xpd_threshold(0.25, 0.25, 4.0)
     assert value == pytest.approx(0.5419601084501920, rel=1e-12)
 
 
 def test_xpd_threshold_definition_holds_at_root():
-    budget = unit_budget(7.3e12)
+    snr = 7.3e12
     o_v, o_h = 3.1e-13, 2.2e-13
-    root = capacity.xpd_threshold(o_v, o_h, budget)
-    dual = oracles.equal_allocation_lower_bound(o_v, o_h, budget, root)
-    single = oracles.single_pol_upper_bound(o_v, budget, root)
+    root = capacity.xpd_threshold(o_v, o_h, snr)
+    dual = oracles.equal_allocation_lower_bound(o_v, o_h, snr, root)
+    single = oracles.single_pol_upper_bound(o_v, snr, root)
     assert dual == pytest.approx(2.0 * single, abs=1e-9)
 
 
@@ -389,17 +414,12 @@ def test_xpd_threshold_sign_change_bracket():
         o_v = 10.0 ** rng.uniform(-13, -9)
         o_h = 10.0 ** rng.uniform(-13, -9)
         rho = 10.0 ** rng.uniform(10, 14)
-        budget = unit_budget(rho)
         try:
-            root = capacity.xpd_threshold(o_v, o_h, budget)
+            root = capacity.xpd_threshold(o_v, o_h, rho)
         except ModelInconsistencyError:
             continue
-        dual = np.array(
-            [oracles.equal_allocation_lower_bound(o_v, o_h, budget, l) for l in grid]
-        )
-        single = np.array(
-            [oracles.single_pol_upper_bound(o_v, budget, l) for l in grid]
-        )
+        dual = np.array([oracles.equal_allocation_lower_bound(o_v, o_h, rho, l) for l in grid])
+        single = np.array([oracles.single_pol_upper_bound(o_v, rho, l) for l in grid])
         sign = np.sign(dual - 2.0 * single)
         changes = np.nonzero(np.diff(sign) != 0)[0]
         assert changes.size >= 1
@@ -410,10 +430,12 @@ def test_xpd_threshold_sign_change_bracket():
 
 def test_xpd_threshold_error_paths():
     with pytest.raises(ValueError):
-        capacity.xpd_threshold(0.0, 1.0, unit_budget())
+        capacity.xpd_threshold(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        capacity.xpd_threshold(1.0, 1.0, 0.0)
     with pytest.raises(ModelInconsistencyError) as excinfo:
         # strongly mismatched qualities at low SNR push the root negative
-        capacity.xpd_threshold(1e-13, 9e-13, unit_budget(1.0))
+        capacity.xpd_threshold(1e-13, 9e-13, 1.0)
     assert "root" in excinfo.value.details
 
 
@@ -428,12 +450,7 @@ def test_multiplexing_gain_synthetic_and_errors():
 
 
 def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
-    kwargs = dict(
-        allocation=capacity.PowerAllocation.equal(),
-        budget=unit_budget(2e12),
-        trials=600,
-        master_seed=5,
-    )
+    kwargs = dict(lambda_v=0.5, snr=2e12, trials=600, master_seed=5)
     first = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     again = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     assert first.estimate == again.estimate
@@ -466,7 +483,6 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
     # simulates: the aligned closed form, or the per-draw oracle over the
     # random_phase_draws ensemble; compared at the report's printed digits
     base = scen.Scenario(elements=16, power_dbm=43.0, phase_seed=5, random_phase_draws=60)
-    equal = capacity.PowerAllocation.equal()
     for scheme in ("random", "optimal"):
         current = base.replace(phase_scheme=scheme)
         model = scen.build_link_model(current)
@@ -475,11 +491,11 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
         values = cli_report(capsys, argv + ["--set", "random_phase_draws=60"])
         if scheme == "optimal":
             expected = oracles.closed_form_upper_bound(
-                model.o_v, model.o_h, equal, model.budget, current.xpd_coeff
+                model.o_v, model.o_h, 0.5, model.snr, current.xpd_coeff
             )
         else:
             expected, mc = oracles.random_row_per_draw(
-                current.replace(trials=240, master_seed=1), equal
+                current.replace(trials=240, master_seed=1), 0.5
             )
             assert values["dual_mc_bits"].split()[0] == format(mc, ".10g")
         assert values["dual_ub_bits"].split()[0] == format(expected, ".10g")

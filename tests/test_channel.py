@@ -64,7 +64,7 @@ def test_statistics_hold_no_quadratic_array():
     assert not weights.flags.writeable
     # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
-    assert names == ["budget", "o_v", "o_h", "moments"]
+    assert names == ["snr", "lambda_v", "o_v", "o_h", "moments"]
 
 
 def test_correlation_sqrt_identity():

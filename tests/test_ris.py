@@ -194,12 +194,11 @@ def test_random_phase_bound_never_beats_aligned_bound():
     base = scen.Scenario(elements=16)
     model = scen.build_link_model(base)
     parts = oracles.link_parts(base)
-    allocation = capacity.PowerAllocation.equal()
-    aligned = capacity.moment_upper_bound(model.moments, allocation, model.budget)
+    aligned = capacity.moment_upper_bound(model.moments, 0.5, model.snr)
     for seed in range(30):
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, *ris.random_phases(16, seed)
         )
         moments = config.moments(parts)
-        randomized = capacity.moment_upper_bound(moments, allocation, model.budget)
+        randomized = capacity.moment_upper_bound(moments, 0.5, model.snr)
         assert randomized <= aligned + 1e-12

@@ -40,6 +40,25 @@ def test_sweep_spec_validation():
         spec_from({"axis": "xpd", "grid": "0,1", "outputs": "dual-ub", "bogus_key": "3"})
 
 
+def test_grid_values_parse_as_their_field():
+    # a grid value that does not parse fails with an error naming the
+    # axis's field; power-allocation values are the V share as floats
+    for axis, grid, field in (
+        ("snr", "100, abc", "snr_db"),
+        ("snr", "100, none", "snr_db"),
+        ("element-count", "16, 1e3", "elements"),
+        ("feed-gain", "10, 1O", "feed_gain_db"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            spec_from({"axis": axis, "grid": grid, "outputs": "dual-ub"})
+    with pytest.raises(ValueError, match="feed_azimuth_deg"):
+        spec_from({"axis": "feed-angles", "grid": "90", "grid2": "0, x", "outputs": "dual-ub"})
+    spec = spec_from({"axis": "element-count", "grid": "16, 36", "outputs": "dual-ub"})
+    assert spec.grid == (16, 36) and all(type(v) is int for v in spec.grid)
+    spec = spec_from({"axis": "power-allocation", "grid": "0, 0.5, 1", "outputs": "dual-ub"})
+    assert spec.grid == (0.0, 0.5, 1.0) and all(type(v) is float for v in spec.grid)
+
+
 def test_xpd_sweep_endpoints_and_dip():
     spec = spec_from(
         {
@@ -226,7 +245,7 @@ def test_random_phase_row_matches_per_draw_oracle():
         axis="phase-scheme", grid=("random",), outputs=("dual-mc", "dual-ub"), base=current
     )
     row = sweep.run_sweep(spec).rows[0]
-    bound, mc = oracles.random_row_per_draw(current, capacity.PowerAllocation.equal())
+    bound, mc = oracles.random_row_per_draw(current, 0.5)
     assert row["dual_ub_bits"] == pytest.approx(bound, rel=1e-12)
     assert row["dual_mc_bits"] == pytest.approx(mc, rel=1e-12)
 
@@ -380,6 +399,26 @@ def test_recipes_registry_complete():
     assert names == ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
     with pytest.raises(ValueError):
         recipes.load_recipe("fig99")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in recipes.list_recipes()])
+def test_recipes_match_golden_outputs(tmp_path, name):
+    # every recipe at 64 trials reproduces its recorded CSV bit for bit:
+    # every header line, and every cell but the runtime
+    path = tmp_path / f"{name}.csv"
+    sweep.write_csv(sweep.run_sweep(recipes.load_recipe(name, {"trials": "64"})), str(path))
+
+    def split(text):
+        lines = text.splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        table = list(csv.reader(line for line in lines if not line.startswith("#")))
+        runtime = table[0].index("runtime_s")
+        return header, [row[:runtime] + row[runtime + 1 :] for row in table]
+
+    assert split(path.read_text()) == split((GOLDEN / f"{name}.csv").read_text())
 
 
 def test_recipe_overrides_apply():
