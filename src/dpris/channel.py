@@ -10,9 +10,9 @@ by the cross-polarization coefficient:
 
 Distances are exact per element, so UEs in the array near field see the
 correct per-element power variation.  The split's two parts stay apart:
-``pathloss_weights`` gives sqrt(beta0 d_n^-alpha), which
-``scenario.build_link_model`` multiplies into the one surface vector with
-the reflection amplitudes and the feed coefficients, and
+``pathloss_weights`` gives sqrt(beta0 d_n^-alpha) from the UE distances,
+which ``scenario.build_link_model`` multiplies into the one surface vector
+with the reflection amplitudes and the feed coefficients, and
 ``capacity.moment_layout`` applies xpd_coeff to the moments of G.
 
 R is never formed.  On the uniform rows x cols grid R(n1, n2) depends only
@@ -52,21 +52,9 @@ def _kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> n
 
 
 def pathloss_weights(
-    geometry: RisGeometry,
-    ue_position: np.ndarray,
-    unit_pathloss: float,
-    pathloss_exponent: float,
+    distances: np.ndarray, unit_pathloss: float, pathloss_exponent: float
 ) -> np.ndarray:
-    """Read-only per-element weights sqrt(beta0 d_n^-alpha) toward the UE,
-    shape (N,)."""
-    if not pathloss_exponent > 0.0:
-        raise ValueError(f"pathloss exponent must be positive, got {pathloss_exponent!r}")
-    if not unit_pathloss >= 0.0:
-        raise ValueError(f"unit pathloss must be non-negative, got {unit_pathloss!r}")
-    delta = np.asarray(ue_position, dtype=float)[None, :] - geometry.element_positions
-    distances = np.linalg.norm(delta, axis=1)
-    if np.any(distances == 0.0):
-        raise ValueError("UE position coincides with a surface element")
+    """Read-only weights sqrt(beta0 d_n^-alpha) of the UE distances d_n."""
     weights = np.sqrt(unit_pathloss * distances**-pathloss_exponent)
     weights.setflags(write=False)
     return weights

@@ -8,14 +8,17 @@ for the random scheme; ``threshold`` prints the cross-polarization
 threshold for given link qualities; ``recipes`` lists or runs the bundled
 figure recipes.
 
-Exit codes: 0 success, 2 usage error (such as an unknown key, scheme or
-convention name, an allocation outside [0, 1] or an SNR that underflows to
-zero), 3 model inconsistency, 4 I/O failure.
+Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
+unknown name, a non-positive length, a zenith outside [0, 180] or a dB
+value that overflows, named by its field or flag; a sweep with a bad base
+writes no CSV), 3 model inconsistency, 4 I/O failure.  A bad grid value or
+a degenerate geometry fails only its sweep row.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -179,7 +182,10 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    value = capacity.xpd_threshold(args.ov, args.oh, db_to_linear(args.snr_db))
+    snr = db_to_linear(args.snr_db)
+    if not 0.0 < snr < math.inf:
+        raise ValueError(f"--snr-db {args.snr_db!r} gives an SNR {snr!r}, not positive and finite")
+    value = capacity.xpd_threshold(args.ov, args.oh, snr)
     print(f"xpd_threshold = {value:.10g}")
     return 0
 

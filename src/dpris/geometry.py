@@ -1,6 +1,7 @@
-"""Surface geometry: the reflective element grid, spherical placements, and
-the per-element incidence decomposition consumed by the feeding and
-reflection-amplitude models.
+"""Surface geometry: the reflective element grid, spherical placements,
+the rays from every element to a point, and the per-element incidence
+decomposition the reflection amplitudes read.  Inputs arrive checked by
+``scenario.Scenario``; the errors left here are model degeneracies.
 
 Coordinate frame
 ----------------
@@ -18,8 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
-
-U_X = np.array([1.0, 0.0, 0.0])
 
 #: Maps the |x|, |y|, |z| components of a unit incidence direction to
 #: (tau_v, tau_h).  Pluggable so an alternate reading of the incidence
@@ -45,27 +44,9 @@ def transverse_plane_tilt(dx: float, dy: float, dz: float) -> tuple[float, float
 
 
 @dataclass(frozen=True)
-class SphericalPlacement:
-    """A point given by distance from the surface center, zenith angle
-    (from +z), and azimuth angle (from +x, physics convention)."""
-
-    radius: float
-    zenith: float
-    azimuth: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
-        if not 0.0 <= self.zenith <= np.pi:
-            raise ValueError(f"zenith must lie in [0, pi], got {self.zenith!r}")
-        if not 0.0 <= self.azimuth < 2.0 * np.pi:
-            raise ValueError(f"azimuth must lie in [0, 2*pi), got {self.azimuth!r}")
-
-
-@dataclass(frozen=True)
 class RisGeometry:
     """The element grid: positions (meters, x = 0 for all), per-element
-    area, count, wavelength, pitch and shape; the surface normal is U_X."""
+    area, count, wavelength, pitch and shape; the surface normal is +x."""
 
     element_positions: np.ndarray
     element_area: float
@@ -90,12 +71,6 @@ def build_ris_grid(rows: int, cols: int, pitch: float, wavelength: float) -> Ris
     wavelength : float
         Carrier wavelength in meters.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
-    if not pitch > 0.0:
-        raise ValueError(f"pitch must be positive, got {pitch!r}")
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     y = (np.arange(cols) - (cols - 1) / 2.0) * pitch
     z = (np.arange(rows) - (rows - 1) / 2.0) * pitch
     yy, zz = np.meshgrid(y, z, indexing="xy")
@@ -114,32 +89,36 @@ def build_ris_grid(rows: int, cols: int, pitch: float, wavelength: float) -> Ris
     )
 
 
-def spherical_to_cartesian(placement: SphericalPlacement) -> np.ndarray:
-    """Cartesian coordinates (r sin(t) cos(p), r sin(t) sin(p), r cos(t))."""
-    r, zenith, azimuth = placement.radius, placement.zenith, placement.azimuth
+def spherical_to_cartesian(radius: float, zenith: float, azimuth: float) -> np.ndarray:
+    """Cartesian (r sin(t) cos(p), r sin(t) sin(p), r cos(t)) of the point
+    at distance r from the center, zenith t (from +z) and azimuth p."""
     return np.array(
         [
-            r * np.sin(zenith) * np.cos(azimuth),
-            r * np.sin(zenith) * np.sin(azimuth),
-            r * np.cos(zenith),
+            radius * np.sin(zenith) * np.cos(azimuth),
+            radius * np.sin(zenith) * np.sin(azimuth),
+            radius * np.cos(zenith),
         ]
     )
 
 
-def incidence_decompositions(
-    geometry: RisGeometry,
-    feed_position: np.ndarray,
-    convention: TauConvention = axis_plane_tilt,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decomposition for all elements.
-
-    Returns (elevations, tau_v, tau_h, distances) arrays of length N.
-    """
-    delta = np.asarray(feed_position, dtype=float)[None, :] - geometry.element_positions
-    distances = np.linalg.norm(delta, axis=1)
+def rays_to(geometry: RisGeometry, point: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors from every element to ``point``, shape (N, 3), and their
+    lengths; DegenerateGeometryError when the point is on an element."""
+    rays = np.asarray(point, dtype=float)[None, :] - geometry.element_positions
+    distances = np.linalg.norm(rays, axis=1)
     if np.any(distances == 0.0):
-        raise DegenerateGeometryError("feed coincides with an element")
-    direction = delta / distances[:, None]
+        raise DegenerateGeometryError(f"{name} coincides with an element")
+    return rays, distances
+
+
+def incidence_decompositions(
+    rays: np.ndarray,
+    distances: np.ndarray,
+    convention: TauConvention = axis_plane_tilt,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elevations arccos(|d . u_x|) and tilt tangents (tau_v, tau_h) of the
+    directions d = rays / distances to the feed, each of length N."""
+    direction = rays / distances[:, None]
     dx = np.abs(direction[:, 0])
     dy = np.abs(direction[:, 1])
     dz = np.abs(direction[:, 2])
@@ -147,4 +126,4 @@ def incidence_decompositions(
         raise DegenerateGeometryError("feed lies in the surface plane")
     tau_v, tau_h = convention(dx, dy, dz)
     elevations = np.arccos(np.minimum(dx, 1.0))
-    return elevations, np.asarray(tau_v), np.asarray(tau_h), distances
+    return elevations, tau_v, tau_h

@@ -5,15 +5,19 @@ element pitch, -96 dBm noise, -49.7 dB unit pathloss, exponent 4, feed at
 
 Scenarios are plain data: text config files and CLI overrides map onto the
 same field names, dB/dBm fields carry explicit suffixes, and angles cross
-this boundary in degrees only.  A scenario is checked when it is made: a
-bad value fails there, with an error that names the field.
+this boundary in degrees only.  A scenario is checked when it is made,
+and only then: every range the link model assumes fails there, with an
+error that names the field.
 
 ``build_link_model`` expands a scenario into the one weighted surface
 vector per polarization, s_P = A_P * b * w (reflection amplitudes, feed
 coefficients, pathloss weights), a read-only (2, N) array, reads every
 moment of the link from it, and resolves ``allocation`` to the V share
 lambda_v of the transmit power: 1/2 for ``equal``, the maximizer of the
-moment bound for ``optimal``, or the literal itself.
+moment bound for ``optimal``, or the literal itself.  It traces the
+feed's rays once; its only errors are the model's degeneracies (a feed on
+an element, in or behind the surface plane or at grazing incidence, and a
+UE on an element).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ _CONVENTIONS = {
     "transverse-plane": geometry.transverse_plane_tilt,
 }
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
+_POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent")
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,39 @@ class Scenario:
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
+        for name in _POSITIVE:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not (self.elements >= 1 and math.isqrt(int(self.elements)) ** 2 == self.elements):
+            raise ValueError(f"elements must be a positive perfect square, got {self.elements!r}")
+        for name in ("feed_zenith_deg", "ue_zenith_deg"):
+            # in radians, as the placement reads it
+            if not 0.0 <= math.radians(getattr(self, name)) <= math.pi:
+                raise ValueError(f"{name} must lie in [0, 180], got {getattr(self, name)!r}")
+        if not 2.0 <= db_to_linear(self.feed_gain_db) < math.inf:
+            raise ValueError(
+                f"feed_gain_db must give a finite linear gain of at least 2, "
+                f"got {self.feed_gain_db!r}"
+            )
+        if db_to_linear(self.beta0_db) == math.inf:
+            raise ValueError(f"beta0_db must give a finite unit pathloss, got {self.beta0_db!r}")
+        if abs(math.cos(math.radians(self.normal_incidence_phase_deg) / 2.0)) < 1e-12:
+            raise ValueError(
+                "normal_incidence_phase_deg must not equal 180 (mod 360), "
+                f"got {self.normal_incidence_phase_deg!r}"
+            )
+        if self.boresight_deg.strip().lower() != "origin":
+            cosines = _cosines(self.boresight_deg)
+            if len(cosines) != 3 or not abs(math.hypot(*cosines) - 1.0) <= 1e-9:
+                raise ValueError(
+                    "boresight_deg must be 'origin' or three angles whose cosines form a "
+                    f"unit vector, got {self.boresight_deg!r}"
+                )
         if not 0.0 <= self.xpd_coeff <= 1.0:
             raise ValueError(f"xpd_coeff must lie in [0, 1], got {self.xpd_coeff!r}")
         try:
             snr = _snr(self)
-        except (OverflowError, ZeroDivisionError):
+        except ZeroDivisionError:
             snr = math.inf
         if not 0.0 < snr < math.inf:
             source = "snr_db" if self.snr_db is not None else "power_dbm - noise_dbm"
@@ -139,71 +172,6 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
 
 
-def grid_shape(scenario: Scenario) -> tuple[int, int]:
-    if scenario.elements < 1:
-        raise ValueError(f"elements must be at least 1, got {scenario.elements!r}")
-    side = math.isqrt(int(scenario.elements))
-    if side * side != scenario.elements:
-        raise ValueError(
-            f"element count {scenario.elements} is not a perfect square"
-        )
-    return side, side
-
-
-def build_geometry(scenario: Scenario) -> geometry.RisGeometry:
-    rows, cols = grid_shape(scenario)
-    pitch = scenario.pitch_wavelengths * scenario.wavelength_m
-    return geometry.build_ris_grid(rows, cols, pitch, scenario.wavelength_m)
-
-
-def feed_position(scenario: Scenario) -> np.ndarray:
-    placement = geometry.SphericalPlacement(
-        radius=scenario.feed_r_m,
-        zenith=np.deg2rad(scenario.feed_zenith_deg),
-        azimuth=np.deg2rad(scenario.feed_azimuth_deg) % (2.0 * np.pi),
-    )
-    return geometry.spherical_to_cartesian(placement)
-
-
-def ue_position(scenario: Scenario) -> np.ndarray:
-    placement = geometry.SphericalPlacement(
-        radius=scenario.ue_r_m,
-        zenith=np.deg2rad(scenario.ue_zenith_deg),
-        azimuth=np.deg2rad(scenario.ue_azimuth_deg) % (2.0 * np.pi),
-    )
-    return geometry.spherical_to_cartesian(placement)
-
-
-def build_feed(scenario: Scenario) -> feed.FeedSpec:
-    position = feed_position(scenario)
-    if scenario.boresight_deg.strip().lower() == "origin":
-        norm = float(np.linalg.norm(position))
-        boresight = -position / norm
-    else:
-        parts = [float(x) for x in scenario.boresight_deg.split(",")]
-        if len(parts) != 3:
-            raise ValueError(
-                "boresight_deg must be 'origin' or three comma-separated angles"
-            )
-        boresight = feed.boresight_from_angles(*np.deg2rad(parts))
-    return feed.FeedSpec(
-        position=position,
-        boresight=boresight,
-        gain=db_to_linear(scenario.feed_gain_db),
-    )
-
-
-def build_amplitude_model(scenario: Scenario) -> ris.AmplitudeModel:
-    return ris.AmplitudeModel(
-        normal_incidence_phase=np.deg2rad(scenario.normal_incidence_phase_deg),
-        tau_offset=scenario.tau_offset,
-    )
-
-
-def tau_convention(scenario: Scenario) -> geometry.TauConvention:
-    return _CONVENTIONS[scenario.incidence_convention]
-
-
 def _snr(scenario: Scenario) -> float:
     """Transmit SNR rho = P / sigma^2, from ``snr_db`` when it is set."""
     if scenario.snr_db is not None:
@@ -233,17 +201,34 @@ class LinkModel:
 
 
 def build_link_model(scenario: Scenario) -> LinkModel:
-    geo = build_geometry(scenario)
-    fd = build_feed(scenario)
-    b = feed.build_propagation_matrix(geo, fd)
-    amplitudes = np.stack(
-        ris.element_amplitudes(geo, fd, build_amplitude_model(scenario), tau_convention(scenario))
+    side = math.isqrt(int(scenario.elements))
+    wavelength = scenario.wavelength_m
+    geo = geometry.build_ris_grid(side, side, scenario.pitch_wavelengths * wavelength, wavelength)
+    feed_position = _position(
+        scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
+    # the feed's rays, traced once for its coefficients and the amplitudes
+    rays, distances = geometry.rays_to(geo, feed_position, "feed")
+    if scenario.boresight_deg.strip().lower() == "origin":
+        boresight = -feed_position / np.linalg.norm(feed_position)
+    else:
+        cosines = np.array(_cosines(scenario.boresight_deg))
+        boresight = cosines / np.linalg.norm(cosines)
+    b = feed.build_propagation_matrix(
+        geo, rays, distances, boresight, db_to_linear(scenario.feed_gain_db)
+    )
+    amplitudes = ris.element_amplitudes(
+        rays,
+        distances,
+        np.deg2rad(scenario.normal_incidence_phase_deg),
+        scenario.tau_offset,
+        _CONVENTIONS[scenario.incidence_convention],
+    )
+    ue_position = _position(scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg)
     weights = channel.pathloss_weights(
-        geo,
-        ue_position(scenario),
-        unit_pathloss=db_to_linear(scenario.beta0_db),
-        pathloss_exponent=scenario.pathloss_exponent,
+        geometry.rays_to(geo, ue_position, "UE")[1],
+        db_to_linear(scenario.beta0_db),
+        scenario.pathloss_exponent,
     )
     surface = amplitudes * b * weights
     surface.setflags(write=False)
@@ -265,6 +250,21 @@ def build_link_model(scenario: Scenario) -> LinkModel:
     else:
         lambda_v = 0.5 if mode == "equal" else float(mode)
     return LinkModel(snr, lambda_v, float(o[0]), float(o[1]), moments)
+
+
+def _cosines(angles_deg: str) -> list[float]:
+    """Cosines of comma-separated angles in degrees; none when one of them
+    is not a finite number."""
+    try:
+        return [math.cos(math.radians(float(a))) for a in angles_deg.split(",")]
+    except ValueError:
+        return []
+
+
+def _position(radius: float, zenith_deg: float, azimuth_deg: float) -> np.ndarray:
+    return geometry.spherical_to_cartesian(
+        radius, np.deg2rad(zenith_deg), np.deg2rad(azimuth_deg) % (2.0 * np.pi)
+    )
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -12,7 +12,8 @@ expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
 independent route to the package's |det G|^2 form.  The per-element
 scalar twins (incidence decomposition, feed pattern, spherical-wave
 coefficient, reflection amplitude) evaluate one element at a time with
-``math``, against the package's vectorized forms.  ``RisConfiguration``
+``math``, against the package's vectorized forms, which read the feed's
+rays traced once.  ``RisConfiguration``
 is one phase configuration with its complex reflection coefficients,
 which the package never forms per configuration, and
 ``random_row_per_draw`` evaluates a random-phase row one configuration per
@@ -22,8 +23,9 @@ optimal split, are the references for the package's moment bound and its
 maximizer at aligned moments, and the aligning phases, which the package
 never builds, are the references for its moments built from O_V and O_H.
 ``link_parts`` rebuilds
-the factors a scenario expands into from the package's public builders;
-the package's link model keeps only what its outputs read.  The
+the factors a scenario expands into from the package's public builders,
+reading the scenario's fields as the package does; the package's link
+model keeps only what its outputs read.  The
 hemisphere quadrature checks that the feed pattern integrates to 4 pi, and
 ``multiplexing_gain`` reads the high-SNR slope of a capacity curve.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpris import capacity, channel, feed, ris, scenario as scen
+from dpris import capacity, channel, feed, geometry, ris, scenario as scen
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 from dpris.geometry import axis_plane_tilt
 from dpris.numerics import db_to_linear, dbm_to_watts
@@ -296,37 +298,39 @@ def incidence_decomposition(
     return IncidenceDecomposition(math.acos(min(dx, 1.0)), tau_v, tau_h, distance)
 
 
-def feed_gain(feed, direction) -> float:
-    """Pattern value kappa * (r . n)^(kappa/2 - 1) toward a unit direction,
-    zero in the back hemisphere (r . n < 0)."""
-    dot = sum(float(r) * float(n) for r, n in zip(direction, feed.boresight))
+def feed_gain(boresight, gain: float, direction) -> float:
+    """Pattern value kappa * (r . n)^(kappa/2 - 1) toward a unit direction
+    r, kappa = ``gain`` and n = ``boresight``, zero in the back hemisphere
+    (r . n < 0)."""
+    dot = sum(float(r) * float(n) for r, n in zip(direction, boresight))
     if dot < 0.0:
         return 0.0
-    return feed.gain * dot ** (feed.gain / 2.0 - 1.0)
+    return gain * dot ** (gain / 2.0 - 1.0)
 
 
-def nusw_coefficient(geometry, feed, element_index: int) -> complex:
+def nusw_coefficient(geometry, position, boresight, gain: float, element_index: int) -> complex:
     """Spherical-wave coefficient b_n = sqrt(G_n A_n / (4 pi D_n^2))
-    exp(-j 2 pi D_n / lambda) of one element, A_n its aperture projected
-    toward the feed; DegenerateGeometryError when that is non-positive."""
+    exp(-j 2 pi D_n / lambda) of one element, for a feed at ``position``,
+    A_n its aperture projected toward the feed; DegenerateGeometryError
+    when that is non-positive."""
     element = geometry.element_positions[element_index]
-    delta = [float(f - q) for f, q in zip(feed.position, element)]
+    delta = [float(f - q) for f, q in zip(position, element)]
     distance = math.sqrt(sum(c * c for c in delta))
     projected = -delta[0] * geometry.element_area / distance
     if projected <= 0.0:
         raise DegenerateGeometryError("feed is in or behind the surface plane")
-    gain = feed_gain(feed, [-c / distance for c in delta])
+    gain = feed_gain(boresight, gain, [-c / distance for c in delta])
     magnitude = math.sqrt(gain * projected / (4.0 * math.pi * distance**2))
     return magnitude * cmath.exp(-2j * math.pi * distance / geometry.wavelength)
 
 
-def reflection_amplitude(model, elevation: float, tau: float) -> float:
+def reflection_amplitude(normal_incidence_phase: float, elevation: float, tau: float) -> float:
     """Element response amplitude |exp(2j atan((t + tau) / cos e)) -
-    exp(2j atan((t - tau) / cos e))| / 2 with t = tan(phi0 / 2); grazing
-    incidence (e = pi/2) is rejected."""
+    exp(2j atan((t - tau) / cos e))| / 2 with t = tan(phi0 / 2), phi0 the
+    normal-incidence phase; grazing incidence (e = pi/2) is rejected."""
     if not 0.0 <= elevation < math.pi / 2.0:
         raise ValueError("elevation must lie in [0, pi/2)")
-    t = math.tan(model.normal_incidence_phase / 2.0)
+    t = math.tan(normal_incidence_phase / 2.0)
     cos_e = math.cos(elevation)
     plus = cmath.exp(2j * math.atan((t + tau) / cos_e))
     minus = cmath.exp(2j * math.atan((t - tau) / cos_e))
@@ -422,24 +426,24 @@ def closed_form_optimal_allocation(o_v: float, o_h: float, snr: float, xpd_coeff
     return float(np.clip(lambda_0, 0.0, 1.0))
 
 
-def optimal_phases(geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
+def optimal_phases(geometry, feed_position) -> tuple[np.ndarray, np.ndarray]:
     """Capacity-maximizing phases 2 pi D_n / lambda (mod 2 pi), identical
     for both polarizations: each element cancels its own feed-path phase,
     so all reflected contributions add coherently."""
-    delta = feed_spec.position[None, :] - geometry.element_positions
+    delta = np.asarray(feed_position, dtype=float)[None, :] - geometry.element_positions
     distances = np.linalg.norm(delta, axis=1)
     phases = np.mod(2.0 * np.pi * distances / geometry.wavelength, 2.0 * np.pi)
     return phases, phases.copy()
 
 
-def aligned_phases(scheme: str, geometry, feed_spec) -> tuple[np.ndarray, np.ndarray]:
+def aligned_phases(scheme: str, geometry, feed_position) -> tuple[np.ndarray, np.ndarray]:
     """Phase vectors of an aligning scheme.  ``optimal`` aligns every
     element; ``optimal-with-adjustment`` would also subtract a feeding
     phase per polarization, a constant offset that cancels in every moment
     and that the feed does not carry, so both schemes give these phases."""
     if scheme not in ("optimal", "optimal-with-adjustment"):
         raise ValueError(f"{scheme!r} is not an aligning phase scheme")
-    return optimal_phases(geometry, feed_spec)
+    return optimal_phases(geometry, feed_position)
 
 
 @dataclass(frozen=True)
@@ -457,29 +461,55 @@ class LinkParts:
 
 
 def link_parts(scenario) -> LinkParts:
-    """Rebuild a scenario's parts from the package's public builders.  The
+    """Rebuild a scenario's parts from the package's public builders,
+    reading its fields as ``scenario.build_link_model`` does.  The
     configuration carries the scheme's phases: the aligning phases, or the
     single draw ``phase_seed`` for the random scheme."""
-    geo = scen.build_geometry(scenario)
-    fd = scen.build_feed(scenario)
+    side = math.isqrt(int(scenario.elements))
+    wavelength = scenario.wavelength_m
+    geo = geometry.build_ris_grid(side, side, scenario.pitch_wavelengths * wavelength, wavelength)
+    position = scen._position(
+        scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
+    )
+    rays, distances = geometry.rays_to(geo, position, "feed")
+    if scenario.boresight_deg.strip().lower() == "origin":
+        boresight = -position / np.linalg.norm(position)
+    else:
+        cosines = np.cos(np.deg2rad([float(a) for a in scenario.boresight_deg.split(",")]))
+        boresight = cosines / np.linalg.norm(cosines)
     a_v, a_h = ris.element_amplitudes(
-        geo, fd, scen.build_amplitude_model(scenario), scen.tau_convention(scenario)
+        rays,
+        distances,
+        np.deg2rad(scenario.normal_incidence_phase_deg),
+        scenario.tau_offset,
+        scen._CONVENTIONS[scenario.incidence_convention],
     )
     if scenario.phase_scheme == "random":
         phases_v, phases_h = ris.random_phases(geo.element_count, scenario.phase_seed)
     else:
-        phases_v, phases_h = aligned_phases(scenario.phase_scheme, geo, fd)
-    ue = scen.ue_position(scenario)
-    unit_pathloss = db_to_linear(scenario.beta0_db)
-    weights = channel.pathloss_weights(geo, ue, unit_pathloss, scenario.pathloss_exponent)
+        phases_v, phases_h = aligned_phases(scenario.phase_scheme, geo, position)
+    ue = scen._position(scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg)
+    weights = channel.pathloss_weights(
+        geometry.rays_to(geo, ue, "UE")[1],
+        db_to_linear(scenario.beta0_db),
+        scenario.pathloss_exponent,
+    )
     return LinkParts(
         geometry=geo,
-        b=feed.build_propagation_matrix(geo, fd),
+        b=feed.build_propagation_matrix(
+            geo, rays, distances, boresight, db_to_linear(scenario.feed_gain_db)
+        ),
         config=RisConfiguration(a_v, a_h, phases_v, phases_h),
         weights=weights,
         spectrum=channel.kernel_spectrum(geo),
         xpd_coeff=scenario.xpd_coeff,
     )
+
+
+def feed_coefficients(geo, position, boresight=(1.0, 0.0, 0.0), gain: float = 10.0) -> np.ndarray:
+    """The package's feed coefficients for a feed at ``position``."""
+    rays, distances = geometry.rays_to(geo, position, "feed")
+    return feed.build_propagation_matrix(geo, rays, distances, np.asarray(boresight), gain)
 
 
 def multiplexing_gain(snr_values, capacities) -> float:
@@ -504,14 +534,16 @@ def gauss_legendre(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.n
     return lower + half * (x + 1.0), half * w
 
 
-def pattern_hemisphere_integral(feed_spec, theta_nodes: int = 128, phi_nodes: int = 128) -> float:
+def pattern_hemisphere_integral(
+    boresight, gain: float, theta_nodes: int = 128, phi_nodes: int = 128
+) -> float:
     """Numerically integrate the package's feed pattern over its front
     hemisphere.
 
     Product Gauss-Legendre rule over (theta, phi) around the boresight;
     a correctly normalized pattern integrates to 4 pi for every kappa.
     """
-    e1, e2 = _orthonormal_complement(feed_spec.boresight)
+    e1, e2 = _orthonormal_complement(boresight)
     theta, w_theta = gauss_legendre(theta_nodes, 0.0, np.pi / 2.0)
     phi, w_phi = gauss_legendre(phi_nodes, 0.0, 2.0 * np.pi)
     sin_t = np.sin(theta)[:, None]
@@ -519,9 +551,9 @@ def pattern_hemisphere_integral(feed_spec, theta_nodes: int = 128, phi_nodes: in
     dirs = (
         sin_t[..., None] * np.cos(phi)[None, :, None] * e1
         + sin_t[..., None] * np.sin(phi)[None, :, None] * e2
-        + cos_t[..., None] * feed_spec.boresight
+        + cos_t[..., None] * boresight
     )
-    values = feed.feed_gains(feed_spec, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
+    values = feed.feed_gains(boresight, gain, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
     weights = (w_theta * sin_t[:, 0])[:, None] * w_phi[None, :]
     return float(np.sum(values * weights))
 

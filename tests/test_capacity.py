@@ -83,8 +83,12 @@ def test_link_budget_validation(capsys):
     for field, value in (("snr_db", -4000.0), ("power_dbm", -4000.0), ("noise_dbm", 4000.0)):
         with pytest.raises(ValueError, match=field):
             scen.Scenario(**{field: value})
-    assert cli.main(["threshold", "--ov", "1", "--oh", "1", "--snr-db", "-4000"]) == 2
-    assert "snr" in capsys.readouterr().err
+    for snr_db in ("-4000", "4000"):
+        assert cli.main(["threshold", "--ov", "1", "--oh", "1", "--snr-db", snr_db]) == 2
+        assert "snr" in capsys.readouterr().err
+    for field in ("snr_db", "power_dbm"):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: 4000.0})
     base = scen.Scenario(elements=4)
     assert scen.build_link_model(base.replace(snr_db=20.0)).snr == 100.0
     model = scen.build_link_model(base.replace(power_dbm=33.0, noise_dbm=-7.0))

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, feed, geometry, scenario as scen
-from dpris.exceptions import ModelInconsistencyError
+from dpris import capacity, channel, geometry, scenario as scen
+from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 from dpris.numerics import db_to_linear
 
 import oracles
@@ -17,7 +17,7 @@ UE_X = np.array([50.0, 0.0, 0.0])
 def weights_for(rows=4, cols=4, ue=UE_X, pitch=PITCH):
     """Grid and its pathloss weights toward the UE."""
     geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
-    return geo, channel.pathloss_weights(geo, ue, BETA0, 4.0)
+    return geo, channel.pathloss_weights(geometry.rays_to(geo, ue, "UE")[1], BETA0, 4.0)
 
 
 def test_correlation_diagonal_and_zero_crossing():
@@ -102,7 +102,7 @@ def test_pathloss_extreme_xpd():
     # xpd 0 and 1 zero one block family of moments exactly; xpd 0.5 splits
     # the pathloss evenly
     geo, weights = weights_for(2, 2)
-    b = feed.build_propagation_matrix(geo, scen.build_feed(scen.Scenario()))
+    b = oracles.feed_coefficients(geo, [-0.05, 0.0, 0.0])
     surface = np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights
     o = capacity.compute_O(surface, channel.kernel_spectrum(geo))
     for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):
@@ -123,15 +123,20 @@ def test_pathloss_reference_value():
 
 
 def test_pathloss_validation():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    with pytest.raises(ValueError):
-        channel.pathloss_weights(geo, np.zeros(3), BETA0, 4.0)
-    with pytest.raises(ValueError, match="xpd_coeff"):
-        scen.Scenario(xpd_coeff=1.2)
-    with pytest.raises(ValueError):
-        channel.pathloss_weights(geo, UE_X, BETA0, -1.0)
-    with pytest.raises(ValueError):
-        channel.pathloss_weights(geo, UE_X, -BETA0, 4.0)
+    # a UE on an element is a degenerate geometry; the pathloss figures are
+    # checked when the scenario is made, and the error names the field
+    with pytest.raises(DegenerateGeometryError, match="UE"):
+        weights_for(1, 1, ue=np.zeros(3))
+    for field, value in (
+        ("xpd_coeff", 1.2),
+        ("pathloss_exponent", -1.0),
+        ("pathloss_exponent", 0.0),
+        ("beta0_db", 4000.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: value})
+    # a unit pathloss that underflows to zero is a silent link, not an error
+    assert scen.build_link_model(scen.Scenario(elements=4, beta0_db=-4000.0)).o_v == 0.0
 
 
 def test_sample_zero_cross_blocks_when_matched():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpris import geometry
+from dpris import geometry, scenario as scen
 from dpris.exceptions import DegenerateGeometryError
 
 import oracles
@@ -44,40 +44,62 @@ def test_grid_planarity_and_adjacent_spacing():
 
 
 def test_grid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        geometry.build_ris_grid(0, 3, PITCH, WAVELENGTH)
-    with pytest.raises(ValueError):
-        geometry.build_ris_grid(2, 2, -PITCH, WAVELENGTH)
-    with pytest.raises(ValueError):
-        geometry.build_ris_grid(2, 2, PITCH, 0.0)
+    # the grid's size, pitch and wavelength are checked when the scenario
+    # is made, and the error names the field
+    for field, value in (
+        ("elements", 0),
+        ("elements", 15),
+        ("pitch_wavelengths", -1.0 / 3.0),
+        ("wavelength_m", 0.0),
+        ("wavelength_m", -1.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: value})
 
 
 def test_spherical_to_cartesian_feed_placement():
-    point = geometry.spherical_to_cartesian(
-        geometry.SphericalPlacement(0.05, np.pi / 2, np.pi)
-    )
+    point = geometry.spherical_to_cartesian(0.05, np.pi / 2, np.pi)
     assert np.allclose(point, [-0.05, 0.0, 0.0], atol=1e-15)
 
 
 def test_spherical_to_cartesian_pole_and_ue():
-    pole = geometry.spherical_to_cartesian(geometry.SphericalPlacement(1.0, 0.0, 1.23))
+    pole = geometry.spherical_to_cartesian(1.0, 0.0, 1.23)
     assert np.allclose(pole, [0.0, 0.0, 1.0], atol=1e-15)
-    ue = geometry.spherical_to_cartesian(geometry.SphericalPlacement(50.0, np.pi / 3, 0.0))
+    ue = geometry.spherical_to_cartesian(50.0, np.pi / 3, 0.0)
     assert np.allclose(ue, [25.0 * np.sqrt(3.0), 0.0, 25.0], rtol=1e-14)
 
 
 def test_spherical_placement_validation():
-    with pytest.raises(ValueError):
-        geometry.SphericalPlacement(0.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        geometry.SphericalPlacement(1.0, -0.1, 0.1)
-    with pytest.raises(ValueError):
-        geometry.SphericalPlacement(1.0, 0.1, 2 * np.pi)
+    # radii and zenith angles are checked when the scenario is made, and
+    # the error names the field; azimuths wrap
+    for field, value in (
+        ("feed_r_m", 0.0),
+        ("feed_r_m", -1.0),
+        ("ue_r_m", 0.0),
+        ("feed_zenith_deg", -0.1),
+        ("feed_zenith_deg", 200.0),
+        ("ue_zenith_deg", -5.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            scen.Scenario(**{field: value})
+    for field in ("feed_zenith_deg", "ue_zenith_deg"):
+        for edge in (0.0, 180.0):
+            assert getattr(scen.Scenario(**{field: edge}), field) == edge
+    base = scen.build_link_model(scen.Scenario(elements=16))
+    wrapped = scen.build_link_model(scen.Scenario(elements=16, feed_azimuth_deg=540.0))
+    np.testing.assert_allclose(wrapped.moments, base.moments, rtol=1e-12)
+
+
+def decompositions(geo, feed, convention=geometry.axis_plane_tilt):
+    """(elevations, tau_v, tau_h, distances) of every element, from the
+    feed's rays traced once."""
+    rays, distances = geometry.rays_to(geo, feed, "feed")
+    return (*geometry.incidence_decompositions(rays, distances, convention), distances)
 
 
 def decomposition(geo, feed, index=0, convention=geometry.axis_plane_tilt):
     """(elevation, tau_v, tau_h, distance) of one element, vectorized path."""
-    return [float(part[index]) for part in geometry.incidence_decompositions(geo, feed, convention)]
+    return [float(part[index]) for part in decompositions(geo, feed, convention)]
 
 
 def test_incidence_normal():
@@ -119,8 +141,8 @@ def test_incidence_mirror_symmetry():
     for _ in range(20):
         feed = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
         mirrored = feed * np.array([1.0, -1.0, 1.0])
-        a = geometry.incidence_decompositions(geo, feed)
-        b = geometry.incidence_decompositions(geo, mirrored)
+        a = decompositions(geo, feed)
+        b = decompositions(geo, mirrored)
         for a_part, b_part in zip(a[:3], b[:3]):
             np.testing.assert_allclose(b_part[partner], a_part, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b[3][partner], a[3], rtol=1e-12)
@@ -132,7 +154,7 @@ def test_incidence_decompositions_match_scalar_oracle():
     for convention in (geometry.axis_plane_tilt, geometry.transverse_plane_tilt):
         for _ in range(10):
             feed = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
-            vectorized = geometry.incidence_decompositions(geo, feed, convention)
+            vectorized = decompositions(geo, feed, convention)
             for index in range(geo.element_count):
                 scalar = oracles.incidence_decomposition(geo, feed, index, convention)
                 expected = (scalar.elevation, scalar.tau_v, scalar.tau_h, scalar.distance)
@@ -145,7 +167,7 @@ def test_incidence_elevation_below_grazing():
     rng = np.random.default_rng(4)
     for _ in range(50):
         feed = np.array([-rng.uniform(1e-3, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        elevations, _, _, distances = geometry.incidence_decompositions(geo, feed)
+        elevations, _, _, distances = decompositions(geo, feed)
         assert np.all(elevations < np.pi / 2)
         assert np.all(distances > 0)
 
@@ -155,7 +177,11 @@ def test_incidence_degenerate_inplane_feed():
     with pytest.raises(DegenerateGeometryError):
         oracles.incidence_decomposition(geo, np.array([0.0, 0.5, 0.1]), 0)
     with pytest.raises(DegenerateGeometryError):
-        geometry.incidence_decompositions(geo, np.array([0.0, 0.5, 0.1]))
+        decompositions(geo, np.array([0.0, 0.5, 0.1]))
+    # a point on an element has no direction from it
+    for name in ("feed", "UE"):
+        with pytest.raises(DegenerateGeometryError, match=f"{name} coincides"):
+            geometry.rays_to(geo, geo.element_positions[3], name)
 
 
 def test_incidence_index_bounds():

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from dpris import capacity, feed, geometry, ris, scenario as scen
+from dpris import capacity, geometry, ris, scenario as scen
+from dpris.exceptions import DegenerateGeometryError
 
 import oracles
 from conftest import PITCH, WAVELENGTH
 
-QUARTER = ris.AmplitudeModel(normal_incidence_phase=np.pi / 2)
+#: Normal-incidence phase shift phi0 = pi/2.
+QUARTER = np.pi / 2
 
 
-def table_feed(position, gain=10.0):
-    return feed.FeedSpec(
-        position=np.asarray(position, dtype=float),
-        boresight=np.array([1.0, 0.0, 0.0]),
-        gain=gain,
-    )
+def amplitudes(geo, position, phase=QUARTER, tau_offset=0.0):
+    """The package's (V, H) amplitudes for a feed at ``position``."""
+    rays, distances = geometry.rays_to(geo, np.asarray(position, dtype=float), "feed")
+    return ris.element_amplitudes(rays, distances, phase, tau_offset)
 
 
 def test_amplitude_zero_at_zero_tau():
@@ -41,8 +41,8 @@ def test_amplitude_reference_value():
 def test_amplitude_bounded_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        model = ris.AmplitudeModel(normal_incidence_phase=rng.uniform(-2.8, 2.8))
-        value = oracles.reflection_amplitude(model, rng.uniform(0, 1.5), rng.uniform(-10, 10))
+        phase = rng.uniform(-2.8, 2.8)
+        value = oracles.reflection_amplitude(phase, rng.uniform(0, 1.5), rng.uniform(-10, 10))
         assert 0.0 <= value <= 1.0
 
 
@@ -51,10 +51,13 @@ def test_amplitude_rejects_grazing_and_bad_phase():
         oracles.reflection_amplitude(QUARTER, np.pi / 2, 0.5)
     # a feed 1e-20 m off the surface plane sees elevation pi/2 in floats
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    with pytest.raises(ValueError):
-        ris.element_amplitudes(geo, table_feed([-1e-20, 0.1, 0.0]), QUARTER)
-    with pytest.raises(ValueError):
-        ris.AmplitudeModel(normal_incidence_phase=np.pi)
+    with pytest.raises(DegenerateGeometryError):
+        amplitudes(geo, [-1e-20, 0.1, 0.0])
+    # phi0 = pi (mod 2 pi) is rejected when the scenario is made, and the
+    # error names the field
+    for degrees in (180.0, 540.0, -180.0):
+        with pytest.raises(ValueError, match="normal_incidence_phase_deg"):
+            scen.Scenario(normal_incidence_phase_deg=degrees)
 
 
 def test_element_amplitudes_match_scalar_oracle():
@@ -63,32 +66,27 @@ def test_element_amplitudes_match_scalar_oracle():
     rng = np.random.default_rng(6)
     geo = geometry.build_ris_grid(4, 5, PITCH, WAVELENGTH)
     for _ in range(10):
-        model = ris.AmplitudeModel(
-            normal_incidence_phase=rng.uniform(-2.8, 2.8), tau_offset=rng.uniform(-1, 1)
-        )
-        spec = table_feed([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
-        a_v, a_h = ris.element_amplitudes(geo, spec, model)
+        phase, offset = rng.uniform(-2.8, 2.8), rng.uniform(-1, 1)
+        position = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
+        a_v, a_h = amplitudes(geo, position, phase, offset)
         for index in range(geo.element_count):
-            dec = oracles.incidence_decomposition(geo, spec.position, index)
+            dec = oracles.incidence_decomposition(geo, position, index)
             for value, tau in ((a_v[index], dec.tau_v), (a_h[index], dec.tau_h)):
-                tau += model.tau_offset
-                expected = oracles.reflection_amplitude(model, dec.elevation, tau)
+                expected = oracles.reflection_amplitude(phase, dec.elevation, tau + offset)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_element_amplitudes_on_axis_single_element():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    a_v, a_h = ris.element_amplitudes(geo, table_feed([-0.05, 0, 0]), QUARTER)
+    a_v, a_h = amplitudes(geo, [-0.05, 0, 0])
     assert a_v[0] == 0.0
     assert a_h[0] == 0.0
 
 
 def test_element_amplitudes_oblique_polarizations_differ():
     geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    position = geometry.spherical_to_cartesian(
-        geometry.SphericalPlacement(0.1, np.pi / 3, np.pi)
-    )
-    a_v, a_h = ris.element_amplitudes(geo, table_feed(position), QUARTER)
+    position = geometry.spherical_to_cartesian(0.1, np.pi / 3, np.pi)
+    a_v, a_h = amplitudes(geo, position)
     assert not np.allclose(a_v, a_h)
     # feed tilted toward +z favors the V polarization under the default
     # convention
@@ -99,8 +97,8 @@ def test_element_amplitudes_mirror_invariance():
     geo = geometry.build_ris_grid(3, 3, PITCH, WAVELENGTH)
     base = np.array([-0.07, 0.03, 0.02])
     mirrored = base * np.array([1.0, -1.0, 1.0])
-    a_v, a_h = ris.element_amplitudes(geo, table_feed(base), QUARTER)
-    b_v, b_h = ris.element_amplitudes(geo, table_feed(mirrored), QUARTER)
+    a_v, a_h = amplitudes(geo, base)
+    b_v, b_h = amplitudes(geo, mirrored)
     # mirroring the feed across the x-z plane re-pairs elements column-wise
     flip = np.arange(9).reshape(3, 3)[:, ::-1].ravel()
     np.testing.assert_allclose(b_v[flip], a_v, atol=1e-12)
@@ -109,25 +107,23 @@ def test_element_amplitudes_mirror_invariance():
 
 def test_element_amplitudes_tau_offset():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    shifted = ris.AmplitudeModel(normal_incidence_phase=np.pi / 2, tau_offset=1.0)
-    a_v, _ = ris.element_amplitudes(geo, table_feed([-0.05, 0, 0]), shifted)
+    a_v, _ = amplitudes(geo, [-0.05, 0, 0], tau_offset=1.0)
     assert a_v[0] == pytest.approx(0.8944271909999159, rel=1e-12)
 
 
 def test_optimal_phases_single_element_at_wavelength():
     geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    spec = table_feed([-WAVELENGTH, 0.0, 0.0])
-    phases_v, phases_h = oracles.optimal_phases(geo, spec)
+    phases_v, phases_h = oracles.optimal_phases(geo, [-WAVELENGTH, 0.0, 0.0])
     assert phases_v[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(phases_v, phases_h)
 
 
 def test_optimal_phases_align_reflections():
     geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
-    spec = table_feed([-0.05, 0.0, 0.0])
-    b = feed.build_propagation_matrix(geo, spec)
+    position = [-0.05, 0.0, 0.0]
+    b = oracles.feed_coefficients(geo, position)
     config = oracles.RisConfiguration(
-        *ris.element_amplitudes(geo, spec, QUARTER), *oracles.optimal_phases(geo, spec)
+        *amplitudes(geo, position), *oracles.optimal_phases(geo, position)
     )
     # every element's reflected contribution lands on the positive real axis
     for gamma in (config.gamma_v, config.gamma_h):
@@ -136,16 +132,16 @@ def test_optimal_phases_align_reflections():
 
 def test_phase_adjustment_offsets():
     geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    spec = table_feed([-0.05, 0.01, 0.0])
-    base_v, base_h = oracles.aligned_phases("optimal", geo, spec)
-    adj_v, adj_h = oracles.aligned_phases("optimal-with-adjustment", geo, spec)
+    position = [-0.05, 0.01, 0.0]
+    base_v, base_h = oracles.aligned_phases("optimal", geo, position)
+    adj_v, adj_h = oracles.aligned_phases("optimal-with-adjustment", geo, position)
     # the feed carries no per-polarization phase, so the adjustment offsets
     # are zero and both polarizations share one phase vector
     np.testing.assert_array_equal(adj_v, base_v)
     np.testing.assert_array_equal(adj_h, base_h)
     np.testing.assert_array_equal(base_v, base_h)
     with pytest.raises(ValueError):
-        oracles.aligned_phases("random", geo, spec)
+        oracles.aligned_phases("random", geo, position)
 
 
 def test_random_phase_determinism():

@@ -461,21 +461,65 @@ def test_cli_capacity_rejects_zero_trials(capsys):
 )
 def test_counts_are_rejected_when_parsed(field, values):
     # a count below 1, or a value that does not parse, fails with an error
-    # that names the field: when the scenario is made, or for the element
-    # count when the surface is laid out
+    # that names the field when the scenario is made
     for value in values:
         with pytest.raises(ValueError, match=field):
-            scen.build_geometry(scen.parse_overrides(scen.Scenario(), {field: value}))
+            scen.parse_overrides(scen.Scenario(), {field: value})
     assert getattr(scen.Scenario(**{field: 1}), field) == 1
 
 
 @pytest.mark.parametrize(
-    "override", ["snr_db=inf", "noise_dbm=-inf", "power_dbm=nan", "xpd_coeff=1.5"]
+    "override",
+    [
+        "snr_db=inf",
+        "noise_dbm=-inf",
+        "power_dbm=nan",
+        "xpd_coeff=1.5",
+        "feed_r_m=0",
+        "feed_r_m=-1",
+        "ue_r_m=0",
+        "feed_zenith_deg=200",
+        "ue_zenith_deg=-5",
+        "boresight_deg=a,b,c",
+        "boresight_deg=0,0,0",
+        "normal_incidence_phase_deg=180",
+        "feed_gain_db=2",
+        "pitch_wavelengths=0",
+        "wavelength_m=-1",
+        "pathloss_exponent=0",
+        "elements=15",
+        "beta0_db=4000",
+        "feed_gain_db=4000",
+    ],
 )
 def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
-    rc = cli.main(["capacity", "--elements", "16", "--trials", "10", "--set", override])
+    # every range the link model assumes is checked when the scenario is
+    # made, before any surface is laid out, and the error names the field
+    rc = cli.main(["capacity", "--trials", "10", "--set", override])
     assert rc == 2
     assert override.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["feed_r_m = 0", "beta0_db = 4000"])
+def test_sweep_with_bad_base_is_usage_error(tmp_path, capsys, override):
+    # a bad base value fails the command, not every row, and no CSV is
+    # written
+    spec_path = tmp_path / "bad.sweep"
+    spec_path.write_text(f"axis = xpd\ngrid = 0, 1\noutputs = dual-ub\n{override}\n")
+    out_path = tmp_path / "bad.csv"
+    assert cli.main(["sweep", str(spec_path), "--out", str(out_path)]) == 2
+    assert override.split(" ")[0] in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_out_of_range_grid_value_fails_its_row():
+    # a grid value out of range fails its row only, and names its field
+    spec = spec_from(
+        {"axis": "element-count", "grid": "9, 15, 25", "outputs": "dual-ub", "trials": "10"}
+    )
+    rows = sweep.run_sweep(spec).rows
+    assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
+    assert rows[1]["status"].startswith("failed:") and "elements" in rows[1]["status"]
 
 
 def test_cli_threshold_prints_value(capsys):
