@@ -261,15 +261,20 @@ def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
 
     clipped to [0, 1].  At aligned moments it is the paper's
     lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H).
+    ModelInconsistencyError when m11 m22 + m12 m21 is not positive (a dead
+    polarization, or a product that underflows).
     """
     m = np.asarray(moments, dtype=float)
     if m.shape != (4,):
         raise ValueError(f"the split reads one configuration's moments, shape (4,), not {m.shape}")
+    if not snr > 0.0:
+        raise ValueError(f"the split needs a positive snr, got {snr!r}")
     m11, m12, m21, m22 = m
     cross = m11 * m22 + m12 * m21
-    if not (snr > 0.0 and cross > 0.0):
-        raise ValueError(
-            f"the split needs snr and m11 m22 + m12 m21 positive, got {snr!r}, {float(cross)!r}"
+    if not cross > 0.0:
+        raise ModelInconsistencyError(
+            "the split needs m11 m22 + m12 m21 positive",
+            details={"moments": m, "cross": float(cross), "snr": snr},
         )
     lambda_v = 0.5 + ((m11 + m21) - (m12 + m22)) / (2.0 * snr * cross)
     return float(np.clip(lambda_v, 0.0, 1.0))

@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Subcommands: ``sweep`` runs a spec file and writes CSV; ``capacity``
-evaluates one scenario point and prints a report from the same link model
-a sweep row reads: the SNR, the power split (lambda_v, 1 - lambda_v),
-O_V/O_H and the exact moments of G, the ``random_phase_draws`` ensemble
-for the random scheme; ``threshold`` prints the cross-polarization
-threshold for given link qualities; ``recipes`` lists or runs the bundled
-figure recipes.
+evaluates one scenario point with ``sweep.evaluate``, as a sweep row
+does, and prints the scenario as a CSV header echoes it, then one
+``column = value`` line per cell of the ``REPORT`` outputs; ``threshold``
+prints the cross-polarization threshold for given link qualities;
+``recipes`` lists or runs the bundled figure recipes.
 
 Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
 unknown name, a non-positive length, a zenith outside [0, 180] or a dB
 value that overflows, named by its field or flag; a sweep with a bad base
-writes no CSV), 3 model inconsistency, 4 I/O failure.  A bad grid value or
-a degenerate geometry fails only its sweep row.
+writes no CSV) or degenerate geometry, 3 model inconsistency, 4 I/O
+failure.  In a sweep, a bad grid value or a named degeneracy fails only
+its row.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .numerics import db_to_linear
 USAGE_ERROR = 2
 MODEL_ERROR = 3
 IO_ERROR = 4
+#: The outputs ``dpris capacity`` reports, in this order.
+REPORT = ("allocation", "quality", "dual-mc", "dual-ub", "mc-moments")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,14 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--gnuplot", action="store_true", help="also write a companion .gp plot script"
     )
-    p_sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a sweep/scenario key (repeatable; wins over the file)",
-    )
+    _add_set(p_sweep, "override a sweep/scenario key (repeatable; wins over the file)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_cap = sub.add_parser("capacity", help="evaluate one scenario point")
@@ -80,17 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--xpd-coeff", type=float)
     p_cap.add_argument("--feed-gain-db", type=float)
     p_cap.add_argument("--trials", type=int)
-    p_cap.add_argument("--seed", type=int, help="master seed for the trial streams")
+    p_cap.add_argument("--seed", dest="master_seed", type=int, help="master seed of the trials")
     p_cap.add_argument("--allocation", help="equal | optimal | lambda_v value")
     p_cap.add_argument("--phase-scheme", choices=scen.PHASE_SCHEMES)
-    p_cap.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override any scenario key (repeatable; wins over flags)",
-    )
+    _add_set(p_cap, "override any scenario key (repeatable; wins over flags)")
     p_cap.set_defaults(handler=_cmd_capacity)
 
     p_thr = sub.add_parser("threshold", help="cross-polarization threshold from link qualities")
@@ -107,17 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("name")
     p_run.add_argument("--out", help="output CSV path (default: <name>.csv)")
     p_run.add_argument("--gnuplot", action="store_true")
-    p_run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a sweep/scenario key (repeatable)",
-    )
+    _add_set(p_run, "override a sweep/scenario key (repeatable)")
     p_run.set_defaults(handler=_cmd_recipes_run)
 
     return parser
+
+
+def _add_set(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument(
+        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE", help=help_text
+    )
 
 
 def _cmd_sweep(args) -> int:
@@ -145,39 +132,15 @@ def _cmd_capacity(args) -> int:
     base = scen.Scenario()
     if args.config:
         base = scen.parse_overrides(base, scen.read_config_file(args.config))
-    flag_map = {
-        "elements": args.elements,
-        "snr_db": args.snr_db,
-        "power_dbm": args.power_dbm,
-        "xpd_coeff": args.xpd_coeff,
-        "feed_gain_db": args.feed_gain_db,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "allocation": args.allocation,
-        "phase_scheme": args.phase_scheme,
-    }
-    base = base.replace(**{k: v for k, v in flag_map.items() if v is not None})
+    # every flag but --config and --set is stored under the field it sets
+    fields = base.as_dict()
+    base = base.replace(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     base = scen.parse_overrides(base, _parse_overrides(args.overrides))
-    model = scen.build_link_model(base)
-    mc = capacity.ergodic_capacity_mc(
-        model.moments, model.lambda_v, model.snr, base.trials, base.master_seed
-    )
-    bound = capacity.moment_upper_bound(model.moments, model.lambda_v, model.snr)
+    cells = sweep.evaluate(base, REPORT)
     print("# dpris capacity report")
-    print(f"elements = {base.elements}")
-    print(f"snr = {model.snr:.6g}")
-    print(f"xpd_coeff = {base.xpd_coeff}")
-    print(f"phase_scheme = {base.phase_scheme}")
-    print(f"allocation = ({model.lambda_v:.6g}, {1.0 - model.lambda_v:.6g})")
-    print(f"o_v = {model.o_v:.10g}  [closed-form]")
-    print(f"o_h = {model.o_h:.10g}  [closed-form]")
-    print(
-        f"dual_mc_bits = {mc.estimate:.10g} (se {mc.standard_error:.3g}) "
-        f"[monte-carlo, trials {base.trials}, seed {base.master_seed}]"
-    )
-    print(f"dual_ub_bits = {bound:.10g}  [closed-form]")
-    moments = ", ".join(f"{m:.6g}" for m in mc.moments)
-    print(f"gram_moments = ({moments})  [monte-carlo]")
+    print(*sweep.scenario_echo(base), sep="\n")
+    for column, value in cells.items():
+        print(f"{column} = {sweep.format_cell(value, column)}")
     return 0
 
 

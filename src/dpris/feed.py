@@ -59,10 +59,3 @@ def build_propagation_matrix(
     b = magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
     b.setflags(write=False)
     return b
-
-
-def captured_power_fraction(b: np.ndarray) -> float:
-    """Fraction of the radiated feed power intercepted by the surface,
-    sum of |b_n|^2 over the feed coefficients; bounded by 1 by energy
-    conservation."""
-    return float(np.sum(np.abs(b) ** 2))

@@ -37,7 +37,7 @@ def element_amplitudes(
     """
     elevations, tau_v, tau_h = incidence_decompositions(rays, distances, convention)
     if np.any(elevations >= np.pi / 2.0):
-        raise DegenerateGeometryError("elevation must lie in [0, pi/2)")
+        raise DegenerateGeometryError("the feed meets the surface at grazing incidence")
     t = np.tan(normal_incidence_phase / 2.0)
     cos_e = np.cos(elevations)
     return np.stack(

@@ -16,8 +16,9 @@ moment of the link from it, and resolves ``allocation`` to the V share
 lambda_v of the transmit power: 1/2 for ``equal``, the maximizer of the
 moment bound for ``optimal``, or the literal itself.  It traces the
 feed's rays once; its only errors are the model's degeneracies (a feed on
-an element, in or behind the surface plane or at grazing incidence, and a
-UE on an element).
+an element, in or behind the surface plane or at grazing incidence, a UE
+on an element, a polarization no power reaches) and an optimal split
+whose moment product underflows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, channel, feed, geometry, ris
+from .exceptions import DegenerateGeometryError
 from .numerics import db_to_linear, dbm_to_watts
 
 _CONVENTIONS = {
@@ -87,6 +89,12 @@ class Scenario:
         for name in _POSITIVE:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        spacing = self.pitch_wavelengths * self.wavelength_m
+        if not 0.0 < spacing * spacing < math.inf:
+            raise ValueError(
+                f"pitch_wavelengths * wavelength_m gives an element area of "
+                f"{spacing * spacing!r} m^2, not positive and finite"
+            )
         if not (self.elements >= 1 and math.isqrt(int(self.elements)) ** 2 == self.elements):
             raise ValueError(f"elements must be a positive perfect square, got {self.elements!r}")
         for name in ("feed_zenith_deg", "ue_zenith_deg"):
@@ -234,6 +242,12 @@ def build_link_model(scenario: Scenario) -> LinkModel:
     surface.setflags(write=False)
     spectrum = channel.kernel_spectrum(geo)
     o = capacity.compute_O(surface, spectrum)
+    for name, value in zip("VH", o):
+        if not value > 0.0:
+            raise DegenerateGeometryError(
+                f"no power reaches the {name} polarization (O_{name} = {float(value)!r}): "
+                "the feed faces away from the surface or the pathloss underflows"
+            )
     if scenario.phase_scheme == "random":
         draws = (
             ris.random_phases(geo.element_count, scenario.phase_seed + d)

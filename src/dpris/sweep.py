@@ -8,11 +8,18 @@ a scenario override.  Grid values parse as the scenario field of their
 axis does, and a bad one fails with an error that names that field.
 Re-running the same spec reproduces the CSV byte for byte except the
 runtime column.
+
+``OUTPUTS`` is the one table of what a point reports; ``evaluate`` reads
+it for a sweep row and for ``dpris capacity`` alike.  A bad grid value,
+the aligned-phase threshold asked of a random-phase point, and a named
+degeneracy (``DegenerateGeometryError``, ``ModelInconsistencyError``)
+fail their row; any other error is a fault of the program and propagates.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -20,8 +27,6 @@ import numpy as np
 
 from . import capacity, scenario as scen
 from .exceptions import DegenerateGeometryError, ModelInconsistencyError
-
-OUTPUTS = ("dual-mc", "dual-ub", "single-mc", "single-ub", "allocation", "threshold")
 
 _AXIS_COLUMNS = {
     "feed-gain": ("feed_gain_db",),
@@ -34,14 +39,59 @@ _AXIS_COLUMNS = {
 }
 AXES = tuple(_AXIS_COLUMNS)
 
-_OUTPUT_COLUMNS = {
-    "dual-mc": ("dual_mc_bits", "dual_mc_se"),
-    "dual-ub": ("dual_ub_bits",),
-    "single-mc": ("single_mc_bits", "single_mc_se"),
-    "single-ub": ("single_ub_bits",),
-    "allocation": ("lambda_v", "lambda_h"),
-    "threshold": ("xpd_threshold",),
+
+def _threshold(link, mc):
+    try:
+        return (capacity.xpd_threshold(link.o_v, link.o_h, link.snr),)
+    except ModelInconsistencyError:
+        return (None,)  # no root in (0, 1): the cell stays empty
+
+
+#: Output name -> (its columns, their cells as a function of the link model
+#: and ``mc``, whose call runs the point's Monte Carlo once, on first use).
+#: ``quality`` and ``mc-moments`` are opt-in diagnostics.
+OUTPUTS = {
+    "dual-mc": (
+        ("dual_mc_bits", "dual_mc_se"),
+        lambda link, mc: (mc().estimate, mc().standard_error),
+    ),
+    "dual-ub": (
+        ("dual_ub_bits",),
+        lambda link, mc: (capacity.moment_upper_bound(link.moments, link.lambda_v, link.snr),),
+    ),
+    "single-mc": (
+        ("single_mc_bits", "single_mc_se"),
+        lambda link, mc: (mc().single_pol_estimate, mc().single_pol_standard_error),
+    ),
+    "single-ub": (
+        ("single_ub_bits",),
+        lambda link, mc: (capacity.single_pol_moment_bound(link.moments, link.snr),),
+    ),
+    "allocation": (("lambda_v", "lambda_h"), lambda link, mc: (link.lambda_v, 1 - link.lambda_v)),
+    "threshold": (("xpd_threshold",), _threshold),
+    "quality": (("o_v", "o_h"), lambda link, mc: (link.o_v, link.o_h)),
+    "mc-moments": (
+        ("mc_m11", "mc_m12", "mc_m21", "mc_m22"),
+        lambda link, mc: mc().moments.tolist(),
+    ),
 }
+
+
+def evaluate(scenario: scen.Scenario, outputs) -> dict:
+    """The cells of ``outputs`` at one scenario point, keyed by column in
+    the order of ``outputs``; the Monte Carlo estimator runs once if any
+    output reads it, and not at all otherwise."""
+    link = scen.build_link_model(scenario)
+    mc = functools.cache(
+        lambda: capacity.ergodic_capacity_mc(
+            link.moments, link.lambda_v, link.snr, scenario.trials, scenario.master_seed
+        )
+    )
+    cells: dict = {}
+    for name in outputs:
+        columns, values = OUTPUTS[name]
+        cells.update(zip(columns, values(link, mc)))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -61,7 +111,7 @@ class SweepSpec:
             raise ValueError("sweep must select at least one output")
         for out in self.outputs:
             if out not in OUTPUTS:
-                raise ValueError(f"unknown output {out!r} (expected subset of {OUTPUTS})")
+                raise ValueError(f"unknown output {out!r} (expected subset of {tuple(OUTPUTS)})")
         if self.axis == "feed-angles":
             if not self.grid2:
                 raise ValueError("feed-angles sweeps need grid and grid2")
@@ -109,20 +159,23 @@ def _parse_grid(key: str, raw: str) -> tuple:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point; degenerate points become failed rows and
-    the sweep continues."""
+    """Evaluate every grid point; a point failing as the module says is a failed row."""
     columns = _AXIS_COLUMNS[spec.axis] + tuple(
-        col for out in spec.outputs for col in _OUTPUT_COLUMNS[out]
+        col for out in spec.outputs for col in OUTPUTS[out][0]
     ) + ("status", "runtime_s")
     result = SweepResult(spec=spec, columns=columns)
     for point in _grid_points(spec):
         started = time.perf_counter()
         row = dict(zip(_AXIS_COLUMNS[spec.axis], point))
         try:
-            row.update(_evaluate_point(spec, point))
-            row["status"] = "ok"
-        except (DegenerateGeometryError, ModelInconsistencyError, ValueError) as err:
+            current = _scenario_at(spec, point)
+        except ValueError as err:
             row["status"] = f"failed: {err}"
+        else:
+            try:
+                row.update(evaluate(current, spec.outputs), status="ok")
+            except (DegenerateGeometryError, ModelInconsistencyError) as err:
+                row["status"] = f"failed: {err}"
         row["runtime_s"] = time.perf_counter() - started
         result.rows.append(row)
     return result
@@ -138,12 +191,16 @@ def write_csv(result: SweepResult, path: str) -> None:
         if result.spec.grid2:
             handle.write(f"# grid2={_join(result.spec.grid2)}\n")
         handle.write(f"# outputs={','.join(result.spec.outputs)}\n")
-        for key, value in sorted(result.spec.base.as_dict().items()):
-            handle.write(f"# {key}={_format(value)}\n")
+        handle.writelines(line + "\n" for line in scenario_echo(result.spec.base))
         table = csv.writer(handle, lineterminator="\n")
         table.writerow(result.columns)
         for row in result.rows:
-            table.writerow([_format_cell(row.get(c), c) for c in result.columns])
+            table.writerow([format_cell(row.get(c), c) for c in result.columns])
+
+
+def scenario_echo(scenario: scen.Scenario) -> list[str]:
+    """One ``# key=value`` line per scenario field, sorted by name."""
+    return [f"# {key}={_format(value)}" for key, value in sorted(scenario.as_dict().items())]
 
 
 def gnuplot_script(result: SweepResult, csv_path: str) -> str:
@@ -173,46 +230,15 @@ def _grid_points(spec: SweepSpec):
 
 def _scenario_at(spec: SweepSpec, point: tuple) -> scen.Scenario:
     if spec.axis == "power-allocation":
-        return spec.base.replace(allocation=repr(point[0]))
-    return spec.base.replace(**dict(zip(_AXIS_COLUMNS[spec.axis], point)))
-
-
-def _evaluate_point(spec: SweepSpec, point: tuple) -> dict:
-    current = _scenario_at(spec, point)
+        current = spec.base.replace(allocation=repr(point[0]))
+    else:
+        current = spec.base.replace(**dict(zip(_AXIS_COLUMNS[spec.axis], point)))
     if current.phase_scheme == "random" and "threshold" in spec.outputs:
         raise ValueError(
             "output threshold is a closed form of the aligned-phase O_V/O_H; "
             "it does not describe phase_scheme = random"
         )
-    model = scen.build_link_model(current)
-    if "dual-mc" in spec.outputs or "single-mc" in spec.outputs:
-        # one estimator call gives both Monte Carlo columns from the same draws
-        mc = capacity.ergodic_capacity_mc(
-            model.moments, model.lambda_v, model.snr, current.trials, current.master_seed
-        )
-    cells: dict = {}
-    for out in spec.outputs:
-        if out == "dual-ub":
-            cells["dual_ub_bits"] = capacity.moment_upper_bound(
-                model.moments, model.lambda_v, model.snr
-            )
-        elif out == "single-ub":
-            cells["single_ub_bits"] = capacity.single_pol_moment_bound(model.moments, model.snr)
-        elif out == "allocation":
-            cells["lambda_v"] = model.lambda_v
-            cells["lambda_h"] = 1.0 - model.lambda_v
-        elif out == "threshold":
-            try:
-                cells["xpd_threshold"] = capacity.xpd_threshold(model.o_v, model.o_h, model.snr)
-            except ModelInconsistencyError:
-                cells["xpd_threshold"] = None
-        elif out == "dual-mc":
-            cells["dual_mc_bits"] = mc.estimate
-            cells["dual_mc_se"] = mc.standard_error
-        elif out == "single-mc":
-            cells["single_mc_bits"] = mc.single_pol_estimate
-            cells["single_mc_se"] = mc.single_pol_standard_error
-    return cells
+    return current
 
 
 def _join(values) -> str:
@@ -225,11 +251,9 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
-def _format_cell(value, column: str) -> str:
-    if value is None:
-        return ""
-    if column == "runtime_s":
+def format_cell(value, column: str) -> str:
+    """A cell as the CSV writes it: the runtime to the millisecond, every
+    other number to 17 significant digits, an empty cell for None."""
+    if column == "runtime_s" and value is not None:
         return format(value, ".3f")
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return _format(value)

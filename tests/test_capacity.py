@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dpris import capacity, channel, cli, geometry, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
@@ -36,17 +37,12 @@ def aligned_moments(o_v, o_h, xpd_coeff):
 
 
 def cli_report(capsys, argv):
-    """``dpris capacity`` report lines as key -> value text."""
+    """``dpris capacity`` report as key -> value text: the ``# key=value``
+    scenario echo and the ``column = value`` cells."""
     assert cli.main(["capacity", *argv]) == 0
     lines = capsys.readouterr().out.splitlines()
-    return dict(line.split(" = ", 1) for line in lines if " = " in line)
-
-
-def reported(values, key):
-    """The number on a report line, and its standard error if it has one."""
-    text = values[key]
-    se = float(text.split("(se ")[1].split(")")[0]) if "(se " in text else None
-    return float(text.split()[0]), se
+    pairs = (line.lstrip("# ").partition("=") for line in lines)
+    return {key.strip(): value.strip() for key, sep, value in pairs if sep}
 
 
 def unit_config(n, amplitude=1.0):
@@ -345,10 +341,11 @@ def test_optimal_allocation_matches_O_form_oracle(xpd):
 
 
 def test_optimal_allocation_rejects_zero_quality():
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelInconsistencyError) as excinfo:
         capacity.optimal_power_allocation(aligned_moments(0.0, 0.0, 0.2), 1.0)
+    assert excinfo.value.details["snr"] == 1.0
     # one dead polarization leaves no product term to balance
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelInconsistencyError):
         capacity.optimal_power_allocation((1.0, 0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         capacity.optimal_power_allocation((0.8, 0.1, 0.2, 0.9), 0.0)
@@ -399,6 +396,50 @@ def test_xpd_threshold_symmetric_reference():
     # rho * O = 1 exactly: threshold is (7 - sqrt(35)) / 2
     value = capacity.xpd_threshold(0.25, 0.25, 4.0)
     assert value == pytest.approx(0.5419601084501920, rel=1e-12)
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+#: One configuration's moments (m11, m12, m21, m22), each in [1e-6, 1e6].
+MOMENTS = st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4).map(np.array)
+
+
+@PROPERTY
+@given(MOMENTS, st.floats(1e-3, 1e3))
+def test_optimal_allocation_is_symmetric_under_polarization_swap(moments, snr):
+    # relabelling V as H swaps (m11, m12, m21, m22) -> (m22, m21, m12, m11)
+    # and hands the V share to H
+    swapped = moments[::-1].copy()
+    lambda_v = capacity.optimal_power_allocation(moments, snr)
+    assert capacity.optimal_power_allocation(swapped, snr) == pytest.approx(
+        1.0 - lambda_v, abs=1e-15
+    )
+
+
+@PROPERTY
+@given(
+    MOMENTS | st.just(np.zeros(4)), st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.floats(0.0, 1e3)
+)
+def test_moment_bound_does_not_decrease_with_snr(moments, lambda_v, snr, rise):
+    low, high = snr, snr + rise
+    bound = capacity.moment_upper_bound
+    assert bound(moments, lambda_v, low) <= bound(moments, lambda_v, high)
+
+
+@PROPERTY
+@given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(8.0, 16.0))
+def test_equal_split_bound_doubles_single_at_threshold(quality_v, quality_h, snr_exponent):
+    # at the threshold root the equal-split dual bound is twice the single
+    # bound, for rho O_V and rho O_H in [1, 1e4]; the quadratic's
+    # coefficients cancel, which costs up to ~5e-13 relative there
+    snr = 10.0**snr_exponent
+    o_v, o_h = 10.0**quality_v / snr, 10.0**quality_h / snr
+    try:
+        root = capacity.xpd_threshold(o_v, o_h, snr)
+    except ModelInconsistencyError:
+        assume(False)
+    moments = aligned_moments(o_v, o_h, root)
+    dual = capacity.moment_upper_bound(moments, 0.5, snr)
+    assert dual == pytest.approx(2.0 * capacity.single_pol_moment_bound(moments, snr), rel=1e-11)
 
 
 def test_xpd_threshold_definition_holds_at_root():
@@ -475,11 +516,10 @@ def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
 
 def test_capacity_report_is_jensen_consistent(capsys):
     values = cli_report(capsys, ["--elements", "16", "--trials", "3000", "--seed", "12"])
-    mc, se = reported(values, "dual_mc_bits")
-    bound, _ = reported(values, "dual_ub_bits")
+    mc, se, bound = (float(values[key]) for key in ("dual_mc_bits", "dual_mc_se", "dual_ub_bits"))
     assert mc <= bound + 3.0 * se
-    assert "trials 3000, seed 12" in values["dual_mc_bits"]
-    assert reported(values, "o_v")[0] > 0.0 and reported(values, "o_h")[0] > 0.0
+    assert (values["trials"], values["master_seed"]) == ("3000", "12")
+    assert float(values["o_v"]) > 0.0 and float(values["o_h"]) > 0.0
 
 
 def test_capacity_report_bound_describes_its_configuration(capsys):
@@ -501,8 +541,8 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
             expected, mc = oracles.random_row_per_draw(
                 current.replace(trials=240, master_seed=1), 0.5
             )
-            assert values["dual_mc_bits"].split()[0] == format(mc, ".10g")
-        assert values["dual_ub_bits"].split()[0] == format(expected, ".10g")
+            assert format(float(values["dual_mc_bits"]), ".10g") == format(mc, ".10g")
+        assert format(float(values["dual_ub_bits"]), ".10g") == format(expected, ".10g")
 
 
 @pytest.mark.parametrize("scheme", ["optimal", "random"])
@@ -514,16 +554,22 @@ def test_cli_capacity_matches_one_row_sweep(capsys, scheme):
         "random_phase_draws": "200",
         "trials": "2000",
     }
+    outputs = ", ".join(cli.REPORT)
     spec = sweep.parse_sweep_pairs(
-        {"axis": "phase-scheme", "grid": scheme, "outputs": "dual-mc, dual-ub", **pairs}
+        {"axis": "phase-scheme", "grid": scheme, "outputs": outputs, **pairs}
     )
-    row = sweep.run_sweep(spec).rows[0]
+    result = sweep.run_sweep(spec)
+    (row,) = result.rows
+    assert row["status"] == "ok"
     argv = ["--phase-scheme", scheme]
     for key, value in pairs.items():
         argv += ["--set", f"{key}={value}"]
     values = cli_report(capsys, argv)
-    assert values["dual_mc_bits"].split()[0] == format(row["dual_mc_bits"], ".10g")
-    assert values["dual_ub_bits"].split()[0] == format(row["dual_ub_bits"], ".10g")
+    # every column the report prints, and only those, as the row's CSV cells
+    columns = result.columns[1:-2]
+    assert [key for key in values if key not in scen.Scenario().as_dict()] == list(columns)
+    for column in columns:
+        assert values[column] == sweep.format_cell(row[column], column)
 
 
 def test_expected_moments_match_aligned_closed_form(table_scenario_16):

@@ -135,8 +135,10 @@ def test_pathloss_validation():
     ):
         with pytest.raises(ValueError, match=field):
             scen.Scenario(**{field: value})
-    # a unit pathloss that underflows to zero is a silent link, not an error
-    assert scen.build_link_model(scen.Scenario(elements=4, beta0_db=-4000.0)).o_v == 0.0
+    # a unit pathloss that underflows to zero leaves the link without power,
+    # a named degeneracy
+    with pytest.raises(DegenerateGeometryError, match="no power reaches the V polarization"):
+        scen.build_link_model(scen.Scenario(elements=4, beta0_db=-4000.0))
 
 
 def test_sample_zero_cross_blocks_when_matched():

@@ -298,9 +298,11 @@ def test_aligned_row_builds_moments_from_O(monkeypatch):
     assert calls == [(2, 16)]
 
 
-@pytest.mark.parametrize("outputs", ["dual-mc", "single-mc", "single-mc, dual-mc"])
+@pytest.mark.parametrize(
+    "outputs", ["dual-mc", "single-mc", "single-mc, dual-mc", "mc-moments, dual-mc, single-mc"]
+)
 def test_row_makes_one_estimator_call(monkeypatch, outputs):
-    # both Monte Carlo columns come from one call's draws
+    # every Monte Carlo column comes from one call's draws
     results = []
     estimator = capacity.ergodic_capacity_mc
 
@@ -318,6 +320,8 @@ def test_row_makes_one_estimator_call(monkeypatch, outputs):
     if "single-mc" in outputs:
         assert row["single_mc_bits"] == mc.single_pol_estimate
         assert row["single_mc_se"] == mc.single_pol_standard_error
+    if "mc-moments" in outputs:
+        assert [row[f"mc_m{i}"] for i in (11, 12, 21, 22)] == list(mc.moments)
 
 
 def test_unknown_names_fail_the_row_or_the_command(capsys, tmp_path):
@@ -435,13 +439,11 @@ def test_cli_capacity_smoke(capsys):
     assert rc == 0
     values = {}
     for line in out.splitlines():
-        if "=" in line:
-            key = line.split("=")[0].strip()
-            values[key] = line.split("=", 1)[1].strip()
-    mc = float(values["dual_mc_bits"].split()[0])
-    ub = float(values["dual_ub_bits"].split()[0])
-    se = float(values["dual_mc_bits"].split("se")[1].split(")")[0])
-    assert mc <= ub + 3.0 * se
+        if " = " in line:
+            key, value = line.split(" = ")
+            values[key] = float(value)
+    assert values["dual_mc_bits"] <= values["dual_ub_bits"] + 3.0 * values["dual_mc_se"]
+    assert "# trials=500" in out.splitlines()
 
 
 def test_cli_capacity_rejects_zero_trials(capsys):
@@ -490,6 +492,8 @@ def test_counts_are_rejected_when_parsed(field, values):
         "elements=15",
         "beta0_db=4000",
         "feed_gain_db=4000",
+        "pitch_wavelengths=1e300",
+        "wavelength_m=1e-300",
     ],
 )
 def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
@@ -520,6 +524,57 @@ def test_out_of_range_grid_value_fails_its_row():
     rows = sweep.run_sweep(spec).rows
     assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
     assert rows[1]["status"].startswith("failed:") and "elements" in rows[1]["status"]
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ("feed_zenith_deg=180", "the feed meets the surface at grazing incidence"),
+        ("boresight_deg=180,90,90", "no power reaches the V polarization"),
+        ("beta0_db=-4000", "no power reaches the V polarization"),
+    ],
+)
+def test_capacity_names_a_degenerate_link(capsys, override, message):
+    # a valid scenario whose link is degenerate is a usage error that names
+    # the cause; it never reports a silent all-zero link
+    rc = cli.main(["capacity", "--elements", "16", "--trials", "10", "--set", override])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_underflowing_split_is_a_model_inconsistency(capsys):
+    # both link qualities are positive, but their product underflows, so the
+    # optimal split has nothing to balance
+    argv = ["capacity", "--elements", "16", "--trials", "10", "--set", "beta0_db=-1600"]
+    assert cli.main(argv + ["--set", "allocation=optimal"]) == 3
+    err = capsys.readouterr().err
+    assert "m11 m22 + m12 m21" in err and "snr = " in err
+    pairs = {"beta0_db": "-1600", "allocation": "optimal", **BOUNDS_ONLY_16}
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", **pairs})
+    assert sweep.run_sweep(spec).rows[0]["status"].startswith("failed: the split needs")
+
+
+def test_plain_error_in_an_estimator_propagates(monkeypatch):
+    # only a named degeneracy fails a row; any other error inside the build
+    # or an estimator is a fault of the program and stops the sweep
+    def broken(*args):
+        raise ValueError("broken bound")
+
+    monkeypatch.setattr(capacity, "moment_upper_bound", broken)
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", **BOUNDS_ONLY_16})
+    with pytest.raises(ValueError, match="broken bound"):
+        sweep.run_sweep(spec)
+
+
+def test_bound_only_rows_run_no_monte_carlo(monkeypatch):
+    # the estimator runs only when a selected output reads it
+    def unexpected(*args):
+        raise AssertionError("Monte Carlo ran for a bound-only row")
+
+    monkeypatch.setattr(capacity, "ergodic_capacity_mc", unexpected)
+    outputs = "dual-ub, single-ub, allocation, threshold, quality"
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": outputs, **BOUNDS_ONLY_16})
+    assert sweep.run_sweep(spec).rows[0]["status"] == "ok"
 
 
 def test_cli_threshold_prints_value(capsys):
