@@ -284,13 +284,14 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     """Cross-polarization coefficient above which the equal-allocation
     dual bound exceeds twice the single-polarized bound.
 
-    Root (-b + sqrt(b^2 - 4 a c)) / (2 a) of the quadratic obtained by
-    comparing the two bounds in the linear domain.  Raises
-    ModelInconsistencyError when the root is non-real or falls outside
-    (0, 1), with the quadratic's coefficients attached.
+    Root (-b + sqrt(D)) / (2 a), D = b^2 - 4 a c, of the quadratic obtained
+    by comparing the two bounds in the linear domain, in the form that does
+    not cancel: c / q for b > 0 and q / a otherwise (where a > 0), with
+    q = -(b + sign(b) sqrt(D)) / 2.  Raises ModelInconsistencyError when the
+    root is non-real or falls outside (0, 1), with the coefficients attached.
     """
-    if not (o_v > 0.0 and o_h > 0.0 and snr > 0.0):
-        raise ValueError(f"O quantities and snr must be positive, got {o_v!r}, {o_h!r}, {snr!r}")
+    if not all(0.0 < x < np.inf for x in (o_v, o_h, snr)):
+        raise ValueError(f"O_V, O_H, snr must be positive and finite: {o_v!r}, {o_h!r}, {snr!r}")
     rho = snr
     a = rho * rho * o_v * (0.5 * o_h - o_v)
     b = rho * rho * o_v * (2.0 * o_v - 0.5 * o_h) + 2.0 * rho * o_v
@@ -299,9 +300,10 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     discriminant = b * b - 4.0 * a * c
     if discriminant < 0.0:
         raise ModelInconsistencyError("threshold root is not real", details=details)
-    if a == 0.0:
-        raise ModelInconsistencyError("threshold quadratic degenerates", details=details)
-    root = (-b + np.sqrt(discriminant)) / (2.0 * a)
+    if b > 0.0:
+        root = c / (-0.5 * (b + np.sqrt(discriminant)))
+    else:
+        root = 0.5 * (np.sqrt(discriminant) - b) / a
     details["root"] = float(root)
     if not 0.0 < root < 1.0:
         raise ModelInconsistencyError(

@@ -7,9 +7,14 @@ does, and prints the scenario as a CSV header echoes it, then one
 prints the cross-polarization threshold for given link qualities;
 ``recipes`` lists or runs the bundled figure recipes.
 
+A scenario value is set one way: ``sweep``, ``capacity`` and ``recipes
+run`` read key = value pairs from a file (the spec, ``--config`` or the
+recipe), then the ``--set KEY=VALUE`` items, which win over the file, and
+parse the merged pairs once.
+
 Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
 unknown name, a non-positive length, a zenith outside [0, 180] or a dB
-value that overflows, named by its field or flag; a sweep with a bad base
+value that overflows, named by its field; a sweep with a bad base
 writes no CSV) or degenerate geometry, 3 model inconsistency, 4 I/O
 failure.  In a sweep, a bad grid value or a named degeneracy fails only
 its row.
@@ -18,7 +23,6 @@ its row.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -69,16 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="evaluate one scenario point")
     p_cap.add_argument("--config", help="scenario config file (flat key=value)")
-    p_cap.add_argument("--elements", type=int)
-    p_cap.add_argument("--snr-db", type=float)
-    p_cap.add_argument("--power-dbm", type=float)
-    p_cap.add_argument("--xpd-coeff", type=float)
-    p_cap.add_argument("--feed-gain-db", type=float)
-    p_cap.add_argument("--trials", type=int)
-    p_cap.add_argument("--seed", dest="master_seed", type=int, help="master seed of the trials")
-    p_cap.add_argument("--allocation", help="equal | optimal | lambda_v value")
-    p_cap.add_argument("--phase-scheme", choices=scen.PHASE_SCHEMES)
-    _add_set(p_cap, "override any scenario key (repeatable; wins over flags)")
+    _add_set(p_cap, "override a scenario key (repeatable; wins over the file)")
     p_cap.set_defaults(handler=_cmd_capacity)
 
     p_thr = sub.add_parser("threshold", help="cross-polarization threshold from link qualities")
@@ -95,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("name")
     p_run.add_argument("--out", help="output CSV path (default: <name>.csv)")
     p_run.add_argument("--gnuplot", action="store_true")
-    _add_set(p_run, "override a sweep/scenario key (repeatable)")
+    _add_set(p_run, "override a sweep/scenario key (repeatable; wins over the recipe)")
     p_run.set_defaults(handler=_cmd_recipes_run)
 
     return parser
@@ -107,10 +102,14 @@ def _add_set(parser: argparse.ArgumentParser, help_text: str) -> None:
     )
 
 
+def _set_pairs(args) -> dict[str, str]:
+    """The ``--set`` items, parsed as the lines of a config file are."""
+    return scen.parse_pairs("\n".join(args.overrides), "--set")
+
+
 def _cmd_sweep(args) -> int:
     pairs = scen.read_config_file(args.spec)
-    pairs.update(_parse_overrides(args.overrides))
-    spec = sweep.parse_sweep_pairs(pairs)
+    spec = sweep.parse_sweep_pairs({**pairs, **_set_pairs(args)})
     return _run_sweep(spec, args.out or (Path(args.spec).stem + ".csv"), args.gnuplot)
 
 
@@ -129,13 +128,8 @@ def _run_sweep(spec: sweep.SweepSpec, out: str, gnuplot: bool) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    base = scen.Scenario()
-    if args.config:
-        base = scen.parse_overrides(base, scen.read_config_file(args.config))
-    # every flag but --config and --set is stored under the field it sets
-    fields = base.as_dict()
-    base = base.replace(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
-    base = scen.parse_overrides(base, _parse_overrides(args.overrides))
+    pairs = scen.read_config_file(args.config) if args.config else {}
+    base = scen.parse_overrides(scen.Scenario(), {**pairs, **_set_pairs(args)})
     cells = sweep.evaluate(base, REPORT)
     print("# dpris capacity report")
     print(*sweep.scenario_echo(base), sep="\n")
@@ -145,10 +139,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    snr = db_to_linear(args.snr_db)
-    if not 0.0 < snr < math.inf:
-        raise ValueError(f"--snr-db {args.snr_db!r} gives an SNR {snr!r}, not positive and finite")
-    value = capacity.xpd_threshold(args.ov, args.oh, snr)
+    value = capacity.xpd_threshold(args.ov, args.oh, db_to_linear(args.snr_db))
     print(f"xpd_threshold = {value:.10g}")
     return 0
 
@@ -160,18 +151,8 @@ def _cmd_recipes_list(args) -> int:
 
 
 def _cmd_recipes_run(args) -> int:
-    spec = recipes.load_recipe(args.name, _parse_overrides(args.overrides))
+    spec = recipes.load_recipe(args.name, _set_pairs(args))
     return _run_sweep(spec, args.out or f"{args.name}.csv", args.gnuplot)
-
-
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    parsed: dict[str, str] = {}
-    for item in pairs:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
-        parsed[key.strip()] = value.strip()
-    return parsed
 
 
 def entrypoint() -> None:

@@ -97,6 +97,12 @@ class Scenario:
             )
         if not (self.elements >= 1 and math.isqrt(int(self.elements)) ** 2 == self.elements):
             raise ValueError(f"elements must be a positive perfect square, got {self.elements!r}")
+        # 4 pi D^2, the feed's spreading, must be finite for D up to the radius plus the side
+        extent = spacing * math.isqrt(int(self.elements))
+        for name in ("feed_r_m", "ue_r_m"):
+            reach = getattr(self, name) + extent
+            if not 4.0 * math.pi * reach * reach < math.inf:
+                raise ValueError(f"{name} gives rays of up to {reach!r} m, whose square overflows")
         for name in ("feed_zenith_deg", "ue_zenith_deg"):
             # in radians, as the placement reads it
             if not 0.0 <= math.radians(getattr(self, name)) <= math.pi:
@@ -155,29 +161,35 @@ class Scenario:
         return dataclasses.asdict(self)
 
 
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
+
+
 def parse_overrides(scenario: Scenario, pairs: dict[str, str]) -> Scenario:
-    """Apply string key=value overrides (config file or CLI) to a scenario."""
-    valid = {f.name: f for f in dataclasses.fields(Scenario)}
+    """Apply string key=value overrides (config file or ``--set``) to a scenario."""
     changes = {}
     for key, raw in pairs.items():
-        if key not in valid:
+        if key not in _DEFAULTS:
             raise ValueError(f"unknown scenario key {key!r}")
         changes[key] = _parse_value(key, raw)
     return scenario.replace(**changes)
 
 
 def _parse_value(key: str, raw: str):
+    """``raw`` as its field's default types it: the text for a ``str``, an
+    optional float for ``None`` ('' or 'none'), an ``int`` for an ``int``,
+    else a float, also for a key that is no field (``allocation_lambda_v``)."""
     raw = raw.strip()
-    if key in ("boresight_deg", "incidence_convention", "phase_scheme", "allocation"):
+    default = _DEFAULTS.get(key, 0.0)
+    if isinstance(default, str):
         return raw
-    if key == "snr_db" and raw.lower() in ("", "none"):
+    if default is None and raw.lower() in ("", "none"):
         return None
-    integral = key in ("elements", "trials", "master_seed", "random_phase_draws", "phase_seed")
+    kind = int if isinstance(default, int) else float
     try:
-        return int(raw) if integral else float(raw)
+        return kind(raw)
     except ValueError:
-        kind = "an integer" if integral else "a number"
-        raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {raw!r}") from None
 
 
 def _snr(scenario: Scenario) -> float:

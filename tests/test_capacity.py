@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpris import capacity, channel, cli, geometry, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
@@ -68,6 +68,11 @@ def test_power_allocation_validation():
     ok, bad = sweep.run_sweep(spec).rows
     assert ok["status"] == "ok"
     assert bad["status"].startswith("failed:") and "allocation" in bad["status"]
+    # the axis column allocation_lambda_v is no scenario field, yet its grid
+    # values parse as numbers
+    assert [type(value) for value in spec.grid] == [float, float]
+    with pytest.raises(ValueError, match="allocation_lambda_v must be a number"):
+        sweep.parse_sweep_pairs({"axis": "power-allocation", "grid": "none", "outputs": "dual-ub"})
     base = scen.Scenario(elements=4)
     for allocation, lambda_v in (("equal", 0.5), (" Equal ", 0.5), ("0.3", 0.3), ("1", 1.0)):
         assert scen.build_link_model(base.replace(allocation=allocation)).lambda_v == lambda_v
@@ -426,11 +431,14 @@ def test_moment_bound_does_not_decrease_with_snr(moments, lambda_v, snr, rise):
 
 
 @PROPERTY
-@given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(8.0, 16.0))
+@given(st.floats(-5.0, 4.0), st.floats(-5.0, 4.0), st.floats(8.0, 16.0))
+@example(-5.0, -4.7, 12.0)  # the textbook root's residual is 4.6e-9 here
 def test_equal_split_bound_doubles_single_at_threshold(quality_v, quality_h, snr_exponent):
     # at the threshold root the equal-split dual bound is twice the single
-    # bound, for rho O_V and rho O_H in [1, 1e4]; the quadratic's
-    # coefficients cancel, which costs up to ~5e-13 relative there
+    # bound, for rho O_V and rho O_H in [1e-5, 1e4]; the quadratic's
+    # coefficients cancel, which costs up to ~1e-12 relative, and the
+    # textbook root (-b + sqrt(D)) / 2a would add up to ~5e-9 where
+    # b^2 >> |4ac|
     snr = 10.0**snr_exponent
     o_v, o_h = 10.0**quality_v / snr, 10.0**quality_h / snr
     try:
@@ -439,7 +447,14 @@ def test_equal_split_bound_doubles_single_at_threshold(quality_v, quality_h, snr
         assume(False)
     moments = aligned_moments(o_v, o_h, root)
     dual = capacity.moment_upper_bound(moments, 0.5, snr)
-    assert dual == pytest.approx(2.0 * capacity.single_pol_moment_bound(moments, snr), rel=1e-11)
+    single = capacity.single_pol_moment_bound(moments, snr)
+    assert dual == pytest.approx(2.0 * single, rel=1e-11, abs=0.0)
+
+
+def test_xpd_threshold_takes_the_linear_root_when_a_vanishes():
+    # O_H = 2 O_V makes a = 0: at O_V = 1 and snr 10 the quadratic is the
+    # line 120 x - 55
+    assert capacity.xpd_threshold(1.0, 2.0, 10.0) == 55.0 / 120.0
 
 
 def test_xpd_threshold_definition_holds_at_root():
@@ -478,6 +493,9 @@ def test_xpd_threshold_error_paths():
         capacity.xpd_threshold(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         capacity.xpd_threshold(1.0, 1.0, 0.0)
+    for bad in ((np.inf, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            capacity.xpd_threshold(*bad)
     with pytest.raises(ModelInconsistencyError) as excinfo:
         # strongly mismatched qualities at low SNR push the root negative
         capacity.xpd_threshold(1e-13, 9e-13, 1.0)
@@ -515,7 +533,8 @@ def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
 
 
 def test_capacity_report_is_jensen_consistent(capsys):
-    values = cli_report(capsys, ["--elements", "16", "--trials", "3000", "--seed", "12"])
+    argv = ["--set", "elements=16", "--set", "trials=3000", "--set", "master_seed=12"]
+    values = cli_report(capsys, argv)
     mc, se, bound = (float(values[key]) for key in ("dual_mc_bits", "dual_mc_se", "dual_ub_bits"))
     assert mc <= bound + 3.0 * se
     assert (values["trials"], values["master_seed"]) == ("3000", "12")
@@ -530,9 +549,10 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
     for scheme in ("random", "optimal"):
         current = base.replace(phase_scheme=scheme)
         model = scen.build_link_model(current)
-        argv = ["--elements", "16", "--power-dbm", "43", "--trials", "240", "--seed", "1"]
-        argv += ["--phase-scheme", scheme, "--set", "phase_seed=5"]
-        values = cli_report(capsys, argv + ["--set", "random_phase_draws=60"])
+        argv = ["--set", "elements=16", "--set", "power_dbm=43", "--set", "trials=240"]
+        argv += ["--set", "master_seed=1", "--set", f"phase_scheme={scheme}"]
+        argv += ["--set", "phase_seed=5", "--set", "random_phase_draws=60"]
+        values = cli_report(capsys, argv)
         if scheme == "optimal":
             expected = oracles.closed_form_upper_bound(
                 model.o_v, model.o_h, 0.5, model.snr, current.xpd_coeff
@@ -561,7 +581,7 @@ def test_cli_capacity_matches_one_row_sweep(capsys, scheme):
     result = sweep.run_sweep(spec)
     (row,) = result.rows
     assert row["status"] == "ok"
-    argv = ["--phase-scheme", scheme]
+    argv = ["--set", f"phase_scheme={scheme}"]
     for key, value in pairs.items():
         argv += ["--set", f"{key}={value}"]
     values = cli_report(capsys, argv)

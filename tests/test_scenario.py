@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpris import scenario as scen
+from dpris import scenario as scen, sweep
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 GOLDEN_MOMENTS = Path(__file__).parent / "golden" / "moments.txt"
@@ -114,3 +116,49 @@ def test_scenario_is_accepted_or_names_a_field(changes):
         scen.build_link_model(scenario)
     except (DegenerateGeometryError, ModelInconsistencyError):
         pass
+
+
+
+#: A scenario with every field away from its default, snr_db set.
+NON_DEFAULT = scen.Scenario(
+    wavelength_m=0.012,
+    elements=25,
+    pitch_wavelengths=0.4,
+    noise_dbm=-90.0,
+    power_dbm=30.0,
+    snr_db=20.5,
+    beta0_db=-50.0,
+    pathloss_exponent=3.5,
+    xpd_coeff=0.35,
+    feed_r_m=0.08,
+    feed_zenith_deg=80.0,
+    feed_azimuth_deg=170.0,
+    feed_gain_db=12.0,
+    boresight_deg="origin",
+    ue_r_m=40.0,
+    ue_zenith_deg=50.0,
+    ue_azimuth_deg=10.0,
+    normal_incidence_phase_deg=60.0,
+    tau_offset=0.1,
+    incidence_convention="transverse-plane",
+    phase_scheme="random",
+    phase_seed=3,
+    allocation="0.25",
+    trials=500,
+    master_seed=11,
+    random_phase_draws=7,
+)
+
+
+@pytest.mark.parametrize("scenario", [scen.Scenario(), NON_DEFAULT], ids=["default", "changed"])
+def test_every_field_round_trips_its_text_form(scenario):
+    # the scenario a CSV header or a capacity report echoes parses back to
+    # itself, each value with its default's type (a float for a set snr_db)
+    pairs = dict(line.removeprefix("# ").split("=", 1) for line in sweep.scenario_echo(scenario))
+    assert pairs.keys() == scenario.as_dict().keys()
+    parsed = scen.parse_overrides(scen.Scenario(), pairs)
+    assert parsed == scenario
+    for field in dataclasses.fields(scen.Scenario):
+        value = getattr(parsed, field.name)
+        expected = float if field.default is None and value is not None else type(field.default)
+        assert type(value) is expected, field.name

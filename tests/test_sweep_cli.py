@@ -19,6 +19,8 @@ def spec_from(text_pairs, base=None):
 
 
 BOUNDS_ONLY_16 = {"elements": "16", "trials": "50"}
+#: ``dpris capacity`` arguments of a small, quick point.
+ELEMENTS_16_TRIALS_10 = ["--set", "elements=16", "--set", "trials=10"]
 
 
 def test_sweep_spec_validation():
@@ -340,7 +342,7 @@ def test_unknown_names_fail_the_row_or_the_command(capsys, tmp_path):
         table = list(csv.reader(line for line in handle if not line.startswith("#")))
     assert [len(row) for row in table] == [4, 4, 4]
     assert table[2][2] == bad["status"]
-    rc = cli.main(["capacity", "--elements", "16", "--set", "incidence_convention=bogus"])
+    rc = cli.main(["capacity", "--set", "elements=16", "--set", "incidence_convention=bogus"])
     assert rc == 2
     assert "incidence_convention" in capsys.readouterr().err
 
@@ -432,9 +434,8 @@ def test_recipe_overrides_apply():
 
 
 def test_cli_capacity_smoke(capsys):
-    rc = cli.main(
-        ["capacity", "--elements", "16", "--snr-db", "0", "--xpd-coeff", "0.2", "--trials", "500"]
-    )
+    argv = ["capacity", "--set", "elements=16", "--set", "snr_db=0"]
+    rc = cli.main(argv + ["--set", "xpd_coeff=0.2", "--set", "trials=500"])
     out = capsys.readouterr().out
     assert rc == 0
     values = {}
@@ -447,7 +448,7 @@ def test_cli_capacity_smoke(capsys):
 
 
 def test_cli_capacity_rejects_zero_trials(capsys):
-    rc = cli.main(["capacity", "--elements", "16", "--trials", "0"])
+    rc = cli.main(["capacity", "--set", "elements=16", "--set", "trials=0"])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
 
@@ -494,12 +495,16 @@ def test_counts_are_rejected_when_parsed(field, values):
         "feed_gain_db=4000",
         "pitch_wavelengths=1e300",
         "wavelength_m=1e-300",
+        "feed_r_m=1e154",
+        "feed_r_m=1e200",
+        "ue_r_m=1e155",
+        "ue_r_m=1e160",
     ],
 )
 def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
     # every range the link model assumes is checked when the scenario is
     # made, before any surface is laid out, and the error names the field
-    rc = cli.main(["capacity", "--trials", "10", "--set", override])
+    rc = cli.main(["capacity", "--set", "trials=10", "--set", override])
     assert rc == 2
     assert override.split("=")[0] in capsys.readouterr().err
 
@@ -537,7 +542,7 @@ def test_out_of_range_grid_value_fails_its_row():
 def test_capacity_names_a_degenerate_link(capsys, override, message):
     # a valid scenario whose link is degenerate is a usage error that names
     # the cause; it never reports a silent all-zero link
-    rc = cli.main(["capacity", "--elements", "16", "--trials", "10", "--set", override])
+    rc = cli.main(["capacity", *ELEMENTS_16_TRIALS_10, "--set", override])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -545,7 +550,7 @@ def test_capacity_names_a_degenerate_link(capsys, override, message):
 def test_underflowing_split_is_a_model_inconsistency(capsys):
     # both link qualities are positive, but their product underflows, so the
     # optimal split has nothing to balance
-    argv = ["capacity", "--elements", "16", "--trials", "10", "--set", "beta0_db=-1600"]
+    argv = ["capacity", *ELEMENTS_16_TRIALS_10, "--set", "beta0_db=-1600"]
     assert cli.main(argv + ["--set", "allocation=optimal"]) == 3
     err = capsys.readouterr().err
     assert "m11 m22 + m12 m21" in err and "snr = " in err
@@ -589,6 +594,15 @@ def test_cli_threshold_model_inconsistency_exit_code(capsys):
     rc = cli.main(["threshold", "--ov", "1e-13", "--oh", "9e-13", "--snr-db", "0"])
     assert rc == 3
     assert "outside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ov,oh,snr_db", [("inf", "1", "0"), ("1", "nan", "0"), ("1", "1", "inf")]
+)
+def test_cli_threshold_rejects_non_finite_inputs(capsys, ov, oh, snr_db):
+    rc = cli.main(["threshold", "--ov", ov, "--oh", oh, "--snr-db", snr_db])
+    assert rc == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_gnuplot(tmp_path, capsys):
@@ -641,8 +655,25 @@ def test_cli_recipes_list_and_run(tmp_path, capsys):
 
 
 def test_cli_set_requires_key_value(capsys):
-    rc = cli.main(["capacity", "--elements", "16", "--trials", "10", "--set", "oops"])
+    rc = cli.main(["capacity", *ELEMENTS_16_TRIALS_10, "--set", "oops"])
     assert rc == 2
+
+
+def test_capacity_merges_config_and_set_before_parsing(tmp_path, capsys):
+    # the file's pairs and the --set items are merged and parsed once, as in
+    # a sweep: --set allocation=equal lifts the file's optimal split, which
+    # its random scheme rejects
+    config = tmp_path / "random.cfg"
+    config.write_text("allocation = optimal\nphase_scheme = random\nrandom_phase_draws = 4\n")
+    argv = ["--config", str(config), *ELEMENTS_16_TRIALS_10, "--set", "allocation=equal"]
+    assert cli.main(["capacity", *argv]) == 0
+    assert "# allocation=equal" in capsys.readouterr().out.splitlines()
+    spec_path = tmp_path / "random.sweep"
+    spec_path.write_text(config.read_text() + "axis = xpd\ngrid = 0.2\noutputs = dual-ub\n")
+    out = str(tmp_path / "random.csv")
+    assert cli.main(["sweep", str(spec_path), "--out", out, *argv[2:]]) == 0
+    assert cli.main(["capacity", "--config", str(config)]) == 2
+    assert "allocation" in capsys.readouterr().err
 
 
 def test_scenario_config_file_round_trip(tmp_path):
