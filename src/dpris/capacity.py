@@ -18,10 +18,12 @@ Gaussian vectors.  A linear functional of such a vector is circular
 Gaussian with the matching quadratic form as its variance, so the entries
 of G are independent with G_ij ~ CN(0, m_ij).  The second moments
 m = (m11, m12, m21, m22) are the exact law of G, not an approximation, and
-they are all the estimators and bounds here consume:
-``expected_gram_moments`` turns a stream of D phase draws into a (D, 4)
-array, running the draws through the surface FFT a chunk at a time in
-buffers it allocates once.
+they are all the estimators and bounds here consume.
+``expected_gram_moments`` turns a stream of D phase draws into the (D, 2)
+quadratic forms q = (q_V, q_H) of the phased surface vectors, running the
+draws through the surface FFT a chunk at a time in buffers it allocates
+once, and ``moment_layout`` is the one place where the cross-polarization
+coefficient l splits q into the (D, 4) moments.
 
 A moment array of shape (4,) describes one configuration; one of shape
 (D, 4) describes an ensemble of D random phase draws.  The moment bound
@@ -32,11 +34,15 @@ A moment array of shape (4,) describes one configuration; one of shape
 is then averaged over the draws, and Monte Carlo trial i draws G from the
 moments of draw i mod D.  The transmit SNR rho and the V share lambda_v of
 the power, lv above, are plain floats; the H share is lh = 1 - lambda_v.
-Monte Carlo draws four complex scalars per trial, vectorized over trials,
-and estimates E log2 det(I2 + rho G Lambda G^H) and, from the same draws,
-the all-V baseline E log2(1 + rho |G11|^2).  Trials come in fixed-size
-chunks, each from its own stream keyed by the master seed and the chunk
-index, so results are bitwise reproducible.
+Monte Carlo scales four standard complex normals per trial, vectorized
+over trials, and estimates E log2 det(I2 + rho G Lambda G^H) and, from the
+same draws, the all-V baseline E log2(1 + rho |G11|^2).  Trials come in
+fixed-size chunks, each from its own stream keyed by the master seed and
+the chunk index, so results are bitwise reproducible.  The standard
+normals do not depend on the moments, so every row of a sweep uses the
+same ones (common random numbers), and a process keeps the last
+(trials, master_seed) array it drew, read-only, for the next call: a call
+that reuses it gives the bits of a call that draws afresh.
 
 Under the aligning phases the moments collapse to
 ((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
@@ -53,7 +59,8 @@ above which the dual system more than doubles the single one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
@@ -73,7 +80,9 @@ _LN2 = np.log(2.0)
 _FFT_LATTICE_POINTS = 2**14
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
 #: stream keyed (master_seed, c), so a fixed seed gives the same draws for
-#: every trial whatever the trial count.
+#: every trial whatever the trial count.  The draws of the last
+#: (trials, master_seed) are kept for the process's next Monte Carlo call,
+#: 64 bytes a trial (192 KB at 3000 trials).
 _CHUNK_TRIALS = 65_536
 
 
@@ -81,14 +90,26 @@ _CHUNK_TRIALS = 65_536
 class McCapacityResult:
     """Monte Carlo estimate with its standard error, the all-V baseline's
     estimate log2(1 + rho |G11|^2) with its standard error, and the
-    per-entry second moments of G, all from the same draws."""
+    per-trial |G_ij|^2, shape (T, 4), all from the same draws.  The
+    per-entry second moments of G and their standard errors are reduced
+    from ``gram`` when read."""
 
     estimate: float
     standard_error: float
     single_pol_estimate: float
     single_pol_standard_error: float
-    moments: np.ndarray
-    moment_standard_errors: np.ndarray
+    gram: np.ndarray = field(repr=False)
+
+    @property
+    def moments(self) -> np.ndarray:
+        return self.gram.mean(axis=0)
+
+    @property
+    def moment_standard_errors(self) -> np.ndarray:
+        trials = len(self.gram)
+        if trials == 1:
+            return np.zeros(4)
+        return np.std(self.gram, axis=0, ddof=1) / np.sqrt(trials)
 
 
 def ergodic_capacity_mc(
@@ -100,7 +121,7 @@ def ergodic_capacity_mc(
 
     G is drawn from its exact law: four independent entries
     G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
-    ``expected_gram_moments`` of a configuration, shape (4,).  For an
+    ``moment_layout`` of a configuration, shape (4,).  For an
     ensemble of D phase draws, shape (D, 4), trial i uses the moments of
     draw i mod D, so the estimate describes the same ensemble as
     ``moment_upper_bound`` over those moments.
@@ -120,7 +141,9 @@ def ergodic_capacity_mc(
             details={"moments": moments},
         )
 
-    scale = np.sqrt(moments / 2.0)[np.arange(trials) % len(moments)]
+    scale = np.sqrt(moments / 2.0)
+    if len(scale) > 1:
+        scale = scale[np.arange(trials) % len(scale)]
     g = _standard_channels(trials, master_seed) * scale
     gram = g.real**2 + g.imag**2
     # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
@@ -135,17 +158,14 @@ def ergodic_capacity_mc(
     if trials > 1:
         se = float(np.std(dual, ddof=1) / np.sqrt(trials))
         single_se = float(np.std(single, ddof=1) / np.sqrt(trials))
-        moment_se = np.std(gram, axis=0, ddof=1) / np.sqrt(trials)
     else:
         se = single_se = 0.0
-        moment_se = np.zeros(4)
     return McCapacityResult(
         estimate=float(np.mean(dual)),
         standard_error=se,
         single_pol_estimate=float(np.mean(single)),
         single_pol_standard_error=single_se,
-        moments=gram.mean(axis=0),
-        moment_standard_errors=moment_se,
+        gram=gram,
     )
 
 
@@ -194,24 +214,20 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def expected_gram_moments(
-    surface: np.ndarray,
-    phases: Iterable[np.ndarray],
-    spectrum: np.ndarray,
-    xpd_coeff: float,
+    surface: np.ndarray, phases: Iterable[np.ndarray], spectrum: np.ndarray
 ) -> np.ndarray:
-    """Exact second moments (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2) of G
-    under each of D phase draws, shape (D, 4), from the channel's
-    second-order model.
+    """Per-polarization quadratic forms q = (q_V, q_H) under each of D
+    phase draws, shape (D, 2), from which ``moment_layout`` gives the exact
+    second moments of G under each draw.
 
     ``surface`` stacks the (V, H) weighted surface vectors, shape (2, N),
     and each draw the (V, H) phases, shape (2, N); ``phases`` is read
-    lazily, so a generator of draws is never held whole.  The moments
-    scale q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P, by 1 - l or l,
-    every q exact as in ``compute_O``.  Draws go through the FFT a chunk
-    at a time, in four buffers (phases, phasors, FFT stage, transform)
-    allocated once per call; a draw's moments do not depend on the chunk
-    it falls in.  Under the aligning phases they collapse to
-    ((1-l) O_V, l O_H, l O_V, (1-l) O_H).
+    lazily, so a generator of draws is never held whole.  The forms are
+    q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P, every q exact as in
+    ``compute_O``.  Draws go through the FFT a chunk at a time, in four
+    buffers (phases, phasors, FFT stage, transform) allocated once per
+    call; a draw's forms do not depend on the chunk it falls in.  Under the
+    aligning phases they collapse to (O_V, O_H).
     """
     n = surface.shape[-1]
     rows, cols = spectrum.shape
@@ -241,15 +257,15 @@ def expected_gram_moments(
         q.append(_surface_quadforms(u, spectrum, stage[:k], transform[:k]))
     if not q:
         raise ValueError("expected at least one phase draw")
-    return moment_layout(np.concatenate(q).T, xpd_coeff)
+    return np.concatenate(q)
 
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
     """Second moments ((1-l) q_V, l q_H, l q_V, (1-l) q_H) of G from the
-    per-polarization quadratic forms q = (q_V, q_H), shape (2,) or (2, c);
+    per-polarization quadratic forms q = (q_V, q_H), shape (2,) or (D, 2);
     with q = (O_V, O_H) they are the moments under the aligning phases."""
     l = xpd_coeff
-    return np.asarray(q)[[0, 1, 0, 1]].T * np.array([1.0 - l, l, l, 1.0 - l])
+    return np.asarray(q)[..., [0, 1, 0, 1]] * np.array([1.0 - l, l, l, 1.0 - l])
 
 
 def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
@@ -347,9 +363,11 @@ def _moment_rows(moments: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, 4)
 
 
+@functools.lru_cache(maxsize=1)
 def _standard_channels(trials: int, master_seed: int) -> np.ndarray:
-    """(trials, 4) complex draws z1 + j z2 with independent standard normal
-    parts, columns in entry order (G11, G12, G21, G22).
+    """Read-only (trials, 4) complex draws z1 + j z2 with independent
+    standard normal parts, columns in entry order (G11, G12, G21, G22);
+    the last result is kept for the next call with the same arguments.
 
     Chunk c holds trials [c C, (c + 1) C) with C = _CHUNK_TRIALS and draws
     them from its own stream as a prefix of that stream's draws, so buffers
@@ -361,4 +379,5 @@ def _standard_channels(trials: int, master_seed: int) -> np.ndarray:
         seq = np.random.SeedSequence(master_seed, spawn_key=(start // _CHUNK_TRIALS,))
         rng = np.random.Generator(np.random.PCG64(seq))
         out[start:stop] = rng.standard_normal((stop - start, 4, 2)).view(complex)[..., 0]
+    out.setflags(write=False)
     return out

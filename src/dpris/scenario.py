@@ -9,22 +9,33 @@ this boundary in degrees only.  A scenario is checked when it is made,
 and only then: every range the link model assumes fails there, with an
 error that names the field.
 
-``build_link_model`` expands a scenario into the one weighted surface
-vector per polarization, s_P = A_P * b * w (reflection amplitudes, feed
-coefficients, pathloss weights), a read-only (2, N) array, reads every
-moment of the link from it, and resolves ``allocation`` to the V share
-lambda_v of the transmit power: 1/2 for ``equal``, the maximizer of the
-moment bound for ``optimal``, or the literal itself.  It traces the
-feed's rays once; its only errors are the model's degeneracies (a feed on
-an element, in or behind the surface plane or at grazing incidence, a UE
-on an element, a polarization no power reaches) and an optimal split
-whose moment product underflows.
+``build_link_model`` works in two parts.  The surface side expands a
+scenario into the one weighted surface vector per polarization,
+s_P = A_P * b * w (reflection amplitudes, feed coefficients, pathloss
+weights), a read-only (2, N) array, tracing the feed's rays once, and
+reduces it to its quadratic forms: O_V and O_H, and for the random scheme
+the (D, 2) forms of its D phase draws.  The point side splits those forms
+into the moments of G by ``xpd_coeff`` and resolves ``allocation`` to the
+V share lambda_v of the transmit power: 1/2 for ``equal``, the maximizer
+of the moment bound for ``optimal``, or the literal itself.
+
+The point fields (``noise_dbm``, ``power_dbm``, ``snr_db``, ``xpd_coeff``,
+``allocation``, ``trials``, ``master_seed``) enter the point side only.
+A process keeps the surface side of the last link it built, keyed by
+every other field, so a sweep over a point field builds its surface once
+and every later point takes it from the memo, with the bits of a cold
+build; a field added to ``Scenario`` joins the key unless it is named a
+point field.  A failed build is not kept.  The only errors are the
+model's degeneracies (a feed on an element, in or behind the surface
+plane or at grazing incidence, a UE on an element, a polarization no
+power reaches) and an optimal split whose moment product underflows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +114,13 @@ class Scenario:
             reach = getattr(self, name) + extent
             if not 4.0 * math.pi * reach * reach < math.inf:
                 raise ValueError(f"{name} gives rays of up to {reach!r} m, whose square overflows")
+        # and so must the carrier phase 2 pi D / lambda of the feed's rays
+        reach = self.feed_r_m + extent
+        if not 2.0 * math.pi * reach / self.wavelength_m < math.inf:
+            raise ValueError(
+                f"wavelength_m {self.wavelength_m!r} makes the carrier phase "
+                f"2 pi D / wavelength_m overflow for feed rays of up to {reach!r} m"
+            )
         for name in ("feed_zenith_deg", "ue_zenith_deg"):
             # in radians, as the placement reads it
             if not 0.0 <= math.radians(getattr(self, name)) <= math.pi:
@@ -220,7 +238,50 @@ class LinkModel:
     moments: np.ndarray
 
 
+#: The fields a sweep point may change on a fixed surface: they enter only
+#: the transmit SNR, the split of the moments by ``xpd_coeff``, the power
+#: split and the Monte Carlo run.  Every other field keys the surface memo.
+_POINT_FIELDS = (
+    "noise_dbm",
+    "power_dbm",
+    "snr_db",
+    "xpd_coeff",
+    "allocation",
+    "trials",
+    "master_seed",
+)
+_surface_key = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(Scenario) if f.name not in _POINT_FIELDS)
+)
+#: The last surface built in this process, keyed by ``_surface_key``.
+_surface_memo: dict = {}
+
+
 def build_link_model(scenario: Scenario) -> LinkModel:
+    """The link model of one scenario point: the surface's quadratic forms,
+    from ``_surface_memo`` when the last point built had the same surface,
+    then the point's moments, SNR and power split."""
+    key = _surface_key(scenario)
+    forms = _surface_memo.get(key)
+    if forms is None:
+        forms = _surface_forms(scenario)
+        _surface_memo.clear()
+        _surface_memo[key] = forms
+    o, q = forms
+    moments = capacity.moment_layout(q, scenario.xpd_coeff)
+    snr = _snr(scenario)
+    mode = scenario.allocation.strip().lower()
+    if mode == "optimal":
+        lambda_v = capacity.optimal_power_allocation(moments, snr)
+    else:
+        lambda_v = 0.5 if mode == "equal" else float(mode)
+    return LinkModel(snr, lambda_v, float(o[0]), float(o[1]), moments)
+
+
+def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The aligned-phase forms O = (O_V, O_H), shape (2,), and the forms q
+    the moments are split from: O itself under the aligning phases, or the
+    (D, 2) forms of the random scheme's D draws; both read-only."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     geo = geometry.build_ris_grid(side, side, scenario.pitch_wavelengths * wavelength, wavelength)
@@ -260,22 +321,17 @@ def build_link_model(scenario: Scenario) -> LinkModel:
                 f"no power reaches the {name} polarization (O_{name} = {float(value)!r}): "
                 "the feed faces away from the surface or the pathloss underflows"
             )
-    if scenario.phase_scheme == "random":
-        draws = (
-            ris.random_phases(geo.element_count, scenario.phase_seed + d)
-            for d in range(scenario.random_phase_draws)
-        )
-        moments = capacity.expected_gram_moments(surface, draws, spectrum, scenario.xpd_coeff)
-    else:
-        # the aligning phases collapse the moments to O_V and O_H
-        moments = capacity.moment_layout(o, scenario.xpd_coeff)
-    snr = _snr(scenario)
-    mode = scenario.allocation.strip().lower()
-    if mode == "optimal":
-        lambda_v = capacity.optimal_power_allocation(moments, snr)
-    else:
-        lambda_v = 0.5 if mode == "equal" else float(mode)
-    return LinkModel(snr, lambda_v, float(o[0]), float(o[1]), moments)
+    o.setflags(write=False)
+    if scenario.phase_scheme != "random":
+        # the aligning phases collapse the forms to O_V and O_H
+        return o, o
+    draws = (
+        ris.random_phases(geo.element_count, scenario.phase_seed + d)
+        for d in range(scenario.random_phase_draws)
+    )
+    q = capacity.expected_gram_moments(surface, draws, spectrum)
+    q.setflags(write=False)
+    return o, q
 
 
 def _cosines(angles_deg: str) -> list[float]:

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from dpris import scenario as scen
+from dpris import capacity, channel, scenario as scen
 
 WAVELENGTH = 0.0115
 PITCH = WAVELENGTH / 3.0
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with no surface, standard draws or kernel spectrum
+    kept from an earlier test, so what it counts or measures does not
+    depend on which tests ran before it."""
+    scen._surface_memo.clear()
+    capacity._standard_channels.cache_clear()
+    channel._kernel_spectrum.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -205,9 +205,8 @@ class RisConfiguration:
         """The package's second moments of G under this configuration on
         the link ``parts``, shape (4,)."""
         draw = np.stack([self.phases_v, self.phases_h])
-        return capacity.expected_gram_moments(
-            self.surface(parts), [draw], parts.spectrum, parts.xpd_coeff
-        )[0]
+        q = capacity.expected_gram_moments(self.surface(parts), [draw], parts.spectrum)
+        return capacity.moment_layout(q, parts.xpd_coeff)[0]
 
 
 def equivalent_channel(sample: ChannelSample, config, b: np.ndarray) -> np.ndarray:

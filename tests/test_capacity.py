@@ -258,8 +258,10 @@ def test_compute_O_matches_double_sum_oracle():
             q_v = brute(config.gamma_v * b * weights)
             q_h = brute(config.gamma_h * b * weights)
             draw = np.stack([config.phases_v, config.phases_h])
+            q = capacity.expected_gram_moments(surface, [draw], spectrum)
+            np.testing.assert_allclose(q[0], [q_v, q_h], rtol=1e-12)
             np.testing.assert_allclose(
-                capacity.expected_gram_moments(surface, [draw], spectrum, l)[0],
+                capacity.moment_layout(q, l)[0],
                 [(1 - l) * q_v, l * q_h, l * q_v, (1 - l) * q_h],
                 rtol=1e-12,
             )
@@ -513,15 +515,20 @@ def test_multiplexing_gain_synthetic_and_errors():
 
 
 def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
+    # a call on the kept draws and a call that draws them afresh give the
+    # first call's bits, moments included
     kwargs = dict(lambda_v=0.5, snr=2e12, trials=600, master_seed=5)
     first = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     again = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
-    assert first.estimate == again.estimate
-    assert first.standard_error == again.standard_error
-    assert first.single_pol_estimate == again.single_pol_estimate
-    assert first.single_pol_standard_error == again.single_pol_standard_error
-    np.testing.assert_array_equal(first.moments, again.moments)
-    np.testing.assert_array_equal(first.moment_standard_errors, again.moment_standard_errors)
+    capacity._standard_channels.cache_clear()
+    cold = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
+    for other in (again, cold):
+        assert first.estimate == other.estimate
+        assert first.standard_error == other.standard_error
+        assert first.single_pol_estimate == other.single_pol_estimate
+        assert first.single_pol_standard_error == other.single_pol_standard_error
+        np.testing.assert_array_equal(first.moments, other.moments)
+        np.testing.assert_array_equal(first.moment_standard_errors, other.moment_standard_errors)
 
     # a short run's draws are a prefix of a longer run's, across a chunk
     # boundary in both
@@ -530,6 +537,38 @@ def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
     longer = capacity._standard_channels(2 * chunk + 1, 5)
     np.testing.assert_array_equal(prefix, longer[: chunk + 100])
     assert not np.array_equal(longer[:chunk], longer[chunk : 2 * chunk])
+
+
+def test_kept_draws_are_read_only_and_change_no_estimate():
+    # the draws of the last (trials, master_seed) are kept read-only, and
+    # each call on them, whatever its moments, matches an oracle that draws
+    # the same stream afresh and scales every trial by its own moments
+    trials, seed, snr, lambda_v = 700, 9, 5.0, 0.3
+    draws = capacity._standard_channels(trials, seed)
+    assert not draws.flags.writeable
+    with pytest.raises(ValueError):
+        draws[0, 0] = 0.0
+    stream = oracles.SeededStreamFactory(seed).stream(0)
+    fresh = stream.standard_normal((trials, 4, 2)).view(complex)[..., 0]
+    rng = np.random.default_rng(4)
+    for shape in ((4,), (4,), (3, 4)):
+        moments = rng.uniform(0.1, 2.0, shape)
+        mc = capacity.ergodic_capacity_mc(moments, lambda_v, snr, trials, seed)
+        rows = moments.reshape(-1, 4)
+        g = fresh * np.sqrt(rows / 2.0)[np.arange(trials) % len(rows)]
+        dual = oracles.log2_det2(g.reshape(trials, 2, 2), lambda_v, 1.0 - lambda_v, snr)
+        single = np.log1p(snr * np.abs(g[:, 0]) ** 2) / oracles.LN2
+        gram = np.abs(g) ** 2
+        root = np.sqrt(trials)
+        assert mc.estimate == pytest.approx(dual.mean(), rel=1e-12)
+        assert mc.standard_error == pytest.approx(dual.std(ddof=1) / root, rel=1e-9)
+        assert mc.single_pol_estimate == pytest.approx(single.mean(), rel=1e-12)
+        assert mc.single_pol_standard_error == pytest.approx(single.std(ddof=1) / root, rel=1e-9)
+        np.testing.assert_allclose(mc.moments, gram.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(
+            mc.moment_standard_errors, gram.std(axis=0, ddof=1) / root, rtol=1e-9
+        )
+        assert capacity._standard_channels(trials, seed) is draws
 
 
 def test_capacity_report_is_jensen_consistent(capsys):

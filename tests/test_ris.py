@@ -183,7 +183,7 @@ def test_configuration_validation():
         (surface, []),
     ]:
         with pytest.raises(ValueError):
-            capacity.expected_gram_moments(bad_surface, draws, parts.spectrum, parts.xpd_coeff)
+            capacity.expected_gram_moments(bad_surface, draws, parts.spectrum)
 
 
 def test_random_phase_bound_never_beats_aligned_bound():

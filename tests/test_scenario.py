@@ -2,6 +2,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,3 +163,67 @@ def test_every_field_round_trips_its_text_form(scenario):
         value = getattr(parsed, field.name)
         expected = float if field.default is None and value is not None else type(field.default)
         assert type(value) is expected, field.name
+
+
+def count_surface_builds(monkeypatch) -> list:
+    """The scenarios whose surface ``build_link_model`` builds from now on,
+    rather than taking it from the memo."""
+    builds = []
+    forms = scen._surface_forms
+
+    def counted(scenario):
+        builds.append(scenario)
+        return forms(scenario)
+
+    monkeypatch.setattr(scen, "_surface_forms", counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "base",
+    [BASE.replace(allocation="optimal"), BASE.replace(phase_scheme="random")],
+    ids=["aligned", "random"],
+)
+@pytest.mark.parametrize("name", scen._POINT_FIELDS)
+def test_point_field_reuses_the_surface_bit_for_bit(monkeypatch, base, name):
+    # a point that differs from the last one only in a point field takes
+    # the surface from the memo, and its link model has the bits of a
+    # cold build
+    builds = count_surface_builds(monkeypatch)
+    scen.build_link_model(base)
+    point = base.replace(**{name: getattr(NON_DEFAULT, name)})
+    warm = scen.build_link_model(point)
+    assert len(builds) == 1
+    scen._surface_memo.clear()
+    cold = scen.build_link_model(point)
+    assert len(builds) == 2
+    for value in ("snr", "lambda_v", "o_v", "o_h"):
+        assert getattr(warm, value) == getattr(cold, value), value
+    assert warm.moments.shape == cold.moments.shape
+    np.testing.assert_array_equal(warm.moments, cold.moments)
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(scen.Scenario) if f.name not in scen._POINT_FIELDS]
+)
+def test_any_other_field_misses_the_memo(monkeypatch, name):
+    # every field but the point fields keys the surface, including one
+    # added later, which NON_DEFAULT must then set away from its default
+    builds = count_surface_builds(monkeypatch)
+    random = name in ("phase_seed", "random_phase_draws")
+    base = BASE.replace(phase_scheme="random") if random else BASE
+    scen.build_link_model(base)
+    scen.build_link_model(base.replace(**{name: getattr(NON_DEFAULT, name)}))
+    assert len(builds) == 2
+
+
+def test_failed_surface_is_not_kept(monkeypatch):
+    # a degenerate surface raises on every build; the last good one stays
+    builds = count_surface_builds(monkeypatch)
+    scen.build_link_model(BASE)
+    behind = BASE.replace(feed_zenith_deg=180.0)
+    for _ in range(2):
+        with pytest.raises(DegenerateGeometryError):
+            scen.build_link_model(behind)
+    scen.build_link_model(BASE.replace(xpd_coeff=0.5))
+    assert len(builds) == 3

@@ -215,15 +215,15 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
     rows = {}
     for per_chunk in (1, 7, 300):
         monkeypatch.setattr(capacity, "_FFT_LATTICE_POINTS", per_chunk * points)
+        scen._surface_memo.clear()  # each chunking builds the surface anew
         rows[per_chunk] = scen.build_link_model(current).moments
     for per_chunk in (7, 300):
         np.testing.assert_array_equal(rows[per_chunk], rows[1])
     parts = oracles.link_parts(current)
     surface = parts.config.surface(parts)
     draws = np.stack([ris.random_phases(elements, 5 + d) for d in range(300)])
-    np.testing.assert_array_equal(
-        capacity.expected_gram_moments(surface, draws, parts.spectrum, parts.xpd_coeff), rows[1]
-    )
+    q = capacity.expected_gram_moments(surface, draws, parts.spectrum)
+    np.testing.assert_array_equal(capacity.moment_layout(q, parts.xpd_coeff), rows[1])
 
 
 def test_random_phase_row_draws_each_seed_once(monkeypatch):
@@ -265,6 +265,7 @@ def test_random_phase_row_memory_stays_flat():
         }
     )
     sweep.run_sweep(spec)  # warm the kernel-spectrum cache and lazy imports
+    scen._surface_memo.clear()  # but build the surface and its draws anew
     tracemalloc.start()
     try:
         row = sweep.run_sweep(spec).rows[0]
@@ -300,8 +301,67 @@ def test_aligned_row_builds_moments_from_O(monkeypatch):
     assert calls == [(2, 16)]
 
 
+def test_snr_sweep_builds_its_surface_once(monkeypatch):
+    # the points of an snr sweep share one surface, so its one FFT runs
+    # for the first point only
+    calls = []
+    quadforms = capacity._surface_quadforms
+
+    def counted(vectors, spectrum, *buffers):
+        calls.append(vectors.shape)
+        return quadforms(vectors, spectrum, *buffers)
+
+    monkeypatch.setattr(capacity, "_surface_quadforms", counted)
+    spec = spec_from(
+        {
+            "axis": "snr",
+            "grid": "100, 110, 120, 130, 140",
+            "outputs": "dual-ub, allocation",
+            "elements": "400",
+            "allocation": "optimal",
+        }
+    )
+    rows = sweep.run_sweep(spec).rows
+    assert [row["status"] for row in rows] == ["ok"] * 5
+    assert len({row["lambda_v"] for row in rows}) == 5
+    assert calls == [(2, 400)]
+
+
+def test_random_xpd_sweep_seeds_its_draws_once(monkeypatch):
+    # the points of an xpd sweep share the random scheme's phase draws
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    spec = spec_from(
+        {
+            "axis": "xpd",
+            "grid": "0, 0.5, 1",
+            "outputs": "dual-ub, dual-mc",
+            "phase_scheme": "random",
+            "phase_seed": "5",
+            "random_phase_draws": "20",
+            **BOUNDS_ONLY_16,
+        }
+    )
+    rows = sweep.run_sweep(spec).rows
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert seeds == list(range(5, 25))
+
+
 @pytest.mark.parametrize(
-    "outputs", ["dual-mc", "single-mc", "single-mc, dual-mc", "mc-moments, dual-mc, single-mc"]
+    "outputs",
+    [
+        "dual-mc",
+        "single-mc",
+        "mc-moments",
+        "single-mc, dual-mc",
+        "mc-moments, dual-mc, single-mc",
+    ],
 )
 def test_row_makes_one_estimator_call(monkeypatch, outputs):
     # every Monte Carlo column comes from one call's draws
@@ -323,7 +383,8 @@ def test_row_makes_one_estimator_call(monkeypatch, outputs):
         assert row["single_mc_bits"] == mc.single_pol_estimate
         assert row["single_mc_se"] == mc.single_pol_standard_error
     if "mc-moments" in outputs:
-        assert [row[f"mc_m{i}"] for i in (11, 12, 21, 22)] == list(mc.moments)
+        # reduced from that call's per-trial |G_ij|^2, when read
+        assert [row[f"mc_m{i}"] for i in (11, 12, 21, 22)] == list(mc.gram.mean(axis=0))
 
 
 def test_unknown_names_fail_the_row_or_the_command(capsys, tmp_path):
@@ -499,13 +560,19 @@ def test_counts_are_rejected_when_parsed(field, values):
         "feed_r_m=1e200",
         "ue_r_m=1e155",
         "ue_r_m=1e160",
+        # finite rays whose carrier phase overflows
+        "wavelength_m=1e-300 pitch_wavelengths=1e150 feed_r_m=1e10",
     ],
 )
 def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
     # every range the link model assumes is checked when the scenario is
-    # made, before any surface is laid out, and the error names the field
-    rc = cli.main(["capacity", "--set", "trials=10", "--set", override])
-    assert rc == 2
+    # made, before any surface is laid out (no numpy warning, which the
+    # test configuration turns into an error), and the error names the
+    # first field of the override
+    argv = ["capacity", "--set", "trials=10"]
+    for pair in override.split():
+        argv += ["--set", pair]
+    assert cli.main(argv) == 2
     assert override.split("=")[0] in capsys.readouterr().err
 
 
