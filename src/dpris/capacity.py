@@ -25,6 +25,14 @@ draws through the surface FFT a chunk at a time in buffers it allocates
 once, and ``moment_layout`` is the one place where the cross-polarization
 coefficient l splits q into the (D, 4) moments.
 
+R is never formed.  On the uniform rows x cols grid R(n1, n2) depends
+only on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
+||(drow, dcol)|| / lambda), so R is block Toeplitz with Toeplitz blocks.
+``kernel_spectrum`` lays k out on a (2 rows) x (2 cols) circulant lattice
+(lag i at index i mod 2 rows) and returns its spectrum S = FFT2(k): 4N
+reals, real because k is even.  Every surface quadratic form is then one
+FFT per vector on that lattice (``compute_O``).
+
 A moment array of shape (4,) describes one configuration; one of shape
 (D, 4) describes an ensemble of D random phase draws.  The moment bound
 
@@ -202,7 +210,7 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     axis, |s_n| = A_n |b_n| sqrt(beta0 d_n^-alpha): the maximized
     per-polarization received-power quantity, through the FFT code that
     ``expected_gram_moments`` runs its chunks through.  ``spectrum`` is the
-    lag-kernel spectrum S of ``channel.kernel_spectrum``.
+    lag-kernel spectrum S of ``kernel_spectrum``.
 
     With v zero-padded to the (2 rows) x (2 cols) lattice of S,
     v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
@@ -326,6 +334,19 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
             f"threshold {root:.6g} falls outside (0, 1)", details=details
         )
     return float(root)
+
+
+@functools.lru_cache(maxsize=1)
+def kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
+    """Read-only spectrum S of the sinc lag kernel of the rows x cols grid
+    at ``pitch``, shape (2 rows, 2 cols); the last result is kept for the
+    next call on the same surface."""
+    lag_r = np.abs(np.fft.ifftshift(np.arange(-rows, rows)))
+    lag_c = np.abs(np.fft.ifftshift(np.arange(-cols, cols)))
+    separation = pitch * np.hypot(lag_r[:, None], lag_c[None, :])
+    spectrum = np.ascontiguousarray(np.fft.fft2(np.sinc(2.0 * separation / wavelength)).real)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _surface_quadforms(

@@ -15,40 +15,16 @@ which ``scenario.build_link_model`` multiplies into the one surface vector
 with the reflection amplitudes and the feed coefficients, and
 ``capacity.moment_layout`` applies xpd_coeff to the moments of G.
 
-R is never formed.  On the uniform rows x cols grid R(n1, n2) depends only
-on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
-||(drow, dcol)|| / lambda), so R is block Toeplitz with Toeplitz blocks.
-``kernel_spectrum`` lays k out on a (2 rows) x (2 cols) circulant lattice
-(lag i at index i mod 2 rows) and returns its spectrum S = FFT2(k): 4N
-reals, real because k is even.  Every surface quadratic form is then one
-FFT per vector (``capacity.compute_O``).  Nothing here draws per-element
-fading: the capacity estimator samples the 2x2 equivalent channel, whose
-law those quadratic forms give, directly.
+R is never formed: ``capacity.kernel_spectrum`` gives its lag-kernel
+spectrum on the surface's FFT lattice, and every surface quadratic form is
+one FFT per vector.  Nothing here draws per-element fading: the capacity
+estimator samples the 2x2 equivalent channel, whose law those quadratic
+forms give, directly.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-
-from .geometry import RisGeometry
-
-
-def kernel_spectrum(geometry: RisGeometry) -> np.ndarray:
-    """Read-only spectrum S of the sinc lag kernel of the grid, shape
-    (2 rows, 2 cols), shared by every sweep point on the same surface."""
-    return _kernel_spectrum(geometry.rows, geometry.cols, geometry.pitch, geometry.wavelength)
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
-    lag_r = np.abs(np.fft.ifftshift(np.arange(-rows, rows)))
-    lag_c = np.abs(np.fft.ifftshift(np.arange(-cols, cols)))
-    separation = pitch * np.hypot(lag_r[:, None], lag_c[None, :])
-    spectrum = np.ascontiguousarray(np.fft.fft2(np.sinc(2.0 * separation / wavelength)).real)
-    spectrum.setflags(write=False)
-    return spectrum
 
 
 def pathloss_weights(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
-from .geometry import RisGeometry
 
 
 def feed_gains(boresight: np.ndarray, gain: float, directions: np.ndarray) -> np.ndarray:
@@ -34,20 +33,22 @@ def feed_gains(boresight: np.ndarray, gain: float, directions: np.ndarray) -> np
 
 
 def build_propagation_matrix(
-    geometry: RisGeometry,
     rays: np.ndarray,
     distances: np.ndarray,
+    area: float,
+    wavelength: float,
     boresight: np.ndarray,
     gain: float,
 ) -> np.ndarray:
     """Read-only feed coefficients b_n of every element, shape (N,), from
-    the rays to the feed and their lengths D_n (``geometry.rays_to``).
+    the rays to the feed and their lengths D_n (``geometry.rays_to``), the
+    element area A = pitch^2 in m^2 and the carrier wavelength in meters.
 
     Raises DegenerateGeometryError when an element's projected aperture
     toward the feed is non-positive (feed in the surface plane or behind
     the reflecting face).
     """
-    projected = -rays[:, 0] * geometry.element_area / distances
+    projected = -rays[:, 0] * area / distances
     bad = np.nonzero(projected <= 0.0)[0]
     if bad.size:
         raise DegenerateGeometryError(
@@ -56,6 +57,6 @@ def build_propagation_matrix(
         )
     gains = feed_gains(boresight, gain, -rays / distances[:, None])
     magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
-    b = magnitude * np.exp(-2j * np.pi * distances / geometry.wavelength)
+    b = magnitude * np.exp(-2j * np.pi * distances / wavelength)
     b.setflags(write=False)
     return b

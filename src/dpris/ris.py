@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
-from .geometry import TauConvention, axis_plane_tilt, incidence_decompositions
+from .geometry import axis_plane_tilt, incidence_decompositions
 
 
 def element_amplitudes(
@@ -23,10 +23,11 @@ def element_amplitudes(
     distances: np.ndarray,
     normal_incidence_phase: float,
     tau_offset: float = 0.0,
-    convention: TauConvention = axis_plane_tilt,
+    convention=axis_plane_tilt,
 ) -> np.ndarray:
     """Reflection amplitudes (V, H), shape (2, N), from the rays to the
-    feed and their lengths (``geometry.rays_to``): |exp(2ja) - exp(2jb)| / 2
+    feed and their lengths (``geometry.rays_to``), under the incidence
+    ``convention`` (a ``geometry.CONVENTIONS`` value): |exp(2ja) - exp(2jb)| / 2
     = |sin(a - b)| with a, b = atan((t +- tau) / cos e), e the elevation and
     t = tan(phi0 / 2), phi0 the normal-incidence phase (radians, off pi).
 

@@ -44,10 +44,6 @@ from . import capacity, channel, feed, geometry, ris
 from .exceptions import DegenerateGeometryError
 from .numerics import db_to_linear, dbm_to_watts
 
-_CONVENTIONS = {
-    "axis-plane": geometry.axis_plane_tilt,
-    "transverse-plane": geometry.transverse_plane_tilt,
-}
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 _POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent")
 
@@ -84,7 +80,7 @@ class Scenario:
     def __post_init__(self):
         for name, known in (
             ("phase_scheme", PHASE_SCHEMES),
-            ("incidence_convention", tuple(_CONVENTIONS)),
+            ("incidence_convention", tuple(geometry.CONVENTIONS)),
         ):
             if getattr(self, name) not in known:
                 raise ValueError(
@@ -122,7 +118,7 @@ class Scenario:
                 f"2 pi D / wavelength_m overflow for feed rays of up to {reach!r} m"
             )
         for name in ("feed_zenith_deg", "ue_zenith_deg"):
-            # in radians, as the placement reads it
+            # in radians, as the placement converts it
             if not 0.0 <= math.radians(getattr(self, name)) <= math.pi:
                 raise ValueError(f"{name} must lie in [0, 180], got {getattr(self, name)!r}")
         if not 2.0 <= db_to_linear(self.feed_gain_db) < math.inf:
@@ -284,36 +280,39 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     (D, 2) forms of the random scheme's D draws; both read-only."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
-    geo = geometry.build_ris_grid(side, side, scenario.pitch_wavelengths * wavelength, wavelength)
-    feed_position = _position(
+    pitch = scenario.pitch_wavelengths * wavelength
+    positions = geometry.build_ris_grid(side, side, pitch)
+    feed_position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
     # the feed's rays, traced once for its coefficients and the amplitudes
-    rays, distances = geometry.rays_to(geo, feed_position, "feed")
+    rays, distances = geometry.rays_to(positions, feed_position, "feed")
     if scenario.boresight_deg.strip().lower() == "origin":
         boresight = -feed_position / np.linalg.norm(feed_position)
     else:
         cosines = np.array(_cosines(scenario.boresight_deg))
         boresight = cosines / np.linalg.norm(cosines)
     b = feed.build_propagation_matrix(
-        geo, rays, distances, boresight, db_to_linear(scenario.feed_gain_db)
+        rays, distances, pitch * pitch, wavelength, boresight, db_to_linear(scenario.feed_gain_db)
     )
     amplitudes = ris.element_amplitudes(
         rays,
         distances,
         np.deg2rad(scenario.normal_incidence_phase_deg),
         scenario.tau_offset,
-        _CONVENTIONS[scenario.incidence_convention],
+        geometry.CONVENTIONS[scenario.incidence_convention],
     )
-    ue_position = _position(scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg)
+    ue_position = geometry.spherical_to_cartesian(
+        scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
+    )
     weights = channel.pathloss_weights(
-        geometry.rays_to(geo, ue_position, "UE")[1],
+        geometry.rays_to(positions, ue_position, "UE")[1],
         db_to_linear(scenario.beta0_db),
         scenario.pathloss_exponent,
     )
     surface = amplitudes * b * weights
     surface.setflags(write=False)
-    spectrum = channel.kernel_spectrum(geo)
+    spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
     o = capacity.compute_O(surface, spectrum)
     for name, value in zip("VH", o):
         if not value > 0.0:
@@ -326,7 +325,7 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         # the aligning phases collapse the forms to O_V and O_H
         return o, o
     draws = (
-        ris.random_phases(geo.element_count, scenario.phase_seed + d)
+        ris.random_phases(side * side, scenario.phase_seed + d)
         for d in range(scenario.random_phase_draws)
     )
     q = capacity.expected_gram_moments(surface, draws, spectrum)
@@ -341,12 +340,6 @@ def _cosines(angles_deg: str) -> list[float]:
         return [math.cos(math.radians(float(a))) for a in angles_deg.split(",")]
     except ValueError:
         return []
-
-
-def _position(radius: float, zenith_deg: float, azimuth_deg: float) -> np.ndarray:
-    return geometry.spherical_to_cartesian(
-        radius, np.deg2rad(zenith_deg), np.deg2rad(azimuth_deg) % (2.0 * np.pi)
-    )
 
 
 def read_config_file(path: str) -> dict[str, str]:

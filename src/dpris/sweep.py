@@ -3,8 +3,9 @@ self-describing CSV table (plus an optional gnuplot companion script).
 
 Sweep spec files are flat key = value text.  Sweep-level keys are ``axis``,
 ``grid`` (comma-separated values), ``grid2`` (second grid, feed-angles
-only), ``outputs`` (comma-separated column selection); every other key is
-a scenario override.  Grid values parse as the scenario field of their
+only), ``outputs`` (comma-separated column selection, each named once);
+every other key is a scenario override.  Numeric grids are strictly
+monotone.  Grid values parse as the scenario field of their
 axis does, and a bad one fails with an error that names that field.
 Re-running the same spec reproduces the CSV byte for byte except the
 runtime column.
@@ -112,16 +113,18 @@ class SweepSpec:
         for out in self.outputs:
             if out not in OUTPUTS:
                 raise ValueError(f"unknown output {out!r} (expected subset of {tuple(OUTPUTS)})")
+            if self.outputs.count(out) > 1:
+                raise ValueError(f"output {out!r} is named twice")
         if self.axis == "feed-angles":
             if not self.grid2:
                 raise ValueError("feed-angles sweeps need grid and grid2")
         elif self.grid2:
             raise ValueError("grid2 is only meaningful for feed-angles sweeps")
-        if self.axis != "phase-scheme":
-            values = [float(v) for v in self.grid]
-            diffs = np.diff(values)
-            if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ValueError("numeric sweep grids must be strictly monotone")
+        for name, grid in (("grid", self.grid), ("grid2", self.grid2)):
+            if self.axis != "phase-scheme" and len(grid) > 1:
+                diffs = np.diff([float(v) for v in grid])
+                if not (np.all(diffs > 0) or np.all(diffs < 0)):
+                    raise ValueError(f"{name} must be strictly monotone, got {_join(grid)}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpris import capacity, channel, scenario as scen
+from dpris import capacity, scenario as scen
 
 WAVELENGTH = 0.0115
 PITCH = WAVELENGTH / 3.0
@@ -14,7 +14,7 @@ def cold_caches():
     depend on which tests ran before it."""
     scen._surface_memo.clear()
     capacity._standard_channels.cache_clear()
-    channel._kernel_spectrum.cache_clear()
+    capacity.kernel_spectrum.cache_clear()
 
 
 @pytest.fixture(scope="session")

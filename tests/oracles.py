@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 The dense N x N sinc correlation matrix is built from element positions;
-the package holds only the spectrum of its lag kernel.  The full-vector
+the package holds only the spectrum of its lag kernel.  Like the package,
+the oracles take the surface as plain arrays and floats: the (N, 3)
+element positions, the element area and the wavelength.  The full-vector
 channel sampler draws every element's fading through a factor of that
 matrix and forms G from the feed coefficients and the reflection
 coefficients apart; the package's Monte Carlo draws only the 2x2 law of
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpris import capacity, channel, feed, geometry, ris, scenario as scen
+from dpris import capacity, channel, feed, geometry, ris
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 from dpris.geometry import axis_plane_tilt
 from dpris.numerics import db_to_linear, dbm_to_watts
@@ -67,12 +69,12 @@ class SeededStreamFactory:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def correlation_matrix(geometry) -> np.ndarray:
-    """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all element
-    pairs (normalized sinc: unit diagonal, first zero at lambda/2)."""
-    pos = geometry.element_positions
-    separation = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    return np.sinc(2.0 * separation / geometry.wavelength)
+def correlation_matrix(positions: np.ndarray, wavelength: float) -> np.ndarray:
+    """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all pairs of
+    element ``positions`` (normalized sinc: unit diagonal, first zero at
+    lambda/2)."""
+    separation = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+    return np.sinc(2.0 * separation / wavelength)
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +135,19 @@ def pathloss(weights: np.ndarray, xpd_coeff: float) -> np.ndarray:
 def sample_channel(
     weights: np.ndarray,
     xpd_coeff: float,
-    geometry,
+    positions: np.ndarray,
+    wavelength: float,
     rng: np.random.Generator,
     trials: int | None = None,
 ) -> ChannelSample:
     """Draw one fading realization, or ``trials`` of them in one batch.
 
     Each block is sqrt(pathloss) times a correlated standard circular
-    complex Gaussian vector L w, with L L^T the dense correlation of
-    ``geometry``, w = (g1 + j g2) / sqrt(2) and the four blocks independent.
+    complex Gaussian vector L w, with L L^T the dense correlation of the
+    elements at ``positions``, w = (g1 + j g2) / sqrt(2) and the four
+    blocks independent.
     """
-    factor = correlation_sqrt(correlation_matrix(geometry))
+    factor = correlation_sqrt(correlation_matrix(positions, wavelength))
     n = weights.shape[0]
     shape = (n, 4) if trials is None else (trials, n, 4)
     real = rng.standard_normal(shape)
@@ -251,7 +255,9 @@ def full_vector_mc(parts, lambda_v, snr: float, trials: int, seed: int):
     1 - lambda_v), from full per-element draws; ``lambda_v=None`` gives the
     all-V baseline E log2(1 + rho |G11|^2)."""
     rng = np.random.default_rng(seed)
-    sample = sample_channel(parts.weights, parts.xpd_coeff, parts.geometry, rng, trials)
+    sample = sample_channel(
+        parts.weights, parts.xpd_coeff, parts.positions, parts.wavelength, rng, trials
+    )
     g = equivalent_channel(sample, parts.config, parts.b)
     if lambda_v is None:
         values = np.log1p(snr * _abs2(g[:, 0, 0])) / LN2
@@ -276,16 +282,15 @@ class IncidenceDecomposition:
 
 
 def incidence_decomposition(
-    geometry, feed_position, element_index: int, convention=axis_plane_tilt
+    positions, feed_position, element_index: int, convention=axis_plane_tilt
 ) -> IncidenceDecomposition:
-    """Decompose the feed direction seen by one element: elevation
-    arccos(|d . u_x|) of d = (q_F - q_n) / D_n, the tilt tangents under
-    ``convention`` and D_n.  DegenerateGeometryError for an in-plane feed."""
-    if not 0 <= element_index < geometry.element_count:
-        raise ValueError(
-            f"element index {element_index} outside [0, {geometry.element_count})"
-        )
-    element = geometry.element_positions[element_index]
+    """Decompose the feed direction seen by one of the elements at
+    ``positions``: elevation arccos(|d . u_x|) of d = (q_F - q_n) / D_n, the
+    tilt tangents under ``convention`` and D_n.  DegenerateGeometryError
+    for an in-plane feed."""
+    if not 0 <= element_index < len(positions):
+        raise ValueError(f"element index {element_index} outside [0, {len(positions)})")
+    element = positions[element_index]
     delta = [float(f - q) for f, q in zip(feed_position, element)]
     distance = math.sqrt(sum(c * c for c in delta))
     if distance == 0.0:
@@ -307,20 +312,22 @@ def feed_gain(boresight, gain: float, direction) -> float:
     return gain * dot ** (gain / 2.0 - 1.0)
 
 
-def nusw_coefficient(geometry, position, boresight, gain: float, element_index: int) -> complex:
+def nusw_coefficient(
+    positions, position, area: float, wavelength: float, boresight, gain: float, element_index: int
+) -> complex:
     """Spherical-wave coefficient b_n = sqrt(G_n A_n / (4 pi D_n^2))
-    exp(-j 2 pi D_n / lambda) of one element, for a feed at ``position``,
-    A_n its aperture projected toward the feed; DegenerateGeometryError
-    when that is non-positive."""
-    element = geometry.element_positions[element_index]
+    exp(-j 2 pi D_n / lambda) of one of the elements at ``positions``, for a
+    feed at ``position``, A_n its ``area`` projected toward the feed;
+    DegenerateGeometryError when that is non-positive."""
+    element = positions[element_index]
     delta = [float(f - q) for f, q in zip(position, element)]
     distance = math.sqrt(sum(c * c for c in delta))
-    projected = -delta[0] * geometry.element_area / distance
+    projected = -delta[0] * area / distance
     if projected <= 0.0:
         raise DegenerateGeometryError("feed is in or behind the surface plane")
     gain = feed_gain(boresight, gain, [-c / distance for c in delta])
     magnitude = math.sqrt(gain * projected / (4.0 * math.pi * distance**2))
-    return magnitude * cmath.exp(-2j * math.pi * distance / geometry.wavelength)
+    return magnitude * cmath.exp(-2j * math.pi * distance / wavelength)
 
 
 def reflection_amplitude(normal_incidence_phase: float, elevation: float, tau: float) -> float:
@@ -354,7 +361,7 @@ def random_row_per_draw(scenario, lambda_v: float):
     parts = link_parts(scenario)
     snr = transmit_snr(scenario)
     draws, trials = scenario.random_phase_draws, scenario.trials
-    n = parts.geometry.element_count
+    n = len(parts.positions)
     moments = []
     for draw in range(draws):
         rng = np.random.default_rng(scenario.phase_seed + draw)
@@ -425,33 +432,38 @@ def closed_form_optimal_allocation(o_v: float, o_h: float, snr: float, xpd_coeff
     return float(np.clip(lambda_0, 0.0, 1.0))
 
 
-def optimal_phases(geometry, feed_position) -> tuple[np.ndarray, np.ndarray]:
-    """Capacity-maximizing phases 2 pi D_n / lambda (mod 2 pi), identical
-    for both polarizations: each element cancels its own feed-path phase,
-    so all reflected contributions add coherently."""
-    delta = np.asarray(feed_position, dtype=float)[None, :] - geometry.element_positions
+def optimal_phases(positions, wavelength: float, feed_position) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity-maximizing phases 2 pi D_n / lambda (mod 2 pi) of the
+    elements at ``positions``, identical for both polarizations: each
+    element cancels its own feed-path phase, so all reflected contributions
+    add coherently."""
+    delta = np.asarray(feed_position, dtype=float)[None, :] - positions
     distances = np.linalg.norm(delta, axis=1)
-    phases = np.mod(2.0 * np.pi * distances / geometry.wavelength, 2.0 * np.pi)
+    phases = np.mod(2.0 * np.pi * distances / wavelength, 2.0 * np.pi)
     return phases, phases.copy()
 
 
-def aligned_phases(scheme: str, geometry, feed_position) -> tuple[np.ndarray, np.ndarray]:
+def aligned_phases(
+    scheme: str, positions, wavelength: float, feed_position
+) -> tuple[np.ndarray, np.ndarray]:
     """Phase vectors of an aligning scheme.  ``optimal`` aligns every
     element; ``optimal-with-adjustment`` would also subtract a feeding
     phase per polarization, a constant offset that cancels in every moment
     and that the feed does not carry, so both schemes give these phases."""
     if scheme not in ("optimal", "optimal-with-adjustment"):
         raise ValueError(f"{scheme!r} is not an aligning phase scheme")
-    return optimal_phases(geometry, feed_position)
+    return optimal_phases(positions, wavelength, feed_position)
 
 
 @dataclass(frozen=True)
 class LinkParts:
-    """The factors a scenario expands into: feed coefficients ``b``,
-    pathloss ``weights`` and the lag-kernel ``spectrum``, with the
-    configuration of the scenario's phase scheme."""
+    """The factors a scenario expands into: the element ``positions`` and
+    the ``wavelength``, feed coefficients ``b``, pathloss ``weights`` and
+    the lag-kernel ``spectrum``, with the configuration of the scenario's
+    phase scheme."""
 
-    geometry: object
+    positions: np.ndarray
+    wavelength: float
     b: np.ndarray
     config: object
     weights: np.ndarray
@@ -466,11 +478,12 @@ def link_parts(scenario) -> LinkParts:
     single draw ``phase_seed`` for the random scheme."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
-    geo = geometry.build_ris_grid(side, side, scenario.pitch_wavelengths * wavelength, wavelength)
-    position = scen._position(
+    pitch = scenario.pitch_wavelengths * wavelength
+    positions = geometry.build_ris_grid(side, side, pitch)
+    position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
-    rays, distances = geometry.rays_to(geo, position, "feed")
+    rays, distances = geometry.rays_to(positions, position, "feed")
     if scenario.boresight_deg.strip().lower() == "origin":
         boresight = -position / np.linalg.norm(position)
     else:
@@ -481,34 +494,43 @@ def link_parts(scenario) -> LinkParts:
         distances,
         np.deg2rad(scenario.normal_incidence_phase_deg),
         scenario.tau_offset,
-        scen._CONVENTIONS[scenario.incidence_convention],
+        geometry.CONVENTIONS[scenario.incidence_convention],
     )
     if scenario.phase_scheme == "random":
-        phases_v, phases_h = ris.random_phases(geo.element_count, scenario.phase_seed)
+        phases_v, phases_h = ris.random_phases(len(positions), scenario.phase_seed)
     else:
-        phases_v, phases_h = aligned_phases(scenario.phase_scheme, geo, position)
-    ue = scen._position(scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg)
+        phases_v, phases_h = aligned_phases(scenario.phase_scheme, positions, wavelength, position)
+    ue = geometry.spherical_to_cartesian(
+        scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
+    )
     weights = channel.pathloss_weights(
-        geometry.rays_to(geo, ue, "UE")[1],
+        geometry.rays_to(positions, ue, "UE")[1],
         db_to_linear(scenario.beta0_db),
         scenario.pathloss_exponent,
     )
     return LinkParts(
-        geometry=geo,
+        positions=positions,
+        wavelength=wavelength,
         b=feed.build_propagation_matrix(
-            geo, rays, distances, boresight, db_to_linear(scenario.feed_gain_db)
+            rays, distances, pitch * pitch, wavelength, boresight,
+            db_to_linear(scenario.feed_gain_db),
         ),
         config=RisConfiguration(a_v, a_h, phases_v, phases_h),
         weights=weights,
-        spectrum=channel.kernel_spectrum(geo),
+        spectrum=capacity.kernel_spectrum(side, side, pitch, wavelength),
         xpd_coeff=scenario.xpd_coeff,
     )
 
 
-def feed_coefficients(geo, position, boresight=(1.0, 0.0, 0.0), gain: float = 10.0) -> np.ndarray:
-    """The package's feed coefficients for a feed at ``position``."""
-    rays, distances = geometry.rays_to(geo, position, "feed")
-    return feed.build_propagation_matrix(geo, rays, distances, np.asarray(boresight), gain)
+def feed_coefficients(
+    positions, position, area: float, wavelength: float, boresight=(1.0, 0.0, 0.0), gain=10.0
+) -> np.ndarray:
+    """The package's feed coefficients of the elements at ``positions``, of
+    ``area`` each, for a feed at ``position``."""
+    rays, distances = geometry.rays_to(positions, position, "feed")
+    return feed.build_propagation_matrix(
+        rays, distances, area, wavelength, np.asarray(boresight), gain
+    )
 
 
 def multiplexing_gain(snr_values, capacities) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dpris import capacity, channel, cli, geometry, scenario as scen, sweep
+from dpris import capacity, cli, geometry, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -116,7 +116,9 @@ def test_equivalent_channel_trivial_cases():
 def test_equivalent_channel_matched_xpd_kills_cross_entries(table_scenario_16):
     parts = oracles.link_parts(table_scenario_16.replace(xpd_coeff=0.0))
     rng = np.random.default_rng(1)
-    sample = oracles.sample_channel(parts.weights, parts.xpd_coeff, parts.geometry, rng)
+    sample = oracles.sample_channel(
+        parts.weights, parts.xpd_coeff, parts.positions, parts.wavelength, rng
+    )
     g = oracles.equivalent_channel(sample, parts.config, parts.b)
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[0, 0] != 0.0
@@ -229,13 +231,13 @@ def test_compute_O_matches_double_sum_oracle():
     rng = np.random.default_rng(15)
     for rows, cols in [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)]:
         n = rows * cols
-        geo = geometry.build_ris_grid(rows, cols, PITCH, WAVELENGTH)
-        correlation = oracles.correlation_matrix(geo)
-        spectrum = channel.kernel_spectrum(geo)
+        positions = geometry.build_ris_grid(rows, cols, PITCH)
+        correlation = oracles.correlation_matrix(positions, WAVELENGTH)
+        spectrum = capacity.kernel_spectrum(rows, cols, PITCH, WAVELENGTH)
         for _ in range(5):
             beta0, alpha, l = rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, 1.0)
             ue = np.array([rng.uniform(0.05, 2.0), *rng.uniform(-0.5, 0.5, 2)])
-            distances = np.linalg.norm(ue - geo.element_positions, axis=1)
+            distances = np.linalg.norm(ue - positions, axis=1)
             weights = np.sqrt(beta0 * distances**-alpha)
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             config = oracles.RisConfiguration(

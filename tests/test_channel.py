@@ -15,37 +15,36 @@ UE_X = np.array([50.0, 0.0, 0.0])
 
 
 def weights_for(rows=4, cols=4, ue=UE_X, pitch=PITCH):
-    """Grid and its pathloss weights toward the UE."""
-    geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
-    return geo, channel.pathloss_weights(geometry.rays_to(geo, ue, "UE")[1], BETA0, 4.0)
+    """Element positions and their pathloss weights toward the UE."""
+    positions = geometry.build_ris_grid(rows, cols, pitch)
+    return positions, channel.pathloss_weights(
+        geometry.rays_to(positions, ue, "UE")[1], BETA0, 4.0
+    )
 
 
 def test_correlation_diagonal_and_zero_crossing():
-    geo = geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH, WAVELENGTH)
-    r = oracles.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH), WAVELENGTH)
     assert r[0, 0] == 1.0 and r[1, 1] == 1.0
     # lambda/2 spacing hits the first zero of the normalized sinc
     assert abs(r[0, 1]) < 1e-15
 
 
 def test_correlation_at_default_pitch():
-    geo = geometry.build_ris_grid(2, 1, PITCH, WAVELENGTH)
-    r = oracles.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, PITCH), WAVELENGTH)
     assert r[0, 1] == pytest.approx(0.4134966715663440, rel=1e-12)
     assert r[0, 1] == pytest.approx(3.0 * np.sqrt(3.0) / (4.0 * np.pi), rel=1e-12)
 
 
 def test_correlation_decays_with_spacing():
-    geo = geometry.build_ris_grid(2, 1, 10.0 * WAVELENGTH, WAVELENGTH)
-    r = oracles.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, 10.0 * WAVELENGTH), WAVELENGTH)
     assert abs(r[0, 1]) < 0.04
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)])
 @pytest.mark.parametrize("pitch", [PITCH, 0.5 * WAVELENGTH, 1.7 * WAVELENGTH])
 def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
-    geo = geometry.build_ris_grid(rows, cols, pitch, WAVELENGTH)
-    spectrum = channel.kernel_spectrum(geo)
+    positions = geometry.build_ris_grid(rows, cols, pitch)
+    spectrum = capacity.kernel_spectrum(rows, cols, pitch, WAVELENGTH)
     assert spectrum.shape == (2 * rows, 2 * cols) and spectrum.dtype == float
     # the inverse FFT of S is the lag kernel; read at every pair's lag it
     # gives the dense matrix
@@ -53,14 +52,17 @@ def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
     assert np.max(np.abs(kernel.imag)) <= 1e-15
     r, c = np.divmod(np.arange(rows * cols), cols)
     dense = kernel.real[np.subtract.outer(r, r), np.subtract.outer(c, c)]
-    np.testing.assert_allclose(dense, oracles.correlation_matrix(geo), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        dense, oracles.correlation_matrix(positions, WAVELENGTH), rtol=0, atol=1e-14
+    )
 
 
 def test_statistics_hold_no_quadratic_array():
-    geo, weights = weights_for(32, 32)
-    n = geo.element_count
+    positions, weights = weights_for(32, 32)
+    n = len(positions)
     assert n == 1024
-    assert weights.shape == (n,) and channel.kernel_spectrum(geo).size == 4 * n
+    spectrum = capacity.kernel_spectrum(32, 32, PITCH, WAVELENGTH)
+    assert weights.shape == (n,) and spectrum.size == 4 * n
     assert not weights.flags.writeable
     # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
@@ -73,11 +75,10 @@ def test_correlation_sqrt_identity():
 
 
 def test_correlation_sqrt_reconstruction():
-    geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    r = oracles.correlation_matrix(geo)
+    r = oracles.correlation_matrix(geometry.build_ris_grid(4, 4, PITCH), WAVELENGTH)
     factor = oracles.correlation_sqrt(r)
     error = np.linalg.norm(factor @ factor.T - r)
-    assert error < 1e-8 * geo.element_count
+    assert error < 1e-8 * len(r)
 
 
 def test_correlation_sqrt_rejects_non_psd():
@@ -101,10 +102,10 @@ def test_correlation_sqrt_rejects_bad_diagonal():
 def test_pathloss_extreme_xpd():
     # xpd 0 and 1 zero one block family of moments exactly; xpd 0.5 splits
     # the pathloss evenly
-    geo, weights = weights_for(2, 2)
-    b = oracles.feed_coefficients(geo, [-0.05, 0.0, 0.0])
+    positions, weights = weights_for(2, 2)
+    b = oracles.feed_coefficients(positions, [-0.05, 0.0, 0.0], PITCH * PITCH, WAVELENGTH)
     surface = np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights
-    o = capacity.compute_O(surface, channel.kernel_spectrum(geo))
+    o = capacity.compute_O(surface, capacity.kernel_spectrum(2, 2, PITCH, WAVELENGTH))
     for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):
         moments = capacity.moment_layout(o, xpd)
         assert np.all(moments[zero] == 0.0)
@@ -142,17 +143,17 @@ def test_pathloss_validation():
 
 
 def test_sample_zero_cross_blocks_when_matched():
-    geo, weights = weights_for()
-    sample = oracles.sample_channel(weights, 0.0, geo, np.random.default_rng(0))
+    positions, weights = weights_for()
+    sample = oracles.sample_channel(weights, 0.0, positions, WAVELENGTH, np.random.default_rng(0))
     assert np.all(sample.h_vh == 0.0)
     assert np.all(sample.h_hv == 0.0)
     assert np.any(sample.h_vv != 0.0)
 
 
 def test_sample_determinism():
-    geo, weights = weights_for()
-    a = oracles.sample_channel(weights, 0.2, geo, np.random.default_rng(42))
-    b = oracles.sample_channel(weights, 0.2, geo, np.random.default_rng(42))
+    positions, weights = weights_for()
+    a = oracles.sample_channel(weights, 0.2, positions, WAVELENGTH, np.random.default_rng(42))
+    b = oracles.sample_channel(weights, 0.2, positions, WAVELENGTH, np.random.default_rng(42))
     np.testing.assert_array_equal(a.h_vv, b.h_vv)
     np.testing.assert_array_equal(a.h_hh, b.h_hh)
 
@@ -161,7 +162,7 @@ def test_sample_determinism():
 BATCH = 20_000
 
 
-def _accumulate(weights, xpd, geo, trials, seed):
+def _accumulate(weights, xpd, positions, trials, seed):
     """Running sums of per-element powers, the VV outer product, and the
     cross-block products, over independent batched draws."""
     n = weights.shape[0]
@@ -171,7 +172,9 @@ def _accumulate(weights, xpd, geo, trials, seed):
     power_sq = np.zeros((4, n))
     rng = np.random.default_rng(seed)
     for start in range(0, trials, BATCH):
-        s = oracles.sample_channel(weights, xpd, geo, rng, min(BATCH, trials - start))
+        s = oracles.sample_channel(
+            weights, xpd, positions, WAVELENGTH, rng, min(BATCH, trials - start)
+        )
         blocks = (s.h_vv, s.h_vh, s.h_hv, s.h_hh)
         for k, h in enumerate(blocks):
             p = np.abs(h) ** 2
@@ -185,9 +188,9 @@ def _accumulate(weights, xpd, geo, trials, seed):
 
 
 def test_sample_moments_match_model():
-    geo, weights = weights_for()
+    positions, weights = weights_for()
     trials = 100_000
-    power, power_sq, outer_vv, cross = _accumulate(weights, 0.2, geo, trials, seed=2024)
+    power, power_sq, outer_vv, cross = _accumulate(weights, 0.2, positions, trials, seed=2024)
 
     # per-element mean power within 3 standard errors of the pathloss
     pathloss_co, pathloss_cross = oracles.pathloss(weights, 0.2)
@@ -199,7 +202,7 @@ def test_sample_moments_match_model():
     # matrix entrywise (normalize by the pathloss scale)
     scale = np.sqrt(np.outer(pathloss_co, pathloss_co))
     corr = (outer_vv / scale).real
-    correlation = oracles.correlation_matrix(geo)
+    correlation = oracles.correlation_matrix(positions, WAVELENGTH)
     assert np.all(np.abs(corr - correlation) <= 3.5 / np.sqrt(trials) + 1e-12)
 
     # cross-block correlations vanish: VV-VH, VV-HH, HV-VH
@@ -215,9 +218,11 @@ def test_sample_moments_match_model():
 
 @pytest.mark.parametrize("xpd", [0.2, 0.5, 0.8])
 def test_sample_xpd_identity(xpd):
-    geo, weights = weights_for(rows=2, cols=2)
+    positions, weights = weights_for(rows=2, cols=2)
     trials = 40_000
-    s = oracles.sample_channel(weights, xpd, geo, np.random.default_rng(77), trials)
+    s = oracles.sample_channel(
+        weights, xpd, positions, WAVELENGTH, np.random.default_rng(77), trials
+    )
     ratio = np.sum(np.abs(s.h_hh) ** 2) / np.sum(np.abs(s.h_vh) ** 2)
     expected = (1.0 - xpd) / xpd
     assert ratio == pytest.approx(expected, rel=0.05)

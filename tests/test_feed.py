@@ -11,9 +11,12 @@ ON_AXIS = np.array([-0.05, 0.0, 0.0])
 PLUS_X = np.array([1.0, 0.0, 0.0])
 
 
-def propagation(geo, gain=10.0, position=ON_AXIS, boresight=PLUS_X):
-    """The package's feed coefficients of a feed at ``position``."""
-    return oracles.feed_coefficients(geo, position, boresight, gain)
+def propagation(positions, gain=10.0, position=ON_AXIS, boresight=PLUS_X):
+    """The package's feed coefficients of a feed at ``position``, for
+    elements of area pitch^2."""
+    return oracles.feed_coefficients(
+        positions, position, PITCH * PITCH, WAVELENGTH, boresight, gain
+    )
 
 
 def random_front_directions(rng, count):
@@ -70,43 +73,45 @@ def test_boresight_from_angles():
 
 def test_nusw_on_axis_magnitude():
     # single broadside element: |b|^2 = kappa * s_R / (4 pi D^2)
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    value = propagation(geo)[0]
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    value = propagation(positions)[0]
     assert abs(value) ** 2 == pytest.approx(4.6773869386451463e-3, rel=1e-12)
 
 
 def test_nusw_phase_tracks_distance():
-    geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
-    b = propagation(geo)
-    distances = np.linalg.norm(ON_AXIS[None, :] - geo.element_positions, axis=1)
+    positions = geometry.build_ris_grid(10, 10, PITCH)
+    b = propagation(positions)
+    distances = np.linalg.norm(ON_AXIS[None, :] - positions, axis=1)
     expected = np.exp(-2j * np.pi * distances / WAVELENGTH)
     np.testing.assert_allclose(b / np.abs(b), expected, atol=1e-12)
 
 
 def test_nusw_inverse_square_scaling():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    near = abs(propagation(geo, position=np.array([-0.05, 0.0, 0.0]))[0]) ** 2
-    far = abs(propagation(geo, position=np.array([-0.15, 0.0, 0.0]))[0]) ** 2
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    near = abs(propagation(positions, position=np.array([-0.05, 0.0, 0.0]))[0]) ** 2
+    far = abs(propagation(positions, position=np.array([-0.15, 0.0, 0.0]))[0]) ** 2
     # broadside element, gain fixed at boresight: power scales as 1/D^2
     assert far == pytest.approx(near / 9.0, rel=1e-12)
 
 
 def test_nusw_rejects_feed_behind_surface():
-    geo = geometry.build_ris_grid(2, 2, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(2, 2, PITCH)
     with pytest.raises(DegenerateGeometryError):
-        propagation(geo, position=np.array([0.05, 0.0, 0.0]))
+        propagation(positions, position=np.array([0.05, 0.0, 0.0]))
     with pytest.raises(DegenerateGeometryError):
-        propagation(geo, position=np.array([0.0, 0.1, 0.0]))
+        propagation(positions, position=np.array([0.0, 0.1, 0.0]))
     # a feed on an element, whose rays have no direction
     with pytest.raises(DegenerateGeometryError, match="feed coincides"):
-        propagation(geo, position=geo.element_positions[0])
+        propagation(positions, position=positions[0])
 
 
 def test_propagation_matrix_single_element_reduction():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    b = propagation(geo)
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    b = propagation(positions)
     assert b.shape == (1,) and not b.flags.writeable
-    expected = oracles.nusw_coefficient(geo, ON_AXIS, PLUS_X, 10.0, 0)
+    expected = oracles.nusw_coefficient(
+        positions, ON_AXIS, PITCH * PITCH, WAVELENGTH, PLUS_X, 10.0, 0
+    )
     assert b[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -114,12 +119,14 @@ def test_propagation_matrix_matches_scalar_oracle():
     rng = np.random.default_rng(12)
     for _ in range(10):
         rows, cols = (int(k) for k in rng.integers(1, 6, 2))
-        geo = geometry.build_ris_grid(rows, cols, PITCH, WAVELENGTH)
+        positions = geometry.build_ris_grid(rows, cols, PITCH)
         gain = float(rng.uniform(2.0, 50.0))
         position = np.array([-rng.uniform(0.01, 0.3), *rng.uniform(-0.1, 0.1, 2)])
-        b = propagation(geo, gain, position)
-        for index in range(geo.element_count):
-            expected = oracles.nusw_coefficient(geo, position, PLUS_X, gain, index)
+        b = propagation(positions, gain, position)
+        for index in range(len(positions)):
+            expected = oracles.nusw_coefficient(
+                positions, position, PITCH * PITCH, WAVELENGTH, PLUS_X, gain, index
+            )
             assert b[index] == pytest.approx(expected, rel=1e-12)
 
 
@@ -158,19 +165,19 @@ def test_captured_power_fraction_empty_and_bounded():
     for _ in range(15):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
-        geo = geometry.build_ris_grid(rows, cols, PITCH, WAVELENGTH)
+        positions = geometry.build_ris_grid(rows, cols, PITCH)
         gain = float(rng.uniform(2.0, 200.0))
         position = np.array(
             [-rng.uniform(0.01, 0.3), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]
         )
-        fraction = captured_power_fraction(propagation(geo, gain, position))
+        fraction = captured_power_fraction(propagation(positions, gain, position))
         assert 0.0 < fraction <= 1.0
 
 
 def test_captured_power_fraction_monotone_in_gain():
-    geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(10, 10, PITCH)
     gains = np.geomspace(2.0, 200.0, 12)
-    fractions = [captured_power_fraction(propagation(geo, g)) for g in gains]
+    fractions = [captured_power_fraction(propagation(positions, g)) for g in gains]
     assert np.all(np.diff(fractions) > 0)
     assert fractions[-1] <= 1.0
 

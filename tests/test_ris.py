@@ -11,9 +11,9 @@ from conftest import PITCH, WAVELENGTH
 QUARTER = np.pi / 2
 
 
-def amplitudes(geo, position, phase=QUARTER, tau_offset=0.0):
+def amplitudes(positions, position, phase=QUARTER, tau_offset=0.0):
     """The package's (V, H) amplitudes for a feed at ``position``."""
-    rays, distances = geometry.rays_to(geo, np.asarray(position, dtype=float), "feed")
+    rays, distances = geometry.rays_to(positions, np.asarray(position, dtype=float), "feed")
     return ris.element_amplitudes(rays, distances, phase, tau_offset)
 
 
@@ -50,9 +50,9 @@ def test_amplitude_rejects_grazing_and_bad_phase():
     with pytest.raises(ValueError):
         oracles.reflection_amplitude(QUARTER, np.pi / 2, 0.5)
     # a feed 1e-20 m off the surface plane sees elevation pi/2 in floats
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(1, 1, PITCH)
     with pytest.raises(DegenerateGeometryError):
-        amplitudes(geo, [-1e-20, 0.1, 0.0])
+        amplitudes(positions, [-1e-20, 0.1, 0.0])
     # phi0 = pi (mod 2 pi) is rejected when the scenario is made, and the
     # error names the field
     for degrees in (180.0, 540.0, -180.0):
@@ -64,29 +64,29 @@ def test_element_amplitudes_match_scalar_oracle():
     # the properties above hold for the scalar map; the package's
     # vectorized map must agree with it element by element
     rng = np.random.default_rng(6)
-    geo = geometry.build_ris_grid(4, 5, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(4, 5, PITCH)
     for _ in range(10):
         phase, offset = rng.uniform(-2.8, 2.8), rng.uniform(-1, 1)
         position = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
-        a_v, a_h = amplitudes(geo, position, phase, offset)
-        for index in range(geo.element_count):
-            dec = oracles.incidence_decomposition(geo, position, index)
+        a_v, a_h = amplitudes(positions, position, phase, offset)
+        for index in range(len(positions)):
+            dec = oracles.incidence_decomposition(positions, position, index)
             for value, tau in ((a_v[index], dec.tau_v), (a_h[index], dec.tau_h)):
                 expected = oracles.reflection_amplitude(phase, dec.elevation, tau + offset)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_element_amplitudes_on_axis_single_element():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    a_v, a_h = amplitudes(geo, [-0.05, 0, 0])
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    a_v, a_h = amplitudes(positions, [-0.05, 0, 0])
     assert a_v[0] == 0.0
     assert a_h[0] == 0.0
 
 
 def test_element_amplitudes_oblique_polarizations_differ():
-    geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
-    position = geometry.spherical_to_cartesian(0.1, np.pi / 3, np.pi)
-    a_v, a_h = amplitudes(geo, position)
+    positions = geometry.build_ris_grid(4, 4, PITCH)
+    position = geometry.spherical_to_cartesian(0.1, 60.0, 180.0)
+    a_v, a_h = amplitudes(positions, position)
     assert not np.allclose(a_v, a_h)
     # feed tilted toward +z favors the V polarization under the default
     # convention
@@ -94,11 +94,11 @@ def test_element_amplitudes_oblique_polarizations_differ():
 
 
 def test_element_amplitudes_mirror_invariance():
-    geo = geometry.build_ris_grid(3, 3, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(3, 3, PITCH)
     base = np.array([-0.07, 0.03, 0.02])
     mirrored = base * np.array([1.0, -1.0, 1.0])
-    a_v, a_h = amplitudes(geo, base)
-    b_v, b_h = amplitudes(geo, mirrored)
+    a_v, a_h = amplitudes(positions, base)
+    b_v, b_h = amplitudes(positions, mirrored)
     # mirroring the feed across the x-z plane re-pairs elements column-wise
     flip = np.arange(9).reshape(3, 3)[:, ::-1].ravel()
     np.testing.assert_allclose(b_v[flip], a_v, atol=1e-12)
@@ -106,24 +106,24 @@ def test_element_amplitudes_mirror_invariance():
 
 
 def test_element_amplitudes_tau_offset():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    a_v, _ = amplitudes(geo, [-0.05, 0, 0], tau_offset=1.0)
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    a_v, _ = amplitudes(positions, [-0.05, 0, 0], tau_offset=1.0)
     assert a_v[0] == pytest.approx(0.8944271909999159, rel=1e-12)
 
 
 def test_optimal_phases_single_element_at_wavelength():
-    geo = geometry.build_ris_grid(1, 1, PITCH, WAVELENGTH)
-    phases_v, phases_h = oracles.optimal_phases(geo, [-WAVELENGTH, 0.0, 0.0])
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    phases_v, phases_h = oracles.optimal_phases(positions, WAVELENGTH, [-WAVELENGTH, 0.0, 0.0])
     assert phases_v[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(phases_v, phases_h)
 
 
 def test_optimal_phases_align_reflections():
-    geo = geometry.build_ris_grid(10, 10, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(10, 10, PITCH)
     position = [-0.05, 0.0, 0.0]
-    b = oracles.feed_coefficients(geo, position)
+    b = oracles.feed_coefficients(positions, position, PITCH * PITCH, WAVELENGTH)
     config = oracles.RisConfiguration(
-        *amplitudes(geo, position), *oracles.optimal_phases(geo, position)
+        *amplitudes(positions, position), *oracles.optimal_phases(positions, WAVELENGTH, position)
     )
     # every element's reflected contribution lands on the positive real axis
     for gamma in (config.gamma_v, config.gamma_h):
@@ -131,17 +131,19 @@ def test_optimal_phases_align_reflections():
 
 
 def test_phase_adjustment_offsets():
-    geo = geometry.build_ris_grid(4, 4, PITCH, WAVELENGTH)
+    positions = geometry.build_ris_grid(4, 4, PITCH)
     position = [-0.05, 0.01, 0.0]
-    base_v, base_h = oracles.aligned_phases("optimal", geo, position)
-    adj_v, adj_h = oracles.aligned_phases("optimal-with-adjustment", geo, position)
+    base_v, base_h = oracles.aligned_phases("optimal", positions, WAVELENGTH, position)
+    adj_v, adj_h = oracles.aligned_phases(
+        "optimal-with-adjustment", positions, WAVELENGTH, position
+    )
     # the feed carries no per-polarization phase, so the adjustment offsets
     # are zero and both polarizations share one phase vector
     np.testing.assert_array_equal(adj_v, base_v)
     np.testing.assert_array_equal(adj_h, base_h)
     np.testing.assert_array_equal(base_v, base_h)
     with pytest.raises(ValueError):
-        oracles.aligned_phases("random", geo, position)
+        oracles.aligned_phases("random", positions, WAVELENGTH, position)
 
 
 def test_random_phase_determinism():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpris import scenario as scen, sweep
+from dpris import feed, geometry, scenario as scen, sweep
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 GOLDEN_MOMENTS = Path(__file__).parent / "golden" / "moments.txt"
@@ -215,6 +215,36 @@ def test_any_other_field_misses_the_memo(monkeypatch, name):
     scen.build_link_model(base)
     scen.build_link_model(base.replace(**{name: getattr(NON_DEFAULT, name)}))
     assert len(builds) == 2
+
+
+def test_surface_passes_centred_positions_and_pitch_squared_area(monkeypatch):
+    # the surface build hands the feed the element area pitch^2 and the
+    # wavelength, and its rays start at the grid's (N, 3) positions,
+    # centred on the origin in the surface plane
+    calls = {}
+    grid, propagation = geometry.build_ris_grid, feed.build_propagation_matrix
+
+    def recorded_grid(*args):
+        calls["positions"] = grid(*args)
+        return calls["positions"]
+
+    def recorded_propagation(rays, distances, area, wavelength, *rest):
+        calls["area"], calls["wavelength"] = area, wavelength
+        return propagation(rays, distances, area, wavelength, *rest)
+
+    monkeypatch.setattr(geometry, "build_ris_grid", recorded_grid)
+    monkeypatch.setattr(feed, "build_propagation_matrix", recorded_propagation)
+    current = scen.Scenario(elements=36, pitch_wavelengths=0.4)
+    scen.build_link_model(current)
+    pitch = 0.4 * current.wavelength_m
+    assert calls["area"] == pitch * pitch
+    assert calls["wavelength"] == current.wavelength_m
+    positions = calls["positions"]
+    assert positions.shape == (36, 3) and not positions.flags.writeable
+    assert np.all(positions[:, 0] == 0.0)
+    assert np.allclose(positions.mean(axis=0), 0.0, atol=1e-15)
+    assert np.ptp(positions[:, 1]) == pytest.approx(5 * pitch, rel=1e-12)
+    assert np.ptp(positions[:, 2]) == pytest.approx(5 * pitch, rel=1e-12)
 
 
 def test_failed_surface_is_not_kept(monkeypatch):

@@ -40,6 +40,21 @@ def test_sweep_spec_validation():
         spec_from({"grid": "0,1", "outputs": "dual-ub"})
     with pytest.raises(ValueError):
         spec_from({"axis": "xpd", "grid": "0,1", "outputs": "dual-ub", "bogus_key": "3"})
+    # an output named twice, and a grid or grid2 that is not strictly
+    # monotone, would write a column or a row twice; the error names it
+    with pytest.raises(ValueError, match="'dual-ub' is named twice"):
+        spec_from({"axis": "xpd", "grid": "0,1", "outputs": "dual-ub, dual-ub"})
+    with pytest.raises(ValueError, match="grid must be strictly monotone, got 0.0,0.5,0.5"):
+        spec_from({"axis": "xpd", "grid": "0,0.5,0.5", "outputs": "dual-ub"})
+    with pytest.raises(ValueError, match="grid2 must be strictly monotone, got 100.0,80.0"):
+        spec_from(
+            {
+                "axis": "feed-angles",
+                "grid": "90",
+                "grid2": "100, 80, 120, 100",
+                "outputs": "dual-ub",
+            }
+        )
 
 
 def test_grid_values_parse_as_their_field():
@@ -425,6 +440,24 @@ def test_sweep_marks_degenerate_rows_and_continues():
     assert statuses[1] == "ok"
     assert statuses[2].startswith("failed:")
     assert result.rows[1]["dual_ub_bits"] > 0.0
+
+
+def test_feed_angles_sweep_builds_the_kernel_spectrum_once():
+    # every row of a feed-angles sweep builds its surface anew, all on one
+    # grid, so the one kept spectrum serves all 77 rows
+    spec = spec_from(
+        {
+            "axis": "feed-angles",
+            "grid": "30, 40, 50, 60, 70, 80, 90",
+            "grid2": "130, 140, 150, 160, 170, 180, 190, 200, 210, 220, 230",
+            "outputs": "dual-ub",
+            "elements": "16",
+        }
+    )
+    result = sweep.run_sweep(spec)
+    assert [row["status"] for row in result.rows] == ["ok"] * 77
+    info = capacity.kernel_spectrum.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 76, 1)
 
 
 def test_sweep_nonsquare_element_count_fails_row_only():
