@@ -15,9 +15,9 @@ parse the merged pairs once.
 Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
 unknown name, a non-positive length, a zenith outside [0, 180] or a dB
 value that overflows, named by its field; a sweep with a bad base
-writes no CSV) or degenerate geometry, 3 model inconsistency, 4 I/O
-failure.  In a sweep, a bad grid value or a named degeneracy fails only
-its row.
+writes no CSV) or degenerate geometry, 3 model inconsistency (also a
+received SNR that overflows the estimators), 4 I/O failure.  In a sweep,
+a bad grid value or a named degeneracy fails only its row.
 """
 
 from __future__ import annotations

@@ -90,13 +90,11 @@ def incidence_decompositions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elevations arccos(|d . u_x|) and tilt tangents (tau_v, tau_h), by
     ``convention`` (a ``CONVENTIONS`` value), of the directions
-    d = rays / distances to the feed, each of length N."""
+    d = rays / distances to the feed (in front of the surface), each of length N."""
     direction = rays / distances[:, None]
     dx = np.abs(direction[:, 0])
     dy = np.abs(direction[:, 1])
     dz = np.abs(direction[:, 2])
-    if np.any(dx == 0.0):
-        raise DegenerateGeometryError("feed lies in the surface plane")
     tau_v, tau_h = convention(dx, dy, dz)
     elevations = np.arccos(np.minimum(dx, 1.0))
     return elevations, tau_v, tau_h

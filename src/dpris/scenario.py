@@ -25,10 +25,12 @@ A process keeps the surface side of the last link it built, keyed by
 every other field, so a sweep over a point field builds its surface once
 and every later point takes it from the memo, with the bits of a cold
 build; a field added to ``Scenario`` joins the key unless it is named a
-point field.  A failed build is not kept.  The only errors are the
-model's degeneracies (a feed on an element, in or behind the surface
-plane or at grazing incidence, a UE on an element, a polarization no
-power reaches) and an optimal split whose moment product underflows.
+point field.  A failed build is not kept.  The errors are the model's
+degeneracies (a feed on an element, in or behind the surface plane or at
+grazing incidence, a UE on an element, a polarization no power reaches),
+an optimal split whose moment product underflows, and the gate on the model's
+numbers (ModelInconsistencyError with the point's snr and moments): finite,
+non-negative forms, then no overflow or invalid value in ``sweep.evaluate``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, channel, feed, geometry, ris
-from .exceptions import DegenerateGeometryError
+from .exceptions import DegenerateGeometryError, ModelInconsistencyError
 from .numerics import db_to_linear, dbm_to_watts
 
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
@@ -151,18 +153,7 @@ class Scenario:
             raise ValueError(
                 f"{source} gives a transmit SNR of {snr!r}; it must be positive and finite"
             )
-        mode = self.allocation.strip().lower()
-        if mode not in ("equal", "optimal"):
-            try:
-                lambda_v = float(mode)
-            except ValueError:
-                lambda_v = math.nan
-            if not 0.0 <= lambda_v <= 1.0:
-                raise ValueError(
-                    f"allocation must be 'equal', 'optimal' or a lambda_v in [0, 1], "
-                    f"got {self.allocation!r}"
-                )
-        if mode == "optimal" and self.phase_scheme == "random":
+        if _fixed_split(self.allocation) is None and self.phase_scheme == "random":
             raise ValueError(
                 "allocation = optimal maximizes the bound of one configuration's moments; "
                 "phase_scheme = random averages over draws and needs an equal or explicit split"
@@ -204,6 +195,22 @@ def _parse_value(key: str, raw: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{key} must be {noun}, got {raw!r}") from None
+
+
+def _fixed_split(allocation: str) -> float | None:
+    """The V share that ``allocation`` fixes (1/2 for ``equal``), or None for ``optimal``."""
+    mode = allocation.strip().lower()
+    if mode == "optimal":
+        return None
+    try:
+        lambda_v = 0.5 if mode == "equal" else float(mode)
+    except ValueError:
+        lambda_v = math.nan
+    if not 0.0 <= lambda_v <= 1.0:
+        raise ValueError(
+            f"allocation must be 'equal', 'optimal' or a lambda_v in [0, 1], got {allocation!r}"
+        )
+    return lambda_v
 
 
 def _snr(scenario: Scenario) -> float:
@@ -256,7 +263,7 @@ _surface_memo: dict = {}
 def build_link_model(scenario: Scenario) -> LinkModel:
     """The link model of one scenario point: the surface's quadratic forms,
     from ``_surface_memo`` when the last point built had the same surface,
-    then the point's moments, SNR and power split."""
+    then the point's moments and SNR, the gate, and the power split."""
     key = _surface_key(scenario)
     forms = _surface_memo.get(key)
     if forms is None:
@@ -264,14 +271,17 @@ def build_link_model(scenario: Scenario) -> LinkModel:
         _surface_memo.clear()
         _surface_memo[key] = forms
     o, q = forms
+    o_v, o_h = float(o[0]), float(o[1])
     moments = capacity.moment_layout(q, scenario.xpd_coeff)
     snr = _snr(scenario)
-    mode = scenario.allocation.strip().lower()
-    if mode == "optimal":
+    # O is positive (``_surface_forms``), and q is O under the aligning phases
+    if not (max(o_v, o_h) < math.inf and (q is o or 0.0 <= q.min() <= q.max() < math.inf)):
+        details = {"snr": snr, "moments": moments}
+        raise ModelInconsistencyError("the surface forms must be finite and non-negative", details)
+    lambda_v = _fixed_split(scenario.allocation)
+    if lambda_v is None:
         lambda_v = capacity.optimal_power_allocation(moments, snr)
-    else:
-        lambda_v = 0.5 if mode == "equal" else float(mode)
-    return LinkModel(snr, lambda_v, float(o[0]), float(o[1]), moments)
+    return LinkModel(snr, lambda_v, o_v, o_h, moments)
 
 
 def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

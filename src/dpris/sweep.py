@@ -80,8 +80,9 @@ OUTPUTS = {
 
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
-    the order of ``outputs``; the Monte Carlo estimator runs once if any
-    output reads it, and not at all otherwise."""
+    the order of ``outputs``, under the link's gate (see ``scenario``); the
+    Monte Carlo estimator runs once if any output reads it, and not at all
+    otherwise."""
     link = scen.build_link_model(scenario)
     mc = functools.cache(
         lambda: capacity.ergodic_capacity_mc(
@@ -89,9 +90,14 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
         )
     )
     cells: dict = {}
-    for name in outputs:
-        columns, values = OUTPUTS[name]
-        cells.update(zip(columns, values(link, mc)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for name in outputs:
+                columns, values = OUTPUTS[name]
+                cells.update(zip(columns, values(link, mc)))
+    except FloatingPointError as err:
+        details = {"snr": link.snr, "moments": link.moments}
+        raise ModelInconsistencyError(f"the estimators leave the float range ({err})", details)
     return cells
 
 
@@ -104,8 +110,6 @@ class SweepSpec:
     grid2: tuple = ()
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {AXES})")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
         if not self.outputs:
@@ -134,7 +138,7 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
 
 
-def parse_sweep_pairs(pairs: dict[str, str], base: scen.Scenario | None = None) -> SweepSpec:
+def parse_sweep_pairs(pairs: dict[str, str]) -> SweepSpec:
     pairs = dict(pairs)
     try:
         axis = pairs.pop("axis").strip()
@@ -143,7 +147,7 @@ def parse_sweep_pairs(pairs: dict[str, str], base: scen.Scenario | None = None) 
     except KeyError as missing:
         raise ValueError(f"sweep spec is missing the {missing.args[0]!r} key") from None
     grid2_raw = pairs.pop("grid2", "")
-    base = scen.parse_overrides(base or scen.Scenario(), pairs)
+    base = scen.parse_overrides(scen.Scenario(), pairs)
     if axis not in AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (expected one of {AXES})")
     # grid values parse as the axis's fields do; grid2 is the feed azimuth

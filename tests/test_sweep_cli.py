@@ -10,12 +10,13 @@ import pytest
 
 import dpris
 from dpris import capacity, cli, recipes, ris, scenario as scen, sweep
+from dpris.exceptions import ModelInconsistencyError
 
 import oracles
 
 
-def spec_from(text_pairs, base=None):
-    return sweep.parse_sweep_pairs(dict(text_pairs), base=base)
+def spec_from(text_pairs):
+    return sweep.parse_sweep_pairs(dict(text_pairs))
 
 
 BOUNDS_ONLY_16 = {"elements": "16", "trials": "50"}
@@ -659,6 +660,75 @@ def test_underflowing_split_is_a_model_inconsistency(capsys):
     assert sweep.run_sweep(spec).rows[0]["status"].startswith("failed: the split needs")
 
 
+#: A unit pathloss of 1540 dB gives moments near 1e144: at the default
+#: 131 dB transmit SNR, rho^2 m11 m22 overflows in every estimator.
+OVERFLOWING = {"elements": "16", "beta0_db": "1540", "trials": "10"}
+
+
+def dpris_env():
+    """The environment of a ``dpris`` process that imports this checkout."""
+    src = str(Path(dpris.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_overflowing_received_snr_is_a_model_inconsistency():
+    # run apart, because pytest turns the warnings it must not print into
+    # errors
+    sets = [arg for key, value in OVERFLOWING.items() for arg in ("--set", f"{key}={value}")]
+    out = subprocess.run(
+        [sys.executable, "-m", "dpris.cli", "capacity", *sets],
+        env=dpris_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 3
+    assert "leave the float range (overflow encountered" in out.stderr
+    assert "snr = " in out.stderr and "moments = " in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "dual_mc_bits" not in out.stdout
+
+
+def test_overflowing_row_fails_and_the_sweep_goes_on():
+    axis = {"axis": "snr", "grid": "100, 130", "outputs": "dual-ub, dual-mc"}
+    spec = spec_from({**axis, **OVERFLOWING})
+    finite, overflowing = sweep.run_sweep(spec).rows
+    # 2^1021 is still a float
+    assert finite["status"] == "ok" and finite["dual_ub_bits"] == pytest.approx(1021.26, abs=0.01)
+    assert overflowing["status"].startswith("failed: the estimators leave the float range")
+
+
+@pytest.mark.parametrize(
+    "target, bad_forms",
+    [("compute_O", lambda o: np.full_like(o, np.inf)), ("expected_gram_moments", np.negative)],
+)
+def test_gate_rejects_forms_that_are_not_finite_and_non_negative(monkeypatch, target, bad_forms):
+    # an infinite O, or a negative form of a random draw, fails the gate of
+    # the link build with the point's snr and moments, and so fails its row
+    real = getattr(capacity, target)
+    monkeypatch.setattr(capacity, target, lambda *args: bad_forms(real(*args)))
+    pairs = {"elements": "16", "phase_scheme": "random", "random_phase_draws": "3"}
+    with pytest.raises(ModelInconsistencyError, match="finite and non-negative") as excinfo:
+        scen.build_link_model(scen.parse_overrides(scen.Scenario(), pairs))
+    assert set(excinfo.value.details) == {"snr", "moments"}
+    spec = spec_from({"axis": "xpd", "grid": "0.2, 0.4", "outputs": "quality", **pairs})
+    for row in sweep.run_sweep(spec).rows:
+        assert row["status"] == "failed: the surface forms must be finite and non-negative"
+
+
+@pytest.mark.parametrize("allocation", ["equal", "optimal"])
+@pytest.mark.parametrize("xpd_coeff", ["0", "1"])
+@pytest.mark.parametrize("snr_db", ["100", "170"])
+def test_rows_stay_finite_over_the_recipes_range(snr_db, xpd_coeff, allocation):
+    pairs = {"xpd_coeff": xpd_coeff, "allocation": allocation}
+    spec = spec_from({"axis": "snr", "grid": snr_db, "outputs": ",".join(sweep.OUTPUTS), **pairs})
+    (row,) = sweep.run_sweep(spec).rows
+    assert row["status"] == "ok"
+    for column, value in row.items():
+        if column != "status" and not (column == "xpd_threshold" and value is None):
+            assert np.isfinite(value), column
+    assert row["dual_mc_bits"] <= row["dual_ub_bits"] + 3.0 * row["dual_mc_se"]
+
+
 def test_plain_error_in_an_estimator_propagates(monkeypatch):
     # only a named degeneracy fails a row; any other error inside the build
     # or an estimator is a fault of the program and stops the sweep
@@ -791,15 +861,13 @@ def test_scenario_config_file_round_trip(tmp_path):
 def test_import_leaves_numpy_fft_unloaded():
     # numpy.fft and numpy.random are reached at call time only, which
     # keeps start-up short
-    src = str(Path(dpris.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, numpy; mods = ('numpy.fft', 'numpy.random'); "
         "print(*(m in sys.modules for m in mods)); "
         "import dpris, dpris.sweep; print(*(m in sys.modules for m in mods))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=dpris_env(), capture_output=True, text=True, check=True
     )
     by_numpy, by_dpris = (line.split() for line in out.stdout.splitlines())
     checked = [after for before, after in zip(by_numpy, by_dpris) if before == "False"]
