@@ -299,6 +299,9 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     not cancel: c / q for b > 0 and q / a otherwise (where a > 0), with
     q = -(b + sign(b) sqrt(D)) / 2.  Raises ModelInconsistencyError when the
     root is non-real or falls outside (0, 1), with the coefficients attached.
+    D is nan only where r overflows the coefficients; the quadratic divided
+    by r is then a = s/2, b = -s/2, c = s/4 + i/2 to leading order, with
+    (s, i) = (x, 1) or (1, 1/x), so D = -s^2/4 - s i < 0: not real either.
     """
     if not all(0.0 < x < math.inf for x in (o_v, o_h, snr)):
         raise ValueError(f"O_V, O_H, snr must be positive and finite: {o_v!r}, {o_h!r}, {snr!r}")
@@ -309,7 +312,7 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     c = scale * (0.25 * r - 1.0) + (0.5 * r - 1.5) * inverse
     details = {"a": a, "b": b, "c": c, "snr": snr, "o_v": o_v, "o_h": o_h}
     discriminant = b * b - 4.0 * a * c
-    if discriminant < 0.0:
+    if not discriminant >= 0.0:
         raise ModelInconsistencyError("threshold root is not real", details=details)
     if b > 0.0:
         root = c / (-0.5 * (b + math.sqrt(discriminant)))

@@ -15,9 +15,9 @@ parse the merged pairs once.
 Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
 unknown name, a non-positive length, a zenith outside [0, 180] or a dB
 value that overflows, named by its field; a sweep with a bad base
-writes no CSV) or degenerate geometry, 3 model inconsistency (also a
-received SNR that overflows the estimators), 4 I/O failure.  In a sweep,
-a bad grid value or a named degeneracy fails only its row.
+writes no CSV) or degenerate geometry, 3 model inconsistency (also an
+overflow anywhere in the point, the link build included), 4 I/O failure.
+In a sweep, a bad grid value or a named degeneracy fails only its row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import capacity, recipes, scenario as scen, sweep
 from .exceptions import ModelInconsistencyError
-from .numerics import db_to_linear
 
 USAGE_ERROR = 2
 MODEL_ERROR = 3
@@ -139,7 +138,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    value = capacity.xpd_threshold(args.ov, args.oh, db_to_linear(args.snr_db))
+    value = capacity.xpd_threshold(args.ov, args.oh, scen.db_to_linear(args.snr_db))
     print(f"xpd_threshold = {value:.10g}")
     return 0
 

@@ -1,11 +1,12 @@
-"""Surface geometry: the reflective element grid, spherical placements,
-the rays from every element to a point, and the per-element incidence
-decomposition the reflection amplitudes read.  Inputs arrive checked by
-``scenario.Scenario``; the errors left here are model degeneracies.
+"""Surface geometry: the reflective element grid, spherical placements
+and the rays from every element to a point.  Inputs arrive checked by
+``scenario.Scenario``; the error left here is a point on an element.
 
 The surface is plain arrays: ``build_ris_grid`` gives the read-only (N, 3)
 element positions, which ``rays_to`` takes, and the feed takes the
-element area pitch^2 as a float (``feed.build_propagation_matrix``).
+element area pitch^2 as a float (``feed.build_propagation_matrix``).  The
+reflection amplitudes decompose the feed's rays themselves
+(``ris.element_amplitudes``).
 
 Coordinate frame
 ----------------
@@ -21,28 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
-
-
-def axis_plane_tilt(dx: float, dy: float, dz: float) -> tuple[float, float]:
-    """Default convention: tau for a polarization is the tangent of the
-    incidence tilt within the plane spanned by that element's dipole axis
-    and the surface normal (x-z plane for V, x-y plane for H).
-
-    This is the convention under which an oblique feed raised toward +z
-    strengthens the V-polarized reflection amplitudes.
-    """
-    return dz / dx, dy / dx
-
-
-def transverse_plane_tilt(dx: float, dy: float, dz: float) -> tuple[float, float]:
-    """Alternate convention: tau from the tilt in the plane orthogonal to
-    the dipole axis (x-y plane for V, x-z plane for H)."""
-    return dy / dx, dz / dx
-
-
-#: The incidence conventions by their scenario name: each maps the |x|,
-#: |y|, |z| components of a unit incidence direction to (tau_v, tau_h).
-CONVENTIONS = {"axis-plane": axis_plane_tilt, "transverse-plane": transverse_plane_tilt}
 
 
 def build_ris_grid(rows: int, cols: int, pitch: float) -> np.ndarray:
@@ -81,20 +60,3 @@ def rays_to(positions: np.ndarray, point: np.ndarray, name: str) -> tuple[np.nda
     if np.any(distances == 0.0):
         raise DegenerateGeometryError(f"{name} coincides with an element")
     return rays, distances
-
-
-def incidence_decompositions(
-    rays: np.ndarray,
-    distances: np.ndarray,
-    convention=axis_plane_tilt,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elevations arccos(|d . u_x|) and tilt tangents (tau_v, tau_h), by
-    ``convention`` (a ``CONVENTIONS`` value), of the directions
-    d = rays / distances to the feed (in front of the surface), each of length N."""
-    direction = rays / distances[:, None]
-    dx = np.abs(direction[:, 0])
-    dy = np.abs(direction[:, 1])
-    dz = np.abs(direction[:, 2])
-    tau_v, tau_h = convention(dx, dy, dz)
-    elevations = np.arccos(np.minimum(dx, 1.0))
-    return elevations, tau_v, tau_h

@@ -3,9 +3,13 @@ and the seeded random phase draw.
 
 The amplitudes are one factor of the weighted surface vector
 s_P = A_P * b * w that ``scenario.build_link_model`` forms once per link.
-The aligning schemes need no phases: their moments follow from s alone,
-through O_V and O_H (see ``capacity``).  Phases are drawn only for the
-random scheme, whose moments depend on them: draw d is
+Each polarization sees the feed's tilt in the plane of its own dipole axis
+and the surface normal (``axis-plane``), so a feed raised toward +z
+strengthens V; ``transverse-plane`` reads each tilt in the other axis's
+plane, which exchanges the V and H maps, and ``scenario`` applies it as
+that swap.  The aligning schemes need no phases: their moments follow
+from s alone, through O_V and O_H (see ``capacity``).  Phases are drawn
+only for the random scheme, whose moments depend on them: draw d is
 ``random_phases(N, seed + d)``, a (2, N) array that
 ``capacity.expected_gram_moments`` turns into the vectors e^{j theta} * s.
 """
@@ -15,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
-from .geometry import axis_plane_tilt, incidence_decompositions
 
 
 def element_amplitudes(
@@ -23,20 +26,21 @@ def element_amplitudes(
     distances: np.ndarray,
     normal_incidence_phase: float,
     tau_offset: float = 0.0,
-    convention=axis_plane_tilt,
 ) -> np.ndarray:
     """Reflection amplitudes (V, H), shape (2, N), from the rays to the
-    feed and their lengths (``geometry.rays_to``), under the incidence
-    ``convention`` (a ``geometry.CONVENTIONS`` value): |exp(2ja) - exp(2jb)| / 2
-    = |sin(a - b)| with a, b = atan((t +- tau) / cos e), e the elevation and
-    t = tan(phi0 / 2), phi0 the normal-incidence phase (radians, off pi).
+    feed and their lengths (``geometry.rays_to``): |exp(2ja) - exp(2jb)| / 2
+    = |sin(a - b)| with a, b = atan((t +- tau) / cos e), t = tan(phi0 / 2)
+    and phi0 the normal-incidence phase (radians, off pi).  For the unit
+    direction d to the feed, e = arccos|d_x| is the elevation and the tilt
+    tangents are tau_V = |d_z| / |d_x| and tau_H = |d_y| / |d_x|.
 
     ``tau_offset`` is added to every tau.  The map is exactly zero at
     tau = 0, so a strictly on-axis ray reflects with zero amplitude under
     the default offset; the offset explores that edge without changing the
     map itself.
     """
-    elevations, tau_v, tau_h = incidence_decompositions(rays, distances, convention)
+    dx, dy, dz = np.abs(rays / distances[:, None]).T
+    elevations = np.arccos(np.minimum(dx, 1.0))
     if np.any(elevations >= np.pi / 2.0):
         raise DegenerateGeometryError("the feed meets the surface at grazing incidence")
     t = np.tan(normal_incidence_phase / 2.0)
@@ -44,7 +48,7 @@ def element_amplitudes(
     return np.stack(
         [
             np.abs(np.sin(np.arctan((t + tau) / cos_e) - np.arctan((t - tau) / cos_e)))
-            for tau in (tau_v + tau_offset, tau_h + tau_offset)
+            for tau in (dz / dx + tau_offset, dy / dx + tau_offset)
         ]
     )
 

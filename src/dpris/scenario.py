@@ -4,20 +4,22 @@ element pitch, -96 dBm noise, -49.7 dB unit pathloss, exponent 4, feed at
 (0.05 m, 90deg, 180deg) pointing along +x, UE at (50 m, 60deg, 0deg)).
 
 Scenarios are plain data: text config files and CLI overrides map onto the
-same field names, dB/dBm fields carry explicit suffixes, and angles cross
-this boundary in degrees only.  A scenario is checked when it is made,
-and only then: every range the link model assumes fails there, with an
-error that names the field.
+same field names, dB/dBm fields carry explicit suffixes (``db_to_linear``
+converts both), and angles cross this boundary in degrees only.  A
+scenario is checked when it is made, and only then: every range the link
+model assumes fails there, with an error that names the field.
 
 ``build_link_model`` works in two parts.  The surface side expands a
 scenario into the one weighted surface vector per polarization,
 s_P = A_P * b * w (reflection amplitudes, feed coefficients, pathloss
 weights), a read-only (2, N) array, tracing the feed's rays once, and
 reduces it to its quadratic forms: O_V and O_H, and for the random scheme
-the (D, 2) forms of its D phase draws.  The point side splits those forms
-into the moments of G by ``xpd_coeff`` and resolves ``allocation`` to the
-V share lambda_v of the transmit power: 1/2 for ``equal``, the maximizer
-of the moment bound for ``optimal``, or the literal itself.
+the (D, 2) forms of its D phase draws; ``transverse-plane`` incidence
+exchanges the V and H rows of the amplitude map (see ``ris``).  The point
+side splits those forms into the moments of G by ``xpd_coeff`` and
+resolves ``allocation`` to the V share lambda_v of the transmit power: 1/2
+for ``equal``, the maximizer of the moment bound for ``optimal``, or the
+literal itself.
 
 The point fields (``noise_dbm``, ``power_dbm``, ``snr_db``, ``xpd_coeff``,
 ``allocation``, ``trials``, ``master_seed``) enter the point side only.
@@ -28,9 +30,10 @@ build; a field added to ``Scenario`` joins the key unless it is named a
 point field.  A failed build is not kept.  The errors are the model's
 degeneracies (a feed on an element, in or behind the surface plane or at
 grazing incidence, a UE on an element, a polarization no power reaches),
-an optimal split whose moment product underflows, and the gate on the model's
-numbers (ModelInconsistencyError with the point's snr and moments): finite,
-non-negative forms, then no overflow or invalid value in ``sweep.evaluate``.
+an optimal split whose moment product underflows, and the gate on the
+model's numbers (ModelInconsistencyError with the point's snr): finite,
+non-negative forms, then no overflow or invalid value anywhere in the
+point, which ``sweep.evaluate`` checks over this build and every cell.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ import numpy as np
 
 from . import capacity, channel, feed, geometry, ris
 from .exceptions import DegenerateGeometryError, ModelInconsistencyError
-from .numerics import db_to_linear, dbm_to_watts
 
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
+INCIDENCE_PLANES = ("axis-plane", "transverse-plane")
 _POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent")
 
 
@@ -82,7 +85,7 @@ class Scenario:
     def __post_init__(self):
         for name, known in (
             ("phase_scheme", PHASE_SCHEMES),
-            ("incidence_convention", tuple(geometry.CONVENTIONS)),
+            ("incidence_convention", INCIDENCE_PLANES),
         ):
             if getattr(self, name) not in known:
                 raise ValueError(
@@ -213,11 +216,20 @@ def _fixed_split(allocation: str) -> float | None:
     return lambda_v
 
 
+def db_to_linear(value_db: float) -> float:
+    """Power ratio from decibels; inf where the ratio overflows a float,
+    so a range check on the result rejects it."""
+    try:
+        return 10.0 ** (float(value_db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _snr(scenario: Scenario) -> float:
     """Transmit SNR rho = P / sigma^2, from ``snr_db`` when it is set."""
     if scenario.snr_db is not None:
         return db_to_linear(scenario.snr_db)
-    return dbm_to_watts(scenario.power_dbm) / dbm_to_watts(scenario.noise_dbm)
+    return db_to_linear(scenario.power_dbm - 30.0) / db_to_linear(scenario.noise_dbm - 30.0)
 
 
 @dataclass(frozen=True)
@@ -306,12 +318,10 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         rays, distances, pitch * pitch, wavelength, boresight, db_to_linear(scenario.feed_gain_db)
     )
     amplitudes = ris.element_amplitudes(
-        rays,
-        distances,
-        np.deg2rad(scenario.normal_incidence_phase_deg),
-        scenario.tau_offset,
-        geometry.CONVENTIONS[scenario.incidence_convention],
+        rays, distances, np.deg2rad(scenario.normal_incidence_phase_deg), scenario.tau_offset
     )
+    if scenario.incidence_convention == "transverse-plane":
+        amplitudes = amplitudes[::-1]
     ue_position = geometry.spherical_to_cartesian(
         scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
     )

@@ -80,22 +80,26 @@ OUTPUTS = {
 
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
-    the order of ``outputs``, under the link's gate (see ``scenario``); the
-    Monte Carlo estimator runs once if any output reads it, and not at all
-    otherwise."""
-    link = scen.build_link_model(scenario)
-    mc = functools.cache(
-        lambda: capacity.ergodic_capacity_mc(
-            link.moments, link.lambda_v, link.snr, scenario.trials, scenario.master_seed
-        )
-    )
+    the order of ``outputs``; the link build and every cell run under the
+    gate (see ``scenario``), and the Monte Carlo estimator runs once if any
+    output reads it, and not at all otherwise."""
+    link = None
     cells: dict = {}
     try:
         with np.errstate(over="raise", invalid="raise"):
+            link = scen.build_link_model(scenario)
+            mc = functools.cache(
+                lambda: capacity.ergodic_capacity_mc(
+                    link.moments, link.lambda_v, link.snr, scenario.trials, scenario.master_seed
+                )
+            )
             for name in outputs:
                 columns, values = OUTPUTS[name]
                 cells.update(zip(columns, values(link, mc)))
     except FloatingPointError as err:
+        if link is None:
+            details = {"snr": scen._snr(scenario), "link": "not built"}
+            raise ModelInconsistencyError(f"the link build leaves the float range ({err})", details)
         details = {"snr": link.snr, "moments": link.moments}
         raise ModelInconsistencyError(f"the estimators leave the float range ({err})", details)
     return cells

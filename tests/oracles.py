@@ -15,7 +15,8 @@ independent route to the package's |det G|^2 form.  The per-element
 scalar twins (incidence decomposition, feed pattern, spherical-wave
 coefficient, reflection amplitude) evaluate one element at a time with
 ``math``, against the package's vectorized forms, which read the feed's
-rays traced once.  ``RisConfiguration``
+rays traced once; the incidence tilts of both conventions are written out
+here, where the package swaps its amplitude maps.  ``RisConfiguration``
 is one phase configuration with its complex reflection coefficients,
 which the package never forms per configuration, and
 ``random_row_per_draw`` evaluates a random-phase row one configuration per
@@ -42,8 +43,7 @@ import numpy as np
 
 from dpris import capacity, channel, feed, geometry, ris
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
-from dpris.geometry import axis_plane_tilt
-from dpris.numerics import db_to_linear, dbm_to_watts
+from dpris.scenario import db_to_linear
 
 LN2 = np.log(2.0)
 #: Eigenvalues below this fraction of the largest one are clipped to zero
@@ -281,6 +281,23 @@ class IncidenceDecomposition:
     distance: float
 
 
+def axis_plane_tilt(dx: float, dy: float, dz: float) -> tuple[float, float]:
+    """(tau_v, tau_h) of a unit incidence direction with components |dx|,
+    |dy|, |dz| under ``axis-plane``: each polarization's tilt in the plane
+    of its dipole axis and the normal (x-z for V, x-y for H)."""
+    return dz / dx, dy / dx
+
+
+def transverse_plane_tilt(dx: float, dy: float, dz: float) -> tuple[float, float]:
+    """(tau_v, tau_h) under ``transverse-plane``: each polarization's tilt
+    in the plane orthogonal to its dipole axis (x-y for V, x-z for H)."""
+    return dy / dx, dz / dx
+
+
+#: The scalar tilts by their ``incidence_convention`` name.
+TILTS = {"axis-plane": axis_plane_tilt, "transverse-plane": transverse_plane_tilt}
+
+
 def incidence_decomposition(
     positions, feed_position, element_index: int, convention=axis_plane_tilt
 ) -> IncidenceDecomposition:
@@ -345,10 +362,10 @@ def reflection_amplitude(normal_incidence_phase: float, elevation: float, tau: f
 
 def transmit_snr(scenario) -> float:
     """rho = P / sigma^2 of a scenario: ``snr_db`` when set, else the
-    transmit power over the noise power, both in watts."""
+    transmit power over the noise power, their difference in dB."""
     if scenario.snr_db is not None:
         return db_to_linear(scenario.snr_db)
-    return dbm_to_watts(scenario.power_dbm) / dbm_to_watts(scenario.noise_dbm)
+    return 10.0 ** ((scenario.power_dbm - scenario.noise_dbm) / 10.0)
 
 
 def random_row_per_draw(scenario, lambda_v: float):
@@ -490,12 +507,10 @@ def link_parts(scenario) -> LinkParts:
         cosines = np.cos(np.deg2rad([float(a) for a in scenario.boresight_deg.split(",")]))
         boresight = cosines / np.linalg.norm(cosines)
     a_v, a_h = ris.element_amplitudes(
-        rays,
-        distances,
-        np.deg2rad(scenario.normal_incidence_phase_deg),
-        scenario.tau_offset,
-        geometry.CONVENTIONS[scenario.incidence_convention],
+        rays, distances, np.deg2rad(scenario.normal_incidence_phase_deg), scenario.tau_offset
     )
+    if scenario.incidence_convention == "transverse-plane":
+        a_v, a_h = a_h, a_v
     if scenario.phase_scheme == "random":
         phases_v, phases_h = ris.random_phases(len(positions), scenario.phase_seed)
     else:

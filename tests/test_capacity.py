@@ -484,11 +484,20 @@ def test_xpd_threshold_matches_high_precision_root(o_v, o_h, snr):
 
 @pytest.mark.parametrize(
     "ov, oh, snr_db, printed",
-    [("1e-300", "1e-300", "0", "0.5"), ("1e300", "1e300", "100", "0.6339745962")],
+    [
+        ("1e-300", "1e-300", "0", "0.5"),
+        ("1e300", "1e300", "100", "0.6339745962"),
+        # O_H / O_V overflows: the quadratic divided by it has no real root
+        ("1e-300", "1e300", "100", None),
+    ],
 )
 def test_cli_threshold_at_extreme_qualities(capsys, ov, oh, snr_db, printed):
-    assert cli.main(["threshold", "--ov", ov, "--oh", oh, "--snr-db", snr_db]) == 0
-    assert capsys.readouterr().out == f"xpd_threshold = {printed}\n"
+    rc = cli.main(["threshold", "--ov", ov, "--oh", oh, "--snr-db", snr_db])
+    out, err = capsys.readouterr()
+    if printed is None:
+        assert rc == 3 and "error: threshold root is not real" in err
+    else:
+        assert rc == 0 and out == f"xpd_threshold = {printed}\n"
 
 
 def test_xpd_threshold_definition_holds_at_root():

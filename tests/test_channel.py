@@ -5,7 +5,7 @@ import pytest
 
 from dpris import capacity, channel, geometry, scenario as scen
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
-from dpris.numerics import db_to_linear
+from dpris.scenario import db_to_linear
 
 import oracles
 from conftest import PITCH, WAVELENGTH

@@ -95,92 +95,47 @@ def test_spherical_placement_validation():
     np.testing.assert_allclose(wrapped.moments, base.moments, rtol=1e-12)
 
 
-def decompositions(positions, feed, convention=geometry.axis_plane_tilt):
-    """(elevations, tau_v, tau_h, distances) of every element, from the
-    feed's rays traced once."""
-    rays, distances = geometry.rays_to(positions, feed, "feed")
-    return (*geometry.incidence_decompositions(rays, distances, convention), distances)
-
-
-def decomposition(positions, feed, index=0, convention=geometry.axis_plane_tilt):
-    """(elevation, tau_v, tau_h, distance) of one element, vectorized path."""
-    return [float(part[index]) for part in decompositions(positions, feed, convention)]
-
-
 def test_incidence_normal():
+    # a feed on the normal through a lone element sends its ray along the
+    # normal (the amplitudes there: test_element_amplitudes_on_axis_single_element
+    # and test_element_amplitudes_tau_offset)
     positions = geometry.build_ris_grid(1, 1, PITCH)
-    elevation, tau_v, tau_h, distance = decomposition(positions, np.array([-0.05, 0.0, 0.0]))
-    assert elevation == 0.0
-    assert tau_v == 0.0
-    assert tau_h == 0.0
-    assert distance == pytest.approx(0.05, rel=1e-15)
-
-
-def test_incidence_conventions_differ_by_axis():
-    # feed at 45 degrees within the x-y plane: the tilt lives in the plane
-    # of the H dipole axis under the default convention, of V under the
-    # alternate one
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    feed = np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0) * 0.3
-    elevation, tau_v, tau_h, _ = decomposition(positions, feed)
-    assert elevation == pytest.approx(np.pi / 4, rel=1e-12)
-    assert tau_v == pytest.approx(0.0, abs=1e-15)
-    assert tau_h == pytest.approx(1.0, rel=1e-12)
-    _, alt_v, alt_h, _ = decomposition(positions, feed, convention=geometry.transverse_plane_tilt)
-    assert alt_v == pytest.approx(1.0, rel=1e-12)
-    assert alt_h == pytest.approx(0.0, abs=1e-15)
-    # symmetric case in the x-z plane swaps the roles
-    feed_z = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0) * 0.3
-    _, z_v, z_h, _ = decomposition(positions, feed_z)
-    assert z_v == pytest.approx(1.0, rel=1e-12)
-    assert z_h == pytest.approx(0.0, abs=1e-15)
+    rays, distances = geometry.rays_to(positions, np.array([-0.05, 0.0, 0.0]), "feed")
+    np.testing.assert_array_equal(rays, [[-0.05, 0.0, 0.0]])
+    assert distances[0] == pytest.approx(0.05, rel=1e-15)
 
 
 def test_incidence_mirror_symmetry():
+    # mirroring the feed across the x-z plane mirrors each element's ray
+    # onto its partner's (the amplitudes: test_element_amplitudes_mirror_invariance)
     positions = geometry.build_ris_grid(3, 3, PITCH)
     rng = np.random.default_rng(3)
-    # mirroring across the x-z plane changes element pairing, so compare
-    # each element against its mirrored partner
     row, col = np.divmod(np.arange(9), 3)
     partner = row * 3 + (3 - 1 - col)
     for _ in range(20):
         feed = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
-        mirrored = feed * np.array([1.0, -1.0, 1.0])
-        a = decompositions(positions, feed)
-        b = decompositions(positions, mirrored)
-        for a_part, b_part in zip(a[:3], b[:3]):
-            np.testing.assert_allclose(b_part[partner], a_part, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(b[3][partner], a[3], rtol=1e-12)
-
-
-def test_incidence_decompositions_match_scalar_oracle():
-    positions = geometry.build_ris_grid(4, 5, PITCH)
-    rng = np.random.default_rng(11)
-    for convention in (geometry.axis_plane_tilt, geometry.transverse_plane_tilt):
-        for _ in range(10):
-            feed = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
-            vectorized = decompositions(positions, feed, convention)
-            for index in range(len(positions)):
-                scalar = oracles.incidence_decomposition(positions, feed, index, convention)
-                expected = (scalar.elevation, scalar.tau_v, scalar.tau_h, scalar.distance)
-                for part, value in zip(vectorized, expected):
-                    assert part[index] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        rays, distances = geometry.rays_to(positions, feed, "feed")
+        mirrored_rays, mirrored = geometry.rays_to(positions, feed * [1.0, -1.0, 1.0], "feed")
+        np.testing.assert_allclose(mirrored_rays[partner], rays * [1.0, -1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(mirrored[partner], distances, rtol=1e-12)
 
 
 def test_incidence_elevation_below_grazing():
+    # a feed in front of the surface reaches every element from x < 0 (the
+    # amplitudes: test_element_amplitudes_accept_every_feed_in_front)
     positions = geometry.build_ris_grid(4, 4, PITCH)
     rng = np.random.default_rng(4)
     for _ in range(50):
         feed = np.array([-rng.uniform(1e-3, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        elevations, _, _, distances = decompositions(positions, feed)
-        assert np.all(elevations < np.pi / 2)
+        rays, distances = geometry.rays_to(positions, feed, "feed")
+        assert np.all(rays[:, 0] < 0)
         assert np.all(distances > 0)
 
 
 def test_incidence_degenerate_inplane_feed():
     positions = geometry.build_ris_grid(2, 2, PITCH)
     # the package rejects an in-plane feed in ``feed.build_propagation_matrix``
-    # (test_nusw_rejects_feed_behind_surface), before any decomposition
+    # (test_nusw_rejects_feed_behind_surface), before the amplitudes read a ray
     with pytest.raises(DegenerateGeometryError):
         oracles.incidence_decomposition(positions, np.array([0.0, 0.5, 0.1]), 0)
     # a point on an element has no direction from it

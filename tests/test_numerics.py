@@ -1,23 +1,7 @@
 import numpy as np
 import pytest
 
-from dpris import numerics
-
 import oracles
-
-
-def test_db_round_trip():
-    for value in (1e-14, 0.2, 1.0, 37.5, 1e12):
-        assert numerics.db_to_linear(10.0 * np.log10(value)) == pytest.approx(value, rel=1e-12)
-    for db in (-96.0, -49.7, 0.0, 17.0):
-        assert 10.0 * np.log10(numerics.db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-
-
-def test_db_reference_values():
-    # -96 dBm and -49.7 dB are the stock noise/pathloss figures
-    assert numerics.dbm_to_watts(-96.0) == pytest.approx(2.5118864315095801e-13, rel=1e-12)
-    assert numerics.db_to_linear(-49.7) == pytest.approx(1.0715193052376064e-05, rel=1e-12)
-    assert numerics.db_to_linear(0.0) == 1.0
 
 
 def test_stream_factory_reproducible():

@@ -76,6 +76,104 @@ def test_element_amplitudes_match_scalar_oracle():
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def test_incidence_conventions_differ_by_axis():
+    # a feed at 45 degrees in the x-y plane tilts only within the plane of
+    # the H dipole axis, so the map gives V zero amplitude and H the scalar
+    # map at elevation pi/4 and tau 1; in the x-z plane the roles swap, and
+    # the oracle's transverse-plane tilts give the swapped pair
+    positions = geometry.build_ris_grid(1, 1, PITCH)
+    tilted = oracles.reflection_amplitude(QUARTER, np.pi / 4, 1.0)
+    for direction, expected in (([-1, 1, 0], (0.0, tilted)), ([-1, 0, 1], (tilted, 0.0))):
+        position = np.array(direction) / np.sqrt(2.0) * 0.3
+        a_v, a_h = amplitudes(positions, position)
+        assert a_v[0] == pytest.approx(expected[0], rel=1e-12, abs=1e-15)
+        assert a_h[0] == pytest.approx(expected[1], rel=1e-12, abs=1e-15)
+        for convention, pair in (("axis-plane", expected), ("transverse-plane", expected[::-1])):
+            dec = oracles.incidence_decomposition(positions, position, 0, oracles.TILTS[convention])
+            assert dec.elevation == pytest.approx(np.pi / 4, rel=1e-12)
+            for tau, value in zip((dec.tau_v, dec.tau_h), pair):
+                scalar = oracles.reflection_amplitude(QUARTER, dec.elevation, tau)
+                assert scalar == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def scalar_forms(scenario):
+    """(O_V, O_H) of a scenario from per-element scalar amplitudes, read
+    under the oracle's tilts of its convention, and the dense R."""
+    parts = oracles.link_parts(scenario)
+    position = geometry.spherical_to_cartesian(
+        scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
+    )
+    tilt = oracles.TILTS[scenario.incidence_convention]
+    phase = np.deg2rad(scenario.normal_incidence_phase_deg)
+    scalar = np.empty((2, len(parts.positions)))
+    for index in range(len(parts.positions)):
+        dec = oracles.incidence_decomposition(parts.positions, position, index, tilt)
+        for row, tau in enumerate((dec.tau_v, dec.tau_h)):
+            scalar[row, index] = oracles.reflection_amplitude(
+                phase, dec.elevation, tau + scenario.tau_offset
+            )
+    r = oracles.correlation_matrix(parts.positions, scenario.wavelength_m)
+    return [v @ r @ v for v in np.abs(scalar * parts.b * parts.weights)]
+
+
+@pytest.mark.parametrize("convention", scen.INCIDENCE_PLANES)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"feed_r_m": 0.1, "feed_zenith_deg": 60.0},
+        {
+            "feed_zenith_deg": 75.0,
+            "feed_azimuth_deg": 170.0,
+            "boresight_deg": "10,80,90",
+            "tau_offset": 0.3,
+            "normal_incidence_phase_deg": 60.0,
+        },
+    ],
+    ids=["oblique", "tilted-boresight"],
+)
+def test_link_forms_match_scalar_amplitudes(convention, changes):
+    # the link's O_V and O_H agree with per-element amplitudes whose tilts
+    # the oracle reads in each convention's own planes, so the swap that
+    # gives the package's transverse-plane map is checked, not assumed
+    current = scen.Scenario(elements=16, incidence_convention=convention, **changes)
+    model = scen.build_link_model(current)
+    o_v, o_h = scalar_forms(current)
+    assert abs(model.o_v - model.o_h) > 0.01 * model.o_v
+    assert model.o_v == pytest.approx(o_v, rel=1e-10, abs=0.0)
+    assert model.o_h == pytest.approx(o_h, rel=1e-10, abs=0.0)
+
+
+def test_transverse_plane_swaps_the_polarizations():
+    # the transverse-plane link is the axis-plane link with V and H
+    # exchanged, bit for bit, wherever the feed sits
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        changes = {
+            "feed_r_m": rng.uniform(0.05, 0.2),
+            "feed_zenith_deg": rng.uniform(45.0, 135.0),
+            "feed_azimuth_deg": rng.uniform(135.0, 225.0),
+            "tau_offset": rng.uniform(-0.5, 0.5),
+        }
+        axis = scen.build_link_model(scen.Scenario(elements=64, **changes))
+        transverse = scen.build_link_model(
+            scen.Scenario(elements=64, incidence_convention="transverse-plane", **changes)
+        )
+        assert (transverse.o_v, transverse.o_h) == (axis.o_h, axis.o_v)
+        np.testing.assert_array_equal(transverse.moments, axis.moments[::-1])
+
+
+def test_element_amplitudes_accept_every_feed_in_front():
+    # a feed in front of the surface meets no element at grazing incidence,
+    # and every amplitude lies in [0, 1]
+    positions = geometry.build_ris_grid(4, 4, PITCH)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        position = np.array([-rng.uniform(1e-3, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)])
+        values = amplitudes(positions, position)
+        assert values.shape == (2, 16)
+        assert np.all((0.0 <= values) & (values <= 1.0))
+
+
 def test_element_amplitudes_on_axis_single_element():
     positions = geometry.build_ris_grid(1, 1, PITCH)
     a_v, a_h = amplitudes(positions, [-0.05, 0, 0])
@@ -95,14 +193,15 @@ def test_element_amplitudes_oblique_polarizations_differ():
 
 def test_element_amplitudes_mirror_invariance():
     positions = geometry.build_ris_grid(3, 3, PITCH)
-    base = np.array([-0.07, 0.03, 0.02])
-    mirrored = base * np.array([1.0, -1.0, 1.0])
-    a_v, a_h = amplitudes(positions, base)
-    b_v, b_h = amplitudes(positions, mirrored)
+    rng = np.random.default_rng(3)
     # mirroring the feed across the x-z plane re-pairs elements column-wise
     flip = np.arange(9).reshape(3, 3)[:, ::-1].ravel()
-    np.testing.assert_allclose(b_v[flip], a_v, atol=1e-12)
-    np.testing.assert_allclose(b_h[flip], a_h, atol=1e-12)
+    for _ in range(20):
+        base = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
+        a_v, a_h = amplitudes(positions, base)
+        b_v, b_h = amplitudes(positions, base * np.array([1.0, -1.0, 1.0]))
+        np.testing.assert_allclose(b_v[flip], a_v, atol=1e-12)
+        np.testing.assert_allclose(b_h[flip], a_h, atol=1e-12)
 
 
 def test_element_amplitudes_tau_offset():

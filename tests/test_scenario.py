@@ -52,6 +52,22 @@ def test_link_moments_match_golden():
     assert moments_text() == GOLDEN_MOMENTS.read_text()
 
 
+def test_db_round_trip():
+    for value in (1e-14, 0.2, 1.0, 37.5, 1e12):
+        assert scen.db_to_linear(10.0 * np.log10(value)) == pytest.approx(value, rel=1e-12)
+    for db in (-96.0, -49.7, 0.0, 17.0):
+        assert 10.0 * np.log10(scen.db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+
+
+def test_db_reference_values():
+    # -96 dBm and -49.7 dB are the stock noise/pathloss figures
+    assert scen.db_to_linear(-96.0 - 30.0) == pytest.approx(2.5118864315095801e-13, rel=1e-12)
+    assert scen.db_to_linear(-49.7) == pytest.approx(1.0715193052376064e-05, rel=1e-12)
+    assert scen.db_to_linear(0.0) == 1.0
+    # the default 35 dBm over -96 dBm noise is a 131 dB transmit SNR
+    assert scen._snr(scen.Scenario()) == pytest.approx(10.0**13.1, rel=1e-12)
+
+
 def numbers(low, high, db=False):
     """Floats over a plausible range [low, high], or one of the values a
     range check must catch: zero, a negative, a non-finite value and, for

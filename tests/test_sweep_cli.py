@@ -522,6 +522,46 @@ def test_recipes_match_golden_outputs(tmp_path, name):
     assert split(path.read_text()) == split((GOLDEN / f"{name}.csv").read_text())
 
 
+def recipe_rows(name):
+    """The rows of a bundled recipe, run at its own settings."""
+    return sweep.run_sweep(recipes.load_recipe(name)).rows
+
+
+def test_fig4_bound_grows_with_the_surface_and_saturates():
+    # the claim of fig4's description: nondecreasing in N, saturating; the
+    # bound's step to each N shrinks from N = 64 on
+    rows = recipe_rows("fig4")
+    assert all(row["status"] == "ok" for row in rows)
+    elements = [row["elements"] for row in rows]
+    steps = np.diff([row["dual_ub_bits"] for row in rows])
+    assert np.all(steps > 0)
+    assert np.all(np.diff(steps[elements.index(64) - 1 :]) < 0)
+
+
+def test_fig5_aligning_schemes_tie_and_random_phases_fall_below():
+    rows = {row["phase_scheme"]: row for row in recipe_rows("fig5")}
+    assert all(row["status"] == "ok" for row in rows.values())
+    aligned = rows["optimal"]["dual_ub_bits"]
+    assert rows["optimal-with-adjustment"]["dual_ub_bits"] == aligned
+    assert rows["random"]["dual_ub_bits"] < aligned - 0.5
+
+
+def test_fig6_v_takes_more_power_and_the_gap_closes_with_snr():
+    rows = recipe_rows("fig6")
+    assert all(row["status"] == "ok" for row in rows)
+    lambda_v = np.array([row["lambda_v"] for row in rows])
+    assert np.all((0.5 < lambda_v) & (lambda_v <= 1.0))
+    assert np.all(np.diff(lambda_v) < 0)
+
+
+def test_fig8_fails_exactly_the_feeds_behind_the_surface():
+    rows = recipe_rows("fig8")
+    failed = [row for row in rows if row["status"] != "ok"]
+    assert len(rows) == 77 and len(failed) == 14
+    assert {row["feed_azimuth_deg"] for row in failed} == {80.0, 280.0}
+    assert all("non-positive projected aperture" in row["status"] for row in failed)
+
+
 def test_recipe_overrides_apply():
     spec = recipes.load_recipe("fig9", {"grid": "0, 0.5, 1", "trials": "20", "elements": "16"})
     assert spec.base.elements == 16
@@ -663,6 +703,13 @@ def test_underflowing_split_is_a_model_inconsistency(capsys):
 #: A unit pathloss of 1540 dB gives moments near 1e144: at the default
 #: 131 dB transmit SNR, rho^2 m11 m22 overflows in every estimator.
 OVERFLOWING = {"elements": "16", "beta0_db": "1540", "trials": "10"}
+#: Points whose link build overflows: the UE pathloss weights at 3080 dB
+#: and 1 cm, and at 1640 dB the optimal split's 2 rho (m11 m22 + m12 m21)
+#: from 0 dB transmit SNR up (m11 m22 is near 1e308).
+OVERFLOWING_BUILDS = (
+    {"elements": "16", "beta0_db": "3080", "ue_r_m": "0.01", "snr_db": "0", "trials": "10"},
+    {"elements": "16", "beta0_db": "1640", "allocation": "optimal", "trials": "10"},
+)
 
 
 def dpris_env():
@@ -673,19 +720,24 @@ def dpris_env():
 
 def test_overflowing_received_snr_is_a_model_inconsistency():
     # run apart, because pytest turns the warnings it must not print into
-    # errors
-    sets = [arg for key, value in OVERFLOWING.items() for arg in ("--set", f"{key}={value}")]
-    out = subprocess.run(
-        [sys.executable, "-m", "dpris.cli", "capacity", *sets],
-        env=dpris_env(),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 3
-    assert "leave the float range (overflow encountered" in out.stderr
-    assert "snr = " in out.stderr and "moments = " in out.stderr
-    assert "RuntimeWarning" not in out.stderr
-    assert "dual_mc_bits" not in out.stdout
+    # errors; an overflow in the link build fails the same way, before any
+    # moment is reported
+    cases = [(OVERFLOWING, "the estimators leave", "moments = ")] + [
+        (pairs, "the link build leaves", "link = not built") for pairs in OVERFLOWING_BUILDS
+    ]
+    for pairs, failed, detail in cases:
+        sets = [arg for key, value in pairs.items() for arg in ("--set", f"{key}={value}")]
+        out = subprocess.run(
+            [sys.executable, "-m", "dpris.cli", "capacity", *sets],
+            env=dpris_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 3
+        assert f"{failed} the float range (overflow encountered" in out.stderr
+        assert "snr = " in out.stderr and detail in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert "dual_mc_bits" not in out.stdout
 
 
 def test_overflowing_row_fails_and_the_sweep_goes_on():
@@ -695,6 +747,15 @@ def test_overflowing_row_fails_and_the_sweep_goes_on():
     # 2^1021 is still a float
     assert finite["status"] == "ok" and finite["dual_ub_bits"] == pytest.approx(1021.26, abs=0.01)
     assert overflowing["status"].startswith("failed: the estimators leave the float range")
+    # a build that overflows fails its row too, with the point's snr, and
+    # the sweep goes on
+    with pytest.raises(ModelInconsistencyError, match="link build leaves") as excinfo:
+        sweep.evaluate(scen.parse_overrides(scen.Scenario(), OVERFLOWING_BUILDS[0]), ["dual-ub"])
+    assert excinfo.value.details == {"snr": 1.0, "link": "not built"}
+    axis = {"axis": "snr", "grid": "-10, 0", "outputs": "allocation, dual-ub"}
+    finite, overflowing = sweep.run_sweep(spec_from({**axis, **OVERFLOWING_BUILDS[1]})).rows
+    assert finite["status"] == "ok" and 0.0 < finite["lambda_v"] < 1.0
+    assert overflowing["status"].startswith("failed: the link build leaves the float range")
 
 
 @pytest.mark.parametrize(
