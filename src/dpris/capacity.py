@@ -3,9 +3,11 @@
 One weighted surface vector per polarization carries the whole surface
 side of the link: s_P = A_P * b * w, with A_P the reflection amplitudes,
 b the feed coefficients and w = sqrt(beta0 d^-alpha) the pathloss weights,
-stacked as a (2, N) ``surface`` array.  Under phases theta_P the 2x2
-equivalent channel G collapses the per-element vectors through
-u_P = e^{j theta_P} * s_P:
+stacked on the rows x cols grid as a (2, rows, cols) ``surface`` array.
+The aligning phases cancel the phase of b, so their forms read the real
+|s_P| = A_P |b| w alone; only the random phase draws read the complex s_P.
+Under phases theta_P the 2x2 equivalent channel G collapses the
+per-element vectors through u_P = e^{j theta_P} * s_P:
 
     G = [[h_vv . u_V,  h_vh . u_H],
          [h_hv . u_V,  h_hh . u_H]]
@@ -29,10 +31,13 @@ coefficient l splits q into the (D, 4) moments.
 R is never formed.  On the uniform rows x cols grid R(n1, n2) depends
 only on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
 ||(drow, dcol)|| / lambda), so R is block Toeplitz with Toeplitz blocks.
-``kernel_spectrum`` lays k out on a (2 rows) x (2 cols) circulant lattice
-(lag i at index i mod 2 rows) and returns its spectrum S = FFT2(k): 4N
-reals, real because k is even.  Every surface quadratic form is then one
-FFT per vector on that lattice (``compute_O``).
+``kernel_spectrum`` lays k out on an L_r x L_c circulant lattice (lag i at
+index i mod L_r), each axis the smallest even length >= 2 side whose half
+factors into 2, 3 and 5 (``_lattice_length``), and returns its spectrum
+S = FFT2(k): L_r L_c reals, O(N), real because k is even.  Every surface
+quadratic form is then one FFT per vector on that lattice: a real FFT for
+the real |s| of ``compute_O``, a complex one for the phased vectors of
+``expected_gram_moments``.
 
 A moment array of shape (4,) describes one configuration; one of shape
 (D, 4) describes an ensemble of D random phase draws.  The moment bound
@@ -79,15 +84,18 @@ import numpy as np
 from .exceptions import ModelInconsistencyError
 
 _LN2 = np.log(2.0)
-#: Lattice points held by the four buffers of one ``expected_gram_moments``
-#: call, which a chunk of c draws fills with c * 16N: 2N phases, 2N phasors,
-#: 4N in the FFT stage and 8N in the transform (at least one draw).  The
-#: buffers are allocated once per call and reused by every chunk.  The
-#: 1000-draw N = 400 row, built in-process on one core (medians of six
-#: alternations), takes 91 ms with fresh buffers for each 2-draw chunk, 75 ms
-#: reusing them at 2**14 (2 draws a chunk) and 69 ms at 2**15 (5 draws) or
-#: 2**16 (10); 2**15 adds 0.4 MiB, 1%, to a bound-grid worker's peak RSS.
-_FFT_LATTICE_POINTS = 2**14
+#: Points held by the four buffers of one ``expected_gram_moments`` call,
+#: which a chunk of c draws fills with c (4N + 3P), P = L_r L_c the lattice
+#: of the spectrum: 2N phases and 2N phasors, and for each polarization
+#: P / 2 in the FFT stage and P in the transform (at least one draw); 16N
+#: when the lattice is (2 rows) x (2 cols).  The buffers are allocated once
+#: per call and reused by every chunk.  The 1000-draw N = 400 row (40 x 40
+#: lattice, 6400 points a draw), built in-process on one pinned core of a
+#: shared 2-vCPU VM (best of 24 interleaved runs, measured twice), takes
+#: 146 and 112 ms at 2**14 (2 draws a chunk), 128 and 98 ms at 2**15
+#: (5 draws) and 123 and 98 ms at 2**16 (10 draws); 2**15 adds 0.3 MiB,
+#: under 1%, to a bound-grid worker's peak RSS.
+_FFT_LATTICE_POINTS = 2**15
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
 #: stream keyed (master_seed, c), so a fixed seed gives the same draws for
 #: every trial whatever the trial count.  The draws of the last
@@ -144,7 +152,10 @@ def ergodic_capacity_mc(
     if len(scale) > 1:
         scale = scale[np.arange(trials) % len(scale)]
     g = _standard_channels(trials, master_seed) * scale
-    gram = g.real**2 + g.imag**2
+    # |G|^2 formed in place: one (T, 4) temporary fewer, so a call's
+    # transient arrays fit the heap that the previous call freed
+    gram = np.square(g.real)
+    gram += np.square(g.imag)
     # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
     # keeps full relative precision where the shift is tiny
     rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
@@ -193,19 +204,30 @@ def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
 
 
 def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Quadratic form |s|^T R |s| of each surface vector along the last
-    axis, |s_n| = A_n |b_n| sqrt(beta0 d_n^-alpha): the maximized
-    per-polarization received-power quantity, through the FFT code that
-    ``expected_gram_moments`` runs its chunks through.  ``spectrum`` is the
-    lag-kernel spectrum S of ``kernel_spectrum``.
+    """Quadratic form |s|^T R |s| of each surface vector over the last two
+    axes, a rows x cols grid, |s_n| = A_n |b_n| sqrt(beta0 d_n^-alpha): the
+    maximized per-polarization received-power quantity.  ``spectrum`` is
+    the lag-kernel spectrum S of ``kernel_spectrum``, on an L_r x L_c
+    lattice.
 
-    With v zero-padded to the (2 rows) x (2 cols) lattice of S,
-    v^T R v = sum_k S_k |FFT2(pad(v))_k|^2 / (4N).
-    That is exact: grid lags lie in (-rows, rows) x (-cols, cols), so no
-    circular lag between two grid points wraps, and the circulant matrix
-    of S restricted to the grid is R entry for entry.
+    With v zero-padded to the lattice and T = FFT2(pad(v)),
+    v^T R v = sum_k S_k |T_k|^2 / (L_r L_c).  That is exact: grid lags lie
+    in (-rows, rows) x (-cols, cols) and each lattice axis is at least
+    2 side - 1 long, so no circular lag between two grid points wraps, and
+    the circulant matrix of S restricted to the grid is R entry for entry.
+    v is real, so |T|^2 and S are even: the real FFT's half-plane, columns
+    0 .. L_c / 2, carries the sum, with weight 1 on the DC and Nyquist
+    columns and 2 on the columns between, which stand for their mirror
+    images too.
     """
-    return _surface_quadforms(np.abs(surface), spectrum)
+    half = spectrum.shape[-1] // 2 + 1
+    transform = np.fft.rfft2(np.abs(surface), s=spectrum.shape, axes=(-2, -1))
+    parts = transform.view(float)
+    np.square(parts, out=parts)
+    power = parts[..., ::2] + parts[..., 1::2]
+    power *= spectrum[:, :half]
+    edges = power[..., 0].sum(axis=-1) + power[..., -1].sum(axis=-1)
+    return (2.0 * power.sum(axis=(-2, -1)) - edges) / spectrum.size
 
 
 def expected_gram_moments(
@@ -215,22 +237,22 @@ def expected_gram_moments(
     phase draws, shape (D, 2), from which ``moment_layout`` gives the exact
     second moments of G under each draw.
 
-    ``surface`` stacks the (V, H) weighted surface vectors, shape (2, N),
-    and each draw the (V, H) phases, shape (2, N); ``phases`` is read
-    lazily, so a generator of draws is never held whole.  The forms are
-    q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P, every q exact as in
-    ``compute_O``.  Draws go through the FFT a chunk at a time, in four
-    buffers (phases, phasors, FFT stage, transform) allocated once per
-    call; a draw's forms do not depend on the chunk it falls in.  Under the
-    aligning phases they collapse to (O_V, O_H).
+    ``surface`` stacks the (V, H) weighted surface vectors on the grid,
+    shape (2, rows, cols), and each draw the (V, H) phases, of the same
+    shape; ``phases`` is read lazily, so a generator of draws is never held
+    whole.  The forms are q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P,
+    every q exact as in ``compute_O``, on the same lattice but through the
+    complex FFT, since u_P is complex.  Draws go through the FFT a chunk at
+    a time, in four buffers (phases, phasors, FFT stage, transform)
+    allocated once per call; a draw's forms do not depend on the chunk it
+    falls in.  Under the aligning phases they collapse to (O_V, O_H).
     """
-    n = surface.shape[-1]
-    rows, cols = spectrum.shape
-    size = max(1, _FFT_LATTICE_POINTS // (16 * n))
-    phase = np.empty((size, 2, n))
-    phasor = np.empty((size, 2, n), dtype=complex)
-    stage = np.empty((size, 2, rows // 2, cols), dtype=complex)
-    transform = np.empty((size, 2, rows, cols), dtype=complex)
+    lattice_rows, lattice_cols = spectrum.shape
+    size = max(1, _FFT_LATTICE_POINTS // (2 * surface.size + 3 * spectrum.size))
+    phase = np.empty((size,) + surface.shape)
+    phasor = np.empty((size,) + surface.shape, dtype=complex)
+    stage = np.empty((size, 2, lattice_rows // 2, lattice_cols), dtype=complex)
+    transform = np.empty((size, 2, lattice_rows, lattice_cols), dtype=complex)
     draws = iter(phases)
     q = []
     while True:
@@ -329,36 +351,59 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
 @functools.lru_cache(maxsize=1)
 def kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
     """Read-only spectrum S of the sinc lag kernel of the rows x cols grid
-    at ``pitch``, shape (2 rows, 2 cols); the last result is kept for the
-    next call on the same surface."""
-    lag_r = np.abs(np.fft.ifftshift(np.arange(-rows, rows)))
-    lag_c = np.abs(np.fft.ifftshift(np.arange(-cols, cols)))
-    separation = pitch * np.hypot(lag_r[:, None], lag_c[None, :])
-    spectrum = np.ascontiguousarray(np.fft.fft2(np.sinc(2.0 * separation / wavelength)).real)
+    at ``pitch``, on the lattice of ``_lattice_length(rows)`` x
+    ``_lattice_length(cols)`` points; the last result is kept for the next
+    call on the same surface.
+
+    Lattice index (i, j) holds the kernel at the lag (min(i, L_r - i),
+    min(j, L_c - j)).  That puts every grid lag at its index mod L with no
+    wrap, and keeps k even in each axis, so S is real and even too: the
+    sinc is evaluated once per distinct |lag| and gathered, and the real
+    FFT's half-plane is mirrored into the rest.
+    """
+    lattice = _lattice_length(rows), _lattice_length(cols)
+    lag_r, lag_c = (np.minimum(np.arange(n), n - np.arange(n)) for n in lattice)
+    quarter_r, quarter_c = (np.arange(n // 2 + 1) for n in lattice)
+    separation = pitch * np.hypot(quarter_r[:, None], quarter_c)
+    kernel = np.sinc(2.0 * separation / wavelength).take(lag_r, axis=0).take(lag_c, axis=1)
+    spectrum = np.fft.rfft2(kernel).real.take(lag_c, axis=1)
     spectrum.setflags(write=False)
     return spectrum
 
 
+def _lattice_length(side: int) -> int:
+    """Length of the FFT lattice along a grid axis of ``side`` elements:
+    2 m, with m the smallest integer >= side whose only prime factors are
+    2, 3 and 5, the FFT's fast radices.  Any length >= 2 side - 1 is exact
+    (no grid lag wraps); an even one gives the real FFT a Nyquist column."""
+    m = side
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return 2 * m
+        m += 1
+
+
 def _surface_quadforms(
-    vectors: np.ndarray,
-    spectrum: np.ndarray,
-    stage: np.ndarray | None = None,
-    transform: np.ndarray | None = None,
+    vectors: np.ndarray, spectrum: np.ndarray, stage: np.ndarray, transform: np.ndarray
 ) -> np.ndarray:
-    """Re(u^H R u) for each row-major grid vector u along the last axis of
+    """Re(u^H R u) for each complex grid vector u over the last two axes of
     ``vectors``, R the correlation whose lag-kernel spectrum is
     ``spectrum`` (see ``compute_O``).
 
-    FFT2 over the lattice runs one axis at a time, as ``np.fft.fft2`` does:
-    along the columns into ``stage``, shape (..., rows, 2 cols), then along
-    the rows into ``transform``, shape (..., 2 rows, 2 cols), both complex
-    and allocated when not given.  |transform|^2 is formed in the spent
-    stage buffer, which holds exactly as many reals.
+    FFT2 over the L_r x L_c lattice runs one axis at a time, as
+    ``np.fft.fft2`` does: along the columns into the first ``rows`` rows
+    of ``stage``, shape (..., L_r / 2, L_c), then along the rows into
+    ``transform``, shape (..., L_r, L_c), both complex.  |transform|^2 is
+    formed in the spent stage buffer, which holds exactly L_r L_c reals.
     """
-    rows, cols = spectrum.shape
-    grid = vectors.reshape(vectors.shape[:-1] + (rows // 2, cols // 2))
-    stage = np.fft.fft(grid, n=cols, axis=-1, out=stage)
-    transform = np.fft.fft(stage, n=rows, axis=-2, out=transform)
+    rows = vectors.shape[-2]
+    lattice_rows, lattice_cols = spectrum.shape
+    columns = np.fft.fft(vectors, n=lattice_cols, axis=-1, out=stage[..., :rows, :])
+    np.fft.fft(columns, n=lattice_rows, axis=-2, out=transform)
     power = stage.view(float).reshape(transform.shape)
     np.square(transform.real, out=power)
     power += np.square(transform.imag, out=transform.imag)

@@ -12,7 +12,8 @@ Distances are exact per element, so UEs in the array near field see the
 correct per-element power variation.  The split's two parts stay apart:
 ``pathloss_weights`` gives sqrt(beta0 d_n^-alpha) from the UE distances,
 which ``scenario.build_link_model`` multiplies into the one surface vector
-with the reflection amplitudes and the feed coefficients, and
+s = A * |b| * w with the reflection amplitudes and the feed coefficient
+magnitudes (and the feed's carrier phase for random phases only), and
 ``capacity.moment_layout`` applies xpd_coeff to the moments of G.
 
 R is never formed: ``capacity.kernel_spectrum`` gives its lag-kernel

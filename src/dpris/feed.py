@@ -11,9 +11,14 @@ Both polarizations are fed by this one coefficient; cross-polarized
 feeding is zero because the line-of-sight hop preserves polarization.  A
 fixed feeding phase per polarization would rotate a whole polarization's
 surface vector by a constant, which cancels in every quadratic form the
-link reports, so the feed carries none.  ``scenario.build_link_model``
-traces the feed's rays once and multiplies b into the surface vector once,
-with the reflection amplitudes and the pathloss weights.
+link reports, so the feed carries none.  The carrier phase of b is read
+only under the random phase draws, whose moments depend on it: the
+aligning phases cancel it, so their quadratic forms take |b| alone.
+``build_propagation_matrix`` gives |b| and ``carrier_phase`` the phase
+factors, and ``scenario.build_link_model`` traces the feed's rays once and
+multiplies |b| into the surface vector once, with the reflection
+amplitudes and the pathloss weights, and the phase only for the random
+scheme.
 """
 
 from __future__ import annotations
@@ -36,13 +41,12 @@ def build_propagation_matrix(
     rays: np.ndarray,
     distances: np.ndarray,
     area: float,
-    wavelength: float,
     boresight: np.ndarray,
     gain: float,
 ) -> np.ndarray:
-    """Read-only feed coefficients b_n of every element, shape (N,), from
-    the rays to the feed and their lengths D_n (``geometry.rays_to``), the
-    element area A = pitch^2 in m^2 and the carrier wavelength in meters.
+    """Read-only feed coefficient magnitudes |b_n| of every element, shape
+    (N,), from the rays to the feed and their lengths D_n
+    (``geometry.rays_to``) and the element area A = pitch^2 in m^2.
 
     Raises DegenerateGeometryError when an element's projected aperture
     toward the feed is non-positive (feed in the surface plane or behind
@@ -57,6 +61,11 @@ def build_propagation_matrix(
         )
     gains = feed_gains(boresight, gain, -rays / distances[:, None])
     magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
-    b = magnitude * np.exp(-2j * np.pi * distances / wavelength)
-    b.setflags(write=False)
-    return b
+    magnitude.setflags(write=False)
+    return magnitude
+
+
+def carrier_phase(distances: np.ndarray, wavelength: float) -> np.ndarray:
+    """Phase factors exp(-j 2 pi D_n / lambda) of the feed coefficients,
+    from the feed distances D_n and the carrier wavelength in meters."""
+    return np.exp(-2j * np.pi * distances / wavelength)

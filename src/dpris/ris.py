@@ -2,7 +2,8 @@
 and the seeded random phase draw.
 
 The amplitudes are one factor of the weighted surface vector
-s_P = A_P * b * w that ``scenario.build_link_model`` forms once per link.
+s_P = A_P * |b| * w that ``scenario.build_link_model`` forms once per link
+(with the feed's carrier phase in b for the random scheme only).
 Each polarization sees the feed's tilt in the plane of its own dipole axis
 and the surface normal (``axis-plane``), so a feed raised toward +z
 strengthens V; ``transverse-plane`` reads each tilt in the other axis's
@@ -10,8 +11,9 @@ plane, which exchanges the V and H maps, and ``scenario`` applies it as
 that swap.  The aligning schemes need no phases: their moments follow
 from s alone, through O_V and O_H (see ``capacity``).  Phases are drawn
 only for the random scheme, whose moments depend on them: draw d is
-``random_phases(N, seed + d)``, a (2, N) array that
-``capacity.expected_gram_moments`` turns into the vectors e^{j theta} * s.
+``random_phases(N, seed + d)``, a (2, N) array that ``scenario`` lays out
+on the grid and ``capacity.expected_gram_moments`` turns into the vectors
+e^{j theta} * s, s carrying the feed's carrier phase.
 """
 
 from __future__ import annotations

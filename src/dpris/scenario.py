@@ -11,15 +11,16 @@ model assumes fails there, with an error that names the field.
 
 ``build_link_model`` works in two parts.  The surface side expands a
 scenario into the one weighted surface vector per polarization,
-s_P = A_P * b * w (reflection amplitudes, feed coefficients, pathloss
-weights), a read-only (2, N) array, tracing the feed's rays once, and
-reduces it to its quadratic forms: O_V and O_H, and for the random scheme
-the (D, 2) forms of its D phase draws; ``transverse-plane`` incidence
-exchanges the V and H rows of the amplitude map (see ``ris``).  The point
-side splits those forms into the moments of G by ``xpd_coeff`` and
-resolves ``allocation`` to the V share lambda_v of the transmit power: 1/2
-for ``equal``, the maximizer of the moment bound for ``optimal``, or the
-literal itself.
+s_P = A_P * |b| * w (reflection amplitudes, feed coefficient magnitudes,
+pathloss weights) on the side x side grid, a (2, side, side) array,
+tracing the feed's rays once, and reduces it to its quadratic forms: O_V
+and O_H, and for the random scheme the (D, 2) forms of its D phase draws,
+which alone read the feed's carrier phase and so multiply it into s;
+``transverse-plane`` incidence exchanges the V and H rows of the amplitude
+map (see ``ris``).  The point side splits those forms into the moments of
+G by ``xpd_coeff`` and resolves ``allocation`` to the V share lambda_v of
+the transmit power: 1/2 for ``equal``, the maximizer of the moment bound
+for ``optimal``, or the literal itself.
 
 The point fields (``noise_dbm``, ``power_dbm``, ``snr_db``, ``xpd_coeff``,
 ``allocation``, ``trials``, ``master_seed``) enter the point side only.
@@ -315,7 +316,7 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         cosines = np.array(_cosines(scenario.boresight_deg))
         boresight = cosines / np.linalg.norm(cosines)
     b = feed.build_propagation_matrix(
-        rays, distances, pitch * pitch, wavelength, boresight, db_to_linear(scenario.feed_gain_db)
+        rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
     )
     amplitudes = ris.element_amplitudes(
         rays, distances, np.deg2rad(scenario.normal_incidence_phase_deg), scenario.tau_offset
@@ -330,10 +331,9 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         db_to_linear(scenario.beta0_db),
         scenario.pathloss_exponent,
     )
-    surface = amplitudes * b * weights
-    surface.setflags(write=False)
+    grid = (2, side, side)
     spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
-    o = capacity.compute_O(surface, spectrum)
+    o = capacity.compute_O((amplitudes * b * weights).reshape(grid), spectrum)
     for name, value in zip("VH", o):
         if not value > 0.0:
             raise DegenerateGeometryError(
@@ -344,11 +344,13 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     if scenario.phase_scheme != "random":
         # the aligning phases collapse the forms to O_V and O_H
         return o, o
+    # the random draws read the feed's carrier phase, which aligning cancels
+    surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
     draws = (
-        ris.random_phases(side * side, scenario.phase_seed + d)
+        ris.random_phases(side * side, scenario.phase_seed + d).reshape(grid)
         for d in range(scenario.random_phase_draws)
     )
-    q = capacity.expected_gram_moments(surface, draws, spectrum)
+    q = capacity.expected_gram_moments(surface.reshape(grid), draws, spectrum)
     q.setflags(write=False)
     return o, q
 

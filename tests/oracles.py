@@ -166,9 +166,9 @@ def sample_channel(
 class RisConfiguration:
     """One phase configuration: per-element, per-polarization reflection
     amplitudes in [0, 1] and phases, each of shape (N,).  The package
-    holds the amplitudes inside the (2, N) weighted surface vector and the
-    phases as a stream of (2, N) draws; ``moments`` passes them to it in
-    that form."""
+    holds the amplitudes inside the weighted surface vector and the phases
+    as a stream of draws, both laid out on the grid, (2, side, side);
+    ``moments`` passes them to it in that form."""
 
     amplitudes_v: np.ndarray
     amplitudes_h: np.ndarray
@@ -200,17 +200,27 @@ class RisConfiguration:
         return self.amplitudes_h * (np.cos(self.phases_h) + 1j * np.sin(self.phases_h))
 
     def surface(self, parts) -> np.ndarray:
-        """The (2, N) weighted surface vectors of these amplitudes on the
-        link ``parts`` (see ``link_parts``), formed as
-        ``scenario.build_link_model`` forms them."""
-        return np.stack([self.amplitudes_v, self.amplitudes_h]) * parts.b * parts.weights
+        """The weighted surface vectors of these amplitudes on the square
+        grid of the link ``parts`` (see ``link_parts``), shape
+        (2, side, side), formed as ``scenario.build_link_model`` forms the
+        random scheme's: the feed coefficients carry their phase."""
+        vectors = np.stack([self.amplitudes_v, self.amplitudes_h]) * parts.b * parts.weights
+        return on_grid(vectors)
 
     def moments(self, parts) -> np.ndarray:
         """The package's second moments of G under this configuration on
         the link ``parts``, shape (4,)."""
-        draw = np.stack([self.phases_v, self.phases_h])
+        draw = on_grid(np.stack([self.phases_v, self.phases_h]))
         q = capacity.expected_gram_moments(self.surface(parts), [draw], parts.spectrum)
         return capacity.moment_layout(q, parts.xpd_coeff)[0]
+
+
+def on_grid(vectors: np.ndarray) -> np.ndarray:
+    """Vectors of a square surface's N elements, shape (..., N), laid out
+    on its side x side grid, row-major, as the package's surface kernels
+    take them."""
+    side = math.isqrt(vectors.shape[-1])
+    return vectors.reshape(vectors.shape[:-1] + (side, side))
 
 
 def equivalent_channel(sample: ChannelSample, config, b: np.ndarray) -> np.ndarray:
@@ -523,13 +533,13 @@ def link_parts(scenario) -> LinkParts:
         db_to_linear(scenario.beta0_db),
         scenario.pathloss_exponent,
     )
+    magnitudes = feed.build_propagation_matrix(
+        rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
+    )
     return LinkParts(
         positions=positions,
         wavelength=wavelength,
-        b=feed.build_propagation_matrix(
-            rays, distances, pitch * pitch, wavelength, boresight,
-            db_to_linear(scenario.feed_gain_db),
-        ),
+        b=magnitudes * feed.carrier_phase(distances, wavelength),
         config=RisConfiguration(a_v, a_h, phases_v, phases_h),
         weights=weights,
         spectrum=capacity.kernel_spectrum(side, side, pitch, wavelength),
@@ -540,12 +550,14 @@ def link_parts(scenario) -> LinkParts:
 def feed_coefficients(
     positions, position, area: float, wavelength: float, boresight=(1.0, 0.0, 0.0), gain=10.0
 ) -> np.ndarray:
-    """The package's feed coefficients of the elements at ``positions``, of
-    ``area`` each, for a feed at ``position``."""
+    """The package's complex feed coefficients of the elements at
+    ``positions``, of ``area`` each, for a feed at ``position``: its
+    magnitudes times its carrier phase factors."""
     rays, distances = geometry.rays_to(positions, position, "feed")
-    return feed.build_propagation_matrix(
-        rays, distances, area, wavelength, np.asarray(boresight), gain
+    magnitudes = feed.build_propagation_matrix(
+        rays, distances, area, np.asarray(boresight), gain
     )
+    return magnitudes * feed.carrier_phase(distances, wavelength)
 
 
 def multiplexing_gain(snr_values, capacities) -> float:

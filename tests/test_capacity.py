@@ -196,17 +196,17 @@ def test_compute_O_small_cases():
     # a 1x1 grid; a spectrum of ones is the identity kernel
     spectrum = np.ones((2, 2))
     # N = 1: O = |s|^2 = A^2 |b|^2 beta0 d^-alpha
-    surface = np.array([0.3 * 0.5 * np.exp(0.7j) * np.sqrt(2.0 / 4.0)])
+    surface = np.array([[0.3 * 0.5 * np.exp(0.7j) * np.sqrt(2.0 / 4.0)]])
     assert capacity.compute_O(surface, spectrum) == pytest.approx(
         0.3**2 * 0.25 * 2.0 / 4.0, rel=1e-12
     )
-    assert capacity.compute_O(np.array([1j]), spectrum) == pytest.approx(1.0, rel=1e-12)
+    assert capacity.compute_O(np.array([[1j]]), spectrum) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compute_O_identity_correlation_reduces_to_sum():
     rng = np.random.default_rng(8)
     n = 6
-    surface = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    surface = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
     # a 1 x n grid; a spectrum of ones is the identity kernel
     spectrum = np.ones((2, 2 * n))
     expected = np.sum(np.abs(surface) ** 2)
@@ -234,7 +234,8 @@ def test_compute_O_matches_double_sum_oracle():
                 phases_v=rng.uniform(0, 2 * np.pi, n),
                 phases_h=rng.uniform(0, 2 * np.pi, n),
             )
-            surface = np.stack([config.amplitudes_v, config.amplitudes_h]) * b * weights
+            vectors = np.stack([config.amplitudes_v, config.amplitudes_h]) * b * weights
+            surface = vectors.reshape(2, rows, cols)
 
             def brute(u):
                 return float(np.sum(np.conj(u)[:, None] * u[None, :] * correlation).real)
@@ -242,12 +243,12 @@ def test_compute_O_matches_double_sum_oracle():
             # a stack of surface vectors gives one form per vector
             o = capacity.compute_O(surface, spectrum)
             assert o.shape == (2,)
-            for amplitudes, value in zip(surface, o):
+            for amplitudes, value in zip(vectors, o):
                 assert value == pytest.approx(brute(np.abs(amplitudes)), rel=1e-12)
             assert capacity.compute_O(surface[1], spectrum) == pytest.approx(o[1], rel=1e-12)
             q_v = brute(config.gamma_v * b * weights)
             q_h = brute(config.gamma_h * b * weights)
-            draw = np.stack([config.phases_v, config.phases_h])
+            draw = np.stack([config.phases_v, config.phases_h]).reshape(surface.shape)
             q = capacity.expected_gram_moments(surface, [draw], spectrum)
             np.testing.assert_allclose(q[0], [q_v, q_h], rtol=1e-12)
             np.testing.assert_allclose(
@@ -255,6 +256,19 @@ def test_compute_O_matches_double_sum_oracle():
                 [(1 - l) * q_v, l * q_h, l * q_v, (1 - l) * q_h],
                 rtol=1e-12,
             )
+
+
+@pytest.mark.parametrize("rows,cols", [(17, 17), (17, 3), (4, 9)])
+def test_real_and_complex_lattice_paths_agree(rows, cols):
+    # compute_O sums the real FFT's half-plane, weight 1 on the DC and
+    # Nyquist columns and 2 on those between; the random draws' complex FFT
+    # sums the whole lattice; at zero phases both give |s|^T R |s|
+    rng = np.random.default_rng(rows * cols)
+    spectrum = capacity.kernel_spectrum(rows, cols, PITCH, WAVELENGTH)
+    surface = rng.uniform(0.1, 1.0, (2, rows, cols))
+    o = capacity.compute_O(surface, spectrum)
+    q = capacity.expected_gram_moments(surface, [np.zeros_like(surface)], spectrum)
+    np.testing.assert_allclose(o, q[0], rtol=1e-13, atol=0)
 
 
 def test_closed_form_equals_moment_bound_with_model_moments():

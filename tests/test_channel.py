@@ -40,12 +40,26 @@ def test_correlation_decays_with_spacing():
     assert abs(r[0, 1]) < 0.04
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)])
+def is_lattice_axis(length, side):
+    """The lattice rule: even, long enough that no grid lag wraps, and half
+    of it a product of 2, 3 and 5 only."""
+    half = length // 2
+    for p in (2, 3, 5):
+        while half % p == 0:
+            half //= p
+    return length % 2 == 0 and length >= 2 * side - 1 and half == 1
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20), (7, 7), (17, 17), (19, 3), (17, 3)],
+)
 @pytest.mark.parametrize("pitch", [PITCH, 0.5 * WAVELENGTH, 1.7 * WAVELENGTH])
 def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
     positions = geometry.build_ris_grid(rows, cols, pitch)
     spectrum = capacity.kernel_spectrum(rows, cols, pitch, WAVELENGTH)
-    assert spectrum.shape == (2 * rows, 2 * cols) and spectrum.dtype == float
+    assert spectrum.dtype == float
+    assert all(map(is_lattice_axis, spectrum.shape, (rows, cols)))
     # the inverse FFT of S is the lag kernel; read at every pair's lag it
     # gives the dense matrix
     kernel = np.fft.ifft2(spectrum)
@@ -62,7 +76,9 @@ def test_statistics_hold_no_quadratic_array():
     n = len(positions)
     assert n == 1024
     spectrum = capacity.kernel_spectrum(32, 32, PITCH, WAVELENGTH)
-    assert weights.shape == (n,) and spectrum.size == 4 * n
+    # O(N): each lattice axis is 2 m, m the first 5-smooth integer at or
+    # above the side, which never exceeds 5/4 of the side
+    assert weights.shape == (n,) and spectrum.size <= 4 * (5 / 4) ** 2 * n
     assert not weights.flags.writeable
     # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
@@ -104,7 +120,7 @@ def test_pathloss_extreme_xpd():
     # the pathloss evenly
     positions, weights = weights_for(2, 2)
     b = oracles.feed_coefficients(positions, [-0.05, 0.0, 0.0], PITCH * PITCH, WAVELENGTH)
-    surface = np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights
+    surface = (np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights).reshape(2, 2, 2)
     o = capacity.compute_O(surface, capacity.kernel_spectrum(2, 2, PITCH, WAVELENGTH))
     for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):
         moments = capacity.moment_layout(o, xpd)

@@ -108,7 +108,11 @@ def test_nusw_rejects_feed_behind_surface():
 def test_propagation_matrix_single_element_reduction():
     positions = geometry.build_ris_grid(1, 1, PITCH)
     b = propagation(positions)
-    assert b.shape == (1,) and not b.flags.writeable
+    # the package's magnitudes are read-only and real; the phase is apart
+    rays, distances = geometry.rays_to(positions, ON_AXIS, "feed")
+    magnitudes = feed.build_propagation_matrix(rays, distances, PITCH * PITCH, PLUS_X, 10.0)
+    assert magnitudes.shape == (1,) and magnitudes.dtype == float
+    assert not magnitudes.flags.writeable
     expected = oracles.nusw_coefficient(
         positions, ON_AXIS, PITCH * PITCH, WAVELENGTH, PLUS_X, 10.0, 0
     )
@@ -138,7 +142,7 @@ def test_constant_polarization_phase_leaves_moments_unchanged():
     for elements in (16, 400):
         parts = oracles.link_parts(scen.Scenario(elements=elements, feed_zenith_deg=60.0))
         surface = parts.config.surface(parts)
-        draws = np.stack([ris.random_phases(elements, seed) for seed in range(20)])
+        draws = oracles.on_grid(np.stack([ris.random_phases(elements, seed) for seed in range(20)]))
 
         def moments(s):
             o = capacity.compute_O(s, parts.spectrum)
@@ -150,7 +154,7 @@ def test_constant_polarization_phase_leaves_moments_unchanged():
         reference = moments(surface)
         assert np.all(reference > 0.0)
         for phases in rotations:
-            rotated = surface * np.exp(1j * np.array(phases))[:, None]
+            rotated = surface * np.exp(1j * np.array(phases))[:, None, None]
             np.testing.assert_allclose(moments(rotated), reference, rtol=1e-15, atol=0)
 
 

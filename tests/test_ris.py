@@ -271,16 +271,17 @@ def test_configuration_validation():
         oracles.RisConfiguration(ones, ones * 1.5, ones, ones)
     with pytest.raises(ValueError):
         oracles.RisConfiguration(ones, ones[:3], ones, ones)
-    # the moment kernel takes a (2, N) surface and at least one draw of its
-    # shape
+    # the moment kernel takes a (2, rows, cols) surface and at least one
+    # draw of its shape, not merely of its size
     parts = oracles.link_parts(scen.Scenario(elements=4))
     surface = parts.config.surface(parts)
-    draw = np.zeros((2, 4))
+    draw = np.zeros((2, 2, 2))
     for bad_surface, draws in [
-        (surface[:, :3], [draw]),
+        (surface[:, :1], [draw]),
         (surface[0], [draw]),
         (surface, [draw[0]]),
-        (surface, [draw, draw[:, :3]]),
+        (surface, [draw.reshape(2, 4)]),
+        (surface, [draw, draw[:, :1]]),
         (surface, []),
     ]:
         with pytest.raises(ValueError):

@@ -234,26 +234,36 @@ def test_any_other_field_misses_the_memo(monkeypatch, name):
 
 
 def test_surface_passes_centred_positions_and_pitch_squared_area(monkeypatch):
-    # the surface build hands the feed the element area pitch^2 and the
-    # wavelength, and its rays start at the grid's (N, 3) positions,
-    # centred on the origin in the surface plane
+    # the surface build hands the feed the element area pitch^2, and the
+    # carrier phase the wavelength, for the random scheme only: the
+    # aligning phases never read it; its rays start at the grid's (N, 3)
+    # positions, centred on the origin in the surface plane
     calls = {}
-    grid, propagation = geometry.build_ris_grid, feed.build_propagation_matrix
+    grid, propagation, phase = (
+        geometry.build_ris_grid, feed.build_propagation_matrix, feed.carrier_phase
+    )
 
     def recorded_grid(*args):
         calls["positions"] = grid(*args)
         return calls["positions"]
 
-    def recorded_propagation(rays, distances, area, wavelength, *rest):
-        calls["area"], calls["wavelength"] = area, wavelength
-        return propagation(rays, distances, area, wavelength, *rest)
+    def recorded_propagation(rays, distances, area, *rest):
+        calls["area"] = area
+        return propagation(rays, distances, area, *rest)
+
+    def recorded_phase(distances, wavelength):
+        calls["wavelength"] = wavelength
+        return phase(distances, wavelength)
 
     monkeypatch.setattr(geometry, "build_ris_grid", recorded_grid)
     monkeypatch.setattr(feed, "build_propagation_matrix", recorded_propagation)
+    monkeypatch.setattr(feed, "carrier_phase", recorded_phase)
     current = scen.Scenario(elements=36, pitch_wavelengths=0.4)
     scen.build_link_model(current)
     pitch = 0.4 * current.wavelength_m
     assert calls["area"] == pitch * pitch
+    assert "wavelength" not in calls
+    scen.build_link_model(current.replace(phase_scheme="random", random_phase_draws=2))
     assert calls["wavelength"] == current.wavelength_m
     positions = calls["positions"]
     assert positions.shape == (36, 3) and not positions.flags.writeable

@@ -227,7 +227,8 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
     # one chunk give the same bits
     current, _ = random_row(300)
     current = current.replace(elements=elements)
-    points = 16 * elements  # buffer points one draw takes
+    parts = oracles.link_parts(current)
+    points = 4 * elements + 3 * parts.spectrum.size  # buffer points one draw takes
     rows = {}
     for per_chunk in (1, 7, 300):
         monkeypatch.setattr(capacity, "_FFT_LATTICE_POINTS", per_chunk * points)
@@ -235,9 +236,8 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
         rows[per_chunk] = scen.build_link_model(current).moments
     for per_chunk in (7, 300):
         np.testing.assert_array_equal(rows[per_chunk], rows[1])
-    parts = oracles.link_parts(current)
     surface = parts.config.surface(parts)
-    draws = np.stack([ris.random_phases(elements, 5 + d) for d in range(300)])
+    draws = oracles.on_grid(np.stack([ris.random_phases(elements, 5 + d) for d in range(300)]))
     q = capacity.expected_gram_moments(surface, draws, parts.spectrum)
     np.testing.assert_array_equal(capacity.moment_layout(q, parts.xpd_coeff), rows[1])
 
@@ -292,18 +292,25 @@ def test_random_phase_row_memory_stays_flat():
     assert peak < 4 * 2**20
 
 
+def count_surface_ffts(monkeypatch):
+    """Record (kernel name, surface shape) for every call of the two
+    surface FFT kernels."""
+    calls = []
+    for name in ("compute_O", "expected_gram_moments"):
+
+        def counted(surface, *rest, name=name, kernel=getattr(capacity, name)):
+            calls.append((name, surface.shape))
+            return kernel(surface, *rest)
+
+        monkeypatch.setattr(capacity, name, counted)
+    return calls
+
+
 def test_aligned_row_builds_moments_from_O(monkeypatch):
     # an aligned row takes its moments from O_V and O_H: the one compute_O
     # call on both amplitude vectors is its only surface FFT, whatever its
     # outputs
-    calls = []
-    quadforms = capacity._surface_quadforms
-
-    def counted(vectors, spectrum):
-        calls.append(vectors.shape)
-        return quadforms(vectors, spectrum)
-
-    monkeypatch.setattr(capacity, "_surface_quadforms", counted)
+    calls = count_surface_ffts(monkeypatch)
     spec = spec_from(
         {
             "axis": "phase-scheme",
@@ -314,20 +321,13 @@ def test_aligned_row_builds_moments_from_O(monkeypatch):
     )
     row = sweep.run_sweep(spec).rows[0]
     assert row["status"] == "ok"
-    assert calls == [(2, 16)]
+    assert calls == [("compute_O", (2, 4, 4))]
 
 
 def test_snr_sweep_builds_its_surface_once(monkeypatch):
     # the points of an snr sweep share one surface, so its one FFT runs
     # for the first point only
-    calls = []
-    quadforms = capacity._surface_quadforms
-
-    def counted(vectors, spectrum, *buffers):
-        calls.append(vectors.shape)
-        return quadforms(vectors, spectrum, *buffers)
-
-    monkeypatch.setattr(capacity, "_surface_quadforms", counted)
+    calls = count_surface_ffts(monkeypatch)
     spec = spec_from(
         {
             "axis": "snr",
@@ -340,7 +340,7 @@ def test_snr_sweep_builds_its_surface_once(monkeypatch):
     rows = sweep.run_sweep(spec).rows
     assert [row["status"] for row in rows] == ["ok"] * 5
     assert len({row["lambda_v"] for row in rows}) == 5
-    assert calls == [(2, 400)]
+    assert calls == [("compute_O", (2, 20, 20))]
 
 
 def test_random_xpd_sweep_seeds_its_draws_once(monkeypatch):
@@ -525,6 +525,31 @@ def test_recipes_match_golden_outputs(tmp_path, name):
 def recipe_rows(name):
     """The rows of a bundled recipe, run at its own settings."""
     return sweep.run_sweep(recipes.load_recipe(name)).rows
+
+
+def rises_then_falls(steps):
+    """Steps up, then steps down: at least one of each, one change of sign."""
+    signs = np.sign(steps)
+    return signs[0] > 0 and signs[-1] < 0 and np.count_nonzero(np.diff(signs)) == 1
+
+
+def test_fig3_capacity_rises_then_falls_with_the_feed_gain():
+    # the claim of fig3's description, at its own 10^5 trials: the bound
+    # and the Monte Carlo capacity rise with the feed gain, then fall; the
+    # Monte Carlo peak lies at 15-17 dB, within its standard error
+    rows = recipe_rows("fig3")
+    assert all(row["status"] == "ok" for row in rows)
+    gain_db, bound, mc, se = (
+        np.array([row[column] for row in rows])
+        for column in ("feed_gain_db", "dual_ub_bits", "dual_mc_bits", "dual_mc_se")
+    )
+    assert rises_then_falls(np.diff(bound))
+    # a Monte Carlo step counts where it exceeds 3 SE of the difference
+    steps = np.diff(mc)
+    assert rises_then_falls(steps[np.abs(steps) > 3.0 * np.hypot(se[1:], se[:-1])])
+    top = np.argmax(mc)
+    near_top = mc >= mc[top] - 3.0 * np.hypot(se, se[top])
+    assert np.all((15.0 <= gain_db[near_top]) & (gain_db[near_top] <= 17.1))
 
 
 def test_fig4_bound_grows_with_the_surface_and_saturates():
