@@ -48,15 +48,20 @@ A moment array of shape (4,) describes one configuration; one of shape
 is then averaged over the draws, and Monte Carlo trial i draws G from the
 moments of draw i mod D.  The transmit SNR rho and the V share lambda_v of
 the power, lv above, are plain floats; the H share is lh = 1 - lambda_v.
-Monte Carlo scales four standard complex normals per trial, vectorized
-over trials, and estimates E log2 det(I2 + rho G Lambda G^H) and, from the
-same draws, the all-V baseline E log2(1 + rho |G11|^2).  Trials come in
-fixed-size chunks, each from its own stream keyed by the master seed and
-the chunk index, so results are bitwise reproducible.  The standard
-normals do not depend on the moments, so every row of a sweep uses the
-same ones (common random numbers), and a process keeps the last
-(trials, master_seed) array it drew, read-only, for the next call: a call
-that reuses it gives the bits of a call that draws afresh.
+Monte Carlo estimates E log2 det(I2 + rho G Lambda G^H) and, from the same
+draws, the all-V baseline E log2(1 + rho |G11|^2), with G_ij = s_ij z_ij,
+s = sqrt(m / 2) and z_ij four standard complex normals per trial.  Trials
+come in fixed-size chunks, each from its own stream keyed by the master
+seed and the chunk index.  The normals do not depend on the moments, so
+every row of a sweep uses the same ones (common random numbers), and the
+estimates read them only through |z_ij|^2, z11 z22 and z12 z21: a process
+keeps those statistics of the last (trials, master_seed), read-only, at
+64 bytes a trial, and not the normals.  A call then computes, vectorized
+over trials, the shift sum_j w_j |z_j|^2 + rho^2 lv lh |det G|^2 of
+det(I2 + rho G Lambda G^H) from 1, with w = rho (lv, lh, lv, lh) m / 2
+and det G = s11 s22 z11 z22 - s12 s21 z12 z21, two log1p, and the means
+and standard errors from sums.  A call on the kept statistics gives the
+bits of a call that draws them afresh.
 
 Under the aligning phases the moments collapse to
 ((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
@@ -98,25 +103,35 @@ _LN2 = np.log(2.0)
 _FFT_LATTICE_POINTS = 2**15
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
 #: stream keyed (master_seed, c), so a fixed seed gives the same draws for
-#: every trial whatever the trial count.  The draws of the last
-#: (trials, master_seed) are kept for the process's next Monte Carlo call,
-#: 64 bytes a trial (192 KB at 3000 trials).
+#: every trial whatever the trial count.  The statistics of the last
+#: (trials, master_seed) that the estimates read, |z_ij|^2 and the two
+#: products of the determinant, are kept for the process's next Monte
+#: Carlo call, 64 bytes a trial (192 KB at 3000 trials); the normals are
+#: not.
 _CHUNK_TRIALS = 65_536
 
 
 @dataclass(frozen=True)
 class McCapacityResult:
-    """Monte Carlo estimate with its standard error, the all-V baseline's
-    estimate log2(1 + rho |G11|^2) with its standard error, and the
-    per-trial |G_ij|^2, shape (T, 4), all from the same draws.  The
-    per-entry second moments of G and their standard errors are reduced
-    from ``gram`` when read."""
+    """Monte Carlo estimate with its standard error, and the all-V
+    baseline's estimate log2(1 + rho |G11|^2) with its standard error, all
+    from the same draws.  ``power`` holds the kept |z_ij|^2, shape (4, T),
+    and ``half_moments`` the moments m / 2 of each trial's G, shape (4, 1)
+    for one configuration or (4, T) for an ensemble; the per-trial
+    |G_ij|^2, their means and the means' standard errors are formed from
+    the two when read."""
 
     estimate: float
     standard_error: float
     single_pol_estimate: float
     single_pol_standard_error: float
-    gram: np.ndarray = field(repr=False)
+    power: np.ndarray = field(repr=False)
+    half_moments: np.ndarray = field(repr=False)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Per-trial |G_ij|^2 = |z_ij|^2 m_ij / 2, shape (T, 4)."""
+        return (self.power * self.half_moments).T
 
     @property
     def moments(self) -> np.ndarray:
@@ -124,7 +139,7 @@ class McCapacityResult:
 
     @property
     def moment_standard_errors(self) -> np.ndarray:
-        trials = len(self.gram)
+        trials = self.power.shape[1]
         if trials == 1:
             return np.zeros(4)
         return np.std(self.gram, axis=0, ddof=1) / np.sqrt(trials)
@@ -138,44 +153,58 @@ def ergodic_capacity_mc(
     the same draws; rho = ``snr`` and Lambda = diag(lambda_v, 1 - lambda_v).
 
     G is drawn from its exact law: four independent entries
-    G_ij = sqrt(m_ij / 2) (z1 + j z2) with z1, z2 standard normal and m the
-    ``moment_layout`` of a configuration, shape (4,).  For an ensemble of D
-    phase draws, shape (D, 4), trial i uses the moments of draw i mod D:
-    the ensemble that ``moment_upper_bound`` bounds over those moments.
+    G_ij = s_ij z_ij, s = sqrt(m / 2), with z_ij = z1 + j z2, z1 and z2
+    standard normal, and m the ``moment_layout`` of a configuration, shape
+    (4,).  For an ensemble of D phase draws, shape (D, 4), trial i uses the
+    moments of draw i mod D: the ensemble that ``moment_upper_bound``
+    bounds over those moments.
 
-    Trials are drawn in fixed chunks of 65 536, chunk c from the stream
-    keyed (master_seed, c), so a fixed seed gives bitwise identical
-    results, and the first T trials of a longer run are those of a T-trial run.
+    The call reads the normals only through the kept statistics of
+    ``_trial_statistics``, and computes per trial
+
+        det(I2 + rho G Lambda G^H) - 1
+            = sum_j w_j |z_j|^2 + rho^2 lv lh |s11 s22 z11 z22 - s12 s21 z12 z21|^2,
+
+    w = rho (lv, lh, lv, lh) m / 2.  The expansion keeps full relative
+    precision where the shift is tiny, and the determinant's scales stay
+    products of square roots, so they underflow no sooner than G's
+    entries.  Trials
+    are drawn in fixed chunks of 65 536, chunk c from the stream keyed
+    (master_seed, c), so a fixed seed gives bitwise identical results, and
+    the first T trials of a longer run are those of a T-trial run.
     """
-    moments = _moment_rows(moments)
-    scale = np.sqrt(moments / 2.0)
-    if len(scale) > 1:
-        scale = scale[np.arange(trials) % len(scale)]
-    g = _standard_channels(trials, master_seed) * scale
-    # |G|^2 formed in place: one (T, 4) temporary fewer, so a call's
-    # transient arrays fit the heap that the previous call freed
-    gram = np.square(g.real)
-    gram += np.square(g.imag)
-    # det(I2 + rho G Lambda G^H) - 1 expanded through |det G|^2, which
-    # keeps full relative precision where the shift is tiny
+    rows = _moment_rows(moments)
+    half = rows.T / 2.0
+    if len(rows) > 1:
+        half = half[:, np.arange(trials) % len(rows)]
+    root = np.sqrt(half)
+    power, products = _trial_statistics(trials, master_seed)
     rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
-    det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
-    shift = rho * (lv * (gram[:, 0] + gram[:, 2]) + lh * (gram[:, 1] + gram[:, 3]))
-    shift += rho * rho * lv * lh * (det.real**2 + det.imag**2)
-    dual = np.log1p(shift) / _LN2
-    single = np.log1p(rho * gram[:, 0]) / _LN2
-
-    if trials > 1:
-        se = float(np.std(dual, ddof=1) / np.sqrt(trials))
-        single_se = float(np.std(single, ddof=1) / np.sqrt(trials))
-    else:
-        se = single_se = 0.0
+    # row 0 the dual link's shift, row 1 the all-V link's, then their logs
+    values = np.empty((2, trials))
+    shift, single = values
+    weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
+    np.add.reduce(weights * power, axis=0, out=shift)
+    det = (root[0] * root[3]) * products[:2]
+    det -= (root[1] * root[2]) * products[2:]
+    np.square(det, out=det)
+    shift += (rho * rho * lv * lh) * (det[0] + det[1])
+    np.multiply(rho * half[0], power[0], out=single)
+    # means and standard errors in nats, from sums, then in bits
+    nats = np.log1p(values, out=values)
+    means = nats.sum(axis=1) / trials
+    nats -= means[:, None]
+    np.square(nats, out=nats)
+    # one trial leaves no spread: its deviations are exactly 0, and so is the SE
+    se = np.sqrt(nats.sum(axis=1) / max(trials - 1, 1)) / (math.sqrt(trials) * _LN2)
+    means /= _LN2
     return McCapacityResult(
-        estimate=float(np.mean(dual)),
-        standard_error=se,
-        single_pol_estimate=float(np.mean(single)),
-        single_pol_standard_error=single_se,
-        gram=gram,
+        estimate=float(means[0]),
+        standard_error=float(se[0]),
+        single_pol_estimate=float(means[1]),
+        single_pol_standard_error=float(se[1]),
+        power=power,
+        half_moments=half,
     )
 
 
@@ -420,20 +449,31 @@ def _moment_rows(moments: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _standard_channels(trials: int, master_seed: int) -> np.ndarray:
-    """Read-only (trials, 4) complex draws z1 + j z2 with independent
-    standard normal parts, columns in entry order (G11, G12, G21, G22);
-    the last result is kept for the next call with the same arguments.
+def _trial_statistics(trials: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only statistics of ``trials`` draws of four standard complex
+    normals z = z1 + j z2, in entry order (G11, G12, G21, G22): the powers
+    |z_ij|^2, shape (4, trials), and the determinant's products
+    (Re, Im z11 z22, Re, Im z12 z21), shape (4, trials), each a contiguous
+    row; 64 bytes a trial.  The last result is kept for the next call with
+    the same arguments.
 
     Chunk c holds trials [c C, (c + 1) C) with C = _CHUNK_TRIALS and draws
     them from its own stream as a prefix of that stream's draws, so buffers
     stay sized to the trials requested.
     """
-    out = np.empty((trials, 4), dtype=complex)
+    power = np.empty((4, trials))
+    products = np.empty((4, trials))
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         seq = np.random.SeedSequence(master_seed, spawn_key=(start // _CHUNK_TRIALS,))
         rng = np.random.Generator(np.random.PCG64(seq))
-        out[start:stop] = rng.standard_normal((stop - start, 4, 2)).view(complex)[..., 0]
-    out.setflags(write=False)
-    return out
+        normals = rng.standard_normal((stop - start, 4, 2))
+        z = normals.view(complex)[..., 0]
+        for row, (i, j) in ((0, (0, 3)), (2, (1, 2))):
+            pair = z[:, i] * z[:, j]
+            products[row, start:stop], products[row + 1, start:stop] = pair.real, pair.imag
+        np.square(normals, out=normals)
+        np.add(normals[..., 0].T, normals[..., 1].T, out=power[:, start:stop])
+    power.setflags(write=False)
+    products.setflags(write=False)
+    return power, products

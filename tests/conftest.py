@@ -9,11 +9,11 @@ PITCH = WAVELENGTH / 3.0
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with no surface, standard draws or kernel spectrum
-    kept from an earlier test, so what it counts or measures does not
-    depend on which tests ran before it."""
+    """Every test starts with no surface, Monte Carlo trial statistics or
+    kernel spectrum kept from an earlier test, so what it counts or
+    measures does not depend on which tests ran before it."""
     scen._surface_memo.clear()
-    capacity._standard_channels.cache_clear()
+    capacity._trial_statistics.cache_clear()
     capacity.kernel_spectrum.cache_clear()
 
 

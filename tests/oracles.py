@@ -69,6 +69,21 @@ class SeededStreamFactory:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def standard_channels(trials: int, master_seed: int) -> np.ndarray:
+    """The package's Monte Carlo normals drawn afresh: (trials, 4) complex
+    z1 + j z2, columns in entry order (G11, G12, G21, G22), stream c of
+    ``SeededStreamFactory(master_seed)`` giving trials
+    [c C, (c + 1) C), C = ``capacity._CHUNK_TRIALS``."""
+    chunk = capacity._CHUNK_TRIALS
+    streams = SeededStreamFactory(master_seed)
+    return np.concatenate(
+        [
+            streams.stream(c).standard_normal((min(chunk, trials - start), 4, 2))
+            for c, start in enumerate(range(0, trials, chunk))
+        ]
+    ).view(complex)[..., 0]
+
+
 def correlation_matrix(positions: np.ndarray, wavelength: float) -> np.ndarray:
     """Spatial correlation sinc(2 ||q_n1 - q_n2|| / lambda) for all pairs of
     element ``positions`` (normalized sinc: unit diagonal, first zero at
@@ -383,7 +398,7 @@ def random_row_per_draw(scenario, lambda_v: float):
     (lambda_v, 1 - lambda_v), one configuration per draw: draw d takes two
     successive uniform phase vectors from the stream seeded
     phase_seed + d, the bound is the running mean of the per-draw moment
-    bounds, and Monte Carlo trial i scales the package's standard draws by
+    bounds, and Monte Carlo trial i scales ``standard_channels`` by
     the moments of draw i mod ``random_phase_draws``."""
     parts = link_parts(scenario)
     snr = transmit_snr(scenario)
@@ -403,7 +418,7 @@ def random_row_per_draw(scenario, lambda_v: float):
     for m in moments:
         total += capacity.moment_upper_bound(m, lambda_v, snr)
     scale = np.sqrt(np.array(moments) / 2.0)[np.arange(trials) % draws]
-    g = (capacity._standard_channels(trials, scenario.master_seed) * scale).reshape(trials, 2, 2)
+    g = (standard_channels(trials, scenario.master_seed) * scale).reshape(trials, 2, 2)
     dual_mc = log2_det2(g, lambda_v, 1.0 - lambda_v, snr)
     return total / draws, float(dual_mc.mean())
 

@@ -570,12 +570,12 @@ def test_multiplexing_gain_synthetic_and_errors():
 
 
 def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
-    # a call on the kept draws and a call that draws them afresh give the
-    # first call's bits, moments included
+    # a call on the kept statistics and a call that draws them afresh give
+    # the first call's bits, moments included
     kwargs = dict(lambda_v=0.5, snr=2e12, trials=600, master_seed=5)
     first = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     again = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
-    capacity._standard_channels.cache_clear()
+    capacity._trial_statistics.cache_clear()
     cold = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
     for other in (again, cold):
         assert first.estimate == other.estimate
@@ -585,45 +585,100 @@ def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
         np.testing.assert_array_equal(first.moments, other.moments)
         np.testing.assert_array_equal(first.moment_standard_errors, other.moment_standard_errors)
 
-    # a short run's draws are a prefix of a longer run's, across a chunk
-    # boundary in both
+    # a short run's statistics are a prefix of a longer run's, across a
+    # chunk boundary in both
     chunk = capacity._CHUNK_TRIALS
-    prefix = capacity._standard_channels(chunk + 100, 5)
-    longer = capacity._standard_channels(2 * chunk + 1, 5)
-    np.testing.assert_array_equal(prefix, longer[: chunk + 100])
-    assert not np.array_equal(longer[:chunk], longer[chunk : 2 * chunk])
+    prefix = capacity._trial_statistics(chunk + 100, 5)
+    longer = capacity._trial_statistics(2 * chunk + 1, 5)
+    for short, long in zip(prefix, longer):
+        np.testing.assert_array_equal(short, long[:, : chunk + 100])
+    power = longer[0]
+    assert not np.array_equal(power[:, :chunk], power[:, chunk : 2 * chunk])
 
 
 def test_kept_draws_are_read_only_and_change_no_estimate():
-    # the draws of the last (trials, master_seed) are kept read-only, and
-    # each call on them, whatever its moments, matches an oracle that draws
-    # the same stream afresh and scales every trial by its own moments
-    trials, seed, snr, lambda_v = 700, 9, 5.0, 0.3
-    draws = capacity._standard_channels(trials, seed)
-    assert not draws.flags.writeable
-    with pytest.raises(ValueError):
-        draws[0, 0] = 0.0
-    stream = oracles.SeededStreamFactory(seed).stream(0)
-    fresh = stream.standard_normal((trials, 4, 2)).view(complex)[..., 0]
-    rng = np.random.default_rng(4)
-    for shape in ((4,), (4,), (3, 4)):
-        moments = rng.uniform(0.1, 2.0, shape)
-        mc = capacity.ergodic_capacity_mc(moments, lambda_v, snr, trials, seed)
-        rows = moments.reshape(-1, 4)
-        g = fresh * np.sqrt(rows / 2.0)[np.arange(trials) % len(rows)]
-        dual = oracles.log2_det2(g.reshape(trials, 2, 2), lambda_v, 1.0 - lambda_v, snr)
-        single = np.log1p(snr * np.abs(g[:, 0]) ** 2) / oracles.LN2
-        gram = np.abs(g) ** 2
-        root = np.sqrt(trials)
-        assert mc.estimate == pytest.approx(dual.mean(), rel=1e-12)
-        assert mc.standard_error == pytest.approx(dual.std(ddof=1) / root, rel=1e-9)
-        assert mc.single_pol_estimate == pytest.approx(single.mean(), rel=1e-12)
-        assert mc.single_pol_standard_error == pytest.approx(single.std(ddof=1) / root, rel=1e-9)
-        np.testing.assert_allclose(mc.moments, gram.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(
-            mc.moment_standard_errors, gram.std(axis=0, ddof=1) / root, rtol=1e-9
-        )
-        assert capacity._standard_channels(trials, seed) is draws
+    # the statistics of the last (trials, master_seed) are kept read-only,
+    # 64 bytes a trial, are those of the normals drawn afresh, and a cold
+    # call gives a warm call's bits
+    trials, seed = 700, 9
+    stats = capacity._trial_statistics(trials, seed)
+    power, products = stats
+    assert power.shape == products.shape == (4, trials)
+    assert sum(part.nbytes for part in stats) == 64 * trials
+    for part in stats:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 0.0
+    z = oracles.standard_channels(trials, seed)
+    np.testing.assert_array_equal(power, (z.real**2 + z.imag**2).T)
+    for pair, (i, j) in zip((products[:2], products[2:]), ((0, 3), (1, 2))):
+        product = z[:, i] * z[:, j]
+        np.testing.assert_array_equal(pair, [product.real, product.imag])
+
+    moments = np.random.default_rng(4).uniform(0.1, 2.0, 4)
+    warm = capacity.ergodic_capacity_mc(moments, 0.3, 5.0, trials, seed)
+    assert capacity._trial_statistics(trials, seed) is stats
+    assert warm.power is power
+    capacity._trial_statistics.cache_clear()
+    cold = capacity.ergodic_capacity_mc(moments, 0.3, 5.0, trials, seed)
+    assert capacity._trial_statistics(trials, seed) is not stats
+    for name in ("estimate", "standard_error", "single_pol_estimate", "single_pol_standard_error"):
+        assert getattr(cold, name) == getattr(warm, name)
+    np.testing.assert_array_equal(cold.gram, warm.gram)
+
+
+def _random_moments(shape):
+    return np.random.default_rng(4).uniform(0.1, 2.0, shape)
+
+
+@pytest.mark.parametrize(
+    "moments, lambda_v, snr, trials",
+    [
+        pytest.param(_random_moments(4), 0.3, 5.0, 700, id="one"),
+        pytest.param(_random_moments((3, 4)), 0.3, 5.0, 700, id="ensemble-3"),
+        pytest.param(_random_moments((6, 4)), 0.6, 40.0, 701, id="ensemble-6"),
+        pytest.param(_random_moments(4), 0.3, 1e10, 700, id="rho-1e10"),
+        pytest.param(_random_moments((3, 4)), 0.7, 1e17, 700, id="rho-1e17"),
+        pytest.param(capacity.moment_layout((1.3, 0.4), 0.0), 0.6, 1e3, 700, id="xpd-0"),
+        pytest.param(capacity.moment_layout((1.3, 0.4), 1.0), 0.6, 1e3, 700, id="xpd-1"),
+        pytest.param(np.array([1.0, 2.0, 0.5, 1.0]), 0.5, 1e8, 700, id="m11m22-eq-m12m21"),
+        pytest.param(_random_moments(4), 0.3, 5.0, 1, id="one-trial"),
+        pytest.param(_random_moments((3, 4)), 0.3, 5.0, 1, id="one-trial-ensemble"),
+        pytest.param(
+            _random_moments((7, 4)), 0.4, 1e4, capacity._CHUNK_TRIALS + 100, id="two-streams"
+        ),
+    ],
+)
+def test_mc_matches_log_det_oracle(moments, lambda_v, snr, trials):
+    # each call, whatever its moments, matches an oracle that draws the
+    # same streams afresh and scales every trial's G by its own moments
+    seed = 9
+    z = oracles.standard_channels(trials, seed)
+    rows = moments.reshape(-1, 4)
+    g = z * np.sqrt(rows / 2.0)[np.arange(trials) % len(rows)]
+    dual = oracles.log2_det2(g.reshape(trials, 2, 2), lambda_v, 1.0 - lambda_v, snr)
+    single = np.log1p(snr * np.abs(g[:, 0]) ** 2) / oracles.LN2
+    gram = np.abs(g) ** 2
+    mc = capacity.ergodic_capacity_mc(moments, lambda_v, snr, trials, seed)
+    assert mc.estimate == pytest.approx(dual.mean(), rel=1e-12)
+    assert mc.single_pol_estimate == pytest.approx(single.mean(), rel=1e-12)
+    np.testing.assert_allclose(mc.moments, gram.mean(axis=0), rtol=1e-12)
+    if trials == 1:
+        assert mc.standard_error == mc.single_pol_standard_error == 0.0
+        np.testing.assert_array_equal(mc.moment_standard_errors, np.zeros(4))
+        return
+    root = np.sqrt(trials)
+    assert mc.standard_error == pytest.approx(dual.std(ddof=1) / root, rel=1e-9)
+    assert mc.single_pol_standard_error == pytest.approx(single.std(ddof=1) / root, rel=1e-9)
+    np.testing.assert_allclose(
+        mc.moment_standard_errors, gram.std(axis=0, ddof=1) / root, rtol=1e-9
+    )
+    zero = rows.max(axis=0) == 0.0
+    # a dead entry has no power and no spread, and the single-polarized link
+    # is dead with m11 (xpd 1)
+    assert np.all(mc.moments[zero] == 0.0) and np.all(mc.moment_standard_errors[zero] == 0.0)
+    if zero[0]:
+        assert mc.single_pol_estimate == mc.single_pol_standard_error == 0.0
 
 
 def test_capacity_report_is_jensen_consistent(capsys):

@@ -587,6 +587,35 @@ def test_fig8_fails_exactly_the_feeds_behind_the_surface():
     assert all("non-positive projected aperture" in row["status"] for row in failed)
 
 
+def test_fig9_xpd_claims_hold_for_the_split_they_name():
+    # the claims of fig9's description, at its own 10^5 trials: the dual
+    # bound is highest at the endpoints and dips at 1/2, the single bound
+    # decays, the Monte Carlo stays under the bound within 3 SE, and above
+    # the threshold the dual bound exceeds twice the single one
+    rows = recipe_rows("fig9")
+    assert all(row["status"] == "ok" for row in rows)
+    xpd, dual_ub, single_ub, dual_mc, dual_se = (
+        np.array([row[column] for row in rows])
+        for column in ("xpd_coeff", "dual_ub_bits", "single_ub_bits", "dual_mc_bits", "dual_mc_se")
+    )
+    assert np.all(dual_ub[1:-1] < min(dual_ub[0], dual_ub[-1]))
+    assert xpd[np.argmin(dual_ub)] == 0.5
+    assert np.all(np.diff(single_ub) < 0)
+    assert np.all(dual_mc <= dual_ub + 3.0 * dual_se)
+    # the threshold is the closed form of the equal split, so the claim is
+    # checked on that split's bounds; the recipe's own optimal split
+    # crosses at the same grid step
+    (threshold,) = {row["xpd_threshold"] for row in rows}
+    assert 0.5 < threshold < 0.55
+    equal = sweep.run_sweep(
+        recipes.load_recipe("fig9", {"allocation": "equal", "outputs": "dual-ub, single-ub"})
+    ).rows
+    assert [row["xpd_coeff"] for row in equal] == list(xpd)
+    equal_gain = np.array([row["dual_ub_bits"] - 2.0 * row["single_ub_bits"] for row in equal])
+    np.testing.assert_array_equal(equal_gain > 0.0, xpd > threshold)
+    np.testing.assert_array_equal(dual_ub - 2.0 * single_ub > 0.0, xpd > threshold)
+
+
 def test_recipe_overrides_apply():
     spec = recipes.load_recipe("fig9", {"grid": "0, 0.5, 1", "trials": "20", "elements": "16"})
     assert spec.base.elements == 16
