@@ -50,18 +50,11 @@ moments of draw i mod D.  The transmit SNR rho and the V share lambda_v of
 the power, lv above, are plain floats; the H share is lh = 1 - lambda_v.
 Monte Carlo estimates E log2 det(I2 + rho G Lambda G^H) and, from the same
 draws, the all-V baseline E log2(1 + rho |G11|^2), with G_ij = s_ij z_ij,
-s = sqrt(m / 2) and z_ij four standard complex normals per trial.  Trials
-come in fixed-size chunks, each from its own stream keyed by the master
-seed and the chunk index.  The normals do not depend on the moments, so
-every row of a sweep uses the same ones (common random numbers), and the
-estimates read them only through |z_ij|^2, z11 z22 and z12 z21: a process
-keeps those statistics of the last (trials, master_seed), read-only, at
-64 bytes a trial, and not the normals.  A call then computes, vectorized
-over trials, the shift sum_j w_j |z_j|^2 + rho^2 lv lh |det G|^2 of
-det(I2 + rho G Lambda G^H) from 1, with w = rho (lv, lh, lv, lh) m / 2
-and det G = s11 s22 z11 z22 - s12 s21 z12 z21, two log1p, and the means
-and standard errors from sums.  A call on the kept statistics gives the
-bits of a call that draws them afresh.
+s = sqrt(m / 2) and z_ij four standard complex normals per trial.  The
+normals do not depend on the moments, so every row of a sweep uses the
+same ones (common random numbers), read only through the per-trial
+statistics that a process keeps (``_trial_statistics``); the moments
+enter through coefficients formed once per draw (``ergodic_capacity_mc``).
 
 Under the aligning phases the moments collapse to
 ((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
@@ -103,11 +96,7 @@ _LN2 = np.log(2.0)
 _FFT_LATTICE_POINTS = 2**15
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
 #: stream keyed (master_seed, c), so a fixed seed gives the same draws for
-#: every trial whatever the trial count.  The statistics of the last
-#: (trials, master_seed) that the estimates read, |z_ij|^2 and the two
-#: products of the determinant, are kept for the process's next Monte
-#: Carlo call, 64 bytes a trial (192 KB at 3000 trials); the normals are
-#: not.
+#: every trial whatever the trial count.
 _CHUNK_TRIALS = 65_536
 
 
@@ -116,10 +105,10 @@ class McCapacityResult:
     """Monte Carlo estimate with its standard error, and the all-V
     baseline's estimate log2(1 + rho |G11|^2) with its standard error, all
     from the same draws.  ``power`` holds the kept |z_ij|^2, shape (4, T),
-    and ``half_moments`` the moments m / 2 of each trial's G, shape (4, 1)
-    for one configuration or (4, T) for an ensemble; the per-trial
-    |G_ij|^2, their means and the means' standard errors are formed from
-    the two when read."""
+    and ``half_moments`` the moments m / 2 of each of the D draws, shape
+    (4, D), trial i taking draw i mod D; the per-trial |G_ij|^2, their
+    means and the means' standard errors are formed from the two when
+    read."""
 
     estimate: float
     standard_error: float
@@ -131,7 +120,8 @@ class McCapacityResult:
     @property
     def gram(self) -> np.ndarray:
         """Per-trial |G_ij|^2 = |z_ij|^2 m_ij / 2, shape (T, 4)."""
-        return (self.power * self.half_moments).T
+        draws = np.arange(self.power.shape[1]) % self.half_moments.shape[1]
+        return (self.power * self.half_moments[:, draws]).T
 
     @property
     def moments(self) -> np.ndarray:
@@ -167,29 +157,35 @@ def ergodic_capacity_mc(
 
     w = rho (lv, lh, lv, lh) m / 2.  The expansion keeps full relative
     precision where the shift is tiny, and the determinant's scales stay
-    products of square roots, so they underflow no sooner than G's
-    entries.  Trials
-    are drawn in fixed chunks of 65 536, chunk c from the stream keyed
+    products of square roots, so they underflow no sooner than G's entries.
+    The weights w, the scales s11 s22 and s12 s21 and the all-V weight
+    rho m11 / 2 are formed once per draw and tiled over the trials.  Trials
+    come in fixed chunks of 65 536, chunk c from the stream keyed
     (master_seed, c), so a fixed seed gives bitwise identical results, and
     the first T trials of a longer run are those of a T-trial run.
     """
-    rows = _moment_rows(moments)
-    half = rows.T / 2.0
-    if len(rows) > 1:
-        half = half[:, np.arange(trials) % len(rows)]
+    half = _moment_rows(moments).T / 2.0
     root = np.sqrt(half)
     power, products = _trial_statistics(trials, master_seed)
     rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
+    # each draw's coefficients, tiled for an ensemble: trial i takes draw i mod D
+    weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
+    scales = root[0] * root[3], root[1] * root[2]
+    single_weight = rho * half[0]
+    if half.shape[1] > 1:
+        reps = -(-trials // half.shape[1])
+        weights, single_weight, *scales = (
+            np.tile(c, reps)[..., :trials] for c in (weights, single_weight, *scales)
+        )
     # row 0 the dual link's shift, row 1 the all-V link's, then their logs
     values = np.empty((2, trials))
     shift, single = values
-    weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
     np.add.reduce(weights * power, axis=0, out=shift)
-    det = (root[0] * root[3]) * products[:2]
-    det -= (root[1] * root[2]) * products[2:]
+    det = scales[0] * products[:2]
+    det -= scales[1] * products[2:]
     np.square(det, out=det)
     shift += (rho * rho * lv * lh) * (det[0] + det[1])
-    np.multiply(rho * half[0], power[0], out=single)
+    np.multiply(single_weight, power[0], out=single)
     # means and standard errors in nats, from sums, then in bits
     nats = np.log1p(values, out=values)
     means = nats.sum(axis=1) / trials

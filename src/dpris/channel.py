@@ -10,8 +10,9 @@ by the cross-polarization coefficient:
 
 Distances are exact per element, so UEs in the array near field see the
 correct per-element power variation.  The split's two parts stay apart:
-``pathloss_weights`` gives sqrt(beta0 d_n^-alpha) from the UE distances,
-which ``scenario.build_link_model`` multiplies into the one surface vector
+``pathloss_weights`` gives sqrt(beta0 d_n^-alpha) from the UE distances
+on the rows x cols grid (``geometry.rays_to``), which
+``scenario.build_link_model`` multiplies into the one surface vector
 s = A * |b| * w with the reflection amplitudes and the feed coefficient
 magnitudes (and the feed's carrier phase for random phases only), and
 ``capacity.moment_layout`` applies xpd_coeff to the moments of G.
@@ -31,7 +32,8 @@ import numpy as np
 def pathloss_weights(
     distances: np.ndarray, unit_pathloss: float, pathloss_exponent: float
 ) -> np.ndarray:
-    """Read-only weights sqrt(beta0 d_n^-alpha) of the UE distances d_n."""
+    """Read-only weights sqrt(beta0 d_n^-alpha) of the UE distances d_n,
+    in their shape: (rows, cols) on the surface."""
     weights = np.sqrt(unit_pathloss * distances**-pathloss_exponent)
     weights.setflags(write=False)
     return weights

@@ -15,10 +15,11 @@ link reports, so the feed carries none.  The carrier phase of b is read
 only under the random phase draws, whose moments depend on it: the
 aligning phases cancel it, so their quadratic forms take |b| alone.
 ``build_propagation_matrix`` gives |b| and ``carrier_phase`` the phase
-factors, and ``scenario.build_link_model`` traces the feed's rays once and
-multiplies |b| into the surface vector once, with the reflection
-amplitudes and the pathloss weights, and the phase only for the random
-scheme.
+factors on the rows x cols grid, from the broadcast rays of
+``geometry.rays_to``, and ``scenario.build_link_model`` traces the feed's
+rays once and multiplies |b| into the surface vector once, with the
+reflection amplitudes and the pathloss weights, and the phase only for
+the random scheme.
 """
 
 from __future__ import annotations
@@ -28,39 +29,38 @@ import numpy as np
 from .exceptions import DegenerateGeometryError
 
 
-def feed_gains(boresight: np.ndarray, gain: float, directions: np.ndarray) -> np.ndarray:
-    """Pattern kappa (r . n)^(kappa/2 - 1) over rows r of unit directions,
-    zero where r . n < 0, for the unit ``boresight`` n and the linear gain
-    kappa >= 2, so the exponent is non-negative."""
-    dots = directions @ boresight
-    front = np.maximum(dots, 0.0)
-    return np.where(dots < 0.0, 0.0, gain * front ** (gain / 2.0 - 1.0))
+def feed_gains(cosines: np.ndarray, gain: float) -> np.ndarray:
+    """Pattern kappa (r . n)^(kappa/2 - 1) over the cosines r . n between
+    unit directions r and the unit boresight n, zero where r . n < 0, for
+    the linear gain kappa >= 2, so the exponent is non-negative."""
+    return np.where(cosines < 0.0, 0.0, gain * np.maximum(cosines, 0.0) ** (gain / 2.0 - 1.0))
 
 
 def build_propagation_matrix(
-    rays: np.ndarray,
-    distances: np.ndarray,
-    area: float,
-    boresight: np.ndarray,
-    gain: float,
+    rays: tuple, distances: np.ndarray, area: float, boresight: np.ndarray, gain: float
 ) -> np.ndarray:
-    """Read-only feed coefficient magnitudes |b_n| of every element, shape
-    (N,), from the rays to the feed and their lengths D_n
-    (``geometry.rays_to``) and the element area A = pitch^2 in m^2.
+    """Read-only feed coefficient magnitudes |b_n|, shape (rows, cols),
+    from the components (x, y, z) of the rays to the feed, their lengths
+    D_n (``geometry.rays_to``) and the element area A = pitch^2 in m^2.
 
-    Raises DegenerateGeometryError when an element's projected aperture
-    toward the feed is non-positive (feed in the surface plane or behind
-    the reflecting face).
+    Raises DegenerateGeometryError, naming the first element in row-major
+    order, when an element's projected aperture toward the feed is
+    non-positive (feed in the surface plane or behind the reflecting face).
     """
-    projected = -rays[:, 0] * area / distances
-    bad = np.nonzero(projected <= 0.0)[0]
+    x, dy, dz = rays
+    projected = -x * area / distances
+    bad = np.flatnonzero(projected <= 0.0)
     if bad.size:
         raise DegenerateGeometryError(
             f"element {int(bad[0])} has non-positive projected aperture "
             "(feed is in or behind the surface plane)"
         )
-    gains = feed_gains(boresight, gain, -rays / distances[:, None])
-    magnitude = np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
+    # the pattern over the cosines of the directions -ray / D_n to the boresight
+    n_x, n_y, n_z = boresight
+    magnitude = feed_gains((-n_x * x - n_y * dy - n_z * dz) / distances, gain)
+    magnitude *= projected
+    magnitude /= 4.0 * np.pi * distances**2
+    np.sqrt(magnitude, out=magnitude)
     magnitude.setflags(write=False)
     return magnitude
 

@@ -2,11 +2,13 @@
 and the rays from every element to a point.  Inputs arrive checked by
 ``scenario.Scenario``; the error left here is a point on an element.
 
-The surface is plain arrays: ``build_ris_grid`` gives the read-only (N, 3)
-element positions, which ``rays_to`` takes, and the feed takes the
-element area pitch^2 as a float (``feed.build_propagation_matrix``).  The
-reflection amplitudes decompose the feed's rays themselves
-(``ris.element_amplitudes``).
+The grid is the outer product of two axes, and the surface is held as
+those axes alone: ``build_ris_grid`` gives the z of each row and the y of
+each column (every element has x = 0), and ``rays_to`` broadcasts them
+into the rays to a point, a scalar x, a row of y and a column of z, with
+their lengths on the rows x cols grid, which every per-element array of
+the link shares (rows advance along z, columns along y).  The feed takes
+the element area pitch^2 as a float (``feed.build_propagation_matrix``).
 
 Coordinate frame
 ----------------
@@ -24,16 +26,12 @@ import numpy as np
 from .exceptions import DegenerateGeometryError
 
 
-def build_ris_grid(rows: int, cols: int, pitch: float) -> np.ndarray:
-    """Read-only positions, shape (rows * cols, 3), of a rows-by-cols grid
-    of elements at ``pitch`` meters centered at the origin in the y-z
-    plane, row-major (rows advance along z, columns along y)."""
-    y = (np.arange(cols) - (cols - 1) / 2.0) * pitch
-    z = (np.arange(rows) - (rows - 1) / 2.0) * pitch
-    yy, zz = np.meshgrid(y, z, indexing="xy")
-    positions = np.column_stack([np.zeros(rows * cols), yy.ravel(), zz.ravel()])
-    positions.setflags(write=False)
-    return positions
+def build_ris_grid(rows: int, cols: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """The axes of a rows-by-cols grid of elements at ``pitch`` meters,
+    centered at the origin in the y-z plane: the z of each row, shape
+    (rows, 1), and the y of each column, shape (cols,)."""
+    z = (np.arange(rows)[:, None] - (rows - 1) / 2.0) * pitch
+    return z, (np.arange(cols) - (cols - 1) / 2.0) * pitch
 
 
 def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float) -> np.ndarray:
@@ -51,12 +49,14 @@ def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float)
     )
 
 
-def rays_to(positions: np.ndarray, point: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors from every element at ``positions``, shape (N, 3), to
-    ``point``, shape (3,), and their lengths; DegenerateGeometryError when
-    the point is on an element."""
-    rays = np.asarray(point, dtype=float)[None, :] - positions
-    distances = np.linalg.norm(rays, axis=1)
-    if np.any(distances == 0.0):
+def rays_to(grid: tuple, point: np.ndarray, name: str) -> tuple[tuple, np.ndarray]:
+    """The rays from every element of ``grid`` (``build_ris_grid``) to
+    ``point``, as their components (x, y, z), a scalar, shape (cols,) and
+    shape (rows, 1), and their lengths, shape (rows, cols);
+    DegenerateGeometryError when the point is on an element."""
+    z, y = grid
+    x, dy, dz = point[0], point[1] - y, point[2] - z
+    distances = np.sqrt(x * x + dy * dy + dz * dz)
+    if not distances.min() > 0.0:
         raise DegenerateGeometryError(f"{name} coincides with an element")
-    return rays, distances
+    return (x, dy, dz), distances

@@ -12,8 +12,8 @@ model assumes fails there, with an error that names the field.
 ``build_link_model`` works in two parts.  The surface side expands a
 scenario into the one weighted surface vector per polarization,
 s_P = A_P * |b| * w (reflection amplitudes, feed coefficient magnitudes,
-pathloss weights) on the side x side grid, a (2, side, side) array,
-tracing the feed's rays once, and reduces it to its quadratic forms: O_V
+pathloss weights), a (2, side, side) array broadcast from the grid's two
+axes, tracing the feed's rays once, and reduces it to its forms: O_V
 and O_H, and for the random scheme the (D, 2) forms of its D phase draws,
 which alone read the feed's carrier phase and so multiply it into s;
 ``transverse-plane`` incidence exchanges the V and H rows of the amplitude
@@ -139,6 +139,9 @@ class Scenario:
                 "normal_incidence_phase_deg must not equal 180 (mod 360), "
                 f"got {self.normal_incidence_phase_deg!r}"
             )
+        # the amplitude map's (t + tau)^2 (t - tau)^2 must be finite: |t| < 1e12, tilts < 1e16
+        if not abs(self.tau_offset) <= 1e75:
+            raise ValueError(f"tau_offset must lie in [-1e75, 1e75], got {self.tau_offset!r}")
         if self.boresight_deg.strip().lower() != "origin":
             cosines = _cosines(self.boresight_deg)
             if len(cosines) != 3 or not abs(math.hypot(*cosines) - 1.0) <= 1e-9:
@@ -304,17 +307,15 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
-    positions = geometry.build_ris_grid(side, side, pitch)
+    grid = geometry.build_ris_grid(side, side, pitch)
     feed_position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
     # the feed's rays, traced once for its coefficients and the amplitudes
-    rays, distances = geometry.rays_to(positions, feed_position, "feed")
-    if scenario.boresight_deg.strip().lower() == "origin":
-        boresight = -feed_position / np.linalg.norm(feed_position)
-    else:
-        cosines = np.array(_cosines(scenario.boresight_deg))
-        boresight = cosines / np.linalg.norm(cosines)
+    rays, distances = geometry.rays_to(grid, feed_position, "feed")
+    origin = scenario.boresight_deg.strip().lower() == "origin"
+    boresight = -feed_position if origin else np.array(_cosines(scenario.boresight_deg))
+    boresight = boresight / math.hypot(*boresight)
     b = feed.build_propagation_matrix(
         rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
     )
@@ -326,14 +327,12 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     ue_position = geometry.spherical_to_cartesian(
         scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
     )
+    ue_distances = geometry.rays_to(grid, ue_position, "UE")[1]
     weights = channel.pathloss_weights(
-        geometry.rays_to(positions, ue_position, "UE")[1],
-        db_to_linear(scenario.beta0_db),
-        scenario.pathloss_exponent,
+        ue_distances, db_to_linear(scenario.beta0_db), scenario.pathloss_exponent
     )
-    grid = (2, side, side)
     spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
-    o = capacity.compute_O((amplitudes * b * weights).reshape(grid), spectrum)
+    o = capacity.compute_O(amplitudes * b * weights, spectrum)
     for name, value in zip("VH", o):
         if not value > 0.0:
             raise DegenerateGeometryError(
@@ -347,10 +346,10 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     # the random draws read the feed's carrier phase, which aligning cancels
     surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
     draws = (
-        ris.random_phases(side * side, scenario.phase_seed + d).reshape(grid)
+        ris.random_phases(side, side, scenario.phase_seed + d)
         for d in range(scenario.random_phase_draws)
     )
-    q = capacity.expected_gram_moments(surface.reshape(grid), draws, spectrum)
+    q = capacity.expected_gram_moments(surface, draws, spectrum)
     q.setflags(write=False)
     return o, q
 

@@ -1,36 +1,41 @@
 """Reference implementations the tests compare the package against.
 
-The dense N x N sinc correlation matrix is built from element positions;
-the package holds only the spectrum of its lag kernel.  Like the package,
-the oracles take the surface as plain arrays and floats: the (N, 3)
-element positions, the element area and the wavelength.  The full-vector
-channel sampler draws every element's fading through a factor of that
-matrix and forms G from the feed coefficients and the reflection
-coefficients apart; the package's Monte Carlo draws only the 2x2 law of
-the equivalent channel, whose moments it reads from one weighted surface
-vector per polarization, amplitudes times feed coefficients times pathloss
-weights.  The scalar determinant forms
-expand det(I2 + rho G Lambda G^H) through the Hermitian product, an
-independent route to the package's |det G|^2 form.  The per-element
-scalar twins (incidence decomposition, feed pattern, spherical-wave
-coefficient, reflection amplitude) evaluate one element at a time with
-``math``, against the package's vectorized forms, which read the feed's
-rays traced once; the incidence tilts of both conventions are written out
-here, where the package swaps its amplitude maps.  ``RisConfiguration``
-is one phase configuration with its complex reflection coefficients,
-which the package never forms per configuration, and
-``random_row_per_draw`` evaluates a random-phase row one configuration per
-draw, where the package streams the draws through one kernel call.  The
-phase-maximized closed forms in O_V and O_H, the paper's bound and its
-optimal split, are the references for the package's moment bound and its
-maximizer at aligned moments, and the aligning phases, which the package
-never builds, are the references for its moments built from O_V and O_H.
-``link_parts`` rebuilds
-the factors a scenario expands into from the package's public builders,
-reading the scenario's fields as the package does; the package's link
-model keeps only what its outputs read.  The
-hemisphere quadrature checks that the feed pattern integrates to 4 pi, and
-``multiplexing_gain`` reads the high-SNR slope of a capacity curve.
+The package holds the surface as the two axes of its grid and broadcasts
+them; the oracles list it element by element, as (N, 3) positions
+(``grid_positions``), and trace (N, 3) rays (``rays_to``), from which
+``position_surface`` builds a scenario's weighted surface vectors by
+another route: feed magnitudes through the unit directions, elevations
+through arccos and the amplitudes through arctangents, under each
+incidence convention's own tilts.  The dense N x N sinc correlation
+matrix is built from element positions; the package holds only the
+spectrum of its lag kernel.  The full-vector channel sampler draws every
+element's fading through a factor of that matrix and forms G from the
+feed coefficients and the reflection coefficients apart; the package's
+Monte Carlo draws only the 2x2 law of the equivalent channel, whose
+moments it reads from one weighted surface vector per polarization,
+amplitudes times feed coefficients times pathloss weights, and
+``per_trial_capacity_mc`` runs its estimator on per-trial moments.  The
+scalar determinant forms expand det(I2 + rho G Lambda G^H) through the
+Hermitian product, an independent route to the package's |det G|^2 form.
+The per-element scalar twins (incidence decomposition, feed pattern,
+spherical-wave coefficient, reflection amplitude) evaluate one element at
+a time with ``math``; the incidence tilts of both conventions are written
+out here, where the package swaps its amplitude maps.
+``RisConfiguration`` is one phase configuration with its complex
+reflection coefficients, which the package never forms per
+configuration, and ``random_row_per_draw`` evaluates a random-phase row
+one configuration per draw, where the package streams the draws through
+one kernel call.  The phase-maximized closed forms in O_V and O_H, the
+paper's bound and its optimal split, are the references for the
+package's moment bound and its maximizer at aligned moments, and the
+aligning phases, which the package never builds, are the references for
+its moments built from O_V and O_H.  ``link_parts`` takes the factors a
+scenario expands into from the package's own builders, reading the
+scenario's fields as the package does, and lists them element by
+element; the package's link model keeps only what its outputs read.
+The hemisphere quadrature checks that the feed pattern integrates to
+4 pi, and ``multiplexing_gain`` reads the high-SNR slope of a capacity
+curve.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from dpris import capacity, channel, feed, geometry, ris
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
-from dpris.scenario import db_to_linear
+from dpris.scenario import _cosines, db_to_linear
 
 LN2 = np.log(2.0)
 #: Eigenvalues below this fraction of the largest one are clipped to zero
@@ -82,6 +87,96 @@ def standard_channels(trials: int, master_seed: int) -> np.ndarray:
             for c, start in enumerate(range(0, trials, chunk))
         ]
     ).view(complex)[..., 0]
+
+
+def grid_positions(rows: int, cols: int, pitch: float) -> np.ndarray:
+    """Positions, shape (rows * cols, 3), of a rows-by-cols grid of
+    elements at ``pitch`` centered at the origin in the y-z plane,
+    row-major (rows advance along z, columns along y)."""
+    y = (np.arange(cols) - (cols - 1) / 2.0) * pitch
+    z = (np.arange(rows) - (rows - 1) / 2.0) * pitch
+    yy, zz = np.meshgrid(y, z, indexing="xy")
+    return np.column_stack([np.zeros(rows * cols), yy.ravel(), zz.ravel()])
+
+
+def rays_to(positions: np.ndarray, point, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors from every element at ``positions``, shape (N, 3), to
+    ``point`` and their lengths; DegenerateGeometryError when the point is
+    on an element."""
+    rays = np.asarray(point, dtype=float)[None, :] - positions
+    distances = np.linalg.norm(rays, axis=1)
+    if np.any(distances == 0.0):
+        raise DegenerateGeometryError(f"{name} coincides with an element")
+    return rays, distances
+
+
+def feed_magnitudes(rays, distances, area: float, boresight, gain: float) -> np.ndarray:
+    """|b_n| = sqrt(G_n A_n / (4 pi D_n^2)) of every element from its (N, 3)
+    ray to the feed: the pattern over the unit directions -ray / D_n and
+    the aperture projected onto them."""
+    projected = -rays[:, 0] * area / distances
+    if np.any(projected <= 0.0):
+        raise DegenerateGeometryError("feed is in or behind the surface plane")
+    dots = (-rays / distances[:, None]) @ np.asarray(boresight)
+    gains = np.where(dots < 0.0, 0.0, gain * np.maximum(dots, 0.0) ** (gain / 2.0 - 1.0))
+    return np.sqrt(gains * projected / (4.0 * np.pi * distances**2))
+
+
+def ray_amplitudes(rays, distances, normal_incidence_phase: float, tau_offset: float, tilt):
+    """(V, H) reflection amplitudes, shape (2, N), from (N, 3) rays to the
+    feed: elevations e = arccos|d_x| of the unit directions d, the tilts of
+    the convention ``tilt`` and |sin(atan p - atan m)|, p, m =
+    (t +- tau) / cos e, through atan p - atan m = atan((p - m) / (1 + p m))
+    (mod pi, which |sin| ignores), with p - m = 2 tau / cos e formed
+    directly, so that nothing cancels near tau = 0."""
+    dx, dy, dz = np.abs(rays / distances[:, None]).T
+    elevations = np.arccos(np.minimum(dx, 1.0))
+    if np.any(elevations >= np.pi / 2.0):
+        raise DegenerateGeometryError("the feed meets the surface at grazing incidence")
+    t = np.tan(normal_incidence_phase / 2.0)
+    cos_e = np.cos(elevations)
+    rows = []
+    for tau in tilt(dx, dy, dz):
+        p, m = (t + tau + tau_offset) / cos_e, (t - tau - tau_offset) / cos_e
+        with np.errstate(divide="ignore"):
+            rows.append(np.abs(np.sin(np.arctan(2.0 * (tau + tau_offset) / cos_e / (1.0 + p * m)))))
+    return np.stack(rows)
+
+
+def position_surface(scenario) -> np.ndarray:
+    """The weighted surface vectors A_P |b| w e^{-j 2 pi D / lambda} of a
+    scenario, shape (2, N), built element by element from the (N, 3)
+    positions and rays, under the tilts of its incidence convention."""
+    side = math.isqrt(int(scenario.elements))
+    wavelength = scenario.wavelength_m
+    pitch = scenario.pitch_wavelengths * wavelength
+    positions = grid_positions(side, side, pitch)
+    position = geometry.spherical_to_cartesian(
+        scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
+    )
+    rays, distances = rays_to(positions, position, "feed")
+    if scenario.boresight_deg.strip().lower() == "origin":
+        boresight = -position / np.linalg.norm(position)
+    else:
+        cosines = np.cos(np.deg2rad([float(a) for a in scenario.boresight_deg.split(",")]))
+        boresight = cosines / np.linalg.norm(cosines)
+    magnitudes = feed_magnitudes(
+        rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
+    )
+    amplitudes = ray_amplitudes(
+        rays,
+        distances,
+        np.deg2rad(scenario.normal_incidence_phase_deg),
+        scenario.tau_offset,
+        TILTS[scenario.incidence_convention],
+    )
+    ue = geometry.spherical_to_cartesian(
+        scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
+    )
+    ue_distances = rays_to(positions, ue, "UE")[1]
+    beta = db_to_linear(scenario.beta0_db) * ue_distances**-scenario.pathloss_exponent
+    phase = np.exp(-2j * np.pi * distances / wavelength)
+    return amplitudes * magnitudes * np.sqrt(beta) * phase
 
 
 def correlation_matrix(positions: np.ndarray, wavelength: float) -> np.ndarray:
@@ -289,6 +384,35 @@ def full_vector_mc(parts, lambda_v, snr: float, trials: int, seed: int):
     else:
         values = log2_det2(g, lambda_v, 1.0 - lambda_v, snr)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
+
+
+def per_trial_capacity_mc(moments, lambda_v: float, snr: float, trials: int, master_seed: int):
+    """(estimate, SE, all-V estimate, all-V SE) of the package's Monte
+    Carlo estimator with the moments gathered to every trial first: the
+    (4, T) half-moments of trial i taken from draw i mod D, their square
+    roots and weights formed per trial, on the package's kept statistics
+    of (trials, master_seed)."""
+    rows = np.asarray(moments, dtype=float).reshape(-1, 4)
+    half = rows.T / 2.0
+    if len(rows) > 1:
+        half = half[:, np.arange(trials) % len(rows)]
+    root = np.sqrt(half)
+    power, products = capacity._trial_statistics(trials, master_seed)
+    rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
+    weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
+    shift = np.add.reduce(weights * power, axis=0)
+    det = (root[0] * root[3]) * products[:2]
+    det -= (root[1] * root[2]) * products[2:]
+    np.square(det, out=det)
+    shift += (rho * rho * lv * lh) * (det[0] + det[1])
+    single = (rho * half[0]) * power[0]
+    nats = np.log1p(np.stack([shift, single]))
+    means = nats.sum(axis=1) / trials
+    nats -= means[:, None]
+    np.square(nats, out=nats)
+    se = np.sqrt(nats.sum(axis=1) / max(trials - 1, 1)) / (math.sqrt(trials) * LN2)
+    means /= LN2
+    return float(means[0]), float(se[0]), float(means[1]), float(se[1])
 
 
 def _abs2(z):
@@ -514,37 +638,40 @@ class LinkParts:
 
 
 def link_parts(scenario) -> LinkParts:
-    """Rebuild a scenario's parts from the package's public builders,
-    reading its fields as ``scenario.build_link_model`` does.  The
-    configuration carries the scheme's phases: the aligning phases, or the
-    single draw ``phase_seed`` for the random scheme."""
+    """A scenario's parts from the package's own builders, reading its
+    fields as ``scenario.build_link_model`` does, listed element by
+    element in the grid's row-major order, so the surface vectors that
+    ``RisConfiguration.surface`` forms from them carry the package's bits.
+    The configuration carries the scheme's phases: the aligning phases, or
+    the single draw ``phase_seed`` for the random scheme."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
-    positions = geometry.build_ris_grid(side, side, pitch)
+    grid = geometry.build_ris_grid(side, side, pitch)
+    positions = grid_positions(side, side, pitch)
     position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
-    rays, distances = geometry.rays_to(positions, position, "feed")
+    rays, distances = geometry.rays_to(grid, position, "feed")
     if scenario.boresight_deg.strip().lower() == "origin":
-        boresight = -position / np.linalg.norm(position)
+        boresight = -position / math.hypot(*position)
     else:
-        cosines = np.cos(np.deg2rad([float(a) for a in scenario.boresight_deg.split(",")]))
-        boresight = cosines / np.linalg.norm(cosines)
+        cosines = np.array(_cosines(scenario.boresight_deg))
+        boresight = cosines / math.hypot(*cosines)
     a_v, a_h = ris.element_amplitudes(
         rays, distances, np.deg2rad(scenario.normal_incidence_phase_deg), scenario.tau_offset
     )
     if scenario.incidence_convention == "transverse-plane":
         a_v, a_h = a_h, a_v
     if scenario.phase_scheme == "random":
-        phases_v, phases_h = ris.random_phases(len(positions), scenario.phase_seed)
+        phases_v, phases_h = ris.random_phases(side, side, scenario.phase_seed)
     else:
         phases_v, phases_h = aligned_phases(scenario.phase_scheme, positions, wavelength, position)
     ue = geometry.spherical_to_cartesian(
         scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
     )
     weights = channel.pathloss_weights(
-        geometry.rays_to(positions, ue, "UE")[1],
+        geometry.rays_to(grid, ue, "UE")[1],
         db_to_linear(scenario.beta0_db),
         scenario.pathloss_exponent,
     )
@@ -554,25 +681,26 @@ def link_parts(scenario) -> LinkParts:
     return LinkParts(
         positions=positions,
         wavelength=wavelength,
-        b=magnitudes * feed.carrier_phase(distances, wavelength),
-        config=RisConfiguration(a_v, a_h, phases_v, phases_h),
-        weights=weights,
+        b=(magnitudes * feed.carrier_phase(distances, wavelength)).ravel(),
+        config=RisConfiguration(a_v.ravel(), a_h.ravel(), phases_v.ravel(), phases_h.ravel()),
+        weights=weights.ravel(),
         spectrum=capacity.kernel_spectrum(side, side, pitch, wavelength),
         xpd_coeff=scenario.xpd_coeff,
     )
 
 
 def feed_coefficients(
-    positions, position, area: float, wavelength: float, boresight=(1.0, 0.0, 0.0), gain=10.0
+    grid, position, area: float, wavelength: float, boresight=(1.0, 0.0, 0.0), gain=10.0
 ) -> np.ndarray:
-    """The package's complex feed coefficients of the elements at
-    ``positions``, of ``area`` each, for a feed at ``position``: its
-    magnitudes times its carrier phase factors."""
-    rays, distances = geometry.rays_to(positions, position, "feed")
+    """The package's complex feed coefficients of the elements of ``grid``
+    (``geometry.build_ris_grid``), of ``area`` each, for a feed at
+    ``position``: its magnitudes times its carrier phase factors, listed
+    in row-major order."""
+    rays, distances = geometry.rays_to(grid, np.asarray(position, dtype=float), "feed")
     magnitudes = feed.build_propagation_matrix(
         rays, distances, area, np.asarray(boresight), gain
     )
-    return magnitudes * feed.carrier_phase(distances, wavelength)
+    return (magnitudes * feed.carrier_phase(distances, wavelength)).ravel()
 
 
 def multiplexing_gain(snr_values, capacities) -> float:
@@ -616,7 +744,7 @@ def pattern_hemisphere_integral(
         + sin_t[..., None] * np.sin(phi)[None, :, None] * e2
         + cos_t[..., None] * boresight
     )
-    values = feed.feed_gains(boresight, gain, dirs.reshape(-1, 3)).reshape(theta_nodes, phi_nodes)
+    values = feed.feed_gains(dirs @ boresight, gain)
     weights = (w_theta * sin_t[:, 0])[:, None] * w_phi[None, :]
     return float(np.sum(values * weights))
 

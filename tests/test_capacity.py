@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dpris import capacity, cli, geometry, recipes, scenario as scen, sweep
+from dpris import capacity, cli, recipes, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -219,7 +219,7 @@ def test_compute_O_matches_double_sum_oracle():
     rng = np.random.default_rng(15)
     for rows, cols in [(1, 1), (1, 7), (3, 7), (7, 3), (4, 4), (20, 20)]:
         n = rows * cols
-        positions = geometry.build_ris_grid(rows, cols, PITCH)
+        positions = oracles.grid_positions(rows, cols, PITCH)
         correlation = oracles.correlation_matrix(positions, WAVELENGTH)
         spectrum = capacity.kernel_spectrum(rows, cols, PITCH, WAVELENGTH)
         for _ in range(5):
@@ -679,6 +679,28 @@ def test_mc_matches_log_det_oracle(moments, lambda_v, snr, trials):
     assert np.all(mc.moments[zero] == 0.0) and np.all(mc.moment_standard_errors[zero] == 0.0)
     if zero[0]:
         assert mc.single_pol_estimate == mc.single_pol_standard_error == 0.0
+
+
+@pytest.mark.parametrize("draws", [None, 1, 7, 1000])
+def test_per_draw_coefficients_give_the_per_trial_bits(draws):
+    # the weights, determinant scales and all-V weight formed once per draw
+    # and gathered to the trials give the bits of forming them per trial,
+    # for one configuration (4,), a (1, 4) ensemble, and ensembles whose
+    # draws do not divide the trials
+    trials = 3001
+    shape = 4 if draws is None else (draws, 4)
+    moments = np.random.default_rng(11).uniform(0.1, 2.0, shape)
+    mc = capacity.ergodic_capacity_mc(moments, 0.35, 70.0, trials, 5)
+    expected = oracles.per_trial_capacity_mc(moments, 0.35, 70.0, trials, 5)
+    assert (
+        mc.estimate,
+        mc.standard_error,
+        mc.single_pol_estimate,
+        mc.single_pol_standard_error,
+    ) == expected
+    rows = moments.reshape(-1, 4)
+    half = (rows / 2.0)[np.arange(trials) % len(rows)]
+    np.testing.assert_array_equal(mc.gram, mc.power.T * half)
 
 
 def test_capacity_report_is_jensen_consistent(capsys):

@@ -15,28 +15,29 @@ UE_X = np.array([50.0, 0.0, 0.0])
 
 
 def weights_for(rows=4, cols=4, ue=UE_X, pitch=PITCH):
-    """Element positions and their pathloss weights toward the UE."""
-    positions = geometry.build_ris_grid(rows, cols, pitch)
-    return positions, channel.pathloss_weights(
-        geometry.rays_to(positions, ue, "UE")[1], BETA0, 4.0
-    )
+    """Element positions and their pathloss weights toward the UE, listed
+    row-major."""
+    distances = geometry.rays_to(geometry.build_ris_grid(rows, cols, pitch), ue, "UE")[1]
+    weights = channel.pathloss_weights(distances, BETA0, 4.0)
+    assert weights.shape == (rows, cols) and not weights.flags.writeable
+    return oracles.grid_positions(rows, cols, pitch), weights.ravel()
 
 
 def test_correlation_diagonal_and_zero_crossing():
-    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH), WAVELENGTH)
+    r = oracles.correlation_matrix(oracles.grid_positions(2, 1, 0.5 * WAVELENGTH), WAVELENGTH)
     assert r[0, 0] == 1.0 and r[1, 1] == 1.0
     # lambda/2 spacing hits the first zero of the normalized sinc
     assert abs(r[0, 1]) < 1e-15
 
 
 def test_correlation_at_default_pitch():
-    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, PITCH), WAVELENGTH)
+    r = oracles.correlation_matrix(oracles.grid_positions(2, 1, PITCH), WAVELENGTH)
     assert r[0, 1] == pytest.approx(0.4134966715663440, rel=1e-12)
     assert r[0, 1] == pytest.approx(3.0 * np.sqrt(3.0) / (4.0 * np.pi), rel=1e-12)
 
 
 def test_correlation_decays_with_spacing():
-    r = oracles.correlation_matrix(geometry.build_ris_grid(2, 1, 10.0 * WAVELENGTH), WAVELENGTH)
+    r = oracles.correlation_matrix(oracles.grid_positions(2, 1, 10.0 * WAVELENGTH), WAVELENGTH)
     assert abs(r[0, 1]) < 0.04
 
 
@@ -56,7 +57,7 @@ def is_lattice_axis(length, side):
 )
 @pytest.mark.parametrize("pitch", [PITCH, 0.5 * WAVELENGTH, 1.7 * WAVELENGTH])
 def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
-    positions = geometry.build_ris_grid(rows, cols, pitch)
+    positions = oracles.grid_positions(rows, cols, pitch)
     spectrum = capacity.kernel_spectrum(rows, cols, pitch, WAVELENGTH)
     assert spectrum.dtype == float
     assert all(map(is_lattice_axis, spectrum.shape, (rows, cols)))
@@ -79,7 +80,6 @@ def test_statistics_hold_no_quadratic_array():
     # O(N): each lattice axis is 2 m, m the first 5-smooth integer at or
     # above the side, which never exceeds 5/4 of the side
     assert weights.shape == (n,) and spectrum.size <= 4 * (5 / 4) ** 2 * n
-    assert not weights.flags.writeable
     # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
     assert names == ["snr", "lambda_v", "o_v", "o_h", "moments"]
@@ -91,7 +91,7 @@ def test_correlation_sqrt_identity():
 
 
 def test_correlation_sqrt_reconstruction():
-    r = oracles.correlation_matrix(geometry.build_ris_grid(4, 4, PITCH), WAVELENGTH)
+    r = oracles.correlation_matrix(oracles.grid_positions(4, 4, PITCH), WAVELENGTH)
     factor = oracles.correlation_sqrt(r)
     error = np.linalg.norm(factor @ factor.T - r)
     assert error < 1e-8 * len(r)
@@ -119,7 +119,8 @@ def test_pathloss_extreme_xpd():
     # xpd 0 and 1 zero one block family of moments exactly; xpd 0.5 splits
     # the pathloss evenly
     positions, weights = weights_for(2, 2)
-    b = oracles.feed_coefficients(positions, [-0.05, 0.0, 0.0], PITCH * PITCH, WAVELENGTH)
+    grid = geometry.build_ris_grid(2, 2, PITCH)
+    b = oracles.feed_coefficients(grid, [-0.05, 0.0, 0.0], PITCH * PITCH, WAVELENGTH)
     surface = (np.stack([np.full(4, 0.8), np.full(4, 0.5)]) * b * weights).reshape(2, 2, 2)
     o = capacity.compute_O(surface, capacity.kernel_spectrum(2, 2, PITCH, WAVELENGTH))
     for xpd, zero in ((0.0, [1, 2]), (1.0, [0, 3])):

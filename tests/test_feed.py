@@ -11,12 +11,10 @@ ON_AXIS = np.array([-0.05, 0.0, 0.0])
 PLUS_X = np.array([1.0, 0.0, 0.0])
 
 
-def propagation(positions, gain=10.0, position=ON_AXIS, boresight=PLUS_X):
+def propagation(grid, gain=10.0, position=ON_AXIS, boresight=PLUS_X):
     """The package's feed coefficients of a feed at ``position``, for
-    elements of area pitch^2."""
-    return oracles.feed_coefficients(
-        positions, position, PITCH * PITCH, WAVELENGTH, boresight, gain
-    )
+    elements of area pitch^2, listed row-major."""
+    return oracles.feed_coefficients(grid, position, PITCH * PITCH, WAVELENGTH, boresight, gain)
 
 
 def random_front_directions(rng, count):
@@ -28,19 +26,19 @@ def random_front_directions(rng, count):
 
 def test_feed_gain_flat_for_minimum_gain():
     rng = np.random.default_rng(0)
-    for value in feed.feed_gains(PLUS_X, 2.0, random_front_directions(rng, 20)):
+    for value in feed.feed_gains(random_front_directions(rng, 20) @ PLUS_X, 2.0):
         assert value == pytest.approx(2.0, rel=1e-15)
 
 
 def test_feed_gain_boresight_equals_gain():
-    assert feed.feed_gains(PLUS_X, 10.0, PLUS_X[None, :])[0] == pytest.approx(10.0, rel=1e-15)
+    assert feed.feed_gains(np.array([1.0]), 10.0)[0] == pytest.approx(10.0, rel=1e-15)
 
 
 def test_feed_gain_back_hemisphere_is_zero():
     rng = np.random.default_rng(1)
     back = random_front_directions(rng, 20)
     back[:, 0] *= -1.0
-    assert np.all(feed.feed_gains(PLUS_X, 7.0, back) == 0.0)
+    assert np.all(feed.feed_gains(back @ PLUS_X, 7.0) == 0.0)
     for direction in back:
         assert oracles.feed_gain(PLUS_X, 7.0, direction) == 0.0
 
@@ -73,45 +71,45 @@ def test_boresight_from_angles():
 
 def test_nusw_on_axis_magnitude():
     # single broadside element: |b|^2 = kappa * s_R / (4 pi D^2)
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    value = propagation(positions)[0]
+    value = propagation(geometry.build_ris_grid(1, 1, PITCH))[0]
     assert abs(value) ** 2 == pytest.approx(4.6773869386451463e-3, rel=1e-12)
 
 
 def test_nusw_phase_tracks_distance():
-    positions = geometry.build_ris_grid(10, 10, PITCH)
-    b = propagation(positions)
+    b = propagation(geometry.build_ris_grid(10, 10, PITCH))
+    positions = oracles.grid_positions(10, 10, PITCH)
     distances = np.linalg.norm(ON_AXIS[None, :] - positions, axis=1)
     expected = np.exp(-2j * np.pi * distances / WAVELENGTH)
     np.testing.assert_allclose(b / np.abs(b), expected, atol=1e-12)
 
 
 def test_nusw_inverse_square_scaling():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    near = abs(propagation(positions, position=np.array([-0.05, 0.0, 0.0]))[0]) ** 2
-    far = abs(propagation(positions, position=np.array([-0.15, 0.0, 0.0]))[0]) ** 2
+    grid = geometry.build_ris_grid(1, 1, PITCH)
+    near = abs(propagation(grid, position=np.array([-0.05, 0.0, 0.0]))[0]) ** 2
+    far = abs(propagation(grid, position=np.array([-0.15, 0.0, 0.0]))[0]) ** 2
     # broadside element, gain fixed at boresight: power scales as 1/D^2
     assert far == pytest.approx(near / 9.0, rel=1e-12)
 
 
 def test_nusw_rejects_feed_behind_surface():
-    positions = geometry.build_ris_grid(2, 2, PITCH)
-    with pytest.raises(DegenerateGeometryError):
-        propagation(positions, position=np.array([0.05, 0.0, 0.0]))
-    with pytest.raises(DegenerateGeometryError):
-        propagation(positions, position=np.array([0.0, 0.1, 0.0]))
+    grid = geometry.build_ris_grid(2, 2, PITCH)
+    for position in ([0.05, 0.0, 0.0], [0.0, 0.1, 0.0]):
+        with pytest.raises(DegenerateGeometryError, match="element 0 has non-positive"):
+            propagation(grid, position=np.array(position))
     # a feed on an element, whose rays have no direction
     with pytest.raises(DegenerateGeometryError, match="feed coincides"):
-        propagation(positions, position=positions[0])
+        propagation(grid, position=oracles.grid_positions(2, 2, PITCH)[0])
 
 
 def test_propagation_matrix_single_element_reduction():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    b = propagation(positions)
-    # the package's magnitudes are read-only and real; the phase is apart
-    rays, distances = geometry.rays_to(positions, ON_AXIS, "feed")
+    grid = geometry.build_ris_grid(1, 1, PITCH)
+    positions = oracles.grid_positions(1, 1, PITCH)
+    b = propagation(grid)
+    # the package's magnitudes are read-only and real, on the grid; the
+    # phase is apart
+    rays, distances = geometry.rays_to(grid, ON_AXIS, "feed")
     magnitudes = feed.build_propagation_matrix(rays, distances, PITCH * PITCH, PLUS_X, 10.0)
-    assert magnitudes.shape == (1,) and magnitudes.dtype == float
+    assert magnitudes.shape == (1, 1) and magnitudes.dtype == float
     assert not magnitudes.flags.writeable
     expected = oracles.nusw_coefficient(
         positions, ON_AXIS, PITCH * PITCH, WAVELENGTH, PLUS_X, 10.0, 0
@@ -123,10 +121,10 @@ def test_propagation_matrix_matches_scalar_oracle():
     rng = np.random.default_rng(12)
     for _ in range(10):
         rows, cols = (int(k) for k in rng.integers(1, 6, 2))
-        positions = geometry.build_ris_grid(rows, cols, PITCH)
+        positions = oracles.grid_positions(rows, cols, PITCH)
         gain = float(rng.uniform(2.0, 50.0))
         position = np.array([-rng.uniform(0.01, 0.3), *rng.uniform(-0.1, 0.1, 2)])
-        b = propagation(positions, gain, position)
+        b = propagation(geometry.build_ris_grid(rows, cols, PITCH), gain, position)
         for index in range(len(positions)):
             expected = oracles.nusw_coefficient(
                 positions, position, PITCH * PITCH, WAVELENGTH, PLUS_X, gain, index
@@ -142,7 +140,8 @@ def test_constant_polarization_phase_leaves_moments_unchanged():
     for elements in (16, 400):
         parts = oracles.link_parts(scen.Scenario(elements=elements, feed_zenith_deg=60.0))
         surface = parts.config.surface(parts)
-        draws = oracles.on_grid(np.stack([ris.random_phases(elements, seed) for seed in range(20)]))
+        side = int(np.sqrt(elements))
+        draws = np.stack([ris.random_phases(side, side, seed) for seed in range(20)])
 
         def moments(s):
             o = capacity.compute_O(s, parts.spectrum)
@@ -169,19 +168,19 @@ def test_captured_power_fraction_empty_and_bounded():
     for _ in range(15):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
-        positions = geometry.build_ris_grid(rows, cols, PITCH)
+        grid = geometry.build_ris_grid(rows, cols, PITCH)
         gain = float(rng.uniform(2.0, 200.0))
         position = np.array(
             [-rng.uniform(0.01, 0.3), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]
         )
-        fraction = captured_power_fraction(propagation(positions, gain, position))
+        fraction = captured_power_fraction(propagation(grid, gain, position))
         assert 0.0 < fraction <= 1.0
 
 
 def test_captured_power_fraction_monotone_in_gain():
-    positions = geometry.build_ris_grid(10, 10, PITCH)
+    grid = geometry.build_ris_grid(10, 10, PITCH)
     gains = np.geomspace(2.0, 200.0, 12)
-    fractions = [captured_power_fraction(propagation(positions, g)) for g in gains]
+    fractions = [captured_power_fraction(propagation(grid, g)) for g in gains]
     assert np.all(np.diff(fractions) > 0)
     assert fractions[-1] <= 1.0
 

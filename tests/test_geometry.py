@@ -8,40 +8,65 @@ import oracles
 from conftest import PITCH, WAVELENGTH
 
 
+def positions_of(grid):
+    """The (N, 3) positions of the grid's axes, row-major."""
+    z, y = grid
+    return np.column_stack([np.zeros(z.size * y.size), np.tile(y, z.size), np.repeat(z, y.size)])
+
+
 def test_single_element_grid():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    assert positions.shape == (1, 3) and not positions.flags.writeable
-    assert np.array_equal(positions, np.zeros((1, 3)))
+    z, y = geometry.build_ris_grid(1, 1, PITCH)
+    assert z.shape == (1, 1) and y.shape == (1,)
+    assert z[0, 0] == 0.0 and y[0] == 0.0
     # the element area the feed reads is pitch^2
     assert PITCH * PITCH == pytest.approx(WAVELENGTH**2 / 9.0, rel=1e-15)
 
 
 def test_grid_counting_and_aperture():
-    positions = geometry.build_ris_grid(10, 10, PITCH)
-    assert positions.shape == (100, 3)
+    z, y = geometry.build_ris_grid(10, 10, PITCH)
+    assert z.shape == (10, 1) and y.shape == (10,)
     # total aperture 100 * (lambda/3)^2 = (10 lambda / 3)^2
-    assert len(positions) * PITCH * PITCH == pytest.approx((10 * WAVELENGTH / 3.0) ** 2, rel=1e-12)
-    # centered: position mean at the origin
-    assert np.allclose(positions.mean(axis=0), 0.0, atol=1e-15)
+    assert z.size * y.size * PITCH * PITCH == pytest.approx((10 * WAVELENGTH / 3.0) ** 2, rel=1e-12)
+    # centered: each axis has its mean at the origin
+    assert abs(z.mean()) < 1e-15 and abs(y.mean()) < 1e-15
 
 
 def test_two_element_pitch():
-    positions = geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH)
-    assert positions.shape == (2, 3)
-    separation = np.linalg.norm(positions[1] - positions[0])
-    assert separation == pytest.approx(0.5 * WAVELENGTH, rel=1e-15)
+    z, y = geometry.build_ris_grid(2, 1, 0.5 * WAVELENGTH)
+    assert z.shape == (2, 1) and np.array_equal(y, [0.0])
+    assert z[1, 0] - z[0, 0] == pytest.approx(0.5 * WAVELENGTH, rel=1e-15)
 
 
 def test_grid_planarity_and_adjacent_spacing():
     rows, cols = 5, 7
-    positions = geometry.build_ris_grid(rows, cols, PITCH)
-    assert np.all(positions[:, 0] == 0.0)
+    grid = geometry.build_ris_grid(rows, cols, PITCH)
+    # the axes are the (N, 3) oracle's positions, row-major, every x zero
+    positions = oracles.grid_positions(rows, cols, PITCH)
+    np.testing.assert_array_equal(positions_of(grid), positions)
     # horizontally adjacent elements (same row) sit exactly one pitch apart
     for row in range(rows):
         for col in range(cols - 1):
             n = row * cols + col
             gap = np.linalg.norm(positions[n + 1] - positions[n])
             assert gap == pytest.approx(PITCH, rel=1e-12)
+
+
+def test_rays_match_the_position_oracle():
+    # the broadcast rays are the (N, 3) oracle's rays, component by
+    # component and length by length, bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        rows, cols = (int(k) for k in rng.integers(1, 8, 2))
+        pitch = rng.uniform(0.2, 1.5) * WAVELENGTH
+        point = rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.01, 10.0)
+        (x, dy, dz), distances = geometry.rays_to(
+            geometry.build_ris_grid(rows, cols, pitch), point, "feed"
+        )
+        assert distances.shape == (rows, cols)
+        rays, expected = oracles.rays_to(oracles.grid_positions(rows, cols, pitch), point, "feed")
+        np.testing.assert_array_equal(distances.ravel(), expected)
+        components = np.broadcast_arrays(x, dy, dz)
+        np.testing.assert_array_equal(np.column_stack([c.ravel() for c in components]), rays)
 
 
 def test_grid_rejects_bad_arguments():
@@ -99,41 +124,41 @@ def test_incidence_normal():
     # a feed on the normal through a lone element sends its ray along the
     # normal (the amplitudes there: test_element_amplitudes_on_axis_single_element
     # and test_element_amplitudes_tau_offset)
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    rays, distances = geometry.rays_to(positions, np.array([-0.05, 0.0, 0.0]), "feed")
-    np.testing.assert_array_equal(rays, [[-0.05, 0.0, 0.0]])
-    assert distances[0] == pytest.approx(0.05, rel=1e-15)
+    grid = geometry.build_ris_grid(1, 1, PITCH)
+    (x, dy, dz), distances = geometry.rays_to(grid, np.array([-0.05, 0.0, 0.0]), "feed")
+    assert (x, dy.tolist(), dz.tolist()) == (-0.05, [0.0], [[0.0]])
+    assert distances.shape == (1, 1) and distances[0, 0] == pytest.approx(0.05, rel=1e-15)
 
 
 def test_incidence_mirror_symmetry():
-    # mirroring the feed across the x-z plane mirrors each element's ray
-    # onto its partner's (the amplitudes: test_element_amplitudes_mirror_invariance)
-    positions = geometry.build_ris_grid(3, 3, PITCH)
+    # mirroring the feed across the x-z plane mirrors the columns' rays and
+    # lengths onto their partners' (the amplitudes:
+    # test_element_amplitudes_mirror_invariance)
+    grid = geometry.build_ris_grid(3, 3, PITCH)
     rng = np.random.default_rng(3)
-    row, col = np.divmod(np.arange(9), 3)
-    partner = row * 3 + (3 - 1 - col)
     for _ in range(20):
         feed = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
-        rays, distances = geometry.rays_to(positions, feed, "feed")
-        mirrored_rays, mirrored = geometry.rays_to(positions, feed * [1.0, -1.0, 1.0], "feed")
-        np.testing.assert_allclose(mirrored_rays[partner], rays * [1.0, -1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(mirrored[partner], distances, rtol=1e-12)
+        (x, dy, dz), distances = geometry.rays_to(grid, feed, "feed")
+        (mx, my, mz), mirrored = geometry.rays_to(grid, feed * [1.0, -1.0, 1.0], "feed")
+        assert (mx, mz.tolist()) == (x, dz.tolist())
+        np.testing.assert_allclose(my[::-1], -dy, atol=1e-12)
+        np.testing.assert_allclose(mirrored[:, ::-1], distances, rtol=1e-12)
 
 
 def test_incidence_elevation_below_grazing():
     # a feed in front of the surface reaches every element from x < 0 (the
     # amplitudes: test_element_amplitudes_accept_every_feed_in_front)
-    positions = geometry.build_ris_grid(4, 4, PITCH)
+    grid = geometry.build_ris_grid(4, 4, PITCH)
     rng = np.random.default_rng(4)
     for _ in range(50):
         feed = np.array([-rng.uniform(1e-3, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        rays, distances = geometry.rays_to(positions, feed, "feed")
-        assert np.all(rays[:, 0] < 0)
+        (x, _, _), distances = geometry.rays_to(grid, feed, "feed")
+        assert x < 0
         assert np.all(distances > 0)
 
 
 def test_incidence_degenerate_inplane_feed():
-    positions = geometry.build_ris_grid(2, 2, PITCH)
+    positions = oracles.grid_positions(2, 2, PITCH)
     # the package rejects an in-plane feed in ``feed.build_propagation_matrix``
     # (test_nusw_rejects_feed_behind_surface), before the amplitudes read a ray
     with pytest.raises(DegenerateGeometryError):
@@ -141,10 +166,10 @@ def test_incidence_degenerate_inplane_feed():
     # a point on an element has no direction from it
     for name in ("feed", "UE"):
         with pytest.raises(DegenerateGeometryError, match=f"{name} coincides"):
-            geometry.rays_to(positions, positions[3], name)
+            geometry.rays_to(geometry.build_ris_grid(2, 2, PITCH), positions[3], name)
 
 
 def test_incidence_index_bounds():
-    positions = geometry.build_ris_grid(2, 2, PITCH)
+    positions = oracles.grid_positions(2, 2, PITCH)
     with pytest.raises(ValueError):
         oracles.incidence_decomposition(positions, np.array([-0.1, 0.0, 0.0]), 4)

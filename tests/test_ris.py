@@ -11,10 +11,13 @@ from conftest import PITCH, WAVELENGTH
 QUARTER = np.pi / 2
 
 
-def amplitudes(positions, position, phase=QUARTER, tau_offset=0.0):
-    """The package's (V, H) amplitudes for a feed at ``position``."""
-    rays, distances = geometry.rays_to(positions, np.asarray(position, dtype=float), "feed")
-    return ris.element_amplitudes(rays, distances, phase, tau_offset)
+def amplitudes(grid, position, phase=QUARTER, tau_offset=0.0):
+    """The package's (V, H) amplitudes for a feed at ``position``, shape
+    (2, N), each listed row-major."""
+    rays, distances = geometry.rays_to(grid, np.asarray(position, dtype=float), "feed")
+    values = ris.element_amplitudes(rays, distances, phase, tau_offset)
+    assert values.shape == (2,) + distances.shape
+    return values.reshape(2, -1)
 
 
 def test_amplitude_zero_at_zero_tau():
@@ -50,25 +53,32 @@ def test_amplitude_rejects_grazing_and_bad_phase():
     with pytest.raises(ValueError):
         oracles.reflection_amplitude(QUARTER, np.pi / 2, 0.5)
     # a feed 1e-20 m off the surface plane sees elevation pi/2 in floats
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    with pytest.raises(DegenerateGeometryError):
-        amplitudes(positions, [-1e-20, 0.1, 0.0])
+    with pytest.raises(DegenerateGeometryError, match="grazing incidence"):
+        amplitudes(geometry.build_ris_grid(1, 1, PITCH), [-1e-20, 0.1, 0.0])
     # phi0 = pi (mod 2 pi) is rejected when the scenario is made, and the
     # error names the field
     for degrees in (180.0, 540.0, -180.0):
         with pytest.raises(ValueError, match="normal_incidence_phase_deg"):
             scen.Scenario(normal_incidence_phase_deg=degrees)
+    # so is a tau offset whose squares in the map would overflow; at the
+    # edge the map stays finite
+    for offset in (1.01e75, -1e300):
+        with pytest.raises(ValueError, match="tau_offset"):
+            scen.Scenario(tau_offset=offset)
+    edge = scen.build_link_model(scen.Scenario(elements=4, tau_offset=-1e75))
+    assert 0.0 < min(edge.o_v, edge.o_h) <= max(edge.o_v, edge.o_h) < 1e-140
 
 
 def test_element_amplitudes_match_scalar_oracle():
     # the properties above hold for the scalar map; the package's
     # vectorized map must agree with it element by element
     rng = np.random.default_rng(6)
-    positions = geometry.build_ris_grid(4, 5, PITCH)
+    grid = geometry.build_ris_grid(4, 5, PITCH)
+    positions = oracles.grid_positions(4, 5, PITCH)
     for _ in range(10):
         phase, offset = rng.uniform(-2.8, 2.8), rng.uniform(-1, 1)
         position = np.array([-rng.uniform(0.02, 0.3), *rng.uniform(-0.2, 0.2, 2)])
-        a_v, a_h = amplitudes(positions, position, phase, offset)
+        a_v, a_h = amplitudes(grid, position, phase, offset)
         for index in range(len(positions)):
             dec = oracles.incidence_decomposition(positions, position, index)
             for value, tau in ((a_v[index], dec.tau_v), (a_h[index], dec.tau_h)):
@@ -81,11 +91,12 @@ def test_incidence_conventions_differ_by_axis():
     # the H dipole axis, so the map gives V zero amplitude and H the scalar
     # map at elevation pi/4 and tau 1; in the x-z plane the roles swap, and
     # the oracle's transverse-plane tilts give the swapped pair
-    positions = geometry.build_ris_grid(1, 1, PITCH)
+    grid = geometry.build_ris_grid(1, 1, PITCH)
+    positions = oracles.grid_positions(1, 1, PITCH)
     tilted = oracles.reflection_amplitude(QUARTER, np.pi / 4, 1.0)
     for direction, expected in (([-1, 1, 0], (0.0, tilted)), ([-1, 0, 1], (tilted, 0.0))):
         position = np.array(direction) / np.sqrt(2.0) * 0.3
-        a_v, a_h = amplitudes(positions, position)
+        a_v, a_h = amplitudes(grid, position)
         assert a_v[0] == pytest.approx(expected[0], rel=1e-12, abs=1e-15)
         assert a_h[0] == pytest.approx(expected[1], rel=1e-12, abs=1e-15)
         for convention, pair in (("axis-plane", expected), ("transverse-plane", expected[::-1])):
@@ -165,26 +176,24 @@ def test_transverse_plane_swaps_the_polarizations():
 def test_element_amplitudes_accept_every_feed_in_front():
     # a feed in front of the surface meets no element at grazing incidence,
     # and every amplitude lies in [0, 1]
-    positions = geometry.build_ris_grid(4, 4, PITCH)
+    grid = geometry.build_ris_grid(4, 4, PITCH)
     rng = np.random.default_rng(4)
     for _ in range(50):
         position = np.array([-rng.uniform(1e-3, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        values = amplitudes(positions, position)
+        values = amplitudes(grid, position)
         assert values.shape == (2, 16)
         assert np.all((0.0 <= values) & (values <= 1.0))
 
 
 def test_element_amplitudes_on_axis_single_element():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    a_v, a_h = amplitudes(positions, [-0.05, 0, 0])
+    a_v, a_h = amplitudes(geometry.build_ris_grid(1, 1, PITCH), [-0.05, 0, 0])
     assert a_v[0] == 0.0
     assert a_h[0] == 0.0
 
 
 def test_element_amplitudes_oblique_polarizations_differ():
-    positions = geometry.build_ris_grid(4, 4, PITCH)
     position = geometry.spherical_to_cartesian(0.1, 60.0, 180.0)
-    a_v, a_h = amplitudes(positions, position)
+    a_v, a_h = amplitudes(geometry.build_ris_grid(4, 4, PITCH), position)
     assert not np.allclose(a_v, a_h)
     # feed tilted toward +z favors the V polarization under the default
     # convention
@@ -192,37 +201,37 @@ def test_element_amplitudes_oblique_polarizations_differ():
 
 
 def test_element_amplitudes_mirror_invariance():
-    positions = geometry.build_ris_grid(3, 3, PITCH)
+    grid = geometry.build_ris_grid(3, 3, PITCH)
     rng = np.random.default_rng(3)
     # mirroring the feed across the x-z plane re-pairs elements column-wise
     flip = np.arange(9).reshape(3, 3)[:, ::-1].ravel()
     for _ in range(20):
         base = np.array([-rng.uniform(0.02, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)])
-        a_v, a_h = amplitudes(positions, base)
-        b_v, b_h = amplitudes(positions, base * np.array([1.0, -1.0, 1.0]))
+        a_v, a_h = amplitudes(grid, base)
+        b_v, b_h = amplitudes(grid, base * np.array([1.0, -1.0, 1.0]))
         np.testing.assert_allclose(b_v[flip], a_v, atol=1e-12)
         np.testing.assert_allclose(b_h[flip], a_h, atol=1e-12)
 
 
 def test_element_amplitudes_tau_offset():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
-    a_v, _ = amplitudes(positions, [-0.05, 0, 0], tau_offset=1.0)
+    a_v, _ = amplitudes(geometry.build_ris_grid(1, 1, PITCH), [-0.05, 0, 0], tau_offset=1.0)
     assert a_v[0] == pytest.approx(0.8944271909999159, rel=1e-12)
 
 
 def test_optimal_phases_single_element_at_wavelength():
-    positions = geometry.build_ris_grid(1, 1, PITCH)
+    positions = oracles.grid_positions(1, 1, PITCH)
     phases_v, phases_h = oracles.optimal_phases(positions, WAVELENGTH, [-WAVELENGTH, 0.0, 0.0])
     assert phases_v[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(phases_v, phases_h)
 
 
 def test_optimal_phases_align_reflections():
-    positions = geometry.build_ris_grid(10, 10, PITCH)
+    grid = geometry.build_ris_grid(10, 10, PITCH)
+    positions = oracles.grid_positions(10, 10, PITCH)
     position = [-0.05, 0.0, 0.0]
-    b = oracles.feed_coefficients(positions, position, PITCH * PITCH, WAVELENGTH)
+    b = oracles.feed_coefficients(grid, position, PITCH * PITCH, WAVELENGTH)
     config = oracles.RisConfiguration(
-        *amplitudes(positions, position), *oracles.optimal_phases(positions, WAVELENGTH, position)
+        *amplitudes(grid, position), *oracles.optimal_phases(positions, WAVELENGTH, position)
     )
     # every element's reflected contribution lands on the positive real axis
     for gamma in (config.gamma_v, config.gamma_h):
@@ -230,7 +239,7 @@ def test_optimal_phases_align_reflections():
 
 
 def test_phase_adjustment_offsets():
-    positions = geometry.build_ris_grid(4, 4, PITCH)
+    positions = oracles.grid_positions(4, 4, PITCH)
     position = [-0.05, 0.01, 0.0]
     base_v, base_h = oracles.aligned_phases("optimal", positions, WAVELENGTH, position)
     adj_v, adj_h = oracles.aligned_phases(
@@ -246,14 +255,15 @@ def test_phase_adjustment_offsets():
 
 
 def test_random_phase_determinism():
-    first = ris.random_phases(16, 123)
-    assert first.shape == (2, 16)
-    np.testing.assert_array_equal(first, ris.random_phases(16, 123))
-    # one (2, N) draw is two successive N-draws of the seed's stream
+    first = ris.random_phases(4, 4, 123)
+    assert first.shape == (2, 4, 4)
+    np.testing.assert_array_equal(first, ris.random_phases(4, 4, 123))
+    # one draw is two successive N-draws of the seed's stream, each laid
+    # out row-major on the grid
     rng = np.random.default_rng(123)
-    np.testing.assert_array_equal(first[0], rng.uniform(0.0, 2 * np.pi, 16))
-    np.testing.assert_array_equal(first[1], rng.uniform(0.0, 2 * np.pi, 16))
-    assert not np.array_equal(first[0], ris.random_phases(16, 124)[0])
+    np.testing.assert_array_equal(first[0].ravel(), rng.uniform(0.0, 2 * np.pi, 16))
+    np.testing.assert_array_equal(first[1].ravel(), rng.uniform(0.0, 2 * np.pi, 16))
+    assert not np.array_equal(first[0], ris.random_phases(4, 4, 124)[0])
 
 
 def test_phase_strategy_rejects_unknown_kind():
@@ -295,7 +305,9 @@ def test_random_phase_bound_never_beats_aligned_bound():
     aligned = capacity.moment_upper_bound(model.moments, 0.5, model.snr)
     for seed in range(30):
         config = oracles.RisConfiguration(
-            parts.config.amplitudes_v, parts.config.amplitudes_h, *ris.random_phases(16, seed)
+            parts.config.amplitudes_v,
+            parts.config.amplitudes_h,
+            *ris.random_phases(4, 4, seed).reshape(2, 16),
         )
         moments = config.moments(parts)
         randomized = capacity.moment_upper_bound(moments, 0.5, model.snr)

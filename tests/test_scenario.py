@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dpris import feed, geometry, scenario as scen, sweep
+from dpris import capacity, feed, geometry, scenario as scen, sweep
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
+
+import oracles
 
 GOLDEN_MOMENTS = Path(__file__).parent / "golden" / "moments.txt"
 
@@ -236,16 +238,16 @@ def test_any_other_field_misses_the_memo(monkeypatch, name):
 def test_surface_passes_centred_positions_and_pitch_squared_area(monkeypatch):
     # the surface build hands the feed the element area pitch^2, and the
     # carrier phase the wavelength, for the random scheme only: the
-    # aligning phases never read it; its rays start at the grid's (N, 3)
-    # positions, centred on the origin in the surface plane
+    # aligning phases never read it; its rays start at the grid's two
+    # axes, centred on the origin in the surface plane
     calls = {}
     grid, propagation, phase = (
         geometry.build_ris_grid, feed.build_propagation_matrix, feed.carrier_phase
     )
 
     def recorded_grid(*args):
-        calls["positions"] = grid(*args)
-        return calls["positions"]
+        calls["axes"] = grid(*args)
+        return calls["axes"]
 
     def recorded_propagation(rays, distances, area, *rest):
         calls["area"] = area
@@ -265,12 +267,138 @@ def test_surface_passes_centred_positions_and_pitch_squared_area(monkeypatch):
     assert "wavelength" not in calls
     scen.build_link_model(current.replace(phase_scheme="random", random_phase_draws=2))
     assert calls["wavelength"] == current.wavelength_m
-    positions = calls["positions"]
-    assert positions.shape == (36, 3) and not positions.flags.writeable
-    assert np.all(positions[:, 0] == 0.0)
-    assert np.allclose(positions.mean(axis=0), 0.0, atol=1e-15)
-    assert np.ptp(positions[:, 1]) == pytest.approx(5 * pitch, rel=1e-12)
-    assert np.ptp(positions[:, 2]) == pytest.approx(5 * pitch, rel=1e-12)
+    z, y = calls["axes"]
+    assert z.shape == (6, 1) and y.shape == (6,)
+    for axis in (z, y):
+        assert abs(axis.mean()) < 1e-15
+        assert np.ptp(axis) == pytest.approx(5 * pitch, rel=1e-12)
+
+
+#: 3 x 3 surfaces, whose element (row 2, col 1) sits at (0, 0, pitch): a
+#: point at radius pitch and zenith 0 is exactly on it.
+PITCH_9 = 1.0 / 3.0 * 0.0115
+FEED_ON = {"feed_r_m": PITCH_9, "feed_zenith_deg": 0.0}
+UE_ON = {"ue_r_m": PITCH_9, "ue_zenith_deg": 0.0}
+#: The feed in the surface plane (zenith 0, off every element), behind it,
+#: and in front of it by 1e-33 m (zenith 180, azimuth 270), at grazing
+#: incidence in floats; a feed radiating away from the surface, and UE
+#: pathloss that underflows to 0.
+IN_PLANE = {"feed_zenith_deg": 0.0}
+BEHIND = {"feed_azimuth_deg": 0.0}
+GRAZING = {"feed_zenith_deg": 180.0, "feed_azimuth_deg": 270.0}
+FACING_AWAY = {"boresight_deg": "180,90,90"}
+UNDERFLOW = {"pathloss_exponent": 1000.0}
+COINCIDES = "{} coincides with an element"
+APERTURE = (
+    "element 0 has non-positive projected aperture (feed is in or behind the surface plane)"
+)
+GRAZES = "the feed meets the surface at grazing incidence"
+DEAD_V = (
+    "no power reaches the V polarization (O_V = 0.0): "
+    "the feed faces away from the surface or the pathloss underflows"
+)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        (FEED_ON, COINCIDES.format("feed")),
+        ({**FEED_ON, **UE_ON}, COINCIDES.format("feed")),
+        (IN_PLANE, APERTURE),
+        (BEHIND, APERTURE),
+        ({**BEHIND, **UE_ON, **FACING_AWAY}, APERTURE),
+        (GRAZING, GRAZES),
+        ({**GRAZING, **UE_ON, **FACING_AWAY}, GRAZES),
+        (UE_ON, COINCIDES.format("UE")),
+        ({**UE_ON, **FACING_AWAY, **UNDERFLOW}, COINCIDES.format("UE")),
+        (FACING_AWAY, DEAD_V),
+        (UNDERFLOW, DEAD_V),
+        ({**FACING_AWAY, "incidence_convention": "transverse-plane"}, DEAD_V),
+    ],
+    ids=[
+        "feed-on-element",
+        "feed-and-ue-on-elements",
+        "feed-in-plane",
+        "feed-behind",
+        "behind-before-ue-and-dead",
+        "grazing",
+        "grazing-before-ue-and-dead",
+        "ue-on-element",
+        "ue-before-dead",
+        "facing-away",
+        "pathloss-underflow",
+        "transverse-facing-away",
+    ],
+)
+@pytest.mark.parametrize("scheme", ["optimal", "random"])
+def test_degenerate_placements_fail_first_to_last(changes, message, scheme):
+    # each degeneracy's type and message, and which one a placement with
+    # several reports: the feed on an element, then in or behind the
+    # plane, grazing incidence, the UE on an element, a dead polarization
+    current = scen.Scenario(elements=9, phase_scheme=scheme, random_phase_draws=2, **changes)
+    with pytest.raises(DegenerateGeometryError) as caught:
+        scen.build_link_model(current)
+    assert type(caught.value) is DegenerateGeometryError
+    assert str(caught.value) == message
+
+
+def unit_directions():
+    """A boresight toward the surface as its three direction angles in
+    degrees, whose cosines are a unit vector with a positive x."""
+    vectors = st.tuples(st.floats(0.3, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    return vectors.map(
+        lambda v: ",".join(repr(math.degrees(math.acos(c / math.hypot(*v)))) for c in v)
+    )
+
+
+#: Scenarios whose feed sits in front of the surface, off grazing, and
+#: whose UE is anywhere at 0.5 m or more.
+PLACEMENTS = st.fixed_dictionaries(
+    {
+        "elements": st.sampled_from([1, 4, 9, 16, 25, 36]),
+        "pitch_wavelengths": st.floats(0.2, 1.0),
+        "feed_r_m": st.floats(0.05, 0.3),
+        "feed_zenith_deg": st.floats(30.0, 150.0),
+        "feed_azimuth_deg": st.floats(120.0, 240.0),
+        "boresight_deg": st.just("origin") | unit_directions(),
+        "ue_r_m": st.floats(0.5, 50.0),
+        "ue_zenith_deg": st.floats(0.0, 180.0),
+        "ue_azimuth_deg": st.floats(-180.0, 180.0),
+        "normal_incidence_phase_deg": st.floats(-170.0, 170.0),
+        "tau_offset": st.floats(-1.0, 1.0),
+        "incidence_convention": st.sampled_from(scen.INCIDENCE_PLANES),
+        "phase_seed": st.integers(0, 1000),
+        "random_phase_draws": st.integers(1, 3),
+    }
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(PLACEMENTS)
+def test_separable_surface_matches_the_position_oracle(changes):
+    # the surface built from the grid's two axes is the one built element
+    # by element from (N, 3) positions and rays, read under each incidence
+    # convention's own tilts: its vectors, O_V and O_H, and the forms of
+    # the random scheme's draws, each to 1e-13 of its scale
+    current = scen.Scenario(phase_scheme="random", **changes)
+    expected = oracles.position_surface(current)
+    parts = oracles.link_parts(current)
+    surface = parts.config.surface(parts)
+    scale = np.abs(expected).max(axis=1)
+    # a boresight that turns the whole pattern from the surface is a dead link
+    assume(np.all(scale > 0.0))
+    difference = np.abs(surface - oracles.on_grid(expected)).max(axis=(1, 2))
+    assert np.all(difference <= 1e-13 * scale)
+    o, q = scen._surface_forms(current)
+    spectrum = parts.spectrum
+    expected = oracles.on_grid(expected)
+    np.testing.assert_allclose(o, capacity.compute_O(expected, spectrum), rtol=1e-13)
+    draws = [
+        np.random.default_rng(current.phase_seed + d).uniform(0.0, 2 * np.pi, expected.shape)
+        for d in range(current.random_phase_draws)
+    ]
+    q_expected = capacity.expected_gram_moments(expected, draws, spectrum)
+    np.testing.assert_allclose(q, q_expected, rtol=1e-13)
 
 
 def test_failed_surface_is_not_kept(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -214,7 +215,7 @@ def test_random_phase_chunks_stack_the_seeded_draws():
     parts = oracles.link_parts(current)
     assert model.moments.shape == (300, 4)
     for draw in range(300):
-        v, h = ris.random_phases(16, 5 + draw)
+        v, h = ris.random_phases(4, 4, 5 + draw).reshape(2, 16)
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, v, h
         )
@@ -237,7 +238,8 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
     for per_chunk in (7, 300):
         np.testing.assert_array_equal(rows[per_chunk], rows[1])
     surface = parts.config.surface(parts)
-    draws = oracles.on_grid(np.stack([ris.random_phases(elements, 5 + d) for d in range(300)]))
+    side = math.isqrt(elements)
+    draws = np.stack([ris.random_phases(side, side, 5 + d) for d in range(300)])
     q = capacity.expected_gram_moments(surface, draws, parts.spectrum)
     np.testing.assert_array_equal(capacity.moment_layout(q, parts.xpd_coeff), rows[1])
 
