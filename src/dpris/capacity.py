@@ -26,7 +26,11 @@ they are all the estimators and bounds here consume, as given: the gate of
 quadratic forms q = (q_V, q_H) of the phased surface vectors, running the
 draws through the surface FFT a chunk at a time in buffers it allocates
 once, and ``moment_layout`` is the one place where the cross-polarization
-coefficient l splits q into the (D, 4) moments.
+coefficient l splits q into the (D, 4) moments.  A draw's phasors come
+from one tangent, t = tan(theta / 2), as e^{j theta} =
+((1 - t^2) + 2 j t) / (1 + t^2): numpy's float64 tan has a SIMD loop and
+its cos and sin do not, so the one tan costs a fraction of either of them,
+and the phasor lies within a few ulp of theirs (``_tangent_phasor``).
 
 R is never formed.  On the uniform rows x cols grid R(n1, n2) depends
 only on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
@@ -90,8 +94,8 @@ _LN2 = np.log(2.0)
 #: per call and reused by every chunk.  The 1000-draw N = 400 row (40 x 40
 #: lattice, 6400 points a draw), built in-process on one pinned core of a
 #: shared 2-vCPU VM (best of 24 interleaved runs, measured twice), takes
-#: 146 and 112 ms at 2**14 (2 draws a chunk), 128 and 98 ms at 2**15
-#: (5 draws) and 123 and 98 ms at 2**16 (10 draws); 2**15 adds 0.3 MiB,
+#: 79 and 75 ms at 2**14 (2 draws a chunk), 66 and 64 ms at 2**15
+#: (5 draws) and 67 and 60 ms at 2**16 (10 draws); 2**15 adds 0.3 MiB,
 #: under 1%, to a bound-grid worker's peak RSS.
 _FFT_LATTICE_POINTS = 2**15
 #: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
@@ -270,7 +274,11 @@ def expected_gram_moments(
     complex FFT, since u_P is complex.  Draws go through the FFT a chunk at
     a time, in four buffers (phases, phasors, FFT stage, transform)
     allocated once per call; a draw's forms do not depend on the chunk it
-    falls in.  Under the aligning phases they collapse to (O_V, O_H).
+    falls in.  The phasors e^{j theta_P} are formed in place from
+    t = tan(theta_P / 2), with no cos or sin: the chunk's phase buffer
+    holds t, then t^2, then 1 / (1 + t^2), and the phasor buffer gets
+    (1 - t^2, 2 t) scaled by it, before ``*= surface``.  Under the aligning
+    phases the forms collapse to (O_V, O_H).
     """
     lattice_rows, lattice_cols = spectrum.shape
     size = max(1, _FFT_LATTICE_POINTS // (2 * surface.size + 3 * spectrum.size))
@@ -292,9 +300,7 @@ def expected_gram_moments(
             k += 1
         if k == 0:
             break
-        u = phasor[:k]
-        np.cos(phase[:k], out=u.real)
-        np.sin(phase[:k], out=u.imag)
+        u = _tangent_phasor(phase[:k], phasor[:k])
         u *= surface
         q.append(_surface_quadforms(u, spectrum, stage[:k], transform[:k]))
     return np.concatenate(q)
@@ -410,6 +416,26 @@ def _lattice_length(side: int) -> int:
         if rest == 1:
             return 2 * m
         m += 1
+
+
+def _tangent_phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{j theta} = ((1 - t^2) + 2 j t) / (1 + t^2), t = tan(theta / 2), of
+    the real ``phase`` into the complex ``out`` of its shape; ``phase`` is
+    spent as the scratch for t, t^2 and 1 / (1 + t^2).  Each part lies
+    within a few ulp of cos and sin: theta / 2 near pi / 2 gives a large
+    t, but no double comes near enough for t^2 to overflow.  Returns
+    ``out``.
+    """
+    phase *= 0.5
+    t = np.tan(phase, out=phase)
+    np.multiply(t, 2.0, out=out.imag)
+    t2 = np.square(t, out=phase)
+    np.subtract(1.0, t2, out=out.real)
+    t2 += 1.0
+    scale = np.reciprocal(t2, out=phase)
+    out.real *= scale
+    out.imag *= scale
+    return out
 
 
 def _surface_quadforms(

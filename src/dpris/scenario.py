@@ -95,6 +95,9 @@ class Scenario:
         for name in ("trials", "random_phase_draws"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("master_seed", "phase_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):

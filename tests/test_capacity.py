@@ -271,6 +271,34 @@ def test_real_and_complex_lattice_paths_agree(rows, cols):
     np.testing.assert_allclose(o, q[0], rtol=1e-13, atol=0)
 
 
+def test_tangent_phasor_matches_high_precision_cos_and_sin():
+    # e^{j theta} from tan(theta / 2) against 40-digit cos and sin: each
+    # part within 4 half-ulps of 1, and the modulus as close to 1, at the
+    # edges (0, the smallest subnormal, both sides of pi, near pi / 2,
+    # just below 2 pi) and over seeded uniform draws on [0, 2 pi)
+    mpmath = pytest.importorskip("mpmath")
+    edges = [
+        0.0,
+        5e-324,
+        np.nextafter(np.pi, 0.0),
+        np.pi,
+        np.nextafter(np.pi, 4.0),
+        np.pi / 2 - 1e-6,
+        np.pi / 2 + 1e-6,
+        np.nextafter(2.0 * np.pi, 0.0),
+    ]
+    theta = np.concatenate([edges, np.random.default_rng(2026).uniform(0.0, 2.0 * np.pi, 10_000)])
+    phasor = capacity._tangent_phasor(theta.copy(), np.empty(theta.shape, dtype=complex))
+    bound = 4.0 * 2.0**-53
+    with mpmath.workdps(40):
+        for angle, value in zip(theta, phasor):
+            exact = mpmath.mpf(float(angle))
+            re, im = mpmath.mpf(value.real), mpmath.mpf(value.imag)
+            assert abs(re - mpmath.cos(exact)) <= bound, angle
+            assert abs(im - mpmath.sin(exact)) <= bound, angle
+            assert abs(mpmath.sqrt(re * re + im * im) - 1) <= bound, angle
+
+
 def test_closed_form_equals_moment_bound_with_model_moments():
     rng = np.random.default_rng(31)
     for _ in range(25):

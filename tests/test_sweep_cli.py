@@ -692,6 +692,9 @@ def test_counts_are_rejected_when_parsed(field, values):
         "ue_r_m=1e160",
         # finite rays whose carrier phase overflows
         "wavelength_m=1e-300 pitch_wavelengths=1e150 feed_r_m=1e10",
+        # a seed below 0, named before any generator sees it
+        "master_seed=-1",
+        "phase_seed=-5 phase_scheme=random",
     ],
 )
 def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
@@ -706,7 +709,9 @@ def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
     assert override.split("=")[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["feed_r_m = 0", "beta0_db = 4000"])
+@pytest.mark.parametrize(
+    "override", ["feed_r_m = 0", "beta0_db = 4000", "master_seed = -3", "phase_seed = -5"]
+)
 def test_sweep_with_bad_base_is_usage_error(tmp_path, capsys, override):
     # a bad base value fails the command, not every row, and no CSV is
     # written
