@@ -86,6 +86,8 @@ import numpy as np
 from .exceptions import ModelInconsistencyError
 
 _LN2 = np.log(2.0)
+#: The form each moment of G scales, in entry order: q_V, q_H, q_V, q_H.
+_LAYOUT = np.array([0, 1, 0, 1])
 #: Points held by the four buffers of one ``expected_gram_moments`` call,
 #: which a chunk of c draws fills with c (4N + 3P), P = L_r L_c the lattice
 #: of the spectrum: 2N phases and 2N phasors, and for each polarization
@@ -221,7 +223,8 @@ def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> floa
         + rho * lambda_h * (m12 + m22)
         + rho * rho * lambda_v * lambda_h * (m11 * m22 + m12 * m21)
     )
-    return float(np.mean(np.log1p(shift) / _LN2))
+    bits = np.log1p(shift) / _LN2
+    return float(np.add.reduce(bits) / bits.size)
 
 
 def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
@@ -229,7 +232,8 @@ def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
     the draws of (D, 4) moments like ``moment_upper_bound``."""
     rows = _moment_rows(moments)
     m11 = rows[:, 0]
-    return float(np.mean(np.log1p(snr * m11) / _LN2))
+    bits = np.log1p(snr * m11) / _LN2
+    return float(np.add.reduce(bits) / bits.size)
 
 
 def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -247,10 +251,14 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     v is real, so |T|^2 and S are even: the real FFT's half-plane, columns
     0 .. L_c / 2, carries the sum, with weight 1 on the DC and Nyquist
     columns and 2 on the columns between, which stand for their mirror
-    images too.
+    images too.  T is the two 1-D transforms that ``np.fft.rfft2`` runs,
+    called directly: ``rfft`` along the rows to L_c points, then ``fft``
+    along the columns to L_r points.
     """
-    half = spectrum.shape[-1] // 2 + 1
-    transform = np.fft.rfft2(np.abs(surface), s=spectrum.shape, axes=(-2, -1))
+    lattice_rows, lattice_cols = spectrum.shape
+    half = lattice_cols // 2 + 1
+    columns = np.fft.rfft(np.abs(surface), n=lattice_cols)
+    transform = np.fft.fft(columns, n=lattice_rows, axis=-2)
     parts = transform.view(float)
     np.square(parts, out=parts)
     power = parts[..., ::2] + parts[..., 1::2]
@@ -311,7 +319,7 @@ def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
     per-polarization quadratic forms q = (q_V, q_H), shape (2,) or (D, 2);
     with q = (O_V, O_H) they are the moments under the aligning phases."""
     l = xpd_coeff
-    return np.asarray(q)[..., [0, 1, 0, 1]] * np.array([1.0 - l, l, l, 1.0 - l])
+    return np.asarray(q).take(_LAYOUT, axis=-1) * np.array([1.0 - l, l, l, 1.0 - l])
 
 
 def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:

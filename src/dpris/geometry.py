@@ -21,6 +21,8 @@ radians.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DegenerateGeometryError
@@ -37,14 +39,18 @@ def build_ris_grid(rows: int, cols: int, pitch: float) -> tuple[np.ndarray, np.n
 def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float) -> np.ndarray:
     """Cartesian (r sin(t) cos(p), r sin(t) sin(p), r cos(t)) of the point
     at distance r from the center, zenith t (from +z) and azimuth p, both
-    given in degrees; the azimuth is wrapped to [0, 2 pi) radians."""
-    zenith = np.deg2rad(zenith_deg)
-    azimuth = np.deg2rad(azimuth_deg) % (2.0 * np.pi)
+    given in degrees; the azimuth is wrapped to [0, 2 pi) radians.  The
+    angles are scalars, so ``math`` converts them and takes the sines and
+    cosines, with the bits of numpy's ``deg2rad``, ``sin`` and ``cos``
+    without their per-call dispatch."""
+    zenith = math.radians(zenith_deg)
+    azimuth = math.radians(azimuth_deg) % (2.0 * math.pi)
+    sin_zenith = math.sin(zenith)
     return np.array(
         [
-            radius * np.sin(zenith) * np.cos(azimuth),
-            radius * np.sin(zenith) * np.sin(azimuth),
-            radius * np.cos(zenith),
+            radius * sin_zenith * math.cos(azimuth),
+            radius * sin_zenith * math.sin(azimuth),
+            radius * math.cos(zenith),
         ]
     )
 

@@ -28,7 +28,13 @@ A process keeps the surface side of the last link it built, keyed by
 every other field, so a sweep over a point field builds its surface once
 and every later point takes it from the memo, with the bits of a cold
 build; a field added to ``Scenario`` joins the key unless it is named a
-point field.  A failed build is not kept.  The errors are the model's
+point field.  A failed build is not kept.  A surface build in turn keeps
+the last grid, keyed by its side and pitch, and the last UE side, the
+UE's pathloss weights, keyed by the grid, the UE's placement,
+``beta0_db`` and ``pathloss_exponent``.  A feed move changes neither, so
+a ``feed-angles`` or ``feed-gain`` sweep traces only the feed's side per
+point, with the bits of a cold build; the feed's checks still come
+before the UE's.  The errors are the model's
 degeneracies (a feed on an element, in or behind the surface plane or at
 grazing incidence, a UE on an element, a polarization no power reaches),
 an optimal split whose moment product underflows, and the gate on the
@@ -40,6 +46,7 @@ point, which ``sweep.evaluate`` checks over this build and every cell.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -98,10 +105,9 @@ class Scenario:
         for name in ("master_seed", "phase_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in _POSITIVE:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -170,7 +176,10 @@ class Scenario:
             )
 
     def replace(self, **changes) -> "Scenario":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes``, checked as a new scenario is: the same
+        ``__init__`` runs as under ``dataclasses.replace``, without its
+        per-field walk."""
+        return type(self)(**{**vars(self), **changes})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -251,6 +260,8 @@ class LinkModel:
     draws; ``allocation = optimal`` is the split that maximizes their
     bound.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
     surface vectors, whatever the phases; the threshold reads them.
+    ``forms`` are the forms q = (q_V, q_H) the moments are split from:
+    (O_V, O_H) itself, shape (2,), or the (D, 2) forms of the draws.
     """
 
     snr: float
@@ -258,6 +269,7 @@ class LinkModel:
     o_v: float
     o_h: float
     moments: np.ndarray
+    forms: np.ndarray
 
 
 #: The fields a sweep point may change on a fixed surface: they enter only
@@ -300,7 +312,7 @@ def build_link_model(scenario: Scenario) -> LinkModel:
     lambda_v = _fixed_split(scenario.allocation)
     if lambda_v is None:
         lambda_v = capacity.optimal_power_allocation(moments, snr)
-    return LinkModel(snr, lambda_v, o_v, o_h, moments)
+    return LinkModel(snr, lambda_v, o_v, o_h, moments, q)
 
 
 def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +322,7 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
-    grid = geometry.build_ris_grid(side, side, pitch)
+    grid = _grid(side, pitch)
     feed_position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
@@ -323,16 +335,19 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
     )
     amplitudes = ris.element_amplitudes(
-        rays, distances, np.deg2rad(scenario.normal_incidence_phase_deg), scenario.tau_offset
+        rays, distances, math.radians(scenario.normal_incidence_phase_deg), scenario.tau_offset
     )
     if scenario.incidence_convention == "transverse-plane":
         amplitudes = amplitudes[::-1]
-    ue_position = geometry.spherical_to_cartesian(
-        scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
-    )
-    ue_distances = geometry.rays_to(grid, ue_position, "UE")[1]
-    weights = channel.pathloss_weights(
-        ue_distances, db_to_linear(scenario.beta0_db), scenario.pathloss_exponent
+    # the UE side after the feed's checks: a point with both faults names the feed
+    weights = _ue_weights(
+        side,
+        pitch,
+        scenario.ue_r_m,
+        scenario.ue_zenith_deg,
+        scenario.ue_azimuth_deg,
+        scenario.beta0_db,
+        scenario.pathloss_exponent,
     )
     spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
     o = capacity.compute_O(amplitudes * b * weights, spectrum)
@@ -355,6 +370,36 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     q = capacity.expected_gram_moments(surface, draws, spectrum)
     q.setflags(write=False)
     return o, q
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(side: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only axes of the side x side grid at ``pitch``
+    (``geometry.build_ris_grid``); the last grid is kept for the next
+    call on it."""
+    grid = geometry.build_ris_grid(side, side, pitch)
+    for axis in grid:
+        axis.setflags(write=False)
+    return grid
+
+
+@functools.lru_cache(maxsize=1)
+def _ue_weights(
+    side: int,
+    pitch: float,
+    ue_r_m: float,
+    ue_zenith_deg: float,
+    ue_azimuth_deg: float,
+    beta0_db: float,
+    pathloss_exponent: float,
+) -> np.ndarray:
+    """The UE side of the link: the pathloss weights of the UE at
+    (r, zenith, azimuth) over the ``_grid(side, pitch)`` elements
+    (``channel.pathloss_weights``); the last weights are kept for the next
+    call with the same arguments, which a feed move does not change."""
+    position = geometry.spherical_to_cartesian(ue_r_m, ue_zenith_deg, ue_azimuth_deg)
+    distances = geometry.rays_to(_grid(side, pitch), position, "UE")[1]
+    return channel.pathloss_weights(distances, db_to_linear(beta0_db), pathloss_exponent)
 
 
 def _cosines(angles_deg: str) -> list[float]:

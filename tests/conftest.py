@@ -7,14 +7,22 @@ WAVELENGTH = 0.0115
 PITCH = WAVELENGTH / 3.0
 
 
-@pytest.fixture(autouse=True)
-def cold_caches():
-    """Every test starts with no surface, Monte Carlo trial statistics or
-    kernel spectrum kept from an earlier test, so what it counts or
-    measures does not depend on which tests ran before it."""
+def clear_caches():
+    """Drop every result the package keeps between calls: the surface, its
+    grid and UE side, the Monte Carlo trial statistics and the kernel
+    spectrum, so the next build is a cold one."""
     scen._surface_memo.clear()
+    scen._grid.cache_clear()
+    scen._ue_weights.cache_clear()
     capacity._trial_statistics.cache_clear()
     capacity.kernel_spectrum.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with no result kept from an earlier test, so what
+    it counts or measures does not depend on which tests ran before it."""
+    clear_caches()
 
 
 @pytest.fixture(scope="session")

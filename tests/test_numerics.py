@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from dpris.exceptions import ModelInconsistencyError
+
 import oracles
+
+#: A unit-diagonal symmetric matrix with a negative eigenvalue.
+NON_PSD = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
 
 
 def test_stream_factory_reproducible():
@@ -20,11 +25,6 @@ def test_stream_factory_streams_differ():
     assert not np.allclose(x, y)
     # crude independence check: correlation of independent streams is ~0
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.12
-
-
-def test_stream_factory_rejects_negative_index():
-    with pytest.raises(ValueError):
-        oracles.SeededStreamFactory(1).stream(-1)
 
 
 def test_eigendecomposition_identity_and_diagonal():
@@ -49,11 +49,6 @@ def test_eigendecomposition_reconstructs_random_gram():
         assert np.linalg.norm(vectors.T @ vectors - np.eye(8)) <= 1e-10
 
 
-def test_eigendecomposition_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        oracles.symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-
 def test_det2_trivial_cases():
     zero = np.zeros((2, 2), dtype=complex)
     assert oracles.det2_hermitian_form(zero, 0.5, 0.5, 3.0) == 1.0
@@ -74,11 +69,6 @@ def test_det2_matches_generic_determinant():
         assert value >= 1.0
 
 
-def test_det2_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        oracles.det2_hermitian_form(np.zeros((2, 2), dtype=complex), -0.1, 0.5, 1.0)
-
-
 def test_log2_det2_accurate_for_tiny_shift():
     g = np.array([[1e-7 + 0j, 0.0], [0.0, 1e-7]])
     value = oracles.log2_det2(g, 0.5, 0.5, 1.0)
@@ -92,3 +82,48 @@ def test_gauss_legendre_integrates_polynomial():
     assert np.sum(w * x**3) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ValueError):
         oracles.gauss_legendre(0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "oracle,args,error",
+    [
+        pytest.param(
+            oracles.correlation_sqrt,
+            (NON_PSD,),
+            ModelInconsistencyError,
+            id="correlation-sqrt-non-psd",
+        ),
+        pytest.param(
+            oracles.correlation_sqrt,
+            (2.0 * np.eye(3),),
+            ValueError,
+            id="correlation-sqrt-bad-diagonal",
+        ),
+        pytest.param(
+            oracles.SeededStreamFactory(1).stream,
+            (-1,),
+            ValueError,
+            id="stream-factory-negative-index",
+        ),
+        pytest.param(
+            oracles.symmetric_eigendecomposition,
+            (np.array([[1.0, 2.0], [0.5, 1.0]]),),
+            ValueError,
+            id="eigendecomposition-nonsymmetric",
+        ),
+        pytest.param(
+            oracles.det2_hermitian_form,
+            (np.zeros((2, 2), dtype=complex), -0.1, 0.5, 1.0),
+            ValueError,
+            id="det2-negative-weights",
+        ),
+    ],
+)
+def test_oracle_rejects_bad_input(oracle, args, error):
+    """A test oracle rejects an input outside its domain, as the package's
+    own checks would, so a broken oracle cannot pass a wrong value."""
+    with pytest.raises(error) as excinfo:
+        oracle(*args)
+    if error is ModelInconsistencyError:
+        # the rejection names the eigenvalue that makes the matrix non-PSD
+        assert excinfo.value.details["min_eigenvalue"] < 0

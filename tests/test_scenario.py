@@ -138,6 +138,28 @@ def test_scenario_is_accepted_or_names_a_field(changes):
 
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(CHANGES)
+def test_replace_checks_as_dataclasses_replace_does(changes):
+    # the same __init__ and checks run: an accepted change gives the same
+    # scenario, value for value, and a rejected one the same error
+    try:
+        expected = dataclasses.replace(BASE, **changes)
+    except ValueError as err:
+        with pytest.raises(ValueError) as caught:
+            BASE.replace(**changes)
+        assert str(caught.value) == str(err)
+        return
+    assert repr(BASE.replace(**changes)) == repr(expected)
+
+
+def test_replace_names_a_bad_field_and_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="xpd_coeff"):
+        BASE.replace(xpd_coeff=1.5)
+    with pytest.raises(TypeError, match="no_such_field"):
+        BASE.replace(no_such_field=1.0)
+
+
 #: A scenario with every field away from its default, snr_db set.
 NON_DEFAULT = scen.Scenario(
     wavelength_m=0.012,

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import dpris
-from dpris import capacity, cli, recipes, ris, scenario as scen, sweep
+from dpris import capacity, channel, cli, geometry, recipes, ris, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
+from conftest import clear_caches
 
 
 def spec_from(text_pairs):
@@ -463,6 +464,63 @@ def test_feed_angles_sweep_builds_the_kernel_spectrum_once():
     assert (info.misses, info.hits, info.maxsize) == (1, 76, 1)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """The argument tuples of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "axis,builds",
+    [
+        ({"axis": "feed-angles", "grid": "60, 90, 120", "grid2": "150, 180, 210"}, 1),
+        ({"axis": "element-count", "grid": "4, 9, 16"}, 3),
+    ],
+    ids=["feed-angles", "element-count"],
+)
+def test_feed_moves_reuse_the_grid_and_ue_side_bit_for_bit(monkeypatch, axis, builds):
+    # a feed move keeps the grid and the UE's pathloss weights, a new
+    # element count builds both; every row has the bits of a cold build
+    spec = spec_from({**axis, "outputs": "dual-ub, quality", "elements": "16"})
+    grids = count_calls(monkeypatch, geometry, "build_ris_grid")
+    weights = count_calls(monkeypatch, channel, "pathloss_weights")
+    rows = sweep.run_sweep(spec).rows
+    assert [row["status"] for row in rows] == ["ok"] * len(rows)
+    assert (len(grids), len(weights)) == (builds, builds)
+    for row, point in zip(rows, sweep._grid_points(spec)):
+        clear_caches()
+        cold = sweep.evaluate(sweep._scenario_at(spec, point), spec.outputs)
+        assert cold == {column: row[column] for column in cold}
+
+
+def test_feed_fault_is_named_before_the_ue_fault_on_a_kept_grid():
+    # the UE sits on an element of the 3 x 3 surface, at (0, 0, pitch): a
+    # feed behind the surface names the feed, one in front the UE
+    pitch = 1.0 / 3.0 * 0.0115
+    spec = spec_from(
+        {
+            "axis": "feed-angles",
+            "grid": "60, 90",
+            "grid2": "0, 180",
+            "outputs": "dual-ub",
+            "elements": "9",
+            "ue_r_m": repr(pitch),
+            "ue_zenith_deg": "0",
+        }
+    )
+    aperture = "element 0 has non-positive projected aperture"
+    statuses = [row["status"] for row in sweep.run_sweep(spec).rows]
+    assert [status.startswith(f"failed: {aperture}") for status in statuses] == [True, False] * 2
+    assert statuses[1::2] == ["failed: UE coincides with an element"] * 2
+
+
 def test_sweep_nonsquare_element_count_fails_row_only():
     spec = spec_from(
         {"axis": "element-count", "grid": "16, 24", "outputs": "dual-ub", "trials": "10"}
@@ -636,6 +694,26 @@ def test_cli_capacity_smoke(capsys):
             values[key] = float(value)
     assert values["dual_mc_bits"] <= values["dual_ub_bits"] + 3.0 * values["dual_mc_se"]
     assert "# trials=500" in out.splitlines()
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "random"])
+def test_cli_capacity_quality_describes_its_row(capsys, scheme):
+    # quality is the mean over the row's draws of the forms (q_V, q_H) its
+    # moments split from: O_V and O_H themselves under the aligning phases
+    changes = ["--set", f"phase_scheme={scheme}", "--set", "random_phase_draws=4"]
+    assert cli.main(["capacity", *ELEMENTS_16_TRIALS_10, *changes]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    values = dict(line.split(" = ") for line in lines if " = " in line)
+    current = scen.Scenario(elements=16, trials=10, phase_scheme=scheme, random_phase_draws=4)
+    if scheme == "random":
+        parts = oracles.link_parts(current)
+        draws = (ris.random_phases(4, 4, current.phase_seed + d) for d in range(4))
+        surface = parts.config.surface(parts)
+        expected = capacity.expected_gram_moments(surface, draws, parts.spectrum).mean(axis=0)
+    else:
+        link = scen.build_link_model(current)
+        expected = link.o_v, link.o_h
+    assert (float(values["o_v"]), float(values["o_h"])) == tuple(expected)
 
 
 def test_cli_capacity_rejects_zero_trials(capsys):
