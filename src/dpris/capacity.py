@@ -1,11 +1,17 @@
 """Ergodic capacity of the dual-polarized link and its closed forms.
 
 One weighted surface vector per polarization carries the whole surface
-side of the link: s_P = A_P * b * w, with A_P the reflection amplitudes,
-b the feed coefficients and w = sqrt(beta0 d^-alpha) the pathloss weights,
-stacked on the rows x cols grid as a (2, rows, cols) ``surface`` array.
-The aligning phases cancel the phase of b, so their forms read the real
-|s_P| = A_P |b| w alone; only the random phase draws read the complex s_P.
+side of the link: s_P = A_P * b * w, with A_P the reflection amplitudes
+(``ris``), b the feed coefficients (``feed``) and w = sqrt(beta0 d^-alpha)
+the pathloss weights (``channel``), stacked on the rows x cols grid as a
+(2, rows, cols) ``surface`` array.  ``scenario`` builds it once per
+surface, in this order: the grid's two axes and the feed's rays
+(``geometry``), traced once; |b|, then A from the same rays
+(``transverse-plane`` incidence swaps A's V and H rows); w from the UE's
+rays, after the feed's checks; then O from |s| = A |b| w.  The aligning
+phases cancel the phase of b, so their forms read the real |s_P| alone;
+only the random phase draws read the complex s_P, whose carrier phase is
+multiplied in last, for them alone.
 Under phases theta_P the 2x2 equivalent channel G collapses the
 per-element vectors through u_P = e^{j theta_P} * s_P:
 
@@ -20,8 +26,8 @@ Gaussian vectors.  A linear functional of such a vector is circular
 Gaussian with the matching quadratic form as its variance, so the entries
 of G are independent with G_ij ~ CN(0, m_ij).  The second moments
 m = (m11, m12, m21, m22) are the exact law of G, not an approximation, and
-they are all the estimators and bounds here consume, as given: the gate of
-``scenario.build_link_model`` checks the values once per point.
+they are all the estimators and bounds here consume, as given: the link
+build in ``scenario`` checks the forms once, where it builds a surface.
 ``expected_gram_moments`` turns a stream of D phase draws into the (D, 2)
 quadratic forms q = (q_V, q_H) of the phased surface vectors, running the
 draws through the surface FFT a chunk at a time in buffers it allocates
@@ -34,7 +40,8 @@ and the phasor lies within a few ulp of theirs (``_tangent_phasor``).
 
 R is never formed.  On the uniform rows x cols grid R(n1, n2) depends
 only on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
-||(drow, dcol)|| / lambda), so R is block Toeplitz with Toeplitz blocks.
+||(drow, dcol)|| / lambda), the normalized sinc of isotropic scattering,
+so R is block Toeplitz with Toeplitz blocks.
 ``kernel_spectrum`` lays k out on an L_r x L_c circulant lattice (lag i at
 index i mod L_r), each axis the smallest even length >= 2 side whose half
 factors into 2, 3 and 5 (``_lattice_length``), and returns its spectrum

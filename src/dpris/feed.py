@@ -11,15 +11,10 @@ Both polarizations are fed by this one coefficient; cross-polarized
 feeding is zero because the line-of-sight hop preserves polarization.  A
 fixed feeding phase per polarization would rotate a whole polarization's
 surface vector by a constant, which cancels in every quadratic form the
-link reports, so the feed carries none.  The carrier phase of b is read
-only under the random phase draws, whose moments depend on it: the
-aligning phases cancel it, so their quadratic forms take |b| alone.
-``build_propagation_matrix`` gives |b| and ``carrier_phase`` the phase
-factors on the rows x cols grid, from the broadcast rays of
-``geometry.rays_to``, and ``scenario.build_link_model`` traces the feed's
-rays once and multiplies |b| into the surface vector once, with the
-reflection amplitudes and the pathloss weights, and the phase only for
-the random scheme.
+link reports, so the feed carries none.  ``build_propagation_matrix``
+gives |b| and ``carrier_phase`` the phase factors on the rows x cols grid,
+from the broadcast rays of ``geometry.rays_to``; only the random phase
+draws read the phase (see ``capacity`` for the surface vector they enter).
 """
 
 from __future__ import annotations

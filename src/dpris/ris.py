@@ -1,20 +1,18 @@
 """Per-element reflection coefficients: the angle-dependent amplitude map
 and the seeded random phase draw, both on the rows x cols grid.
 
-The amplitudes are one factor of the weighted surface vector
-s_P = A_P * |b| * w that ``scenario.build_link_model`` forms once per link
-(with the feed's carrier phase in b for the random scheme only).
-Each polarization sees the feed's tilt in the plane of its own dipole axis
-and the surface normal (``axis-plane``), so a feed raised toward +z
-strengthens V; ``transverse-plane`` reads each tilt in the other axis's
-plane, which exchanges the V and H maps, and ``scenario`` applies it as
-that swap.  A tilt depends on one grid axis only: V's on the row, H's on
-the column.  The aligning schemes need no phases: their moments follow
-from s alone, through O_V and O_H (see ``capacity``).  Phases are drawn
-only for the random scheme, whose moments depend on them: draw d is
-``random_phases(rows, cols, seed + d)``, which
-``capacity.expected_gram_moments`` turns into the vectors e^{j theta} * s,
-s carrying the feed's carrier phase.
+The amplitudes are the factor A_P of the surface vector s_P (see
+``capacity``).  Each polarization sees the feed's tilt in the plane of
+the surface normal and its own dipole axis (``axis-plane``; the frame is
+``geometry``'s), so a feed raised toward +z strengthens V;
+``transverse-plane`` reads each tilt in the other axis's plane, which
+exchanges the V and H maps, and ``scenario`` applies it as that swap.
+A tilt depends on one grid axis only: V's on the row, H's on the column.
+The aligning schemes need no phases: their moments follow from s alone,
+through O_V and O_H.  Phases are drawn only for the random scheme, whose
+moments depend on them: draw d is ``random_phases(rows, cols, seed + d)``,
+which ``capacity.expected_gram_moments`` turns into the vectors
+e^{j theta} * s.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """One flat parameter set describing a complete link, with the default
 values used throughout the bundled recipes (26 GHz carrier, lambda/3
 element pitch, -96 dBm noise, -49.7 dB unit pathloss, exponent 4, feed at
-(0.05 m, 90deg, 180deg) pointing along +x, UE at (50 m, 60deg, 0deg)).
+(0.05 m, 90deg, 180deg) pointing along +x, UE at (50 m, 60deg, 0deg);
+the frame is ``geometry``'s).
 
 Scenarios are plain data: text config files and CLI overrides map onto the
 same field names, dB/dBm fields carry explicit suffixes (``db_to_linear``
@@ -9,18 +10,13 @@ converts both), and angles cross this boundary in degrees only.  A
 scenario is checked when it is made, and only then: every range the link
 model assumes fails there, with an error that names the field.
 
-``build_link_model`` works in two parts.  The surface side expands a
-scenario into the one weighted surface vector per polarization,
-s_P = A_P * |b| * w (reflection amplitudes, feed coefficient magnitudes,
-pathloss weights), a (2, side, side) array broadcast from the grid's two
-axes, tracing the feed's rays once, and reduces it to its forms: O_V
-and O_H, and for the random scheme the (D, 2) forms of its D phase draws,
-which alone read the feed's carrier phase and so multiply it into s;
-``transverse-plane`` incidence exchanges the V and H rows of the amplitude
-map (see ``ris``).  The point side splits those forms into the moments of
-G by ``xpd_coeff`` and resolves ``allocation`` to the V share lambda_v of
-the transmit power: 1/2 for ``equal``, the maximizer of the moment bound
-for ``optimal``, or the literal itself.
+``build_link_model`` works in two parts.  The surface side builds the
+surface vector in the order ``capacity`` gives and reduces it to its
+forms (``_surface_forms``): O = (O_V, O_H), or for the random scheme the
+(D, 2) forms of its D phase draws.  The point side splits those forms
+into the moments of G by ``xpd_coeff`` and resolves ``allocation`` to the
+V share lambda_v of the transmit power: 1/2 for ``equal``, the maximizer
+of the moment bound for ``optimal``, or the literal itself.
 
 The point fields (``noise_dbm``, ``power_dbm``, ``snr_db``, ``xpd_coeff``,
 ``allocation``, ``trials``, ``master_seed``) enter the point side only.
@@ -28,19 +24,25 @@ A process keeps the surface side of the last link it built, keyed by
 every other field, so a sweep over a point field builds its surface once
 and every later point takes it from the memo, with the bits of a cold
 build; a field added to ``Scenario`` joins the key unless it is named a
-point field.  A failed build is not kept.  A surface build in turn keeps
-the last grid, keyed by its side and pitch, and the last UE side, the
-UE's pathloss weights, keyed by the grid, the UE's placement,
-``beta0_db`` and ``pathloss_exponent``.  A feed move changes neither, so
-a ``feed-angles`` or ``feed-gain`` sweep traces only the feed's side per
-point, with the bits of a cold build; the feed's checks still come
-before the UE's.  The errors are the model's
-degeneracies (a feed on an element, in or behind the surface plane or at
-grazing incidence, a UE on an element, a polarization no power reaches),
-an optimal split whose moment product underflows, and the gate on the
-model's numbers (ModelInconsistencyError with the point's snr): finite,
-non-negative forms, then no overflow or invalid value anywhere in the
-point, which ``sweep.evaluate`` checks over this build and every cell.
+point field.  A surface build in turn keeps the last grid, keyed by its
+side and pitch, and the last UE side, the UE's pathloss weights, keyed by
+the grid, the UE's placement, ``beta0_db`` and ``pathloss_exponent``.  A
+feed move changes neither, so a ``feed-angles`` or ``feed-gain`` sweep
+traces only the feed's side per point, with the bits of a cold build; the
+feed's checks still come before the UE's.
+
+The errors are the model's degeneracies (a feed on an element, in or
+behind the surface plane or at grazing incidence, a UE on an element, a
+polarization no power reaches), an optimal split whose moment product
+underflows, and the gate on the model's numbers (ModelInconsistencyError
+with the point's snr).  The surface build checks its forms once, where it
+builds them: O and the forms must be finite and non-negative, else the
+error carries the building point's snr and moments.  A failed build
+raises before the memo stores it, so the memo holds only checked
+surfaces, and a point that takes its surface from the memo checks
+nothing again.  ``sweep.evaluate`` then checks that no overflow or
+invalid value arises anywhere in the point, over this build and every
+cell.
 """
 
 from __future__ import annotations
@@ -181,9 +183,6 @@ class Scenario:
         per-field walk."""
         return type(self)(**{**vars(self), **changes})
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
 
@@ -254,20 +253,17 @@ class LinkModel:
     the transmit SNR, the V share ``lambda_v`` of the power (the H share
     is 1 - lambda_v), and the surface's quadratic forms.
 
-    ``moments`` are the exact second moments of G that every capacity and
-    bound of the point reads: shape (4,), built from O_V and O_H, for the
-    aligning schemes, or (D, 4) for the random scheme's D seeded phase
-    draws; ``allocation = optimal`` is the split that maximizes their
-    bound.  ``o_v``/``o_h`` are the aligned-phase quadratic forms of the
-    surface vectors, whatever the phases; the threshold reads them.
     ``forms`` are the forms q = (q_V, q_H) the moments are split from:
-    (O_V, O_H) itself, shape (2,), or the (D, 2) forms of the draws.
+    O = (O_V, O_H), shape (2,), under the aligning schemes, or the (D, 2)
+    forms of the random scheme's D seeded phase draws; the threshold reads
+    O.  ``moments`` are the exact second moments of G that every capacity
+    and bound of the point reads, split from ``forms`` by ``xpd_coeff``:
+    shape (4,) or (D, 4); ``allocation = optimal`` is the split that
+    maximizes their bound.
     """
 
     snr: float
     lambda_v: float
-    o_v: float
-    o_h: float
     moments: np.ndarray
     forms: np.ndarray
 
@@ -292,33 +288,28 @@ _surface_memo: dict = {}
 
 
 def build_link_model(scenario: Scenario) -> LinkModel:
-    """The link model of one scenario point: the surface's quadratic forms,
+    """The link model of one scenario point: the surface's checked forms,
     from ``_surface_memo`` when the last point built had the same surface,
-    then the point's moments and SNR, the gate, and the power split."""
+    then the point's moments and SNR, and the power split."""
     key = _surface_key(scenario)
     forms = _surface_memo.get(key)
     if forms is None:
         forms = _surface_forms(scenario)
         _surface_memo.clear()
         _surface_memo[key] = forms
-    o, q = forms
-    o_v, o_h = float(o[0]), float(o[1])
-    moments = capacity.moment_layout(q, scenario.xpd_coeff)
+    moments = capacity.moment_layout(forms, scenario.xpd_coeff)
     snr = _snr(scenario)
-    # O is positive (``_surface_forms``), and q is O under the aligning phases
-    if not (max(o_v, o_h) < math.inf and (q is o or 0.0 <= q.min() <= q.max() < math.inf)):
-        details = {"snr": snr, "moments": moments}
-        raise ModelInconsistencyError("the surface forms must be finite and non-negative", details)
     lambda_v = _fixed_split(scenario.allocation)
     if lambda_v is None:
         lambda_v = capacity.optimal_power_allocation(moments, snr)
-    return LinkModel(snr, lambda_v, o_v, o_h, moments, q)
+    return LinkModel(snr, lambda_v, moments, forms)
 
 
-def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The aligned-phase forms O = (O_V, O_H), shape (2,), and the forms q
-    the moments are split from: O itself under the aligning phases, or the
-    (D, 2) forms of the random scheme's D draws; both read-only."""
+def _surface_forms(scenario: Scenario) -> np.ndarray:
+    """The read-only forms the moments are split from: O = (O_V, O_H),
+    shape (2,), under the aligning phases, or the (D, 2) forms of the
+    random scheme's D draws.  O must be positive, and O and the forms
+    finite and non-negative, else the building point's error is raised."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
@@ -357,19 +348,22 @@ def _surface_forms(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
                 f"no power reaches the {name} polarization (O_{name} = {float(value)!r}): "
                 "the feed faces away from the surface or the pathloss underflows"
             )
-    o.setflags(write=False)
-    if scenario.phase_scheme != "random":
-        # the aligning phases collapse the forms to O_V and O_H
-        return o, o
-    # the random draws read the feed's carrier phase, which aligning cancels
-    surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
-    draws = (
-        ris.random_phases(side, side, scenario.phase_seed + d)
-        for d in range(scenario.random_phase_draws)
-    )
-    q = capacity.expected_gram_moments(surface, draws, spectrum)
-    q.setflags(write=False)
-    return o, q
+    forms = o
+    if scenario.phase_scheme == "random":
+        # the random draws read the feed's carrier phase, which aligning cancels
+        surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
+        draws = (
+            ris.random_phases(side, side, scenario.phase_seed + d)
+            for d in range(scenario.random_phase_draws)
+        )
+        forms = capacity.expected_gram_moments(surface, draws, spectrum)
+    # a Python loop: on two values it costs a fraction of numpy's reductions
+    if not all(0.0 <= x < math.inf for x in o.tolist() + forms.ravel().tolist()):
+        moments = capacity.moment_layout(forms, scenario.xpd_coeff)
+        details = {"snr": _snr(scenario), "moments": moments}
+        raise ModelInconsistencyError("the surface forms must be finite and non-negative", details)
+    forms.setflags(write=False)
+    return forms
 
 
 @functools.lru_cache(maxsize=1)

@@ -42,7 +42,7 @@ AXES = tuple(_AXIS_COLUMNS)
 
 def _threshold(link, mc):
     try:
-        return (capacity.xpd_threshold(link.o_v, link.o_h, link.snr),)
+        return (capacity.xpd_threshold(*link.forms.tolist(), link.snr),)
     except ModelInconsistencyError:
         return (None,)  # no root in (0, 1): the cell stays empty
 
@@ -219,7 +219,7 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 def scenario_echo(scenario: scen.Scenario) -> list[str]:
     """One ``# key=value`` line per scenario field, sorted by name."""
-    return [f"# {key}={_format(value)}" for key, value in sorted(scenario.as_dict().items())]
+    return [f"# {key}={_format(value)}" for key, value in sorted(vars(scenario).items())]
 
 
 def gnuplot_script(result: SweepResult, csv_path: str) -> str:

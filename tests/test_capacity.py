@@ -159,7 +159,7 @@ def test_mc_matches_full_vector_oracle(oblique_scenario, xpd):
     scenario = oblique_scenario.replace(xpd_coeff=xpd)
     model = scen.build_link_model(scenario)
     parts = oracles.link_parts(scenario)
-    snr = 1.0 / model.o_v
+    snr = 1.0 / model.forms[0]
     trials = 20_000
     mc = capacity.ergodic_capacity_mc(moments_of(scenario), 0.7, snr, trials, master_seed=9)
     for value, value_se, lambda_v in (
@@ -509,7 +509,7 @@ FIG9 = scen.build_link_model(recipes.load_recipe("fig9").base)
 @pytest.mark.parametrize(
     "o_v, o_h, snr",
     [
-        pytest.param(FIG9.o_v, FIG9.o_h, FIG9.snr, id="fig9"),
+        pytest.param(*FIG9.forms.tolist(), FIG9.snr, id="fig9"),
         pytest.param(1e-300, 1e-300, 1.0, id="tiny-qualities"),
         pytest.param(1e300, 1e300, 1e10, id="huge-qualities"),
         pytest.param(1.0, 2.0, 10.0, id="linear"),
@@ -754,7 +754,7 @@ def test_capacity_report_bound_describes_its_configuration(capsys):
         values = cli_report(capsys, argv)
         if scheme == "optimal":
             expected = oracles.closed_form_upper_bound(
-                model.o_v, model.o_h, 0.5, model.snr, current.xpd_coeff
+                *model.forms.tolist(), 0.5, model.snr, current.xpd_coeff
             )
         else:
             expected, mc = oracles.random_row_per_draw(
@@ -786,7 +786,7 @@ def test_cli_capacity_matches_one_row_sweep(capsys, scheme):
     values = cli_report(capsys, argv)
     # every column the report prints, and only those, as the row's CSV cells
     columns = result.columns[1:-2]
-    assert [key for key in values if key not in scen.Scenario().as_dict()] == list(columns)
+    assert [key for key in values if key not in vars(scen.Scenario())] == list(columns)
     for column in columns:
         assert values[column] == sweep.format_cell(row[column], column)
 
@@ -798,9 +798,8 @@ def test_expected_moments_match_aligned_closed_form(table_scenario_16):
         scenario = table_scenario_16.replace(phase_scheme=scheme)
         model = scen.build_link_model(scenario)
         l = scenario.xpd_coeff
-        expected = np.array(
-            [(1 - l) * model.o_v, l * model.o_h, l * model.o_v, (1 - l) * model.o_h]
-        )
+        o_v, o_h = model.forms.tolist()
+        expected = np.array([(1 - l) * o_v, l * o_h, l * o_v, (1 - l) * o_h])
         np.testing.assert_allclose(moments_of(scenario), expected, rtol=1e-9)
         # an aligned point's moments are built from O, with no further FFT
         np.testing.assert_array_equal(model.moments, expected)

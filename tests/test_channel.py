@@ -82,7 +82,7 @@ def test_statistics_hold_no_quadratic_array():
     assert weights.shape == (n,) and spectrum.size <= 4 * (5 / 4) ** 2 * n
     # the link model holds what the outputs read, no more
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
-    assert names == ["snr", "lambda_v", "o_v", "o_h", "moments", "forms"]
+    assert names == ["snr", "lambda_v", "moments", "forms"]
 
 
 def test_correlation_sqrt_identity():

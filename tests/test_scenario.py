@@ -38,9 +38,11 @@ def moments_text() -> str:
     """One line per recorded number: scenario label, quantity, value (.17g)."""
     lines = []
     for label, scenario in MOMENT_SCENARIOS.items():
+        # O_V and O_H are the forms of the scenario's aligned-phase twin
+        o_v, o_h = scen.build_link_model(scenario.replace(phase_scheme="optimal")).forms
+        lines.append(f"{label} o_v {o_v:.17g}")
+        lines.append(f"{label} o_h {o_h:.17g}")
         model = scen.build_link_model(scenario)
-        lines.append(f"{label} o_v {model.o_v:.17g}")
-        lines.append(f"{label} o_h {model.o_h:.17g}")
         for index, row in enumerate(model.moments.reshape(-1, 4)):
             values = " ".join(f"{float(m):.17g}" for m in row)
             lines.append(f"{label} moments[{index}] {values}")
@@ -196,7 +198,7 @@ def test_every_field_round_trips_its_text_form(scenario):
     # the scenario a CSV header or a capacity report echoes parses back to
     # itself, each value with its default's type (a float for a set snr_db)
     pairs = dict(line.removeprefix("# ").split("=", 1) for line in sweep.scenario_echo(scenario))
-    assert pairs.keys() == scenario.as_dict().keys()
+    assert pairs.keys() == vars(scenario).keys()
     parsed = scen.parse_overrides(scen.Scenario(), pairs)
     assert parsed == scenario
     for field in dataclasses.fields(scen.Scenario):
@@ -237,10 +239,11 @@ def test_point_field_reuses_the_surface_bit_for_bit(monkeypatch, base, name):
     scen._surface_memo.clear()
     cold = scen.build_link_model(point)
     assert len(builds) == 2
-    for value in ("snr", "lambda_v", "o_v", "o_h"):
+    for value in ("snr", "lambda_v"):
         assert getattr(warm, value) == getattr(cold, value), value
-    assert warm.moments.shape == cold.moments.shape
-    np.testing.assert_array_equal(warm.moments, cold.moments)
+    for value in ("forms", "moments"):
+        assert getattr(warm, value).shape == getattr(cold, value).shape, value
+        np.testing.assert_array_equal(getattr(warm, value), getattr(cold, value))
 
 
 @pytest.mark.parametrize(
@@ -411,7 +414,8 @@ def test_separable_surface_matches_the_position_oracle(changes):
     assume(np.all(scale > 0.0))
     difference = np.abs(surface - oracles.on_grid(expected)).max(axis=(1, 2))
     assert np.all(difference <= 1e-13 * scale)
-    o, q = scen._surface_forms(current)
+    o = scen._surface_forms(current.replace(phase_scheme="optimal"))
+    q = scen._surface_forms(current)
     spectrum = parts.spectrum
     expected = oracles.on_grid(expected)
     np.testing.assert_allclose(o, capacity.compute_O(expected, spectrum), rtol=1e-13)
@@ -424,12 +428,29 @@ def test_separable_surface_matches_the_position_oracle(changes):
 
 
 def test_failed_surface_is_not_kept(monkeypatch):
-    # a degenerate surface raises on every build; the last good one stays
+    # a degenerate surface, or one whose forms fail their check, raises on
+    # every build; the last good one stays in the memo, and its next point
+    # builds nothing
     builds = count_surface_builds(monkeypatch)
     scen.build_link_model(BASE)
+    (good,) = scen._surface_memo.items()
     behind = BASE.replace(feed_zenith_deg=180.0)
-    for _ in range(2):
-        with pytest.raises(DegenerateGeometryError):
-            scen.build_link_model(behind)
+    overflowing = BASE.replace(feed_gain_db=11.0)
+    compute_O = capacity.compute_O
+
+    def poisoned(surface, spectrum):
+        # an infinite O for the overflowing surface only
+        o = compute_O(surface, spectrum)
+        return np.full_like(o, np.inf) if builds[-1] is overflowing else o
+
+    monkeypatch.setattr(capacity, "compute_O", poisoned)
+    failures = ((behind, DegenerateGeometryError), (overflowing, ModelInconsistencyError))
+    for failing, error in failures:
+        for _ in range(2):
+            with pytest.raises(error):
+                scen.build_link_model(failing)
+            (kept,) = scen._surface_memo.items()
+            assert kept[0] == good[0] and kept[1] is good[1]
+    assert len(builds) == 5
     scen.build_link_model(BASE.replace(xpd_coeff=0.5))
-    assert len(builds) == 3
+    assert len(builds) == 5

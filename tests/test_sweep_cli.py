@@ -711,8 +711,7 @@ def test_cli_capacity_quality_describes_its_row(capsys, scheme):
         surface = parts.config.surface(parts)
         expected = capacity.expected_gram_moments(surface, draws, parts.spectrum).mean(axis=0)
     else:
-        link = scen.build_link_model(current)
-        expected = link.o_v, link.o_h
+        expected = scen.build_link_model(current).forms
     assert (float(values["o_v"]), float(values["o_h"])) == tuple(expected)
 
 
