@@ -260,7 +260,9 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     columns and 2 on the columns between, which stand for their mirror
     images too.  T is the two 1-D transforms that ``np.fft.rfft2`` runs,
     called directly: ``rfft`` along the rows to L_c points, then ``fft``
-    along the columns to L_r points.
+    along the columns to L_r points.  The three sums are ``np.add.reduce``,
+    the ufunc method that ``ndarray.sum`` calls: the same bits without its
+    Python-level wrapper, which a cold surface runs once.
     """
     lattice_rows, lattice_cols = spectrum.shape
     half = lattice_cols // 2 + 1
@@ -270,8 +272,8 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     np.square(parts, out=parts)
     power = parts[..., ::2] + parts[..., 1::2]
     power *= spectrum[:, :half]
-    edges = power[..., 0].sum(axis=-1) + power[..., -1].sum(axis=-1)
-    return (2.0 * power.sum(axis=(-2, -1)) - edges) / spectrum.size
+    edges = np.add.reduce(power[..., 0], axis=-1) + np.add.reduce(power[..., -1], axis=-1)
+    return (2.0 * np.add.reduce(power, axis=(-2, -1)) - edges) / spectrum.size
 
 
 def expected_gram_moments(
@@ -352,7 +354,7 @@ def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
             details={"moments": m, "cross": float(cross), "snr": snr},
         )
     lambda_v = 0.5 + ((m11 + m21) - (m12 + m22)) / (2.0 * snr * cross)
-    return float(np.clip(lambda_v, 0.0, 1.0))
+    return float(min(max(lambda_v, 0.0), 1.0))
 
 
 def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
@@ -406,13 +408,22 @@ def kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np
     wrap, and keeps k even in each axis, so S is real and even too: the
     sinc is evaluated once per distinct |lag| and gathered, and the real
     FFT's half-plane is mirrored into the rest.
+
+    The sinc is ``np.sinc``'s arithmetic written out, y = pi x with x = 0
+    read as 1e-20, then sin(y) / y, and the transform is the two calls that
+    ``np.fft.rfft2`` makes, ``rfft`` along the rows and ``fft`` along the
+    columns.  That gives the bits of ``np.sinc`` and ``rfft2`` without
+    their Python-level wrappers, which each new lattice runs once, cold.
     """
     lattice = _lattice_length(rows), _lattice_length(cols)
     lag_r, lag_c = (np.minimum(np.arange(n), n - np.arange(n)) for n in lattice)
     quarter_r, quarter_c = (np.arange(n // 2 + 1) for n in lattice)
     separation = pitch * np.hypot(quarter_r[:, None], quarter_c)
-    kernel = np.sinc(2.0 * separation / wavelength).take(lag_r, axis=0).take(lag_c, axis=1)
-    spectrum = np.fft.rfft2(kernel).real.take(lag_c, axis=1)
+    x = 2.0 * separation / wavelength
+    y = np.pi * np.where(x == 0, 1.0e-20, x)
+    kernel = (np.sin(y) / y).take(lag_r, axis=0).take(lag_c, axis=1)
+    columns = np.fft.rfft(kernel, axis=1)
+    spectrum = np.fft.fft(columns, axis=0).real.take(lag_c, axis=1)
     spectrum.setflags(write=False)
     return spectrum
 

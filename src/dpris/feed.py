@@ -32,11 +32,12 @@ def feed_gains(cosines: np.ndarray, gain: float) -> np.ndarray:
 
 
 def build_propagation_matrix(
-    rays: tuple, distances: np.ndarray, area: float, boresight: np.ndarray, gain: float
+    rays: tuple, distances: np.ndarray, area: float, boresight: tuple, gain: float
 ) -> np.ndarray:
     """Read-only feed coefficient magnitudes |b_n|, shape (rows, cols),
     from the components (x, y, z) of the rays to the feed, their lengths
-    D_n (``geometry.rays_to``) and the element area A = pitch^2 in m^2.
+    D_n (``geometry.rays_to``), the element area A = pitch^2 in m^2 and the
+    unit boresight (n_x, n_y, n_z).
 
     Raises DegenerateGeometryError, naming the first element in row-major
     order, when an element's projected aperture toward the feed is
@@ -44,10 +45,10 @@ def build_propagation_matrix(
     """
     x, dy, dz = rays
     projected = -x * area / distances
-    bad = np.flatnonzero(projected <= 0.0)
-    if bad.size:
+    behind = projected <= 0.0
+    if behind.any():
         raise DegenerateGeometryError(
-            f"element {int(bad[0])} has non-positive projected aperture "
+            f"element {int(np.flatnonzero(behind)[0])} has non-positive projected aperture "
             "(feed is in or behind the surface plane)"
         )
     # the pattern over the cosines of the directions -ray / D_n to the boresight

@@ -63,6 +63,6 @@ def rays_to(grid: tuple, point: np.ndarray, name: str) -> tuple[tuple, np.ndarra
     z, y = grid
     x, dy, dz = point[0], point[1] - y, point[2] - z
     distances = np.sqrt(x * x + dy * dy + dz * dz)
-    if not distances.min() > 0.0:
+    if not np.minimum.reduce(distances, axis=None) > 0.0:
         raise DegenerateGeometryError(f"{name} coincides with an element")
     return (x, dy, dz), distances

@@ -13,6 +13,15 @@ through O_V and O_H.  Phases are drawn only for the random scheme, whose
 moments depend on them: draw d is ``random_phases(rows, cols, seed + d)``,
 which ``capacity.expected_gram_moments`` turns into the vectors
 e^{j theta} * s.
+
+A cold surface runs the amplitude map once, so its cost is mostly numpy's
+per-call overhead: ``element_amplitudes`` forms the per-axis parts of both
+polarizations in one vector, V's row tilts then H's column tilts, and the
+full-size operations once over the (2, rows, cols) stack, and takes the
+smallest cosine with ``np.minimum.reduce``, the ufunc method that
+``ndarray.min`` calls.  Each value is the same arithmetic in the same
+order as one map at a time, so the bits are those of the per-polarization
+loop.
 """
 
 from __future__ import annotations
@@ -41,19 +50,29 @@ def element_amplitudes(
     map itself.
     """
     x, dy, dz = rays
+    rows, cols = distances.shape
     cos_e = np.abs(x) / distances
     # arccos is decreasing: the smallest cosine has the largest elevation
-    if np.arccos(min(cos_e.min(), 1.0)) >= np.pi / 2.0:
+    if np.arccos(min(np.minimum.reduce(cos_e, axis=None), 1.0)) >= np.pi / 2.0:
         raise DegenerateGeometryError("the feed meets the surface at grazing incidence")
     t = np.tan(normal_incidence_phase / 2.0)
+    # per axis, V's tau over the rows then H's over the columns:
+    # (t + tau)^2, (t - tau)^2 and 2 |tau|
+    tau = np.abs(np.concatenate((dz[:, 0], dy))) / abs(x) + tau_offset
+    parts = np.empty((3, rows + cols))
+    np.square(t + tau, out=parts[0])
+    np.square(t - tau, out=parts[1])
+    np.multiply(2.0, np.abs(tau), out=parts[2])
+    # the same three over the (2, rows, cols) stack of V and H
+    plus, minus, numerator = terms = np.empty((3, 2, rows, cols))
+    terms[:, 0] = parts[:, :rows, None]
+    terms[:, 1] = parts[:, None, rows:]
     c2 = cos_e * cos_e
-    amplitudes = np.empty((2,) + distances.shape)
-    for out, tilt in zip(amplitudes, (np.abs(dz), np.abs(dy))):
-        tau = tilt / abs(x) + tau_offset
-        np.multiply(c2 + (t + tau) ** 2, c2 + (t - tau) ** 2, out=out)
-        np.sqrt(out, out=out)
-        np.divide(2.0 * np.abs(tau) * cos_e, out, out=out)
-    return amplitudes
+    terms[:2] += c2
+    amplitudes = np.multiply(plus, minus)
+    np.sqrt(amplitudes, out=amplitudes)
+    numerator *= cos_e
+    return np.divide(numerator, amplitudes, out=amplitudes)
 
 
 def random_phases(rows: int, cols: int, seed: int) -> np.ndarray:

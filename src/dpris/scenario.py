@@ -37,12 +37,14 @@ polarization no power reaches), an optimal split whose moment product
 underflows, and the gate on the model's numbers (ModelInconsistencyError
 with the point's snr).  The surface build checks its forms once, where it
 builds them: O and the forms must be finite and non-negative, else the
-error carries the building point's snr and moments.  A failed build
-raises before the memo stores it, so the memo holds only checked
-surfaces, and a point that takes its surface from the memo checks
-nothing again.  ``sweep.evaluate`` then checks that no overflow or
-invalid value arises anywhere in the point, over this build and every
-cell.
+error carries the building point's snr and moments.  O is checked finite
+before it is checked positive, so an O that overflowed (nan or inf) is out
+of range, as ``sweep.evaluate`` reports it, and not a polarization no
+power reaches.  A failed build raises before the memo stores it, so the
+memo holds only checked surfaces, and a point that takes its surface from
+the memo checks nothing again.  ``sweep.evaluate`` then checks that no
+overflow or invalid value arises anywhere in the point, over this build
+and every cell.
 """
 
 from __future__ import annotations
@@ -308,8 +310,9 @@ def build_link_model(scenario: Scenario) -> LinkModel:
 def _surface_forms(scenario: Scenario) -> np.ndarray:
     """The read-only forms the moments are split from: O = (O_V, O_H),
     shape (2,), under the aligning phases, or the (D, 2) forms of the
-    random scheme's D draws.  O must be positive, and O and the forms
-    finite and non-negative, else the building point's error is raised."""
+    random scheme's D draws.  O must be finite, then positive, and the
+    forms finite and non-negative, else the building point's error is
+    raised."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
@@ -320,8 +323,9 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
     # the feed's rays, traced once for its coefficients and the amplitudes
     rays, distances = geometry.rays_to(grid, feed_position, "feed")
     origin = scenario.boresight_deg.strip().lower() == "origin"
-    boresight = -feed_position if origin else np.array(_cosines(scenario.boresight_deg))
-    boresight = boresight / math.hypot(*boresight)
+    boresight = [-c for c in feed_position.tolist()] if origin else _cosines(scenario.boresight_deg)
+    norm = math.hypot(*boresight)
+    boresight = tuple(c / norm for c in boresight)
     b = feed.build_propagation_matrix(
         rays, distances, pitch * pitch, boresight, db_to_linear(scenario.feed_gain_db)
     )
@@ -341,14 +345,18 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
         scenario.pathloss_exponent,
     )
     spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
-    o = capacity.compute_O(amplitudes * b * weights, spectrum)
-    for name, value in zip("VH", o):
+    forms = o = capacity.compute_O(amplitudes * b * weights, spectrum)
+    # Python loops: on a few values they cost a fraction of numpy's reductions;
+    # an O that overflowed is out of range, not a surface no power reaches
+    values = o.tolist()
+    if not all(map(math.isfinite, values)):
+        raise _forms_error(scenario, o)
+    for name, value in zip("VH", values):
         if not value > 0.0:
             raise DegenerateGeometryError(
-                f"no power reaches the {name} polarization (O_{name} = {float(value)!r}): "
+                f"no power reaches the {name} polarization (O_{name} = {value!r}): "
                 "the feed faces away from the surface or the pathloss underflows"
             )
-    forms = o
     if scenario.phase_scheme == "random":
         # the random draws read the feed's carrier phase, which aligning cancels
         surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
@@ -357,13 +365,17 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
             for d in range(scenario.random_phase_draws)
         )
         forms = capacity.expected_gram_moments(surface, draws, spectrum)
-    # a Python loop: on two values it costs a fraction of numpy's reductions
-    if not all(0.0 <= x < math.inf for x in o.tolist() + forms.ravel().tolist()):
-        moments = capacity.moment_layout(forms, scenario.xpd_coeff)
-        details = {"snr": _snr(scenario), "moments": moments}
-        raise ModelInconsistencyError("the surface forms must be finite and non-negative", details)
+        if not all(0.0 <= x < math.inf for x in forms.ravel().tolist()):
+            raise _forms_error(scenario, forms)
     forms.setflags(write=False)
     return forms
+
+
+def _forms_error(scenario: Scenario, forms: np.ndarray) -> ModelInconsistencyError:
+    """The error of surface forms out of range, with the building point's
+    snr and the moments split from ``forms``."""
+    details = {"snr": _snr(scenario), "moments": capacity.moment_layout(forms, scenario.xpd_coeff)}
+    return ModelInconsistencyError("the surface forms must be finite and non-negative", details)
 
 
 @functools.lru_cache(maxsize=1)

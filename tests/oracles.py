@@ -35,7 +35,11 @@ scenario's fields as the package does, and lists them element by
 element; the package's link model keeps only what its outputs read.
 The hemisphere quadrature checks that the feed pattern integrates to
 4 pi, and ``multiplexing_gain`` reads the high-SNR slope of a capacity
-curve.
+curve.  ``sinc_rfft2_spectrum`` and ``per_polarization_amplitudes`` are
+the package's kernel spectrum and amplitude map as numpy's wrappers and a
+loop over the polarizations give them; the package makes the same
+arithmetic in the same order through fewer calls, so the two agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -143,6 +147,37 @@ def ray_amplitudes(rays, distances, normal_incidence_phase: float, tau_offset: f
     return np.stack(rows)
 
 
+def per_polarization_amplitudes(
+    rays: tuple,
+    distances: np.ndarray,
+    normal_incidence_phase: float,
+    tau_offset: float,
+    convention: str = "axis-plane",
+) -> np.ndarray:
+    """The (V, H) amplitude maps of the package under ``convention``, one
+    polarization at a time, from the broadcast rays of ``geometry.rays_to``:
+    each map 2 |tau| cos e / sqrt((c^2 + (t + tau)^2) (c^2 + (t - tau)^2))
+    formed whole, with V's tau over the rows and H's over the columns
+    (``axis-plane``), or each read in the other axis's plane
+    (``transverse-plane``)."""
+    x, dy, dz = rays
+    cos_e = np.abs(x) / distances
+    if np.arccos(min(cos_e.min(), 1.0)) >= np.pi / 2.0:
+        raise DegenerateGeometryError("the feed meets the surface at grazing incidence")
+    t = np.tan(normal_incidence_phase / 2.0)
+    c2 = cos_e * cos_e
+    amplitudes = np.empty((2,) + distances.shape)
+    tilts = (np.abs(dz), np.abs(dy))
+    if convention == "transverse-plane":
+        tilts = tilts[::-1]
+    for out, tilt in zip(amplitudes, tilts):
+        tau = tilt / abs(x) + tau_offset
+        np.multiply(c2 + (t + tau) ** 2, c2 + (t - tau) ** 2, out=out)
+        np.sqrt(out, out=out)
+        np.divide(2.0 * np.abs(tau) * cos_e, out, out=out)
+    return amplitudes
+
+
 def position_surface(scenario) -> np.ndarray:
     """The weighted surface vectors A_P |b| w e^{-j 2 pi D / lambda} of a
     scenario, shape (2, N), built element by element from the (N, 3)
@@ -185,6 +220,18 @@ def correlation_matrix(positions: np.ndarray, wavelength: float) -> np.ndarray:
     lambda/2)."""
     separation = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     return np.sinc(2.0 * separation / wavelength)
+
+
+def sinc_rfft2_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
+    """``capacity.kernel_spectrum`` through ``np.sinc`` and ``np.fft.rfft2``:
+    the sinc kernel on the circulant lattice, and the real part of its
+    real 2-D FFT mirrored to the full lattice."""
+    lattice = capacity._lattice_length(rows), capacity._lattice_length(cols)
+    lag_r, lag_c = (np.minimum(np.arange(n), n - np.arange(n)) for n in lattice)
+    quarter_r, quarter_c = (np.arange(n // 2 + 1) for n in lattice)
+    separation = pitch * np.hypot(quarter_r[:, None], quarter_c)
+    kernel = np.sinc(2.0 * separation / wavelength).take(lag_r, axis=0).take(lag_c, axis=1)
+    return np.fft.rfft2(kernel).real.take(lag_c, axis=1)
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

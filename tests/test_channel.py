@@ -72,6 +72,19 @@ def test_kernel_spectrum_reproduces_dense_correlation(rows, cols, pitch):
     )
 
 
+@pytest.mark.parametrize("side", [*range(1, 42), 64, 80, 160])
+def test_kernel_spectrum_has_the_bits_of_sinc_and_rfft2(side):
+    # the package evaluates np.sinc's arithmetic inline and runs the two
+    # transforms of np.fft.rfft2 itself; the goldens pin only the recipes'
+    # surfaces, so every lattice here is checked against the wrappers
+    for rows, cols in ((side, side), (side, side // 2 + 1)):
+        for wavelength in (WAVELENGTH, 0.3):
+            for pitch in (1.0 / 3.0, 0.5, 0.9, 1.7):
+                expected = oracles.sinc_rfft2_spectrum(rows, cols, pitch * wavelength, wavelength)
+                spectrum = capacity.kernel_spectrum(rows, cols, pitch * wavelength, wavelength)
+                assert np.array_equal(spectrum, expected), (rows, cols, pitch, wavelength)
+
+
 def test_statistics_hold_no_quadratic_array():
     positions, weights = weights_for(32, 32)
     n = len(positions)

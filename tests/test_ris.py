@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpris import capacity, geometry, ris, scenario as scen
 from dpris.exceptions import DegenerateGeometryError
@@ -84,6 +85,41 @@ def test_element_amplitudes_match_scalar_oracle():
             for value, tau in ((a_v[index], dec.tau_v), (a_h[index], dec.tau_h)):
                 expected = oracles.reflection_amplitude(phase, dec.elevation, tau + offset)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+#: A coordinate of the feed: 0 puts it level with the center row (z) or
+#: column (y) of an odd grid, whose tilt is then exactly 0.
+LEVEL_OR_NOT = st.just(0.0) | st.floats(-0.2, 0.2)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    side=st.sampled_from([1, 2, 5, 20, 40]),
+    pitch_wavelengths=st.floats(0.2, 1.0),
+    feed=st.tuples(st.floats(-0.3, -0.02), LEVEL_OR_NOT, LEVEL_OR_NOT),
+    phase_deg=st.floats(-170.0, 170.0),
+    tau_offset=st.just(0.0) | st.floats(-1.0, 1.0),
+    convention=st.sampled_from(scen.INCIDENCE_PLANES),
+)
+def test_element_amplitudes_have_the_bits_of_the_per_polarization_loop(
+    side, pitch_wavelengths, feed, phase_deg, tau_offset, convention
+):
+    # the package forms both polarizations' per-axis parts in one vector and
+    # the full-size map over their stack; the goldens pin only the recipes'
+    # surfaces, so the bits are checked here against one map at a time,
+    # under either convention as the link build applies it
+    grid = geometry.build_ris_grid(side, side, pitch_wavelengths * WAVELENGTH)
+    rays, distances = geometry.rays_to(grid, np.array(feed), "feed")
+    phase = np.deg2rad(phase_deg)
+    a_v, a_h = values = ris.element_amplitudes(rays, distances, phase, tau_offset)
+    if tau_offset == 0.0 and side % 2 == 1:
+        # the map vanishes where the tilt does: V's on a level row, H's on a level column
+        _, y, z = feed
+        assert (z != 0.0 or not a_v[side // 2].any()) and (y != 0.0 or not a_h[:, side // 2].any())
+    if convention == "transverse-plane":
+        values = values[::-1]
+    expected = oracles.per_polarization_amplitudes(rays, distances, phase, tau_offset, convention)
+    assert np.array_equal(values, expected)
 
 
 def test_incidence_conventions_differ_by_axis():

@@ -11,7 +11,7 @@ import pytest
 
 import dpris
 from dpris import capacity, channel, cli, geometry, recipes, ris, scenario as scen, sweep
-from dpris.exceptions import ModelInconsistencyError
+from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 import oracles
 from conftest import clear_caches
@@ -894,6 +894,27 @@ def test_overflowing_row_fails_and_the_sweep_goes_on():
     finite, overflowing = sweep.run_sweep(spec_from({**axis, **OVERFLOWING_BUILDS[1]})).rows
     assert finite["status"] == "ok" and 0.0 < finite["lambda_v"] < 1.0
     assert overflowing["status"].startswith("failed: the link build leaves the float range")
+
+
+def test_direct_build_reports_an_overflowing_surface_as_out_of_range():
+    # outside sweep.evaluate's errstate the pathloss weights overflow and O
+    # is nan: the surface leaves the float range, as evaluate and a sweep
+    # row report the point, and is not a polarization no power reaches
+    overflowing = scen.Scenario(elements=16, beta0_db=100, pathloss_exponent=150, ue_r_m=0.01)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ModelInconsistencyError, match="finite and non-negative") as excinfo:
+            scen.build_link_model(overflowing)
+    assert set(excinfo.value.details) == {"snr", "moments"}
+    assert excinfo.value.details["snr"] == scen._snr(overflowing)
+    with pytest.raises(ModelInconsistencyError, match="the link build leaves the float range"):
+        sweep.evaluate(overflowing, ["dual-ub"])
+    pairs = {"elements": "16", "beta0_db": "100", "pathloss_exponent": "150", "ue_r_m": "0.01"}
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", **pairs})
+    (row,) = sweep.run_sweep(spec).rows
+    assert row["status"].startswith("failed: the link build leaves the float range")
+    # an O that is finite but not positive is still a degeneracy
+    with pytest.raises(DegenerateGeometryError, match=r"no power reaches the V .*O_V = 0\.0"):
+        scen.build_link_model(scen.Scenario(elements=16, boresight_deg="180,90,90"))
 
 
 @pytest.mark.parametrize(
