@@ -172,7 +172,7 @@ def ergodic_capacity_mc(
     precision where the shift is tiny, and the determinant's scales stay
     products of square roots, so they underflow no sooner than G's entries.
     The weights w, the scales s11 s22 and s12 s21 and the all-V weight
-    rho m11 / 2 are formed once per draw and tiled over the trials.  Trials
+    rho m11 / 2 are formed once per draw and selected per trial.  Trials
     come in fixed chunks of 65 536, chunk c from the stream keyed
     (master_seed, c), so a fixed seed gives bitwise identical results, and
     the first T trials of a longer run are those of a T-trial run.
@@ -181,14 +181,14 @@ def ergodic_capacity_mc(
     root = np.sqrt(half)
     power, products = _trial_statistics(trials, master_seed)
     rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
-    # each draw's coefficients, tiled for an ensemble: trial i takes draw i mod D
+    # each draw's coefficients; for an ensemble, trial i takes those of draw i mod D
     weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
     scales = root[0] * root[3], root[1] * root[2]
     single_weight = rho * half[0]
     if half.shape[1] > 1:
-        reps = -(-trials // half.shape[1])
+        draws = np.arange(trials) % half.shape[1]
         weights, single_weight, *scales = (
-            np.tile(c, reps)[..., :trials] for c in (weights, single_weight, *scales)
+            c[..., draws] for c in (weights, single_weight, *scales)
         )
     # row 0 the dual link's shift, row 1 the all-V link's, then their logs
     values = np.empty((2, trials))
@@ -294,7 +294,14 @@ def expected_gram_moments(
     falls in.  The phasors e^{j theta_P} are formed in place from
     t = tan(theta_P / 2), with no cos or sin: the chunk's phase buffer
     holds t, then t^2, then 1 / (1 + t^2), and the phasor buffer gets
-    (1 - t^2, 2 t) scaled by it, before ``*= surface``.  Under the aligning
+    (1 - t^2, 2 t) scaled by it, before ``*= surface``.  FFT2 over the
+    L_r x L_c lattice then runs one axis at a time, as ``np.fft.fft2``
+    does: along the rows to L_c points, into the first ``rows`` rows of
+    the stage buffer, shape (chunk, 2, L_r / 2, L_c), then along the
+    columns to L_r points, into the transform buffer, shape
+    (chunk, 2, L_r, L_c), both complex.  |T|^2 is formed in the spent
+    stage buffer, which holds exactly L_r L_c reals a vector, and
+    Re(u^H R u) = sum_k S_k |T_k|^2 / (L_r L_c).  Under the aligning
     phases the forms collapse to (O_V, O_H).
     """
     lattice_rows, lattice_cols = spectrum.shape
@@ -319,7 +326,13 @@ def expected_gram_moments(
             break
         u = _tangent_phasor(phase[:k], phasor[:k])
         u *= surface
-        q.append(_surface_quadforms(u, spectrum, stage[:k], transform[:k]))
+        columns = np.fft.fft(u, n=lattice_cols, axis=-1, out=stage[:k, :, : surface.shape[-2]])
+        fourier = np.fft.fft(columns, n=lattice_rows, axis=-2, out=transform[:k])
+        power = stage[:k].view(float).reshape(fourier.shape)
+        np.square(fourier.real, out=power)
+        power += np.square(fourier.imag, out=fourier.imag)
+        power *= spectrum
+        q.append(power.sum(axis=(-2, -1)) / spectrum.size)
     return np.concatenate(q)
 
 
@@ -396,12 +409,10 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     return root
 
 
-@functools.lru_cache(maxsize=1)
 def kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
     """Read-only spectrum S of the sinc lag kernel of the rows x cols grid
     at ``pitch``, on the lattice of ``_lattice_length(rows)`` x
-    ``_lattice_length(cols)`` points; the last result is kept for the next
-    call on the same surface.
+    ``_lattice_length(cols)`` points.
 
     Lattice index (i, j) holds the kernel at the lag (min(i, L_r - i),
     min(j, L_c - j)).  That puts every grid lag at its index mod L with no
@@ -462,30 +473,6 @@ def _tangent_phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     out.real *= scale
     out.imag *= scale
     return out
-
-
-def _surface_quadforms(
-    vectors: np.ndarray, spectrum: np.ndarray, stage: np.ndarray, transform: np.ndarray
-) -> np.ndarray:
-    """Re(u^H R u) for each complex grid vector u over the last two axes of
-    ``vectors``, R the correlation whose lag-kernel spectrum is
-    ``spectrum`` (see ``compute_O``).
-
-    FFT2 over the L_r x L_c lattice runs one axis at a time, as
-    ``np.fft.fft2`` does: along the columns into the first ``rows`` rows
-    of ``stage``, shape (..., L_r / 2, L_c), then along the rows into
-    ``transform``, shape (..., L_r, L_c), both complex.  |transform|^2 is
-    formed in the spent stage buffer, which holds exactly L_r L_c reals.
-    """
-    rows = vectors.shape[-2]
-    lattice_rows, lattice_cols = spectrum.shape
-    columns = np.fft.fft(vectors, n=lattice_cols, axis=-1, out=stage[..., :rows, :])
-    np.fft.fft(columns, n=lattice_rows, axis=-2, out=transform)
-    power = stage.view(float).reshape(transform.shape)
-    np.square(transform.real, out=power)
-    power += np.square(transform.imag, out=transform.imag)
-    power *= spectrum
-    return power.sum(axis=(-2, -1)) / spectrum.size
 
 
 def _moment_rows(moments: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ The surface occupies the y-z plane with unit normal u_x = (1, 0, 0); the
 feed illuminates it from the x < 0 side.  Element dipole axes are z for the
 V polarization and y for the H polarization.  Placements take the
 scenario's degrees (``spherical_to_cartesian``); every other angle is in
-radians.
+radians.  A placement is a tuple of three floats, which ``rays_to``
+unpacks.
 """
 
 from __future__ import annotations
@@ -36,30 +37,29 @@ def build_ris_grid(rows: int, cols: int, pitch: float) -> tuple[np.ndarray, np.n
     return z, (np.arange(cols) - (cols - 1) / 2.0) * pitch
 
 
-def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float) -> np.ndarray:
+def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float) -> tuple:
     """Cartesian (r sin(t) cos(p), r sin(t) sin(p), r cos(t)) of the point
     at distance r from the center, zenith t (from +z) and azimuth p, both
     given in degrees; the azimuth is wrapped to [0, 2 pi) radians.  The
     angles are scalars, so ``math`` converts them and takes the sines and
     cosines, with the bits of numpy's ``deg2rad``, ``sin`` and ``cos``
-    without their per-call dispatch."""
+    without their per-call dispatch, and the point is three floats."""
     zenith = math.radians(zenith_deg)
     azimuth = math.radians(azimuth_deg) % (2.0 * math.pi)
     sin_zenith = math.sin(zenith)
-    return np.array(
-        [
-            radius * sin_zenith * math.cos(azimuth),
-            radius * sin_zenith * math.sin(azimuth),
-            radius * math.cos(zenith),
-        ]
+    return (
+        radius * sin_zenith * math.cos(azimuth),
+        radius * sin_zenith * math.sin(azimuth),
+        radius * math.cos(zenith),
     )
 
 
-def rays_to(grid: tuple, point: np.ndarray, name: str) -> tuple[tuple, np.ndarray]:
+def rays_to(grid: tuple, point, name: str) -> tuple[tuple, np.ndarray]:
     """The rays from every element of ``grid`` (``build_ris_grid``) to
-    ``point``, as their components (x, y, z), a scalar, shape (cols,) and
-    shape (rows, 1), and their lengths, shape (rows, cols);
-    DegenerateGeometryError when the point is on an element."""
+    ``point``, three coordinates (x, y, z), as their components, a scalar,
+    shape (cols,) and shape (rows, 1), and their lengths, shape
+    (rows, cols); DegenerateGeometryError when the point is on an
+    element."""
     z, y = grid
     x, dy, dz = point[0], point[1] - y, point[2] - z
     distances = np.sqrt(x * x + dy * dy + dz * dz)

@@ -25,11 +25,13 @@ every other field, so a sweep over a point field builds its surface once
 and every later point takes it from the memo, with the bits of a cold
 build; a field added to ``Scenario`` joins the key unless it is named a
 point field.  A surface build in turn keeps the last grid, keyed by its
-side and pitch, and the last UE side, the UE's pathloss weights, keyed by
-the grid, the UE's placement, ``beta0_db`` and ``pathloss_exponent``.  A
-feed move changes neither, so a ``feed-angles`` or ``feed-gain`` sweep
-traces only the feed's side per point, with the bits of a cold build; the
-feed's checks still come before the UE's.
+side and pitch, and the last UE side, the UE's pathloss weights with the
+grid's kernel spectrum, keyed by the grid, the wavelength, the UE's
+placement, ``beta0_db`` and ``pathloss_exponent``.  A feed move changes
+none of them, so a ``feed-angles`` or ``feed-gain`` sweep traces only the
+feed's side per point, with the bits of a cold build.  The grid has a
+cache of its own because the feed's rays read it first: the feed's checks
+still come before the UE's, so a point with both faults names the feed.
 
 The errors are the model's degeneracies (a feed on an element, in or
 behind the surface plane or at grazing incidence, a UE on an element, a
@@ -323,7 +325,7 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
     # the feed's rays, traced once for its coefficients and the amplitudes
     rays, distances = geometry.rays_to(grid, feed_position, "feed")
     origin = scenario.boresight_deg.strip().lower() == "origin"
-    boresight = [-c for c in feed_position.tolist()] if origin else _cosines(scenario.boresight_deg)
+    boresight = [-c for c in feed_position] if origin else _cosines(scenario.boresight_deg)
     norm = math.hypot(*boresight)
     boresight = tuple(c / norm for c in boresight)
     b = feed.build_propagation_matrix(
@@ -335,16 +337,10 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
     if scenario.incidence_convention == "transverse-plane":
         amplitudes = amplitudes[::-1]
     # the UE side after the feed's checks: a point with both faults names the feed
-    weights = _ue_weights(
-        side,
-        pitch,
-        scenario.ue_r_m,
-        scenario.ue_zenith_deg,
-        scenario.ue_azimuth_deg,
-        scenario.beta0_db,
-        scenario.pathloss_exponent,
+    ue = scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg
+    weights, spectrum = _ue_side(
+        side, pitch, wavelength, *ue, scenario.beta0_db, scenario.pathloss_exponent
     )
-    spectrum = capacity.kernel_spectrum(side, side, pitch, wavelength)
     forms = o = capacity.compute_O(amplitudes * b * weights, spectrum)
     # Python loops: on a few values they cost a fraction of numpy's reductions;
     # an O that overflowed is out of range, not a surface no power reaches
@@ -390,22 +386,26 @@ def _grid(side: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _ue_weights(
+def _ue_side(
     side: int,
     pitch: float,
+    wavelength: float,
     ue_r_m: float,
     ue_zenith_deg: float,
     ue_azimuth_deg: float,
     beta0_db: float,
     pathloss_exponent: float,
-) -> np.ndarray:
-    """The UE side of the link: the pathloss weights of the UE at
-    (r, zenith, azimuth) over the ``_grid(side, pitch)`` elements
-    (``channel.pathloss_weights``); the last weights are kept for the next
-    call with the same arguments, which a feed move does not change."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The UE side of the link and the surface's kernel: the pathloss
+    weights of the UE at (r, zenith, azimuth) over the ``_grid(side,
+    pitch)`` elements (``channel.pathloss_weights``), then the kernel
+    spectrum of the grid (``capacity.kernel_spectrum``); the last pair is
+    kept for the next call with the same arguments, which a feed move does
+    not change."""
     position = geometry.spherical_to_cartesian(ue_r_m, ue_zenith_deg, ue_azimuth_deg)
     distances = geometry.rays_to(_grid(side, pitch), position, "UE")[1]
-    return channel.pathloss_weights(distances, db_to_linear(beta0_db), pathloss_exponent)
+    weights = channel.pathloss_weights(distances, db_to_linear(beta0_db), pathloss_exponent)
+    return weights, capacity.kernel_spectrum(side, side, pitch, wavelength)
 
 
 def _cosines(angles_deg: str) -> list[float]:

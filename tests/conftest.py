@@ -9,13 +9,12 @@ PITCH = WAVELENGTH / 3.0
 
 def clear_caches():
     """Drop every result the package keeps between calls: the surface, its
-    grid and UE side, the Monte Carlo trial statistics and the kernel
-    spectrum, so the next build is a cold one."""
+    grid, its UE side with the kernel spectrum and the Monte Carlo trial
+    statistics, so the next build is a cold one."""
     scen._surface_memo.clear()
     scen._grid.cache_clear()
-    scen._ue_weights.cache_clear()
+    scen._ue_side.cache_clear()
     capacity._trial_statistics.cache_clear()
-    capacity.kernel_spectrum.cache_clear()
 
 
 @pytest.fixture(autouse=True)

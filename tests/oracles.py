@@ -37,9 +37,10 @@ The hemisphere quadrature checks that the feed pattern integrates to
 4 pi, and ``multiplexing_gain`` reads the high-SNR slope of a capacity
 curve.  ``sinc_rfft2_spectrum`` and ``per_polarization_amplitudes`` are
 the package's kernel spectrum and amplitude map as numpy's wrappers and a
-loop over the polarizations give them; the package makes the same
-arithmetic in the same order through fewer calls, so the two agree bit
-for bit.
+loop over the polarizations give them, and ``fft2_draw_forms`` its
+random-draw forms as ``np.fft.fft2`` gives them one draw at a time; the
+package makes the same arithmetic in the same order through fewer calls
+and reused buffers, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def position_surface(scenario) -> np.ndarray:
     )
     rays, distances = rays_to(positions, position, "feed")
     if scenario.boresight_deg.strip().lower() == "origin":
-        boresight = -position / np.linalg.norm(position)
+        boresight = -np.array(position) / np.linalg.norm(position)
     else:
         cosines = np.cos(np.deg2rad([float(a) for a in scenario.boresight_deg.split(",")]))
         boresight = cosines / np.linalg.norm(cosines)
@@ -232,6 +233,19 @@ def sinc_rfft2_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -
     separation = pitch * np.hypot(quarter_r[:, None], quarter_c)
     kernel = np.sinc(2.0 * separation / wavelength).take(lag_r, axis=0).take(lag_c, axis=1)
     return np.fft.rfft2(kernel).real.take(lag_c, axis=1)
+
+
+def fft2_draw_forms(surface: np.ndarray, draws, spectrum: np.ndarray) -> np.ndarray:
+    """``capacity.expected_gram_moments`` one draw at a time through
+    ``np.fft.fft2``: the draw's tangent phasors times ``surface``, padded
+    to the lattice and transformed, then sum_k S_k |T_k|^2 / (L_r L_c)."""
+    forms = []
+    for draw in draws:
+        phasor = capacity._tangent_phasor(draw.copy(), np.empty(draw.shape, dtype=complex))
+        t = np.fft.fft2(phasor * surface, s=spectrum.shape)
+        power = (t.real**2 + t.imag**2) * spectrum
+        forms.append(power.sum(axis=(-2, -1)) / spectrum.size)
+    return np.array(forms)
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -701,7 +715,7 @@ def link_parts(scenario) -> LinkParts:
     )
     rays, distances = geometry.rays_to(grid, position, "feed")
     if scenario.boresight_deg.strip().lower() == "origin":
-        boresight = -position / math.hypot(*position)
+        boresight = -np.array(position) / math.hypot(*position)
     else:
         cosines = np.array(_cosines(scenario.boresight_deg))
         boresight = cosines / math.hypot(*cosines)

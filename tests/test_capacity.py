@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dpris import capacity, cli, recipes, scenario as scen, sweep
+from dpris import capacity, cli, recipes, ris, scenario as scen, sweep
 from dpris.exceptions import ModelInconsistencyError
 
 import oracles
@@ -269,6 +269,22 @@ def test_real_and_complex_lattice_paths_agree(rows, cols):
     o = capacity.compute_O(surface, spectrum)
     q = capacity.expected_gram_moments(surface, [np.zeros_like(surface)], spectrum)
     np.testing.assert_allclose(o, q[0], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 5, 7, 16, 20, 36, 40])
+def test_draw_forms_have_the_bits_of_fft2_per_draw(side):
+    # the chunked kernel, its reused stage and transform buffers and its
+    # one-axis-at-a-time FFT against np.fft.fft2 on one draw at a time:
+    # 7 seeded draws at each of three pitches, every form bit for bit
+    rng = np.random.default_rng(side)
+    surface = rng.uniform(0.1, 1.0, (2, side, side)) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * np.pi, (2, side, side))
+    )
+    for pitch in (0.25, 1.0 / 3.0, 0.5):
+        spectrum = capacity.kernel_spectrum(side, side, pitch * WAVELENGTH, WAVELENGTH)
+        draws = [ris.random_phases(side, side, seed) for seed in range(7)]
+        q = capacity.expected_gram_moments(surface, iter(draws), spectrum)
+        assert np.array_equal(q, oracles.fft2_draw_forms(surface, draws, spectrum))
 
 
 def test_tangent_phasor_matches_high_precision_cos_and_sin():

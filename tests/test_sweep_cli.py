@@ -1,6 +1,8 @@
 import csv
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -446,9 +448,10 @@ def test_sweep_marks_degenerate_rows_and_continues():
     assert result.rows[1]["dual_ub_bits"] > 0.0
 
 
-def test_feed_angles_sweep_builds_the_kernel_spectrum_once():
+def test_feed_angles_sweep_builds_the_kernel_spectrum_once(monkeypatch):
     # every row of a feed-angles sweep builds its surface anew, all on one
-    # grid, so the one kept spectrum serves all 77 rows
+    # grid, so the spectrum kept with the UE side serves all 77 rows
+    spectra = count_calls(monkeypatch, capacity, "kernel_spectrum")
     spec = spec_from(
         {
             "axis": "feed-angles",
@@ -460,8 +463,7 @@ def test_feed_angles_sweep_builds_the_kernel_spectrum_once():
     )
     result = sweep.run_sweep(spec)
     assert [row["status"] for row in result.rows] == ["ok"] * 77
-    info = capacity.kernel_spectrum.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 76, 1)
+    assert [args[:2] for args in spectra] == [(4, 4)]
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -519,6 +521,40 @@ def test_feed_fault_is_named_before_the_ue_fault_on_a_kept_grid():
     statuses = [row["status"] for row in sweep.run_sweep(spec).rows]
     assert [status.startswith(f"failed: {aperture}") for status in statuses] == [True, False] * 2
     assert statuses[1::2] == ["failed: UE coincides with an element"] * 2
+
+
+def test_clear_caches_clears_every_cache_the_package_keeps():
+    # a cache the package adds but conftest.clear_caches misses would carry
+    # results from one test into the next, making tests depend on their order
+    names = [f"dpris.{info.name}" for info in pkgutil.iter_modules(dpris.__path__)]
+    modules = [importlib.import_module(name) for name in names]
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+    assert sorted(caches) == [
+        "dpris.capacity._trial_statistics",
+        "dpris.scenario._grid",
+        "dpris.scenario._ue_side",
+    ]
+    spec = spec_from(
+        {
+            "axis": "feed-angles",
+            "grid": "60, 90",
+            "grid2": "150, 180",
+            "outputs": "dual-ub, dual-mc",
+            "elements": "16",
+            "trials": "16",
+        }
+    )
+    assert [row["status"] for row in sweep.run_sweep(spec).rows] == ["ok"] * 4
+    assert [cache.cache_info().currsize for cache in caches.values()] == [1, 1, 1]
+    assert len(scen._surface_memo) == 1
+    clear_caches()
+    assert [cache.cache_info().currsize for cache in caches.values()] == [0, 0, 0]
+    assert scen._surface_memo == {}
 
 
 def test_sweep_nonsquare_element_count_fails_row_only():
