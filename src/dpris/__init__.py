@@ -1,9 +1,6 @@
-"""Dual-polarized reflective-surface link simulator.
-
-Geometry, near-field feeding, angle-dependent reflection, correlated
-dual-polarized Rayleigh fading, Monte Carlo ergodic capacity with matching
-closed-form bounds, optimal power allocation across polarizations, and the
-single-polarized baseline comparison.
+"""Dual-polarized reflective-surface link simulator: the link model
+(``scenario``), its capacities and bounds (``capacity``), sweeps
+(``sweep``) and the ``dpris`` command line (``cli``).
 """
 
 __version__ = "0.1.0"

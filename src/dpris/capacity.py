@@ -1,83 +1,39 @@
 """Ergodic capacity of the dual-polarized link and its closed forms.
 
-One weighted surface vector per polarization carries the whole surface
-side of the link: s_P = A_P * b * w, with A_P the reflection amplitudes
-(``ris``), b the feed coefficients (``feed``) and w = sqrt(beta0 d^-alpha)
-the pathloss weights (``channel``), stacked on the rows x cols grid as a
-(2, rows, cols) ``surface`` array.  ``scenario`` builds it once per
-surface, in this order: the grid's two axes and the feed's rays
-(``geometry``), traced once; |b|, then A from the same rays
-(``transverse-plane`` incidence swaps A's V and H rows); w from the UE's
-rays, after the feed's checks; then O from |s| = A |b| w.  The aligning
-phases cancel the phase of b, so their forms read the real |s_P| alone;
-only the random phase draws read the complex s_P, whose carrier phase is
-multiplied in last, for them alone.
-Under phases theta_P the 2x2 equivalent channel G collapses the
-per-element vectors through u_P = e^{j theta_P} * s_P:
+Each polarization P = V, H has one weighted surface vector s_P
+(``scenario``), and the two stack on the rows x cols grid as a
+(2, rows, cols) ``surface``.  Under phases theta_P the 2x2 channel is
 
     G = [[h_vv . u_V,  h_vh . u_H],
-         [h_hv . u_V,  h_hh . u_H]]
+         [h_hv . u_V,  h_hh . u_H]],    u_P = e^{j theta_P} * s_P,
 
-where the fading blocks h share the spatial correlation R and, the
-pathloss being in s, carry the power 1 - l (co-polarized) or l
-(cross-polarized).  Each entry is a linear functional of a different
-fading block, and the four blocks are independent zero-mean circular
-Gaussian vectors.  A linear functional of such a vector is circular
-Gaussian with the matching quadratic form as its variance, so the entries
-of G are independent with G_ij ~ CN(0, m_ij).  The second moments
-m = (m11, m12, m21, m22) are the exact law of G, not an approximation, and
-they are all the estimators and bounds here consume, as given: the link
-build in ``scenario`` checks the forms once, where it builds a surface.
-``expected_gram_moments`` turns a stream of D phase draws into the (D, 2)
-quadratic forms q = (q_V, q_H) of the phased surface vectors, running the
-draws through the surface FFT a chunk at a time in buffers it allocates
-once, and ``moment_layout`` is the one place where the cross-polarization
-coefficient l splits q into the (D, 4) moments.  A draw's phasors come
-from one tangent, t = tan(theta / 2), as e^{j theta} =
-((1 - t^2) + 2 j t) / (1 + t^2): numpy's float64 tan has a SIMD loop and
-its cos and sin do not, so the one tan costs a fraction of either of them,
-and the phasor lies within a few ulp of theirs (``_tangent_phasor``).
+with independent zero-mean circular Gaussian fading blocks h of one
+spatial correlation R and of power 1 - l (co-polarized) or l
+(cross-polarized), l = ``xpd_coeff``.  So the entries of G are
+independent, G_ij ~ CN(0, m_ij): the second moments m = (m11, m12, m21,
+m22) are G's exact law, and every estimator and bound here reads them as
+given.  Each moment scales one form q_P = u_P^H R u_P (``moment_layout``):
+O_P = |s_P|^T R |s_P| under the aligning phases (``compute_O``), or one
+per random phase draw (``expected_gram_moments``).  R is never formed;
+both read its spectrum (``kernel_spectrum``).
 
-R is never formed.  On the uniform rows x cols grid R(n1, n2) depends
-only on the lag (drow, dcol), through k(drow, dcol) = sinc(2 pitch
-||(drow, dcol)|| / lambda), the normalized sinc of isotropic scattering,
-so R is block Toeplitz with Toeplitz blocks.
-``kernel_spectrum`` lays k out on an L_r x L_c circulant lattice (lag i at
-index i mod L_r), each axis the smallest even length >= 2 side whose half
-factors into 2, 3 and 5 (``_lattice_length``), and returns its spectrum
-S = FFT2(k): L_r L_c reals, O(N), real because k is even.  Every surface
-quadratic form is then one FFT per vector on that lattice: a real FFT for
-the real |s| of ``compute_O``, a complex one for the phased vectors of
-``expected_gram_moments``.
-
-A moment array of shape (4,) describes one configuration; one of shape
-(D, 4) describes an ensemble of D random phase draws.  The moment bound
+Moments of shape (4,) describe one configuration, and (D, 4) D phase
+draws.  With rho the transmit SNR and (lv, lh) = (lambda_v, 1 - lambda_v)
+the power split, the moment bound, averaged over the draws, is
 
     log2(1 + rho lv (m11 + m21) + rho lh (m12 + m22)
-           + rho^2 lv lh (m11 m22 + m12 m21))
+           + rho^2 lv lh (m11 m22 + m12 m21)).
 
-is then averaged over the draws, and Monte Carlo trial i draws G from the
-moments of draw i mod D.  The transmit SNR rho and the V share lambda_v of
-the power, lv above, are plain floats; the H share is lh = 1 - lambda_v.
-Monte Carlo estimates E log2 det(I2 + rho G Lambda G^H) and, from the same
-draws, the all-V baseline E log2(1 + rho |G11|^2), with G_ij = s_ij z_ij,
-s = sqrt(m / 2) and z_ij four standard complex normals per trial.  The
-normals do not depend on the moments, so every row of a sweep uses the
-same ones (common random numbers), read only through the per-trial
-statistics that a process keeps (``_trial_statistics``); the moments
-enter through coefficients formed once per draw (``ergodic_capacity_mc``).
+Monte Carlo estimates E log2 det(I2 + rho G Lambda G^H), and from the
+same draws the all-V E log2(1 + rho |G11|^2), with G_ij = s_ij z_ij,
+s = sqrt(m / 2) and z_ij four standard complex normals per trial, as
 
-Under the aligning phases the moments collapse to
-((1-l) O_V, l O_H, l O_V, (1-l) O_H), with the quadratic forms of |s_P|
+    det(I2 + rho G Lambda G^H) - 1
+        = sum_j w_j |z_j|^2 + rho^2 lv lh |s11 s22 z11 z22 - s12 s21 z12 z21|^2,
 
-    O = sum_{n1,n2} A_n1 A_n2 |b_n1||b_n2| R(n1,n2) beta0
-        sqrt(d_n1^-a d_n2^-a),
-
-so an aligned point builds its moments from O_V and O_H with no further
-FFT, and the moment bound is the only bound.  The optimal power split
-across polarizations is the closed-form maximizer of that bound over one
-configuration's moments; O_V and O_H give the cross-polarization threshold
-above which the dual system more than doubles the single one.
+w = rho (lv, lh, lv, lh) m / 2, which keeps full relative precision where
+the shift is tiny; its scales underflow no sooner than G's entries.  Every
+row of a sweep reads the same normals (common random numbers).
 """
 
 from __future__ import annotations
@@ -95,33 +51,21 @@ from .exceptions import ModelInconsistencyError
 _LN2 = np.log(2.0)
 #: The form each moment of G scales, in entry order: q_V, q_H, q_V, q_H.
 _LAYOUT = np.array([0, 1, 0, 1])
-#: Points held by the four buffers of one ``expected_gram_moments`` call,
-#: which a chunk of c draws fills with c (4N + 3P), P = L_r L_c the lattice
-#: of the spectrum: 2N phases and 2N phasors, and for each polarization
-#: P / 2 in the FFT stage and P in the transform (at least one draw); 16N
-#: when the lattice is (2 rows) x (2 cols).  The buffers are allocated once
-#: per call and reused by every chunk.  The 1000-draw N = 400 row (40 x 40
-#: lattice, 6400 points a draw), built in-process on one pinned core of a
-#: shared 2-vCPU VM (best of 24 interleaved runs, measured twice), takes
-#: 79 and 75 ms at 2**14 (2 draws a chunk), 66 and 64 ms at 2**15
-#: (5 draws) and 67 and 60 ms at 2**16 (10 draws); 2**15 adds 0.3 MiB,
-#: under 1%, to a bound-grid worker's peak RSS.
+#: Points the buffers of one ``expected_gram_moments`` call may hold (at
+#: least one draw): a chunk of c draws takes c (4N + 3P), P = L_r L_c the
+#: spectrum's lattice; on a 1000-draw N = 400 row 2**14 was slower and
+#: 2**16 no clearer gain.
 _FFT_LATTICE_POINTS = 2**15
-#: Trials per random stream.  Chunk c of a Monte Carlo run draws from the
-#: stream keyed (master_seed, c), so a fixed seed gives the same draws for
-#: every trial whatever the trial count.
+#: Trials per random stream of ``_trial_statistics``.
 _CHUNK_TRIALS = 65_536
 
 
 @dataclass(frozen=True)
 class McCapacityResult:
-    """Monte Carlo estimate with its standard error, and the all-V
-    baseline's estimate log2(1 + rho |G11|^2) with its standard error, all
-    from the same draws.  ``power`` holds the kept |z_ij|^2, shape (4, T),
-    and ``half_moments`` the moments m / 2 of each of the D draws, shape
-    (4, D), trial i taking draw i mod D; the per-trial |G_ij|^2, their
-    means and the means' standard errors are formed from the two when
-    read."""
+    """The dual and all-V Monte Carlo estimates in bits, each with its
+    standard error, from the same T trials.  ``power`` holds the trials'
+    |z_ij|^2, shape (4, T), and ``half_moments`` each draw's m / 2, shape
+    (4, D); the per-trial |G_ij|^2 and their means are formed when read."""
 
     estimate: float
     standard_error: float
@@ -151,31 +95,13 @@ class McCapacityResult:
 def ergodic_capacity_mc(
     moments: np.ndarray, lambda_v: float, snr: float, trials: int, master_seed: int
 ) -> McCapacityResult:
-    """Monte Carlo mean of log2 det(I2 + rho G Lambda G^H), and of
-    log2(1 + rho |G11|^2) for the all-V baseline from the G11 entries of
-    the same draws; rho = ``snr`` and Lambda = diag(lambda_v, 1 - lambda_v).
-
-    G is drawn from its exact law: four independent entries
-    G_ij = s_ij z_ij, s = sqrt(m / 2), with z_ij = z1 + j z2, z1 and z2
-    standard normal, and m the ``moment_layout`` of a configuration, shape
-    (4,).  For an ensemble of D phase draws, shape (D, 4), trial i uses the
-    moments of draw i mod D: the ensemble that ``moment_upper_bound``
-    bounds over those moments.
-
-    The call reads the normals only through the kept statistics of
-    ``_trial_statistics``, and computes per trial
-
-        det(I2 + rho G Lambda G^H) - 1
-            = sum_j w_j |z_j|^2 + rho^2 lv lh |s11 s22 z11 z22 - s12 s21 z12 z21|^2,
-
-    w = rho (lv, lh, lv, lh) m / 2.  The expansion keeps full relative
-    precision where the shift is tiny, and the determinant's scales stay
-    products of square roots, so they underflow no sooner than G's entries.
-    The weights w, the scales s11 s22 and s12 s21 and the all-V weight
-    rho m11 / 2 are formed once per draw and selected per trial.  Trials
-    come in fixed chunks of 65 536, chunk c from the stream keyed
-    (master_seed, c), so a fixed seed gives bitwise identical results, and
-    the first T trials of a longer run are those of a T-trial run.
+    """Monte Carlo estimates of E log2 det(I2 + rho G Lambda G^H) and of
+    the all-V E log2(1 + rho |G11|^2), rho = ``snr`` and
+    Lambda = diag(lambda_v, 1 - lambda_v), by the module's expansion over
+    ``trials`` draws of G from ``moments``, shape (4,) or (D, 4); trial i
+    takes draw i mod D.  The trials are those of ``_trial_statistics``, so
+    a fixed ``master_seed`` gives the same bits, and the first T trials of
+    a longer run are a T-trial run's.  ValueError for any other shape.
     """
     half = _moment_rows(moments).T / 2.0
     root = np.sqrt(half)
@@ -218,10 +144,9 @@ def ergodic_capacity_mc(
 
 
 def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> float:
-    """Capacity upper bound from the four second moments of G, in entry
-    order (E|G11|^2, E|G12|^2, E|G21|^2, E|G22|^2), under the split
-    (lambda_v, 1 - lambda_v); for (D, 4) moments of D phase draws, the mean
-    of the D bounds."""
+    """The module's moment bound in bits for ``moments`` of shape (4,), or
+    the mean of the D bounds for shape (D, 4), under the split
+    (lambda_v, 1 - lambda_v) at the transmit SNR ``snr``."""
     rows = _moment_rows(moments)
     m11, m12, m21, m22 = rows.T
     rho, lambda_h = snr, 1.0 - lambda_v
@@ -235,8 +160,8 @@ def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> floa
 
 
 def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
-    """Upper bound log2(1 + rho m11) of the all-V baseline, averaged over
-    the draws of (D, 4) moments like ``moment_upper_bound``."""
+    """The all-V bound log2(1 + rho m11), averaged over the draws of (D, 4)
+    moments as ``moment_upper_bound`` is."""
     rows = _moment_rows(moments)
     m11 = rows[:, 0]
     bits = np.log1p(snr * m11) / _LN2
@@ -244,25 +169,13 @@ def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
 
 
 def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Quadratic form |s|^T R |s| of each surface vector over the last two
-    axes, a rows x cols grid, |s_n| = A_n |b_n| sqrt(beta0 d_n^-alpha): the
-    maximized per-polarization received-power quantity.  ``spectrum`` is
-    the lag-kernel spectrum S of ``kernel_spectrum``, on an L_r x L_c
-    lattice.
-
-    With v zero-padded to the lattice and T = FFT2(pad(v)),
-    v^T R v = sum_k S_k |T_k|^2 / (L_r L_c).  That is exact: grid lags lie
-    in (-rows, rows) x (-cols, cols) and each lattice axis is at least
-    2 side - 1 long, so no circular lag between two grid points wraps, and
-    the circulant matrix of S restricted to the grid is R entry for entry.
-    v is real, so |T|^2 and S are even: the real FFT's half-plane, columns
-    0 .. L_c / 2, carries the sum, with weight 1 on the DC and Nyquist
-    columns and 2 on the columns between, which stand for their mirror
-    images too.  T is the two 1-D transforms that ``np.fft.rfft2`` runs,
-    called directly: ``rfft`` along the rows to L_c points, then ``fft``
-    along the columns to L_r points.  The three sums are ``np.add.reduce``,
-    the ufunc method that ``ndarray.sum`` calls: the same bits without its
-    Python-level wrapper, which a cold surface runs once.
+    """Quadratic forms |s|^T R |s| of each surface vector s over the last
+    two axes, a rows x cols grid: O = (O_V, O_H) for a (2, rows, cols)
+    surface.  Exact on the lattice of ``spectrum`` (``kernel_spectrum``):
+    with T the FFT2 of |s| zero-padded to it, |s|^T R |s| =
+    sum_k S_k |T_k|^2 / (L_r L_c), summed over the real FFT's half-plane,
+    its DC and Nyquist columns once and those between twice.  ``rfft2``'s
+    two calls and ``sum``'s ``np.add.reduce`` run without their wrappers.
     """
     lattice_rows, lattice_cols = spectrum.shape
     half = lattice_cols // 2 + 1
@@ -279,35 +192,20 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 def expected_gram_moments(
     surface: np.ndarray, phases: Iterable[np.ndarray], spectrum: np.ndarray
 ) -> np.ndarray:
-    """Per-polarization quadratic forms q = (q_V, q_H) under each of D
-    phase draws, shape (D, 2), from which ``moment_layout`` gives the exact
-    second moments of G under each draw.
-
-    ``surface`` stacks the (V, H) weighted surface vectors on the grid,
-    shape (2, rows, cols), and each draw the (V, H) phases, of the same
-    shape; ``phases`` is read lazily, so a generator of draws is never held
-    whole.  The forms are q_P = u_P^H R u_P, with u_P = e^{j theta_P} * s_P,
-    every q exact as in ``compute_O``, on the same lattice but through the
-    complex FFT, since u_P is complex.  Draws go through the FFT a chunk at
-    a time, in four buffers (phases, phasors, FFT stage, transform)
-    allocated once per call; a draw's forms do not depend on the chunk it
-    falls in.  The phasors e^{j theta_P} are formed in place from
-    t = tan(theta_P / 2), with no cos or sin: the chunk's phase buffer
-    holds t, then t^2, then 1 / (1 + t^2), and the phasor buffer gets
-    (1 - t^2, 2 t) scaled by it, before ``*= surface``.  FFT2 over the
-    L_r x L_c lattice then runs one axis at a time, as ``np.fft.fft2``
-    does: along the rows to L_c points, into the first ``rows`` rows of
-    the stage buffer, shape (chunk, 2, L_r / 2, L_c), then along the
-    columns to L_r points, into the transform buffer, shape
-    (chunk, 2, L_r, L_c), both complex.  |T|^2 is formed in the spent
-    stage buffer, which holds exactly L_r L_c reals a vector, and
-    Re(u^H R u) = sum_k S_k |T_k|^2 / (L_r L_c).  Under the aligning
-    phases the forms collapse to (O_V, O_H).
+    """Quadratic forms q_P = u_P^H R u_P, u_P = e^{j theta_P} * s_P, of the
+    (V, H) ``surface`` vectors, shape (2, rows, cols), under each of the D
+    phase draws of ``phases``, each of the surface's shape: shape (D, 2).
+    Each is exact on the lattice of ``spectrum``, as in ``compute_O``.
+    ``phases`` is read lazily, a chunk of draws at a time, into four buffers
+    allocated once per call (phases, phasors, FFT stage, transform); a
+    draw's forms do not depend on its chunk.  ValueError for a draw of
+    another shape.
     """
     lattice_rows, lattice_cols = spectrum.shape
     size = max(1, _FFT_LATTICE_POINTS // (2 * surface.size + 3 * spectrum.size))
     phase = np.empty((size,) + surface.shape)
     phasor = np.empty((size,) + surface.shape, dtype=complex)
+    # the row FFTs fill rows <= L_r / 2 of the stage; spent, it holds |T|^2 as L_r L_c reals
     stage = np.empty((size, 2, lattice_rows // 2, lattice_cols), dtype=complex)
     transform = np.empty((size, 2, lattice_rows, lattice_cols), dtype=complex)
     draws = iter(phases)
@@ -338,19 +236,15 @@ def expected_gram_moments(
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
     """Second moments ((1-l) q_V, l q_H, l q_V, (1-l) q_H) of G from the
-    per-polarization quadratic forms q = (q_V, q_H), shape (2,) or (D, 2);
-    with q = (O_V, O_H) they are the moments under the aligning phases."""
+    forms q = (q_V, q_H), shape (2,) or (D, 2), and l = ``xpd_coeff``."""
     l = xpd_coeff
     return np.asarray(q).take(_LAYOUT, axis=-1) * np.array([1.0 - l, l, l, 1.0 - l])
 
 
 def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
-    """The lambda_v in [0, 1] that maximizes ``moment_upper_bound`` over
-    the split (lambda_v, 1 - lambda_v) for one configuration's moments,
-    shape (4,):
-
-    lambda* = 1/2 + ((m11 + m21) - (m12 + m22)) / (2 rho (m11 m22 + m12 m21)),
-
+    """The lambda_v in [0, 1] that maximizes ``moment_upper_bound`` for
+    one configuration's moments, shape (4,) (else ValueError):
+        lambda* = 1/2 + ((m11 + m21) - (m12 + m22)) / (2 rho (m11 m22 + m12 m21)),
     clipped to [0, 1].  At aligned moments it is the paper's
     lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H).
     ModelInconsistencyError when m11 m22 + m12 m21 is not positive (a dead
@@ -371,20 +265,19 @@ def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
 
 
 def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
-    """Cross-polarization coefficient above which the equal-allocation
-    dual bound exceeds twice the single-polarized bound.
-
-    The two bounds compared in the linear domain give a quadratic, scaled
-    so that no coefficient overflows: with x = rho O_V, r = O_H / O_V,
+    """Cross-polarization coefficient above which the equal-split dual
+    bound exceeds twice the single-polarized one, from the aligned O_V, O_H
+    and the transmit SNR rho.  The bounds give a quadratic, scaled so no
+    coefficient overflows: with x = rho O_V and r = O_H / O_V,
     a = x (r/2 - 1), b = x (2 - r/2) + 2, c = x (r/4 - 1) + (r/2 - 3/2) for
     x <= 1, divided by x = 1 / ((1/rho) / O_V) for x > 1.  Its root
     (-b + sqrt(D)) / (2 a), D = b^2 - 4 a c, is taken in the form that does
     not cancel: c / q for b > 0 and q / a otherwise (where a > 0), with
-    q = -(b + sign(b) sqrt(D)) / 2.  Raises ModelInconsistencyError when the
-    root is non-real or falls outside (0, 1), with the coefficients attached.
-    D is nan only where r overflows the coefficients; the quadratic divided
-    by r is then a = s/2, b = -s/2, c = s/4 + i/2 to leading order, with
-    (s, i) = (x, 1) or (1, 1/x), so D = -s^2/4 - s i < 0: not real either.
+    q = -(b + sign(b) sqrt(D)) / 2.  D is nan only where r overflows; the
+    quadratic over r then has D = -s^2/4 - s i < 0 to leading order, with
+    (s, i) = (x, 1) or (1, 1/x).  ValueError for an input that is not
+    positive and finite; ModelInconsistencyError, with the coefficients,
+    for a root that is not real or falls outside (0, 1).
     """
     if not all(0.0 < x < math.inf for x in (o_v, o_h, snr)):
         raise ValueError(f"O_V, O_H, snr must be positive and finite: {o_v!r}, {o_h!r}, {snr!r}")
@@ -410,21 +303,13 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
 
 
 def kernel_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -> np.ndarray:
-    """Read-only spectrum S of the sinc lag kernel of the rows x cols grid
-    at ``pitch``, on the lattice of ``_lattice_length(rows)`` x
-    ``_lattice_length(cols)`` points.
-
-    Lattice index (i, j) holds the kernel at the lag (min(i, L_r - i),
-    min(j, L_c - j)).  That puts every grid lag at its index mod L with no
-    wrap, and keeps k even in each axis, so S is real and even too: the
-    sinc is evaluated once per distinct |lag| and gathered, and the real
-    FFT's half-plane is mirrored into the rest.
-
-    The sinc is ``np.sinc``'s arithmetic written out, y = pi x with x = 0
-    read as 1e-20, then sin(y) / y, and the transform is the two calls that
-    ``np.fft.rfft2`` makes, ``rfft`` along the rows and ``fft`` along the
-    columns.  That gives the bits of ``np.sinc`` and ``rfft2`` without
-    their Python-level wrappers, which each new lattice runs once, cold.
+    """Read-only spectrum S = FFT2(k), shape (L_r, L_c) with each L the
+    ``_lattice_length`` of its side, of the lag kernel of a rows x cols
+    grid: k = sinc(2 pitch |lag| / wavelength), the correlation
+    R(n1, n2) = k(n1 - n2) of isotropic scattering.  Index (i, j) holds
+    the lag (min(i, L_r - i), min(j, L_c - j)), so every grid lag sits at
+    its index mod L, and k and S are real and even.  ``np.sinc`` and
+    ``rfft2`` are written out, with their bits.
     """
     lattice = _lattice_length(rows), _lattice_length(cols)
     lag_r, lag_c = (np.minimum(np.arange(n), n - np.arange(n)) for n in lattice)
@@ -459,9 +344,9 @@ def _tangent_phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{j theta} = ((1 - t^2) + 2 j t) / (1 + t^2), t = tan(theta / 2), of
     the real ``phase`` into the complex ``out`` of its shape; ``phase`` is
     spent as the scratch for t, t^2 and 1 / (1 + t^2).  Each part lies
-    within a few ulp of cos and sin: theta / 2 near pi / 2 gives a large
-    t, but no double comes near enough for t^2 to overflow.  Returns
-    ``out``.
+    within a few ulp of cos and sin, and no double theta / 2 comes near
+    enough to pi / 2 for t^2 to overflow.  numpy's float64 tan has a SIMD
+    loop and its cos and sin do not.  Returns ``out``.
     """
     phase *= 0.5
     t = np.tan(phase, out=phase)
@@ -487,14 +372,10 @@ def _moment_rows(moments: np.ndarray) -> np.ndarray:
 def _trial_statistics(trials: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only statistics of ``trials`` draws of four standard complex
     normals z = z1 + j z2, in entry order (G11, G12, G21, G22): the powers
-    |z_ij|^2, shape (4, trials), and the determinant's products
-    (Re, Im z11 z22, Re, Im z12 z21), shape (4, trials), each a contiguous
-    row; 64 bytes a trial.  The last result is kept for the next call with
-    the same arguments.
-
-    Chunk c holds trials [c C, (c + 1) C) with C = _CHUNK_TRIALS and draws
-    them from its own stream as a prefix of that stream's draws, so buffers
-    stay sized to the trials requested.
+    |z_ij|^2 and the products (Re, Im z11 z22, Re, Im z12 z21), each shape
+    (4, trials).  Chunk c holds trials [c C, (c + 1) C), C = _CHUNK_TRIALS,
+    as a prefix of the stream keyed (master_seed, c), so the draws of a
+    fixed seed do not depend on the trial count.
     """
     power = np.empty((4, trials))
     products = np.empty((4, trials))

@@ -1,23 +1,10 @@
-"""Command-line front end.
-
-Subcommands: ``sweep`` runs a spec file and writes CSV; ``capacity``
-evaluates one scenario point with ``sweep.evaluate``, as a sweep row
-does, and prints the scenario as a CSV header echoes it, then one
-``column = value`` line per cell of the ``REPORT`` outputs; ``threshold``
-prints the cross-polarization threshold for given link qualities;
-``recipes`` lists or runs the bundled figure recipes.
-
-A scenario value is set one way: ``sweep``, ``capacity`` and ``recipes
-run`` read key = value pairs from a file (the spec, ``--config`` or the
-recipe), then the ``--set KEY=VALUE`` items, which win over the file, and
-parse the merged pairs once.
-
-Exit codes: 0 success, 2 usage error (any bad scenario value, such as an
-unknown name, a non-positive length, a zenith outside [0, 180] or a dB
-value that overflows, named by its field; a sweep with a bad base
-writes no CSV) or degenerate geometry, 3 model inconsistency (also an
-overflow anywhere in the point, the link build included), 4 I/O failure.
-In a sweep, a bad grid value or a named degeneracy fails only its row.
+"""The ``dpris`` command line (``main``): ``sweep`` runs a spec file into
+a CSV; ``capacity`` evaluates one scenario point as a sweep row does and
+prints the scenario echo, then a ``column = value`` line per cell of
+``REPORT``; ``threshold`` prints the cross-polarization threshold of given
+link qualities; ``recipes`` lists or runs the bundled recipes.  ``sweep``,
+``capacity`` and ``recipes run`` read key = value pairs from a file, then
+the ``--set KEY=VALUE`` items, which win, and parse the merged pairs once.
 """
 
 from __future__ import annotations
@@ -37,6 +24,11 @@ REPORT = ("allocation", "quality", "dual-mc", "dual-ub", "mc-moments")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv`` (``sys.argv[1:]`` when None) and
+    return its exit code: 0 on success; 2 for a usage error (any bad
+    scenario value, named by its field, after which a sweep writes no CSV)
+    or a degenerate geometry; 3 for a model inconsistency, an overflow
+    anywhere in the point included; 4 for an I/O failure."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -155,6 +147,7 @@ def _cmd_recipes_run(args) -> int:
 
 
 def entrypoint() -> None:
+    """The ``dpris`` console script: exits with ``main``'s code."""
     sys.exit(main())
 
 

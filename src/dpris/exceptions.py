@@ -4,19 +4,13 @@ from __future__ import annotations
 
 
 class DegenerateGeometryError(ValueError):
-    """Feed/UE placement makes the propagation model meaningless.
-
-    Raised e.g. when the feed lies in the surface plane or behind the
-    reflecting face (non-positive projected aperture).
-    """
+    """A feed or UE placement that makes the propagation model meaningless,
+    such as a feed in or behind the surface plane."""
 
 
 class ModelInconsistencyError(RuntimeError):
-    """A closed-form quantity violates its own validity conditions.
-
-    Carries a ``details`` dict with the offending intermediate values so
-    sweep drivers can report the failure without re-deriving it.
-    """
+    """A closed-form quantity outside its validity conditions; ``details``
+    holds the offending intermediate values, so a report needs no re-run."""
 
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)

@@ -1,20 +1,8 @@
-"""Feed radiation pattern and the deterministic near-field feed-to-surface
-propagation coefficients (non-uniform spherical wave model).
-
-Each coefficient combines the feed gain toward the element, the element's
-projected aperture as seen from the feed, free-space spreading, and the
-carrier phase accumulated over the feed distance:
-
-    b_n = sqrt(G_n * A_n / (4 pi D_n^2)) * exp(-j 2 pi D_n / lambda)
-
-Both polarizations are fed by this one coefficient; cross-polarized
-feeding is zero because the line-of-sight hop preserves polarization.  A
-fixed feeding phase per polarization would rotate a whole polarization's
-surface vector by a constant, which cancels in every quadratic form the
-link reports, so the feed carries none.  ``build_propagation_matrix``
-gives |b| and ``carrier_phase`` the phase factors on the rows x cols grid,
-from the broadcast rays of ``geometry.rays_to``; only the random phase
-draws read the phase (see ``capacity`` for the surface vector they enter).
+"""The feed: its radiation pattern and its near-field coefficients b on
+the surface (``build_propagation_matrix``).  Both polarizations share the
+one coefficient: the line-of-sight hop preserves polarization, and a fixed
+feeding phase per polarization would cancel in every quadratic form the
+link reports, so the feed carries none.
 """
 
 from __future__ import annotations
@@ -34,14 +22,15 @@ def feed_gains(cosines: np.ndarray, gain: float) -> np.ndarray:
 def build_propagation_matrix(
     rays: tuple, distances: np.ndarray, area: float, boresight: tuple, gain: float
 ) -> np.ndarray:
-    """Read-only feed coefficient magnitudes |b_n|, shape (rows, cols),
-    from the components (x, y, z) of the rays to the feed, their lengths
-    D_n (``geometry.rays_to``), the element area A = pitch^2 in m^2 and the
-    unit boresight (n_x, n_y, n_z).
-
-    Raises DegenerateGeometryError, naming the first element in row-major
-    order, when an element's projected aperture toward the feed is
-    non-positive (feed in the surface plane or behind the reflecting face).
+    """Read-only magnitudes |b_n|, shape (rows, cols), of the coefficients
+        b_n = sqrt(G_n A_n / (4 pi D_n^2)) exp(-j 2 pi D_n / lambda),
+    from the components (x, y, z) and lengths D_n of the rays to the feed
+    (``geometry.rays_to``), the element area A = pitch^2 in m^2, the unit
+    boresight (n_x, n_y, n_z) and the linear ``gain``: G_n is the
+    ``feed_gains`` pattern toward element n and A_n = -A x / D_n its
+    projected aperture; ``carrier_phase`` gives the phase factor.  Raises
+    DegenerateGeometryError, naming the first element in row-major order,
+    when A_n is not positive (feed in or behind the surface plane).
     """
     x, dy, dz = rays
     projected = -x * area / distances

@@ -1,23 +1,11 @@
-"""Surface geometry: the reflective element grid, spherical placements
-and the rays from every element to a point.  Inputs arrive checked by
-``scenario.Scenario``; the error left here is a point on an element.
+"""Surface geometry: the element grid, spherical placements and the rays
+from every element to a point; past ``Scenario``'s checks, the one error
+left here is a point on an element.
 
-The grid is the outer product of two axes, and the surface is held as
-those axes alone: ``build_ris_grid`` gives the z of each row and the y of
-each column (every element has x = 0), and ``rays_to`` broadcasts them
-into the rays to a point, a scalar x, a row of y and a column of z, with
-their lengths on the rows x cols grid, which every per-element array of
-the link shares (rows advance along z, columns along y).  The feed takes
-the element area pitch^2 as a float (``feed.build_propagation_matrix``).
-
-Coordinate frame
-----------------
-The surface occupies the y-z plane with unit normal u_x = (1, 0, 0); the
-feed illuminates it from the x < 0 side.  Element dipole axes are z for the
-V polarization and y for the H polarization.  Placements take the
-scenario's degrees (``spherical_to_cartesian``); every other angle is in
-radians.  A placement is a tuple of three floats, which ``rays_to``
-unpacks.
+The surface occupies the y-z plane with unit normal u_x = (1, 0, 0), and
+the feed illuminates it from the x < 0 side.  Element dipole axes are z
+for V and y for H.  Grid rows advance along z and columns along y.
+Placements take degrees; every other angle is in radians.
 """
 
 from __future__ import annotations
@@ -40,10 +28,8 @@ def build_ris_grid(rows: int, cols: int, pitch: float) -> tuple[np.ndarray, np.n
 def spherical_to_cartesian(radius: float, zenith_deg: float, azimuth_deg: float) -> tuple:
     """Cartesian (r sin(t) cos(p), r sin(t) sin(p), r cos(t)) of the point
     at distance r from the center, zenith t (from +z) and azimuth p, both
-    given in degrees; the azimuth is wrapped to [0, 2 pi) radians.  The
-    angles are scalars, so ``math`` converts them and takes the sines and
-    cosines, with the bits of numpy's ``deg2rad``, ``sin`` and ``cos``
-    without their per-call dispatch, and the point is three floats."""
+    given in degrees; the azimuth is wrapped to [0, 2 pi) radians.
+    ``math`` gives the bits of numpy's ``deg2rad``, ``sin`` and ``cos``."""
     zenith = math.radians(zenith_deg)
     azimuth = math.radians(azimuth_deg) % (2.0 * math.pi)
     sin_zenith = math.sin(zenith)

@@ -1,52 +1,27 @@
-"""One flat parameter set describing a complete link, with the default
-values used throughout the bundled recipes (26 GHz carrier, lambda/3
-element pitch, -96 dBm noise, -49.7 dB unit pathloss, exponent 4, feed at
-(0.05 m, 90deg, 180deg) pointing along +x, UE at (50 m, 60deg, 0deg);
-the frame is ``geometry``'s).
+"""A link's scenario, one flat parameter set checked when it is made, and
+the link model built from it (``build_link_model``).
 
-Scenarios are plain data: text config files and CLI overrides map onto the
-same field names, dB/dBm fields carry explicit suffixes (``db_to_linear``
-converts both), and angles cross this boundary in degrees only.  A
-scenario is checked when it is made, and only then: every range the link
-model assumes fails there, with an error that names the field.
+The surface side (``_surface_forms``) builds, per polarization P, the
+weighted surface vector
 
-``build_link_model`` works in two parts.  The surface side builds the
-surface vector in the order ``capacity`` gives and reduces it to its
-forms (``_surface_forms``): O = (O_V, O_H), or for the random scheme the
-(D, 2) forms of its D phase draws.  The point side splits those forms
-into the moments of G by ``xpd_coeff`` and resolves ``allocation`` to the
-V share lambda_v of the transmit power: 1/2 for ``equal``, the maximizer
-of the moment bound for ``optimal``, or the literal itself.
+    s_P = A_P * b * w
 
-The point fields (``noise_dbm``, ``power_dbm``, ``snr_db``, ``xpd_coeff``,
-``allocation``, ``trials``, ``master_seed``) enter the point side only.
-A process keeps the surface side of the last link it built, keyed by
-every other field, so a sweep over a point field builds its surface once
-and every later point takes it from the memo, with the bits of a cold
-build; a field added to ``Scenario`` joins the key unless it is named a
-point field.  A surface build in turn keeps the last grid, keyed by its
-side and pitch, and the last UE side, the UE's pathloss weights with the
-grid's kernel spectrum, keyed by the grid, the wavelength, the UE's
-placement, ``beta0_db`` and ``pathloss_exponent``.  A feed move changes
-none of them, so a ``feed-angles`` or ``feed-gain`` sweep traces only the
-feed's side per point, with the bits of a cold build.  The grid has a
-cache of its own because the feed's rays read it first: the feed's checks
-still come before the UE's, so a point with both faults names the feed.
+on the side x side grid, from the reflection amplitudes A_P
+(``ris.element_amplitudes``), the feed coefficients b
+(``feed.build_propagation_matrix``) and the UE's pathloss weights w
+(``channel.pathloss_weights``), in this order: the grid and the feed's
+rays (``geometry``), traced once for |b| and then A (``transverse-plane``
+swaps A's V and H rows); the UE side, w and the kernel spectrum; then the
+forms (``capacity``): O = (O_V, O_H) of |s| under the aligning phases,
+which cancel b's phase, or the (D, 2) forms of the random scheme's D
+seeded draws, which read it.  The point side splits the forms into the
+moments of G by ``xpd_coeff`` and resolves ``allocation`` to lambda_v.
 
-The errors are the model's degeneracies (a feed on an element, in or
-behind the surface plane or at grazing incidence, a UE on an element, a
-polarization no power reaches), an optimal split whose moment product
-underflows, and the gate on the model's numbers (ModelInconsistencyError
-with the point's snr).  The surface build checks its forms once, where it
-builds them: O and the forms must be finite and non-negative, else the
-error carries the building point's snr and moments.  O is checked finite
-before it is checked positive, so an O that overflowed (nan or inf) is out
-of range, as ``sweep.evaluate`` reports it, and not a polarization no
-power reaches.  A failed build raises before the memo stores it, so the
-memo holds only checked surfaces, and a point that takes its surface from
-the memo checks nothing again.  ``sweep.evaluate`` then checks that no
-overflow or invalid value arises anywhere in the point, over this build
-and every cell.
+A process keeps the last surface's forms, keyed by every field but the
+point fields: a field added to ``Scenario`` joins the key unless it is
+named a point field (``_POINT_FIELDS``).  A surface build keeps the last
+grid and the last UE side, which a feed move does not change.  A kept
+result has the bits of a cold build, and a failed build is not kept.
 """
 
 from __future__ import annotations
@@ -69,6 +44,18 @@ _POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathlos
 
 @dataclass(frozen=True)
 class Scenario:
+    """The fields of one link point, defaulting to the bundled recipes'
+    set-up; config files and ``--set`` use the same names.  ``_m`` fields
+    are in metres, ``pitch_wavelengths`` in wavelengths and ``_deg`` fields
+    in degrees, placements being (r, zenith, azimuth) in ``geometry``'s
+    frame.  ``_db`` and ``_dbm`` fields are in decibels (``db_to_linear``),
+    and ``snr_db``, when set, replaces ``power_dbm - noise_dbm``.  The point
+    fields (``_POINT_FIELDS``: ``noise_dbm``, ``power_dbm``, ``snr_db``,
+    ``xpd_coeff``, ``allocation``, ``trials``, ``master_seed``) leave the
+    surface as it is.  ValueError, naming the field, for a value out of the
+    model's range.
+    """
+
     wavelength_m: float = 0.0115
     elements: int = 100
     pitch_wavelengths: float = 1.0 / 3.0
@@ -253,18 +240,10 @@ def _snr(scenario: Scenario) -> float:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """What every output of a scenario point reads, built once per point:
-    the transmit SNR, the V share ``lambda_v`` of the power (the H share
-    is 1 - lambda_v), and the surface's quadratic forms.
-
-    ``forms`` are the forms q = (q_V, q_H) the moments are split from:
-    O = (O_V, O_H), shape (2,), under the aligning schemes, or the (D, 2)
-    forms of the random scheme's D seeded phase draws; the threshold reads
-    O.  ``moments`` are the exact second moments of G that every capacity
-    and bound of the point reads, split from ``forms`` by ``xpd_coeff``:
-    shape (4,) or (D, 4); ``allocation = optimal`` is the split that
-    maximizes their bound.
-    """
+    """What every output of a scenario point reads: the transmit SNR, the
+    V share ``lambda_v`` of the power, the surface's read-only ``forms``,
+    O = (O_V, O_H) of shape (2,) or the random scheme's (D, 2), and the
+    ``moments`` of G split from them, shape (4,) or (D, 4)."""
 
     snr: float
     lambda_v: float
@@ -272,9 +251,8 @@ class LinkModel:
     forms: np.ndarray
 
 
-#: The fields a sweep point may change on a fixed surface: they enter only
-#: the transmit SNR, the split of the moments by ``xpd_coeff``, the power
-#: split and the Monte Carlo run.  Every other field keys the surface memo.
+#: The fields that enter only the point side: the SNR, the moments' split,
+#: the power split and the Monte Carlo run.
 _POINT_FIELDS = (
     "noise_dbm",
     "power_dbm",
@@ -292,9 +270,12 @@ _surface_memo: dict = {}
 
 
 def build_link_model(scenario: Scenario) -> LinkModel:
-    """The link model of one scenario point: the surface's checked forms,
-    from ``_surface_memo`` when the last point built had the same surface,
-    then the point's moments and SNR, and the power split."""
+    """The link model of one scenario point.  DegenerateGeometryError for
+    a feed or UE on an element, a feed in or behind the surface plane or at
+    grazing incidence, or a polarization no power reaches;
+    ModelInconsistencyError, with the point's snr, for forms out of range
+    or an optimal split whose moment product underflows.
+    """
     key = _surface_key(scenario)
     forms = _surface_memo.get(key)
     if forms is None:
@@ -310,11 +291,9 @@ def build_link_model(scenario: Scenario) -> LinkModel:
 
 
 def _surface_forms(scenario: Scenario) -> np.ndarray:
-    """The read-only forms the moments are split from: O = (O_V, O_H),
-    shape (2,), under the aligning phases, or the (D, 2) forms of the
-    random scheme's D draws.  O must be finite, then positive, and the
-    forms finite and non-negative, else the building point's error is
-    raised."""
+    """The read-only forms of the scenario's surface, built as the module
+    says.  O must be finite, then positive, and the random forms finite
+    and non-negative, else the building point's error is raised."""
     side = math.isqrt(int(scenario.elements))
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
@@ -322,7 +301,6 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
     feed_position = geometry.spherical_to_cartesian(
         scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg
     )
-    # the feed's rays, traced once for its coefficients and the amplitudes
     rays, distances = geometry.rays_to(grid, feed_position, "feed")
     origin = scenario.boresight_deg.strip().lower() == "origin"
     boresight = [-c for c in feed_position] if origin else _cosines(scenario.boresight_deg)
@@ -354,7 +332,6 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
                 "the feed faces away from the surface or the pathloss underflows"
             )
     if scenario.phase_scheme == "random":
-        # the random draws read the feed's carrier phase, which aligning cancels
         surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
         draws = (
             ris.random_phases(side, side, scenario.phase_seed + d)
@@ -377,8 +354,8 @@ def _forms_error(scenario: Scenario, forms: np.ndarray) -> ModelInconsistencyErr
 @functools.lru_cache(maxsize=1)
 def _grid(side: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
     """The read-only axes of the side x side grid at ``pitch``
-    (``geometry.build_ris_grid``); the last grid is kept for the next
-    call on it."""
+    (``geometry.build_ris_grid``).  Kept apart from the UE side because
+    the feed's rays read it before the UE's checks may run."""
     grid = geometry.build_ris_grid(side, side, pitch)
     for axis in grid:
         axis.setflags(write=False)
@@ -396,12 +373,8 @@ def _ue_side(
     beta0_db: float,
     pathloss_exponent: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The UE side of the link and the surface's kernel: the pathloss
-    weights of the UE at (r, zenith, azimuth) over the ``_grid(side,
-    pitch)`` elements (``channel.pathloss_weights``), then the kernel
-    spectrum of the grid (``capacity.kernel_spectrum``); the last pair is
-    kept for the next call with the same arguments, which a feed move does
-    not change."""
+    """The pathloss weights of the UE at (r, zenith, azimuth) over the
+    ``_grid(side, pitch)`` elements, then the grid's kernel spectrum."""
     position = geometry.spherical_to_cartesian(ue_r_m, ue_zenith_deg, ue_azimuth_deg)
     distances = geometry.rays_to(_grid(side, pitch), position, "UE")[1]
     weights = channel.pathloss_weights(distances, db_to_linear(beta0_db), pathloss_exponent)

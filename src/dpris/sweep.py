@@ -1,20 +1,8 @@
-"""Sweep engine: runs one scenario axis over a grid and emits a
-self-describing CSV table (plus an optional gnuplot companion script).
-
-Sweep spec files are flat key = value text.  Sweep-level keys are ``axis``,
-``grid`` (comma-separated values), ``grid2`` (second grid, feed-angles
-only), ``outputs`` (comma-separated column selection, each named once);
-every other key is a scenario override.  Numeric grids are strictly
-monotone.  Grid values parse as the scenario field of their
-axis does, and a bad one fails with an error that names that field.
-Re-running the same spec reproduces the CSV byte for byte except the
-runtime column.
-
-``OUTPUTS`` is the one table of what a point reports; ``evaluate`` reads
-it for a sweep row and for ``dpris capacity`` alike.  A bad grid value,
-the aligned-phase threshold asked of a random-phase point, and a named
-degeneracy (``DegenerateGeometryError``, ``ModelInconsistencyError``)
-fail their row; any other error is a fault of the program and propagates.
+"""Sweeps: one scenario axis over a grid, into a self-describing CSV
+table and an optional gnuplot script.  ``OUTPUTS`` is the one table of
+what a point reports; ``evaluate`` reads it for a sweep row and for
+``dpris capacity`` alike.  Re-running a spec reproduces its CSV byte for
+byte except the runtime column.
 """
 
 from __future__ import annotations
@@ -41,6 +29,11 @@ AXES = tuple(_AXIS_COLUMNS)
 
 
 def _threshold(link, mc):
+    if link.forms.ndim == 2:
+        raise ModelInconsistencyError(
+            "output threshold is a closed form of the aligned-phase O_V/O_H; "
+            "it does not describe phase_scheme = random"
+        )
     try:
         return (capacity.xpd_threshold(*link.forms.tolist(), link.snr),)
     except ModelInconsistencyError:
@@ -84,9 +77,10 @@ OUTPUTS = {
 
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
-    the order of ``outputs``; the link build and every cell run under the
-    gate (see ``scenario``), and the Monte Carlo estimator runs once if any
-    output reads it, and not at all otherwise."""
+    the order of ``outputs``; the Monte Carlo runs once if any output reads
+    it.  Raises the link build's errors (``scen.build_link_model``), and
+    ModelInconsistencyError for ``threshold`` on a random-phase point and
+    for an overflow or invalid value anywhere in the build or a cell."""
     link = None
     cells: dict = {}
     try:
@@ -115,6 +109,12 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A checked sweep: the axis, its grid (and ``grid2``), the outputs in
+    column order and the base scenario.  Raises ValueError for an empty
+    grid or output list, an unknown or repeated output, a ``grid2`` that a
+    ``feed-angles`` sweep lacks or another axis has, or a numeric grid that
+    is not strictly monotone."""
+
     axis: str
     grid: tuple
     outputs: tuple[str, ...]
@@ -145,12 +145,21 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
+    """A run sweep: one dict per point, keyed by ``columns``, which are the
+    axis's, the outputs', ``status`` (``ok`` or ``failed: ...``) and
+    ``runtime_s``."""
+
     spec: SweepSpec
     columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
 
 
 def parse_sweep_pairs(pairs: dict[str, str]) -> SweepSpec:
+    """The sweep that flat key = value ``pairs`` describe: ``axis`` (one of
+    ``AXES``), ``grid`` (comma-separated values, parsed as the axis's field
+    is), ``grid2`` (the azimuths of a ``feed-angles`` sweep) and ``outputs``
+    (comma-separated names of ``OUTPUTS``); every other key overrides the
+    base scenario.  Raises ValueError, naming the key or field."""
     pairs = dict(pairs)
     try:
         axis = pairs.pop("axis").strip()
@@ -178,7 +187,9 @@ def _parse_grid(key: str, raw: str) -> tuple:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point; a point failing as the module says is a failed row."""
+    """Evaluate every grid point.  A bad grid value or a named degeneracy
+    (DegenerateGeometryError, ModelInconsistencyError) fails its row; any
+    other error is a fault of the program and propagates."""
     columns = _AXIS_COLUMNS[spec.axis] + tuple(
         col for out in spec.outputs for col in OUTPUTS[out][0]
     ) + ("status", "runtime_s")
@@ -249,15 +260,8 @@ def _grid_points(spec: SweepSpec):
 
 def _scenario_at(spec: SweepSpec, point: tuple) -> scen.Scenario:
     if spec.axis == "power-allocation":
-        current = spec.base.replace(allocation=repr(point[0]))
-    else:
-        current = spec.base.replace(**dict(zip(_AXIS_COLUMNS[spec.axis], point)))
-    if current.phase_scheme == "random" and "threshold" in spec.outputs:
-        raise ValueError(
-            "output threshold is a closed form of the aligned-phase O_V/O_H; "
-            "it does not describe phase_scheme = random"
-        )
-    return current
+        return spec.base.replace(allocation=repr(point[0]))
+    return spec.base.replace(**dict(zip(_AXIS_COLUMNS[spec.axis], point)))
 
 
 def _join(values) -> str:

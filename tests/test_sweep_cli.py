@@ -200,6 +200,14 @@ def test_random_phase_row_rejects_aligned_closed_forms(pairs, field):
     assert random["status"].startswith("failed:") and field in random["status"]
 
 
+@pytest.mark.parametrize("draws", [1, 2])
+def test_threshold_refuses_a_random_scenario_outside_a_sweep(draws):
+    # the refusal is the output's own, so a direct caller gets it by name, as a sweep row does
+    current = scen.Scenario(elements=16, phase_scheme="random", random_phase_draws=draws)
+    with pytest.raises(ModelInconsistencyError, match="output threshold"):
+        sweep.evaluate(current, ("threshold",))
+
+
 def random_row(draws):
     current = scen.Scenario(
         elements=16,
