@@ -46,6 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import ris
 from .exceptions import ModelInconsistencyError
 
 _LN2 = np.log(2.0)
@@ -190,48 +191,64 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def expected_gram_moments(
-    surface: np.ndarray, phases: Iterable[np.ndarray], spectrum: np.ndarray
+    surface: np.ndarray, phases: range | Iterable[np.ndarray], spectrum: np.ndarray
 ) -> np.ndarray:
     """Quadratic forms q_P = u_P^H R u_P, u_P = e^{j theta_P} * s_P, of the
     (V, H) ``surface`` vectors, shape (2, rows, cols), under each of the D
-    phase draws of ``phases``, each of the surface's shape: shape (D, 2).
-    Each is exact on the lattice of ``spectrum``, as in ``compute_O``.
-    ``phases`` is read lazily, a chunk of draws at a time, into four buffers
-    allocated once per call (phases, phasors, FFT stage, transform); a
-    draw's forms do not depend on its chunk.  ValueError for a draw of
-    another shape.
+    phase draws of ``phases``: shape (D, 2).  ``phases`` is a range of
+    seeds, whose draws ``ris.random_phase_chunks`` writes straight into the
+    phase buffer, or draws of the surface's shape, read lazily.  Each form
+    is exact on the lattice of ``spectrum``, as in ``compute_O``.  The
+    draws pass a chunk at a time through four buffers allocated once per
+    call (half phases, phasors, FFT stage, transform); a draw's forms do
+    not depend on its chunk.  ValueError for a draw of another shape.
     """
     lattice_rows, lattice_cols = spectrum.shape
     size = max(1, _FFT_LATTICE_POINTS // (2 * surface.size + 3 * spectrum.size))
-    phase = np.empty((size,) + surface.shape)
+    half = np.empty((size,) + surface.shape)
     phasor = np.empty((size,) + surface.shape, dtype=complex)
     # the row FFTs fill rows <= L_r / 2 of the stage; spent, it holds |T|^2 as L_r L_c reals
     stage = np.empty((size, 2, lattice_rows // 2, lattice_cols), dtype=complex)
     transform = np.empty((size, 2, lattice_rows, lattice_cols), dtype=complex)
-    draws = iter(phases)
+    if isinstance(phases, range):
+        # pi r of r turns is theta / 2 with the bits of 2 pi r * 0.5
+        chunks = (np.multiply(r, np.pi, out=r) for r in ris.random_phase_chunks(half, phases))
+    else:
+        chunks = _halved_chunks(half, phases)
     q = []
-    while True:
-        k = 0
-        for draw in islice(draws, size):
-            if np.shape(draw) != surface.shape:
-                raise ValueError(
-                    f"phase draws must have the surface's shape {surface.shape}, "
-                    f"got {np.shape(draw)}"
-                )
-            phase[k] = draw
-            k += 1
-        if k == 0:
-            break
-        u = _tangent_phasor(phase[:k], phasor[:k])
+    for theta in chunks:
+        k = len(theta)
+        u = _tangent_phasor(theta, phasor[:k])
         u *= surface
         columns = np.fft.fft(u, n=lattice_cols, axis=-1, out=stage[:k, :, : surface.shape[-2]])
         fourier = np.fft.fft(columns, n=lattice_rows, axis=-2, out=transform[:k])
+        parts = fourier.view(float)
+        np.square(parts, out=parts)
         power = stage[:k].view(float).reshape(fourier.shape)
-        np.square(fourier.real, out=power)
-        power += np.square(fourier.imag, out=fourier.imag)
+        np.add(parts[..., ::2], parts[..., 1::2], out=power)
         power *= spectrum
         q.append(power.sum(axis=(-2, -1)) / spectrum.size)
     return np.concatenate(q)
+
+
+def _halved_chunks(out: np.ndarray, draws: Iterable[np.ndarray]):
+    """Copy ``draws``, each of out[0]'s shape, into ``out`` halved, a chunk
+    at a time: yields out[:k] once it holds the next k.  ValueError for a
+    draw of another shape."""
+    draws = iter(draws)
+    while True:
+        k = 0
+        for draw in islice(draws, len(out)):
+            if np.shape(draw) != out.shape[1:]:
+                raise ValueError(
+                    f"phase draws must have the surface's shape {out.shape[1:]}, "
+                    f"got {np.shape(draw)}"
+                )
+            np.multiply(draw, 0.5, out=out[k])
+            k += 1
+        if k == 0:
+            return
+        yield out[:k]
 
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:
@@ -340,21 +357,21 @@ def _lattice_length(side: int) -> int:
         m += 1
 
 
-def _tangent_phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _tangent_phasor(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{j theta} = ((1 - t^2) + 2 j t) / (1 + t^2), t = tan(theta / 2), of
-    the real ``phase`` into the complex ``out`` of its shape; ``phase`` is
-    spent as the scratch for t, t^2 and 1 / (1 + t^2).  Each part lies
-    within a few ulp of cos and sin, and no double theta / 2 comes near
-    enough to pi / 2 for t^2 to overflow.  numpy's float64 tan has a SIMD
-    loop and its cos and sin do not.  Returns ``out``.
+    the real half phases ``half`` = theta / 2 into the complex ``out`` of
+    their shape; ``half`` is spent as the scratch for t, t^2 and
+    1 / (1 + t^2).  Each part lies within a few ulp of cos and sin, and no
+    double theta / 2 comes near enough to pi / 2 for t^2 to overflow.
+    numpy's float64 tan has a SIMD loop and its cos and sin do not.
+    Returns ``out``.
     """
-    phase *= 0.5
-    t = np.tan(phase, out=phase)
+    t = np.tan(half, out=half)
     np.multiply(t, 2.0, out=out.imag)
-    t2 = np.square(t, out=phase)
+    t2 = np.square(t, out=half)
     np.subtract(1.0, t2, out=out.real)
     t2 += 1.0
-    scale = np.reciprocal(t2, out=phase)
+    scale = np.reciprocal(t2, out=half)
     out.real *= scale
     out.imag *= scale
     return out

@@ -333,11 +333,8 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
             )
     if scenario.phase_scheme == "random":
         surface = amplitudes * (b * feed.carrier_phase(distances, wavelength)) * weights
-        draws = (
-            ris.random_phases(side, side, scenario.phase_seed + d)
-            for d in range(scenario.random_phase_draws)
-        )
-        forms = capacity.expected_gram_moments(surface, draws, spectrum)
+        seeds = range(scenario.phase_seed, scenario.phase_seed + scenario.random_phase_draws)
+        forms = capacity.expected_gram_moments(surface, seeds, spectrum)
         if not all(0.0 <= x < math.inf for x in forms.ravel().tolist()):
             raise _forms_error(scenario, forms)
     forms.setflags(write=False)

@@ -40,7 +40,9 @@ the package's kernel spectrum and amplitude map as numpy's wrappers and a
 loop over the polarizations give them, and ``fft2_draw_forms`` its
 random-draw forms as ``np.fft.fft2`` gives them one draw at a time; the
 package makes the same arithmetic in the same order through fewer calls
-and reused buffers, so the two agree bit for bit.
+and reused buffers, so the two agree bit for bit.  ``random_phases`` is a
+random draw as a generator seeded for it alone gives it, where the
+package seeds its draws a block of seeds at a time.
 """
 
 from __future__ import annotations
@@ -235,13 +237,21 @@ def sinc_rfft2_spectrum(rows: int, cols: int, pitch: float, wavelength: float) -
     return np.fft.rfft2(kernel).real.take(lag_c, axis=1)
 
 
+def random_phases(rows: int, cols: int, seed: int) -> np.ndarray:
+    """The random scheme's phase draw of ``seed`` from a generator of its
+    own, shape (2, rows, cols): ``default_rng(seed).uniform(0, 2 pi)``, V
+    then H, each row-major, 2 pi times the turns ``ris.random_phase_chunks``
+    writes."""
+    return np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (2, rows, cols))
+
+
 def fft2_draw_forms(surface: np.ndarray, draws, spectrum: np.ndarray) -> np.ndarray:
     """``capacity.expected_gram_moments`` one draw at a time through
     ``np.fft.fft2``: the draw's tangent phasors times ``surface``, padded
     to the lattice and transformed, then sum_k S_k |T_k|^2 / (L_r L_c)."""
     forms = []
     for draw in draws:
-        phasor = capacity._tangent_phasor(draw.copy(), np.empty(draw.shape, dtype=complex))
+        phasor = capacity._tangent_phasor(draw * 0.5, np.empty(draw.shape, dtype=complex))
         t = np.fft.fft2(phasor * surface, s=spectrum.shape)
         power = (t.real**2 + t.imag**2) * spectrum
         forms.append(power.sum(axis=(-2, -1)) / spectrum.size)
@@ -725,7 +735,7 @@ def link_parts(scenario) -> LinkParts:
     if scenario.incidence_convention == "transverse-plane":
         a_v, a_h = a_h, a_v
     if scenario.phase_scheme == "random":
-        phases_v, phases_h = ris.random_phases(side, side, scenario.phase_seed)
+        phases_v, phases_h = random_phases(side, side, scenario.phase_seed)
     else:
         phases_v, phases_h = aligned_phases(scenario.phase_scheme, positions, wavelength, position)
     ue = geometry.spherical_to_cartesian(

@@ -282,9 +282,33 @@ def test_draw_forms_have_the_bits_of_fft2_per_draw(side):
     )
     for pitch in (0.25, 1.0 / 3.0, 0.5):
         spectrum = capacity.kernel_spectrum(side, side, pitch * WAVELENGTH, WAVELENGTH)
-        draws = [ris.random_phases(side, side, seed) for seed in range(7)]
-        q = capacity.expected_gram_moments(surface, iter(draws), spectrum)
-        assert np.array_equal(q, oracles.fft2_draw_forms(surface, draws, spectrum))
+        draws = [oracles.random_phases(side, side, seed) for seed in range(7)]
+        expected = oracles.fft2_draw_forms(surface, draws, spectrum)
+        # the same draws from their seeds, as half phases pi r, and as given
+        for phases in (range(7), iter(draws)):
+            q = capacity.expected_gram_moments(surface, phases, spectrum)
+            assert np.array_equal(q, expected)
+
+
+@pytest.mark.parametrize("split", [1, 5, 7, 8, 10, 13, 16, 39])
+def test_seeded_forms_do_not_depend_on_where_the_seeds_split(monkeypatch, split):
+    # the forms of draws [0, 40) in one call, and in two on [0, a) and
+    # [a, 40): each call starts its 5-draw chunks and 8-seed blocks at its
+    # own first seed, so a falls on and off both boundaries; bit for bit
+    monkeypatch.setattr(ris, "_SEED_BLOCK", 8)
+    rng = np.random.default_rng(40)
+    surface = rng.uniform(0.1, 1.0, (2, 4, 4)) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * np.pi, (2, 4, 4))
+    )
+    spectrum = capacity.kernel_spectrum(4, 4, PITCH, WAVELENGTH)
+    monkeypatch.setattr(capacity, "_FFT_LATTICE_POINTS", 5 * (2 * surface.size + 3 * spectrum.size))
+    whole = capacity.expected_gram_moments(surface, range(40), spectrum)
+    assert whole.shape == (40, 2)
+    halves = [
+        capacity.expected_gram_moments(surface, seeds, spectrum)
+        for seeds in (range(split), range(split, 40))
+    ]
+    assert np.array_equal(np.concatenate(halves), whole)
 
 
 def test_tangent_phasor_matches_high_precision_cos_and_sin():
@@ -304,7 +328,7 @@ def test_tangent_phasor_matches_high_precision_cos_and_sin():
         np.nextafter(2.0 * np.pi, 0.0),
     ]
     theta = np.concatenate([edges, np.random.default_rng(2026).uniform(0.0, 2.0 * np.pi, 10_000)])
-    phasor = capacity._tangent_phasor(theta.copy(), np.empty(theta.shape, dtype=complex))
+    phasor = capacity._tangent_phasor(theta * 0.5, np.empty(theta.shape, dtype=complex))
     bound = 4.0 * 2.0**-53
     with mpmath.workdps(40):
         for angle, value in zip(theta, phasor):

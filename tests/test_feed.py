@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpris import capacity, feed, geometry, ris, scenario as scen
+from dpris import capacity, feed, geometry, scenario as scen
 from dpris.exceptions import DegenerateGeometryError
 
 import oracles
@@ -141,7 +141,7 @@ def test_constant_polarization_phase_leaves_moments_unchanged():
         parts = oracles.link_parts(scen.Scenario(elements=elements, feed_zenith_deg=60.0))
         surface = parts.config.surface(parts)
         side = int(np.sqrt(elements))
-        draws = np.stack([ris.random_phases(side, side, seed) for seed in range(20)])
+        draws = np.stack([oracles.random_phases(side, side, seed) for seed in range(20)])
 
         def moments(s):
             o = capacity.compute_O(s, parts.spectrum)

@@ -289,16 +289,49 @@ def test_phase_adjustment_offsets():
         oracles.aligned_phases("random", positions, WAVELENGTH, position)
 
 
+def package_draws(seeds: range, rows: int, cols: int, chunk: int) -> np.ndarray:
+    """The phases of the draws ``ris.random_phase_chunks`` writes in turns
+    for ``seeds`` into a ``chunk``-draw buffer, stacked."""
+    out = np.empty((chunk, 2, rows, cols))
+    return np.concatenate([2.0 * np.pi * turns for turns in ris.random_phase_chunks(out, seeds)])
+
+
 def test_random_phase_determinism():
-    first = ris.random_phases(4, 4, 123)
+    first, second = package_draws(range(123, 125), 4, 4, 1)
     assert first.shape == (2, 4, 4)
-    np.testing.assert_array_equal(first, ris.random_phases(4, 4, 123))
+    np.testing.assert_array_equal(first, package_draws(range(123, 124), 4, 4, 3)[0])
     # one draw is two successive N-draws of the seed's stream, each laid
     # out row-major on the grid
     rng = np.random.default_rng(123)
     np.testing.assert_array_equal(first[0].ravel(), rng.uniform(0.0, 2 * np.pi, 16))
     np.testing.assert_array_equal(first[1].ravel(), rng.uniform(0.0, 2 * np.pi, 16))
-    assert not np.array_equal(first[0], ris.random_phases(4, 4, 124)[0])
+    assert not np.array_equal(first[0], second[0])
+    for seeds in (range(4, 0, -1), range(0, 8, 2), range(-1, 3)):
+        with pytest.raises(ValueError, match="consecutive and non-negative"):
+            next(ris.random_phase_chunks(np.empty((2, 2, 1, 1)), seeds))
+
+
+#: Seed ranges across the seed hash's edges: the first seeds, each side of
+#: 2^32, 2^64 and 2^128, where a seed's word count changes (a fifth word is
+#: mixed into the pool after its four), a 200-bit seed, and 1030 seeds,
+#: more than one ``ris._SEED_BLOCK``.
+SEED_EDGES = [range(64)] + [range(2**b - 4, 2**b + 5) for b in (32, 64, 128)]
+SEED_EDGES += [range(2**199 + 77, 2**199 + 80), range(1000, 2030)]
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (4, 4), (20, 20)])
+def test_block_seeded_draws_have_the_bits_of_a_generator_per_seed(monkeypatch, block, rows, cols):
+    # SeedSequence's hash and PCG64's set-up, run over a block of seeds at
+    # once, against default_rng(seed).uniform: every draw bit for bit, in
+    # chunks of 5 draws, and with 3-seed blocks that straddle each edge
+    if block is not None:
+        monkeypatch.setattr(ris, "_SEED_BLOCK", block)
+    for seeds in SEED_EDGES:
+        draws = package_draws(seeds, rows, cols, 5)
+        assert len(draws) == len(seeds)
+        for seed, draw in zip(seeds, draws):
+            assert np.array_equal(draw, oracles.random_phases(rows, cols, seed)), seed
 
 
 def test_phase_strategy_rejects_unknown_kind():
@@ -342,7 +375,7 @@ def test_random_phase_bound_never_beats_aligned_bound():
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v,
             parts.config.amplitudes_h,
-            *ris.random_phases(4, 4, seed).reshape(2, 16),
+            *oracles.random_phases(4, 4, seed).reshape(2, 16),
         )
         moments = config.moments(parts)
         randomized = capacity.moment_upper_bound(moments, 0.5, model.snr)

@@ -226,7 +226,7 @@ def test_random_phase_chunks_stack_the_seeded_draws():
     parts = oracles.link_parts(current)
     assert model.moments.shape == (300, 4)
     for draw in range(300):
-        v, h = ris.random_phases(4, 4, 5 + draw).reshape(2, 16)
+        v, h = oracles.random_phases(4, 4, 5 + draw).reshape(2, 16)
         config = oracles.RisConfiguration(
             parts.config.amplitudes_v, parts.config.amplitudes_h, v, h
         )
@@ -250,22 +250,31 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
         np.testing.assert_array_equal(rows[per_chunk], rows[1])
     surface = parts.config.surface(parts)
     side = math.isqrt(elements)
-    draws = np.stack([ris.random_phases(side, side, 5 + d) for d in range(300)])
+    draws = np.stack([oracles.random_phases(side, side, 5 + d) for d in range(300)])
     q = capacity.expected_gram_moments(surface, draws, parts.spectrum)
     np.testing.assert_array_equal(capacity.moment_layout(q, parts.xpd_coeff), rows[1])
 
 
-def test_random_phase_row_draws_each_seed_once(monkeypatch):
-    # a D-draw row seeds D phase generators: the draws phase_seed + d, and
-    # no further draw of phase_seed for phases that nothing reads
+def record_phase_seeds(monkeypatch):
+    """The seeds whose draws ``ris.random_phase_chunks`` writes, in order."""
     seeds = []
-    default_rng = np.random.default_rng
+    chunks = ris.random_phase_chunks
 
-    def counted(seed=None):
-        seeds.append(seed)
-        return default_rng(seed)
+    def counted(out, draws):
+        written = 0
+        for chunk in chunks(out, draws):
+            seeds.extend(draws[written : written + len(chunk)])
+            written += len(chunk)
+            yield chunk
 
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    monkeypatch.setattr(ris, "random_phase_chunks", counted)
+    return seeds
+
+
+def test_random_phase_row_draws_each_seed_once(monkeypatch):
+    # a D-draw row writes D phase draws: those of phase_seed + d, and no
+    # further draw of phase_seed for phases that nothing reads
+    seeds = record_phase_seeds(monkeypatch)
     current, _ = random_row(1000)
     assert seeds == list(range(5, 1005))
 
@@ -358,14 +367,7 @@ def test_snr_sweep_builds_its_surface_once(monkeypatch):
 
 def test_random_xpd_sweep_seeds_its_draws_once(monkeypatch):
     # the points of an xpd sweep share the random scheme's phase draws
-    seeds = []
-    default_rng = np.random.default_rng
-
-    def counted(seed=None):
-        seeds.append(seed)
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    seeds = record_phase_seeds(monkeypatch)
     spec = spec_from(
         {
             "axis": "xpd",
@@ -751,7 +753,7 @@ def test_cli_capacity_quality_describes_its_row(capsys, scheme):
     current = scen.Scenario(elements=16, trials=10, phase_scheme=scheme, random_phase_draws=4)
     if scheme == "random":
         parts = oracles.link_parts(current)
-        draws = (ris.random_phases(4, 4, current.phase_seed + d) for d in range(4))
+        draws = (oracles.random_phases(4, 4, current.phase_seed + d) for d in range(4))
         surface = parts.config.surface(parts)
         expected = capacity.expected_gram_moments(surface, draws, parts.spectrum).mean(axis=0)
     else:
@@ -1128,7 +1130,8 @@ def test_import_leaves_numpy_fft_unloaded():
     code = (
         "import sys, numpy; mods = ('numpy.fft', 'numpy.random'); "
         "print(*(m in sys.modules for m in mods)); "
-        "import dpris, dpris.sweep; print(*(m in sys.modules for m in mods))"
+        "import dpris, dpris.scenario, dpris.sweep, dpris.cli; "
+        "print(*(m in sys.modules for m in mods))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dpris_env(), capture_output=True, text=True, check=True
@@ -1138,6 +1141,24 @@ def test_import_leaves_numpy_fft_unloaded():
     if not checked:
         pytest.skip("this numpy imports numpy.fft and numpy.random itself")
     assert checked == ["False"] * len(checked)
+
+
+@pytest.mark.parametrize("phase_seed", [0, 2**32 - 3, 2**64 - 3, 2**128 - 3])
+def test_random_row_seeds_its_draws_under_raising_errstate(phase_seed):
+    # the seed hash wraps its uint32 words in array arithmetic, which sets
+    # no floating-point flag; numpy's scalar arithmetic would raise under
+    # the errstate a sweep row is evaluated in (seeds across 2^32, 2^64, 2^128)
+    current = scen.Scenario(
+        elements=16, phase_scheme="random", phase_seed=phase_seed, random_phase_draws=6
+    )
+    scen._surface_memo.clear()
+    with np.errstate(over="raise", invalid="raise"):
+        model = scen.build_link_model(current)
+    assert model.forms.shape == (6, 2)
+    draws = [oracles.random_phases(4, 4, phase_seed + d) for d in range(6)]
+    parts = oracles.link_parts(current)
+    expected = capacity.expected_gram_moments(parts.config.surface(parts), draws, parts.spectrum)
+    np.testing.assert_array_equal(model.forms, expected)
 
 
 def test_large_surface_row_is_finite_and_jensen_consistent():
