@@ -41,8 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
@@ -190,18 +188,16 @@ def compute_O(surface: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return (2.0 * np.add.reduce(power, axis=(-2, -1)) - edges) / spectrum.size
 
 
-def expected_gram_moments(
-    surface: np.ndarray, phases: range | Iterable[np.ndarray], spectrum: np.ndarray
-) -> np.ndarray:
+def expected_gram_moments(surface: np.ndarray, seeds: range, spectrum: np.ndarray) -> np.ndarray:
     """Quadratic forms q_P = u_P^H R u_P, u_P = e^{j theta_P} * s_P, of the
-    (V, H) ``surface`` vectors, shape (2, rows, cols), under each of the D
-    phase draws of ``phases``: shape (D, 2).  ``phases`` is a range of
-    seeds, whose draws ``ris.random_phase_chunks`` writes straight into the
-    phase buffer, or draws of the surface's shape, read lazily.  Each form
-    is exact on the lattice of ``spectrum``, as in ``compute_O``.  The
-    draws pass a chunk at a time through four buffers allocated once per
-    call (half phases, phasors, FFT stage, transform); a draw's forms do
-    not depend on its chunk.  ValueError for a draw of another shape.
+    (V, H) ``surface`` vectors, shape (2, rows, cols), under the random
+    scheme's phase draw of each of the D ``seeds``: shape (D, 2).
+    ``ris.random_phase_chunks`` writes the draws straight into the phase
+    buffer, and each form is exact on the lattice of ``spectrum``, as in
+    ``compute_O``.  The draws pass a chunk at a time through four buffers
+    allocated once per call (half phases, phasors, FFT stage, transform);
+    a draw's forms do not depend on its chunk.  ValueError for no seeds or
+    a surface of two axes.
     """
     lattice_rows, lattice_cols = spectrum.shape
     size = max(1, _FFT_LATTICE_POINTS // (2 * surface.size + 3 * spectrum.size))
@@ -210,13 +206,10 @@ def expected_gram_moments(
     # the row FFTs fill rows <= L_r / 2 of the stage; spent, it holds |T|^2 as L_r L_c reals
     stage = np.empty((size, 2, lattice_rows // 2, lattice_cols), dtype=complex)
     transform = np.empty((size, 2, lattice_rows, lattice_cols), dtype=complex)
-    if isinstance(phases, range):
-        # pi r of r turns is theta / 2 with the bits of 2 pi r * 0.5
-        chunks = (np.multiply(r, np.pi, out=r) for r in ris.random_phase_chunks(half, phases))
-    else:
-        chunks = _halved_chunks(half, phases)
     q = []
-    for theta in chunks:
+    for theta in ris.random_phase_chunks(half, seeds):
+        # pi r of r turns is theta / 2 with the bits of 2 pi r * 0.5
+        theta *= np.pi
         k = len(theta)
         u = _tangent_phasor(theta, phasor[:k])
         u *= surface
@@ -229,26 +222,6 @@ def expected_gram_moments(
         power *= spectrum
         q.append(power.sum(axis=(-2, -1)) / spectrum.size)
     return np.concatenate(q)
-
-
-def _halved_chunks(out: np.ndarray, draws: Iterable[np.ndarray]):
-    """Copy ``draws``, each of out[0]'s shape, into ``out`` halved, a chunk
-    at a time: yields out[:k] once it holds the next k.  ValueError for a
-    draw of another shape."""
-    draws = iter(draws)
-    while True:
-        k = 0
-        for draw in islice(draws, len(out)):
-            if np.shape(draw) != out.shape[1:]:
-                raise ValueError(
-                    f"phase draws must have the surface's shape {out.shape[1:]}, "
-                    f"got {np.shape(draw)}"
-                )
-            np.multiply(draw, 0.5, out=out[k])
-            k += 1
-        if k == 0:
-            return
-        yield out[:k]
 
 
 def moment_layout(q: np.ndarray, xpd_coeff: float) -> np.ndarray:

@@ -27,7 +27,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def element_amplitudes(
-    rays: tuple, distances: np.ndarray, normal_incidence_phase: float, tau_offset: float = 0.0
+    rays: tuple, distances: np.ndarray, normal_incidence_phase: float, tau_offset: float
 ) -> np.ndarray:
     """Reflection amplitudes (V, H), shape (2, rows, cols), from the
     components (x, y, z) and lengths D of the rays to the feed
@@ -38,7 +38,7 @@ def element_amplitudes(
     tau_H = |y| / |x| plus ``tau_offset``.  The sine is taken as
     2 |tau| c / sqrt((c^2 + (t + tau)^2) (c^2 + (t - tau)^2)), with full
     relative precision near tau = 0, where the map is exactly zero, so an
-    on-axis ray reflects nothing at the default offset.  Both maps run as
+    on-axis ray reflects nothing at zero offset.  Both maps run as
     one stack, with the bits of one at a time.  DegenerateGeometryError
     at grazing incidence.
     """

@@ -40,6 +40,9 @@ from .exceptions import DegenerateGeometryError, ModelInconsistencyError
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 INCIDENCE_PLANES = ("axis-plane", "transverse-plane")
 _POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent")
+_COUNTS = (
+    ("elements", 1), ("trials", 1), ("random_phase_draws", 1), ("phase_seed", 0), ("master_seed", 0)
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class Scenario:
     fields (``_POINT_FIELDS``: ``noise_dbm``, ``power_dbm``, ``snr_db``,
     ``xpd_coeff``, ``allocation``, ``trials``, ``master_seed``) leave the
     surface as it is.  ValueError, naming the field, for a value out of the
-    model's range.
+    model's range, or a count or seed that is not an integer.
     """
 
     wavelength_m: float = 0.0115
@@ -92,12 +95,11 @@ class Scenario:
                 raise ValueError(
                     f"unknown {name} {getattr(self, name)!r} (expected one of {known})"
                 )
-        for name in ("trials", "random_phase_draws"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        for name in ("master_seed", "phase_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        for name, least in _COUNTS:
+            # an integer is what operator.index takes, a bool excepted
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -110,10 +112,10 @@ class Scenario:
                 f"pitch_wavelengths * wavelength_m gives an element area of "
                 f"{spacing * spacing!r} m^2, not positive and finite"
             )
-        if not (self.elements >= 1 and math.isqrt(int(self.elements)) ** 2 == self.elements):
-            raise ValueError(f"elements must be a positive perfect square, got {self.elements!r}")
+        if math.isqrt(self.elements) ** 2 != self.elements:
+            raise ValueError(f"elements must be a perfect square, got {self.elements!r}")
         # 4 pi D^2, the feed's spreading, must be finite for D up to the radius plus the side
-        extent = spacing * math.isqrt(int(self.elements))
+        extent = spacing * math.isqrt(self.elements)
         for name in ("feed_r_m", "ue_r_m"):
             reach = getattr(self, name) + extent
             if not 4.0 * math.pi * reach * reach < math.inf:
@@ -294,7 +296,7 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
     """The read-only forms of the scenario's surface, built as the module
     says.  O must be finite, then positive, and the random forms finite
     and non-negative, else the building point's error is raised."""
-    side = math.isqrt(int(scenario.elements))
+    side = math.isqrt(scenario.elements)
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
     grid = _grid(side, pitch)

@@ -38,9 +38,10 @@ The hemisphere quadrature checks that the feed pattern integrates to
 curve.  ``sinc_rfft2_spectrum`` and ``per_polarization_amplitudes`` are
 the package's kernel spectrum and amplitude map as numpy's wrappers and a
 loop over the polarizations give them, and ``fft2_draw_forms`` its
-random-draw forms as ``np.fft.fft2`` gives them one draw at a time; the
-package makes the same arithmetic in the same order through fewer calls
-and reused buffers, so the two agree bit for bit.  ``random_phases`` is a
+random-draw forms as ``np.fft.fft2`` gives them one draw at a time, for
+any given draws where the package forms only seeded ones; the package
+makes the same arithmetic in the same order through fewer calls and
+reused buffers, so the two agree bit for bit.  ``random_phases`` is a
 random draw as a generator seeded for it alone gives it, where the
 package seeds its draws a block of seeds at a time.
 """
@@ -246,9 +247,13 @@ def random_phases(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def fft2_draw_forms(surface: np.ndarray, draws, spectrum: np.ndarray) -> np.ndarray:
-    """``capacity.expected_gram_moments`` one draw at a time through
-    ``np.fft.fft2``: the draw's tangent phasors times ``surface``, padded
-    to the lattice and transformed, then sum_k S_k |T_k|^2 / (L_r L_c)."""
+    """The forms (q_V, q_H) of ``surface``, shape (2, rows, cols), under
+    each of the given phase ``draws`` of its shape, shape (D, 2), one draw
+    at a time through ``np.fft.fft2``: the draw's tangent phasors times
+    ``surface``, padded to the lattice and transformed, then
+    sum_k S_k |T_k|^2 / (L_r L_c).  The package forms only seeded draws
+    (``capacity.expected_gram_moments``), with these bits; this is the
+    reference for any other draw."""
     forms = []
     for draw in draws:
         phasor = capacity._tangent_phasor(draw * 0.5, np.empty(draw.shape, dtype=complex))
@@ -347,9 +352,9 @@ def sample_channel(
 class RisConfiguration:
     """One phase configuration: per-element, per-polarization reflection
     amplitudes in [0, 1] and phases, each of shape (N,).  The package
-    holds the amplitudes inside the weighted surface vector and the phases
-    as a stream of draws, both laid out on the grid, (2, side, side);
-    ``moments`` passes them to it in that form."""
+    holds the amplitudes inside the weighted surface vector and draws its
+    phases from seeds; ``moments`` lays both out on the grid,
+    (2, side, side), and forms them through ``fft2_draw_forms``."""
 
     amplitudes_v: np.ndarray
     amplitudes_h: np.ndarray
@@ -389,10 +394,11 @@ class RisConfiguration:
         return on_grid(vectors)
 
     def moments(self, parts) -> np.ndarray:
-        """The package's second moments of G under this configuration on
-        the link ``parts``, shape (4,)."""
+        """The second moments of G under this configuration on the link
+        ``parts``, shape (4,), with the bits of the package's moments of
+        a seeded draw of these phases."""
         draw = on_grid(np.stack([self.phases_v, self.phases_h]))
-        q = capacity.expected_gram_moments(self.surface(parts), [draw], parts.spectrum)
+        q = fft2_draw_forms(self.surface(parts), [draw], parts.spectrum)
         return capacity.moment_layout(q, parts.xpd_coeff)[0]
 
 

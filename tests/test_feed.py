@@ -146,7 +146,7 @@ def test_constant_polarization_phase_leaves_moments_unchanged():
         def moments(s):
             o = capacity.compute_O(s, parts.spectrum)
             aligned = capacity.moment_layout(o, parts.xpd_coeff)
-            q = capacity.expected_gram_moments(s, draws, parts.spectrum)
+            q = oracles.fft2_draw_forms(s, draws, parts.spectrum)
             random = capacity.moment_layout(q, parts.xpd_coeff)
             return np.vstack([aligned, random])
 

@@ -80,6 +80,12 @@ def numbers(low, high, db=False):
     return st.floats(low, high) | st.sampled_from(edges)
 
 
+def integers(low, high, *edges):
+    """Integers over [low, high], one of ``edges``, or a value an integer
+    field must refuse: a whole float and a bool."""
+    return st.integers(low, high) | st.sampled_from([*edges, float(high), True])
+
+
 def boresights():
     """``origin``, or two to four angles in degrees joined by commas."""
     triples = st.lists(numbers(-360.0, 360.0), min_size=2, max_size=4)
@@ -90,7 +96,7 @@ def boresights():
 #: the rest over a plausible range and the values above.
 FIELDS = {
     "wavelength_m": numbers(1e-3, 0.1),
-    "elements": st.integers(-4, 64) | st.sampled_from([1, 4, 9, 16, 25, 36, 49, 64]),
+    "elements": integers(-4, 64, 1, 4, 9, 16, 25, 36, 49, 64),
     "pitch_wavelengths": numbers(0.1, 2.0),
     "noise_dbm": numbers(-150.0, 50.0, db=True),
     "power_dbm": numbers(-50.0, 100.0, db=True),
@@ -111,8 +117,10 @@ FIELDS = {
     "incidence_convention": st.sampled_from(["axis-plane", "transverse-plane", "bogus"]),
     "phase_scheme": st.sampled_from(scen.PHASE_SCHEMES + ("bogus",)),
     "allocation": st.sampled_from(["equal", "optimal", "0.3", "1.5", "nan", "bogus"]),
-    "trials": st.integers(-1, 50),
-    "random_phase_draws": st.integers(-1, 4),
+    "trials": integers(-1, 50),
+    "random_phase_draws": integers(-1, 4),
+    "phase_seed": integers(-2, 2, 2**64 + 5, 2**128 + 7),
+    "master_seed": integers(-2, 2, 2**64 + 5, 2**128 + 7),
 }
 #: Up to four fields changed at a time from a 16-element, 4-draw scenario.
 CHANGES = st.lists(st.sampled_from(sorted(FIELDS)), max_size=4, unique=True).flatmap(
@@ -153,6 +161,22 @@ def test_replace_checks_as_dataclasses_replace_does(changes):
         assert str(caught.value) == str(err)
         return
     assert repr(BASE.replace(**changes)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "name", ["elements", "trials", "random_phase_draws", "phase_seed", "master_seed"]
+)
+def test_integer_fields_take_integers_only(name):
+    # a count or a seed is what operator.index takes, a bool excepted: a
+    # float, even a whole one, a numpy float and a bool are refused by
+    # name; a numpy integer and a seed past 2^64 are taken
+    for value in (2.5, 16.0, np.float64(16.0), True, np.True_, "16"):
+        with pytest.raises(ValueError, match=name):
+            BASE.replace(phase_scheme="random", **{name: value})
+    values = [np.int64(16)] + ([2**70] if name.endswith("seed") else [])
+    for value in values:
+        current = BASE.replace(phase_scheme="random", **{name: value})
+        assert scen.build_link_model(current).moments.shape == (current.random_phase_draws, 4)
 
 
 def test_replace_names_a_bad_field_and_rejects_an_unknown_name():
@@ -423,7 +447,7 @@ def test_separable_surface_matches_the_position_oracle(changes):
         np.random.default_rng(current.phase_seed + d).uniform(0.0, 2 * np.pi, expected.shape)
         for d in range(current.random_phase_draws)
     ]
-    q_expected = capacity.expected_gram_moments(expected, draws, spectrum)
+    q_expected = oracles.fft2_draw_forms(expected, draws, spectrum)
     np.testing.assert_allclose(q, q_expected, rtol=1e-13)
 
 

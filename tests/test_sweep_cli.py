@@ -251,7 +251,7 @@ def test_chunking_cannot_change_a_number(monkeypatch, elements):
     surface = parts.config.surface(parts)
     side = math.isqrt(elements)
     draws = np.stack([oracles.random_phases(side, side, 5 + d) for d in range(300)])
-    q = capacity.expected_gram_moments(surface, draws, parts.spectrum)
+    q = oracles.fft2_draw_forms(surface, draws, parts.spectrum)
     np.testing.assert_array_equal(capacity.moment_layout(q, parts.xpd_coeff), rows[1])
 
 
@@ -574,11 +574,12 @@ def test_sweep_nonsquare_element_count_fails_row_only():
     result = sweep.run_sweep(spec)
     assert result.rows[0]["status"] == "ok"
     assert result.rows[1]["status"].startswith("failed:")
-    # a grid built in code may hold floats
-    spec = sweep.SweepSpec("element-count", (16.0, 16.5), ("dual-ub",), scen.Scenario())
-    result = sweep.run_sweep(spec)
-    assert result.rows[0]["status"] == "ok"
-    assert result.rows[1]["status"].startswith("failed:")
+    # a grid built in code may hold floats; a float count, even a whole
+    # one, fails its row alone, by name
+    spec = sweep.SweepSpec("element-count", (9, 16.0, 25), ("dual-ub",), scen.Scenario())
+    statuses = [row["status"] for row in sweep.run_sweep(spec).rows]
+    assert statuses[::2] == ["ok", "ok"]
+    assert statuses[1].startswith("failed: elements must be an integer")
 
 
 def test_csv_header_echoes_scenario(tmp_path):
@@ -755,7 +756,7 @@ def test_cli_capacity_quality_describes_its_row(capsys, scheme):
         parts = oracles.link_parts(current)
         draws = (oracles.random_phases(4, 4, current.phase_seed + d) for d in range(4))
         surface = parts.config.surface(parts)
-        expected = capacity.expected_gram_moments(surface, draws, parts.spectrum).mean(axis=0)
+        expected = oracles.fft2_draw_forms(surface, draws, parts.spectrum).mean(axis=0)
     else:
         expected = scen.build_link_model(current).forms
     assert (float(values["o_v"]), float(values["o_h"])) == tuple(expected)
@@ -1157,7 +1158,7 @@ def test_random_row_seeds_its_draws_under_raising_errstate(phase_seed):
     assert model.forms.shape == (6, 2)
     draws = [oracles.random_phases(4, 4, phase_seed + d) for d in range(6)]
     parts = oracles.link_parts(current)
-    expected = capacity.expected_gram_moments(parts.config.surface(parts), draws, parts.spectrum)
+    expected = oracles.fft2_draw_forms(parts.config.surface(parts), draws, parts.spectrum)
     np.testing.assert_array_equal(model.forms, expected)
 
 
