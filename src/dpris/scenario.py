@@ -24,13 +24,13 @@ grid and the last UE side, which a feed move does not change.  A kept
 result has the bits of a cold build, and a failed build is not kept.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import functools
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -39,10 +39,9 @@ from .exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 INCIDENCE_PLANES = ("axis-plane", "transverse-plane")
-_POSITIVE = ("wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent")
-_COUNTS = (
-    ("elements", 1), ("trials", 1), ("random_phase_draws", 1), ("phase_seed", 0), ("master_seed", 0)
-)
+_CHOICES = {"phase_scheme": PHASE_SCHEMES, "incidence_convention": INCIDENCE_PLANES}
+_POSITIVE = {"wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent"}
+_NOUNS = {str: "text", int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,14 @@ class Scenario:
     in degrees, placements being (r, zenith, azimuth) in ``geometry``'s
     frame.  ``_db`` and ``_dbm`` fields are in decibels (``db_to_linear``),
     and ``snr_db``, when set, replaces ``power_dbm - noise_dbm``.  The point
-    fields (``_POINT_FIELDS``: ``noise_dbm``, ``power_dbm``, ``snr_db``,
-    ``xpd_coeff``, ``allocation``, ``trials``, ``master_seed``) leave the
-    surface as it is.  ValueError, naming the field, for a value out of the
-    model's range, or a count or seed that is not an integer.
+    fields (``_POINT_FIELDS``) leave the surface as it is.
+
+    A field's annotation is its kind (``_KINDS``): a ``float`` field takes
+    an int or a float, an ``int`` field what ``operator.index`` takes and a
+    ``str`` field a str; no field takes a bool, and only a ``| None`` field
+    takes None.  ValueError, naming the field, for a value of another kind
+    or out of the model's range, such as an integer below 1 (below 0 for
+    the ``_seed`` fields).
     """
 
     wavelength_m: float = 0.0115
@@ -87,25 +90,19 @@ class Scenario:
     random_phase_draws: int = 1000
 
     def __post_init__(self):
-        for name, known in (
-            ("phase_scheme", PHASE_SCHEMES),
-            ("incidence_convention", INCIDENCE_PLANES),
-        ):
-            if getattr(self, name) not in known:
-                raise ValueError(
-                    f"unknown {name} {getattr(self, name)!r} (expected one of {known})"
-                )
-        for name, least in _COUNTS:
-            # an integer is what operator.index takes, a bool excepted
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in _POSITIVE:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            kinds = _KINDS[name]
+            if type(value) not in kinds:
+                value = _as_kind(name, kinds[0], value)
+            if kinds[0] is float:
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                if name in _POSITIVE and not value > 0.0:
+                    raise ValueError(f"{name} must be positive, got {value!r}")
+            elif kinds[0] is int and value < (least := 0 if name.endswith("_seed") else 1):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            elif name in _CHOICES and value not in _CHOICES[name]:
+                raise ValueError(f"unknown {name} {value!r} (expected one of {_CHOICES[name]})")
         spacing = self.pitch_wavelengths * self.wavelength_m
         if not 0.0 < spacing * spacing < math.inf:
             raise ValueError(
@@ -177,35 +174,47 @@ class Scenario:
         return type(self)(**{**vars(self), **changes})
 
 
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
+#: Each field's kind, from its annotation: (kind,), or (kind, NoneType) for
+#: ``kind | None``.  The module does not postpone annotations, so each is a type.
+_KINDS = {f.name: get_args(f.type) or (f.type,) for f in dataclasses.fields(Scenario)}
+
+
+def _as_kind(name: str, kind: type, value):
+    """``value``, whose type is not ``kind`` itself, as ``Scenario``'s
+    checks read it: the value if it is an instance of ``kind`` and no bool,
+    else, for a number kind, what ``operator.index`` takes, made a ``kind``;
+    ValueError naming the field for any other value."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    with suppress(TypeError, OverflowError):
+        if kind is not str and not isinstance(value, bool):
+            return kind(operator.index(value))
+    raise ValueError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
 
 
 def parse_overrides(scenario: Scenario, pairs: dict[str, str]) -> Scenario:
     """Apply string key=value overrides (config file or ``--set``) to a scenario."""
-    changes = {}
-    for key, raw in pairs.items():
-        if key not in _DEFAULTS:
+    for key in pairs:
+        if key not in _KINDS:
             raise ValueError(f"unknown scenario key {key!r}")
-        changes[key] = _parse_value(key, raw)
-    return scenario.replace(**changes)
+    return scenario.replace(**{key: _parse_value(key, raw) for key, raw in pairs.items()})
 
 
 def _parse_value(key: str, raw: str):
-    """``raw`` as its field's default types it: the text for a ``str``, an
-    optional float for ``None`` ('' or 'none'), an ``int`` for an ``int``,
-    else a float, also for a key that is no field (``allocation_lambda_v``)."""
+    """The stripped ``raw`` parsed as the field ``key``'s kind (``_KINDS``):
+    itself for text, None for '' or 'none' where the field takes None, else
+    an int or a float; a key that is no field (``allocation_lambda_v``)
+    parses as a float.  ValueError naming the key for text that does not."""
     raw = raw.strip()
-    default = _DEFAULTS.get(key, 0.0)
-    if isinstance(default, str):
+    kinds = _KINDS.get(key, (float,))
+    if kinds[0] is str:
         return raw
-    if default is None and raw.lower() in ("", "none"):
+    if type(None) in kinds and raw.lower() in ("", "none"):
         return None
-    kind = int if isinstance(default, int) else float
     try:
-        return kind(raw)
+        return kinds[0](raw)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {noun}, got {raw!r}") from None
+        raise ValueError(f"{key} must be {_NOUNS[kinds[0]]}, got {raw!r}") from None
 
 
 def _fixed_split(allocation: str) -> float | None:

@@ -78,9 +78,10 @@ OUTPUTS = {
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
     the order of ``outputs``; the Monte Carlo runs once if any output reads
-    it.  Raises the link build's errors (``scen.build_link_model``), and
-    ModelInconsistencyError for ``threshold`` on a random-phase point and
-    for an overflow or invalid value anywhere in the build or a cell."""
+    it.  Raises the link build's errors (``scen.build_link_model``),
+    ValueError for a name not in ``OUTPUTS``, and ModelInconsistencyError
+    for ``threshold`` on a random-phase point and for an overflow or
+    invalid value anywhere in the build or a cell."""
     link = None
     cells: dict = {}
     try:
@@ -96,6 +97,8 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
                 return runs[0]
 
             for name in outputs:
+                if name not in OUTPUTS:
+                    raise ValueError(f"unknown output {name!r} (expected one of {tuple(OUTPUTS)})")
                 columns, values = OUTPUTS[name]
                 cells.update(zip(columns, values(link, mc)))
     except FloatingPointError as err:
@@ -110,10 +113,10 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
 @dataclass(frozen=True)
 class SweepSpec:
     """A checked sweep: the axis, its grid (and ``grid2``), the outputs in
-    column order and the base scenario.  Raises ValueError for an empty
-    grid or output list, an unknown or repeated output, a ``grid2`` that a
-    ``feed-angles`` sweep lacks or another axis has, or a numeric grid that
-    is not strictly monotone."""
+    column order and the base scenario.  Raises ValueError for an axis not
+    in ``AXES``, an empty grid or output list, an unknown or repeated
+    output, a ``grid2`` that a ``feed-angles`` sweep lacks or another axis
+    has, or a numeric grid that is not strictly monotone."""
 
     axis: str
     grid: tuple
@@ -122,6 +125,8 @@ class SweepSpec:
     grid2: tuple = ()
 
     def __post_init__(self):
+        if self.axis not in AXES:
+            raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {AXES})")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
         if not self.outputs:
@@ -169,10 +174,9 @@ def parse_sweep_pairs(pairs: dict[str, str]) -> SweepSpec:
         raise ValueError(f"sweep spec is missing the {missing.args[0]!r} key") from None
     grid2_raw = pairs.pop("grid2", "")
     base = scen.parse_overrides(scen.Scenario(), pairs)
-    if axis not in AXES:
-        raise ValueError(f"unknown sweep axis {axis!r} (expected one of {AXES})")
-    # grid values parse as the axis's fields do; grid2 is the feed azimuth
-    keys = _AXIS_COLUMNS[axis]
+    # grid values parse as the axis's fields do, grid2 as the feed azimuth;
+    # an unknown axis's stay text, as phase-scheme's do, for SweepSpec to name
+    keys = _AXIS_COLUMNS.get(axis, _AXIS_COLUMNS["phase-scheme"])
     grid = _parse_grid(keys[0], grid_raw)
     grid2 = _parse_grid(keys[-1], grid2_raw)
     outputs = tuple(part.strip() for part in outputs_raw.split(",") if part.strip())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +76,11 @@ def test_db_reference_values():
 def numbers(low, high, db=False):
     """Floats over a plausible range [low, high], or one of the values a
     range check must catch: zero, a negative, a non-finite value and, for
-    a dB field, +-4000 dB, whose ratio overflows or underflows."""
+    a dB field, +-4000 dB, whose ratio overflows or underflows; or a value
+    of a kind a float field must refuse: a bool, a str, a complex and
+    None (which ``snr_db`` alone takes)."""
     edges = [0.0, -1.0, math.inf, -math.inf, math.nan] + ([4000.0, -4000.0] if db else [])
-    return st.floats(low, high) | st.sampled_from(edges)
+    return st.floats(low, high) | st.sampled_from(edges + [True, "1.0", 1j, None])
 
 
 def integers(low, high, *edges):
@@ -87,13 +90,16 @@ def integers(low, high, *edges):
 
 
 def boresights():
-    """``origin``, or two to four angles in degrees joined by commas."""
+    """``origin``, two to four angles in degrees joined by commas, or a
+    float, which a text field must refuse."""
     triples = st.lists(numbers(-360.0, 360.0), min_size=2, max_size=4)
-    return st.just("origin") | triples.map(lambda angles: ",".join(map(repr, angles)))
+    angles = triples.map(lambda angles: ",".join(map(repr, angles)))
+    return st.sampled_from(["origin", 90.0]) | angles
 
 
 #: Every scenario field, valid or not: angles over a full turn and more,
-#: the rest over a plausible range and the values above.
+#: the rest over a plausible range and the values above; each text field
+#: also draws a float.
 FIELDS = {
     "wavelength_m": numbers(1e-3, 0.1),
     "elements": integers(-4, 64, 1, 4, 9, 16, 25, 36, 49, 64),
@@ -114,9 +120,9 @@ FIELDS = {
     "ue_azimuth_deg": numbers(-720.0, 720.0),
     "normal_incidence_phase_deg": numbers(-720.0, 720.0) | st.sampled_from([180.0, -540.0]),
     "tau_offset": numbers(-5.0, 5.0),
-    "incidence_convention": st.sampled_from(["axis-plane", "transverse-plane", "bogus"]),
-    "phase_scheme": st.sampled_from(scen.PHASE_SCHEMES + ("bogus",)),
-    "allocation": st.sampled_from(["equal", "optimal", "0.3", "1.5", "nan", "bogus"]),
+    "incidence_convention": st.sampled_from(["axis-plane", "transverse-plane", "bogus", 0.5]),
+    "phase_scheme": st.sampled_from(scen.PHASE_SCHEMES + ("bogus", 0.5)),
+    "allocation": st.sampled_from(["equal", "optimal", "0.3", "1.5", "nan", "bogus", 0.3]),
     "trials": integers(-1, 50),
     "random_phase_draws": integers(-1, 4),
     "phase_seed": integers(-2, 2, 2**64 + 5, 2**128 + 7),
@@ -179,6 +185,38 @@ def test_integer_fields_take_integers_only(name):
         assert scen.build_link_model(current).moments.shape == (current.random_phase_draws, 4)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("wavelength_m", "0.01"),
+        ("allocation", 0.3),
+        ("tau_offset", 1j),
+        ("power_dbm", True),
+        ("xpd_coeff", True),
+        ("boresight_deg", 5),
+        ("snr_db", "3"),
+        ("power_dbm", None),
+    ],
+)
+def test_a_value_of_another_kind_is_refused_by_name(name, value):
+    # a field's annotation is its kind: a float field takes an int or a
+    # float, a text field a str, no field a bool and only snr_db None; a
+    # value of another kind is refused by name, made or replaced
+    with pytest.raises(ValueError, match=name):
+        scen.Scenario(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        BASE.replace(**{name: value})
+
+
+def test_an_int_on_a_float_field_and_none_on_snr_db_are_taken():
+    # as given; the int builds the link of the equal float (numpy integer
+    # counts: test_integer_fields_take_integers_only)
+    assert BASE.replace(snr_db=None).snr_db is None
+    as_int, as_float = (scen.build_link_model(BASE.replace(power_dbm=p)) for p in (43, 43.0))
+    assert as_int.snr == as_float.snr
+    np.testing.assert_array_equal(as_int.moments, as_float.moments)
+
+
 def test_replace_names_a_bad_field_and_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="xpd_coeff"):
         BASE.replace(xpd_coeff=1.5)
@@ -220,15 +258,15 @@ NON_DEFAULT = scen.Scenario(
 @pytest.mark.parametrize("scenario", [scen.Scenario(), NON_DEFAULT], ids=["default", "changed"])
 def test_every_field_round_trips_its_text_form(scenario):
     # the scenario a CSV header or a capacity report echoes parses back to
-    # itself, each value with its default's type (a float for a set snr_db)
+    # itself, each value of its annotation's type (None or a float for
+    # snr_db, whose annotation is float | None)
     pairs = dict(line.removeprefix("# ").split("=", 1) for line in sweep.scenario_echo(scenario))
     assert pairs.keys() == vars(scenario).keys()
     parsed = scen.parse_overrides(scen.Scenario(), pairs)
     assert parsed == scenario
-    for field in dataclasses.fields(scen.Scenario):
-        value = getattr(parsed, field.name)
-        expected = float if field.default is None and value is not None else type(field.default)
-        assert type(value) is expected, field.name
+    hints = typing.get_type_hints(scen.Scenario)
+    for name, value in vars(parsed).items():
+        assert type(value) in (typing.get_args(hints[name]) or (hints[name],)), name
 
 
 def count_surface_builds(monkeypatch) -> list:

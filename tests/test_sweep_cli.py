@@ -28,6 +28,20 @@ BOUNDS_ONLY_16 = {"elements": "16", "trials": "50"}
 ELEMENTS_16_TRIALS_10 = ["--set", "elements=16", "--set", "trials=10"]
 
 
+def test_a_spec_made_in_code_names_an_unknown_axis():
+    # SweepSpec owns the axis check, so a spec made in code is checked as
+    # a parsed one is, whatever its grid
+    with pytest.raises(ValueError, match="unknown sweep axis 'bogus'"):
+        sweep.SweepSpec(axis="bogus", grid=(1.0,), outputs=("dual-ub",), base=scen.Scenario())
+    with pytest.raises(ValueError, match="unknown sweep axis 'bogus'"):
+        spec_from({"axis": "bogus", "grid": "x, y", "outputs": "dual-ub"})
+
+
+def test_evaluate_names_an_unknown_output():
+    with pytest.raises(ValueError, match="unknown output 'bogus'.*'dual-ub'"):
+        sweep.evaluate(scen.Scenario(elements=16), ("dual-ub", "bogus"))
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         spec_from({"axis": "frequency", "grid": "1,2", "outputs": "dual-ub"})
