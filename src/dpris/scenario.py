@@ -40,7 +40,6 @@ from .exceptions import DegenerateGeometryError, ModelInconsistencyError
 PHASE_SCHEMES = ("optimal", "optimal-with-adjustment", "random")
 INCIDENCE_PLANES = ("axis-plane", "transverse-plane")
 _CHOICES = {"phase_scheme": PHASE_SCHEMES, "incidence_convention": INCIDENCE_PLANES}
-_POSITIVE = {"wavelength_m", "pitch_wavelengths", "feed_r_m", "ue_r_m", "pathloss_exponent"}
 _NOUNS = {str: "text", int: "an integer", float: "a number"}
 
 
@@ -58,8 +57,7 @@ class Scenario:
     an int or a float, an ``int`` field what ``operator.index`` takes and a
     ``str`` field a str; no field takes a bool, and only a ``| None`` field
     takes None.  ValueError, naming the field, for a value of another kind
-    or out of the model's range, such as an integer below 1 (below 0 for
-    the ``_seed`` fields).
+    or outside the field's range (``_RANGES``).
     """
 
     wavelength_m: float = 0.0115
@@ -94,55 +92,22 @@ class Scenario:
             kinds = _KINDS[name]
             if type(value) not in kinds:
                 value = _as_kind(name, kinds[0], value)
-            if kinds[0] is float:
-                if value is not None and not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-                if name in _POSITIVE and not value > 0.0:
-                    raise ValueError(f"{name} must be positive, got {value!r}")
-            elif kinds[0] is int and value < (least := 0 if name.endswith("_seed") else 1):
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            if name in _RANGES and value is not None:
+                least, greatest = _RANGES[name]
+                # nan fails the comparisons; no field takes an infinity
+                if not least <= value <= greatest or value in (-math.inf, math.inf):
+                    raise ValueError(
+                        f"{name} must be finite and lie in [{least}, {greatest}], got {value!r}"
+                    )
             elif name in _CHOICES and value not in _CHOICES[name]:
                 raise ValueError(f"unknown {name} {value!r} (expected one of {_CHOICES[name]})")
-        spacing = self.pitch_wavelengths * self.wavelength_m
-        if not 0.0 < spacing * spacing < math.inf:
-            raise ValueError(
-                f"pitch_wavelengths * wavelength_m gives an element area of "
-                f"{spacing * spacing!r} m^2, not positive and finite"
-            )
         if math.isqrt(self.elements) ** 2 != self.elements:
             raise ValueError(f"elements must be a perfect square, got {self.elements!r}")
-        # 4 pi D^2, the feed's spreading, must be finite for D up to the radius plus the side
-        extent = spacing * math.isqrt(self.elements)
-        for name in ("feed_r_m", "ue_r_m"):
-            reach = getattr(self, name) + extent
-            if not 4.0 * math.pi * reach * reach < math.inf:
-                raise ValueError(f"{name} gives rays of up to {reach!r} m, whose square overflows")
-        # and so must the carrier phase 2 pi D / lambda of the feed's rays
-        reach = self.feed_r_m + extent
-        if not 2.0 * math.pi * reach / self.wavelength_m < math.inf:
-            raise ValueError(
-                f"wavelength_m {self.wavelength_m!r} makes the carrier phase "
-                f"2 pi D / wavelength_m overflow for feed rays of up to {reach!r} m"
-            )
-        for name in ("feed_zenith_deg", "ue_zenith_deg"):
-            # in radians, as the placement converts it
-            if not 0.0 <= math.radians(getattr(self, name)) <= math.pi:
-                raise ValueError(f"{name} must lie in [0, 180], got {getattr(self, name)!r}")
-        if not 2.0 <= db_to_linear(self.feed_gain_db) < math.inf:
-            raise ValueError(
-                f"feed_gain_db must give a finite linear gain of at least 2, "
-                f"got {self.feed_gain_db!r}"
-            )
-        if db_to_linear(self.beta0_db) == math.inf:
-            raise ValueError(f"beta0_db must give a finite unit pathloss, got {self.beta0_db!r}")
         if abs(math.cos(math.radians(self.normal_incidence_phase_deg) / 2.0)) < 1e-12:
             raise ValueError(
                 "normal_incidence_phase_deg must not equal 180 (mod 360), "
                 f"got {self.normal_incidence_phase_deg!r}"
             )
-        # the amplitude map's (t + tau)^2 (t - tau)^2 must be finite: |t| < 1e12, tilts < 1e16
-        if not abs(self.tau_offset) <= 1e75:
-            raise ValueError(f"tau_offset must lie in [-1e75, 1e75], got {self.tau_offset!r}")
         if self.boresight_deg.strip().lower() != "origin":
             cosines = _cosines(self.boresight_deg)
             if len(cosines) != 3 or not abs(math.hypot(*cosines) - 1.0) <= 1e-9:
@@ -150,17 +115,6 @@ class Scenario:
                     "boresight_deg must be 'origin' or three angles whose cosines form a "
                     f"unit vector, got {self.boresight_deg!r}"
                 )
-        if not 0.0 <= self.xpd_coeff <= 1.0:
-            raise ValueError(f"xpd_coeff must lie in [0, 1], got {self.xpd_coeff!r}")
-        try:
-            snr = _snr(self)
-        except ZeroDivisionError:
-            snr = math.inf
-        if not 0.0 < snr < math.inf:
-            source = "snr_db" if self.snr_db is not None else "power_dbm - noise_dbm"
-            raise ValueError(
-                f"{source} gives a transmit SNR of {snr!r}; it must be positive and finite"
-            )
         if _fixed_split(self.allocation) is None and self.phase_scheme == "random":
             raise ValueError(
                 "allocation = optimal maximizes the bound of one configuration's moments; "
@@ -177,6 +131,33 @@ class Scenario:
 #: Each field's kind, from its annotation: (kind,), or (kind, NoneType) for
 #: ``kind | None``.  The module does not postpone annotations, so each is a type.
 _KINDS = {f.name: get_args(f.type) or (f.type,) for f in dataclasses.fields(Scenario)}
+#: Each number field's (least, greatest), in its unit: the model's domain,
+#: set by physics or a planned grid.  A wrapping angle takes any finite
+#: value, and a seed any integer from 0.
+_RANGES = {
+    "wavelength_m": (1e-4, 10.0),  # 3 THz to 30 MHz, the radio band
+    "elements": (1, 10**6),  # a cold build of 10^6 elements peaks near 253 MiB
+    "pitch_wavelengths": (0.01, 10.0),  # lambda/100, past a lambda/24 density grid, to 10 lambda
+    "noise_dbm": (-200.0, 0.0),  # kT at 290 K over 1 mHz is -204 dBm; 0 dBm, a jammer
+    "power_dbm": (-100.0, 100.0),  # 0.1 pW to 10 MW: power_dbm - noise_dbm spans snr_db's range
+    "snr_db": (-100.0, 300.0),  # past 215 dB, where the bound's high-SNR gap has settled
+    "beta0_db": (-200.0, 0.0),  # a passive channel's gain at 1 m never exceeds 1
+    "pathloss_exponent": (1.0, 6.0),  # a guided corridor (below 2) to dense obstruction
+    "xpd_coeff": (0.0, 1.0),  # a fraction of power
+    "feed_r_m": (1e-6, 100.0),  # the least pitch, 1 um, to a focal length of 100 m
+    "feed_zenith_deg": (0.0, 180.0),  # a zenith angle
+    "feed_azimuth_deg": (-math.inf, math.inf),  # wraps
+    "feed_gain_db": (10.0 * math.log10(2.0), 50.0),  # kappa/2 - 1 >= 0; past a 44.5 dB grid
+    "ue_r_m": (1e-6, 1e5),  # the least pitch to 100 km, past a macro cell's edge
+    "ue_zenith_deg": (0.0, 180.0),  # a zenith angle
+    "ue_azimuth_deg": (-math.inf, math.inf),  # wraps
+    "normal_incidence_phase_deg": (-math.inf, math.inf),  # wraps; 180 (mod 360) is refused
+    "tau_offset": (-100.0, 100.0),  # a tilt tangent: 100 is 0.6 degrees from grazing
+    "phase_seed": (0, math.inf),
+    "trials": (1, 10**6),  # 10^6 trials peak near 175 MiB
+    "master_seed": (0, math.inf),
+    "random_phase_draws": (1, 10**6),  # 48 MB of (D, 2) forms and (D, 4) moments at 10^6
+}
 
 
 def _as_kind(name: str, kind: type, value):

@@ -145,13 +145,19 @@ def test_pathloss_validation():
         ("pathloss_exponent", -1.0),
         ("pathloss_exponent", 0.0),
         ("beta0_db", 4000.0),
+        ("beta0_db", -4000.0),
     ):
         with pytest.raises(ValueError, match=field):
             scen.Scenario(**{field: value})
-    # a unit pathloss that underflows to zero leaves the link without power,
+
+
+def test_pathloss_that_underflows_leaves_no_power(monkeypatch):
+    # no unit pathloss, exponent and distance in range underflow the
+    # weights, so zero weights stand in for them: the link has no power,
     # a named degeneracy
+    monkeypatch.setattr(channel, "pathloss_weights", lambda distances, *rest: 0.0 * distances)
     with pytest.raises(DegenerateGeometryError, match="no power reaches the V polarization"):
-        scen.build_link_model(scen.Scenario(elements=4, beta0_db=-4000.0))
+        scen.build_link_model(scen.Scenario(elements=4))
 
 
 def test_sample_zero_cross_blocks_when_matched():

@@ -61,13 +61,14 @@ def test_amplitude_rejects_grazing_and_bad_phase():
     for degrees in (180.0, 540.0, -180.0):
         with pytest.raises(ValueError, match="normal_incidence_phase_deg"):
             scen.Scenario(normal_incidence_phase_deg=degrees)
-    # so is a tau offset whose squares in the map would overflow; at the
-    # edge the map stays finite
-    for offset in (1.01e75, -1e300):
-        with pytest.raises(ValueError, match="tau_offset"):
+    # so is a tau offset outside its range, by name and range; at either
+    # edge the map's squares stay finite and the link has power
+    for offset in (100.00000000000001, -1e75, -1e300):
+        with pytest.raises(ValueError, match=r"tau_offset .* in \[-100.0, 100.0\]"):
             scen.Scenario(tau_offset=offset)
-    edge = scen.build_link_model(scen.Scenario(elements=4, tau_offset=-1e75))
-    assert 0.0 < edge.forms.min() <= edge.forms.max() < 1e-140
+    for offset in (-100.0, 100.0):
+        edge = scen.build_link_model(scen.Scenario(elements=4, tau_offset=offset))
+        assert 0.0 < edge.forms.min() <= edge.forms.max() < 1e-14
 
 
 def test_element_amplitudes_match_scalar_oracle():

@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import re
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from dpris import capacity, feed, geometry, scenario as scen, sweep
+from dpris import capacity, channel, feed, geometry, scenario as scen, sweep
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 import oracles
@@ -73,6 +74,32 @@ def test_db_reference_values():
     assert scen._snr(scen.Scenario()) == pytest.approx(10.0**13.1, rel=1e-12)
 
 
+def ends(name):
+    """The least and greatest values the number field ``name`` takes
+    (``scen._RANGES``): the largest finite floats for a wrapping angle and
+    2^128 for a seed."""
+    least, greatest = scen._RANGES[name]
+    if isinstance(least, int):
+        return [least, greatest if greatest < math.inf else 2**128]
+    return [b if math.isfinite(b) else math.nextafter(b, 0.0) for b in (least, greatest)]
+
+
+def past(name):
+    """The finite values just past either end of ``name``'s range."""
+    least, greatest = scen._RANGES[name]
+    if isinstance(least, int):
+        return [least - 1] + ([greatest + 1] if greatest < math.inf else [])
+    values = (math.nextafter(least, -math.inf), math.nextafter(greatest, math.inf))
+    return [value for value in values if math.isfinite(value)]
+
+
+def edges(name):
+    """``ends`` and ``past``, but a count's greatest, as no test builds at
+    a ceiling."""
+    least, greatest = scen._RANGES[name]
+    return ends(name)[: 1 if isinstance(least, int) and greatest < math.inf else 2] + past(name)
+
+
 def numbers(low, high, db=False):
     """Floats over a plausible range [low, high], or one of the values a
     range check must catch: zero, a negative, a non-finite value and, for
@@ -98,8 +125,8 @@ def boresights():
 
 
 #: Every scenario field, valid or not: angles over a full turn and more,
-#: the rest over a plausible range and the values above; each text field
-#: also draws a float.
+#: the rest over a plausible range and the values above, and each number
+#: field the ``edges`` of its range; each text field also draws a float.
 FIELDS = {
     "wavelength_m": numbers(1e-3, 0.1),
     "elements": integers(-4, 64, 1, 4, 9, 16, 25, 36, 49, 64),
@@ -128,6 +155,7 @@ FIELDS = {
     "phase_seed": integers(-2, 2, 2**64 + 5, 2**128 + 7),
     "master_seed": integers(-2, 2, 2**64 + 5, 2**128 + 7),
 }
+FIELDS.update({name: FIELDS[name] | st.sampled_from(edges(name)) for name in scen._RANGES})
 #: Up to four fields changed at a time from a 16-element, 4-draw scenario.
 CHANGES = st.lists(st.sampled_from(sorted(FIELDS)), max_size=4, unique=True).flatmap(
     lambda names: st.fixed_dictionaries({name: FIELDS[name] for name in names})
@@ -152,6 +180,22 @@ def test_scenario_is_accepted_or_names_a_field(changes):
     except (DegenerateGeometryError, ModelInconsistencyError):
         pass
 
+
+
+@pytest.mark.parametrize("name", sorted(scen._RANGES))
+def test_a_range_takes_its_edges_and_refuses_past_them_by_name(name):
+    # both ends are taken, a count's ceiling too (made, never built), and
+    # a value just past either end, nan or an infinity is refused with the
+    # field's name and range
+    least, greatest = scen._RANGES[name]
+    taken = ends(name)
+    refused = past(name) + ([] if isinstance(least, int) else [math.nan, -math.inf, math.inf])
+    for value in taken:
+        assert getattr(BASE.replace(**{name: value}), name) == value
+    message = re.escape(f"{name} must be finite and lie in [{least}, {greatest}], got ")
+    for value in refused:
+        with pytest.raises(ValueError, match=message):
+            BASE.replace(**{name: value})
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -369,12 +413,13 @@ UE_ON = {"ue_r_m": PITCH_9, "ue_zenith_deg": 0.0}
 #: The feed in the surface plane (zenith 0, off every element), behind it,
 #: and in front of it by 1e-33 m (zenith 180, azimuth 270), at grazing
 #: incidence in floats; a feed radiating away from the surface, and UE
-#: pathloss that underflows to 0.
+#: pathloss that underflows to 0, which no value in range reaches: its
+#: key is no field, and the test zeroes the pathloss weights for it.
 IN_PLANE = {"feed_zenith_deg": 0.0}
 BEHIND = {"feed_azimuth_deg": 0.0}
 GRAZING = {"feed_zenith_deg": 180.0, "feed_azimuth_deg": 270.0}
 FACING_AWAY = {"boresight_deg": "180,90,90"}
-UNDERFLOW = {"pathloss_exponent": 1000.0}
+UNDERFLOW = {"zero_pathloss": True}
 COINCIDES = "{} coincides with an element"
 APERTURE = (
     "element 0 has non-positive projected aperture (feed is in or behind the surface plane)"
@@ -418,10 +463,13 @@ DEAD_V = (
     ],
 )
 @pytest.mark.parametrize("scheme", ["optimal", "random"])
-def test_degenerate_placements_fail_first_to_last(changes, message, scheme):
+def test_degenerate_placements_fail_first_to_last(monkeypatch, changes, message, scheme):
     # each degeneracy's type and message, and which one a placement with
     # several reports: the feed on an element, then in or behind the
     # plane, grazing incidence, the UE on an element, a dead polarization
+    changes = dict(changes)
+    if changes.pop("zero_pathloss", False):
+        monkeypatch.setattr(channel, "pathloss_weights", lambda distances, *rest: 0.0 * distances)
     current = scen.Scenario(elements=9, phase_scheme=scheme, random_phase_draws=2, **changes)
     with pytest.raises(DegenerateGeometryError) as caught:
         scen.build_link_model(current)
@@ -487,6 +535,76 @@ def test_separable_surface_matches_the_position_oracle(changes):
     ]
     q_expected = oracles.fft2_draw_forms(expected, draws, spectrum)
     np.testing.assert_allclose(q, q_expected, rtol=1e-13)
+
+
+#: The float fields but ``snr_db``, which also takes None, and the
+#: normal-incidence phase, whose 180 (mod 360) a scenario refuses.
+BOX_FLOATS = [
+    name
+    for name, kinds in scen._KINDS.items()
+    if kinds == (float,) and name != "normal_incidence_phase_deg"
+]
+#: The other fields of an in-range scenario; counts stay small, as no test
+#: builds at a ceiling.
+BOX_REST = {
+    "elements": st.sampled_from([1, 4, 9, 16, 25, 36, 49, 64]),
+    "snr_db": st.none() | st.sampled_from(ends("snr_db")) | st.floats(*ends("snr_db")),
+    "normal_incidence_phase_deg": st.sampled_from(ends("normal_incidence_phase_deg"))
+    | st.floats(-170.0, 170.0),
+    "boresight_deg": st.just("origin") | unit_directions(),
+    "incidence_convention": st.sampled_from(scen.INCIDENCE_PLANES),
+    "phase_scheme": st.sampled_from(scen.PHASE_SCHEMES),
+    "allocation": st.sampled_from(["equal", "optimal", "0.3"]),
+    "trials": st.integers(1, 64),
+    "random_phase_draws": st.integers(1, 3),
+    "phase_seed": st.integers(0, 2**70),
+    "master_seed": st.integers(0, 2**70),
+}
+#: Scenarios inside every range, each float at either edge half the time,
+#: and the box's corners, every float at an edge.
+BOX = st.one_of(
+    st.fixed_dictionaries(
+        {**BOX_REST, **{n: st.sampled_from(ends(n)) | st.floats(*ends(n)) for n in BOX_FLOATS}}
+    ),
+    st.fixed_dictionaries({**BOX_REST, **{n: st.sampled_from(ends(n)) for n in BOX_FLOATS}}),
+)
+
+
+# a radius at its least, 1 um, is less than a pitch from some element, so
+# most draws that take it are filtered out
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(BOX)
+def test_in_range_links_stay_in_the_float_range(changes):
+    # with the feed and the UE a pitch or more from every element, a
+    # scenario inside every range evaluates every output to finite cells
+    # or fails as a named degeneracy, never by leaving the float range,
+    # which only a point nearer an element than that reaches
+    if changes["phase_scheme"] == "random" and changes["allocation"] == "optimal":
+        changes["allocation"] = "equal"
+    scenario = scen.Scenario(**changes)
+    side = math.isqrt(scenario.elements)
+    pitch = scenario.pitch_wavelengths * scenario.wavelength_m
+    z, y = geometry.build_ris_grid(side, side, pitch)
+    for placement in (
+        (scenario.feed_r_m, scenario.feed_zenith_deg, scenario.feed_azimuth_deg),
+        (scenario.ue_r_m, scenario.ue_zenith_deg, scenario.ue_azimuth_deg),
+    ):
+        px, py, pz = geometry.spherical_to_cartesian(*placement)
+        assume(np.sqrt(px * px + (py - y) ** 2 + (pz - z) ** 2).min() >= pitch)
+    random = scenario.phase_scheme == "random"
+    outputs = [name for name in sweep.OUTPUTS if name != "threshold" or not random]
+    try:
+        cells = sweep.evaluate(scenario, outputs)
+    except (DegenerateGeometryError, ModelInconsistencyError) as err:
+        assert "float range" not in str(err), err
+        return
+    assert all(math.isfinite(cell) for cell in cells.values() if cell is not None), cells
 
 
 def test_failed_surface_is_not_kept(monkeypatch):

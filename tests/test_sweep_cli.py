@@ -800,6 +800,31 @@ def test_counts_are_rejected_when_parsed(field, values):
     assert getattr(scen.Scenario(**{field: 1}), field) == 1
 
 
+@pytest.mark.parametrize("field", ["elements", "trials", "random_phase_draws"])
+def test_a_count_past_its_ceiling_is_a_usage_error(capsys, field):
+    # 10^12 elements or trials would size arrays of terabytes, and 10^12
+    # draws would run for years (1000 take about 43 ms at N = 400): the
+    # count is refused by name when parsed, before any array is made
+    argv = ["capacity", "--set", "phase_scheme=random", "--set", f"{field}=1000000000000"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be finite and lie in [1, 1000000]" in err and "Traceback" not in err
+
+
+def test_a_huge_element_count_fails_its_row_and_the_csv_is_written(tmp_path):
+    spec_path = tmp_path / "huge.sweep"
+    spec_path.write_text(
+        "axis = element-count\ngrid = 16, 1000000000000\noutputs = dual-ub\ntrials = 10\n"
+    )
+    out_path = tmp_path / "huge.csv"
+    assert cli.main(["sweep", str(spec_path), "--out", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert [row["elements"] for row in rows] == ["16", "1000000000000"]
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("failed: elements must be finite and lie in [1, 1000000]")
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -839,12 +864,17 @@ def test_non_finite_or_out_of_range_values_are_usage_errors(capsys, override):
     # every range the link model assumes is checked when the scenario is
     # made, before any surface is laid out (no numpy warning, which the
     # test configuration turns into an error), and the error names the
-    # first field of the override
+    # first field of the override, and its range where the value is outside
     argv = ["capacity", "--set", "trials=10"]
     for pair in override.split():
         argv += ["--set", pair]
     assert cli.main(argv) == 2
-    assert override.split("=")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    field, _, value = override.split()[0].partition("=")
+    assert field in err
+    least, greatest = scen._RANGES.get(field, (-math.inf, math.inf))
+    if field in scen._RANGES and not least <= float(value) <= greatest:
+        assert f"{field} must be finite and lie in [{least}, {greatest}]" in err
 
 
 @pytest.mark.parametrize(
@@ -876,7 +906,6 @@ def test_out_of_range_grid_value_fails_its_row():
     [
         ("feed_zenith_deg=180", "the feed meets the surface at grazing incidence"),
         ("boresight_deg=180,90,90", "no power reaches the V polarization"),
-        ("beta0_db=-4000", "no power reaches the V polarization"),
     ],
 )
 def test_capacity_names_a_degenerate_link(capsys, override, message):
@@ -887,28 +916,48 @@ def test_capacity_names_a_degenerate_link(capsys, override, message):
     assert message in capsys.readouterr().err
 
 
+#: A 50 dB feed beam turned 13 degrees from the surface normal: O_V and
+#: O_H are near 1e-166, positive, but their product underflows.
+FAINT = {"elements": "16", "feed_gain_db": "50", "boresight_deg": "13,77,90"}
+
+
 def test_underflowing_split_is_a_model_inconsistency(capsys):
     # both link qualities are positive, but their product underflows, so the
     # optimal split has nothing to balance
-    argv = ["capacity", *ELEMENTS_16_TRIALS_10, "--set", "beta0_db=-1600"]
-    assert cli.main(argv + ["--set", "allocation=optimal"]) == 3
+    sets = [arg for key, value in FAINT.items() for arg in ("--set", f"{key}={value}")]
+    assert cli.main(["capacity", *sets, "--set", "allocation=optimal"]) == 3
     err = capsys.readouterr().err
     assert "m11 m22 + m12 m21" in err and "snr = " in err
-    pairs = {"beta0_db": "-1600", "allocation": "optimal", **BOUNDS_ONLY_16}
+    model = scen.build_link_model(scen.parse_overrides(scen.Scenario(), FAINT))
+    assert 0.0 < model.forms.min() and model.forms.prod() == 0.0
+    pairs = {**FAINT, "allocation": "optimal", "trials": "50"}
     spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", **pairs})
     assert sweep.run_sweep(spec).rows[0]["status"].startswith("failed: the split needs")
 
 
-#: A unit pathloss of 1540 dB gives moments near 1e144: at the default
-#: 131 dB transmit SNR, rho^2 m11 m22 overflows in every estimator.
-OVERFLOWING = {"elements": "16", "beta0_db": "1540", "trials": "10"}
-#: Points whose link build overflows: the UE pathloss weights at 3080 dB
-#: and 1 cm, and at 1640 dB the optimal split's 2 rho (m11 m22 + m12 m21)
-#: from 0 dB transmit SNR up (m11 m22 is near 1e308).
-OVERFLOWING_BUILDS = (
-    {"elements": "16", "beta0_db": "3080", "ue_r_m": "0.01", "snr_db": "0", "trials": "10"},
-    {"elements": "16", "beta0_db": "1640", "allocation": "optimal", "trials": "10"},
-)
+#: A 3 x 3 surface at a pitch of 1 um (lambda/100 at 3 THz), its UE about
+#: 1e-22 m and its feed about 2e-10 m from the element at (0, pitch, 0):
+#: every value is in range, but the UE's pathloss weight there, near
+#: 1e66, gives O near 5e139, an overflow that is geometry, not range.
+NEAR_ELEMENT = {
+    "elements": "9",
+    "wavelength_m": "1e-4",
+    "pitch_wavelengths": "0.01",
+    "beta0_db": "0",
+    "pathloss_exponent": "6",
+    "tau_offset": "1",
+    "feed_r_m": "1.0000000000000002e-06",
+    "feed_azimuth_deg": "90.01",
+    "ue_r_m": "1.0000000000000002e-06",
+    "ue_zenith_deg": "90",
+    "ue_azimuth_deg": "90",
+    "allocation": "optimal",
+    "trials": "10",
+}
+#: At 200 dB, rho^2 m11 m22 overflows in every estimator.
+OVERFLOWING = {**NEAR_ELEMENT, "snr_db": "200"}
+#: At 300 dB the optimal split's 2 rho (m11 m22 + m12 m21) overflows.
+OVERFLOWING_BUILD = {**NEAR_ELEMENT, "snr_db": "300"}
 
 
 def dpris_env():
@@ -921,8 +970,9 @@ def test_overflowing_received_snr_is_a_model_inconsistency():
     # run apart, because pytest turns the warnings it must not print into
     # errors; an overflow in the link build fails the same way, before any
     # moment is reported
-    cases = [(OVERFLOWING, "the estimators leave", "moments = ")] + [
-        (pairs, "the link build leaves", "link = not built") for pairs in OVERFLOWING_BUILDS
+    cases = [
+        (OVERFLOWING, "the estimators leave", "moments = "),
+        (OVERFLOWING_BUILD, "the link build leaves", "link = not built"),
     ]
     for pairs, failed, detail in cases:
         sets = [arg for key, value in pairs.items() for arg in ("--set", f"{key}={value}")]
@@ -940,40 +990,41 @@ def test_overflowing_received_snr_is_a_model_inconsistency():
 
 
 def test_overflowing_row_fails_and_the_sweep_goes_on():
-    axis = {"axis": "snr", "grid": "100, 130", "outputs": "dual-ub, dual-mc"}
-    spec = spec_from({**axis, **OVERFLOWING})
-    finite, overflowing = sweep.run_sweep(spec).rows
-    # 2^1021 is still a float
-    assert finite["status"] == "ok" and finite["dual_ub_bits"] == pytest.approx(1021.26, abs=0.01)
+    axis = {"axis": "snr", "grid": "100, 200, 300", "outputs": "allocation, dual-ub, dual-mc"}
+    finite, overflowing, unbuilt = sweep.run_sweep(spec_from({**axis, **NEAR_ELEMENT})).rows
+    # 2^991 is still a float
+    assert finite["status"] == "ok" and finite["dual_ub_bits"] == pytest.approx(991.997, abs=0.01)
+    assert 0.0 < finite["lambda_v"] < 1.0
     assert overflowing["status"].startswith("failed: the estimators leave the float range")
     # a build that overflows fails its row too, with the point's snr, and
     # the sweep goes on
+    assert unbuilt["status"].startswith("failed: the link build leaves the float range")
     with pytest.raises(ModelInconsistencyError, match="link build leaves") as excinfo:
-        sweep.evaluate(scen.parse_overrides(scen.Scenario(), OVERFLOWING_BUILDS[0]), ["dual-ub"])
-    assert excinfo.value.details == {"snr": 1.0, "link": "not built"}
-    axis = {"axis": "snr", "grid": "-10, 0", "outputs": "allocation, dual-ub"}
-    finite, overflowing = sweep.run_sweep(spec_from({**axis, **OVERFLOWING_BUILDS[1]})).rows
-    assert finite["status"] == "ok" and 0.0 < finite["lambda_v"] < 1.0
-    assert overflowing["status"].startswith("failed: the link build leaves the float range")
+        sweep.evaluate(scen.parse_overrides(scen.Scenario(), OVERFLOWING_BUILD), ["dual-ub"])
+    assert excinfo.value.details == {"snr": 1e30, "link": "not built"}
 
 
-def test_direct_build_reports_an_overflowing_surface_as_out_of_range():
-    # outside sweep.evaluate's errstate the pathloss weights overflow and O
-    # is nan: the surface leaves the float range, as evaluate and a sweep
-    # row report the point, and is not a polarization no power reaches
-    overflowing = scen.Scenario(elements=16, beta0_db=100, pathloss_exponent=150, ue_r_m=0.01)
+def test_direct_build_reports_an_overflowing_surface_as_out_of_range(monkeypatch):
+    # outside sweep.evaluate's errstate pathloss weights that overflow make
+    # O nan: the surface leaves the float range, as evaluate and a sweep
+    # row report the point, and is not a polarization no power reaches; no
+    # value in range overflows the weights, so the test scales them
+    real = channel.pathloss_weights
+    monkeypatch.setattr(channel, "pathloss_weights", lambda *args: real(*args) * 1e300 * 1e300)
+    overflowing = scen.Scenario(elements=16)
     with np.errstate(all="ignore"):
         with pytest.raises(ModelInconsistencyError, match="finite and non-negative") as excinfo:
             scen.build_link_model(overflowing)
     assert set(excinfo.value.details) == {"snr", "moments"}
     assert excinfo.value.details["snr"] == scen._snr(overflowing)
+    clear_caches()
     with pytest.raises(ModelInconsistencyError, match="the link build leaves the float range"):
         sweep.evaluate(overflowing, ["dual-ub"])
-    pairs = {"elements": "16", "beta0_db": "100", "pathloss_exponent": "150", "ue_r_m": "0.01"}
-    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", **pairs})
+    spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", "elements": "16"})
     (row,) = sweep.run_sweep(spec).rows
     assert row["status"].startswith("failed: the link build leaves the float range")
     # an O that is finite but not positive is still a degeneracy
+    monkeypatch.undo()
     with pytest.raises(DegenerateGeometryError, match=r"no power reaches the V .*O_V = 0\.0"):
         scen.build_link_model(scen.Scenario(elements=16, boresight_deg="180,90,90"))
 
