@@ -262,12 +262,13 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     a = x (r/2 - 1), b = x (2 - r/2) + 2, c = x (r/4 - 1) + (r/2 - 3/2) for
     x <= 1, divided by x = 1 / ((1/rho) / O_V) for x > 1.  Its root
     (-b + sqrt(D)) / (2 a), D = b^2 - 4 a c, is taken in the form that does
-    not cancel: c / q for b > 0 and q / a otherwise (where a > 0), with
-    q = -(b + sign(b) sqrt(D)) / 2.  D is nan only where r overflows; the
-    quadratic over r then has D = -s^2/4 - s i < 0 to leading order, with
-    (s, i) = (x, 1) or (1, 1/x).  ValueError for an input that is not
-    positive and finite; ModelInconsistencyError, with the coefficients,
-    for a root that is not real or falls outside (0, 1).
+    not cancel, c / q with q = -(b + sqrt(D)) / 2: b > 0 wherever D >= 0,
+    since with u = r / 2, b <= 0 means x (u - 2) >= 2, and then
+    D <= 4 - 2 (4 u^2 - 4 u - 2) / (u - 2) < 0.  D is nan only where r
+    overflows; the quadratic over r then has D = -s^2/4 - s i < 0 to
+    leading order, with (s, i) = (x, 1) or (1, 1/x).  ValueError for an
+    input that is not positive and finite; ModelInconsistencyError, with
+    the coefficients, for a root that is not real or falls outside (0, 1).
     """
     if not all(0.0 < x < math.inf for x in (o_v, o_h, snr)):
         raise ValueError(f"O_V, O_H, snr must be positive and finite: {o_v!r}, {o_h!r}, {snr!r}")
@@ -280,10 +281,7 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     discriminant = b * b - 4.0 * a * c
     if not discriminant >= 0.0:
         raise ModelInconsistencyError("threshold root is not real", details=details)
-    if b > 0.0:
-        root = c / (-0.5 * (b + math.sqrt(discriminant)))
-    else:
-        root = 0.5 * (math.sqrt(discriminant) - b) / a
+    root = c / (-0.5 * (b + math.sqrt(discriminant)))
     details["root"] = root
     if not 0.0 < root < 1.0:
         raise ModelInconsistencyError(

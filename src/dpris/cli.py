@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser("threshold", help="cross-polarization threshold from link qualities")
     p_thr.add_argument("--ov", type=float, required=True, help="V-polarization quality O_V")
     p_thr.add_argument("--oh", type=float, required=True, help="H-polarization quality O_H")
-    p_thr.add_argument("--snr-db", type=float, required=True)
+    p_thr.add_argument("--snr-db", required=True, help="transmit SNR in dB, checked as snr_db")
     p_thr.set_defaults(handler=_cmd_threshold)
 
     p_rec = sub.add_parser("recipes", help="list or run bundled figure recipes")
@@ -130,7 +130,10 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    value = capacity.xpd_threshold(args.ov, args.oh, scen.db_to_linear(args.snr_db))
+    snr_db = scen.parse_overrides(scen.Scenario(), {"snr_db": args.snr_db}).snr_db
+    if snr_db is None:
+        raise ValueError(f"snr_db must be a number, got {args.snr_db!r}")
+    value = capacity.xpd_threshold(args.ov, args.oh, scen.db_to_linear(snr_db))
     print(f"xpd_threshold = {value:.10g}")
     return 0
 

@@ -15,7 +15,11 @@ swaps A's V and H rows); the UE side, w and the kernel spectrum; then the
 forms (``capacity``): O = (O_V, O_H) of |s| under the aligning phases,
 which cancel b's phase, or the (D, 2) forms of the random scheme's D
 seeded draws, which read it.  The point side splits the forms into the
-moments of G by ``xpd_coeff`` and resolves ``allocation`` to lambda_v.
+moments of G by ``xpd_coeff``, resolves ``allocation`` to lambda_v and
+holds the Monte Carlo's ``trials`` and ``master_seed``, so every point
+field is read by the build.  Both sides run with numpy's overflow and
+invalid value raising: a build that leaves the float range fails by name
+for every caller, a sweep row and a direct call alike.
 
 A process keeps the last surface's forms, keyed by every field but the
 point fields: a field added to ``Scenario`` joins the key unless it is
@@ -215,12 +219,9 @@ def _fixed_split(allocation: str) -> float | None:
 
 
 def db_to_linear(value_db: float) -> float:
-    """Power ratio from decibels; inf where the ratio overflows a float,
-    so a range check on the result rejects it."""
-    try:
-        return 10.0 ** (float(value_db) / 10.0)
-    except OverflowError:
-        return math.inf
+    """Power ratio from decibels.  Every dB value the package converts is
+    range-checked first (``_RANGES``), so the ratio is a finite float."""
+    return 10.0 ** (float(value_db) / 10.0)
 
 
 def _snr(scenario: Scenario) -> float:
@@ -234,17 +235,27 @@ def _snr(scenario: Scenario) -> float:
 class LinkModel:
     """What every output of a scenario point reads: the transmit SNR, the
     V share ``lambda_v`` of the power, the surface's read-only ``forms``,
-    O = (O_V, O_H) of shape (2,) or the random scheme's (D, 2), and the
-    ``moments`` of G split from them, shape (4,) or (D, 4)."""
+    O = (O_V, O_H) of shape (2,) or the random scheme's (D, 2), the
+    ``moments`` of G split from them, shape (4,) or (D, 4), and the
+    point's Monte Carlo (``mc``) of ``trials`` trials from ``master_seed``."""
 
     snr: float
     lambda_v: float
     moments: np.ndarray
     forms: np.ndarray
+    trials: int
+    master_seed: int
+
+    @functools.cached_property
+    def mc(self) -> capacity.McCapacityResult:
+        """The point's Monte Carlo (``capacity.ergodic_capacity_mc``), run
+        on first read and kept; an output that reads none runs none."""
+        args = self.moments, self.lambda_v, self.snr, self.trials, self.master_seed
+        return capacity.ergodic_capacity_mc(*args)
 
 
 #: The fields that enter only the point side: the SNR, the moments' split,
-#: the power split and the Monte Carlo run.
+#: the power split and the Monte Carlo run.  Each is read by the build.
 _POINT_FIELDS = (
     "noise_dbm",
     "power_dbm",
@@ -262,30 +273,37 @@ _surface_memo: dict = {}
 
 
 def build_link_model(scenario: Scenario) -> LinkModel:
-    """The link model of one scenario point.  DegenerateGeometryError for
-    a feed or UE on an element, a feed in or behind the surface plane or at
-    grazing incidence, or a polarization no power reaches;
-    ModelInconsistencyError, with the point's snr, for forms out of range
-    or an optimal split whose moment product underflows.
+    """The link model of one scenario point, built under numpy's
+    ``errstate(over="raise", invalid="raise")``.  DegenerateGeometryError
+    for a feed or UE on an element, a feed in or behind the surface plane
+    or at grazing incidence, or a polarization no power reaches;
+    ModelInconsistencyError, with the point's snr, for a build that leaves
+    the float range (``link = not built``), random forms out of range or an
+    optimal split whose moment product underflows.
     """
-    key = _surface_key(scenario)
-    forms = _surface_memo.get(key)
-    if forms is None:
-        forms = _surface_forms(scenario)
-        _surface_memo.clear()
-        _surface_memo[key] = forms
-    moments = capacity.moment_layout(forms, scenario.xpd_coeff)
     snr = _snr(scenario)
-    lambda_v = _fixed_split(scenario.allocation)
-    if lambda_v is None:
-        lambda_v = capacity.optimal_power_allocation(moments, snr)
-    return LinkModel(snr, lambda_v, moments, forms)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            key = _surface_key(scenario)
+            forms = _surface_memo.get(key)
+            if forms is None:
+                forms = _surface_forms(scenario)
+                _surface_memo.clear()
+                _surface_memo[key] = forms
+            moments = capacity.moment_layout(forms, scenario.xpd_coeff)
+            lambda_v = _fixed_split(scenario.allocation)
+            if lambda_v is None:
+                lambda_v = capacity.optimal_power_allocation(moments, snr)
+    except FloatingPointError as err:
+        details = {"snr": snr, "link": "not built"}
+        raise ModelInconsistencyError(f"the link build leaves the float range ({err})", details)
+    return LinkModel(snr, lambda_v, moments, forms, scenario.trials, scenario.master_seed)
 
 
 def _surface_forms(scenario: Scenario) -> np.ndarray:
     """The read-only forms of the scenario's surface, built as the module
-    says.  O must be finite, then positive, and the random forms finite
-    and non-negative, else the building point's error is raised."""
+    says.  O must be positive, and the random forms finite and
+    non-negative, else the building point's error is raised."""
     side = math.isqrt(scenario.elements)
     wavelength = scenario.wavelength_m
     pitch = scenario.pitch_wavelengths * wavelength
@@ -312,12 +330,8 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
         side, pitch, wavelength, *ue, scenario.beta0_db, scenario.pathloss_exponent
     )
     forms = o = capacity.compute_O(amplitudes * b * weights, spectrum)
-    # Python loops: on a few values they cost a fraction of numpy's reductions;
-    # an O that overflowed is out of range, not a surface no power reaches
-    values = o.tolist()
-    if not all(map(math.isfinite, values)):
-        raise _forms_error(scenario, o)
-    for name, value in zip("VH", values):
+    # a Python loop: on two values it costs a fraction of numpy's reductions
+    for name, value in zip("VH", o.tolist()):
         if not value > 0.0:
             raise DegenerateGeometryError(
                 f"no power reaches the {name} polarization (O_{name} = {value!r}): "
@@ -328,16 +342,13 @@ def _surface_forms(scenario: Scenario) -> np.ndarray:
         seeds = range(scenario.phase_seed, scenario.phase_seed + scenario.random_phase_draws)
         forms = capacity.expected_gram_moments(surface, seeds, spectrum)
         if not all(0.0 <= x < math.inf for x in forms.ravel().tolist()):
-            raise _forms_error(scenario, forms)
+            moments = capacity.moment_layout(forms, scenario.xpd_coeff)
+            raise ModelInconsistencyError(
+                "the surface forms must be finite and non-negative",
+                {"snr": _snr(scenario), "moments": moments},
+            )
     forms.setflags(write=False)
     return forms
-
-
-def _forms_error(scenario: Scenario, forms: np.ndarray) -> ModelInconsistencyError:
-    """The error of surface forms out of range, with the building point's
-    snr and the moments split from ``forms``."""
-    details = {"snr": _snr(scenario), "moments": capacity.moment_layout(forms, scenario.xpd_coeff)}
-    return ModelInconsistencyError("the surface forms must be finite and non-negative", details)
 
 
 @functools.lru_cache(maxsize=1)

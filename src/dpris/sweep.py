@@ -28,7 +28,7 @@ _AXIS_COLUMNS = {
 AXES = tuple(_AXIS_COLUMNS)
 
 
-def _threshold(link, mc):
+def _threshold(link):
     if link.forms.ndim == 2:
         raise ModelInconsistencyError(
             "output threshold is a closed form of the aligned-phase O_V/O_H; "
@@ -40,71 +40,59 @@ def _threshold(link, mc):
         return (None,)  # no root in (0, 1): the cell stays empty
 
 
-def _quality(link, mc):
+def _quality(link):
     # the forms the row's moments split from, averaged over a random row's draws
     return tuple(link.forms.reshape(-1, 2).mean(axis=0).tolist())
 
 
 #: Output name -> (its columns, their cells as a function of the link model
-#: and ``mc``, whose call runs the point's Monte Carlo once, on first use).
+#: alone; ``link.mc`` runs the point's Monte Carlo once, on first read).
 #: ``quality`` and ``mc-moments`` are opt-in diagnostics.
 OUTPUTS = {
     "dual-mc": (
         ("dual_mc_bits", "dual_mc_se"),
-        lambda link, mc: (mc().estimate, mc().standard_error),
+        lambda link: (link.mc.estimate, link.mc.standard_error),
     ),
     "dual-ub": (
         ("dual_ub_bits",),
-        lambda link, mc: (capacity.moment_upper_bound(link.moments, link.lambda_v, link.snr),),
+        lambda link: (capacity.moment_upper_bound(link.moments, link.lambda_v, link.snr),),
     ),
     "single-mc": (
         ("single_mc_bits", "single_mc_se"),
-        lambda link, mc: (mc().single_pol_estimate, mc().single_pol_standard_error),
+        lambda link: (link.mc.single_pol_estimate, link.mc.single_pol_standard_error),
     ),
     "single-ub": (
         ("single_ub_bits",),
-        lambda link, mc: (capacity.single_pol_moment_bound(link.moments, link.snr),),
+        lambda link: (capacity.single_pol_moment_bound(link.moments, link.snr),),
     ),
-    "allocation": (("lambda_v", "lambda_h"), lambda link, mc: (link.lambda_v, 1 - link.lambda_v)),
+    "allocation": (("lambda_v", "lambda_h"), lambda link: (link.lambda_v, 1 - link.lambda_v)),
     "threshold": (("xpd_threshold",), _threshold),
     "quality": (("o_v", "o_h"), _quality),
     "mc-moments": (
         ("mc_m11", "mc_m12", "mc_m21", "mc_m22"),
-        lambda link, mc: mc().moments.tolist(),
+        lambda link: link.mc.moments.tolist(),
     ),
 }
 
 
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
-    the order of ``outputs``; the Monte Carlo runs once if any output reads
-    it.  Raises the link build's errors (``scen.build_link_model``),
-    ValueError for a name not in ``OUTPUTS``, and ModelInconsistencyError
-    for ``threshold`` on a random-phase point and for an overflow or
-    invalid value anywhere in the build or a cell."""
-    link = None
+    the order of ``outputs``, from its link model; the Monte Carlo runs
+    once if any output reads it.  Raises the link build's errors
+    (``scen.build_link_model``, whose float range is its own), ValueError
+    for a name not in ``OUTPUTS``, and ModelInconsistencyError for
+    ``threshold`` on a random-phase point and for an overflow or invalid
+    value in a cell."""
+    link = scen.build_link_model(scenario)
     cells: dict = {}
     try:
         with np.errstate(over="raise", invalid="raise"):
-            link = scen.build_link_model(scenario)
-            runs = []
-
-            def mc():
-                # run once, on first use; a functools.cache wrapper made per row costs ~3 us
-                if not runs:
-                    args = link.moments, link.lambda_v, link.snr, scenario.trials
-                    runs.append(capacity.ergodic_capacity_mc(*args, scenario.master_seed))
-                return runs[0]
-
             for name in outputs:
                 if name not in OUTPUTS:
                     raise ValueError(f"unknown output {name!r} (expected one of {tuple(OUTPUTS)})")
                 columns, values = OUTPUTS[name]
-                cells.update(zip(columns, values(link, mc)))
+                cells.update(zip(columns, values(link)))
     except FloatingPointError as err:
-        if link is None:
-            details = {"snr": scen._snr(scenario), "link": "not built"}
-            raise ModelInconsistencyError(f"the link build leaves the float range ({err})", details)
         details = {"snr": link.snr, "moments": link.moments}
         raise ModelInconsistencyError(f"the estimators leave the float range ({err})", details)
     return cells

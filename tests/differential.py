@@ -62,7 +62,9 @@ def draw_points(count: int, seed: int) -> list:
                   {**ts.FACING_AWAY, "incidence_convention": "transverse-plane"}]
     overflowing = [tc.OVERFLOWING, tc.OVERFLOWING_BUILD, {**tc.NEAR_ELEMENT, "snr_db": "100"},
                    tc.FAINT, {**tc.FAINT, "allocation": "optimal"},
-                   {"elements": "16", "beta0_db": "1540"}, {"elements": "4", "tau_offset": "-1e75"}]
+                   {**tc.NEAR_ELEMENT, "snr_db": "300", "allocation": "equal"},
+                   {**tc.NEAR_ELEMENT, "snr_db": "200", "allocation": "equal",
+                    "phase_scheme": "random", "random_phase_draws": "2"}]
     rng = np.random.default_rng(seed)
     drawn = iter(changes)
     points = []

@@ -563,6 +563,25 @@ def test_xpd_threshold_matches_high_precision_root(o_v, o_h, snr):
     assert root == pytest.approx(threshold_oracle(o_v, o_h, snr), rel=2.3e-16, abs=0.0)
 
 
+@PROPERTY
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+def test_xpd_threshold_has_b_positive_wherever_its_root_is_real(x_exponent, r_exponent):
+    # rho O_V = 10^x_exponent and O_H / O_V = 10^r_exponent, each in
+    # [1e-300, 1e300], from finite O_V, O_H and rho: b > 0 wherever the
+    # quadratic has a real root, so c / q, the one form taken, holds for
+    # every input; its root is the 60-digit one's to 1e-7, as near a double
+    # root at 1 the discriminant b^2 - 4ac cancels, to ~sqrt(eps) there
+    o_v = 10.0 ** ((x_exponent - r_exponent) / 3.0)
+    o_h = 10.0 ** ((x_exponent + 2.0 * r_exponent) / 3.0)
+    snr = 10.0 ** ((2.0 * x_exponent + r_exponent) / 3.0)
+    try:
+        root = capacity.xpd_threshold(o_v, o_h, snr)
+    except ModelInconsistencyError as err:
+        assert "root" not in err.details or err.details["b"] > 0.0
+        return
+    assert root == pytest.approx(threshold_oracle(o_v, o_h, snr), rel=1e-7, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "ov, oh, snr_db, printed",
     [

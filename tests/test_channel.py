@@ -93,9 +93,10 @@ def test_statistics_hold_no_quadratic_array():
     # O(N): each lattice axis is 2 m, m the first 5-smooth integer at or
     # above the side, which never exceeds 5/4 of the side
     assert weights.shape == (n,) and spectrum.size <= 4 * (5 / 4) ** 2 * n
-    # the link model holds what the outputs read, no more
+    # the link model holds what the outputs read, no more: the Monte Carlo
+    # is a property of the trial count and seed, run when read
     names = [field.name for field in dataclasses.fields(scen.LinkModel)]
-    assert names == ["snr", "lambda_v", "moments", "forms"]
+    assert names == ["snr", "lambda_v", "moments", "forms", "trials", "master_seed"]
 
 
 def test_correlation_sqrt_identity():

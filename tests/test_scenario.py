@@ -253,12 +253,16 @@ def test_a_value_of_another_kind_is_refused_by_name(name, value):
 
 
 def test_an_int_on_a_float_field_and_none_on_snr_db_are_taken():
-    # as given; the int builds the link of the equal float (numpy integer
-    # counts: test_integer_fields_take_integers_only)
+    # as given; the int, and a float subclass such as np.float64, which is
+    # kept with the float's bits, build the link of the equal float (numpy
+    # integer counts: test_integer_fields_take_integers_only)
     assert BASE.replace(snr_db=None).snr_db is None
-    as_int, as_float = (scen.build_link_model(BASE.replace(power_dbm=p)) for p in (43, 43.0))
-    assert as_int.snr == as_float.snr
-    np.testing.assert_array_equal(as_int.moments, as_float.moments)
+    assert BASE.replace(power_dbm=np.float64(0.1)).power_dbm.hex() == (0.1).hex()
+    as_float = scen.build_link_model(BASE.replace(power_dbm=43.0))
+    for power in (43, np.float64(43.0)):
+        link = scen.build_link_model(BASE.replace(power_dbm=power))
+        assert link.snr == as_float.snr
+        np.testing.assert_array_equal(link.moments, as_float.moments)
 
 
 def test_replace_names_a_bad_field_and_rejects_an_unknown_name():
@@ -619,9 +623,10 @@ def test_failed_surface_is_not_kept(monkeypatch):
     compute_O = capacity.compute_O
 
     def poisoned(surface, spectrum):
-        # an infinite O for the overflowing surface only
+        # an O that overflows, under the build's errstate, for the
+        # overflowing surface only
         o = compute_O(surface, spectrum)
-        return np.full_like(o, np.inf) if builds[-1] is overflowing else o
+        return o * 1e308 * 1e308 if builds[-1] is overflowing else o
 
     monkeypatch.setattr(capacity, "compute_O", poisoned)
     failures = ((behind, DegenerateGeometryError), (overflowing, ModelInconsistencyError))

@@ -59,6 +59,11 @@ def test_sweep_spec_validation():
         spec_from({"grid": "0,1", "outputs": "dual-ub"})
     with pytest.raises(ValueError):
         spec_from({"axis": "xpd", "grid": "0,1", "outputs": "dual-ub", "bogus_key": "3"})
+    # no output, parsed from a list of empty names or built in code
+    with pytest.raises(ValueError, match="sweep must select at least one output"):
+        spec_from({"axis": "xpd", "grid": "0,1", "outputs": ","})
+    with pytest.raises(ValueError, match="sweep must select at least one output"):
+        sweep.SweepSpec(axis="xpd", grid=(0.0, 1.0), outputs=(), base=scen.Scenario())
     # an output named twice, and a grid or grid2 that is not strictly
     # monotone, would write a column or a row twice; the error names it
     with pytest.raises(ValueError, match="'dual-ub' is named twice"):
@@ -997,29 +1002,34 @@ def test_overflowing_row_fails_and_the_sweep_goes_on():
     assert 0.0 < finite["lambda_v"] < 1.0
     assert overflowing["status"].startswith("failed: the estimators leave the float range")
     # a build that overflows fails its row too, with the point's snr, and
-    # the sweep goes on
+    # the sweep goes on; a direct build of the point fails the same way
     assert unbuilt["status"].startswith("failed: the link build leaves the float range")
-    with pytest.raises(ModelInconsistencyError, match="link build leaves") as excinfo:
-        sweep.evaluate(scen.parse_overrides(scen.Scenario(), OVERFLOWING_BUILD), ["dual-ub"])
-    assert excinfo.value.details == {"snr": 1e30, "link": "not built"}
+    point = scen.parse_overrides(scen.Scenario(), OVERFLOWING_BUILD)
+    for call in (scen.build_link_model, lambda point: sweep.evaluate(point, ["dual-ub"])):
+        with pytest.raises(ModelInconsistencyError, match="link build leaves") as excinfo:
+            call(point)
+        assert excinfo.value.details == {"snr": 1e30, "link": "not built"}
 
 
 def test_direct_build_reports_an_overflowing_surface_as_out_of_range(monkeypatch):
-    # outside sweep.evaluate's errstate pathloss weights that overflow make
-    # O nan: the surface leaves the float range, as evaluate and a sweep
-    # row report the point, and is not a polarization no power reaches; no
-    # value in range overflows the weights, so the test scales them
+    # pathloss weights that overflow leave the float range inside the build,
+    # even under a caller's errstate that ignores overflow: a direct build
+    # fails with the error of evaluate and a sweep row, the point's snr and
+    # no link, and not as a polarization no power reaches; no value in
+    # range overflows the weights, so the test scales them
     real = channel.pathloss_weights
     monkeypatch.setattr(channel, "pathloss_weights", lambda *args: real(*args) * 1e300 * 1e300)
     overflowing = scen.Scenario(elements=16)
-    with np.errstate(all="ignore"):
-        with pytest.raises(ModelInconsistencyError, match="finite and non-negative") as excinfo:
-            scen.build_link_model(overflowing)
-    assert set(excinfo.value.details) == {"snr", "moments"}
-    assert excinfo.value.details["snr"] == scen._snr(overflowing)
-    clear_caches()
-    with pytest.raises(ModelInconsistencyError, match="the link build leaves the float range"):
-        sweep.evaluate(overflowing, ["dual-ub"])
+    failures = []
+    for call in (scen.build_link_model, lambda point: sweep.evaluate(point, ["dual-ub"])):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ModelInconsistencyError) as excinfo:
+                call(overflowing)
+        failures.append((str(excinfo.value), excinfo.value.details))
+    message, details = failures[0]
+    assert failures[1] == failures[0]
+    assert message == "the link build leaves the float range (overflow encountered in multiply)"
+    assert details == {"snr": pytest.approx(10.0**13.1, rel=1e-12), "link": "not built"}
     spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": "dual-ub", "elements": "16"})
     (row,) = sweep.run_sweep(spec).rows
     assert row["status"].startswith("failed: the link build leaves the float range")
@@ -1029,22 +1039,37 @@ def test_direct_build_reports_an_overflowing_surface_as_out_of_range(monkeypatch
         scen.build_link_model(scen.Scenario(elements=16, boresight_deg="180,90,90"))
 
 
+#: What each poisoned form fails as, and the details it carries.
+GATE_FAILURES = {
+    "compute_O": (
+        "the link build leaves the float range (overflow encountered in multiply)",
+        {"snr", "link"},
+    ),
+    "expected_gram_moments": (
+        "the surface forms must be finite and non-negative",
+        {"snr", "moments"},
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "target, bad_forms",
-    [("compute_O", lambda o: np.full_like(o, np.inf)), ("expected_gram_moments", np.negative)],
+    [("compute_O", lambda o: o * 1e308 * 1e308), ("expected_gram_moments", np.negative)],
 )
 def test_gate_rejects_forms_that_are_not_finite_and_non_negative(monkeypatch, target, bad_forms):
-    # an infinite O, or a negative form of a random draw, fails the gate of
-    # the link build with the point's snr and moments, and so fails its row
+    # an O that overflows raises under the build's errstate, and a negative
+    # form of a random draw fails the gate of the random forms; either fails
+    # the link build with the point's snr, and so fails its row
     real = getattr(capacity, target)
     monkeypatch.setattr(capacity, target, lambda *args: bad_forms(real(*args)))
+    message, details = GATE_FAILURES[target]
     pairs = {"elements": "16", "phase_scheme": "random", "random_phase_draws": "3"}
-    with pytest.raises(ModelInconsistencyError, match="finite and non-negative") as excinfo:
+    with pytest.raises(ModelInconsistencyError) as excinfo:
         scen.build_link_model(scen.parse_overrides(scen.Scenario(), pairs))
-    assert set(excinfo.value.details) == {"snr", "moments"}
+    assert str(excinfo.value) == message and set(excinfo.value.details) == details
     spec = spec_from({"axis": "xpd", "grid": "0.2, 0.4", "outputs": "quality", **pairs})
     for row in sweep.run_sweep(spec).rows:
-        assert row["status"] == "failed: the surface forms must be finite and non-negative"
+        assert row["status"] == f"failed: {message}"
 
 
 @pytest.mark.parametrize("allocation", ["equal", "optimal"])
@@ -1099,12 +1124,24 @@ def test_cli_threshold_model_inconsistency_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "ov,oh,snr_db", [("inf", "1", "0"), ("1", "nan", "0"), ("1", "1", "inf")]
+    "ov,oh,snr_db",
+    [
+        ("inf", "1", "0"),
+        ("1", "nan", "0"),
+        ("1", "1", "inf"),
+        ("1e-14", "1e-14", "1000"),
+        ("1", "1", "none"),
+        ("1", "1", ""),
+    ],
 )
 def test_cli_threshold_rejects_non_finite_inputs(capsys, ov, oh, snr_db):
+    # a quality that is not positive and finite is the threshold's to
+    # refuse; the SNR is read as the field snr_db is, so one outside its
+    # range, or none, is a usage error that names the field
     rc = cli.main(["threshold", "--ov", ov, "--oh", oh, "--snr-db", snr_db])
     assert rc == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    expected = "must be positive and finite" if snr_db == "0" else "error: snr_db must be"
+    assert expected in capsys.readouterr().err
 
 
 def test_cli_sweep_and_gnuplot(tmp_path, capsys):
