@@ -29,11 +29,6 @@ AXES = tuple(_AXIS_COLUMNS)
 
 
 def _threshold(link):
-    if link.forms.ndim == 2:
-        raise ModelInconsistencyError(
-            "output threshold is a closed form of the aligned-phase O_V/O_H; "
-            "it does not describe phase_scheme = random"
-        )
     try:
         return (capacity.xpd_threshold(*link.forms.tolist(), link.snr),)
     except ModelInconsistencyError:
@@ -84,6 +79,11 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
     ``threshold`` on a random-phase point and for an overflow or invalid
     value in a cell."""
     link = scen.build_link_model(scenario)
+    if "threshold" in outputs and scenario.phase_scheme == "random":
+        raise ModelInconsistencyError(
+            "output threshold is a closed form of the aligned-phase O_V/O_H; "
+            "it does not describe phase_scheme = random"
+        )
     cells: dict = {}
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -222,7 +222,7 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 def scenario_echo(scenario: scen.Scenario) -> list[str]:
     """One ``# key=value`` line per scenario field, sorted by name."""
-    return [f"# {key}={_format(value)}" for key, value in sorted(vars(scenario).items())]
+    return [f"# {key}={format_cell(value)}" for key, value in sorted(vars(scenario).items())]
 
 
 def gnuplot_script(result: SweepResult, csv_path: str) -> str:
@@ -260,15 +260,10 @@ def _join(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _format(value) -> str:
+def format_cell(value, column: str = "") -> str:
+    """A value as the CSV table and the scenario echo write it: the
+    ``runtime_s`` column to the millisecond, every other float to 17
+    significant digits, None as an empty cell and anything else as text."""
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, ".3f" if column == "runtime_s" else ".17g")
     return "" if value is None else str(value)
-
-
-def format_cell(value, column: str) -> str:
-    """A cell as the CSV writes it: the runtime to the millisecond, every
-    other number to 17 significant digits, an empty cell for None."""
-    if column == "runtime_s" and value is not None:
-        return format(value, ".3f")
-    return _format(value)

@@ -1,20 +1,35 @@
-import numpy as np
+import importlib
+import pkgutil
+
 import pytest
 
-from dpris import capacity, scenario as scen
+import dpris
+from dpris import scenario as scen
 
 WAVELENGTH = 0.0115
 PITCH = WAVELENGTH / 3.0
 
 
+def kept_results() -> dict:
+    """Every result the package keeps between calls, by dotted name: the
+    ``functools`` caches of each ``dpris`` module, found by their
+    ``cache_clear``, and the last surface, ``scenario._surface_memo``."""
+    kept = {"dpris.scenario._surface_memo": scen._surface_memo}
+    for info in pkgutil.iter_modules(dpris.__path__):
+        module = importlib.import_module(f"dpris.{info.name}")
+        kept.update(
+            (f"{module.__name__}.{name}", value)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear")
+        )
+    return kept
+
+
 def clear_caches():
-    """Drop every result the package keeps between calls: the surface, its
-    grid, its UE side with the kernel spectrum and the Monte Carlo trial
-    statistics, so the next build is a cold one."""
-    scen._surface_memo.clear()
-    scen._grid.cache_clear()
-    scen._ue_side.cache_clear()
-    capacity._trial_statistics.cache_clear()
+    """Drop every result ``kept_results`` finds, so the next build is a
+    cold one."""
+    for value in kept_results().values():
+        (value.clear if isinstance(value, dict) else value.cache_clear)()
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +50,3 @@ def oblique_scenario():
     """Feed raised toward +z at 0.1 m standoff (unequal polarizations)."""
     return scen.Scenario(elements=16, feed_r_m=0.1, feed_zenith_deg=60.0)
 
-
-def complex_rng(seed):
-    return np.random.default_rng(seed)

@@ -6,8 +6,8 @@ line.
 
 The points are drawn once, in this tree: changes to a 16-element scenario
 from ``FIELDS`` (``tests/test_scenario.py``), so a new field joins without
-an edit, every fifth of them after every kept result is dropped (a cold
-build); feed moves in sequence, which keep the grid and the UE side warm;
+an edit, every fifth of them after ``conftest.clear_caches`` drops every
+kept result it finds (a cold build); feed moves in sequence, which keep the grid and the UE side warm;
 random rows of 1 to 8 draws; every degenerate placement; and overflowing
 links.  Each tree then evaluates them in one subprocess: the other tree is
 this repository at ``REV``, unpacked with ``git archive``, or, without
@@ -114,7 +114,8 @@ def evaluate_points(path: str, src: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
-    from dpris import capacity, scenario as scen, sweep
+    from conftest import clear_caches
+    from dpris import scenario as scen, sweep
 
     if not Path(scen.__file__).is_relative_to(src):
         raise RuntimeError(f"dpris was imported from {scen.__file__}, not from {src}")
@@ -124,10 +125,7 @@ def evaluate_points(path: str, src: str) -> None:
     outputs = [name for name in sweep.OUTPUTS if name != "threshold"]
     for index, (cold, how, values) in enumerate(points):
         if cold:
-            scen._surface_memo.clear()
-            for module in (scen, capacity):
-                for cached in vars(module).values():
-                    getattr(cached, "cache_clear", lambda: None)()
+            clear_caches()
         parts = [str(index)]
         try:
             if how == "pairs":

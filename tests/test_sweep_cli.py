@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib
 import math
 import os
@@ -16,7 +17,7 @@ from dpris import capacity, channel, cli, geometry, recipes, ris, scenario as sc
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
 
 import oracles
-from conftest import clear_caches
+from conftest import clear_caches, kept_results
 
 
 def spec_from(text_pairs):
@@ -552,22 +553,28 @@ def test_feed_fault_is_named_before_the_ue_fault_on_a_kept_grid():
     assert statuses[1::2] == ["failed: UE coincides with an element"] * 2
 
 
-def test_clear_caches_clears_every_cache_the_package_keeps():
+def test_clear_caches_clears_every_cache_the_package_keeps(monkeypatch):
     # a cache the package adds but conftest.clear_caches misses would carry
-    # results from one test into the next, making tests depend on their order
-    names = [f"dpris.{info.name}" for info in pkgutil.iter_modules(dpris.__path__)]
-    modules = [importlib.import_module(name) for name in names]
-    caches = {
-        f"{module.__name__}.{name}": value
-        for module in modules
-        for name, value in vars(module).items()
-        if hasattr(value, "cache_info") and value.__module__ == module.__name__
-    }
-    assert sorted(caches) == [
-        "dpris.capacity._trial_statistics",
-        "dpris.scenario._grid",
-        "dpris.scenario._ue_side",
-    ]
+    # results from one test into the next, making tests depend on their
+    # order; so clear_caches finds the caches rather than naming them: a
+    # cache put in any dpris module is found, and what a sweep keeps is
+    # found and dropped
+    probes = {}
+    for info in pkgutil.iter_modules(dpris.__path__):
+        module = importlib.import_module(f"dpris.{info.name}")
+        probes[f"{module.__name__}._probe"] = functools.lru_cache(maxsize=1)(lambda: None)
+        monkeypatch.setattr(module, "_probe", probes[f"{module.__name__}._probe"], raising=False)
+    kept = kept_results()
+    assert all(kept.get(name) is probe for name, probe in probes.items())
+
+    def sizes():
+        return {
+            name: len(value) if isinstance(value, dict) else value.cache_info().currsize
+            for name, value in kept.items()
+        }
+
+    for probe in probes.values():
+        probe()
     spec = spec_from(
         {
             "axis": "feed-angles",
@@ -579,11 +586,10 @@ def test_clear_caches_clears_every_cache_the_package_keeps():
         }
     )
     assert [row["status"] for row in sweep.run_sweep(spec).rows] == ["ok"] * 4
-    assert [cache.cache_info().currsize for cache in caches.values()] == [1, 1, 1]
-    assert len(scen._surface_memo) == 1
+    assert len(kept) > len(probes) + 1
+    assert sizes() == dict.fromkeys(kept, 1)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches.values()] == [0, 0, 0]
-    assert scen._surface_memo == {}
+    assert sizes() == dict.fromkeys(kept, 0)
 
 
 def test_sweep_nonsquare_element_count_fails_row_only():
