@@ -73,11 +73,13 @@ OUTPUTS = {
 def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
     the order of ``outputs``, from its link model; the Monte Carlo runs
-    once if any output reads it.  Raises the link build's errors
-    (``scen.build_link_model``, whose float range is its own), ValueError
-    for a name not in ``OUTPUTS``, and ModelInconsistencyError for
-    ``threshold`` on a random-phase point and for an overflow or invalid
-    value in a cell."""
+    once if any output reads it.  Raises, in this order, ValueError for
+    ``outputs`` given as one string; the link build's errors
+    (``scen.build_link_model``, whose float range is its own);
+    ModelInconsistencyError for ``threshold`` on a random-phase point; and,
+    output by output, ValueError for a name not in ``OUTPUTS`` and
+    ModelInconsistencyError for an overflow or invalid value in a cell."""
+    _refuse_a_string(outputs)
     link = scen.build_link_model(scenario)
     if "threshold" in outputs and scenario.phase_scheme == "random":
         raise ModelInconsistencyError(
@@ -98,13 +100,20 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
     return cells
 
 
+def _refuse_a_string(outputs) -> None:
+    # a bare name would be read one letter at a time
+    if isinstance(outputs, str):
+        raise ValueError(f"outputs must be a sequence of output names, not the string {outputs!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A checked sweep: the axis, its grid (and ``grid2``), the outputs in
     column order and the base scenario.  Raises ValueError for an axis not
-    in ``AXES``, an empty grid or output list, an unknown or repeated
-    output, a ``grid2`` that a ``feed-angles`` sweep lacks or another axis
-    has, or a numeric grid that is not strictly monotone."""
+    in ``AXES``, an empty grid, outputs given as one string or none, an
+    unknown or repeated output, a ``grid2`` that a ``feed-angles`` sweep
+    lacks or another axis has, or a numeric grid that is not strictly
+    monotone."""
 
     axis: str
     grid: tuple
@@ -117,6 +126,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {AXES})")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        _refuse_a_string(self.outputs)
         if not self.outputs:
             raise ValueError("sweep must select at least one output")
         for out in self.outputs:

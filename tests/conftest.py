@@ -49,4 +49,3 @@ def table_scenario_16():
 def oblique_scenario():
     """Feed raised toward +z at 0.1 m standoff (unequal polarizations)."""
     return scen.Scenario(elements=16, feed_r_m=0.1, feed_zenith_deg=60.0)
-

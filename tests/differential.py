@@ -7,16 +7,16 @@ line.
 The points are drawn once, in this tree: changes to a 16-element scenario
 from ``FIELDS`` (``tests/test_scenario.py``), so a new field joins without
 an edit, every fifth of them after ``conftest.clear_caches`` drops every
-kept result it finds (a cold build); feed moves in sequence, which keep the grid and the UE side warm;
-random rows of 1 to 8 draws; every degenerate placement; and overflowing
-links.  Each tree then evaluates them in one subprocess: the other tree is
-this repository at ``REV``, unpacked with ``git archive``, or, without
-``--against``, this tree again.  A point's line holds how the scenario was
-made, ``scenario.build_link_model``'s snr, split and a hash of its forms and
-moments, with any warning it raised, and ``sweep.evaluate``'s cells of
-every output, ``threshold`` apart; numbers as ``float.hex``, errors as their
-type and message.  Prints the number of differing lines and the first of
-them; exits 1 if any line differs.
+kept result it finds (a cold build); feed moves in sequence, which keep the
+grid and the UE side warm; random rows of 1 to 8 draws; every degenerate
+placement; and overflowing links.  Each tree then evaluates them in one
+subprocess: the other tree is this repository at ``REV``, unpacked with
+``git archive``, or, without ``--against``, this tree again.  A point's
+line holds how the scenario was made, ``scenario.build_link_model``'s snr,
+split and a hash of its forms and moments, with any warning it raised, and
+``sweep.evaluate``'s cells of every output, ``threshold`` apart; numbers as
+``float.hex``, errors as their type and message.  Prints the number of
+differing lines and the first of them; exits 1 if any line differs.
 """
 
 import argparse

@@ -41,6 +41,9 @@ def test_a_spec_made_in_code_names_an_unknown_axis():
 def test_evaluate_names_an_unknown_output():
     with pytest.raises(ValueError, match="unknown output 'bogus'.*'dual-ub'"):
         sweep.evaluate(scen.Scenario(elements=16), ("dual-ub", "bogus"))
+    # a bare name is refused whole, not read as the names of its letters
+    with pytest.raises(ValueError, match="outputs must be a sequence .* not the string 'dual-ub'"):
+        sweep.evaluate(scen.Scenario(elements=16), "dual-ub")
 
 
 def test_sweep_spec_validation():
@@ -65,6 +68,8 @@ def test_sweep_spec_validation():
         spec_from({"axis": "xpd", "grid": "0,1", "outputs": ","})
     with pytest.raises(ValueError, match="sweep must select at least one output"):
         sweep.SweepSpec(axis="xpd", grid=(0.0, 1.0), outputs=(), base=scen.Scenario())
+    with pytest.raises(ValueError, match="outputs must be a sequence .* not the string 'dual-ub'"):
+        sweep.SweepSpec(axis="xpd", grid=(0.0, 1.0), outputs="dual-ub", base=scen.Scenario())
     # an output named twice, and a grid or grid2 that is not strictly
     # monotone, would write a column or a row twice; the error names it
     with pytest.raises(ValueError, match="'dual-ub' is named twice"):
@@ -300,14 +305,17 @@ def test_random_phase_row_draws_each_seed_once(monkeypatch):
 
 
 def test_random_phase_row_matches_per_draw_oracle():
-    current, _ = random_row(137)
-    spec = sweep.SweepSpec(
-        axis="phase-scheme", grid=("random",), outputs=("dual-mc", "dual-ub"), base=current
-    )
-    row = sweep.run_sweep(spec).rows[0]
-    bound, mc = oracles.random_row_per_draw(current, 0.5)
-    assert row["dual_ub_bits"] == pytest.approx(bound, rel=1e-12)
-    assert row["dual_mc_bits"] == pytest.approx(mc, rel=1e-12)
+    # 100 trials of 137 draws: only the first 100 draws enter the Monte
+    # Carlo, while the bound averages all 137
+    for trials in (3000, 100):
+        current = random_row(137)[0].replace(trials=trials)
+        spec = sweep.SweepSpec(
+            axis="phase-scheme", grid=("random",), outputs=("dual-mc", "dual-ub"), base=current
+        )
+        row = sweep.run_sweep(spec).rows[0]
+        bound, mc = oracles.random_row_per_draw(current, 0.5)
+        assert row["dual_ub_bits"] == pytest.approx(bound, rel=1e-12)
+        assert row["dual_mc_bits"] == pytest.approx(mc, rel=1e-12)
 
 
 def test_random_phase_row_memory_stays_flat():
@@ -586,7 +594,7 @@ def test_clear_caches_clears_every_cache_the_package_keeps(monkeypatch):
         }
     )
     assert [row["status"] for row in sweep.run_sweep(spec).rows] == ["ok"] * 4
-    assert len(kept) > len(probes) + 1
+    assert len(kept) > len(probes) + 1  # the package's own caches beside the memo
     assert sizes() == dict.fromkeys(kept, 1)
     clear_caches()
     assert sizes() == dict.fromkeys(kept, 0)
