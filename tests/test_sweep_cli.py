@@ -570,8 +570,9 @@ def test_clear_caches_clears_every_cache_the_package_keeps(monkeypatch):
     probes = {}
     for info in pkgutil.iter_modules(dpris.__path__):
         module = importlib.import_module(f"dpris.{info.name}")
-        probes[f"{module.__name__}._probe"] = functools.lru_cache(maxsize=1)(lambda: None)
-        monkeypatch.setattr(module, "_probe", probes[f"{module.__name__}._probe"], raising=False)
+        name = f"{module.__name__}._probe"
+        probes[name] = functools.lru_cache(maxsize=1)(lambda: None)
+        monkeypatch.setattr(module, "_probe", probes[name], raising=False)
     kept = kept_results()
     assert all(kept.get(name) is probe for name, probe in probes.items())
 
