@@ -32,8 +32,16 @@ s = sqrt(m / 2) and z_ij four standard complex normals per trial, as
         = sum_j w_j |z_j|^2 + rho^2 lv lh |s11 s22 z11 z22 - s12 s21 z12 z21|^2,
 
 w = rho (lv, lh, lv, lh) m / 2, which keeps full relative precision where
-the shift is tiny; its scales underflow no sooner than G's entries.  Every
-row of a sweep reads the same normals (common random numbers).
+the shift is tiny; its scales underflow no sooner than G's entries.  It
+reads the z_ij only through the powers |z_ij|^2, iid -2 ln U, and the
+phase sum psi = phi11 + phi22 - phi12 - phi21 between z11 z22 and
+z12 z21, uniform and independent of the powers, so a trial is five
+uniforms (``_trial_statistics``).  Trial t takes the uniforms
+5 t, ..., 5 t + 4 of one counter-based SplitMix64 stream keyed by
+``master_seed`` (``_uniform_rows``): a seed gives the same bits whatever
+the trial count, T trials are a prefix of any longer run, and no
+``numpy.random`` is imported.  Every row of a sweep reads the same trials
+(common random numbers).
 """
 
 from __future__ import annotations
@@ -55,8 +63,13 @@ _LAYOUT = np.array([0, 1, 0, 1])
 #: spectrum's lattice; on a 1000-draw N = 400 row 2**14 was slower and
 #: 2**16 no clearer gain.
 _FFT_LATTICE_POINTS = 2**15
-#: Trials per random stream of ``_trial_statistics``.
-_CHUNK_TRIALS = 65_536
+#: Uniforms per Monte Carlo trial: four powers and one phase sum.
+_STREAM_STRIDE = 5
+#: SplitMix64's increment, the odd 64-bit word nearest 2^64 / golden ratio,
+#: and its finalizer's (xor-shift, multiplier) steps before the last shift.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -211,7 +224,8 @@ def expected_gram_moments(surface: np.ndarray, seeds: range, spectrum: np.ndarra
         # pi r of r turns is theta / 2 with the bits of 2 pi r * 0.5
         theta *= np.pi
         k = len(theta)
-        u = _tangent_phasor(theta, phasor[:k])
+        u = phasor[:k]
+        _tangent_phasor(theta, u.real, u.imag)
         u *= surface
         columns = np.fft.fft(u, n=lattice_cols, axis=-1, out=stage[:k, :, : surface.shape[-2]])
         fourier = np.fft.fft(columns, n=lattice_rows, axis=-2, out=transform[:k])
@@ -328,24 +342,23 @@ def _lattice_length(side: int) -> int:
         m += 1
 
 
-def _tangent_phasor(half: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{j theta} = ((1 - t^2) + 2 j t) / (1 + t^2), t = tan(theta / 2), of
-    the real half phases ``half`` = theta / 2 into the complex ``out`` of
-    their shape; ``half`` is spent as the scratch for t, t^2 and
-    1 / (1 + t^2).  Each part lies within a few ulp of cos and sin, and no
-    double theta / 2 comes near enough to pi / 2 for t^2 to overflow.
-    numpy's float64 tan has a SIMD loop and its cos and sin do not.
-    Returns ``out``.
+def _tangent_phasor(half: np.ndarray, real: np.ndarray, imag: np.ndarray) -> None:
+    """cos theta and sin theta = ((1 - t^2), 2 t) / (1 + t^2),
+    t = tan(theta / 2), of the half phases ``half`` = theta / 2 into the
+    real arrays ``real`` and ``imag`` of their shape; ``half`` is spent as
+    the scratch for t, t^2 and 1 / (1 + t^2).  Each lies within a few ulp
+    of cos and sin, and no double theta / 2 comes near enough to pi / 2
+    for t^2 to overflow.  numpy's float64 tan has a SIMD loop and its cos
+    and sin do not.
     """
     t = np.tan(half, out=half)
-    np.multiply(t, 2.0, out=out.imag)
+    np.multiply(t, 2.0, out=imag)
     t2 = np.square(t, out=half)
-    np.subtract(1.0, t2, out=out.real)
+    np.subtract(1.0, t2, out=real)
     t2 += 1.0
     scale = np.reciprocal(t2, out=half)
-    out.real *= scale
-    out.imag *= scale
-    return out
+    real *= scale
+    imag *= scale
 
 
 def _moment_rows(moments: np.ndarray) -> np.ndarray:
@@ -358,26 +371,83 @@ def _moment_rows(moments: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _trial_statistics(trials: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only statistics of ``trials`` draws of four standard complex
-    normals z = z1 + j z2, in entry order (G11, G12, G21, G22): the powers
-    |z_ij|^2 and the products (Re, Im z11 z22, Re, Im z12 z21), each shape
-    (4, trials).  Chunk c holds trials [c C, (c + 1) C), C = _CHUNK_TRIALS,
-    as a prefix of the stream keyed (master_seed, c), so the draws of a
-    fixed seed do not depend on the trial count.
+    """Read-only statistics of ``trials`` draws of G's normalized law, in
+    entry order (G11, G12, G21, G22), each shape (4, trials): the powers
+    p_ij = |z_ij|^2 = -2 ln U_k, k = 0..3, and the product rows
+    (r cos psi, r sin psi, r', 0), r = sqrt(p11 p22), r' = sqrt(p12 p21),
+    psi = 2 pi (U_4 - 1/2), in place of (Re, Im z11 z22, Re, Im z12 z21).
+    The determinant reads z11 z22 and z12 z21 only through their magnitudes
+    and the phase sum psi = phi11 + phi22 - phi12 - phi21, which is uniform
+    and independent of the magnitudes, so the rows have the normals' law.
+    Trial t reads the uniforms 5 t .. 5 t + 4 of ``_uniform_rows``, so a
+    T-trial run is a prefix of any longer run of its seed.
     """
     power = np.empty((4, trials))
     products = np.empty((4, trials))
-    for start in range(0, trials, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, trials)
-        seq = np.random.SeedSequence(master_seed, spawn_key=(start // _CHUNK_TRIALS,))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        normals = rng.standard_normal((stop - start, 4, 2))
-        z = normals.view(complex)[..., 0]
-        for row, (i, j) in ((0, (0, 3)), (2, (1, 2))):
-            pair = z[:, i] * z[:, j]
-            products[row, start:stop], products[row + 1, start:stop] = pair.real, pair.imag
-        np.square(normals, out=normals)
-        np.add(normals[..., 0].T, normals[..., 1].T, out=power[:, start:stop])
+    uniforms = _uniform_rows(trials, master_seed)
+    for row in power:
+        np.log(next(uniforms), out=row)
+    power *= -2.0
+    # psi, uniform on (-pi, pi], from its half angle
+    half = next(uniforms)
+    half -= 0.5
+    half *= np.pi
+    _tangent_phasor(half, products[0], products[1])
+    # (r', r) in rows 2 and 3, then row 3 spent
+    magnitudes = products[2:]
+    np.multiply(power[1::-1], power[2:], out=magnitudes)
+    np.sqrt(magnitudes, out=magnitudes)
+    products[:2] *= magnitudes[1]
+    products[3] = 0.0
     power.setflags(write=False)
     products.setflags(write=False)
     return power, products
+
+
+def _uniform_rows(trials: int, master_seed: int):
+    """Yield, for k = 0, ..., 4, the uniforms U_{5 t + k}, t < ``trials``,
+    of ``master_seed``'s stream, each written into one buffer that the next
+    row reuses.  U_i = ((x_i >> 11) + 1) 2^-53 lies in (0, 1], with
+    x_i = mix64(key + (i + 1) gamma mod 2^64) SplitMix64's output i from the
+    state key = ``_stream_key(master_seed)`` (Steele, Lea & Flood, OOPSLA
+    2014), read by counter (Salmon et al., SC 2011).  The uint64 array
+    arithmetic wraps without a floating-point error.
+    """
+    steps = np.arange(trials, dtype=np.uint64)
+    steps *= _STREAM_STRIDE * _GAMMA & _MASK64
+    steps += _stream_key(master_seed)
+    state = np.empty_like(steps)
+    scratch = np.empty_like(steps)
+    for k in range(_STREAM_STRIDE):
+        np.add(steps, (k + 1) * _GAMMA & _MASK64, out=state)
+        _mix64(state, scratch)
+        state >>= 11
+        state += 1
+        # at most 2^53, so exact as a double; numpy converts int64 faster
+        yield np.multiply(state.view(np.int64), 2.0**-53, out=scratch.view(float))
+
+
+def _stream_key(master_seed: int) -> int:
+    """The stream state of a seed >= 0: mix64 folded over its 64-bit words,
+    lowest first, key = mix64(key ^ word) from key = 0, so every word of
+    the seed moves the stream."""
+    key = np.zeros(1, dtype=np.uint64)
+    scratch = np.empty_like(key)
+    while True:
+        key ^= master_seed & _MASK64
+        _mix64(key, scratch)
+        master_seed >>= 64
+        if not master_seed:
+            return int(key[0])
+
+
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64's finalizer of the uint64 array ``z``, in place, with
+    ``scratch`` of its shape: xor-shift by 30, multiply, by 27, multiply,
+    by 31."""
+    for shift, multiplier in _MIX_STEPS:
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= multiplier
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch

@@ -74,12 +74,12 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
     """The cells of ``outputs`` at one scenario point, keyed by column in
     the order of ``outputs``, from its link model; the Monte Carlo runs
     once if any output reads it.  Raises, in this order, ValueError for
-    ``outputs`` given as one string; the link build's errors
+    ``outputs`` given as one string or naming an output not in ``OUTPUTS``
+    or one twice (``_check_outputs``); the link build's errors
     (``scen.build_link_model``, whose float range is its own);
-    ModelInconsistencyError for ``threshold`` on a random-phase point; and,
-    output by output, ValueError for a name not in ``OUTPUTS`` and
+    ModelInconsistencyError for ``threshold`` on a random-phase point; and
     ModelInconsistencyError for an overflow or invalid value in a cell."""
-    _refuse_a_string(outputs)
+    _check_outputs(outputs)
     link = scen.build_link_model(scenario)
     if "threshold" in outputs and scenario.phase_scheme == "random":
         raise ModelInconsistencyError(
@@ -90,8 +90,6 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
     try:
         with np.errstate(over="raise", invalid="raise"):
             for name in outputs:
-                if name not in OUTPUTS:
-                    raise ValueError(f"unknown output {name!r} (expected one of {tuple(OUTPUTS)})")
                 columns, values = OUTPUTS[name]
                 cells.update(zip(columns, values(link)))
     except FloatingPointError as err:
@@ -100,20 +98,25 @@ def evaluate(scenario: scen.Scenario, outputs) -> dict:
     return cells
 
 
-def _refuse_a_string(outputs) -> None:
-    # a bare name would be read one letter at a time
+def _check_outputs(outputs) -> None:
+    # a bare name would be read one letter at a time, and a repeated one
+    # computed and written twice
     if isinstance(outputs, str):
         raise ValueError(f"outputs must be a sequence of output names, not the string {outputs!r}")
+    for name in outputs:
+        if name not in OUTPUTS:
+            raise ValueError(f"unknown output {name!r} (expected one of {tuple(OUTPUTS)})")
+        if outputs.count(name) > 1:
+            raise ValueError(f"output {name!r} is named twice")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A checked sweep: the axis, its grid (and ``grid2``), the outputs in
     column order and the base scenario.  Raises ValueError for an axis not
-    in ``AXES``, an empty grid, outputs given as one string or none, an
-    unknown or repeated output, a ``grid2`` that a ``feed-angles`` sweep
-    lacks or another axis has, or a numeric grid that is not strictly
-    monotone."""
+    in ``AXES``, an empty grid, no outputs or outputs that ``evaluate``
+    refuses, a ``grid2`` that a ``feed-angles`` sweep lacks or another axis
+    has, or a numeric grid that is not strictly monotone."""
 
     axis: str
     grid: tuple
@@ -126,14 +129,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {AXES})")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
-        _refuse_a_string(self.outputs)
+        _check_outputs(self.outputs)
         if not self.outputs:
             raise ValueError("sweep must select at least one output")
-        for out in self.outputs:
-            if out not in OUTPUTS:
-                raise ValueError(f"unknown output {out!r} (expected subset of {tuple(OUTPUTS)})")
-            if self.outputs.count(out) > 1:
-                raise ValueError(f"output {out!r} is named twice")
         if self.axis == "feed-angles":
             if not self.grid2:
                 raise ValueError("feed-angles sweeps need grid and grid2")

@@ -43,7 +43,10 @@ any given draws where the package forms only seeded ones; the package
 makes the same arithmetic in the same order through fewer calls and
 reused buffers, so the two agree bit for bit.  ``random_phases`` is a
 random draw as a generator seeded for it alone gives it, where the
-package seeds its draws a block of seeds at a time.
+package seeds its draws a block of seeds at a time, and
+``splitmix64_uniforms`` the Monte Carlo stream one Python int at a time,
+where the package wraps uint64 arrays; ``standard_channels`` turns it
+into normals with the law the package's trials stand for.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ CLIP_FRACTION = 1e-12
 #: Eigenvalues below minus this fraction of the largest one mean the input
 #: was not a correlation matrix at all.
 PSD_TOLERANCE = 1e-8
+#: SplitMix64's increment (Steele, Lea & Flood, OOPSLA 2014).
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -82,19 +88,44 @@ class SeededStreamFactory:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def mix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit word, in Python ints."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def stream_key(master_seed: int) -> int:
+    """The Monte Carlo stream's state: ``mix64`` folded over the seed's
+    64-bit words, lowest first, from 0."""
+    key = 0
+    while True:
+        key = mix64(key ^ master_seed & MASK64)
+        master_seed >>= 64
+        if not master_seed:
+            return key
+
+
+def splitmix64_uniforms(master_seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the seed's Monte Carlo stream, one
+    Python int at a time: ((x_i >> 11) + 1) / 2^53 of SplitMix64's output
+    x_i = mix64(key + (i + 1) gamma mod 2^64)."""
+    key = stream_key(master_seed)
+    return np.array(
+        [((mix64(key + (i + 1) * GAMMA & MASK64) >> 11) + 1) / 2**53 for i in range(count)]
+    )
+
+
 def standard_channels(trials: int, master_seed: int) -> np.ndarray:
-    """The package's Monte Carlo normals drawn afresh: (trials, 4) complex
-    z1 + j z2, columns in entry order (G11, G12, G21, G22), stream c of
-    ``SeededStreamFactory(master_seed)`` giving trials
-    [c C, (c + 1) C), C = ``capacity._CHUNK_TRIALS``."""
-    chunk = capacity._CHUNK_TRIALS
-    streams = SeededStreamFactory(master_seed)
-    return np.concatenate(
-        [
-            streams.stream(c).standard_normal((min(chunk, trials - start), 4, 2))
-            for c, start in enumerate(range(0, trials, chunk))
-        ]
-    ).view(complex)[..., 0]
+    """The package's Monte Carlo trials as normals: (trials, 4) complex
+    z_ij in entry order (G11, G12, G21, G22), trial t from the uniforms
+    U_{5t}, ..., U_{5t+4} of ``splitmix64_uniforms``: |z_ij|^2 = -2 ln U_k
+    and the phases (psi, 0, 0, 0), psi = 2 pi (U_{5t+4} - 1/2), which give
+    G's law wherever only the four powers and the phase sum are read."""
+    uniforms = splitmix64_uniforms(master_seed, 5 * trials).reshape(trials, 5)
+    z = np.sqrt(-2.0 * np.log(uniforms[:, :4])).astype(complex)
+    z[:, 0] *= np.exp(2j * np.pi * (uniforms[:, 4] - 0.5))
+    return z
 
 
 def grid_positions(rows: int, cols: int, pitch: float) -> np.ndarray:
@@ -256,7 +287,8 @@ def fft2_draw_forms(surface: np.ndarray, draws, spectrum: np.ndarray) -> np.ndar
     reference for any other draw."""
     forms = []
     for draw in draws:
-        phasor = capacity._tangent_phasor(draw * 0.5, np.empty(draw.shape, dtype=complex))
+        phasor = np.empty(draw.shape, dtype=complex)
+        capacity._tangent_phasor(draw * 0.5, phasor.real, phasor.imag)
         t = np.fft.fft2(phasor * surface, s=spectrum.shape)
         power = (t.real**2 + t.imag**2) * spectrum
         forms.append(power.sum(axis=(-2, -1)) / spectrum.size)

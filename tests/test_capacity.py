@@ -313,8 +313,9 @@ def test_seeded_forms_do_not_depend_on_where_the_seeds_split(monkeypatch, split)
 def test_tangent_phasor_matches_high_precision_cos_and_sin():
     # e^{j theta} from tan(theta / 2) against 40-digit cos and sin: each
     # part within 4 half-ulps of 1, and the modulus as close to 1, at the
-    # edges (0, the smallest subnormal, both sides of pi, near pi / 2,
-    # just below 2 pi) and over seeded uniform draws on [0, 2 pi)
+    # edges (0, the smallest subnormals, both sides of pi, near pi / 2,
+    # just below 2 pi, just above -pi, the Monte Carlo's phase sums) and
+    # over seeded uniform draws on [0, 2 pi)
     mpmath = pytest.importorskip("mpmath")
     edges = [
         0.0,
@@ -325,9 +326,13 @@ def test_tangent_phasor_matches_high_precision_cos_and_sin():
         np.pi / 2 - 1e-6,
         np.pi / 2 + 1e-6,
         np.nextafter(2.0 * np.pi, 0.0),
+        -5e-324,
+        -np.pi / 2 - 1e-6,
+        np.nextafter(-np.pi, 0.0),
     ]
     theta = np.concatenate([edges, np.random.default_rng(2026).uniform(0.0, 2.0 * np.pi, 10_000)])
-    phasor = capacity._tangent_phasor(theta * 0.5, np.empty(theta.shape, dtype=complex))
+    phasor = np.empty(theta.shape, dtype=complex)
+    capacity._tangent_phasor(theta * 0.5, phasor.real, phasor.imag)
     bound = 4.0 * 2.0**-53
     with mpmath.workdps(40):
         for angle, value in zip(theta, phasor):
@@ -671,21 +676,90 @@ def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
         np.testing.assert_array_equal(first.moments, other.moments)
         np.testing.assert_array_equal(first.moment_standard_errors, other.moment_standard_errors)
 
-    # a short run's statistics are a prefix of a longer run's, across a
-    # chunk boundary in both
-    chunk = capacity._CHUNK_TRIALS
-    prefix = capacity._trial_statistics(chunk + 100, 5)
-    longer = capacity._trial_statistics(2 * chunk + 1, 5)
-    for short, long in zip(prefix, longer):
-        np.testing.assert_array_equal(short, long[:, : chunk + 100])
-    power = longer[0]
-    assert not np.array_equal(power[:, :chunk], power[:, chunk : 2 * chunk])
+    # a short run's statistics are a prefix of a longer run's, at odd
+    # lengths, and no stretch of the stream repeats another
+    for short, long in ((1, 2), (701, 4099), (4099, 65_537)):
+        prefix = capacity._trial_statistics(short, 5)
+        for part, whole in zip(prefix, capacity._trial_statistics(long, 5)):
+            np.testing.assert_array_equal(part, whole[:, :short])
+    power = capacity._trial_statistics(65_536, 5)[0]
+    assert not np.array_equal(power[:, :32_768], power[:, 32_768:])
+
+
+def _random_moments(shape):
+    return np.random.default_rng(4).uniform(0.1, 2.0, shape)
+
+
+def test_python_splitmix64_matches_the_published_generator():
+    # seed 0 keys SplitMix64's state 0, whose first outputs are those of
+    # the reference implementation (Steele, Lea & Flood, OOPSLA 2014)
+    assert oracles.stream_key(0) == 0
+    outputs = [oracles.mix64((i + 1) * oracles.GAMMA & oracles.MASK64) for i in range(3)]
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 3, 2**64 - 3, 2**128 - 3])
+def test_stream_has_the_bits_of_python_int_splitmix64(seed):
+    # the stream's uint64 array arithmetic wraps as Python ints masked to
+    # 64 bits do, at seeds of one, two and three words, and sets no flag
+    # under the raising errstate a sweep row runs in; row k holds U_{5t+k}
+    trials = 301
+    expected = oracles.splitmix64_uniforms(seed, 5 * trials).reshape(trials, 5).T
+    with np.errstate(all="raise"):
+        rows = [row.copy() for row in capacity._uniform_rows(trials, seed)]
+        power, products = capacity._trial_statistics(trials, seed)
+    np.testing.assert_array_equal(rows, expected)
+    assert capacity._stream_key(seed) == oracles.stream_key(seed)
+    assert np.all((0.0 < expected) & (expected <= 1.0))
+    assert np.all(np.isfinite(power)) and np.all(np.isfinite(products))
+
+
+def test_seeds_differing_above_bit_64_draw_different_trials():
+    seeds = [5, 2**64 + 5, 2**65 + 5, 2**128 + 5]
+    assert len({capacity._stream_key(seed) for seed in seeds}) == len(seeds)
+    powers = [capacity._trial_statistics(100, seed)[0] for seed in seeds]
+    for i, first in enumerate(powers):
+        for second in powers[i + 1 :]:
+            assert np.all(first != second)
+
+
+@pytest.mark.parametrize(
+    "moments, snr",
+    [
+        pytest.param(_random_moments(4), 5.0, id="one"),
+        pytest.param(_random_moments(4), 1e10, id="rho-1e10"),
+        pytest.param(np.array([1.0, 2.0, 0.5, 1.0]), 1e8, id="m11m22-eq-m12m21"),
+        pytest.param(capacity.moment_layout((1.3, 0.4), 0.0), 1e3, id="xpd-0"),
+    ],
+)
+def test_phase_sum_rows_give_the_normals_per_trial_values(monkeypatch, moments, snr):
+    # the reduction of G's law is exact: from one set of complex normals,
+    # the rows (r cos psi, r sin psi, r', 0) of the powers and the phase sum
+    # psi = phi11 + phi22 - phi12 - phi21 give each trial the estimator's
+    # value of the products (z11 z22, z12 z21) to 1e-12 relative
+    z = np.random.default_rng(12).standard_normal((64, 4, 2)).view(complex)[..., 0]
+    power = (z.real**2 + z.imag**2).T
+    pairs = z[:, 0] * z[:, 3], z[:, 1] * z[:, 2]
+    products = np.array([pairs[0].real, pairs[0].imag, pairs[1].real, pairs[1].imag])
+    psi = np.angle(z[:, 0]) + np.angle(z[:, 3]) - np.angle(z[:, 1]) - np.angle(z[:, 2])
+    r, r_cross = np.sqrt(power[0] * power[3]), np.sqrt(power[1] * power[2])
+    reduced = np.array([r * np.cos(psi), r * np.sin(psi), r_cross, np.zeros(64)])
+    for t in range(64):
+        values = []
+        for rows in (products, reduced):
+            stats = power[:, t : t + 1], rows[:, t : t + 1]
+            monkeypatch.setattr(capacity, "_trial_statistics", lambda trials, seed: stats)
+            mc = capacity.ergodic_capacity_mc(moments, 0.4, snr, 1, 0)
+            values.append((mc.estimate, mc.single_pol_estimate))
+        assert values[1][0] == pytest.approx(values[0][0], rel=1e-12, abs=0.0)
+        assert values[1][1] == values[0][1]
 
 
 def test_kept_draws_are_read_only_and_change_no_estimate():
     # the statistics of the last (trials, master_seed) are kept read-only,
-    # 64 bytes a trial, are those of the normals drawn afresh, and a cold
-    # call gives a warm call's bits
+    # 64 bytes a trial: the powers have the bits of -2 ln U of the stream
+    # drawn afresh, the products are those of its normals to an ulp or
+    # two, and a cold call gives a warm call's bits
     trials, seed = 700, 9
     stats = capacity._trial_statistics(trials, seed)
     power, products = stats
@@ -695,11 +769,12 @@ def test_kept_draws_are_read_only_and_change_no_estimate():
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0, 0] = 0.0
+    uniforms = oracles.splitmix64_uniforms(seed, 5 * trials).reshape(trials, 5).T
+    np.testing.assert_array_equal(power, -2.0 * np.log(np.ascontiguousarray(uniforms[:4])))
     z = oracles.standard_channels(trials, seed)
-    np.testing.assert_array_equal(power, (z.real**2 + z.imag**2).T)
     for pair, (i, j) in zip((products[:2], products[2:]), ((0, 3), (1, 2))):
         product = z[:, i] * z[:, j]
-        np.testing.assert_array_equal(pair, [product.real, product.imag])
+        assert np.all(np.abs(pair[0] + 1j * pair[1] - product) <= 1e-15 * np.abs(product))
 
     moments = np.random.default_rng(4).uniform(0.1, 2.0, 4)
     warm = capacity.ergodic_capacity_mc(moments, 0.3, 5.0, trials, seed)
@@ -711,10 +786,6 @@ def test_kept_draws_are_read_only_and_change_no_estimate():
     for name in ("estimate", "standard_error", "single_pol_estimate", "single_pol_standard_error"):
         assert getattr(cold, name) == getattr(warm, name)
     np.testing.assert_array_equal(cold.gram, warm.gram)
-
-
-def _random_moments(shape):
-    return np.random.default_rng(4).uniform(0.1, 2.0, shape)
 
 
 @pytest.mark.parametrize(
@@ -730,14 +801,13 @@ def _random_moments(shape):
         pytest.param(np.array([1.0, 2.0, 0.5, 1.0]), 0.5, 1e8, 700, id="m11m22-eq-m12m21"),
         pytest.param(_random_moments(4), 0.3, 5.0, 1, id="one-trial"),
         pytest.param(_random_moments((3, 4)), 0.3, 5.0, 1, id="one-trial-ensemble"),
-        pytest.param(
-            _random_moments((7, 4)), 0.4, 1e4, capacity._CHUNK_TRIALS + 100, id="two-streams"
-        ),
+        pytest.param(_random_moments((7, 4)), 0.4, 1e4, 20_001, id="long-run"),
     ],
 )
 def test_mc_matches_log_det_oracle(moments, lambda_v, snr, trials):
     # each call, whatever its moments, matches an oracle that draws the
-    # same streams afresh and scales every trial's G by its own moments
+    # same stream afresh, forms every trial's G from its normals and
+    # moments, and takes the determinant through the Hermitian product
     seed = 9
     z = oracles.standard_channels(trials, seed)
     rows = moments.reshape(-1, 4)

@@ -46,6 +46,26 @@ def test_evaluate_names_an_unknown_output():
         sweep.evaluate(scen.Scenario(elements=16), "dual-ub")
 
 
+def test_evaluate_and_sweep_spec_refuse_the_same_names_alike():
+    # one check of the names for a point and for a sweep, before any link
+    # is built: an unknown name and a repeated one (which would compute
+    # its cells twice) fail with the same message from either
+    unbuildable = scen.Scenario(elements=16, feed_azimuth_deg=0.0)  # feed behind the surface
+    for outputs, message in (
+        (("dual-ub", "dual-ub"), "output 'dual-ub' is named twice"),
+        (("single-ub", "bogus"), "unknown output 'bogus' (expected one of "),
+    ):
+        errors = []
+        for check in (
+            lambda: sweep.evaluate(unbuildable, outputs),
+            lambda: sweep.SweepSpec(axis="xpd", grid=(0.0, 1.0), outputs=outputs, base=unbuildable),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                check()
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] and errors[0].startswith(message)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         spec_from({"axis": "frequency", "grid": "1,2", "outputs": "dual-ub"})
@@ -1244,21 +1264,29 @@ def test_scenario_config_file_round_trip(tmp_path):
 
 def test_import_leaves_numpy_fft_unloaded():
     # numpy.fft and numpy.random are reached at call time only, which
-    # keeps start-up short
+    # keeps start-up short, and a Monte Carlo on aligned phases (fig7's
+    # base: both estimates and the moments) never reaches numpy.random
     code = (
         "import sys, numpy; mods = ('numpy.fft', 'numpy.random'); "
         "print(*(m in sys.modules for m in mods)); "
         "import dpris, dpris.scenario, dpris.sweep, dpris.cli; "
-        "print(*(m in sys.modules for m in mods))"
+        "print(*(m in sys.modules for m in mods)); "
+        "from dpris import recipes, sweep; "
+        "cells = sweep.evaluate(recipes.load_recipe('fig7').base, "
+        "('dual-mc', 'single-mc', 'mc-moments')); "
+        "print(len(cells), 'numpy.fft' in sys.modules, 'numpy.random' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dpris_env(), capture_output=True, text=True, check=True
     )
-    by_numpy, by_dpris = (line.split() for line in out.stdout.splitlines())
+    by_numpy, by_dpris, by_mc = (line.split() for line in out.stdout.splitlines())
+    assert by_mc[:2] == ["8", "True"]
     checked = [after for before, after in zip(by_numpy, by_dpris) if before == "False"]
     if not checked:
         pytest.skip("this numpy imports numpy.fft and numpy.random itself")
     assert checked == ["False"] * len(checked)
+    if by_numpy[1] == "False":
+        assert by_mc[2] == "False"
 
 
 @pytest.mark.parametrize("phase_seed", [0, 2**32 - 3, 2**64 - 3, 2**128 - 3])
