@@ -159,24 +159,38 @@ def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> floa
     """The module's moment bound in bits for ``moments`` of shape (4,), or
     the mean of the D bounds for shape (D, 4), under the split
     (lambda_v, 1 - lambda_v) at the transmit SNR ``snr``."""
-    rows = _moment_rows(moments)
-    m11, m12, m21, m22 = rows.T
     rho, lambda_h = snr, 1.0 - lambda_v
-    shift = (
-        rho * lambda_v * (m11 + m21)
-        + rho * lambda_h * (m12 + m22)
-        + rho * rho * lambda_v * lambda_h * (m11 * m22 + m12 * m21)
-    )
-    bits = np.log1p(shift) / _LN2
-    return float(np.add.reduce(bits) / bits.size)
+
+    def shift(m11, m12, m21, m22):
+        return (
+            rho * lambda_v * (m11 + m21)
+            + rho * lambda_h * (m12 + m22)
+            + rho * rho * lambda_v * lambda_h * (m11 * m22 + m12 * m21)
+        )
+
+    return _mean_bits(shift, moments)
 
 
 def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
     """The all-V bound log2(1 + rho m11), averaged over the draws of (D, 4)
     moments as ``moment_upper_bound`` is."""
+    return _mean_bits(lambda m11, m12, m21, m22: snr * m11, moments)
+
+
+def _mean_bits(shift, moments: np.ndarray) -> float:
+    """The mean of log2(1 + ``shift``(m11, m12, m21, m22)) over the rows of
+    ``moments`` (``_moment_rows``), one expression for both: a single row's
+    moments as Python floats, which give numpy's bits at a fraction of its
+    per-call cost, D rows' as columns.  Floats raise no floating-point
+    error, and a step that leaves the float range leaves the shift
+    infinite or nan: such a shift is formed again on the columns, under
+    numpy's errstate."""
     rows = _moment_rows(moments)
-    m11 = rows[:, 0]
-    bits = np.log1p(snr * m11) / _LN2
+    if len(rows) == 1:
+        value = shift(*rows.tolist()[0])
+        if abs(value) < math.inf:
+            return float(np.log1p(value) / _LN2)
+    bits = np.log1p(shift(*rows.T)) / _LN2
     return float(np.add.reduce(bits) / bits.size)
 
 
@@ -252,20 +266,29 @@ def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
     clipped to [0, 1].  At aligned moments it is the paper's
     lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H).
     ModelInconsistencyError when m11 m22 + m12 m21 is not positive (a dead
-    polarization, or a product that underflows).
+    polarization, or a product that underflows).  The steps run on Python
+    floats, as ``_mean_bits``'s do, and run again on numpy's scalars, under
+    its errstate, when one of them leaves the float range or divides by 0.
     """
     m = np.asarray(moments, dtype=float)
     if m.shape != (4,):
         raise ValueError(f"the split reads one configuration's moments, shape (4,), not {m.shape}")
-    m11, m12, m21, m22 = m
-    cross = m11 * m22 + m12 * m21
-    if not cross > 0.0:
-        raise ModelInconsistencyError(
-            "the split needs m11 m22 + m12 m21 positive",
-            details={"moments": m, "cross": float(cross), "snr": snr},
-        )
-    lambda_v = 0.5 + ((m11 + m21) - (m12 + m22)) / (2.0 * snr * cross)
-    return float(min(max(lambda_v, 0.0), 1.0))
+    for m11, m12, m21, m22 in (m.tolist(), m):
+        on_floats = type(m11) is float
+        cross = m11 * m22 + m12 * m21
+        if on_floats and not abs(cross) < math.inf:
+            continue
+        if not cross > 0.0:
+            raise ModelInconsistencyError(
+                "the split needs m11 m22 + m12 m21 positive",
+                details={"moments": m, "cross": float(cross), "snr": snr},
+            )
+        gap, scale = (m11 + m21) - (m12 + m22), 2.0 * snr * cross
+        if on_floats and not (abs(gap) < math.inf and 0.0 < abs(scale) < math.inf):
+            continue
+        lambda_v = 0.5 + gap / scale
+        if not on_floats or abs(lambda_v) < math.inf:
+            return float(min(max(lambda_v, 0.0), 1.0))
 
 
 def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:

@@ -93,48 +93,31 @@ class Scenario:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            kinds = _KINDS[name]
-            if type(value) not in kinds:
-                value = _as_kind(name, kinds[0], value)
-            if name in _RANGES and value is not None:
-                least, greatest = _RANGES[name]
-                # nan fails the comparisons; no field takes an infinity
-                if not least <= value <= greatest or value in (-math.inf, math.inf):
-                    raise ValueError(
-                        f"{name} must be finite and lie in [{least}, {greatest}], got {value!r}"
-                    )
-            elif name in _CHOICES and value not in _CHOICES[name]:
-                raise ValueError(f"unknown {name} {value!r} (expected one of {_CHOICES[name]})")
-        if math.isqrt(self.elements) ** 2 != self.elements:
-            raise ValueError(f"elements must be a perfect square, got {self.elements!r}")
-        if abs(math.cos(math.radians(self.normal_incidence_phase_deg) / 2.0)) < 1e-12:
-            raise ValueError(
-                "normal_incidence_phase_deg must not equal 180 (mod 360), "
-                f"got {self.normal_incidence_phase_deg!r}"
-            )
-        if self.boresight_deg.strip().lower() != "origin":
-            cosines = _cosines(self.boresight_deg)
-            if len(cosines) != 3 or not abs(math.hypot(*cosines) - 1.0) <= 1e-9:
-                raise ValueError(
-                    "boresight_deg must be 'origin' or three angles whose cosines form a "
-                    f"unit vector, got {self.boresight_deg!r}"
-                )
-        if _fixed_split(self.allocation) is None and self.phase_scheme == "random":
-            raise ValueError(
-                "allocation = optimal maximizes the bound of one configuration's moments; "
-                "phase_scheme = random averages over draws and needs an equal or explicit split"
-            )
+            _check_field(name, value)
+        _check_joint(self, _KINDS)
 
     def replace(self, **changes) -> "Scenario":
-        """A copy with ``changes``, checked as a new scenario is: the same
-        ``__init__`` runs as under ``dataclasses.replace``, without its
-        per-field walk."""
-        return type(self)(**{**vars(self), **changes})
+        """A copy with ``changes``, checked as ``dataclasses.replace``
+        checks it, with the same errors in the same order: the changed
+        fields in declaration order (``_check_field``), then the joint
+        rules a changed field enters (``_check_joint``); the other fields
+        passed both when this scenario was made.  Values are kept as given,
+        an int on a float field an int."""
+        if not changes.keys() <= _KINDS.keys():
+            return type(self)(**{**vars(self), **changes})  # __init__ names the unknown field
+        for name in sorted(changes, key=_FIELD_ORDER.__getitem__):
+            _check_field(name, changes[name])
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), **changes)
+        _check_joint(copy, changes)
+        return copy
 
 
 #: Each field's kind, from its annotation: (kind,), or (kind, NoneType) for
 #: ``kind | None``.  The module does not postpone annotations, so each is a type.
 _KINDS = {f.name: get_args(f.type) or (f.type,) for f in dataclasses.fields(Scenario)}
+#: Each field's place in declaration order, the order its checks run in.
+_FIELD_ORDER = {name: index for index, name in enumerate(_KINDS)}
 #: Each number field's (least, greatest), in its unit: the model's domain,
 #: set by physics or a planned grid.  A wrapping angle takes any finite
 #: value, and a seed any integer from 0.
@@ -162,6 +145,53 @@ _RANGES = {
     "master_seed": (0, math.inf),
     "random_phase_draws": (1, 10**6),  # 48 MB of (D, 2) forms and (D, 4) moments at 10^6
 }
+
+
+def _check_field(name: str, value) -> None:
+    """ValueError, naming the field, for a ``value`` of another kind than
+    the field ``name`` takes (``_as_kind``), outside its range
+    (``_RANGES``) or not one of its choices (``_CHOICES``)."""
+    kinds = _KINDS[name]
+    if type(value) not in kinds:
+        value = _as_kind(name, kinds[0], value)
+    if name in _RANGES and value is not None:
+        least, greatest = _RANGES[name]
+        # nan fails the comparisons; no field takes an infinity
+        if not least <= value <= greatest or value in (-math.inf, math.inf):
+            raise ValueError(
+                f"{name} must be finite and lie in [{least}, {greatest}], got {value!r}"
+            )
+    elif name in _CHOICES and value not in _CHOICES[name]:
+        raise ValueError(f"unknown {name} {value!r} (expected one of {_CHOICES[name]})")
+
+
+def _check_joint(scenario: Scenario, names) -> None:
+    """ValueError for the first rule that ``scenario``, whose fields each
+    passed ``_check_field``, breaks among those that a field in ``names``
+    enters: ``elements`` a perfect square, ``normal_incidence_phase_deg``
+    not 180 (mod 360), ``boresight_deg`` 'origin' or three angles of a unit
+    vector, and ``allocation`` (``_fixed_split``) not ``optimal`` with
+    ``phase_scheme = random``."""
+    if "elements" in names and math.isqrt(scenario.elements) ** 2 != scenario.elements:
+        raise ValueError(f"elements must be a perfect square, got {scenario.elements!r}")
+    phase = scenario.normal_incidence_phase_deg
+    if "normal_incidence_phase_deg" in names and abs(math.cos(math.radians(phase) / 2.0)) < 1e-12:
+        raise ValueError(f"normal_incidence_phase_deg must not equal 180 (mod 360), got {phase!r}")
+    boresight = scenario.boresight_deg
+    if "boresight_deg" in names and boresight.strip().lower() != "origin":
+        cosines = _cosines(boresight)
+        if len(cosines) != 3 or not abs(math.hypot(*cosines) - 1.0) <= 1e-9:
+            raise ValueError(
+                "boresight_deg must be 'origin' or three angles whose cosines form a "
+                f"unit vector, got {boresight!r}"
+            )
+    if ("allocation" in names or "phase_scheme" in names) and (
+        _fixed_split(scenario.allocation) is None and scenario.phase_scheme == "random"
+    ):
+        raise ValueError(
+            "allocation = optimal maximizes the bound of one configuration's moments; "
+            "phase_scheme = random averages over draws and needs an equal or explicit split"
+        )
 
 
 def _as_kind(name: str, kind: type, value):

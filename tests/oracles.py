@@ -74,20 +74,6 @@ GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SeededStreamFactory:
-    """Counter-keyed child streams of one master seed: stream ``i`` never
-    depends on how many streams exist."""
-
-    master_seed: int
-
-    def stream(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError("stream index must be non-negative")
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
-        return np.random.Generator(np.random.PCG64(seq))
-
-
 def mix64(z: int) -> int:
     """SplitMix64's finalizer of a 64-bit word, in Python ints."""
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64

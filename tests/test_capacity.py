@@ -440,6 +440,66 @@ def test_optimal_allocation_rejects_ensembles(shape):
         capacity.optimal_power_allocation(np.full(shape, 0.5), 1.0)
 
 
+#: One configuration's moments: each 0 or a power of ten from 1e-20 to 1e3.
+CONFIGURATION = st.lists(
+    st.just(0.0) | st.floats(-20.0, 3.0).map(lambda e: 10.0**e), min_size=4, max_size=4
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    CONFIGURATION,
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    st.floats(-10.0, 170.0).map(lambda db: 10.0 ** (db / 10.0)),
+)
+def test_one_configuration_has_the_bits_of_the_ensemble_path(moments, lambda_v, snr):
+    # one configuration's bounds run on Python floats and D draws' on
+    # arrays, by one expression: D copies of a configuration give the mean
+    # of D equal bits, their sum over D; the split runs on floats too, with
+    # the bits of its closed form on numpy's scalars, from a list as from
+    # its array
+    m = np.array(moments)
+    for bound, args in (
+        (capacity.moment_upper_bound, (lambda_v, snr)),
+        (capacity.single_pol_moment_bound, (snr,)),
+    ):
+        value = bound(m, *args)
+        assert type(value) is float
+        assert bound(m[None], *args) == value
+        for draws in (2, 3):
+            assert bound(np.tile(m, (draws, 1)), *args) == sum([value] * draws) / draws
+    m11, m12, m21, m22 = m
+    cross = m11 * m22 + m12 * m21
+    if cross > 0.0:
+        split = capacity.optimal_power_allocation(m, snr)
+        assert capacity.optimal_power_allocation(moments, snr) == split
+        closed_form = 0.5 + ((m11 + m21) - (m12 + m22)) / (2.0 * snr * cross)
+        assert split == min(max(closed_form, 0.0), 1.0)
+
+
+def test_a_step_past_the_float_range_is_reported_as_numpy_reports_it():
+    # Python floats leave the float range silently, so a bound whose shift
+    # is not finite forms it again on arrays, and the split takes its steps
+    # again on numpy's scalars: numpy's errstate reports the step as it
+    # does on the array or scalar path, even where the split clips
+    # (2 rho (m11 m22 + m12 m21) overflows, or underflows to 0)
+    huge = np.array([1e200, 1e-300, 1e-300, 1e200])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            capacity.moment_upper_bound(huge, 0.5, 1e10)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            capacity.single_pol_moment_bound(huge * 1e108, 1e10)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in scalar multiply$"):
+            capacity.optimal_power_allocation(np.array([1e150, 0.0, 0.0, 1e150]), 1e10)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError, match="^divide by zero encountered in scalar divide$"):
+            capacity.optimal_power_allocation(np.array([2e-160, 0.0, 0.0, 1e-160]), 1e-10)
+    with np.errstate(over="ignore", divide="ignore"):
+        assert capacity.moment_upper_bound(huge, 0.5, 1e10) == np.inf
+        assert capacity.optimal_power_allocation(np.array([1e150, 0.0, 0.0, 1e150]), 1e10) == 0.5
+        assert capacity.optimal_power_allocation(np.array([2e-160, 0.0, 0.0, 1e-160]), 1e-10) == 1.0
+
+
 def test_single_pol_bound_values():
     def bound(o_v, snr, l):
         return capacity.single_pol_moment_bound(aligned_moments(o_v, 0.5, l), snr)

@@ -9,24 +9,6 @@ import oracles
 NON_PSD = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
 
 
-def test_stream_factory_reproducible():
-    a = oracles.SeededStreamFactory(1234)
-    b = oracles.SeededStreamFactory(1234)
-    for index in (0, 1, 17):
-        draws_a = a.stream(index).standard_normal(1_000_000)
-        draws_b = b.stream(index).standard_normal(1_000_000)
-        assert np.array_equal(draws_a, draws_b)
-
-
-def test_stream_factory_streams_differ():
-    factory = oracles.SeededStreamFactory(5)
-    x = factory.stream(0).standard_normal(1000)
-    y = factory.stream(1).standard_normal(1000)
-    assert not np.allclose(x, y)
-    # crude independence check: correlation of independent streams is ~0
-    assert abs(np.corrcoef(x, y)[0, 1]) < 0.12
-
-
 def test_eigendecomposition_identity_and_diagonal():
     values, vectors = oracles.symmetric_eigendecomposition(np.eye(4))
     assert np.array_equal(values, np.ones(4))
@@ -98,12 +80,6 @@ def test_gauss_legendre_integrates_polynomial():
             (2.0 * np.eye(3),),
             ValueError,
             id="correlation-sqrt-bad-diagonal",
-        ),
-        pytest.param(
-            oracles.SeededStreamFactory(1).stream,
-            (-1,),
-            ValueError,
-            id="stream-factory-negative-index",
         ),
         pytest.param(
             oracles.symmetric_eigendecomposition,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from dpris import capacity, channel, feed, geometry, scenario as scen, sweep
 from dpris.exceptions import DegenerateGeometryError, ModelInconsistencyError
@@ -101,13 +101,20 @@ def edges(name):
 
 
 def numbers(low, high, db=False):
-    """Floats over a plausible range [low, high], or one of the values a
-    range check must catch: zero, a negative, a non-finite value and, for
-    a dB field, +-4000 dB, whose ratio overflows or underflows; or a value
-    of a kind a float field must refuse: a bool, a str, a complex and
-    None (which ``snr_db`` alone takes)."""
+    """Floats over a plausible range [low, high], as Python floats or
+    ``np.float64``, the ints about it, or one of the values a range check
+    must catch: zero, a negative, a non-finite value and, for a dB field,
+    +-4000 dB, whose ratio overflows or underflows; or a value of a kind a
+    float field must refuse: a bool, a str, a complex and None (which
+    ``snr_db`` alone takes)."""
     edges = [0.0, -1.0, math.inf, -math.inf, math.nan] + ([4000.0, -4000.0] if db else [])
-    return st.floats(low, high) | st.sampled_from(edges + [True, "1.0", 1j, None])
+    floats = st.floats(low, high)
+    return (
+        floats
+        | floats.map(np.float64)
+        | st.integers(math.floor(low), math.ceil(high))
+        | st.sampled_from(edges + [True, "1.0", 1j, None])
+    )
 
 
 def integers(low, high, *edges):
@@ -161,6 +168,12 @@ CHANGES = st.lists(st.sampled_from(sorted(FIELDS)), max_size=4, unique=True).fla
     lambda names: st.fixed_dictionaries({name: FIELDS[name] for name in names})
 )
 BASE = scen.Scenario(elements=16, random_phase_draws=4)
+#: ``BASE`` under the random scheme, an explicit split and a tilted
+#: boresight, from which one changed field can break each joint rule of
+#: ``scen._check_joint``, ``allocation = optimal`` among them; and under the
+#: optimal split, which ``phase_scheme = random`` alone breaks.
+RANDOM_BASE = BASE.replace(phase_scheme="random", allocation="0.3", boresight_deg="10,80,90")
+OPTIMAL_SPLIT_BASE = BASE.replace(allocation="optimal")
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -200,17 +213,30 @@ def test_a_range_takes_its_edges_and_refuses_past_them_by_name(name):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(CHANGES)
+@example({"elements": 15})
+@example({"normal_incidence_phase_deg": -180})
+@example({"boresight_deg": "10,80"})
+@example({"allocation": "optimal"})
+@example({"phase_scheme": "random"})
+@example({"phase_scheme": "random", "allocation": "optimal"})
+@example({"elements": 15, "xpd_coeff": 1.5, "boresight_deg": "origin"})
+@example({"power_dbm": 43, "snr_db": np.float64(120.0)})
 def test_replace_checks_as_dataclasses_replace_does(changes):
-    # the same __init__ and checks run: an accepted change gives the same
-    # scenario, value for value, and a rejected one the same error
-    try:
-        expected = dataclasses.replace(BASE, **changes)
-    except ValueError as err:
-        with pytest.raises(ValueError) as caught:
-            BASE.replace(**changes)
-        assert str(caught.value) == str(err)
-        return
-    assert repr(BASE.replace(**changes)) == repr(expected)
+    # replace checks only the changed fields and the joint rules they
+    # enter, yet from each base an accepted change gives the scenario of
+    # __init__, each value as given and of its given type, an int or
+    # np.float64 on a float field too, and a rejected one the same error
+    for base in (BASE, RANDOM_BASE, OPTIMAL_SPLIT_BASE):
+        try:
+            expected = dataclasses.replace(base, **changes)
+        except ValueError as err:
+            with pytest.raises(ValueError) as caught:
+                base.replace(**changes)
+            assert str(caught.value) == str(err)
+            continue
+        current = base.replace(**changes)
+        assert repr(current) == repr(expected)
+        assert list(map(type, vars(current).values())) == list(map(type, vars(expected).values()))
 
 
 @pytest.mark.parametrize(

@@ -1046,6 +1046,18 @@ def test_overflowing_row_fails_and_the_sweep_goes_on():
         assert excinfo.value.details == {"snr": 1e30, "link": "not built"}
 
 
+def test_an_overflowing_bound_fails_its_cell_alone():
+    # at 200 dB rho^2 m11 m22 overflows: the dual bound, evaluated alone,
+    # fails with numpy's error, and the all-V bound, whose rho m11 does not
+    # overflow, is finite
+    point = scen.parse_overrides(scen.Scenario(), OVERFLOWING)
+    message = "the estimators leave the float range (overflow encountered in multiply)"
+    with pytest.raises(ModelInconsistencyError) as excinfo:
+        sweep.evaluate(point, ["dual-ub"])
+    assert str(excinfo.value) == message
+    assert 0.0 < sweep.evaluate(point, ["single-ub"])["single_ub_bits"] < np.inf
+
+
 def test_direct_build_reports_an_overflowing_surface_as_out_of_range(monkeypatch):
     # pathloss weights that overflow leave the float range inside the build,
     # even under a caller's errstate that ignores overflow: a direct build
