@@ -55,7 +55,7 @@ import numpy as np
 from . import ris
 from .exceptions import ModelInconsistencyError
 
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 #: The form each moment of G scales, in entry order: q_V, q_H, q_V, q_H.
 _LAYOUT = np.array([0, 1, 0, 1])
 #: Points the buffers of one ``expected_gram_moments`` call may hold (at
@@ -72,7 +72,7 @@ _MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McCapacityResult:
     """The dual and all-V Monte Carlo estimates in bits, each with its
     standard error, from the same T trials.  ``power`` holds the trials'
@@ -168,28 +168,29 @@ def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> floa
             + rho * rho * lambda_v * lambda_h * (m11 * m22 + m12 * m21)
         )
 
-    return _mean_bits(shift, moments)
+    return _mean_bits(shift, moments, "the moment bound")
 
 
 def single_pol_moment_bound(moments: np.ndarray, snr: float) -> float:
     """The all-V bound log2(1 + rho m11), averaged over the draws of (D, 4)
     moments as ``moment_upper_bound`` is."""
-    return _mean_bits(lambda m11, m12, m21, m22: snr * m11, moments)
+    return _mean_bits(lambda m11, m12, m21, m22: snr * m11, moments, "the all-V bound")
 
 
-def _mean_bits(shift, moments: np.ndarray) -> float:
+def _mean_bits(shift, moments: np.ndarray, form: str) -> float:
     """The mean of log2(1 + ``shift``(m11, m12, m21, m22)) over the rows of
     ``moments`` (``_moment_rows``), one expression for both: a single row's
     moments as Python floats, which give numpy's bits at a fraction of its
-    per-call cost, D rows' as columns.  Floats raise no floating-point
-    error, and a step that leaves the float range leaves the shift
-    infinite or nan: such a shift is formed again on the columns, under
-    numpy's errstate."""
+    per-call cost, D rows' as columns, under numpy's errstate.  Floats
+    leave the float range silently, so a single row's shift that is not
+    finite raises FloatingPointError naming ``form``, whatever the errstate.
+    """
     rows = _moment_rows(moments)
     if len(rows) == 1:
         value = shift(*rows.tolist()[0])
-        if abs(value) < math.inf:
-            return float(np.log1p(value) / _LN2)
+        if not abs(value) < math.inf:
+            raise FloatingPointError(f"{form}'s shift is {value!r}")
+        return float(np.log1p(value)) / _LN2
     bits = np.log1p(shift(*rows.T)) / _LN2
     return float(np.add.reduce(bits) / bits.size)
 
@@ -266,29 +267,27 @@ def optimal_power_allocation(moments: np.ndarray, snr: float) -> float:
     clipped to [0, 1].  At aligned moments it is the paper's
     lambda_0 = 1/2 + (O_V - O_H) / (2 rho (l^2 + (1-l)^2) O_V O_H).
     ModelInconsistencyError when m11 m22 + m12 m21 is not positive (a dead
-    polarization, or a product that underflows).  The steps run on Python
-    floats, as ``_mean_bits``'s do, and run again on numpy's scalars, under
-    its errstate, when one of them leaves the float range or divides by 0.
+    polarization, or a product that underflows).  The steps run once, on
+    Python floats, as ``_mean_bits``'s do: FloatingPointError, whatever
+    numpy's errstate, names the step that leaves the float range:
+    2 rho (m11 m22 + m12 m21), 0 or not finite (an infinite
+    m11 m22 + m12 m21 makes it inf), or lambda_v, not finite.
     """
     m = np.asarray(moments, dtype=float)
     if m.shape != (4,):
         raise ValueError(f"the split reads one configuration's moments, shape (4,), not {m.shape}")
-    for m11, m12, m21, m22 in (m.tolist(), m):
-        on_floats = type(m11) is float
-        cross = m11 * m22 + m12 * m21
-        if on_floats and not abs(cross) < math.inf:
-            continue
-        if not cross > 0.0:
-            raise ModelInconsistencyError(
-                "the split needs m11 m22 + m12 m21 positive",
-                details={"moments": m, "cross": float(cross), "snr": snr},
-            )
-        gap, scale = (m11 + m21) - (m12 + m22), 2.0 * snr * cross
-        if on_floats and not (abs(gap) < math.inf and 0.0 < abs(scale) < math.inf):
-            continue
-        lambda_v = 0.5 + gap / scale
-        if not on_floats or abs(lambda_v) < math.inf:
-            return float(min(max(lambda_v, 0.0), 1.0))
+    m11, m12, m21, m22 = m.tolist()
+    cross = m11 * m22 + m12 * m21
+    if not cross > 0.0:
+        details = {"moments": m, "cross": cross, "snr": snr}
+        raise ModelInconsistencyError("the split needs m11 m22 + m12 m21 positive", details)
+    scale = 2.0 * snr * cross
+    if not 0.0 < abs(scale) < math.inf:
+        raise FloatingPointError(f"the split's 2 rho (m11 m22 + m12 m21) is {scale!r}")
+    lambda_v = 0.5 + ((m11 + m21) - (m12 + m22)) / scale
+    if not abs(lambda_v) < math.inf:
+        raise FloatingPointError(f"the split's lambda_v is {lambda_v!r}")
+    return min(max(lambda_v, 0.0), 1.0)
 
 
 def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
@@ -297,10 +296,14 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     and the transmit SNR rho.  The bounds give a quadratic, scaled so no
     coefficient overflows: with x = rho O_V and r = O_H / O_V,
     a = x (r/2 - 1), b = x (2 - r/2) + 2, c = x (r/4 - 1) + (r/2 - 3/2) for
-    x <= 1, divided by x = 1 / ((1/rho) / O_V) for x > 1.  Its root
-    (-b + sqrt(D)) / (2 a), D = b^2 - 4 a c, is taken in the form that does
-    not cancel, c / q with q = -(b + sqrt(D)) / 2: b > 0 wherever D >= 0,
-    since with u = r / 2, b <= 0 means x (u - 2) >= 2, and then
+    x <= 1, divided by x = 1 / ((1/rho) / O_V) for x > 1.  In t = 1 - l
+    it reads -a t^2 + B t - C with B = x r/2 + 2 > 0 and
+    C = x r/4 + (1 + r)/2 > 0, scaled alike, so its discriminant is
+    D = B^2 - 4 a C, a sum of terms >= 0 for r <= 2, where a <= 0; b^2 - 4ac
+    would cancel as the root nears 1.  The root (-b + sqrt(D)) / (2 a) is
+    taken in forms that do not cancel: c / q with q = -(b + sqrt(D)) / 2
+    below 1/2, and 1 - 2 C / (B + sqrt(D)) from 1/2 up.  b > 0 wherever
+    D >= 0, since with u = r / 2, b <= 0 means x (u - 2) >= 2, and then
     D <= 4 - 2 (4 u^2 - 4 u - 2) / (u - 2) < 0.  D is nan only where r
     overflows; the quadratic over r then has D = -s^2/4 - s i < 0 to
     leading order, with (s, i) = (x, 1) or (1, 1/x).  ValueError for an
@@ -314,16 +317,18 @@ def xpd_threshold(o_v: float, o_h: float, snr: float) -> float:
     a = scale * (0.5 * r - 1.0)
     b = scale * (2.0 - 0.5 * r) + 2.0 * inverse
     c = scale * (0.25 * r - 1.0) + (0.5 * r - 1.5) * inverse
+    shifted_b = scale * (0.5 * r) + 2.0 * inverse
+    shifted_c = scale * (0.25 * r) + (0.5 + 0.5 * r) * inverse
     details = {"a": a, "b": b, "c": c, "snr": snr, "o_v": o_v, "o_h": o_h}
-    discriminant = b * b - 4.0 * a * c
+    discriminant = shifted_b * shifted_b - 4.0 * a * shifted_c
     if not discriminant >= 0.0:
         raise ModelInconsistencyError("threshold root is not real", details=details)
     root = c / (-0.5 * (b + math.sqrt(discriminant)))
+    if root >= 0.5:
+        root = 1.0 - 2.0 * shifted_c / (shifted_b + math.sqrt(discriminant))
     details["root"] = root
     if not 0.0 < root < 1.0:
-        raise ModelInconsistencyError(
-            f"threshold {root:.6g} falls outside (0, 1)", details=details
-        )
+        raise ModelInconsistencyError(f"threshold {root:.6g} falls outside (0, 1)", details)
     return root
 
 

@@ -261,7 +261,7 @@ def _snr(scenario: Scenario) -> float:
     return db_to_linear(scenario.power_dbm - 30.0) / db_to_linear(scenario.noise_dbm - 30.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkModel:
     """What every output of a scenario point reads: the transmit SNR, the
     V share ``lambda_v`` of the power, the surface's read-only ``forms``,

@@ -1,6 +1,6 @@
 """Differential check of two trees of this repository: the same seeded
-points through each tree's ``dpris``, one line per point, compared line by
-line.
+points through each tree's ``dpris``, one line per link build and per
+cell, compared line by line.
 
     python tests/differential.py [--against REV] [--points N] [--seed S]
 
@@ -11,12 +11,14 @@ kept result it finds (a cold build); feed moves in sequence, which keep the
 grid and the UE side warm; random rows of 1 to 8 draws; every degenerate
 placement; and overflowing links.  Each tree then evaluates them in one
 subprocess: the other tree is this repository at ``REV``, unpacked with
-``git archive``, or, without ``--against``, this tree again.  A point's
-line holds how the scenario was made, ``scenario.build_link_model``'s snr,
-split and a hash of its forms and moments, with any warning it raised, and
-``sweep.evaluate``'s cells of every output, ``threshold`` apart; numbers as
-``float.hex``, errors as their type and message.  Prints the number of
-differing lines and the first of them; exits 1 if any line differs.
+``git archive``, or, without ``--against``, this tree again.  A point
+prints one line for ``scenario.build_link_model``: how the scenario was
+made, the build's snr, split and a hash of its forms and moments, with any
+warning it raised; then one line per cell, each output of ``OUTPUTS``
+evaluated alone by ``sweep.evaluate``, so one output's fault cannot hide
+another's; numbers as ``float.hex``, errors as their type and message.
+Prints the number of differing lines and the first of them; exits 1 if
+any line differs.
 """
 
 import argparse
@@ -109,8 +111,8 @@ def _error(err: Exception) -> str:
 
 
 def evaluate_points(path: str, src: str) -> None:
-    """Print one line per point of the pickled ``path`` through the
-    ``dpris`` under ``src``."""
+    """Print the lines of each point of the pickled ``path`` through the
+    ``dpris`` under ``src``: its build, then one per output."""
     sys.path.insert(0, src)
     import numpy as np
 
@@ -122,18 +124,16 @@ def evaluate_points(path: str, src: str) -> None:
 
     with open(path, "rb") as handle:
         points = pickle.load(handle)
-    outputs = [name for name in sweep.OUTPUTS if name != "threshold"]
     for index, (cold, how, values) in enumerate(points):
         if cold:
             clear_caches()
-        parts = [str(index)]
         try:
             if how == "pairs":
                 scenario = scen.parse_overrides(scen.Scenario(), values)
             else:
                 scenario = scen.Scenario(**values)
         except Exception as err:
-            print(f"{index} | scenario {_error(err)}")
+            print(f"{index} scenario {_error(err)}")
             continue
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -142,18 +142,18 @@ def evaluate_points(path: str, src: str) -> None:
             digest = hashlib.sha256()
             for array in (link.forms, link.moments):
                 digest.update(repr(array.shape).encode() + np.ascontiguousarray(array).tobytes())
-            split = f"{_text(link.snr)} {_text(link.lambda_v)}"
-            parts.append(f"build {split} {digest.hexdigest()[:16]}")
+            parts = [f"{_text(link.snr)} {_text(link.lambda_v)} {digest.hexdigest()[:16]}"]
             parts += [f"warning {w.category.__name__}: {w.message}" for w in caught]
         except Exception as err:
-            parts.append("build " + _error(err))
-        for names in (outputs, ["threshold"]):
+            parts = [_error(err)]
+        print(f"{index} build " + " | ".join(parts))
+        for name in sweep.OUTPUTS:
             try:
-                cells = sweep.evaluate(scenario, names)
-                parts.append(" ".join(f"{k}={_text(v)}" for k, v in cells.items()))
+                cells = sweep.evaluate(scenario, [name])
+                text = " ".join(f"{k}={_text(v)}" for k, v in cells.items())
             except Exception as err:
-                parts.append(_error(err))
-        print(" | ".join(parts))
+                text = _error(err)
+            print(f"{index} {name} {text}")
 
 
 def run_tree(tree: Path, points_path: str) -> list[str]:
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
         ours, theirs = run_tree(ROOT, points_path), run_tree(other, points_path)
     differing = [(a, b) for a, b in zip(ours, theirs) if a != b]
     differing += [(a, "") for a in ours[len(theirs):]] + [("", b) for b in theirs[len(ours):]]
-    print(f"{len(ours)} points, {len(differing)} differing lines")
+    print(f"{args.points} points, {len(differing)} differing lines")
     for a, b in differing[: args.show]:
         print(f"- this tree:  {a}\n+ the other: {b}")
     return 1 if differing else 0

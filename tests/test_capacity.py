@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -477,27 +479,96 @@ def test_one_configuration_has_the_bits_of_the_ensemble_path(moments, lambda_v, 
         assert split == min(max(closed_form, 0.0), 1.0)
 
 
-def test_a_step_past_the_float_range_is_reported_as_numpy_reports_it():
-    # Python floats leave the float range silently, so a bound whose shift
-    # is not finite forms it again on arrays, and the split takes its steps
-    # again on numpy's scalars: numpy's errstate reports the step as it
-    # does on the array or scalar path, even where the split clips
-    # (2 rho (m11 m22 + m12 m21) overflows, or underflows to 0)
+def test_a_step_past_the_float_range_raises_its_named_error():
+    # Python floats leave the float range silently, so one configuration's
+    # closed forms check their steps themselves: the step that leaves it is
+    # named, whatever numpy's errstate, where the split would otherwise
+    # clip a lambda_v that is not finite
     huge = np.array([1e200, 1e-300, 1e-300, 1e200])
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
-            capacity.moment_upper_bound(huge, 0.5, 1e10)
-        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
-            capacity.single_pol_moment_bound(huge * 1e108, 1e10)
-        with pytest.raises(FloatingPointError, match="^overflow encountered in scalar multiply$"):
-            capacity.optimal_power_allocation(np.array([1e150, 0.0, 0.0, 1e150]), 1e10)
-    with np.errstate(divide="raise"):
-        with pytest.raises(FloatingPointError, match="^divide by zero encountered in scalar divide$"):
-            capacity.optimal_power_allocation(np.array([2e-160, 0.0, 0.0, 1e-160]), 1e-10)
-    with np.errstate(over="ignore", divide="ignore"):
-        assert capacity.moment_upper_bound(huge, 0.5, 1e10) == np.inf
-        assert capacity.optimal_power_allocation(np.array([1e150, 0.0, 0.0, 1e150]), 1e10) == 0.5
-        assert capacity.optimal_power_allocation(np.array([2e-160, 0.0, 0.0, 1e-160]), 1e-10) == 1.0
+    cases = [
+        (capacity.moment_upper_bound, (huge, 0.5, 1e10), "the moment bound's shift is inf"),
+        (capacity.single_pol_moment_bound, (huge * 1e108, 1e10), "the all-V bound's shift is inf"),
+        # m11 m22 overflows, and so does the scale it enters
+        (
+            capacity.optimal_power_allocation,
+            (np.array([1e200, 0.0, 0.0, 1e200]), 1.0),
+            "the split's 2 rho (m11 m22 + m12 m21) is inf",
+        ),
+        (
+            capacity.optimal_power_allocation,
+            (np.array([1e150, 0.0, 0.0, 1e150]), 1e10),
+            "the split's 2 rho (m11 m22 + m12 m21) is inf",
+        ),
+        (
+            capacity.optimal_power_allocation,
+            (np.array([2e-160, 0.0, 0.0, 1e-160]), 1e-10),
+            "the split's 2 rho (m11 m22 + m12 m21) is 0.0",
+        ),
+        (
+            capacity.optimal_power_allocation,
+            (np.array([1e300, 0.0, 0.0, 1e-300]), 1e-10),
+            "the split's lambda_v is inf",
+        ),
+    ]
+    for errstate in ("ignore", "warn", "raise"):
+        with np.errstate(all=errstate):
+            for closed_form, args, message in cases:
+                with pytest.raises(FloatingPointError) as excinfo:
+                    closed_form(*args)
+                assert str(excinfo.value) == message
+
+
+#: The message of a step of one configuration's closed forms that leaves
+#: the float range.
+NAMED_STEP = r"^the (moment bound|all-V bound|split)'s .+ is (inf|-inf|nan|0\.0)$"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=4, max_size=4
+    ),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    st.floats(-100.0, 300.0).map(lambda db: 10.0 ** (db / 10.0)),
+)
+@example([1e300, 1e300, 1e300, 1e300], 0.5, 1e30)  # every shift and the scale overflow
+@example([1e-160, 0.0, 0.0, 1e-160], 0.5, 1e-10)  # 2 rho (m11 m22 + m12 m21) underflows to 0
+def test_one_configuration_gives_finite_bits_or_names_its_step(moments, lambda_v, snr):
+    # over moments from 0 and 1e-300 to 1e300 and snr_db's range, under an
+    # errstate that ignores every floating-point error or raises on each:
+    # a closed form of one configuration returns the bits its steps give
+    # on numpy's arrays (two copies of the configuration) or scalars,
+    # wherever every step is finite, and otherwise raises the error that
+    # names its step; never inf or nan, nor a split clipped from a
+    # lambda_v that is not finite
+    m = np.array(moments)
+    with np.errstate(all="ignore"):
+        draws = np.tile(m, (2, 1))
+        bounds = [
+            (capacity.moment_upper_bound, (lambda_v, snr)),
+            (capacity.single_pol_moment_bound, (snr,)),
+        ]
+        expected = [bound(draws, *args) for bound, args in bounds]
+        m11, m12, m21, m22 = m
+        cross = m11 * m22 + m12 * m21
+        scale = 2.0 * snr * cross
+        split = 0.5 + ((m11 + m21) - (m12 + m22)) / scale
+    for errstate in ("ignore", "raise"):
+        with np.errstate(all=errstate):
+            for (bound, args), bits in zip(bounds, expected):
+                if np.isfinite(bits):
+                    assert bound(m, *args) == bits
+                else:
+                    with pytest.raises(FloatingPointError, match=NAMED_STEP):
+                        bound(m, *args)
+            if np.isfinite(cross) and not cross > 0.0:
+                with pytest.raises(ModelInconsistencyError, match="positive"):
+                    capacity.optimal_power_allocation(m, snr)
+            elif np.isfinite([cross, scale, split]).all():
+                assert capacity.optimal_power_allocation(m, snr) == min(max(split, 0.0), 1.0)
+            else:
+                with pytest.raises(FloatingPointError, match=NAMED_STEP):
+                    capacity.optimal_power_allocation(m, snr)
 
 
 def test_single_pol_bound_values():
@@ -596,14 +667,19 @@ def test_xpd_threshold_takes_the_linear_root_when_a_vanishes():
 
 def threshold_oracle(o_v, o_h, snr):
     """The threshold root at 60 digits, from the unscaled quadratic of
-    ``capacity.xpd_threshold`` in its cancellation-free form."""
+    ``capacity.xpd_threshold`` in its cancellation-free form: the root
+    c / q, and the discriminant of the quadratic in t = 1 - l, whose terms
+    do not cancel for O_H <= 2 O_V; b^2 - 4ac cancels to below 60 digits
+    as the root nears 1."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         o_v, o_h, rho = mpmath.mpf(o_v), mpmath.mpf(o_h), mpmath.mpf(snr)
         a = rho * rho * o_v * (o_h / 2 - o_v)
         b = rho * rho * o_v * (2 * o_v - o_h / 2) + 2 * rho * o_v
         c = rho * rho * o_v * (o_h / 4 - o_v) + rho * (o_h / 2 - 3 * o_v / 2)
-        sqrt_d = mpmath.sqrt(b * b - 4 * a * c)
+        shifted_b = rho * rho * o_v * o_h / 2 + 2 * rho * o_v
+        shifted_c = rho * rho * o_v * o_h / 4 + rho * (o_v + o_h) / 2
+        sqrt_d = mpmath.sqrt(shifted_b * shifted_b - 4 * a * shifted_c)
         return float(c / (-(b + sqrt_d) / 2) if b > 0 else (sqrt_d - b) / (2 * a))
 
 
@@ -619,6 +695,8 @@ FIG9 = scen.build_link_model(recipes.load_recipe("fig9").base)
         pytest.param(1.0, 2.0, 10.0, id="linear"),
         pytest.param(0.25, 0.25, 4.0, id="x-is-one"),
         pytest.param(3.1e-13, 2.2e-13, 7.3e12, id="x-above-one"),
+        # b^2 - 4ac cancels here, and the root was refused as 1
+        pytest.param(2.50e75, 4.96e-32, 1.53e-47, id="root-near-one"),
     ],
 )
 def test_xpd_threshold_matches_high_precision_root(o_v, o_h, snr):
@@ -630,12 +708,14 @@ def test_xpd_threshold_matches_high_precision_root(o_v, o_h, snr):
 
 @PROPERTY
 @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+@example(15.0, -15.0)  # b^2 - 4ac gave a root 5e7 ulps off here
 def test_xpd_threshold_has_b_positive_wherever_its_root_is_real(x_exponent, r_exponent):
     # rho O_V = 10^x_exponent and O_H / O_V = 10^r_exponent, each in
     # [1e-300, 1e300], from finite O_V, O_H and rho: b > 0 wherever the
-    # quadratic has a real root, so c / q, the one form taken, holds for
-    # every input; its root is the 60-digit one's to 1e-7, as near a double
-    # root at 1 the discriminant b^2 - 4ac cancels, to ~sqrt(eps) there
+    # quadratic has a real root, so c / q holds for every input; the root
+    # is the 60-digit one's to 4 ulps for r <= 2, where the discriminant is
+    # a sum of terms >= 0, and to 1e-7 for r > 2, where it may cancel near
+    # a double root
     o_v = 10.0 ** ((x_exponent - r_exponent) / 3.0)
     o_h = 10.0 ** ((x_exponent + 2.0 * r_exponent) / 3.0)
     snr = 10.0 ** ((2.0 * x_exponent + r_exponent) / 3.0)
@@ -644,7 +724,32 @@ def test_xpd_threshold_has_b_positive_wherever_its_root_is_real(x_exponent, r_ex
     except ModelInconsistencyError as err:
         assert "root" not in err.details or err.details["b"] > 0.0
         return
-    assert root == pytest.approx(threshold_oracle(o_v, o_h, snr), rel=1e-7, abs=0.0)
+    want = threshold_oracle(o_v, o_h, snr)
+    if o_h / o_v <= 2.0:
+        assert abs(root - want) <= 4 * math.ulp(want)
+    else:
+        assert root == pytest.approx(want, rel=1e-7, abs=0.0)
+
+
+@PROPERTY
+@given(st.floats(-150.0, 150.0), st.floats(-300.0, 0.30103), st.floats(-300.0, 300.0))
+def test_xpd_threshold_refuses_exactly_where_the_oracle_has_no_root(
+    o_v_exponent, r_exponent, x_exponent
+):
+    # O_V in [1e-150, 1e150], r = O_H / O_V in [1e-300, 2] and rho O_V in
+    # [1e-300, 1e300], wherever O_H and rho are positive and finite: for
+    # r <= 2 the root is refused exactly where the 60-digit one falls
+    # outside (0, 1), and taken to 4 ulps wherever it falls inside, roots
+    # within an ulp of 1 included, which b^2 - 4ac pushed to 1 or past it
+    o_v = 10.0**o_v_exponent
+    o_h, snr = o_v * 10.0**r_exponent, 10.0**x_exponent / o_v
+    assume(0.0 < o_h and o_h / o_v <= 2.0 and 0.0 < snr < math.inf)
+    want = threshold_oracle(o_v, o_h, snr)
+    if 0.0 < want < 1.0:
+        assert abs(capacity.xpd_threshold(o_v, o_h, snr) - want) <= 4 * math.ulp(want)
+    else:
+        with pytest.raises(ModelInconsistencyError, match="falls outside"):
+            capacity.xpd_threshold(o_v, o_h, snr)
 
 
 @pytest.mark.parametrize(

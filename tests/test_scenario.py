@@ -665,3 +665,13 @@ def test_failed_surface_is_not_kept(monkeypatch):
     assert len(builds) == 5
     scen.build_link_model(BASE.replace(xpd_coeff=0.5))
     assert len(builds) == 5
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # a link model and its Monte Carlo hold arrays, whose == is elementwise:
+    # two builds of one scenario are two records, each equal to itself
+    # alone and hashed by identity, as any object
+    first, second = (scen.build_link_model(BASE.replace(trials=8)) for _ in range(2))
+    for record, other in ((first, second), (first.mc, second.mc)):
+        assert record == record and record != other
+        assert hash(record) == object.__hash__(record) and len({record, other, record}) == 2

@@ -1008,11 +1008,16 @@ def dpris_env():
 
 def test_overflowing_received_snr_is_a_model_inconsistency():
     # run apart, because pytest turns the warnings it must not print into
-    # errors; an overflow in the link build fails the same way, before any
-    # moment is reported
+    # errors; the Monte Carlo's overflow is numpy's, and an overflow in the
+    # link build's split, the step it names, fails the same way, before
+    # any moment is reported
     cases = [
-        (OVERFLOWING, "the estimators leave", "moments = "),
-        (OVERFLOWING_BUILD, "the link build leaves", "link = not built"),
+        (OVERFLOWING, "the estimators leave the float range (overflow encountered", "moments = "),
+        (
+            OVERFLOWING_BUILD,
+            "the link build leaves the float range (the split's 2 rho (m11 m22 + m12 m21) is inf)",
+            "link = not built",
+        ),
     ]
     for pairs, failed, detail in cases:
         sets = [arg for key, value in pairs.items() for arg in ("--set", f"{key}={value}")]
@@ -1023,7 +1028,7 @@ def test_overflowing_received_snr_is_a_model_inconsistency():
             text=True,
         )
         assert out.returncode == 3
-        assert f"{failed} the float range (overflow encountered" in out.stderr
+        assert f"error: {failed}" in out.stderr
         assert "snr = " in out.stderr and detail in out.stderr
         assert "RuntimeWarning" not in out.stderr
         assert "dual_mc_bits" not in out.stdout
@@ -1048,10 +1053,10 @@ def test_overflowing_row_fails_and_the_sweep_goes_on():
 
 def test_an_overflowing_bound_fails_its_cell_alone():
     # at 200 dB rho^2 m11 m22 overflows: the dual bound, evaluated alone,
-    # fails with numpy's error, and the all-V bound, whose rho m11 does not
-    # overflow, is finite
+    # fails by the step it names, and the all-V bound, whose rho m11 does
+    # not overflow, is finite
     point = scen.parse_overrides(scen.Scenario(), OVERFLOWING)
-    message = "the estimators leave the float range (overflow encountered in multiply)"
+    message = "the estimators leave the float range (the moment bound's shift is inf)"
     with pytest.raises(ModelInconsistencyError) as excinfo:
         sweep.evaluate(point, ["dual-ub"])
     assert str(excinfo.value) == message
