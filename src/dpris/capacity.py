@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,36 +72,14 @@ _MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class McCapacityResult:
+class McCapacityResult(NamedTuple):
     """The dual and all-V Monte Carlo estimates in bits, each with its
-    standard error, from the same T trials.  ``power`` holds the trials'
-    |z_ij|^2, shape (4, T), and ``half_moments`` each draw's m / 2, shape
-    (4, D); the per-trial |G_ij|^2 and their means are formed when read."""
+    standard error, from the same T trials."""
 
     estimate: float
     standard_error: float
     single_pol_estimate: float
     single_pol_standard_error: float
-    power: np.ndarray = field(repr=False)
-    half_moments: np.ndarray = field(repr=False)
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Per-trial |G_ij|^2 = |z_ij|^2 m_ij / 2, shape (T, 4)."""
-        draws = np.arange(self.power.shape[1]) % self.half_moments.shape[1]
-        return (self.power * self.half_moments[:, draws]).T
-
-    @property
-    def moments(self) -> np.ndarray:
-        return self.gram.mean(axis=0)
-
-    @property
-    def moment_standard_errors(self) -> np.ndarray:
-        trials = self.power.shape[1]
-        if trials == 1:
-            return np.zeros(4)
-        return np.std(self.gram, axis=0, ddof=1) / np.sqrt(trials)
 
 
 def ergodic_capacity_mc(
@@ -110,33 +88,23 @@ def ergodic_capacity_mc(
     """Monte Carlo estimates of E log2 det(I2 + rho G Lambda G^H) and of
     the all-V E log2(1 + rho |G11|^2), rho = ``snr`` and
     Lambda = diag(lambda_v, 1 - lambda_v), by the module's expansion over
-    ``trials`` draws of G from ``moments``, shape (4,) or (D, 4); trial i
-    takes draw i mod D.  The trials are those of ``_trial_statistics``, so
-    a fixed ``master_seed`` gives the same bits, and the first T trials of
-    a longer run are a T-trial run's.  ValueError for any other shape.
+    the ``_trials`` of ``moments``, shape (4,) or (D, 4).  A fixed
+    ``master_seed`` gives the same bits, and the first T trials of a longer
+    run are a T-trial run's.
     """
-    half = _moment_rows(moments).T / 2.0
+    half, power, products = _trials(moments, trials, master_seed)
     root = np.sqrt(half)
-    power, products = _trial_statistics(trials, master_seed)
     rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
-    # each draw's coefficients; for an ensemble, trial i takes those of draw i mod D
     weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
-    scales = root[0] * root[3], root[1] * root[2]
-    single_weight = rho * half[0]
-    if half.shape[1] > 1:
-        draws = np.arange(trials) % half.shape[1]
-        weights, single_weight, *scales = (
-            c[..., draws] for c in (weights, single_weight, *scales)
-        )
     # row 0 the dual link's shift, row 1 the all-V link's, then their logs
     values = np.empty((2, trials))
     shift, single = values
     np.add.reduce(weights * power, axis=0, out=shift)
-    det = scales[0] * products[:2]
-    det -= scales[1] * products[2:]
+    det = (root[0] * root[3]) * products[:2]
+    det -= (root[1] * root[2]) * products[2:]
     np.square(det, out=det)
     shift += (rho * rho * lv * lh) * (det[0] + det[1])
-    np.multiply(single_weight, power[0], out=single)
+    np.multiply(rho * half[0], power[0], out=single)
     # means and standard errors in nats, from sums, then in bits
     nats = np.log1p(values, out=values)
     means = nats.sum(axis=1) / trials
@@ -145,14 +113,26 @@ def ergodic_capacity_mc(
     # one trial leaves no spread: its deviations are exactly 0, and so is the SE
     se = np.sqrt(nats.sum(axis=1) / max(trials - 1, 1)) / (math.sqrt(trials) * _LN2)
     means /= _LN2
-    return McCapacityResult(
-        estimate=float(means[0]),
-        standard_error=float(se[0]),
-        single_pol_estimate=float(means[1]),
-        single_pol_standard_error=float(se[1]),
-        power=power,
-        half_moments=half,
-    )
+    return McCapacityResult(*(float(x) for x in (means[0], se[0], means[1], se[1])))
+
+
+def mc_moments(moments: np.ndarray, trials: int, master_seed: int) -> np.ndarray:
+    """The sample means of |G_ij|^2 = |z_ij|^2 m_ij / 2, shape (4,), over
+    the trials of ``_trials``: the moments the Monte Carlo of the same
+    ``trials`` and ``master_seed`` reads, without its estimates."""
+    half, power, _ = _trials(moments, trials, master_seed)
+    return (power * half).T.mean(axis=0)
+
+
+def _trials(moments: np.ndarray, trials: int, master_seed: int):
+    """Each trial's m / 2, shape (4, 1) for moments of shape (4,) and
+    (4, trials) for (D, 4), trial t taking draw t mod D, then the powers
+    and products of ``_trial_statistics``.  ValueError for any other shape.
+    """
+    half = _moment_rows(moments).T / 2.0
+    if half.shape[1] > 1:
+        half = half[:, np.arange(trials) % half.shape[1]]
+    return (half, *_trial_statistics(trials, master_seed))
 
 
 def moment_upper_bound(moments: np.ndarray, lambda_v: float, snr: float) -> float:

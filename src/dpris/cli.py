@@ -2,9 +2,10 @@
 a CSV; ``capacity`` evaluates one scenario point as a sweep row does and
 prints the scenario echo, then a ``column = value`` line per cell of
 ``REPORT``; ``threshold`` prints the cross-polarization threshold of given
-link qualities; ``recipes`` lists or runs the bundled recipes.  ``sweep``,
-``capacity`` and ``recipes run`` read key = value pairs from a file, then
-the ``--set KEY=VALUE`` items, which win, and parse the merged pairs once.
+link qualities, written as a sweep cell is; ``recipes`` lists or runs the
+bundled recipes.  ``sweep``, ``capacity`` and ``recipes run`` read
+key = value pairs from a file, then the ``--set KEY=VALUE`` items, which
+win, and parse the merged pairs once.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _cmd_threshold(args) -> int:
     if snr_db is None:
         raise ValueError(f"snr_db must be a number, got {args.snr_db!r}")
     value = capacity.xpd_threshold(args.ov, args.oh, scen.db_to_linear(snr_db))
-    print(f"xpd_threshold = {value:.10g}")
+    print(f"xpd_threshold = {sweep.format_cell(value, 'xpd_threshold')}")
     return 0
 
 

@@ -42,7 +42,8 @@ def _quality(link):
 
 #: Output name -> (its columns, their cells as a function of the link model
 #: alone; ``link.mc`` runs the point's Monte Carlo once, on first read).
-#: ``quality`` and ``mc-moments`` are opt-in diagnostics.
+#: ``quality`` and ``mc-moments`` are opt-in diagnostics; ``mc-moments``
+#: reads the Monte Carlo's trials but not its estimates.
 OUTPUTS = {
     "dual-mc": (
         ("dual_mc_bits", "dual_mc_se"),
@@ -65,7 +66,7 @@ OUTPUTS = {
     "quality": (("o_v", "o_h"), _quality),
     "mc-moments": (
         ("mc_m11", "mc_m12", "mc_m21", "mc_m22"),
-        lambda link: link.mc.moments.tolist(),
+        lambda link: capacity.mc_moments(link.moments, link.trials, link.master_seed).tolist(),
     ),
 }
 

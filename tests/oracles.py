@@ -13,8 +13,7 @@ element's fading through a factor of that matrix and forms G from the
 feed coefficients and the reflection coefficients apart; the package's
 Monte Carlo draws only the 2x2 law of the equivalent channel, whose
 moments it reads from one weighted surface vector per polarization,
-amplitudes times feed coefficients times pathloss weights, and
-``per_trial_capacity_mc`` runs its estimator on per-trial moments.  The
+amplitudes times feed coefficients times pathloss weights.  The
 scalar determinant forms expand det(I2 + rho G Lambda G^H) through the
 Hermitian product, an independent route to the package's |det G|^2 form.
 The per-element scalar twins (incidence decomposition, feed pattern,
@@ -479,35 +478,6 @@ def full_vector_mc(parts, lambda_v, snr: float, trials: int, seed: int):
     else:
         values = log2_det2(g, lambda_v, 1.0 - lambda_v, snr)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
-
-
-def per_trial_capacity_mc(moments, lambda_v: float, snr: float, trials: int, master_seed: int):
-    """(estimate, SE, all-V estimate, all-V SE) of the package's Monte
-    Carlo estimator with the moments gathered to every trial first: the
-    (4, T) half-moments of trial i taken from draw i mod D, their square
-    roots and weights formed per trial, on the package's kept statistics
-    of (trials, master_seed)."""
-    rows = np.asarray(moments, dtype=float).reshape(-1, 4)
-    half = rows.T / 2.0
-    if len(rows) > 1:
-        half = half[:, np.arange(trials) % len(rows)]
-    root = np.sqrt(half)
-    power, products = capacity._trial_statistics(trials, master_seed)
-    rho, lv, lh = snr, lambda_v, 1.0 - lambda_v
-    weights = (rho * np.array([lv, lh, lv, lh]))[:, None] * half
-    shift = np.add.reduce(weights * power, axis=0)
-    det = (root[0] * root[3]) * products[:2]
-    det -= (root[1] * root[2]) * products[2:]
-    np.square(det, out=det)
-    shift += (rho * rho * lv * lh) * (det[0] + det[1])
-    single = (rho * half[0]) * power[0]
-    nats = np.log1p(np.stack([shift, single]))
-    means = nats.sum(axis=1) / trials
-    nats -= means[:, None]
-    np.square(nats, out=nats)
-    se = np.sqrt(nats.sum(axis=1) / max(trials - 1, 1)) / (math.sqrt(trials) * LN2)
-    means /= LN2
-    return float(means[0]), float(se[0]), float(means[1]), float(se[1])
 
 
 def _abs2(z):

@@ -756,18 +756,24 @@ def test_xpd_threshold_refuses_exactly_where_the_oracle_has_no_root(
     "ov, oh, snr_db, printed",
     [
         ("1e-300", "1e-300", "0", "0.5"),
-        ("1e300", "1e300", "100", "0.6339745962"),
+        ("1e300", "1e300", "100", "0.6339745962155614"),
+        # a root within 4e-15 of 1, which 10 digits would print as 1
+        ("3.825e38", "7.5888e-69", "-100", "0.99999999999999634"),
         # O_H / O_V overflows: the quadratic divided by it has no real root
         ("1e-300", "1e300", "100", None),
     ],
 )
 def test_cli_threshold_at_extreme_qualities(capsys, ov, oh, snr_db, printed):
+    # the root prints as a sweep cell does, to 17 digits, so it parses back
+    # to the returned root
     rc = cli.main(["threshold", "--ov", ov, "--oh", oh, "--snr-db", snr_db])
     out, err = capsys.readouterr()
     if printed is None:
         assert rc == 3 and "error: threshold root is not real" in err
     else:
         assert rc == 0 and out == f"xpd_threshold = {printed}\n"
+        snr = scen.db_to_linear(float(snr_db))
+        assert float(printed) == capacity.xpd_threshold(float(ov), float(oh), snr)
 
 
 def test_xpd_threshold_definition_holds_at_root():
@@ -827,19 +833,16 @@ def test_multiplexing_gain_synthetic_and_errors():
 
 def test_mc_is_reproducible_and_chunking_invariant(table_scenario_16):
     # a call on the kept statistics and a call that draws them afresh give
-    # the first call's bits, moments included
+    # the first call's bits, the moments' too
+    moments = moments_of(table_scenario_16)
     kwargs = dict(lambda_v=0.5, snr=2e12, trials=600, master_seed=5)
-    first = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
-    again = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
-    capacity._trial_statistics.cache_clear()
-    cold = capacity.ergodic_capacity_mc(moments_of(table_scenario_16), **kwargs)
-    for other in (again, cold):
-        assert first.estimate == other.estimate
-        assert first.standard_error == other.standard_error
-        assert first.single_pol_estimate == other.single_pol_estimate
-        assert first.single_pol_standard_error == other.single_pol_standard_error
-        np.testing.assert_array_equal(first.moments, other.moments)
-        np.testing.assert_array_equal(first.moment_standard_errors, other.moment_standard_errors)
+    runs = []
+    for cold in (False, False, True):
+        if cold:
+            capacity._trial_statistics.cache_clear()
+        mc = capacity.ergodic_capacity_mc(moments, **kwargs)
+        runs.append((mc, capacity.mc_moments(moments, 600, 5).tolist()))
+    assert runs[0] == runs[1] == runs[2]
 
     # a short run's statistics are a prefix of a longer run's, at odd
     # lengths, and no stretch of the stream repeats another
@@ -941,16 +944,18 @@ def test_kept_draws_are_read_only_and_change_no_estimate():
         product = z[:, i] * z[:, j]
         assert np.all(np.abs(pair[0] + 1j * pair[1] - product) <= 1e-15 * np.abs(product))
 
+    # the estimates and the moments' means each read the kept statistics
     moments = np.random.default_rng(4).uniform(0.1, 2.0, 4)
+    hits = capacity._trial_statistics.cache_info().hits
     warm = capacity.ergodic_capacity_mc(moments, 0.3, 5.0, trials, seed)
+    warm_moments = capacity.mc_moments(moments, trials, seed)
+    assert capacity._trial_statistics.cache_info().hits == hits + 2
     assert capacity._trial_statistics(trials, seed) is stats
-    assert warm.power is power
     capacity._trial_statistics.cache_clear()
     cold = capacity.ergodic_capacity_mc(moments, 0.3, 5.0, trials, seed)
     assert capacity._trial_statistics(trials, seed) is not stats
-    for name in ("estimate", "standard_error", "single_pol_estimate", "single_pol_standard_error"):
-        assert getattr(cold, name) == getattr(warm, name)
-    np.testing.assert_array_equal(cold.gram, warm.gram)
+    assert cold == warm
+    np.testing.assert_array_equal(capacity.mc_moments(moments, trials, seed), warm_moments)
 
 
 @pytest.mark.parametrize(
@@ -979,49 +984,41 @@ def test_mc_matches_log_det_oracle(moments, lambda_v, snr, trials):
     g = z * np.sqrt(rows / 2.0)[np.arange(trials) % len(rows)]
     dual = oracles.log2_det2(g.reshape(trials, 2, 2), lambda_v, 1.0 - lambda_v, snr)
     single = np.log1p(snr * np.abs(g[:, 0]) ** 2) / oracles.LN2
-    gram = np.abs(g) ** 2
     mc = capacity.ergodic_capacity_mc(moments, lambda_v, snr, trials, seed)
+    mean_gram = capacity.mc_moments(moments, trials, seed)
     assert mc.estimate == pytest.approx(dual.mean(), rel=1e-12)
     assert mc.single_pol_estimate == pytest.approx(single.mean(), rel=1e-12)
-    np.testing.assert_allclose(mc.moments, gram.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(mean_gram, (np.abs(g) ** 2).mean(axis=0), rtol=1e-12)
     if trials == 1:
         assert mc.standard_error == mc.single_pol_standard_error == 0.0
-        np.testing.assert_array_equal(mc.moment_standard_errors, np.zeros(4))
         return
     root = np.sqrt(trials)
     assert mc.standard_error == pytest.approx(dual.std(ddof=1) / root, rel=1e-9)
     assert mc.single_pol_standard_error == pytest.approx(single.std(ddof=1) / root, rel=1e-9)
-    np.testing.assert_allclose(
-        mc.moment_standard_errors, gram.std(axis=0, ddof=1) / root, rtol=1e-9
-    )
     zero = rows.max(axis=0) == 0.0
-    # a dead entry has no power and no spread, and the single-polarized link
-    # is dead with m11 (xpd 1)
-    assert np.all(mc.moments[zero] == 0.0) and np.all(mc.moment_standard_errors[zero] == 0.0)
+    # a dead entry has no power, and the single-polarized link is dead with
+    # m11 (xpd 1)
+    assert np.all(mean_gram[zero] == 0.0)
     if zero[0]:
         assert mc.single_pol_estimate == mc.single_pol_standard_error == 0.0
 
 
 @pytest.mark.parametrize("draws", [None, 1, 7, 1000])
 def test_per_draw_coefficients_give_the_per_trial_bits(draws):
-    # the weights, determinant scales and all-V weight formed once per draw
-    # and gathered to the trials give the bits of forming them per trial,
-    # for one configuration (4,), a (1, 4) ensemble, and ensembles whose
-    # draws do not divide the trials
+    # trial t takes draw t mod D: the estimates and the moments' means have
+    # the bits of one draw per trial, the moments gathered to the trials
+    # beforehand, for one configuration (4,), a (1, 4) ensemble, and
+    # ensembles whose draws do not divide the trials
     trials = 3001
     shape = 4 if draws is None else (draws, 4)
     moments = np.random.default_rng(11).uniform(0.1, 2.0, shape)
-    mc = capacity.ergodic_capacity_mc(moments, 0.35, 70.0, trials, 5)
-    expected = oracles.per_trial_capacity_mc(moments, 0.35, 70.0, trials, 5)
-    assert (
-        mc.estimate,
-        mc.standard_error,
-        mc.single_pol_estimate,
-        mc.single_pol_standard_error,
-    ) == expected
     rows = moments.reshape(-1, 4)
-    half = (rows / 2.0)[np.arange(trials) % len(rows)]
-    np.testing.assert_array_equal(mc.gram, mc.power.T * half)
+    gathered = rows[np.arange(trials) % len(rows)]
+    for_each = capacity.ergodic_capacity_mc(gathered, 0.35, 70.0, trials, 5)
+    assert capacity.ergodic_capacity_mc(moments, 0.35, 70.0, trials, 5) == for_each
+    np.testing.assert_array_equal(
+        capacity.mc_moments(moments, trials, 5), capacity.mc_moments(gathered, trials, 5)
+    )
 
 
 def test_capacity_report_is_jensen_consistent(capsys):

@@ -668,10 +668,12 @@ def test_failed_surface_is_not_kept(monkeypatch):
 
 
 def test_records_that_hold_arrays_compare_by_identity():
-    # a link model and its Monte Carlo hold arrays, whose == is elementwise:
-    # two builds of one scenario are two records, each equal to itself
-    # alone and hashed by identity, as any object
+    # a link model holds arrays, whose == is elementwise: two builds of one
+    # scenario are two records, each equal to itself alone and hashed by
+    # identity, as any object; their Monte Carlo results hold four floats
+    # and compare and hash by value
     first, second = (scen.build_link_model(BASE.replace(trials=8)) for _ in range(2))
-    for record, other in ((first, second), (first.mc, second.mc)):
-        assert record == record and record != other
-        assert hash(record) == object.__hash__(record) and len({record, other, record}) == 2
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first) and len({first, second, first}) == 2
+    assert first.mc is not second.mc
+    assert first.mc == second.mc and len({first.mc, second.mc}) == 1

@@ -443,7 +443,8 @@ def test_random_xpd_sweep_seeds_its_draws_once(monkeypatch):
     ],
 )
 def test_row_makes_one_estimator_call(monkeypatch, outputs):
-    # every Monte Carlo column comes from one call's draws
+    # the Monte Carlo columns read one kept trial set, drawn once; the
+    # estimates come from one estimator call, and mc-moments alone makes none
     results = []
     estimator = capacity.ergodic_capacity_mc
 
@@ -454,16 +455,21 @@ def test_row_makes_one_estimator_call(monkeypatch, outputs):
     monkeypatch.setattr(capacity, "ergodic_capacity_mc", counted)
     spec = spec_from({"axis": "xpd", "grid": "0.2", "outputs": outputs, **BOUNDS_ONLY_16})
     row = sweep.run_sweep(spec).rows[0]
-    assert row["status"] == "ok" and len(results) == 1
-    (mc,) = results
+    assert row["status"] == "ok" and capacity._trial_statistics.cache_info().misses == 1
+    assert len(results) == ("dual-mc" in outputs or "single-mc" in outputs)
     if "dual-mc" in outputs:
+        (mc,) = results
         assert (row["dual_mc_bits"], row["dual_mc_se"]) == (mc.estimate, mc.standard_error)
     if "single-mc" in outputs:
+        (mc,) = results
         assert row["single_mc_bits"] == mc.single_pol_estimate
         assert row["single_mc_se"] == mc.single_pol_standard_error
     if "mc-moments" in outputs:
-        # reduced from that call's per-trial |G_ij|^2, when read
-        assert [row[f"mc_m{i}"] for i in (11, 12, 21, 22)] == list(mc.gram.mean(axis=0))
+        # each entry's mean of |z_ij|^2 m_ij / 2 over those trials
+        link = scen.build_link_model(spec.base.replace(xpd_coeff=0.2))
+        power = capacity._trial_statistics(link.trials, link.master_seed)[0]
+        expected = (power * (link.moments / 2.0)[:, None]).T.mean(axis=0)
+        assert [row[f"mc_m{i}"] for i in (11, 12, 21, 22)] == expected.tolist()
 
 
 def test_unknown_names_fail_the_row_or_the_command(capsys, tmp_path):
@@ -1061,6 +1067,23 @@ def test_an_overflowing_bound_fails_its_cell_alone():
         sweep.evaluate(point, ["dual-ub"])
     assert str(excinfo.value) == message
     assert 0.0 < sweep.evaluate(point, ["single-ub"])["single_ub_bits"] < np.inf
+
+
+def test_mc_moments_are_their_own_cells_where_the_estimates_overflow():
+    # at 200 dB the Monte Carlo's shift overflows, but the moments' means,
+    # up to about 4.5e139, do not: mc-moments, evaluated alone, gives the
+    # mean of |G_ij|^2 over the same trials drawn afresh, and dual-mc fails
+    # its cell
+    point = scen.parse_overrides(scen.Scenario(), OVERFLOWING)
+    moments = scen.build_link_model(point).moments
+    z = oracles.standard_channels(point.trials, point.master_seed)
+    expected = (np.abs(z * np.sqrt(moments / 2.0)) ** 2).mean(axis=0)
+    cells = sweep.evaluate(point, ("mc-moments",))
+    values = [cells[f"mc_m{i}"] for i in (11, 12, 21, 22)]
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, expected, rtol=1e-12)
+    with pytest.raises(ModelInconsistencyError, match="the estimators leave the float range"):
+        sweep.evaluate(point, ("dual-mc",))
 
 
 def test_direct_build_reports_an_overflowing_surface_as_out_of_range(monkeypatch):
